@@ -11,7 +11,9 @@
 //!    design (the 4-node NoC ring), the compiled engine's steady-state
 //!    poke/eval/tick loop must not allocate at all. A counting global
 //!    allocator measures the delta over a thousand cycles; any nonzero
-//!    count is a regression and fails the build. The binary is
+//!    count is a regression and fails the build. The sliced engine is
+//!    held to the same on the ring and on a 64-lane RocketLite boot
+//!    (memory read and write ports in the measured window). The binary is
 //!    single-threaded precisely so this counter is meaningful. The
 //!    measured loop carries live `obs_span!`/`obs_counter!` tracing
 //!    macros, so this guard also proves the disabled tracer is
@@ -24,7 +26,7 @@
 //! EXPERIMENTS.md. Throughput numbers are machine-dependent; the two
 //! invariants are not.
 
-use fireaxe::ir::{Bits, ExecEngine, Interpreter, SlicedInterpreter};
+use fireaxe::ir::{Bits, ExecEngine, Interpreter, SliceCoverage, SlicedInterpreter};
 use fireaxe::obs::{obs_counter, obs_span, trace};
 use fireaxe::prelude::*;
 use fireaxe::soc::noc::{ring_noc_circuit, NocConfig};
@@ -68,6 +70,9 @@ struct SlicedResult {
     /// CI floor on `gain` (aggregate lane throughput over one compiled
     /// run); `None` rows are informational.
     min_gain: Option<f64>,
+    /// What ran as plane kernels and what still went through the tree
+    /// walker — the first thing to read beside a low gain.
+    coverage: SliceCoverage,
 }
 
 struct WorkloadResult {
@@ -246,6 +251,7 @@ fn bench_noc_ring() -> WorkloadResult {
             lane_cps,
             lanes_match,
             min_gain: Some(20.0),
+            coverage: si.coverage(),
         }),
     }
 }
@@ -306,6 +312,51 @@ fn sliced_alloc_guard() -> Result<(), String> {
     }
     println!(
         "alloc guard: 0 heap allocations over {guard_cycles} sliced 64-lane cycles (noc_ring_4)"
+    );
+    Ok(())
+}
+
+/// The same guard where memory ports are in the cycle: a 64-lane
+/// RocketLite boot. The scratchpad's read port runs every settle and its
+/// write port fires inside the measured window (counted on the port's
+/// enable), both as lane kernels — transposes on the stack, staged
+/// writes in buffers that keep their capacity.
+fn sliced_mem_alloc_guard() -> Result<(), String> {
+    let circuit = fireaxe::soc::validation::rocket_soc(60, 16);
+    let mut si = SlicedInterpreter::new(&circuit, LANES).unwrap();
+    let cov = si.coverage();
+    if !cov.scalarized.is_empty() {
+        return Err(format!(
+            "rocket_soc scalarizes under the sliced engine: {cov}"
+        ));
+    }
+    for _ in 0..256 {
+        si.step().unwrap(); // warmup, past the first store
+    }
+    let guard_cycles = 2_000u64;
+    let mut writes = 0u64;
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for _ in 0..guard_cycles {
+        si.step().unwrap();
+        // Still the settled pre-edge value the tick just acted on.
+        writes += si.peek_u64(LANES - 1, "mem.is_write_fire");
+    }
+    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    if writes == 0 {
+        return Err(format!(
+            "rocket_soc's scratchpad write port never fired in {guard_cycles} cycles: \
+             the guard no longer covers the write-port kernel"
+        ));
+    }
+    if delta != 0 {
+        return Err(format!(
+            "sliced engine allocated {delta} times over {guard_cycles} steady-state 64-lane \
+             cycles of rocket_soc (memory read port + {writes} writes per lane; expected 0)"
+        ));
+    }
+    println!(
+        "alloc guard: 0 heap allocations over {guard_cycles} sliced 64-lane cycles \
+         (rocket_soc: read port every settle, {writes} writes per lane)"
     );
     Ok(())
 }
@@ -437,6 +488,7 @@ fn bench_soc24() -> WorkloadResult {
             lane_cps,
             lanes_match,
             min_gain: Some(10.0),
+            coverage: si.coverage(),
         }),
     }
 }
@@ -502,6 +554,7 @@ fn bench_sha3() -> WorkloadResult {
             lane_cps,
             lanes_match,
             min_gain: None,
+            coverage: si.coverage(),
         }),
     }
 }
@@ -512,11 +565,13 @@ fn write_json(results: &[WorkloadResult]) -> std::io::Result<()> {
         let sliced = r.sliced.as_ref().map_or(String::new(), |sl| {
             format!(
                 ", \"sliced_lanes\": {}, \"sliced_lane_cps\": {:.0}, \
-                 \"sliced_gain\": {:.2}, \"sliced_probes_match\": {}",
+                 \"sliced_gain\": {:.2}, \"sliced_probes_match\": {}, \
+                 \"sliced_scalarized\": {}",
                 sl.lanes,
                 sl.lane_cps,
                 r.sliced_gain(),
-                sl.lanes_match
+                sl.lanes_match,
+                sl.coverage.scalarized.len()
             )
         });
         s.push_str(&format!(
@@ -568,6 +623,9 @@ fn main() -> ExitCode {
                 "NO"
             }
         );
+        if let Some(sl) = &r.sliced {
+            println!("{:<12} sliced {}", "", sl.coverage);
+        }
         ok &= r.probes_match && sliced_ok;
         // The batch-throughput floor is machine-relative (both sides
         // are measured in this same process), so it gates in CI.
@@ -588,6 +646,10 @@ fn main() -> ExitCode {
         ok = false;
     }
     if let Err(e) = sliced_alloc_guard() {
+        eprintln!("FAIL: {e}");
+        ok = false;
+    }
+    if let Err(e) = sliced_mem_alloc_guard() {
         eprintln!("FAIL: {e}");
         ok = false;
     }

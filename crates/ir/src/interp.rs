@@ -953,6 +953,19 @@ impl Interpreter {
     pub(crate) fn mem_index(&self, path: &str) -> Option<usize> {
         self.mem_names.get(path).copied()
     }
+
+    /// Hierarchical path of a slot — [`Interpreter::slot_index`]
+    /// reversed by linear search, for reports.
+    pub(crate) fn slot_path(&self, slot: usize) -> Option<&str> {
+        let (path, _) = self.slot_names.iter().find(|(_, &s)| s == slot)?;
+        Some(path)
+    }
+
+    /// Hierarchical path of a memory, as [`Interpreter::slot_path`].
+    pub(crate) fn mem_path(&self, mem: usize) -> Option<&str> {
+        let (path, _) = self.mem_names.iter().find(|(_, &m)| m == mem)?;
+        Some(path)
+    }
 }
 
 /// Disjoint mutable/immutable views into an [`Interpreter`], produced by

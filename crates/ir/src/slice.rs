@@ -24,6 +24,21 @@
 //! does not slice profitably — scalarizes per lane through the reference
 //! tree walker (gather lane → eval → scatter lane), preserving exact
 //! reference semantics including its documented panics.
+//! [`SlicedInterpreter::coverage`] reports what still scalarizes and why.
+//!
+//! ## Memory ports
+//!
+//! Memory contents are lane-local words, not planes, so a port is where
+//! the two layouts meet — by *transpose*, not by per-lane tree walks. A
+//! read compiles its address to a plane program, turns the address
+//! planes into 64 lane-major addresses with one 64×64 bit transpose,
+//! looks each lane's word up (zero past the depth), and transposes each
+//! 64-bit word of data back into the destination planes. A write port
+//! compiles enable, address and data into one plane program; a cycle
+//! whose enable plane is zero over the live lanes costs nothing more,
+//! and otherwise only the enabled lanes' words are staged and committed
+//! in the reference's order. A port scalarizes only when its expressions
+//! do not slice or its address is wider than 64 bits.
 //!
 //! ## Two front ends
 //!
@@ -198,6 +213,18 @@ enum DefProg {
         imports: Vec<u32>,
         slot: u32,
     },
+    /// Memory read: the plane program `ops[lo..hi]` computes the address
+    /// `addr`, then one transposed lookup per 64-bit word of data fills
+    /// `slot`'s planes (see `SlicedInterpreter::eval`). The embedded
+    /// single-lane mode runs these through `run_def` instead — its memory
+    /// contents are the canonical scalars.
+    MemRead {
+        lo: u32,
+        hi: u32,
+        addr: SSrc,
+        mem: u32,
+        slot: u32,
+    },
     /// Per-lane scalarization through the reference tree walker.
     Fallback,
     /// Extern behavioral settle, one model call per lane.
@@ -220,13 +247,147 @@ enum RegProg {
     Fallback { ri: u32, reads: Vec<u32> },
 }
 
-/// One memory write port, always evaluated per lane (each lane owns its
-/// memory contents, so the port's enable/addr/data are lane-local).
+/// How one memory write port executes at the clock edge.
 #[derive(Debug)]
-struct MemWProg {
-    mem: u32,
+enum MemWProg {
+    /// One plane program `ops[lo..hi]` computes enable, address and data
+    /// (`data` already re-windowed to the memory width); lanes whose
+    /// enable is set stage their word through a transpose.
+    Sliced {
+        mem: u32,
+        lo: u32,
+        hi: u32,
+        en: SSrc,
+        addr: SSrc,
+        data: SSrc,
+    },
+    /// Per-lane evaluation of `mems[mem].writes[port]` (reads
+    /// pre-gathered).
+    Fallback {
+        mem: u32,
+        port: u32,
+        reads: Vec<u32>,
+    },
+}
+
+/// Why a definition, register next-value or memory port runs per lane
+/// through the reference tree walker instead of as a plane kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScalarReason {
+    /// Reads or writes a slot whose runtime width is not provably its
+    /// declared width (see the module docs on exactness).
+    InexactSlot,
+    /// Contains a division or remainder.
+    DivRem,
+    /// Contains a multiply wider than the shift-add kernel's limit.
+    WideMul,
+    /// Memory address expression wider than 64 bits.
+    WideAddress,
+    /// Extracts bits past its operand's width (the reference panics; the
+    /// fallback preserves the panic).
+    ExtractOutOfRange,
+    /// Mux arms of different widths under a resize (runtime-dynamic
+    /// width inside the expression).
+    MuxArmWidths,
+}
+
+impl std::fmt::Display for ScalarReason {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            ScalarReason::InexactSlot => "inexact slot",
+            ScalarReason::DivRem => "div/rem",
+            ScalarReason::WideMul => "wide mul",
+            ScalarReason::WideAddress => "wide address",
+            ScalarReason::ExtractOutOfRange => "out-of-range extract",
+            ScalarReason::MuxArmWidths => "mux arm widths differ",
+        })
+    }
+}
+
+/// The four kinds of work a [`SliceCoverage`] report counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SliceUnit {
+    /// A scheduled combinational expression definition.
+    Def,
+    /// A register's next-value expression.
+    RegNext,
+    /// A memory read port.
+    MemRead,
+    /// A memory write port.
+    WritePort,
+}
+
+/// How many units of one kind run as plane kernels and how many
+/// scalarize per lane.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KernelCount {
+    /// Compiled to plane kernels.
+    pub kernels: u32,
+    /// Evaluated per lane through the reference tree walker.
+    pub scalarized: u32,
+}
+
+/// One unit that still scalarizes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Scalarized {
+    /// What kind of unit it is.
+    pub unit: SliceUnit,
+    /// Hierarchical path of the signal it drives (for a write port, the
+    /// memory's path and the port's index).
+    pub path: String,
+    /// Why the compiler could not slice it.
+    pub reason: ScalarReason,
+}
+
+/// Kernel coverage of one design under the bit-sliced engine: where the
+/// tree walker is still in the cycle, and why. Produced by
+/// [`SlicedInterpreter::coverage`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SliceCoverage {
+    /// Scheduled expression definitions.
+    pub defs: KernelCount,
+    /// Register next-values.
+    pub reg_nexts: KernelCount,
+    /// Memory read ports.
+    pub mem_reads: KernelCount,
+    /// Memory write ports.
+    pub write_ports: KernelCount,
+    /// Every unit counted as scalarized above: definitions and memory
+    /// reads in schedule order, then register next-values, then write
+    /// ports. Empty when the tree walker is out of the cycle.
+    pub scalarized: Vec<Scalarized>,
+}
+
+impl std::fmt::Display for SliceCoverage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let row = |c: KernelCount| format!("{}/{}", c.kernels, c.kernels + c.scalarized);
+        write!(
+            f,
+            "kernels: defs {}, reg-nexts {}, mem reads {}, write ports {} ({} scalarized)",
+            row(self.defs),
+            row(self.reg_nexts),
+            row(self.mem_reads),
+            row(self.write_ports),
+            self.scalarized.len()
+        )?;
+        for s in &self.scalarized {
+            write!(f, "\n  {:?} `{}`: {}", s.unit, s.path, s.reason)?;
+        }
+        Ok(())
+    }
+}
+
+/// Result of compiling something to plane kernels.
+type Sliceable<T> = std::result::Result<T, ScalarReason>;
+
+/// A scalarized unit as the tape records it; [`SlicedInterpreter::coverage`]
+/// resolves `index` (a slot, or a memory for write ports) to a path.
+#[derive(Debug, Clone, Copy)]
+struct ScalarizedAt {
+    unit: SliceUnit,
+    index: u32,
     port: u32,
-    reads: Vec<u32>,
+    reason: ScalarReason,
 }
 
 /// The bit-sliced compilation of an elaborated netlist: plane layout,
@@ -252,9 +413,8 @@ pub(crate) struct SlicedTape {
     def_progs: Vec<DefProg>,
     reg_progs: Vec<RegProg>,
     memw_progs: Vec<MemWProg>,
-    /// Scheduled definitions compiled to plane kernels (the rest
-    /// scalarize) — surfaced for tests and benchmarks.
-    sliced_defs: u32,
+    /// Everything that fell back, with the compiler's reason.
+    scalarized: Vec<ScalarizedAt>,
 }
 
 /// Static width of `e` under the current exactness assumption: `Some(w)`
@@ -356,17 +516,35 @@ impl<'a> SCompiler<'a> {
         }
     }
 
-    /// Compiles `e` into buffered ops; `None` when any part of the
-    /// expression does not slice (inexact slot read, division, wide
-    /// multiply, width-mismatched mux, out-of-range extract).
-    fn go(&mut self, e: &CExpr) -> Option<SSrc> {
+    /// Compiles a memory port's address expression. The lane lookup reads
+    /// one `u64` per lane, so anything wider scalarizes.
+    fn address(&mut self, e: &CExpr) -> Sliceable<SSrc> {
+        let a = self.go(e)?;
+        if a.width > 64 {
+            return Err(ScalarReason::WideAddress);
+        }
+        Ok(a)
+    }
+
+    /// Moves the current definition's buffered ops to the end of `ops`
+    /// and returns their range.
+    fn finish(&mut self, ops: &mut Vec<SOp>, n_tmps: &mut u32) -> (u32, u32) {
+        let lo = ops.len() as u32;
+        ops.append(&mut self.buf);
+        *n_tmps = (*n_tmps).max(self.ntmp);
+        (lo, ops.len() as u32)
+    }
+
+    /// Compiles `e` into buffered ops; `Err` names the first part of the
+    /// expression that does not slice.
+    fn go(&mut self, e: &CExpr) -> Sliceable<SSrc> {
         match e {
-            CExpr::Lit(b) => Some(self.constant(b)),
+            CExpr::Lit(b) => Ok(self.constant(b)),
             CExpr::Slot(i) => {
                 if !self.exact[*i] {
-                    return None;
+                    return Err(ScalarReason::InexactSlot);
                 }
-                Some(SSrc {
+                Ok(SSrc {
                     loc: SLoc::Plane,
                     base: self.plane_base[*i],
                     phys: self.widths[*i],
@@ -383,11 +561,11 @@ impl<'a> SCompiler<'a> {
                             w: sa.width,
                             dst: out.base,
                         });
-                        Some(out)
+                        Ok(out)
                     }
                     // reduce_and of a zero-width value is 0 (the kernel's
                     // all-ones fold would say 1).
-                    UnOp::AndReduce if sa.width == 0 => Some(self.const_zero(1)),
+                    UnOp::AndReduce if sa.width == 0 => Ok(self.const_zero(1)),
                     UnOp::OrReduce | UnOp::AndReduce | UnOp::XorReduce => {
                         let out = self.tmp_src(1);
                         self.buf.push(SOp::Red {
@@ -395,7 +573,7 @@ impl<'a> SCompiler<'a> {
                             a: sa,
                             dst: out.base,
                         });
-                        Some(out)
+                        Ok(out)
                     }
                 }
             }
@@ -413,7 +591,7 @@ impl<'a> SCompiler<'a> {
                             w,
                             dst: out.base,
                         });
-                        Some(out)
+                        Ok(out)
                     }
                     BinOp::Add => {
                         let out = self.tmp_src(w);
@@ -423,7 +601,7 @@ impl<'a> SCompiler<'a> {
                             w,
                             dst: out.base,
                         });
-                        Some(out)
+                        Ok(out)
                     }
                     BinOp::Sub => {
                         let out = self.tmp_src(w);
@@ -433,11 +611,11 @@ impl<'a> SCompiler<'a> {
                             w,
                             dst: out.base,
                         });
-                        Some(out)
+                        Ok(out)
                     }
                     BinOp::Mul => {
                         if w > MUL_SLICE_MAX {
-                            return None;
+                            return Err(ScalarReason::WideMul);
                         }
                         let out = self.tmp_src(w);
                         self.buf.push(SOp::Mul {
@@ -446,9 +624,9 @@ impl<'a> SCompiler<'a> {
                             w,
                             dst: out.base,
                         });
-                        Some(out)
+                        Ok(out)
                     }
-                    BinOp::Div | BinOp::Rem => None,
+                    BinOp::Div | BinOp::Rem => Err(ScalarReason::DivRem),
                     BinOp::Eq | BinOp::Neq => {
                         let out = self.tmp_src(1);
                         self.buf.push(SOp::CmpEq {
@@ -458,7 +636,7 @@ impl<'a> SCompiler<'a> {
                             neg: *op == BinOp::Neq,
                             dst: out.base,
                         });
-                        Some(out)
+                        Ok(out)
                     }
                     BinOp::Lt | BinOp::Gt | BinOp::Leq | BinOp::Geq => {
                         // lt(a, b) directly; a>b == lt(b,a); a<=b == !lt(b,a);
@@ -477,7 +655,7 @@ impl<'a> SCompiler<'a> {
                             neg,
                             dst: out.base,
                         });
-                        Some(out)
+                        Ok(out)
                     }
                 }
             }
@@ -488,7 +666,7 @@ impl<'a> SCompiler<'a> {
                 // Width-mismatched arms produce a runtime-dynamic width in
                 // the reference engine — not representable in planes.
                 if st.width != sf.width {
-                    return None;
+                    return Err(ScalarReason::MuxArmWidths);
                 }
                 let out = self.tmp_src(st.width);
                 self.buf.push(SOp::Mux {
@@ -498,7 +676,7 @@ impl<'a> SCompiler<'a> {
                     w: st.width,
                     dst: out.base,
                 });
-                Some(out)
+                Ok(out)
             }
             CExpr::Cat(parts) => {
                 let mut srcs = Vec::with_capacity(parts.len());
@@ -521,20 +699,20 @@ impl<'a> SCompiler<'a> {
                         });
                     }
                 }
-                Some(out)
+                Ok(out)
             }
             CExpr::Extract(a, hi, lo) => {
                 let sa = self.go(a)?;
                 // The reference panics on hi >= width; scalarize so the
                 // panic (and its message) happen exactly as documented.
                 if *hi >= sa.width {
-                    return None;
+                    return Err(ScalarReason::ExtractOutOfRange);
                 }
                 // Free re-window: the selected field is a contiguous
                 // sub-range of the source's planes (or past its physical
                 // extent, all-zero).
                 let w = hi - lo + 1;
-                Some(SSrc {
+                Ok(SSrc {
                     loc: sa.loc,
                     base: sa.base + (*lo).min(sa.phys),
                     phys: sa.phys.saturating_sub(*lo).min(w),
@@ -547,7 +725,7 @@ impl<'a> SCompiler<'a> {
                 // `phys` already read as zero).
                 let sa = self.go(a)?;
                 let w = w.get();
-                Some(SSrc {
+                Ok(SSrc {
                     loc: sa.loc,
                     base: sa.base,
                     phys: sa.phys.min(w),
@@ -563,13 +741,13 @@ impl<'a> SCompiler<'a> {
                     w: sa.width,
                     dst: out.base,
                 });
-                Some(out)
+                Ok(out)
             }
             CExpr::Shr(a, n) => {
                 // Free re-window: dropping the low `n` bits slides the
                 // window up; the width stays (zeros shift in from the top).
                 let sa = self.go(a)?;
-                Some(SSrc {
+                Ok(SSrc {
                     loc: sa.loc,
                     base: sa.base + (*n).min(sa.phys),
                     phys: sa.phys.saturating_sub(*n),
@@ -610,6 +788,19 @@ pub(crate) fn exact_slots(interp: &Interpreter, widths: &[u32]) -> Vec<bool> {
     exact
 }
 
+/// The slots `exprs` read, sorted and deduplicated — what a per-lane
+/// fallback gathers into the shadow before walking them.
+fn sorted_reads(exprs: &[&CExpr]) -> Vec<u32> {
+    let mut reads = Vec::new();
+    for e in exprs {
+        e.reads(&mut reads);
+    }
+    let mut reads: Vec<u32> = reads.into_iter().map(|r| r as u32).collect();
+    reads.sort_unstable();
+    reads.dedup();
+    reads
+}
+
 impl SlicedTape {
     pub(crate) fn build(interp: &Interpreter) -> Self {
         let widths: Vec<u32> = interp.slots.iter().map(|b| b.width().get()).collect();
@@ -641,7 +832,15 @@ impl SlicedTape {
             ntmp: 0,
         };
         let mut n_tmps = 0u32;
-        let mut sliced_defs = 0u32;
+        let mut scalarized = Vec::new();
+        let mut fell = |unit, index: usize, port: usize, reason| {
+            scalarized.push(ScalarizedAt {
+                unit,
+                index: index as u32,
+                port: port as u32,
+                reason,
+            });
+        };
 
         let mut def_progs = Vec::with_capacity(interp.schedule.len());
         for &di in &interp.schedule {
@@ -649,37 +848,68 @@ impl SlicedTape {
             let prog = match &d.kind {
                 DefKind::Expr(e) => {
                     let slot = d.writes[0];
-                    if exact[slot] {
-                        cc.start_def();
-                        match cc.go(e) {
-                            Some(src) if src.width == widths[slot] => {
-                                cc.buf.push(SOp::Store {
-                                    a: src,
-                                    base: plane_base[slot],
-                                    w: src.width,
-                                });
-                                let lo = ops.len() as u32;
-                                ops.append(&mut cc.buf);
-                                n_tmps = n_tmps.max(cc.ntmp);
-                                sliced_defs += 1;
-                                let mut imports: Vec<u32> =
-                                    d.reads.iter().map(|&r| r as u32).collect();
-                                imports.sort_unstable();
-                                imports.dedup();
-                                DefProg::Sliced {
-                                    lo,
-                                    hi: ops.len() as u32,
-                                    imports,
-                                    slot: slot as u32,
-                                }
+                    cc.start_def();
+                    let compiled = if exact[slot] {
+                        // A result of any other width would have made the
+                        // slot inexact (`static_width` mirrors `go`).
+                        cc.go(e).and_then(|src| {
+                            if src.width == widths[slot] {
+                                Ok(src)
+                            } else {
+                                Err(ScalarReason::InexactSlot)
                             }
-                            _ => DefProg::Fallback,
-                        }
+                        })
                     } else {
-                        DefProg::Fallback
+                        Err(ScalarReason::InexactSlot)
+                    };
+                    match compiled {
+                        Ok(src) => {
+                            cc.buf.push(SOp::Store {
+                                a: src,
+                                base: plane_base[slot],
+                                w: src.width,
+                            });
+                            let (lo, hi) = cc.finish(&mut ops, &mut n_tmps);
+                            let mut imports: Vec<u32> = d.reads.iter().map(|&r| r as u32).collect();
+                            imports.sort_unstable();
+                            imports.dedup();
+                            DefProg::Sliced {
+                                lo,
+                                hi,
+                                imports,
+                                slot: slot as u32,
+                            }
+                        }
+                        Err(reason) => {
+                            fell(SliceUnit::Def, slot, 0, reason);
+                            DefProg::Fallback
+                        }
                     }
                 }
-                DefKind::MemRead { .. } => DefProg::Fallback,
+                DefKind::MemRead { mem, addr } => {
+                    // The destination is written by this port alone, with
+                    // the memory's width, so it is always exact.
+                    let slot = d.writes[0];
+                    debug_assert!(exact[slot]);
+                    debug_assert_eq!(widths[slot], interp.mems[*mem].width.get());
+                    cc.start_def();
+                    match cc.address(addr) {
+                        Ok(addr) => {
+                            let (lo, hi) = cc.finish(&mut ops, &mut n_tmps);
+                            DefProg::MemRead {
+                                lo,
+                                hi,
+                                addr,
+                                mem: *mem as u32,
+                                slot: slot as u32,
+                            }
+                        }
+                        Err(reason) => {
+                            fell(SliceUnit::MemRead, slot, 0, reason);
+                            DefProg::Fallback
+                        }
+                    }
+                }
                 DefKind::ExternComb { ext } => DefProg::Extern { ext: *ext as u32 },
             };
             def_progs.push(prog);
@@ -690,9 +920,14 @@ impl SlicedTape {
         for (ri, r) in interp.regs.iter().enumerate() {
             let Some(e) = &r.next else { continue };
             let w = widths[r.slot];
+            cc.start_def();
             let compiled = if exact[r.slot] {
-                cc.start_def();
-                cc.go(e).map(|src| {
+                cc.go(e)
+            } else {
+                Err(ScalarReason::InexactSlot)
+            };
+            reg_progs.push(match compiled {
+                Ok(src) => {
                     // Mirror the reference's `.resize(w)` on commit.
                     let out = if src.width == w {
                         src
@@ -709,88 +944,70 @@ impl SlicedTape {
                         }
                         out
                     };
-                    let lo = ops.len() as u32;
-                    ops.append(&mut cc.buf);
-                    n_tmps = n_tmps.max(cc.ntmp);
+                    let (lo, hi) = cc.finish(&mut ops, &mut n_tmps);
                     let pend = n_pend;
                     n_pend += w;
                     RegProg::Sliced {
                         lo,
-                        hi: ops.len() as u32,
+                        hi,
                         out,
                         pend,
                         slot: r.slot as u32,
                     }
-                })
-            } else {
-                None
-            };
-            reg_progs.push(compiled.unwrap_or_else(|| {
-                let mut reads = Vec::new();
-                e.reads(&mut reads);
-                let mut reads: Vec<u32> = reads.into_iter().map(|r| r as u32).collect();
-                reads.sort_unstable();
-                reads.dedup();
-                RegProg::Fallback {
-                    ri: ri as u32,
-                    reads,
                 }
-            }));
+                Err(reason) => {
+                    fell(SliceUnit::RegNext, r.slot, 0, reason);
+                    RegProg::Fallback {
+                        ri: ri as u32,
+                        reads: sorted_reads(&[e]),
+                    }
+                }
+            });
         }
 
         let mut memw_progs = Vec::new();
         for (mi, m) in interp.mems.iter().enumerate() {
             for (pi, (addr, data, en)) in m.writes.iter().enumerate() {
-                let mut reads = Vec::new();
-                addr.reads(&mut reads);
-                data.reads(&mut reads);
-                en.reads(&mut reads);
-                let mut reads: Vec<u32> = reads.into_iter().map(|r| r as u32).collect();
-                reads.sort_unstable();
-                reads.dedup();
-                memw_progs.push(MemWProg {
-                    mem: mi as u32,
-                    port: pi as u32,
-                    reads,
+                cc.start_def();
+                // One program, three results: the temporaries of all three
+                // expressions stay live until the port has executed.
+                let compiled = cc.go(en).and_then(|en| {
+                    let addr = cc.address(addr)?;
+                    let data = cc.go(data)?;
+                    Ok((en, addr, data))
+                });
+                memw_progs.push(match compiled {
+                    Ok((en, addr, data)) => {
+                        let (lo, hi) = cc.finish(&mut ops, &mut n_tmps);
+                        // The reference's `.resize(m.width)` as a free
+                        // re-window.
+                        let mw = m.width.get();
+                        let data = SSrc {
+                            phys: data.phys.min(mw),
+                            width: mw,
+                            ..data
+                        };
+                        MemWProg::Sliced {
+                            mem: mi as u32,
+                            lo,
+                            hi,
+                            en,
+                            addr,
+                            data,
+                        }
+                    }
+                    Err(reason) => {
+                        fell(SliceUnit::WritePort, mi, pi, reason);
+                        MemWProg::Fallback {
+                            mem: mi as u32,
+                            port: pi as u32,
+                            reads: sorted_reads(&[addr, data, en]),
+                        }
+                    }
                 });
             }
         }
 
-        if std::env::var_os("FIREAXE_SLICE_DEBUG").is_some() {
-            let mut hist: std::collections::BTreeMap<&'static str, (u64, u64)> =
-                std::collections::BTreeMap::new();
-            for op in &ops {
-                let (name, bits) = match op {
-                    SOp::Logic { w, .. } => ("Logic", *w),
-                    SOp::Not { w, .. } => ("Not", *w),
-                    SOp::Add { w, .. } => ("Add", *w),
-                    SOp::Sub { w, .. } => ("Sub", *w),
-                    SOp::Mul { w, .. } => ("Mul", *w * *w),
-                    SOp::CmpEq { w, .. } => ("CmpEq", *w),
-                    SOp::CmpLt { w, .. } => ("CmpLt", *w),
-                    SOp::Red { a, .. } => ("Red", a.width),
-                    SOp::Mux { w, c, .. } => ("Mux", 2 * *w + c.width),
-                    SOp::Copy { n, .. } => ("Copy", *n),
-                    SOp::Shl { w, .. } => ("Shl", *w),
-                    SOp::Store { w, .. } => ("Store", *w),
-                };
-                let e = hist.entry(name).or_default();
-                e.0 += 1;
-                e.1 += u64::from(bits);
-            }
-            eprintln!(
-                "[slice] defs={} sliced={} ops={} planes={} tmps={} scalars={}",
-                def_progs.len(),
-                sliced_defs,
-                ops.len(),
-                n_planes,
-                n_tmps,
-                n_scalars
-            );
-            for (name, (count, bits)) in hist {
-                eprintln!("[slice]   {name:<6} x{count:<6} {bits} bit-iters");
-            }
-        }
         SlicedTape {
             widths,
             exact,
@@ -805,7 +1022,7 @@ impl SlicedTape {
             def_progs,
             reg_progs,
             memw_progs,
-            sliced_defs,
+            scalarized,
         }
     }
 
@@ -1021,6 +1238,19 @@ fn transpose64(m: &mut [u64; 64]) {
     }
 }
 
+/// Lane-major view of planes `[first, first + 64)` of operand `s`: row
+/// `k` of the result is lane `k`'s 64-bit word (bits past the operand's
+/// width read as zero). One transpose serves all 64 lanes.
+fn lane_words(s: SSrc, first: u32, planes: &[u64], tmps: &[u64], consts: &[u64]) -> [u64; 64] {
+    let mut m = [0u64; 64];
+    let n = s.phys.saturating_sub(first).min(64);
+    for j in 0..n {
+        m[j as usize] = rd(s, first + j, planes, tmps, consts);
+    }
+    transpose64(&mut m);
+    m
+}
+
 /// Embedded single-lane sliced execution for a plain [`Interpreter`]
 /// running with [`ExecEngine::Sliced`]: every sliceable definition is
 /// imported into lane 0 of a scratch plane arena, run through the lane
@@ -1081,7 +1311,7 @@ impl EmbeddedSliced {
                     );
                     interp.slots[slot].set_from_words(&self.word_buf);
                 }
-                DefProg::Fallback | DefProg::Extern { .. } => {
+                DefProg::MemRead { .. } | DefProg::Fallback | DefProg::Extern { .. } => {
                     let di = interp.schedule[pos];
                     interp.run_def(di)?;
                 }
@@ -1135,7 +1365,11 @@ pub struct SlicedInterpreter {
     word_buf: Vec<u64>,
     pend_reg_planes: Vec<u64>,
     pend_lane_regs: Vec<(usize, u32, Bits)>,
-    pend_mem_writes: Vec<(usize, u32, usize, Bits)>,
+    /// Staged memory writes `(mem, lane, addr)` of the edge in flight;
+    /// entry `i`'s data words follow entry `i - 1`'s in `pend_mem_words`.
+    /// Both keep their capacity across cycles.
+    pend_mem_writes: Vec<(u32, u32, usize)>,
+    pend_mem_words: Vec<u64>,
     inputs: Vec<(String, Width)>,
     outputs: Vec<(String, Width)>,
 }
@@ -1195,6 +1429,7 @@ impl SlicedInterpreter {
             pend_reg_planes,
             pend_lane_regs: Vec::new(),
             pend_mem_writes: Vec::new(),
+            pend_mem_words: Vec::new(),
             inputs,
             outputs,
         };
@@ -1212,10 +1447,64 @@ impl SlicedInterpreter {
         self.cycle
     }
 
-    /// Scheduled definitions that compiled to plane kernels (the rest
-    /// scalarize per lane) out of the total.
+    /// Which definitions, register next-values and memory ports run as
+    /// plane kernels, and for each one that scalarizes per lane instead,
+    /// its path and the compiler's reason.
+    pub fn coverage(&self) -> SliceCoverage {
+        let tape = &self.tape;
+        let mut cov = SliceCoverage::default();
+        for p in &tape.def_progs {
+            match p {
+                DefProg::Sliced { .. } => cov.defs.kernels += 1,
+                DefProg::MemRead { .. } => cov.mem_reads.kernels += 1,
+                // Fallbacks are counted below, by what fell back; extern
+                // settles are model calls, neither kernel nor tree walk.
+                DefProg::Fallback | DefProg::Extern { .. } => {}
+            }
+        }
+        for p in &tape.reg_progs {
+            if let RegProg::Sliced { .. } = p {
+                cov.reg_nexts.kernels += 1;
+            }
+        }
+        for p in &tape.memw_progs {
+            if let MemWProg::Sliced { .. } = p {
+                cov.write_ports.kernels += 1;
+            }
+        }
+        for s in &tape.scalarized {
+            let i = s.index as usize;
+            let (count, path) = match s.unit {
+                SliceUnit::Def => (&mut cov.defs, self.base.slot_path(i)),
+                SliceUnit::RegNext => (&mut cov.reg_nexts, self.base.slot_path(i)),
+                SliceUnit::MemRead => (&mut cov.mem_reads, self.base.slot_path(i)),
+                SliceUnit::WritePort => (&mut cov.write_ports, self.base.mem_path(i)),
+            };
+            count.scalarized += 1;
+            let mut path = path
+                .expect("the elaborator names every slot and memory")
+                .to_string();
+            if s.unit == SliceUnit::WritePort {
+                path.push_str(&format!("[write {}]", s.port));
+            }
+            cov.scalarized.push(Scalarized {
+                unit: s.unit,
+                path,
+                reason: s.reason,
+            });
+        }
+        cov
+    }
+
+    /// Scheduled definitions (expressions and memory reads) that compiled
+    /// to plane kernels, out of everything scheduled — read off
+    /// [`SlicedInterpreter::coverage`].
     pub fn sliced_def_counts(&self) -> (u32, u32) {
-        (self.tape.sliced_defs, self.tape.def_progs.len() as u32)
+        let c = self.coverage();
+        (
+            c.defs.kernels + c.mem_reads.kernels,
+            self.tape.def_progs.len() as u32,
+        )
     }
 
     /// Hierarchical paths of every elaborated signal, sorted.
@@ -1688,6 +1977,30 @@ impl SlicedInterpreter {
                     tape.run_ops(lo, hi, planes, tmps);
                     continue;
                 }
+                DefProg::MemRead {
+                    lo,
+                    hi,
+                    addr,
+                    mem,
+                    slot,
+                } => {
+                    tape.run_ops(*lo, *hi, planes, tmps);
+                    let addrs = lane_words(*addr, 0, planes, tmps, &tape.consts);
+                    let lane_mem = &lane_mems[*mem as usize];
+                    let base = tape.plane_base[*slot as usize] as usize;
+                    let w = tape.widths[*slot as usize] as usize;
+                    for (k, dst) in planes[base..base + w].chunks_mut(64).enumerate() {
+                        // Dead lanes stay zero; past the depth reads zero.
+                        let mut m = [0u64; 64];
+                        for (word, (mem, a)) in m.iter_mut().zip(lane_mem.iter().zip(&addrs)) {
+                            if let Some(v) = mem.get(*a as usize) {
+                                *word = v.as_words()[k];
+                            }
+                        }
+                        transpose64(&mut m);
+                        dst.copy_from_slice(&m[..dst.len()]);
+                    }
+                }
                 DefProg::Fallback => {
                     let def = &parts.defs[parts.schedule[pos]];
                     for lane in 0..lanes {
@@ -1787,6 +2100,7 @@ impl SlicedInterpreter {
         let pend_planes = &mut self.pend_reg_planes;
         let pend_lane_regs = &mut self.pend_lane_regs;
         let pend_mem_writes = &mut self.pend_mem_writes;
+        let pend_mem_words = &mut self.pend_mem_words;
         let ext_uniform = &mut self.ext_uniform;
         let parts = self.base.parts_mut();
         let slots = parts.slots;
@@ -1821,23 +2135,66 @@ impl SlicedInterpreter {
             }
         }
 
-        // 2. Memory writes, also against pre-edge state.
+        // 2. Memory writes, also against pre-edge state: staged as
+        // (mem, lane, addr) plus the entry's words, in port order.
+        let live_lanes = live_mask(lanes);
         for mp in &tape.memw_progs {
-            let m = &parts.mems[mp.mem as usize];
-            let (addr, data, en) = &m.writes[mp.port as usize];
-            for lane in 0..lanes {
-                for &s in &mp.reads {
-                    load_shadow(slots, tape, planes, scalars, word_buf, s as usize, lane);
+            match mp {
+                MemWProg::Sliced {
+                    mem,
+                    lo,
+                    hi,
+                    en,
+                    addr,
+                    data,
+                } => {
+                    tape.run_ops(*lo, *hi, planes, tmps);
+                    let consts = &tape.consts[..];
+                    let mut enabled = 0u64;
+                    for j in 0..en.phys {
+                        enabled |= rd(*en, j, planes, tmps, consts);
+                    }
+                    enabled &= live_lanes;
+                    if enabled == 0 {
+                        continue;
+                    }
+                    let m = &parts.mems[*mem as usize];
+                    let addrs = lane_words(*addr, 0, planes, tmps, consts);
+                    let first = pend_mem_writes.len();
+                    while enabled != 0 {
+                        let lane = enabled.trailing_zeros();
+                        enabled &= enabled - 1;
+                        let a = addrs[lane as usize] as usize;
+                        if a < m.data.len() {
+                            pend_mem_writes.push((*mem, lane, a));
+                        }
+                    }
+                    let staged = &pend_mem_writes[first..];
+                    let nw = m.width.words();
+                    let w0 = pend_mem_words.len();
+                    pend_mem_words.resize(w0 + nw * staged.len(), 0);
+                    for k in 0..nw {
+                        let words = lane_words(*data, 64 * k as u32, planes, tmps, consts);
+                        for (i, &(_, lane, _)) in staged.iter().enumerate() {
+                            pend_mem_words[w0 + i * nw + k] = words[lane as usize];
+                        }
+                    }
                 }
-                if !en.eval(slots).is_zero() {
-                    let a = addr.eval(slots).to_u64() as usize;
-                    if a < lane_mems[mp.mem as usize][lane as usize].len() {
-                        pend_mem_writes.push((
-                            mp.mem as usize,
-                            lane,
-                            a,
-                            data.eval(slots).resize(m.width),
-                        ));
+                MemWProg::Fallback { mem, port, reads } => {
+                    let m = &parts.mems[*mem as usize];
+                    let (addr, data, en) = &m.writes[*port as usize];
+                    for lane in 0..lanes {
+                        for &s in reads {
+                            load_shadow(slots, tape, planes, scalars, word_buf, s as usize, lane);
+                        }
+                        if !en.eval(slots).is_zero() {
+                            let a = addr.eval(slots).to_u64() as usize;
+                            if a < m.data.len() {
+                                pend_mem_writes.push((*mem, lane, a));
+                                pend_mem_words
+                                    .extend_from_slice(data.eval(slots).resize(m.width).as_words());
+                            }
+                        }
                     }
                 }
             }
@@ -1887,9 +2244,14 @@ impl SlicedInterpreter {
 
         // 5. Commit memory writes in evaluation order (last write wins
         // per lane, matching the reference).
-        for (mi, lane, a, v) in pend_mem_writes.drain(..) {
-            lane_mems[mi][lane as usize][a] = v;
+        let mut words = &pend_mem_words[..];
+        for &(mem, lane, a) in pend_mem_writes.iter() {
+            let (entry, rest) = words.split_at(parts.mems[mem as usize].width.words());
+            lane_mems[mem as usize][lane as usize][a].set_from_words(entry);
+            words = rest;
         }
+        pend_mem_writes.clear();
+        pend_mem_words.clear();
 
         // 6. Publish next-cycle extern source outputs.
         for (ei, e) in parts.externs.iter().enumerate() {
@@ -2007,6 +2369,15 @@ fn store_lane(
     }
 }
 
+/// Plane mask of the live lanes `0..lanes`.
+fn live_mask(lanes: u32) -> u64 {
+    if lanes >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << lanes) - 1
+    }
+}
+
 /// `true` when every live lane of every input slot of extern `e` holds
 /// the same value — the per-cycle condition for keeping a lane-coalesced
 /// instance coalesced. Exact slots need one masked compare per plane
@@ -2019,11 +2390,7 @@ fn extern_inputs_uniform(
     e: &ExternInst,
     lanes: u32,
 ) -> bool {
-    let mask = if lanes >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << lanes) - 1
-    };
+    let mask = live_mask(lanes);
     for &(_, s) in &e.input_slots {
         if tape.exact[s] {
             let base = tape.plane_base[s];

@@ -12,6 +12,7 @@
 
 use fireaxe_ir::build::{ModuleBuilder, Sig};
 use fireaxe_ir::interp::BehaviorSnapshot;
+use fireaxe_ir::slice::{ScalarReason, SliceUnit};
 use fireaxe_ir::{
     BinOp, Bits, Circuit, CombPath, ExecEngine, Expr, ExternBehavior, ExternInfo, InterpSnapshot,
     Interpreter, Module, Port, ResourceHints, SlicedInterpreter, UnOp,
@@ -133,6 +134,25 @@ fn rand_bits(rng: &mut Rng, w: u32) -> Bits {
     }
 }
 
+/// Memory data widths: sub-word, exactly one word, one bit over, and
+/// multi-word entries.
+const MEM_WIDTHS: &[u32] = &[1, 8, 33, 64, 65, 80, 130];
+
+/// A memory port address: four bits of some pool signal — depths stay
+/// below 16, so reads and writes both reach past the depth. One in four
+/// is widened past 64 bits with junk on top: the reference ignores it
+/// (`to_u64`), and the sliced engine must scalarize that port and still
+/// agree.
+fn gen_addr(rng: &mut Rng, pool: &[(Sig, u32)]) -> Sig {
+    let a = pool[rng.below(pool.len() as u64) as usize].0.resize(4);
+    if rng.coin(4) {
+        let junk = pool[rng.below(pool.len() as u64) as usize].0.resize(8);
+        junk.cat(&a.resize(64))
+    } else {
+        a
+    }
+}
+
 struct GenCircuit {
     circuit: Circuit,
     input_widths: Vec<(String, u32)>,
@@ -175,15 +195,17 @@ fn gen_circuit(rng: &mut Rng) -> GenCircuit {
         pool.push((s, 16));
     }
 
-    let has_mem = rng.coin(2);
-    if has_mem {
-        let mem_data_width = [8u32, 16, 33, 64, 80][rng.below(5) as usize];
+    // Half the circuits have one or two memories, each with a read port.
+    let n_mems = if rng.coin(2) { 1 + rng.below(2) } else { 0 };
+    let mut mems: Vec<(String, Sig)> = Vec::new();
+    for k in 0..n_mems {
+        let w = MEM_WIDTHS[rng.below(MEM_WIDTHS.len() as u64) as usize];
         let depth = 4 + rng.below(12) as u32;
-        let m = mb.mem("m0", mem_data_width, depth);
-        let pick = rng.below(pool.len() as u64) as usize;
-        let raddr = pool[pick].0.resize(4);
-        let rd = mb.mem_read("mrd", &m, &raddr);
-        pool.push((rd, mem_data_width));
+        let m = mb.mem(format!("m{k}"), w, depth);
+        let raddr = gen_addr(rng, &pool);
+        let rd = mb.mem_read(format!("mrd{k}"), &m, &raddr);
+        pool.push((rd, w));
+        mems.push((m, raddr));
     }
 
     let n_nodes = 8 + rng.below(18);
@@ -274,11 +296,27 @@ fn gen_circuit(rng: &mut Rng) -> GenCircuit {
         let (x, _) = pool[rng.below(ext_safe_len as u64) as usize].clone();
         mb.connect_inst("xa", "x", &x);
     }
-    if has_mem {
-        let waddr = pool[rng.below(pool.len() as u64) as usize].0.resize(4);
-        let (wdata, _) = pool[rng.below(pool.len() as u64) as usize].clone();
-        let wen = pool[rng.below(pool.len() as u64) as usize].0.resize(1);
-        mb.mem_write("m0", &waddr, &wdata, &wen);
+    for (m, raddr) in &mems {
+        for _ in 0..1 + rng.below(2) {
+            // Half the write ports reuse the read address, so a read and
+            // a write (the read must see the pre-edge entry) and, with
+            // two ports, two writes (the last must win) meet at one
+            // address in one cycle.
+            let waddr = if rng.coin(2) {
+                raddr.clone()
+            } else {
+                gen_addr(rng, &pool)
+            };
+            let (wdata, _) = pool[rng.below(pool.len() as u64) as usize].clone();
+            // A constant enable is set in every lane, dead ones included:
+            // batches below 64 lanes must never write for a dead lane.
+            let wen = if rng.coin(4) {
+                Sig::lit(1, 1)
+            } else {
+                pool[rng.below(pool.len() as u64) as usize].0.resize(1)
+            };
+            mb.mem_write(m, &waddr, &wdata, &wen);
+        }
     }
     for r in &regs {
         let (nx, _) = pool[rng.below(pool.len() as u64) as usize].clone();
@@ -674,6 +712,102 @@ fn lane_coalescing_forks_on_divergent_pokes() {
     replay.eval().unwrap();
     gold.eval().unwrap();
     compare_lane(0, "restored lane", 2, &paths, &replay, &gold);
+}
+
+/// The memory-port kernels' corner cases, each forced rather than left
+/// to the generator: two write ports and the read port on one address in
+/// one cycle (last write wins, the read sees the pre-edge entry),
+/// addresses past the depth on every port, a 130-bit and a 1-bit memory,
+/// enables set only in dead lanes, and ports whose address is wider than
+/// 64 bits — which `coverage()` must report as the only scalarized ones.
+#[test]
+fn memory_port_kernels_match_reference_at_the_corners() {
+    let mut mb = ModuleBuilder::new("T");
+    let a = mb.input("a", 4);
+    let d = mb.input("d", 130);
+    let en0 = mb.input("en0", 1);
+    let en1 = mb.input("en1", 1);
+    let junk = mb.input("junk", 8);
+    let wide_a = junk.cat(&a.resize(64));
+
+    let m0 = mb.mem("m0", 130, 5);
+    let rd0 = mb.mem_read("rd0", &m0, &a);
+    mb.mem_write(&m0, &a, &d, &en0);
+    mb.mem_write(&m0, &a, &d.not(), &en1);
+
+    let m1 = mb.mem("m1", 1, 9);
+    let rd1 = mb.mem_read("rd1", &m1, &wide_a);
+    // Constant enable: set in every lane of the plane, dead ones too.
+    mb.mem_write(&m1, &a, &d, &Sig::lit(1, 1));
+    mb.mem_write(&m1, &wide_a, &d.shr(1), &en0);
+    // `!en1` is 1 in the never-poked dead lanes whatever the live ones do.
+    mb.mem_write(&m1, &a.add(&Sig::lit(1, 4)), &d.shr(2), &en1.not());
+
+    let o0 = mb.output("o0", 130);
+    let o1 = mb.output("o1", 1);
+    mb.connect_sig(&o0, &rd0);
+    mb.connect_sig(&o1, &rd1);
+    let circuit = Circuit::from_modules("T", vec![mb.finish()], "T");
+
+    let lanes = 5u32;
+    let mut sliced = SlicedInterpreter::new(&circuit, lanes).unwrap();
+    let cov = sliced.coverage();
+    assert_eq!((cov.mem_reads.kernels, cov.mem_reads.scalarized), (1, 1));
+    assert_eq!(
+        (cov.write_ports.kernels, cov.write_ports.scalarized),
+        (4, 1)
+    );
+    let fell: Vec<_> = cov
+        .scalarized
+        .iter()
+        .map(|s| (s.unit, s.path.as_str(), s.reason))
+        .collect();
+    assert_eq!(
+        fell,
+        [
+            (SliceUnit::MemRead, "rd1", ScalarReason::WideAddress),
+            (
+                SliceUnit::WritePort,
+                "m1[write 1]",
+                ScalarReason::WideAddress
+            ),
+        ]
+    );
+
+    let mut refs: Vec<Interpreter> = (0..lanes)
+        .map(|_| Interpreter::with_engine(&circuit, ExecEngine::Reference).unwrap())
+        .collect();
+    let paths = refs[0].signal_paths();
+    let mut rng = Rng(0xC0FFEE);
+    for c in 0..64u64 {
+        // Every fourth cycle all live lanes raise `en1`, so `!en1` is set
+        // in dead lanes only and that port must be skipped outright.
+        let all_en1 = c % 4 == 0;
+        for lane in 0..lanes {
+            let pokes = [
+                ("a", Bits::from_u64(rng.below(16), 4)),
+                (
+                    "d",
+                    Bits::from_words(&[rng.next(), rng.next(), rng.next()], 130),
+                ),
+                ("en0", Bits::from_u64(rng.below(2), 1)),
+                ("en1", Bits::from_u64(u64::from(all_en1) | rng.below(2), 1)),
+                ("junk", Bits::from_u64(rng.next(), 8)),
+            ];
+            for (n, v) in &pokes {
+                sliced.poke(lane, n, v);
+                refs[lane as usize].poke(n, v.clone());
+            }
+        }
+        sliced.eval().unwrap();
+        for (lane, r) in refs.iter_mut().enumerate() {
+            r.eval().unwrap();
+            compare_lane(0, &format!("cycle {c}"), lane as u32, &paths, &sliced, r);
+            compare_lane_mems(0, &format!("cycle {c}"), lane as u32, &sliced, r);
+            r.tick();
+        }
+        sliced.tick();
+    }
 }
 
 proptest! {

@@ -146,9 +146,12 @@ impl Ring {
     }
 }
 
-/// Wrapper whose `Drop` flushes the ring into the global sink, so
-/// worker threads that exit (e.g. scoped backend threads) never lose
-/// their tail of events.
+/// Wrapper whose `Drop` flushes the ring into the global sink when the
+/// thread's locals are torn down, so a thread joined through its
+/// `JoinHandle` never loses its tail of events. That does **not** cover
+/// `std::thread::scope`'s implicit join, which returns before
+/// thread-local destructors have run: scoped workers (the threaded and
+/// net backends) call [`flush_thread`] as the last thing they do.
 struct RingCell(RefCell<Ring>);
 
 impl Drop for RingCell {
@@ -249,9 +252,10 @@ pub fn flush_thread() {
 }
 
 /// Flushes the calling thread and drains every event collected so far,
-/// sorted by host timestamp (ties keep arrival order). Threads that
-/// already exited flushed on teardown; live threads other than the
-/// caller must call [`flush_thread`] themselves before this.
+/// sorted by host timestamp (ties keep arrival order). Threads joined
+/// through a `JoinHandle` flushed on teardown; live threads other than
+/// the caller, and scoped threads before their scope ends (see
+/// `RingCell`), must call [`flush_thread`] themselves before this.
 pub fn take_events() -> Vec<TraceEvent> {
     flush_thread();
     let mut out: Vec<TraceEvent> = {
@@ -394,13 +398,25 @@ mod tests {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         set_enabled(true);
         let _ = take_events();
+        // An explicit join waits for the thread's locals to be dropped,
+        // and the ring with them.
+        std::thread::spawn(|| {
+            obs_instant!("joined-worker-event");
+        })
+        .join()
+        .unwrap();
+        // A scope's implicit join does not (the closure has returned, the
+        // destructors may not have run): scoped workers flush themselves.
         std::thread::scope(|s| {
             s.spawn(|| {
-                obs_instant!("worker-event");
+                obs_instant!("scoped-worker-event");
+                flush_thread();
             });
         });
         set_enabled(false);
         let events = take_events();
-        assert!(events.iter().any(|e| e.name == "worker-event"));
+        for name in ["joined-worker-event", "scoped-worker-event"] {
+            assert!(events.iter().any(|e| e.name == name), "lost {name}");
+        }
     }
 }

@@ -53,7 +53,8 @@ const _: Backend = Backend::Des;
 
 /// Spin iterations between checks of the global progress counter.
 const SPIN_CHECK_INTERVAL: u64 = 1 << 10;
-/// Consecutive stale progress checks before declaring deadlock.
+/// Consecutive stale progress checks before a worker votes that the
+/// system is deadlocked (see [`StuckVotes`]).
 const STUCK_CHECKS_BEFORE_DEADLOCK: u64 = 1 << 8;
 /// Minimum host queue depth while the threaded backend runs. The DES
 /// backend keeps queues FPGA-shallow because depth shapes virtual-time
@@ -174,11 +175,32 @@ struct NodeEndpoints {
     rx: Vec<RxEp>,
 }
 
+/// Deadlock is declared by consensus, never by one worker's clock: the
+/// idle budget counts passes, not time, so a worker on a busy core can
+/// spend all of it before a peer has been scheduled once. A worker that
+/// exhausts the budget votes and keeps yielding; the run aborts when
+/// every running worker has voted at the same progress epoch. A vote is
+/// void the moment anyone progresses (the epoch moves), and a thread
+/// that has not run has not voted — so neither start-up nor a
+/// descheduled peer with work pending can be mistaken for a deadlock.
+#[derive(Default)]
+struct StuckVotes {
+    /// Value of [`Shared::progress`] the votes were cast at.
+    epoch: u64,
+    /// Workers that spent a whole idle budget at `epoch`.
+    workers: u64,
+}
+
 /// Shared coordination state for one threaded run.
 struct Shared {
     /// Bumped on any node progress; workers watch it to tell "the system
-    /// is busy elsewhere" apart from "nothing can move".
+    /// is busy elsewhere" apart from "nothing can move". Release on the
+    /// bump pairs with Acquire on the checks: a worker that votes at an
+    /// epoch has serviced its nodes after everything sent before it.
     progress: AtomicU64,
+    /// Workers still in their service loop (not yet returned at budget).
+    running: AtomicU64,
+    stuck: Mutex<StuckVotes>,
     /// Nodes (across all workers) that have reached the budget. With the
     /// reliability protocol on, a worker whose own nodes are done must
     /// keep pumping ACKs and retransmissions until this reaches the node
@@ -190,14 +212,57 @@ struct Shared {
     error: Mutex<Option<SimError>>,
 }
 
+impl Shared {
+    fn votes(&self) -> std::sync::MutexGuard<'_, StuckVotes> {
+        self.stuck
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Casts (`cast`) or re-checks the calling worker's vote that nothing
+    /// has moved since progress epoch `epoch`; `true` once every running
+    /// worker has voted at that epoch.
+    fn vote_stuck(&self, epoch: u64, cast: bool) -> bool {
+        let mut votes = self.votes();
+        if votes.epoch < epoch {
+            *votes = StuckVotes { epoch, workers: 0 };
+        }
+        // A newer epoch on the ballot means progress this worker has yet
+        // to observe: its vote is already void.
+        if votes.epoch > epoch {
+            return false;
+        }
+        votes.workers += u64::from(cast);
+        votes.workers >= self.running.load(Ordering::Acquire)
+    }
+
+    /// Test gate: parks the caller until every *other* running worker
+    /// has voted stuck at the current epoch — the state in which the old
+    /// one-worker detector had already aborted the run.
+    #[cfg(test)]
+    fn wait_until_peers_voted_stuck(&self) {
+        while !self.abort.load(Ordering::Relaxed) {
+            {
+                let votes = self.votes();
+                if votes.epoch == self.progress.load(Ordering::Acquire)
+                    && votes.workers + 1 >= self.running.load(Ordering::Acquire)
+                {
+                    return;
+                }
+            }
+            std::thread::yield_now();
+        }
+    }
+}
+
 /// Runs `sim` until every node has completed exactly `budget` target
 /// cycles, using `workers` OS threads (0 = one per node).
 ///
 /// # Errors
 ///
-/// [`SimError::Deadlock`] when no node can make progress;
-/// [`SimError::LinkDown`] when the reliability layer exhausts a link's
-/// retry budget.
+/// [`SimError::Deadlock`] when every worker agrees no node can make
+/// progress; [`SimError::LinkDown`] when the reliability layer exhausts
+/// a link's retry budget.
 pub(crate) fn run(sim: &mut DistributedSim, budget: u64, workers: usize) -> Result<SimMetrics> {
     let n_nodes = sim.nodes.len();
     if n_nodes == 0 {
@@ -237,8 +302,15 @@ pub(crate) fn run(sim: &mut DistributedSim, budget: u64, workers: usize) -> Resu
         });
     }
 
+    let n_workers = if workers == 0 {
+        n_nodes
+    } else {
+        workers.min(n_nodes)
+    };
     let shared = Shared {
         progress: AtomicU64::new(0),
+        running: AtomicU64::new(n_workers as u64),
+        stuck: Mutex::new(StuckVotes::default()),
         nodes_done: AtomicU64::new(0),
         abort: AtomicBool::new(false),
         error: Mutex::new(None),
@@ -257,11 +329,6 @@ pub(crate) fn run(sim: &mut DistributedSim, budget: u64, workers: usize) -> Resu
         .collect();
 
     // Distribute nodes round-robin over the worker pool.
-    let n_workers = if workers == 0 {
-        n_nodes
-    } else {
-        workers.min(n_nodes)
-    };
     let mut pools: Vec<Vec<WorkerNode<'_>>> = (0..n_workers).map(|_| Vec::new()).collect();
     for (ni, node) in sim.nodes.iter_mut().enumerate() {
         let mut rx = std::mem::take(&mut rx_lists[ni]);
@@ -280,12 +347,27 @@ pub(crate) fn run(sim: &mut DistributedSim, budget: u64, workers: usize) -> Resu
     }
 
     let horizon = sim.deadlock_horizon_edges;
+    #[cfg(test)]
+    let mut hold_next_worker = tests::HOLD_FIRST_WORKER.with(std::cell::Cell::get);
     let endpoints = std::thread::scope(|scope| {
         let handles: Vec<_> = pools
             .into_iter()
             .map(|pool| {
                 let shared = &shared;
-                scope.spawn(move || worker_loop(pool, budget, shared, horizon, policy, n_nodes))
+                #[cfg(test)]
+                let hold = std::mem::take(&mut hold_next_worker);
+                scope.spawn(move || {
+                    #[cfg(test)]
+                    if hold {
+                        shared.wait_until_peers_voted_stuck();
+                    }
+                    let endpoints = worker_loop(pool, budget, shared, horizon, policy, n_nodes);
+                    // The scope's implicit join does not wait for this
+                    // thread's TLS destructors, so the ring's drop-flush
+                    // can come too late for the caller's `take_events`.
+                    fireaxe_obs::trace::flush_thread();
+                    endpoints
+                })
             })
             .collect();
         let mut all: Vec<NodeEndpoints> = Vec::with_capacity(n_nodes);
@@ -439,7 +521,8 @@ fn worker_loop(
     let _span = fireaxe_obs::obs_span!("worker");
     let mut spins: u64 = 0;
     let mut stuck_checks: u64 = 0;
-    let mut last_progress = shared.progress.load(Ordering::Relaxed);
+    let mut voted = false;
+    let mut last_progress = shared.progress.load(Ordering::Acquire);
     // Scale the stale-check count with the configured DES horizon so
     // `SimBuilder::deadlock_horizon` tightens both backends.
     let max_stuck = STUCK_CHECKS_BEFORE_DEADLOCK
@@ -493,28 +576,36 @@ fn worker_loop(
             let system_done = policy.is_none()
                 || shared.nodes_done.load(Ordering::Relaxed) as usize == total_nodes;
             if system_done {
+                shared.running.fetch_sub(1, Ordering::Release);
                 return into_endpoints(pool);
             }
         }
         if progressed {
-            shared.progress.fetch_add(1, Ordering::Relaxed);
+            shared.progress.fetch_add(1, Ordering::Release);
             spins = 0;
             stuck_checks = 0;
+            voted = false;
             continue;
         }
         spins += 1;
         if spins.is_multiple_of(SPIN_CHECK_INTERVAL) {
-            let now = shared.progress.load(Ordering::Relaxed);
+            let now = shared.progress.load(Ordering::Acquire);
             if now == last_progress {
                 stuck_checks += 1;
                 if stuck_checks >= max_stuck {
-                    // Nothing moved anywhere across many checks: deadlock.
-                    shared.abort.store(true, Ordering::Relaxed);
-                    return into_endpoints(pool);
+                    // Nothing moved anywhere across this worker's whole
+                    // budget: vote once, then keep yielding and watching
+                    // for the other votes (or for progress to void ours).
+                    if shared.vote_stuck(now, !voted) {
+                        shared.abort.store(true, Ordering::Relaxed);
+                        return into_endpoints(pool);
+                    }
+                    voted = true;
                 }
             } else {
                 last_progress = now;
                 stuck_checks = 0;
+                voted = false;
             }
         }
         std::thread::yield_now();
@@ -707,6 +798,14 @@ mod tests {
     use fireaxe_transport::reliable::RetryPolicy;
     use fireaxe_transport::LinkModel;
 
+    thread_local! {
+        /// Set by a test — on its own thread, so tests running in
+        /// parallel are unaffected — to park the first-spawned worker of
+        /// the runs it starts until every other worker has voted stuck.
+        pub(super) static HOLD_FIRST_WORKER: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
+    }
+
     fn soc() -> Circuit {
         let mut tile = ModuleBuilder::new("Tile");
         let req = tile.input("req", 8);
@@ -839,6 +938,20 @@ mod tests {
         }
         // Link token counts carried over into the shared metrics.
         assert!(m.link_tokens.iter().all(|&t| t >= 30));
+    }
+
+    /// A worker that is not scheduled until its peers have spun through
+    /// their whole idle budget (what two cores do to the last of four
+    /// threads once in a few hundred start-ups) must find the run still
+    /// alive: one worker's idle budget is a vote, not a verdict.
+    #[test]
+    fn late_starting_worker_is_not_a_deadlock() {
+        let (des, des_cycles) = trace(Backend::Des, PartitionMode::Exact, 60);
+        HOLD_FIRST_WORKER.with(|h| h.set(true));
+        let (thr, thr_cycles) = trace(Backend::Threads(0), PartitionMode::Exact, 60);
+        HOLD_FIRST_WORKER.with(|h| h.set(false));
+        assert_eq!(des_cycles, thr_cycles);
+        assert_eq!(des, thr, "threaded backend must be bit-exact vs DES");
     }
 
     #[test]

@@ -115,6 +115,25 @@ mod tests {
         assert!(gem < rocket);
     }
 
+    /// The bit-sliced engine runs all three SoCs without the tree walker:
+    /// every definition, register next-value and memory port (the
+    /// scratchpad's read and write) compiles to a plane kernel.
+    #[test]
+    fn sliced_engine_scalarizes_nothing_on_the_validation_socs() {
+        for (name, circuit) in [
+            ("rocket", rocket_soc(60, 16)),
+            ("sha3", sha3_soc(8)),
+            ("gemmini", gemmini_soc(8)),
+        ] {
+            let cov = fireaxe_ir::SlicedInterpreter::new(&circuit, 64)
+                .unwrap()
+                .coverage();
+            assert!(cov.scalarized.is_empty(), "{name}: {cov}");
+            assert_eq!(cov.mem_reads.kernels, 1, "{name}: {cov}");
+            assert_eq!(cov.write_ports.kernels, 1, "{name}: {cov}");
+        }
+    }
+
     #[test]
     fn rocket_iterations_scale_runtime() {
         let a = run_monolithic_to_done(&rocket_soc(50, 4), 500_000).unwrap();

@@ -52,8 +52,12 @@ fn start_daemon(addr: &str) -> Child {
     child
 }
 
+/// Submits the demo config. Its `metrics_path` is relative, so the
+/// client runs in Cargo's per-package scratch directory: a test run
+/// leaves nothing in the source tree.
 fn submit(addr: &str, cycles: &str) -> String {
     let out = Command::new(FIREAXE)
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
         .args([
             "submit",
             &demo_config(),
