@@ -104,23 +104,27 @@ fn channel_pack(c: &mut Criterion) {
 }
 
 fn ripper_compile(c: &mut Criterion) {
-    let soc = ring_soc(&RingSocConfig {
-        tiles: 8,
-        ..Default::default()
-    });
-    let spec = PartitionSpec::exact(vec![PartitionGroup {
-        name: "fpga0".into(),
-        selection: Selection::NocRouters {
-            routers: soc.router_paths.clone(),
-            indices: vec![0, 1, 2, 3],
-        },
-        fame5: false,
-    }]);
     let mut g = c.benchmark_group("ripper");
     g.sample_size(10);
-    g.bench_function("compile_8tile_ring", |bench| {
-        bench.iter(|| black_box(compile(black_box(&soc.circuit), black_box(&spec)).unwrap()))
-    });
+    // Half the ring extracted in NoC-partition-mode; the rows grow with
+    // the design (`ripper_bench` gates the growth as a ratio).
+    for tiles in [8usize, 12, 24, 48] {
+        let soc = ring_soc(&RingSocConfig {
+            tiles,
+            ..Default::default()
+        });
+        let spec = PartitionSpec::exact(vec![PartitionGroup {
+            name: "fpga0".into(),
+            selection: Selection::NocRouters {
+                routers: soc.router_paths.clone(),
+                indices: (0..tiles / 2).collect(),
+            },
+            fame5: false,
+        }]);
+        g.bench_function(&format!("compile_{tiles}tile_ring"), |bench| {
+            bench.iter(|| black_box(compile(black_box(&soc.circuit), black_box(&spec)).unwrap()))
+        });
+    }
     g.finish();
 }
 

@@ -1110,16 +1110,16 @@ fn run(args: Args) -> Result<(), String> {
     let obs = cfg.obs.clone().unwrap_or_default();
     let flow = cfg.to_flow(circuit).map_err(|e| e.to_string())?;
 
+    // Arm the event tracer before anything is compiled so FireRipper's
+    // passes, build-time and run-time spans all land in the Chrome trace.
+    if !obs.trace_path.is_empty() {
+        fireaxe::obs::trace::set_enabled(true);
+    }
+
     let design = flow.compile().map_err(|e| e.to_string())?;
     print_design_report(&design, platform, cfg.clock_mhz)?;
     if args.estimate_only {
         return Ok(());
-    }
-
-    // Arm the event tracer before the engine is built so build-time and
-    // run-time spans both land in the Chrome trace.
-    if !obs.trace_path.is_empty() {
-        fireaxe::obs::trace::set_enabled(true);
     }
 
     let (_design, mut sim) = flow.build().map_err(|e| e.to_string())?;

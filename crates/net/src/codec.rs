@@ -202,6 +202,27 @@ pub struct Topology {
     pub tape: Vec<u8>,
 }
 
+impl Topology {
+    /// The design-identity hash a pooled worker keys its kept build by:
+    /// everything that determines the deterministic build *except* the
+    /// worker index (placement, not design — one pooled worker may serve
+    /// partition 0 of job A and partition 2 of job B of the same design).
+    /// Process-local: the value never crosses the wire.
+    pub(crate) fn design_key(&self) -> u64 {
+        use std::hash::Hasher;
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        h.write_u32(self.n_workers);
+        let mut rest = Vec::new();
+        put_spec(&mut rest, &self.spec);
+        put_settings(&mut rest, &self.settings);
+        for bytes in [self.circuit.as_bytes(), &self.tape, &rest] {
+            h.write_usize(bytes.len());
+            h.write(bytes);
+        }
+        h.finish()
+    }
+}
+
 /// Cluster-wide engine settings (the subset of `SimBuilder` knobs that
 /// must match across processes for bit-exact parity), plus the net
 /// backend's own pacing knobs.
@@ -2304,6 +2325,63 @@ mod tests {
             spec: PartitionSpec::fast(vec![]),
             settings,
         })));
+    }
+
+    #[test]
+    fn design_key_ignores_placement_only() {
+        let spec = PartitionSpec::exact(vec![PartitionGroup::instances(
+            "tiles",
+            vec!["tile0".into()],
+        )]);
+        let base = Topology {
+            worker: 0,
+            n_workers: 4,
+            circuit: "circuit c {}".into(),
+            tape: vec![1, 2, 3],
+            spec,
+            settings: WireSettings::default(),
+        };
+        // Partition 0 of one job, partition 2 of the next: same build.
+        let moved = Topology {
+            worker: 2,
+            ..base.clone()
+        };
+        assert_eq!(base.design_key(), moved.design_key());
+
+        let variants = [
+            Topology {
+                settings: WireSettings {
+                    sample_interval: base.settings.sample_interval + 1,
+                    ..base.settings.clone()
+                },
+                ..base.clone()
+            },
+            Topology {
+                n_workers: 5,
+                ..base.clone()
+            },
+            Topology {
+                tape: vec![1, 2, 4],
+                ..base.clone()
+            },
+            Topology {
+                circuit: "circuit d {}".into(),
+                ..base.clone()
+            },
+            Topology {
+                spec: PartitionSpec::fast(base.spec.groups.clone()),
+                ..base.clone()
+            },
+            // The same bytes split differently between text and tape.
+            Topology {
+                circuit: String::new(),
+                tape: [base.circuit.as_bytes(), &base.tape].concat(),
+                ..base.clone()
+            },
+        ];
+        for v in &variants {
+            assert_ne!(base.design_key(), v.design_key(), "{v:?}");
+        }
     }
 
     #[test]

@@ -823,7 +823,11 @@ pub fn place_cluster(
             .push(stream.try_clone().map_err(setup_err)?);
         cluster.writers.push(Arc::new(Mutex::new(stream)));
     }
-    for (i, read_half) in read_halves.iter_mut().enumerate() {
+    // Bring every worker up at once: a worker builds its whole design
+    // between `Topology` and `Ready`, so all of them must hold their
+    // topology before the first `Ready` is waited for — handshaking them
+    // one after another would run the builds back to back.
+    for i in 0..n_workers {
         cluster.send(
             i,
             &Msg::Hello {
@@ -832,6 +836,8 @@ pub fn place_cluster(
                 worker: i as u32,
             },
         )?;
+    }
+    for (i, read_half) in read_halves.iter_mut().enumerate() {
         match expect_msg(&mut cluster, read_half, i, connect_timeout_ms)? {
             Msg::HelloAck { magic, version } => {
                 if magic != PROTOCOL_MAGIC || version != PROTOCOL_VERSION {
@@ -851,6 +857,8 @@ pub fn place_cluster(
             }
         }
         cluster.send(i, &prepared.topology_for(i))?;
+    }
+    for (i, read_half) in read_halves.iter_mut().enumerate() {
         match expect_msg(&mut cluster, read_half, i, connect_timeout_ms)? {
             Msg::Ready { design_digest } => {
                 if design_digest != prepared.digest {

@@ -58,7 +58,7 @@
 
 use crate::codec::{
     decode_msg, design_digest, encode_msg, read_msg, write_msg, LinkReport, Msg, NodeReport,
-    Topology, WireReport, WireSettings, FATAL_LINK_DOWN, FATAL_SIM, MAX_MSG_LEN, PROTOCOL_MAGIC,
+    WireReport, WireSettings, FATAL_LINK_DOWN, FATAL_SIM, MAX_MSG_LEN, PROTOCOL_MAGIC,
     PROTOCOL_VERSION,
 };
 use crate::flow::{RxLink, RxLinkMark, TxLink, TxLinkMark};
@@ -610,25 +610,6 @@ struct CachedBuild {
     sim: DistributedSim,
 }
 
-/// The design-identity hash of a topology: everything that determines
-/// the deterministic build *except* the worker index (placement, not
-/// design — one pooled worker may serve partition 0 of job A and
-/// partition 2 of job B of the same design).
-fn topology_key(t: &Topology) -> u64 {
-    use std::hash::Hasher;
-    let canon = Msg::Topology(Box::new(Topology {
-        worker: 0,
-        n_workers: t.n_workers,
-        circuit: t.circuit.clone(),
-        tape: t.tape.clone(),
-        spec: t.spec.clone(),
-        settings: t.settings.clone(),
-    }));
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    h.write(&encode_msg(&canon));
-    h.finish()
-}
-
 /// Rewinds a cached build to its captured cycle-0 state and wipes the
 /// engine's cumulative run accumulators — the "fresh worker" half of
 /// the pooled-reuse contract (the per-session protocol state is fresh
@@ -710,7 +691,7 @@ fn serve_stream(
             })
         }
     };
-    let key = topology_key(&topology);
+    let key = topology.design_key();
     let settings = topology.settings.clone();
     if cache.as_ref().and_then(|c| c.key) == Some(key) {
         let c = cache.as_mut().expect("key matched");
@@ -734,10 +715,11 @@ fn serve_stream(
             fireaxe_ir::circuit_from_tape(&topology.tape)
                 .map_err(|e| cfg_err(format!("worker received a bad circuit tape: {e}")))?
         };
+        // On before the compile: its passes belong in the merged trace.
+        trace::set_enabled(true);
         let design = fireaxe_ripper::compile(&circuit, &topology.spec)
             .map_err(|e| cfg_err(format!("worker partition compile failed: {e}")))?;
         let mut sim = build_sim(&design, &settings, setup)?;
-        trace::set_enabled(true);
         // Capture the cycle-0 rewind point for pooled reuse. A design
         // whose target state cannot be snapshotted is still served —
         // it just rebuilds on every job.

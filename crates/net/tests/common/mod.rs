@@ -7,7 +7,9 @@
 #![allow(dead_code)] // each test binary uses a different subset
 
 use fireaxe_ir::Circuit;
-use fireaxe_net::{serve, serve_with, NetListener, WireSettings, WorkerOptions};
+use fireaxe_net::{
+    serve, serve_pooled, serve_with, NetListener, SimSetup, WireSettings, WorkerOptions,
+};
 use fireaxe_ripper::{PartitionGroup, PartitionSpec, Selection};
 use fireaxe_sim::{Backend, BehaviorRegistry, ObsReport, ObsSpec, Result, SimBuilder, SimMetrics};
 use fireaxe_soc::{ring_soc, RingSocConfig};
@@ -127,6 +129,25 @@ pub fn spawn_workers(addrs: &[String]) -> (Vec<String>, Vec<JoinHandle<Result<()
         let listener = NetListener::bind(addr).expect("worker bind");
         bound.push(listener.local_addr_string());
         handles.push(std::thread::spawn(move || serve(&listener, &setup_hook)));
+    }
+    (bound, handles)
+}
+
+/// Spawns one in-process *pooled* worker per address, each applying
+/// `setup` to every build and serving jobs until a session ends with
+/// `Shutdown`.
+pub fn spawn_pooled(
+    addrs: &[String],
+    setup: &'static SimSetup,
+) -> (Vec<String>, Vec<JoinHandle<()>>) {
+    let mut bound = Vec::new();
+    let mut handles = Vec::new();
+    for addr in addrs {
+        let listener = NetListener::bind(addr).expect("worker bind");
+        bound.push(listener.local_addr_string());
+        handles.push(std::thread::spawn(move || {
+            serve_pooled(&listener, setup).expect("pooled worker");
+        }));
     }
     (bound, handles)
 }

@@ -14,27 +14,13 @@
 mod common;
 
 use common::{
-    des_reference, listen_addrs, noc_4partition_design, observed_settings, setup_hook, CYCLES,
+    des_reference, listen_addrs, noc_4partition_design, observed_settings, setup_hook,
+    spawn_pooled, CYCLES,
 };
 use fireaxe_net::{
-    execute_placed, place_cluster, prepare_job, run_cluster, serve_pooled, NetListener,
-    NetRunReport, RecoveryOptions, Teardown,
+    execute_placed, place_cluster, prepare_job, run_cluster, NetRunReport, RecoveryOptions,
+    Teardown,
 };
-
-/// Spawns one in-process *pooled* worker per address: each serves
-/// jobs until a session ends with `Shutdown`.
-fn spawn_pooled(addrs: &[String]) -> (Vec<String>, Vec<std::thread::JoinHandle<()>>) {
-    let mut bound = Vec::new();
-    let mut handles = Vec::new();
-    for addr in addrs {
-        let listener = NetListener::bind(addr).expect("worker bind");
-        bound.push(listener.local_addr_string());
-        handles.push(std::thread::spawn(move || {
-            serve_pooled(&listener, &setup_hook).expect("pooled worker");
-        }));
-    }
-    (bound, handles)
-}
 
 /// Per-node digest rows plus the VCD bytes.
 type ParityKey = (Vec<(String, Vec<(u64, u64)>)>, String);
@@ -95,7 +81,7 @@ fn pooled_workers_serve_back_to_back_jobs_bit_exact_vs_fresh_spawn() {
     // ResetToIdle (workers survive), the last with Shutdown (workers
     // exit, proving the idle loop was still live after two resets).
     let addrs = listen_addrs(4, false, "pool-reuse");
-    let (bound, handles) = spawn_pooled(&addrs);
+    let (bound, handles) = spawn_pooled(&addrs, &setup_hook);
     let prepared = prepare_job(&circuit, &spec, &settings, &setup_hook).expect("prepare");
     let mut reports = Vec::new();
     for teardown in [
@@ -158,7 +144,7 @@ fn pooled_worker_reuses_cached_build_across_jobs() {
     let (circuit, spec) = noc_4partition_design();
     let settings = observed_settings();
     let addrs = listen_addrs(4, false, "pool-cachedbuild");
-    let (bound, handles) = spawn_pooled(&addrs);
+    let (bound, handles) = spawn_pooled(&addrs, &setup_hook);
     let prepared = prepare_job(&circuit, &spec, &settings, &setup_hook).expect("prepare");
 
     let mut digests = Vec::new();
@@ -179,4 +165,64 @@ fn pooled_worker_reuses_cached_build_across_jobs() {
         h.join().expect("pooled worker thread");
     }
     assert_eq!(digests[0], digests[1]);
+}
+
+#[test]
+fn cached_build_follows_the_design_not_the_placement() {
+    // The setup hook runs once per actual build, so counting its calls
+    // on the workers tells cache hits from misses.
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static BUILDS: AtomicUsize = AtomicUsize::new(0);
+    fn counting_hook(b: fireaxe_sim::SimBuilder<'_>) -> fireaxe_sim::SimBuilder<'_> {
+        BUILDS.fetch_add(1, Ordering::SeqCst);
+        setup_hook(b)
+    }
+
+    let (circuit, spec) = noc_4partition_design();
+    let settings = observed_settings();
+    let (bound, handles) = spawn_pooled(&listen_addrs(4, false, "pool-placement"), &counting_hook);
+    let run = |settings: &fireaxe_net::WireSettings, workers: &[String], teardown| {
+        let prepared = prepare_job(&circuit, &spec, settings, &setup_hook).expect("prepare");
+        let placed = place_cluster(&prepared, workers, 10_000).expect("place");
+        let report = execute_placed(
+            &prepared,
+            placed,
+            CYCLES / 2,
+            RecoveryOptions::none(),
+            None,
+            teardown,
+        )
+        .expect("pooled job");
+        parity_key(&report)
+    };
+
+    let first = run(&settings, &bound, Teardown::ResetToIdle);
+    assert_eq!(BUILDS.load(Ordering::SeqCst), 4, "one build per worker");
+
+    // Same design, every worker now on another partition (the one that
+    // served partition 0 serves partition 2): all hits.
+    let mut rotated = bound.clone();
+    rotated.rotate_left(2);
+    let second = run(&settings, &rotated, Teardown::ResetToIdle);
+    assert_eq!(
+        BUILDS.load(Ordering::SeqCst),
+        4,
+        "a worker rebuilt a design it already held"
+    );
+    assert_eq!(first, second);
+
+    // Same circuit and cut, different settings: a different build.
+    let resampled = fireaxe_net::WireSettings {
+        sample_interval: settings.sample_interval / 2,
+        ..settings.clone()
+    };
+    run(&resampled, &bound, Teardown::Shutdown);
+    assert_eq!(
+        BUILDS.load(Ordering::SeqCst),
+        8,
+        "a settings change must miss"
+    );
+    for h in handles {
+        h.join().expect("pooled worker thread");
+    }
 }

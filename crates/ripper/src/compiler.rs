@@ -11,12 +11,13 @@
 use crate::channels::{build_channels, ChannelPlan, LinkSpec, NodeDesc};
 use crate::error::{Result, RipperError};
 use crate::fastmode::apply_fast_mode;
-use crate::hier::{group_instances, reparent_to_top, split_partitions, PartRef};
-use crate::noc::noc_select;
+use crate::hier::{group_instances, reparent_all, split_partitions, PartRef};
+use crate::noc::ConnGraph;
 use crate::spec::{PartitionMode, PartitionSpec, Selection};
 use fireaxe_ir::{Circuit, Direction};
 use fireaxe_libdn::LiBdnSpec;
-use std::collections::{BTreeMap, BTreeSet};
+use fireaxe_obs::obs_span;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// One simulation thread: a circuit plus its LI-BDN channel structure.
 #[derive(Debug, Clone)]
@@ -151,15 +152,24 @@ pub fn compile_with_options(
     spec: &PartitionSpec,
     options: CompileOptions,
 ) -> Result<PartitionedDesign> {
-    fireaxe_ir::typecheck::validate(circuit)?;
+    let _compile = obs_span!("ripper.compile");
+    {
+        let _pass = obs_span!("ripper.validate");
+        fireaxe_ir::typecheck::validate(circuit)?;
+    }
     let mut work = circuit.clone();
 
-    // 1. Resolve selections.
+    // 1. Resolve selections. Every NoC-mode group grows from the same
+    // connectivity graph of the input design.
+    let select = obs_span!("ripper.select");
+    let mut graph: Option<ConnGraph<'_>> = None;
     let mut group_paths: Vec<Vec<String>> = Vec::with_capacity(spec.groups.len());
     for g in &spec.groups {
         let paths = match &g.selection {
             Selection::Instances(p) => p.clone(),
-            Selection::NocRouters { routers, indices } => noc_select(&work, routers, indices)?,
+            Selection::NocRouters { routers, indices } => graph
+                .get_or_insert_with(|| ConnGraph::build(circuit))
+                .select(routers, indices)?,
         };
         if paths.is_empty() {
             return Err(RipperError::Malformed {
@@ -168,44 +178,33 @@ pub fn compile_with_options(
         }
         group_paths.push(paths);
     }
+    drop(graph);
 
     // 2. Overlap check (exact duplicates or nesting).
-    {
-        let mut seen: BTreeSet<&String> = BTreeSet::new();
-        let all: Vec<&String> = group_paths.iter().flatten().collect();
-        for p in &all {
-            if !seen.insert(p) {
-                return Err(RipperError::OverlappingGroups { path: (*p).clone() });
-            }
-        }
-        for a in &all {
-            for b in &all {
-                if a != b && b.starts_with(&format!("{a}.")) {
-                    return Err(RipperError::OverlappingGroups { path: (*b).clone() });
-                }
-            }
-        }
-    }
+    check_overlap(&group_paths)?;
+    drop(select);
 
     // 3. Reparent everything to the top.
-    let mut group_insts: Vec<Vec<String>> = Vec::with_capacity(group_paths.len());
-    for paths in &group_paths {
-        let mut insts = Vec::with_capacity(paths.len());
-        for p in paths {
-            insts.push(reparent_to_top(&mut work, p)?);
-        }
-        group_insts.push(insts);
-    }
+    let reparent = obs_span!("ripper.reparent");
+    let flat: Vec<&str> = group_paths.iter().flatten().map(String::as_str).collect();
+    let mut lifted = reparent_all(&mut work, &flat)?.into_iter();
+    let group_insts: Vec<Vec<String>> = group_paths
+        .iter()
+        .map(|paths| lifted.by_ref().take(paths.len()).collect())
+        .collect();
+    drop(reparent);
 
     // 3b. Collapse pure passthrough shells left by reparenting so
     // intra-partition connections stay inside the wrapper instead of
     // bouncing through the remainder.
     if options.resolve_passthroughs {
+        let _pass = obs_span!("ripper.passthrough");
         crate::passthrough::resolve_shell_passthroughs(&mut work);
         crate::passthrough::prune_dead_shell_ports(&mut work);
     }
 
     // 4. Grouping: one wrapper per group, or one per instance for FAME-5.
+    let group = obs_span!("ripper.group");
     let mut notes = Vec::new();
     let mut wrappers: Vec<(String, PartRef)> = Vec::new();
     let mut thread_names: BTreeMap<PartRef, String> = BTreeMap::new();
@@ -240,8 +239,10 @@ pub fn compile_with_options(
             wrappers.push((winst, part));
         }
     }
+    drop(group);
 
     // 5. Extract + remove.
+    let split_pass = obs_span!("ripper.split");
     let mut split = split_partitions(&work, &wrappers)?;
 
     // FAME-5 independence: threads of one group must not link directly.
@@ -268,9 +269,11 @@ pub fn compile_with_options(
             }
         }
     }
+    drop(split_pass);
 
     // 6. Fast-mode boundary rewrites.
     if spec.mode == PartitionMode::Fast {
+        let _pass = obs_span!("ripper.fast_mode");
         let mut boundary_of: BTreeMap<PartRef, BTreeSet<String>> = BTreeMap::new();
         for w in &split.cut_wires {
             boundary_of
@@ -317,6 +320,7 @@ pub fn compile_with_options(
 
     // 7. Channel construction. Node order: wrappers in declaration order,
     // remainder last.
+    let channels = obs_span!("ripper.channels");
     let mut node_descs: Vec<NodeDesc<'_>> = Vec::new();
     for (wi, (_, part)) in wrappers.iter().enumerate() {
         node_descs.push(NodeDesc {
@@ -345,29 +349,26 @@ pub fn compile_with_options(
     // 8. Assemble artifacts.
     let node_names: Vec<String> = node_descs.iter().map(|n| n.name.clone()).collect();
     drop(node_descs);
+    let circuits = split
+        .wrapper_circuits
+        .into_iter()
+        .chain(std::iter::once(split.remainder));
     let mut threads: Vec<Option<ThreadArtifact>> = specs
         .into_iter()
         .zip(node_names.iter())
         .zip(env_inputs)
         .zip(env_outputs)
-        .map(|(((libdn, name), ei), eo)| {
+        .zip(circuits)
+        .map(|((((libdn, name), ei), eo), circuit)| {
             Some(ThreadArtifact {
                 name: name.clone(),
-                circuit: Circuit::new("placeholder"),
+                circuit,
                 libdn,
                 env_inputs: ei,
                 env_outputs: eo,
             })
         })
         .collect();
-    for (wi, _) in wrappers.iter().enumerate() {
-        if let Some(t) = threads[wi].as_mut() {
-            t.circuit = split.wrapper_circuits[wi].clone();
-        }
-    }
-    if let Some(t) = threads.last_mut().and_then(Option::as_mut) {
-        t.circuit = split.remainder.clone();
-    }
 
     let mut partitions: Vec<PartitionArtifact> = Vec::new();
     let mut cursor = 0usize;
@@ -389,13 +390,16 @@ pub fn compile_with_options(
         threads: vec![threads[cursor].take().expect("remainder artifact")],
         fame5: false,
     });
+    drop(channels);
 
     // 9. Validate every emitted circuit.
+    let validate_out = obs_span!("ripper.validate_out");
     for p in &partitions {
         for t in &p.threads {
             fireaxe_ir::typecheck::validate(&t.circuit)?;
         }
     }
+    drop(validate_out);
 
     let link_widths = links
         .iter()
@@ -424,6 +428,35 @@ pub fn compile_with_options(
         mode: spec.mode,
         report,
     })
+}
+
+/// Rejects a path selected twice and a path nested under another,
+/// reporting what comparing every ordered pair in declaration order
+/// would: the first duplicate, else the first path (as the outer one)
+/// with anything nested under it and the first path nested there.
+fn check_overlap(group_paths: &[Vec<String>]) -> Result<()> {
+    let all: Vec<&String> = group_paths.iter().flatten().collect();
+    let mut position: HashMap<&str, usize> = HashMap::with_capacity(all.len());
+    for (i, p) in all.iter().enumerate() {
+        if position.insert(p, i).is_some() {
+            return Err(RipperError::OverlappingGroups { path: (*p).clone() });
+        }
+    }
+    let nested = all
+        .iter()
+        .enumerate()
+        .flat_map(|(inner, p)| {
+            let position = &position;
+            p.match_indices('.')
+                .filter_map(move |(dot, _)| Some((*position.get(&p[..dot])?, inner)))
+        })
+        .min();
+    match nested {
+        Some((_, inner)) => Err(RipperError::OverlappingGroups {
+            path: all[inner].clone(),
+        }),
+        None => Ok(()),
+    }
 }
 
 fn check_fame5_group(circuit: &Circuit, group: &str, insts: &[String]) -> Result<()> {

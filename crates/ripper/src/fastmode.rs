@@ -17,7 +17,7 @@
 //! Table II *emerges* from them rather than being modeled.
 
 use crate::error::{Result, RipperError};
-use crate::hier::{fresh_name, rewrite_stmt_refs};
+use crate::hier::{rewrite_stmt_refs, Names};
 use fireaxe_ir::build::{ModuleBuilder, Sig};
 use fireaxe_ir::{BinOp, Circuit, Direction, Expr, Module, Ref, Stmt, Width};
 use std::collections::BTreeSet;
@@ -185,7 +185,7 @@ fn insert_skid_buffer(circuit: &mut Circuit, top_name: &str, b: &RvBundle) -> Re
     }
 
     let top = circuit.module_mut(top_name).expect("top exists");
-    let skid_inst = fresh_name(top, &format!("skid_{}", b.prefix));
+    let skid_inst = Names::of(top).fresh(&format!("skid_{}", b.prefix));
 
     // 1. Re-route the original `ready` driver into the skid's deq side and
     //    export the skid's conservative enq_ready instead.

@@ -1,47 +1,68 @@
 //! Hierarchy surgery: the Reparent / Group / Extract / Remove passes.
 //!
-//! These implement Fig. 5 of the FireAxe paper. [`reparent_to_top`] pulls a
-//! selected instance up the module hierarchy one level at a time, punching
-//! I/O ports through each intermediate module so connectivity is
-//! preserved. [`group_instances`] wraps a set of top-level instances in a
+//! These implement Fig. 5 of the FireAxe paper. [`reparent_all`] pulls the
+//! selected instances up the module hierarchy, punching I/O ports through
+//! each intermediate module so connectivity is preserved — every module
+//! on the way is rewritten once, however many instances leave through it.
+//! [`group_instances`] wraps a set of top-level instances in a
 //! fresh wrapper module. [`split_partitions`] then extracts each wrapper
 //! into its own circuit and removes the wrappers from the remainder,
 //! recording every cut wire so channel construction can pair the two
 //! sides.
 
 use crate::error::{Result, RipperError};
-use fireaxe_ir::{Circuit, Direction, Expr, Module, Ref, Stmt, Width};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use fireaxe_ir::{Circuit, Direction, Expr, Module, Port, Ref, Stmt, Width};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-/// Produces a name not already used by ports or definitions in `module`.
-pub fn fresh_name(module: &Module, base: &str) -> String {
-    let taken = |n: &str| {
-        module.port(n).is_some() || module.body.iter().any(|s| s.defined_name() == Some(n))
-    };
-    if !taken(base) {
-        return base.to_string();
+/// The names taken in one module's namespace (ports and body
+/// definitions), held as a set so allocating a fresh name is a lookup
+/// rather than a scan of every port and statement per candidate.
+#[derive(Debug, Default)]
+pub struct Names(HashSet<String>);
+
+impl Names {
+    /// The names `module` currently defines.
+    pub fn of(module: &Module) -> Self {
+        let ports = module.ports.iter().map(|p| p.name.clone());
+        let defs = module
+            .body
+            .iter()
+            .filter_map(|s| s.defined_name().map(str::to_string));
+        Names(ports.chain(defs).collect())
     }
-    for i in 0.. {
-        let cand = format!("{base}_{i}");
-        if !taken(&cand) {
-            return cand;
-        }
+
+    /// Marks `name` as taken.
+    pub fn insert(&mut self, name: &str) {
+        self.0.insert(name.to_string());
     }
-    unreachable!()
+
+    /// Allocates `base`, or `base_0`, `base_1`, ... when taken.
+    pub fn fresh(&mut self, base: &str) -> String {
+        let name = first_free(base, |n| self.0.contains(n));
+        self.0.insert(name.clone());
+        name
+    }
+
+    fn release(&mut self, name: &str) {
+        self.0.remove(name);
+    }
+}
+
+/// `base` if `taken` does not hold for it, else the first of `base_0`,
+/// `base_1`, ... for which it does not.
+fn first_free(base: &str, taken: impl Fn(&str) -> bool) -> String {
+    let mut cand = base.to_string();
+    let mut i = 0u64;
+    while taken(&cand) {
+        cand = format!("{base}_{i}");
+        i += 1;
+    }
+    cand
 }
 
 /// Produces a module name not already used in the circuit.
 pub fn fresh_module_name(circuit: &Circuit, base: &str) -> String {
-    if circuit.module(base).is_none() {
-        return base.to_string();
-    }
-    for i in 0.. {
-        let cand = format!("{base}_{i}");
-        if circuit.module(&cand).is_none() {
-            return cand;
-        }
-    }
-    unreachable!()
+    first_free(base, |n| circuit.module(n).is_some())
 }
 
 /// Resolves an instance path (`"a.b.c"`) to its module name.
@@ -64,145 +85,6 @@ pub fn resolve_path(circuit: &Circuit, path: &str) -> Result<String> {
     Ok(cur)
 }
 
-/// Clones modules along `path` as needed so that every module on the path
-/// is instantiated exactly once in the circuit. Hierarchy surgery mutates
-/// module definitions, so shared modules must be specialized first.
-pub fn specialize_path(circuit: &mut Circuit, path: &[String]) -> Result<()> {
-    let mut cur = circuit.top.clone();
-    for seg in path {
-        let parent = circuit
-            .module(&cur)
-            .ok_or_else(|| RipperError::NoSuchInstance {
-                path: path.join("."),
-            })?;
-        let child = parent
-            .instances()
-            .find(|(n, _)| n == seg)
-            .map(|(_, c)| c.to_string())
-            .ok_or_else(|| RipperError::NoSuchInstance {
-                path: path.join("."),
-            })?;
-        let count = circuit.instance_counts().get(&child).copied().unwrap_or(0);
-        if count > 1 {
-            let clone_name = fresh_module_name(circuit, &format!("{child}_u"));
-            let mut cloned = circuit.module(&child).expect("child exists").clone();
-            cloned.name = clone_name.clone();
-            circuit.add_module(cloned);
-            // Repoint only this instance.
-            let parent_mut = circuit.module_mut(&cur).expect("parent exists");
-            for s in &mut parent_mut.body {
-                if let Stmt::Inst { name, module } = s {
-                    if name == seg && *module == child {
-                        *module = clone_name.clone();
-                    }
-                }
-            }
-            cur = clone_name;
-        } else {
-            cur = child;
-        }
-    }
-    Ok(())
-}
-
-/// Removes instance `inst` from module `parent_name`, punching its ports
-/// through as new parent ports. Returns `(child_module, child_port ->
-/// new_parent_port)`.
-///
-/// The parent must be uniquely instantiated (see [`specialize_path`]).
-///
-/// # Errors
-///
-/// Returns [`RipperError::NoSuchInstance`] if the instance is absent.
-pub fn punch_out_instance(
-    circuit: &mut Circuit,
-    parent_name: &str,
-    inst: &str,
-) -> Result<(String, BTreeMap<String, String>)> {
-    let parent = circuit
-        .module(parent_name)
-        .ok_or_else(|| RipperError::Malformed {
-            message: format!("module `{parent_name}` not found"),
-        })?;
-    let child_module_name = parent
-        .instances()
-        .find(|(n, _)| *n == inst)
-        .map(|(_, m)| m.to_string())
-        .ok_or_else(|| RipperError::NoSuchInstance {
-            path: format!("{parent_name}/{inst}"),
-        })?;
-    let child = circuit
-        .module(&child_module_name)
-        .ok_or_else(|| RipperError::Malformed {
-            message: format!("module `{child_module_name}` not found"),
-        })?
-        .clone();
-
-    // Plan new parent ports for every child port.
-    let parent_ro = circuit.module(parent_name).expect("checked").clone();
-    let mut port_map: BTreeMap<String, String> = BTreeMap::new();
-    let mut new_ports: Vec<(String, Direction, Width)> = Vec::new();
-    {
-        // Track names as we allocate to avoid intra-batch collisions.
-        let mut probe = parent_ro.clone();
-        for p in &child.ports {
-            let np = fresh_name(&probe, &format!("{inst}_{}", p.name));
-            probe.ports.push(fireaxe_ir::Port::new(
-                np.clone(),
-                Direction::Input,
-                Width::new(0),
-            ));
-            // Child input becomes a parent *output* (the parent now exports
-            // the value it used to drive into the child), and vice versa.
-            let dir = match p.direction {
-                Direction::Input => Direction::Output,
-                Direction::Output => Direction::Input,
-            };
-            new_ports.push((np.clone(), dir, p.width));
-            port_map.insert(p.name.clone(), np);
-        }
-    }
-
-    let parent = circuit.module_mut(parent_name).expect("checked");
-    for (name, dir, width) in &new_ports {
-        parent
-            .ports
-            .push(fireaxe_ir::Port::new(name.clone(), *dir, *width));
-    }
-
-    // Rewrite the body: drop the Inst, convert input-connects, rewrite
-    // output references.
-    let out_ports: BTreeSet<String> = child
-        .ports_in(Direction::Output)
-        .map(|p| p.name.clone())
-        .collect();
-    let mut new_body = Vec::with_capacity(parent.body.len());
-    for mut stmt in std::mem::take(&mut parent.body) {
-        match &mut stmt {
-            Stmt::Inst { name, .. } if name == inst => continue,
-            Stmt::Connect { lhs, rhs: _ } if lhs.instance.as_deref() == Some(inst) => {
-                // `inst.p <= E` becomes `inst_p <= E` on the new output port.
-                let np = port_map[&lhs.name].clone();
-                *lhs = Ref::local(np);
-            }
-            _ => {}
-        }
-        new_body.push(stmt);
-    }
-    // Rewrite all reads of `inst.<out>` to the new local input ports.
-    let rewrite = |r: &mut Ref| {
-        if r.instance.as_deref() == Some(inst) && out_ports.contains(&r.name) {
-            let np = port_map[&r.name].clone();
-            *r = Ref::local(np);
-        }
-    };
-    for stmt in &mut new_body {
-        rewrite_stmt_refs(stmt, &rewrite);
-    }
-    parent.body = new_body;
-    Ok((child_module_name, port_map))
-}
-
 /// Applies `f` to every [`Ref`] read in the statement (not connect
 /// targets, which are rewritten by callers when needed).
 pub fn rewrite_stmt_refs(stmt: &mut Stmt, f: &impl Fn(&mut Ref)) {
@@ -219,82 +101,349 @@ pub fn rewrite_stmt_refs(stmt: &mut Stmt, f: &impl Fn(&mut Ref)) {
     }
 }
 
-/// Reparents the instance at `path` to the top module, punching ports
-/// through every intermediate level (paper Fig. 5a, "Reparent"). Returns
-/// the instance's new top-level name.
+/// Calls `f` on every [`Ref`] the statement reads.
+pub(crate) fn for_each_read<'a>(stmt: &'a Stmt, mut f: impl FnMut(&'a Ref)) {
+    let mut refs = Vec::new();
+    match stmt {
+        Stmt::Node { expr, .. } => expr.collect_refs(&mut refs),
+        Stmt::Connect { rhs, .. } => rhs.collect_refs(&mut refs),
+        Stmt::MemRead { addr, .. } => addr.collect_refs(&mut refs),
+        Stmt::MemWrite { addr, data, en, .. } => {
+            addr.collect_refs(&mut refs);
+            data.collect_refs(&mut refs);
+            en.collect_refs(&mut refs);
+        }
+        _ => {}
+    }
+    refs.into_iter().for_each(&mut f);
+}
+
+/// Position indexes over a circuit while paths are resolved and
+/// specialized: module name → slot in `circuit.modules`, and per module,
+/// instance name → position of its (first) `Inst` statement. No statement
+/// moves during that phase, so positions stay valid; specialization keeps
+/// both maps current as it clones and repoints.
+struct PathIndex {
+    modules: HashMap<String, usize>,
+    insts: HashMap<usize, HashMap<String, usize>>,
+}
+
+impl PathIndex {
+    fn new(circuit: &Circuit) -> Self {
+        let mut modules = HashMap::with_capacity(circuit.modules.len());
+        for (i, m) in circuit.modules.iter().enumerate() {
+            modules.entry(m.name.clone()).or_insert(i);
+        }
+        PathIndex {
+            modules,
+            insts: HashMap::new(),
+        }
+    }
+
+    /// `(statement position, child module slot)` of instance `inst` in
+    /// the module at `slot`.
+    fn child(&mut self, circuit: &Circuit, slot: usize, inst: &str) -> Option<(usize, usize)> {
+        let body = &circuit.modules[slot].body;
+        let insts = self.insts.entry(slot).or_insert_with(|| {
+            let mut map = HashMap::new();
+            for (pos, s) in body.iter().enumerate() {
+                if let Stmt::Inst { name, .. } = s {
+                    map.entry(name.clone()).or_insert(pos);
+                }
+            }
+            map
+        });
+        let pos = *insts.get(inst)?;
+        let Stmt::Inst { module, .. } = &body[pos] else {
+            unreachable!("indexed an Inst statement")
+        };
+        Some((pos, *self.modules.get(module)?))
+    }
+
+    fn fresh_module_name(&self, base: &str) -> String {
+        first_free(base, |n| self.modules.contains_key(n))
+    }
+}
+
+/// One selected instance on its way to the top.
+struct Lift {
+    /// Instance names from the top down; `segs[j]` lives in `hosts[j]`.
+    segs: Vec<String>,
+    /// Slots of the modules hosting each segment (`hosts[0]` is the top).
+    hosts: Vec<usize>,
+    /// Slot of the selected instance's module: moved, never modified.
+    child: usize,
+    /// Its name in the module it was last inserted into.
+    inst: String,
+    /// The ports punched for it through the module it last left, in the
+    /// child's port order.
+    punched: Vec<String>,
+}
+
+/// Reparents every instance in `paths` to the top module, punching ports
+/// through every intermediate level (paper Fig. 5a, "Reparent"), and
+/// returns their new top-level names in `paths` order. The result is
+/// what lifting the paths one after another, each one level at a time,
+/// produces.
+///
+/// All paths are resolved, and the modules above each selected instance
+/// cloned until uniquely instantiated (hierarchy surgery mutates module
+/// definitions; the selected module itself is moved, not modified),
+/// before anything is lifted. Lifts are then applied one module at a
+/// time, deepest modules first: every lift through a module only appends
+/// ports and statements to it and rewrites the statements that mention
+/// the lifted instance, so all lifts through one module are one pass
+/// over its body.
+///
+/// No path may be a prefix of another (the compiler's overlap check).
+///
+/// # Errors
+///
+/// Returns [`RipperError::NoSuchInstance`] for the first bad path.
+pub fn reparent_all(circuit: &mut Circuit, paths: &[&str]) -> Result<Vec<String>> {
+    let missing = |path: &str| RipperError::NoSuchInstance {
+        path: path.to_string(),
+    };
+    let mut index = PathIndex::new(circuit);
+    let top_slot = index.modules.get(&circuit.top).copied();
+    let mut counts = circuit.instance_counts();
+
+    // Resolve and specialize, in path order.
+    let mut lifts: Vec<Lift> = Vec::with_capacity(paths.len());
+    for path in paths {
+        let segs: Vec<String> = path.split('.').map(str::to_string).collect();
+        let mut slot = top_slot.ok_or_else(|| missing(path))?;
+        for seg in &segs {
+            slot = index
+                .child(circuit, slot, seg)
+                .ok_or_else(|| missing(path))?
+                .1;
+        }
+        let child = slot;
+
+        let mut hosts = Vec::with_capacity(segs.len());
+        let mut host = top_slot.expect("resolved above");
+        for seg in &segs[..segs.len() - 1] {
+            hosts.push(host);
+            let (pos, below) = index.child(circuit, host, seg).expect("resolved above");
+            let shared = circuit.modules[below].name.clone();
+            if counts.get(&shared).copied().unwrap_or(0) <= 1 {
+                host = below;
+                continue;
+            }
+            // Clone it for this instance alone. Every host so far is
+            // uniquely instantiated, so exactly one use moves to the clone
+            // and everything below keeps its count.
+            let clone_name = index.fresh_module_name(&format!("{shared}_u"));
+            let mut cloned = circuit.modules[below].clone();
+            cloned.name = clone_name.clone();
+            index
+                .modules
+                .insert(clone_name.clone(), circuit.modules.len());
+            circuit.modules.push(cloned);
+            *counts.get_mut(&shared).expect("counted above") -= 1;
+            counts.insert(clone_name.clone(), 1);
+            if let Stmt::Inst { module, .. } = &mut circuit.modules[host].body[pos] {
+                *module = clone_name;
+            }
+            host = circuit.modules.len() - 1;
+        }
+        hosts.push(host);
+        lifts.push(Lift {
+            child,
+            inst: segs[segs.len() - 1].clone(),
+            punched: Vec::new(),
+            segs,
+            hosts,
+        });
+    }
+
+    // Port lists of the moved modules.
+    let mut child_ports: HashMap<usize, ChildPorts> = HashMap::new();
+    for lift in &lifts {
+        child_ports
+            .entry(lift.child)
+            .or_insert_with(|| ChildPorts::of(&circuit.modules[lift.child]));
+    }
+
+    // Which lifts pass through which module, deepest modules first; each
+    // list is in path order because it is filled in path order.
+    let mut visits: BTreeMap<(std::cmp::Reverse<usize>, usize), Vec<usize>> = BTreeMap::new();
+    for (k, lift) in lifts.iter().enumerate() {
+        if lift.segs.len() < 2 {
+            continue;
+        }
+        for (depth, &slot) in lift.hosts.iter().enumerate() {
+            visits
+                .entry((std::cmp::Reverse(depth), slot))
+                .or_default()
+                .push(k);
+        }
+    }
+    for ((std::cmp::Reverse(depth), slot), ks) in visits {
+        lift_through(
+            &mut circuit.modules[slot],
+            depth,
+            &ks,
+            &mut lifts,
+            &child_ports,
+        );
+    }
+    Ok(lifts.into_iter().map(|l| l.inst).collect())
+}
+
+/// A moved module's name and ports, with a by-name index.
+struct ChildPorts {
+    module: String,
+    ports: Vec<Port>,
+    by_name: HashMap<String, usize>,
+}
+
+impl ChildPorts {
+    fn of(module: &Module) -> Self {
+        let mut by_name = HashMap::with_capacity(module.ports.len());
+        for (i, p) in module.ports.iter().enumerate() {
+            by_name.entry(p.name.clone()).or_insert(i);
+        }
+        ChildPorts {
+            module: module.name.clone(),
+            ports: module.ports.clone(),
+            by_name,
+        }
+    }
+}
+
+/// Applies every lift that passes through `module` (at `depth` below the
+/// top), in path order `ks`.
+///
+/// A lift arriving from the shell below is inserted as a new instance
+/// wired to the ports it left behind there; unless `module` is the top it
+/// is then punched out again, as is a selected instance that starts here:
+/// each of its ports becomes a port of `module` (child input → module
+/// output and vice versa), connects to it drive those ports and reads of
+/// it read them. The one-at-a-time result is reproduced because (a) ports
+/// and statements are only ever appended, here in the same path order;
+/// (b) names are allocated in that order from a set that tracks exactly
+/// what the module would define at that moment (an instance's name is
+/// released once it is punched out); and (c) rewrites for different
+/// instances touch disjoint references, so one pass over the original
+/// body applies them all. Statements appended for an arriving lift never
+/// mention another lifted instance, so they are emitted already rewritten.
+fn lift_through(
+    module: &mut Module,
+    depth: usize,
+    ks: &[usize],
+    lifts: &mut [Lift],
+    child_ports: &HashMap<usize, ChildPorts>,
+) {
+    let mut names = Names::of(module);
+    // Instances that started here: name → lift.
+    let mut leaving: HashMap<String, usize> = HashMap::new();
+    let mut appended: Vec<Stmt> = Vec::new();
+    for &k in ks {
+        let lift = &mut lifts[k];
+        let child = &child_ports[&lift.child];
+        let arrived = depth + 1 < lift.segs.len();
+        if arrived {
+            let shell = &lift.segs[depth];
+            let inst = names.fresh(&format!("{shell}__{}", lift.inst));
+            if depth == 0 {
+                appended.push(Stmt::Inst {
+                    name: inst.clone(),
+                    module: child.module.clone(),
+                });
+                for (cp, below) in child.ports.iter().zip(&lift.punched) {
+                    let here = Ref::instance_port(inst.clone(), cp.name.clone());
+                    let there = Ref::instance_port(shell.clone(), below.clone());
+                    appended.push(match cp.direction {
+                        Direction::Input => Stmt::Connect {
+                            lhs: here,
+                            rhs: Expr::Ref(there),
+                        },
+                        Direction::Output => Stmt::Connect {
+                            lhs: there,
+                            rhs: Expr::Ref(here),
+                        },
+                    });
+                }
+            }
+            lift.inst = inst;
+        }
+        if depth == 0 {
+            continue;
+        }
+        let punched: Vec<String> = child
+            .ports
+            .iter()
+            .map(|cp| names.fresh(&format!("{}_{}", lift.inst, cp.name)))
+            .collect();
+        names.release(&lift.inst);
+        for (cp, np) in child.ports.iter().zip(&punched) {
+            // The module now exports what it used to drive into the
+            // instance, and imports what it used to read from it.
+            module
+                .ports
+                .push(Port::new(np.clone(), cp.direction.flip(), cp.width));
+        }
+        if arrived {
+            let shell = &lift.segs[depth];
+            for ((cp, below), np) in child.ports.iter().zip(&lift.punched).zip(&punched) {
+                let there = Ref::instance_port(shell.clone(), below.clone());
+                appended.push(match cp.direction {
+                    Direction::Input => Stmt::Connect {
+                        lhs: Ref::local(np.clone()),
+                        rhs: Expr::Ref(there),
+                    },
+                    Direction::Output => Stmt::Connect {
+                        lhs: there,
+                        rhs: Expr::reference(np.clone()),
+                    },
+                });
+            }
+        } else {
+            leaving.insert(lift.inst.clone(), k);
+        }
+        lift.punched = punched;
+    }
+
+    if !leaving.is_empty() {
+        // `inst.port` → the port punched for it, if `inst` is leaving.
+        let punched_for = |r: &Ref| -> Option<(&String, Direction)> {
+            let lift = &lifts[*leaving.get(r.instance.as_ref()?)?];
+            let child = &child_ports[&lift.child];
+            let i = *child.by_name.get(&r.name)?;
+            Some((&lift.punched[i], child.ports[i].direction))
+        };
+        let read = |r: &mut Ref| {
+            if let Some((np, Direction::Output)) = punched_for(r) {
+                *r = Ref::local(np.clone());
+            }
+        };
+        module.body.retain_mut(|stmt| {
+            match stmt {
+                Stmt::Inst { name, .. } if leaving.contains_key(name) => return false,
+                Stmt::Connect { lhs, .. } => {
+                    if let Some((np, _)) = punched_for(lhs) {
+                        *lhs = Ref::local(np.clone());
+                    }
+                }
+                _ => {}
+            }
+            rewrite_stmt_refs(stmt, &read);
+            true
+        });
+    }
+    module.body.append(&mut appended);
+}
+
+/// Reparents the instance at `path` to the top module; see
+/// [`reparent_all`]. Returns the instance's new top-level name.
 ///
 /// # Errors
 ///
 /// Returns [`RipperError::NoSuchInstance`] for bad paths.
 pub fn reparent_to_top(circuit: &mut Circuit, path: &str) -> Result<String> {
-    let mut segs: Vec<String> = path.split('.').map(str::to_string).collect();
-    if segs.is_empty() {
-        return Err(RipperError::NoSuchInstance {
-            path: path.to_string(),
-        });
-    }
-    resolve_path(circuit, path)?; // existence check
-                                  // Only the modules we punch through (everything above the selected
-                                  // instance) get mutated, so only they need to be uniquely
-                                  // instantiated; the selected module itself is moved, not modified.
-    specialize_path(circuit, &segs[..segs.len() - 1])?;
-
-    while segs.len() > 1 {
-        // gp_module --(p_inst)--> p_module --(inst)--> child
-        let gp_module = module_at(circuit, &segs[..segs.len() - 2])?;
-        let p_inst = segs[segs.len() - 2].clone();
-        let p_module = module_at(circuit, &segs[..segs.len() - 1])?;
-        let inst = segs[segs.len() - 1].clone();
-
-        let (child_module, port_map) = punch_out_instance(circuit, &p_module, &inst)?;
-
-        // Wire the relocated instance inside the grandparent.
-        let child_ports = circuit
-            .module(&child_module)
-            .expect("child exists")
-            .ports
-            .clone();
-        let gp = circuit.module_mut(&gp_module).expect("gp exists");
-        let new_inst = fresh_name(gp, &format!("{p_inst}__{inst}"));
-        gp.body.push(Stmt::Inst {
-            name: new_inst.clone(),
-            module: child_module,
-        });
-        for cp in &child_ports {
-            let np = &port_map[&cp.name];
-            match cp.direction {
-                Direction::Input => gp.body.push(Stmt::Connect {
-                    lhs: Ref::instance_port(new_inst.clone(), cp.name.clone()),
-                    rhs: Expr::Ref(Ref::instance_port(p_inst.clone(), np.clone())),
-                }),
-                Direction::Output => gp.body.push(Stmt::Connect {
-                    lhs: Ref::instance_port(p_inst.clone(), np.clone()),
-                    rhs: Expr::Ref(Ref::instance_port(new_inst.clone(), cp.name.clone())),
-                }),
-            }
-        }
-        segs.pop();
-        let last = segs.len() - 1;
-        segs[last] = new_inst;
-    }
-    Ok(segs.pop().expect("nonempty"))
-}
-
-fn module_at(circuit: &Circuit, segs: &[String]) -> Result<String> {
-    let mut cur = circuit.top.clone();
-    for seg in segs {
-        let m = circuit.module(&cur).ok_or_else(|| RipperError::Malformed {
-            message: format!("module `{cur}` missing"),
-        })?;
-        cur = m
-            .instances()
-            .find(|(n, _)| n == seg)
-            .map(|(_, c)| c.to_string())
-            .ok_or_else(|| RipperError::NoSuchInstance {
-                path: segs.join("."),
-            })?;
-    }
-    Ok(cur)
+    Ok(reparent_all(circuit, &[path])?.remove(0))
 }
 
 /// Wraps the given top-level instances in a new wrapper module (paper
@@ -315,14 +464,16 @@ pub fn group_instances(
     let top = circuit.module(&top_name).expect("top exists").clone();
 
     // Check selection and capture child module names/ports.
+    let mut top_insts: HashMap<&str, &str> = HashMap::new();
+    for (inst, module) in top.instances() {
+        top_insts.entry(inst).or_insert(module);
+    }
     let mut child_modules: HashMap<String, String> = HashMap::new();
     for inst in insts {
-        let m = top
-            .instances()
-            .find(|(n, _)| n == inst)
-            .map(|(_, c)| c.to_string())
+        let m = top_insts
+            .get(inst.as_str())
             .ok_or_else(|| RipperError::NoSuchInstance { path: inst.clone() })?;
-        child_modules.insert(inst.clone(), m);
+        child_modules.insert(inst.clone(), m.to_string());
     }
     let port_of = |circuit: &Circuit, inst: &str, port: &str| -> Result<Width> {
         let m = circuit
@@ -340,12 +491,16 @@ pub fn group_instances(
     let wrapper_mod_name = fresh_module_name(circuit, wrapper_name);
     let mut wrapper = Module::new(wrapper_mod_name.clone());
     let mut new_top_body: Vec<Stmt> = Vec::new();
-    let winst = fresh_name(&top, &format!("{wrapper_name}_inst"));
+    let winst = Names::of(&top).fresh(&format!("{wrapper_name}_inst"));
+    // The wrapper's namespace as it fills: moved instances and punched
+    // ports.
+    let mut wrapper_names = Names::default();
 
     // Pass 1: move instances and internal connects; punch wrapper inputs.
     for stmt in top.body.iter().cloned() {
         match &stmt {
             Stmt::Inst { name, .. } if selected.contains(name.as_str()) => {
+                wrapper_names.insert(name);
                 wrapper.body.push(stmt);
             }
             Stmt::Connect { lhs, rhs }
@@ -366,7 +521,7 @@ pub fn group_instances(
                     wrapper.body.push(stmt);
                 } else {
                     let w = port_of(circuit, &inst, &lhs.name)?;
-                    let np = fresh_name(&wrapper, &format!("{inst}_{}", lhs.name));
+                    let np = wrapper_names.fresh(&format!("{inst}_{}", lhs.name));
                     wrapper.ports.push(fireaxe_ir::Port::input(np.clone(), w));
                     wrapper.body.push(Stmt::Connect {
                         lhs: lhs.clone(),
@@ -389,32 +544,17 @@ pub fn group_instances(
         // Collect reads first.
         let mut reads: BTreeSet<(String, String)> = BTreeSet::new();
         for stmt in &new_top_body {
-            let mut collect = |e: &Expr| {
-                let mut refs = Vec::new();
-                e.collect_refs(&mut refs);
-                for r in refs {
-                    if let Some(i) = &r.instance {
-                        if selected.contains(i.as_str()) {
-                            reads.insert((i.clone(), r.name.clone()));
-                        }
+            for_each_read(stmt, |r| {
+                if let Some(i) = &r.instance {
+                    if selected.contains(i.as_str()) {
+                        reads.insert((i.clone(), r.name.clone()));
                     }
                 }
-            };
-            match stmt {
-                Stmt::Node { expr, .. } => collect(expr),
-                Stmt::Connect { rhs, .. } => collect(rhs),
-                Stmt::MemRead { addr, .. } => collect(addr),
-                Stmt::MemWrite { addr, data, en, .. } => {
-                    collect(addr);
-                    collect(data);
-                    collect(en);
-                }
-                _ => {}
-            }
+            });
         }
         for (inst, port) in reads {
             let w = port_of(circuit, &inst, &port)?;
-            let np = fresh_name(&wrapper, &format!("{inst}_{port}"));
+            let np = wrapper_names.fresh(&format!("{inst}_{port}"));
             wrapper.ports.push(fireaxe_ir::Port::output(np.clone(), w));
             wrapper.body.push(Stmt::Connect {
                 lhs: Ref::local(np.clone()),
@@ -509,11 +649,7 @@ pub fn split_partitions(circuit: &Circuit, wrappers: &[(String, PartRef)]) -> Re
                 .ok_or_else(|| RipperError::NoSuchInstance {
                     path: winst.clone(),
                 })?;
-        let mut c = circuit.clone();
-        c.top = wmod.to_string();
-        c.name = wmod.to_string();
-        c.prune_unreachable();
-        wrapper_circuits.push(c);
+        wrapper_circuits.push(subcircuit(circuit, wmod));
     }
 
     let port_width = |winst: &str, port: &str| -> Width {
@@ -531,7 +667,11 @@ pub fn split_partitions(circuit: &Circuit, wrappers: &[(String, PartRef)]) -> Re
     // Wrapper outputs consumed by a direct wrapper-to-wrapper link.
     let mut linked_outputs: BTreeSet<(String, String)> = BTreeSet::new();
 
-    for stmt in std::mem::take(&mut rem_top.body) {
+    let body = std::mem::take(&mut rem_top.body);
+    // Only ports are in the way of a punched port's name: the body is
+    // being rebuilt.
+    let mut rem_names = Names::of(&rem_top);
+    for stmt in body {
         match &stmt {
             Stmt::Inst { name, .. } if winst_of.contains_key(name.as_str()) => continue,
             Stmt::Connect { lhs, rhs }
@@ -558,7 +698,7 @@ pub fn split_partitions(circuit: &Circuit, wrappers: &[(String, PartRef)]) -> Re
                     }
                 }
                 // Driven by remainder logic: punch a remainder output port.
-                let np = fresh_name(&rem_top, &format!("{winst}_{}", lhs.name));
+                let np = rem_names.fresh(&format!("{winst}_{}", lhs.name));
                 rem_top
                     .ports
                     .push(fireaxe_ir::Port::output(np.clone(), width));
@@ -579,6 +719,14 @@ pub fn split_partitions(circuit: &Circuit, wrappers: &[(String, PartRef)]) -> Re
     // Punch remainder input ports for every wrapper output (so tokens are
     // always consumed), rewriting reads.
     let mut in_ports: BTreeMap<(String, String), String> = BTreeMap::new();
+    let mut remainder_reads: HashSet<(&str, &str)> = HashSet::new();
+    for stmt in &new_body {
+        for_each_read(stmt, |r| {
+            if let Some(i) = &r.instance {
+                remainder_reads.insert((i.as_str(), r.name.as_str()));
+            }
+        });
+    }
     for (winst, part) in wrappers {
         let wmod = circuit
             .module(wrapper_module[winst.as_str()])
@@ -586,9 +734,7 @@ pub fn split_partitions(circuit: &Circuit, wrappers: &[(String, PartRef)]) -> Re
         for p in wmod.ports_in(Direction::Output) {
             let linked = linked_outputs.contains(&(winst.clone(), p.name.clone()));
             // Is it read by remainder logic?
-            let read = new_body
-                .iter()
-                .any(|s| stmt_reads_inst_port(s, winst, &p.name));
+            let read = remainder_reads.contains(&(winst.as_str(), p.name.as_str()));
             if linked && read {
                 return Err(RipperError::UnsupportedFanout {
                     port: format!("{winst}.{}", p.name),
@@ -597,7 +743,7 @@ pub fn split_partitions(circuit: &Circuit, wrappers: &[(String, PartRef)]) -> Re
             if linked {
                 continue;
             }
-            let np = fresh_name(&rem_top, &format!("{winst}_{}", p.name));
+            let np = rem_names.fresh(&format!("{winst}_{}", p.name));
             rem_top
                 .ports
                 .push(fireaxe_ir::Port::input(np.clone(), p.width));
@@ -631,20 +777,31 @@ pub fn split_partitions(circuit: &Circuit, wrappers: &[(String, PartRef)]) -> Re
     })
 }
 
-fn stmt_reads_inst_port(stmt: &Stmt, inst: &str, port: &str) -> bool {
-    let check = |e: &Expr| {
-        let mut refs = Vec::new();
-        e.collect_refs(&mut refs);
-        refs.iter()
-            .any(|r| r.instance.as_deref() == Some(inst) && r.name == port)
-    };
-    match stmt {
-        Stmt::Node { expr, .. } => check(expr),
-        Stmt::Connect { rhs, .. } => check(rhs),
-        Stmt::MemRead { addr, .. } => check(addr),
-        Stmt::MemWrite { addr, data, en, .. } => check(addr) || check(data) || check(en),
-        _ => false,
+/// The modules of `circuit` reachable from `top`, as a circuit of its own
+/// named after it (module order kept).
+fn subcircuit(circuit: &Circuit, top: &str) -> Circuit {
+    let by_name: HashMap<&str, &Module> = circuit
+        .modules
+        .iter()
+        .rev()
+        .map(|m| (m.name.as_str(), m))
+        .collect();
+    let mut reachable: HashSet<&str> = HashSet::from([top]);
+    let mut stack = vec![top];
+    while let Some(name) = stack.pop() {
+        for (_, child) in by_name.get(name).into_iter().flat_map(|m| m.instances()) {
+            if reachable.insert(child) {
+                stack.push(child);
+            }
+        }
     }
+    let modules = circuit
+        .modules
+        .iter()
+        .filter(|m| reachable.contains(m.name.as_str()))
+        .cloned()
+        .collect();
+    Circuit::from_modules(top, modules, top)
 }
 
 #[cfg(test)]

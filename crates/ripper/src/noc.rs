@@ -10,8 +10,8 @@
 //! collapses the result to maximal subtree roots for extraction.
 
 use crate::error::{Result, RipperError};
-use fireaxe_ir::{Circuit, Expr, Ref, Stmt};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use fireaxe_ir::{Circuit, Expr, Module, Ref, Stmt};
+use std::collections::{BTreeSet, HashMap};
 
 /// Union-find over net endpoints.
 struct UnionFind {
@@ -19,11 +19,6 @@ struct UnionFind {
 }
 
 impl UnionFind {
-    fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n).collect(),
-        }
-    }
     fn find(&mut self, mut x: usize) -> usize {
         while self.parent[x] != x {
             self.parent[x] = self.parent[self.parent[x]];
@@ -39,169 +34,300 @@ impl UnionFind {
     }
 }
 
-/// Graph node: a leaf instance (no children) or a module's local logic.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-enum GraphNode {
-    Leaf(String),
-    Logic(String),
+/// One node of the elaborated instance tree; node 0 is the top.
+struct Instance<'c> {
+    parent: usize,
+    name: &'c str,
+    /// A leaf instance: extern, or a module without children.
+    leaf: bool,
 }
 
-/// Flattened connectivity: leaf instances and per-module logic, with
-/// adjacency through nets (chains of pure-reference connects).
-struct ConnGraph {
-    adjacency: BTreeMap<GraphNode, BTreeSet<GraphNode>>,
-    leaves: BTreeSet<String>,
+/// Flattened connectivity of a design: leaf instances and per-module
+/// logic, joined through nets (chains of pure-reference connects). Built
+/// once per circuit; every NoC-mode group of a spec selects from the same
+/// graph.
+///
+/// Graph node `2 * i` is instance `i` as a leaf, `2 * i + 1` the local
+/// logic of instance `i`'s module. Adjacency stays bipartite — node →
+/// nets, net → nodes — so a wide net costs its fan-out, not its square.
+pub struct ConnGraph<'c> {
+    modules: HashMap<&'c str, &'c Module>,
+    top: &'c str,
+    instances: Vec<Instance<'c>>,
+    children: HashMap<(usize, &'c str), usize>,
+    node_nets: Vec<Vec<usize>>,
+    net_nodes: Vec<Vec<usize>>,
 }
 
-fn build_graph(circuit: &Circuit) -> ConnGraph {
-    // Endpoint interning.
-    let mut ep_ids: HashMap<(String, String), usize> = HashMap::new();
-    let mut ep_list: Vec<(String, String)> = Vec::new();
-    // Deferred logic attachments: (logic node path, endpoint id).
-    let mut logic_edges: Vec<(String, usize)> = Vec::new();
-    let mut alias_edges: Vec<(usize, usize)> = Vec::new();
-    let mut leaves: BTreeSet<String> = BTreeSet::new();
+/// State of one graph construction.
+struct Builder<'c> {
+    graph: ConnGraph<'c>,
+    /// `(instance, signal)` → endpoint id.
+    endpoints: HashMap<(usize, &'c str), usize>,
+    /// Endpoint id → owning instance.
+    endpoint_owner: Vec<usize>,
+    alias_edges: Vec<(usize, usize)>,
+    /// `(instance whose logic it is, endpoint)`.
+    logic_edges: Vec<(usize, usize)>,
+}
 
-    fn intern(
-        ep_ids: &mut HashMap<(String, String), usize>,
-        ep_list: &mut Vec<(String, String)>,
-        path: String,
-        sig: String,
-    ) -> usize {
-        *ep_ids
-            .entry((path.clone(), sig.clone()))
+impl<'c> Builder<'c> {
+    fn child(&mut self, parent: usize, name: &'c str) -> usize {
+        let instances = &mut self.graph.instances;
+        *self
+            .graph
+            .children
+            .entry((parent, name))
             .or_insert_with(|| {
-                ep_list.push((path, sig));
-                ep_list.len() - 1
+                instances.push(Instance {
+                    parent,
+                    name,
+                    leaf: false,
+                });
+                instances.len() - 1
             })
     }
 
-    fn join(path: &str, seg: &str) -> String {
-        if path.is_empty() {
-            seg.to_string()
-        } else {
-            format!("{path}.{seg}")
+    fn endpoint(&mut self, at: usize, r: &'c Ref) -> usize {
+        let owner = match &r.instance {
+            Some(i) => self.child(at, i),
+            None => at,
+        };
+        self.local_endpoint(owner, &r.name)
+    }
+
+    fn local_endpoint(&mut self, owner: usize, signal: &'c str) -> usize {
+        let owners = &mut self.endpoint_owner;
+        *self.endpoints.entry((owner, signal)).or_insert_with(|| {
+            owners.push(owner);
+            owners.len() - 1
+        })
+    }
+
+    fn logic(&mut self, at: usize, driven: usize, expr: &'c Expr) {
+        self.logic_edges.push((at, driven));
+        let mut refs = Vec::new();
+        expr.collect_refs(&mut refs);
+        for r in refs {
+            let e = self.endpoint(at, r);
+            self.logic_edges.push((at, e));
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn walk(
-        circuit: &Circuit,
-        path: &str,
-        module_name: &str,
-        ep_ids: &mut HashMap<(String, String), usize>,
-        ep_list: &mut Vec<(String, String)>,
-        alias_edges: &mut Vec<(usize, usize)>,
-        logic_edges: &mut Vec<(String, usize)>,
-        leaves: &mut BTreeSet<String>,
-    ) {
-        let Some(module) = circuit.module(module_name) else {
+    fn walk(&mut self, at: usize, module_name: &str) {
+        let Some(&module) = self.graph.modules.get(module_name) else {
             return;
         };
         let is_leaf = module.is_extern() || module.instances().next().is_none();
-        if is_leaf && !path.is_empty() {
-            leaves.insert(path.to_string());
+        if is_leaf && at != 0 {
+            self.graph.instances[at].leaf = true;
             return;
         }
-        let ep_of = |r: &Ref,
-                     ep_ids: &mut HashMap<(String, String), usize>,
-                     ep_list: &mut Vec<(String, String)>| {
-            match &r.instance {
-                Some(i) => intern(ep_ids, ep_list, join(path, i), r.name.clone()),
-                None => intern(ep_ids, ep_list, path.to_string(), r.name.clone()),
-            }
-        };
         for stmt in &module.body {
             match stmt {
                 Stmt::Inst { name, module: m } => {
-                    walk(
-                        circuit,
-                        &join(path, name),
-                        m,
-                        ep_ids,
-                        ep_list,
-                        alias_edges,
-                        logic_edges,
-                        leaves,
-                    );
+                    let child = self.child(at, name);
+                    self.walk(child, m);
                 }
                 Stmt::Connect { lhs, rhs } => {
-                    let l = ep_of(lhs, ep_ids, ep_list);
+                    let l = self.endpoint(at, lhs);
                     match rhs {
                         Expr::Ref(r) => {
-                            let rr = ep_of(r, ep_ids, ep_list);
-                            alias_edges.push((l, rr));
+                            let rr = self.endpoint(at, r);
+                            self.alias_edges.push((l, rr));
                         }
-                        other => {
-                            logic_edges.push((path.to_string(), l));
-                            let mut refs = Vec::new();
-                            other.collect_refs(&mut refs);
-                            for r in refs {
-                                let rr = ep_of(r, ep_ids, ep_list);
-                                logic_edges.push((path.to_string(), rr));
-                            }
-                        }
+                        other => self.logic(at, l, other),
                     }
                 }
                 Stmt::Node { name, expr } => {
-                    let l = intern(ep_ids, ep_list, path.to_string(), name.clone());
-                    logic_edges.push((path.to_string(), l));
-                    let mut refs = Vec::new();
-                    expr.collect_refs(&mut refs);
-                    for r in refs {
-                        let rr = ep_of(r, ep_ids, ep_list);
-                        logic_edges.push((path.to_string(), rr));
-                    }
+                    let l = self.local_endpoint(at, name);
+                    self.logic(at, l, expr);
                 }
                 _ => {}
             }
         }
     }
+}
 
-    walk(
-        circuit,
-        "",
-        &circuit.top,
-        &mut ep_ids,
-        &mut ep_list,
-        &mut alias_edges,
-        &mut logic_edges,
-        &mut leaves,
-    );
-
-    let mut uf = UnionFind::new(ep_list.len());
-    for (a, b) in alias_edges {
-        uf.union(a, b);
-    }
-
-    // Attach graph nodes to nets.
-    let mut net_members: BTreeMap<usize, BTreeSet<GraphNode>> = BTreeMap::new();
-    for (id, (path, _sig)) in ep_list.iter().enumerate() {
-        if leaves.contains(path) {
-            net_members
-                .entry(uf.find(id))
-                .or_default()
-                .insert(GraphNode::Leaf(path.clone()));
+impl<'c> ConnGraph<'c> {
+    /// Elaborates `circuit` into its connectivity graph.
+    pub fn build(circuit: &'c Circuit) -> Self {
+        let mut modules = HashMap::with_capacity(circuit.modules.len());
+        for m in &circuit.modules {
+            modules.entry(m.name.as_str()).or_insert(m);
         }
-    }
-    for (logic_path, ep) in logic_edges {
-        net_members
-            .entry(uf.find(ep))
-            .or_default()
-            .insert(GraphNode::Logic(logic_path));
+        let mut b = Builder {
+            graph: ConnGraph {
+                modules,
+                top: &circuit.top,
+                instances: vec![Instance {
+                    parent: 0,
+                    name: "",
+                    leaf: false,
+                }],
+                children: HashMap::new(),
+                node_nets: Vec::new(),
+                net_nodes: Vec::new(),
+            },
+            endpoints: HashMap::new(),
+            endpoint_owner: Vec::new(),
+            alias_edges: Vec::new(),
+            logic_edges: Vec::new(),
+        };
+        b.walk(0, &circuit.top);
+
+        let mut uf = UnionFind {
+            parent: (0..b.endpoint_owner.len()).collect(),
+        };
+        for &(x, y) in &b.alias_edges {
+            uf.union(x, y);
+        }
+
+        // Attach graph nodes to nets: a leaf instance to the net of each
+        // of its ports, a module's logic to every net it drives or reads.
+        let mut graph = b.graph;
+        let mut net_of_root: HashMap<usize, usize> = HashMap::new();
+        let mut attach = |graph: &mut ConnGraph<'c>, endpoint: usize, node: usize| {
+            let net = *net_of_root.entry(uf.find(endpoint)).or_insert_with(|| {
+                graph.net_nodes.push(Vec::new());
+                graph.net_nodes.len() - 1
+            });
+            graph.net_nodes[net].push(node);
+        };
+        for (endpoint, &owner) in b.endpoint_owner.iter().enumerate() {
+            if graph.instances[owner].leaf {
+                attach(&mut graph, endpoint, 2 * owner);
+            }
+        }
+        for &(at, endpoint) in &b.logic_edges {
+            attach(&mut graph, endpoint, 2 * at + 1);
+        }
+        graph.node_nets = vec![Vec::new(); 2 * graph.instances.len()];
+        for (net, nodes) in graph.net_nodes.iter_mut().enumerate() {
+            nodes.sort_unstable();
+            nodes.dedup();
+            for &n in nodes.iter() {
+                graph.node_nets[n].push(net);
+            }
+        }
+        graph
     }
 
-    let mut adjacency: BTreeMap<GraphNode, BTreeSet<GraphNode>> = BTreeMap::new();
-    for members in net_members.values() {
-        for a in members {
-            for b in members {
-                if a != b {
-                    adjacency.entry(a.clone()).or_default().insert(b.clone());
+    /// The instance at `path`, if the elaboration reached it.
+    fn resolve(&self, path: &str) -> Option<usize> {
+        path.split('.')
+            .try_fold(0, |at, seg| self.children.get(&(at, seg)).copied())
+    }
+
+    fn path_of(&self, mut at: usize) -> String {
+        let mut segs = Vec::new();
+        while at != 0 {
+            segs.push(self.instances[at].name);
+            at = self.instances[at].parent;
+        }
+        segs.reverse();
+        segs.join(".")
+    }
+
+    /// Grows a NoC-router selection into the full set of instance paths
+    /// to extract (paper Fig. 4 steps 1–4); see [`noc_select`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RipperError::NoSuchInstance`] for out-of-range indices or
+    /// router paths that do not resolve to leaf instances.
+    pub fn select(&self, routers: &[String], indices: &[usize]) -> Result<Vec<String>> {
+        for &i in indices {
+            if i >= routers.len() {
+                return Err(RipperError::NoSuchInstance {
+                    path: format!("router index {i} (only {} routers)", routers.len()),
+                });
+            }
+        }
+        let n = self.instances.len();
+        let mut selected = vec![false; 2 * n];
+        let mut worklist = Vec::new();
+        let mut own_router = vec![false; n];
+        let picked: BTreeSet<&String> = indices.iter().map(|&i| &routers[i]).collect();
+        for r in picked {
+            match self.resolve(r).filter(|&i| self.instances[i].leaf) {
+                Some(i) => {
+                    own_router[i] = true;
+                    selected[2 * i] = true;
+                    worklist.push(2 * i);
+                }
+                None => return Err(RipperError::NoSuchInstance { path: r.clone() }),
+            }
+        }
+        let mut router = vec![false; n];
+        for i in routers.iter().filter_map(|r| self.resolve(r)) {
+            router[i] = true;
+        }
+
+        // Absorption: a node adjacent to the selection but to no foreign
+        // router gets pulled in. Eligibility only ever grows with the
+        // selection, so visiting each newly selected node's neighbours
+        // once reaches the same fixpoint as rescanning every node per
+        // round.
+        let foreign_on = |net: usize| {
+            self.net_nodes[net]
+                .iter()
+                .any(|&x| x % 2 == 0 && router[x / 2] && !own_router[x / 2])
+        };
+        while let Some(node) = worklist.pop() {
+            for &net in &self.node_nets[node] {
+                for &m in &self.net_nodes[net] {
+                    if selected[m] || router[m / 2] {
+                        continue;
+                    }
+                    if self.node_nets[m].iter().any(|&net| foreign_on(net)) {
+                        continue;
+                    }
+                    selected[m] = true;
+                    worklist.push(m);
                 }
             }
         }
+
+        // Collapse to maximal subtree roots: per instance, the leaves
+        // below it and how many of them are selected (children are
+        // numbered after their parents).
+        let mut leaves = vec![0usize; n];
+        let mut chosen = vec![0usize; n];
+        for i in (0..n).rev() {
+            if self.instances[i].leaf {
+                leaves[i] += 1;
+                chosen[i] += usize::from(selected[2 * i]);
+            }
+            if i != 0 {
+                let p = self.instances[i].parent;
+                leaves[p] += leaves[i];
+                chosen[p] += chosen[i];
+            }
+        }
+        let mut out = Vec::new();
+        let mut descend = vec![(0usize, self.top)];
+        while let Some((at, module)) = descend.pop() {
+            let Some(m) = self.modules.get(module) else {
+                continue;
+            };
+            for (inst, child_module) in m.instances() {
+                let Some(&child) = self.children.get(&(at, inst)) else {
+                    continue;
+                };
+                if leaves[child] == 0 || chosen[child] == 0 {
+                    continue;
+                }
+                if chosen[child] == leaves[child] {
+                    out.push(self.path_of(child));
+                } else {
+                    descend.push((child, child_module));
+                }
+            }
+        }
+        out.sort();
+        Ok(out)
     }
-    ConnGraph { adjacency, leaves }
 }
 
 /// Grows a NoC-router selection into the full set of instance paths to
@@ -209,130 +335,14 @@ fn build_graph(circuit: &Circuit) -> ConnGraph {
 ///
 /// `routers` lists the instance paths of every router node in index
 /// order; `indices` picks the routers to extract. The returned paths are
-/// maximal subtree roots suitable for [`crate::hier::reparent_to_top`].
+/// maximal subtree roots suitable for [`crate::hier::reparent_all`].
 ///
 /// # Errors
 ///
 /// Returns [`RipperError::NoSuchInstance`] for out-of-range indices or
 /// router paths that do not resolve to leaf instances.
 pub fn noc_select(circuit: &Circuit, routers: &[String], indices: &[usize]) -> Result<Vec<String>> {
-    for &i in indices {
-        if i >= routers.len() {
-            return Err(RipperError::NoSuchInstance {
-                path: format!("router index {i} (only {} routers)", routers.len()),
-            });
-        }
-    }
-    let graph = build_graph(circuit);
-    let all_routers: BTreeSet<&String> = routers.iter().collect();
-    let selected_routers: BTreeSet<String> = indices.iter().map(|&i| routers[i].clone()).collect();
-    for r in &selected_routers {
-        if !graph.leaves.contains(r) {
-            return Err(RipperError::NoSuchInstance { path: r.clone() });
-        }
-    }
-    let foreign: BTreeSet<GraphNode> = routers
-        .iter()
-        .filter(|r| !selected_routers.contains(*r))
-        .map(|r| GraphNode::Leaf(r.clone()))
-        .collect();
-
-    // Fixpoint absorption: nodes adjacent to the selection but to no
-    // foreign router get pulled in.
-    let mut selected: BTreeSet<GraphNode> = selected_routers
-        .iter()
-        .map(|r| GraphNode::Leaf(r.clone()))
-        .collect();
-    loop {
-        let mut grew = false;
-        let frontier: Vec<GraphNode> = graph
-            .adjacency
-            .iter()
-            .filter(|(n, adj)| {
-                !selected.contains(*n)
-                    && !all_routers.contains(&node_path(n))
-                    && adj.iter().any(|m| selected.contains(m))
-                    && adj.iter().all(|m| !foreign.contains(m))
-            })
-            .map(|(n, _)| n.clone())
-            .collect();
-        for n in frontier {
-            selected.insert(n);
-            grew = true;
-        }
-        if !grew {
-            break;
-        }
-    }
-
-    // Collapse to maximal subtree roots.
-    let leaf_paths: BTreeSet<String> = selected
-        .iter()
-        .filter_map(|n| match n {
-            GraphNode::Leaf(p) => Some(p.clone()),
-            GraphNode::Logic(_) => None,
-        })
-        .collect();
-    Ok(collapse_subtrees(circuit, &graph.leaves, &leaf_paths))
-}
-
-fn node_path(n: &GraphNode) -> String {
-    match n {
-        GraphNode::Leaf(p) | GraphNode::Logic(p) => p.clone(),
-    }
-}
-
-/// Finds the set of maximal instance subtrees all of whose leaves are
-/// selected.
-fn collapse_subtrees(
-    circuit: &Circuit,
-    all_leaves: &BTreeSet<String>,
-    selected_leaves: &BTreeSet<String>,
-) -> Vec<String> {
-    fn leaves_under<'a>(all: &'a BTreeSet<String>, prefix: &str) -> Vec<&'a String> {
-        all.iter()
-            .filter(|l| *l == prefix || l.starts_with(&format!("{prefix}.")))
-            .collect()
-    }
-    let mut out = Vec::new();
-    fn descend(
-        circuit: &Circuit,
-        module: &str,
-        path: &str,
-        all: &BTreeSet<String>,
-        sel: &BTreeSet<String>,
-        out: &mut Vec<String>,
-    ) {
-        let Some(m) = circuit.module(module) else {
-            return;
-        };
-        for (inst, child) in m.instances() {
-            let child_path = if path.is_empty() {
-                inst.to_string()
-            } else {
-                format!("{path}.{inst}")
-            };
-            let under = leaves_under(all, &child_path);
-            if under.is_empty() {
-                continue;
-            }
-            if under.iter().all(|l| sel.contains(*l)) {
-                out.push(child_path);
-            } else if under.iter().any(|l| sel.contains(*l)) {
-                descend(circuit, child, &child_path, all, sel, out);
-            }
-        }
-    }
-    descend(
-        circuit,
-        &circuit.top,
-        "",
-        all_leaves,
-        selected_leaves,
-        &mut out,
-    );
-    out.sort();
-    out
+    ConnGraph::build(circuit).select(routers, indices)
 }
 
 #[cfg(test)]

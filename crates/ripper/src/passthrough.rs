@@ -14,110 +14,185 @@
 //! then keeps intra-partition connections inside the wrapper, which is
 //! what FireRipper gets for free by wrapping before extraction.
 
+use crate::hier::for_each_read;
 use fireaxe_ir::{Circuit, Direction, Expr, Module, Ref, Stmt};
+use std::collections::{HashMap, HashSet};
 
-/// Traces `start` (a read of `inst.port` in the top module) through pure
-/// reference chains to a top-level signal, if one exists.
-fn trace_to_top(circuit: &Circuit, start: &Ref) -> Option<Ref> {
-    let top = circuit.top_module();
-    // Stack of (module, instance-name-in-parent) below the current
-    // context; empty means the context is the top module.
-    let mut stack: Vec<(&Module, String)> = Vec::new();
-    let mut ctx: &Module = top;
-    let mut cur: Ref = start.clone();
-    // Best top-level-valid resolution seen so far; deeper tracing may
-    // still improve on it (multi-level shells), and if it dead-ends we
-    // fall back to this.
-    let mut best: Option<Ref> = None;
+/// What [`Tracer`] looks up per hop, built once per visited module; every
+/// map keeps the first match in declaration order.
+struct ModuleIndex<'c> {
+    /// Signal → the reference that drives it through a pure `lhs <= ref`
+    /// connect or `node = ref`.
+    pure_driver: HashMap<(Option<&'c str>, &'c str), &'c Ref>,
+    /// Instance name → its module and, once visited, that module's index
+    /// (`Some(None)`: the circuit has no such module).
+    insts: HashMap<&'c str, (&'c str, Option<Option<usize>>)>,
+    ports: HashMap<&'c str, Direction>,
+}
 
-    let find_pure_driver = |m: &Module, target: &Ref| -> Option<Ref> {
-        for s in &m.body {
+impl<'c> ModuleIndex<'c> {
+    fn new(module: &'c Module) -> Self {
+        let mut pure_driver = HashMap::with_capacity(module.body.len());
+        let mut insts = HashMap::new();
+        for s in &module.body {
             match s {
                 Stmt::Connect {
                     lhs,
                     rhs: Expr::Ref(r),
-                } if lhs == target => return Some(r.clone()),
+                } => {
+                    pure_driver
+                        .entry((lhs.instance.as_deref(), lhs.name.as_str()))
+                        .or_insert(r);
+                }
                 Stmt::Node {
                     name,
                     expr: Expr::Ref(r),
-                } if target.is_local() && *name == target.name => return Some(r.clone()),
+                } => {
+                    pure_driver.entry((None, name.as_str())).or_insert(r);
+                }
+                Stmt::Inst { name, module } => {
+                    insts
+                        .entry(name.as_str())
+                        .or_insert((module.as_str(), None));
+                }
                 _ => {}
             }
         }
-        None
-    };
-
-    for _ in 0..256 {
-        // Record any top-level-valid waypoint.
-        if stack.is_empty() && &cur != start {
-            let valid = match &cur.instance {
-                None => true, // top-local signal
-                Some(i) => ctx
-                    .instances()
-                    .find(|(n, _)| n == i)
-                    .and_then(|(_, m)| circuit.module(m))
-                    .and_then(|m| m.port(&cur.name))
-                    .is_some_and(|p| p.direction == Direction::Output),
-            };
-            if valid {
-                best = Some(cur.clone());
-            }
+        let mut ports = HashMap::with_capacity(module.ports.len());
+        for p in &module.ports {
+            ports.entry(p.name.as_str()).or_insert(p.direction);
         }
-
-        let next = match cur.instance.clone() {
-            Some(inst) => {
-                let Some(child) = ctx
-                    .instances()
-                    .find(|(n, _)| *n == inst)
-                    .and_then(|(_, m)| circuit.module(m))
-                else {
-                    break;
-                };
-                let Some(port) = child.port(&cur.name) else {
-                    break;
-                };
-                match port.direction {
-                    Direction::Output => {
-                        // Descend into the child and follow its driver.
-                        match find_pure_driver(child, &Ref::local(cur.name.clone())) {
-                            Some(inner) => {
-                                stack.push((ctx, inst));
-                                ctx = child;
-                                Some(inner)
-                            }
-                            None => None,
-                        }
-                    }
-                    Direction::Input => find_pure_driver(ctx, &cur),
-                }
-            }
-            None => {
-                let is_top = stack.is_empty();
-                let is_input = ctx
-                    .port(&cur.name)
-                    .is_some_and(|p| p.direction == Direction::Input);
-                if !is_top && is_input {
-                    // Ascend: the driver is the parent's connect to this
-                    // instance input.
-                    let (parent, inst) = stack.pop().expect("nonempty");
-                    let target = Ref::instance_port(inst, cur.name.clone());
-                    ctx = parent;
-                    find_pure_driver(ctx, &target)
-                } else if is_top && ctx.port(&cur.name).is_some() {
-                    // A top-level port: terminal.
-                    None
-                } else {
-                    // A local wire/node: follow one pure hop.
-                    find_pure_driver(ctx, &cur)
-                }
-            }
-        };
-        match next {
-            Some(n) => cur = n,
-            None => break,
+        ModuleIndex {
+            pure_driver,
+            insts,
+            ports,
         }
     }
-    best
+
+    fn driver(&self, instance: Option<&str>, name: &str) -> Option<&'c Ref> {
+        self.pure_driver.get(&(instance, name)).copied()
+    }
+}
+
+/// Traces top-level reads through shells, indexing each module it walks
+/// through the first time it gets there.
+struct Tracer<'c> {
+    modules: HashMap<&'c str, &'c Module>,
+    indexes: Vec<ModuleIndex<'c>>,
+    slot_of: HashMap<&'c str, usize>,
+    top: usize,
+}
+
+impl<'c> Tracer<'c> {
+    fn new(circuit: &'c Circuit) -> Self {
+        let mut modules = HashMap::with_capacity(circuit.modules.len());
+        for m in &circuit.modules {
+            modules.entry(m.name.as_str()).or_insert(m);
+        }
+        let mut tracer = Tracer {
+            modules,
+            indexes: Vec::new(),
+            slot_of: HashMap::new(),
+            top: 0,
+        };
+        tracer.top = tracer
+            .index_of(&circuit.top)
+            .expect("circuit has its top module");
+        tracer
+    }
+
+    fn index_of(&mut self, module: &str) -> Option<usize> {
+        let (&name, &m) = self.modules.get_key_value(module)?;
+        Some(*self.slot_of.entry(name).or_insert_with(|| {
+            self.indexes.push(ModuleIndex::new(m));
+            self.indexes.len() - 1
+        }))
+    }
+
+    /// The index of the module that instance `inst` of `ctx` instantiates.
+    fn child_of(&mut self, ctx: usize, inst: &str) -> Option<usize> {
+        let &(module, known) = self.indexes[ctx].insts.get(inst)?;
+        known.unwrap_or_else(|| {
+            let child = self.index_of(module);
+            if let Some(entry) = self.indexes[ctx].insts.get_mut(inst) {
+                entry.1 = Some(child);
+            }
+            child
+        })
+    }
+
+    /// Traces `start` (a read of `inst.port` in the top module) through
+    /// pure reference chains to a top-level signal, if one exists.
+    fn trace_to_top<'a>(&mut self, start: &'a Ref) -> Option<Ref>
+    where
+        'c: 'a,
+    {
+        // Stack of (module, instance-name-in-parent) below the current
+        // context; empty means the context is the top module.
+        let mut stack: Vec<(usize, &str)> = Vec::new();
+        let mut ctx = self.top;
+        let mut cur: &'a Ref = start;
+        // Best top-level-valid resolution seen so far; deeper tracing may
+        // still improve on it (multi-level shells), and if it dead-ends we
+        // fall back to this.
+        let mut best: Option<&Ref> = None;
+
+        for _ in 0..256 {
+            let at_top = stack.is_empty();
+            let next = match cur.instance.as_deref() {
+                Some(inst) => {
+                    let child = self.child_of(ctx, inst);
+                    let direction =
+                        child.and_then(|c| self.indexes[c].ports.get(cur.name.as_str()).copied());
+                    // A top-level read of an instance output is a valid
+                    // waypoint.
+                    if at_top && direction == Some(Direction::Output) && cur != start {
+                        best = Some(cur);
+                    }
+                    let (Some(child), Some(direction)) = (child, direction) else {
+                        break;
+                    };
+                    match direction {
+                        Direction::Output => {
+                            // Descend into the child and follow its driver.
+                            let inner = self.indexes[child].driver(None, &cur.name);
+                            if inner.is_some() {
+                                stack.push((ctx, inst));
+                                ctx = child;
+                            }
+                            inner
+                        }
+                        Direction::Input => self.indexes[ctx].driver(Some(inst), &cur.name),
+                    }
+                }
+                None => {
+                    // So is any top-local signal.
+                    if at_top && cur != start {
+                        best = Some(cur);
+                    }
+                    let port = self.indexes[ctx].ports.get(cur.name.as_str());
+                    if !at_top && port == Some(&Direction::Input) {
+                        // Ascend: the driver is the parent's connect to
+                        // this instance input.
+                        let (parent, inst) = stack.pop().expect("nonempty");
+                        ctx = parent;
+                        self.indexes[ctx].driver(Some(inst), &cur.name)
+                    } else if at_top && port.is_some() {
+                        // A top-level port: terminal.
+                        None
+                    } else {
+                        // A local wire/node: follow one pure hop.
+                        self.indexes[ctx].driver(None, &cur.name)
+                    }
+                }
+            };
+            match next {
+                Some(n) => cur = n,
+                None => break,
+            }
+        }
+        best.cloned()
+    }
 }
 
 /// Rewrites top-level reads that resolve through pure shell passthroughs
@@ -125,49 +200,33 @@ fn trace_to_top(circuit: &Circuit, start: &Ref) -> Option<Ref> {
 pub fn resolve_shell_passthroughs(circuit: &mut Circuit) -> usize {
     let top_name = circuit.top.clone();
     // Collect rewrites against an immutable snapshot, then apply.
-    let mut rewrites: Vec<(Ref, Ref)> = Vec::new();
+    let mut map: HashMap<Ref, Ref> = HashMap::new();
     {
         let top = circuit.module(&top_name).expect("top exists");
-        let mut candidates: Vec<Ref> = Vec::new();
+        let mut candidates: HashSet<&Ref> = HashSet::new();
         for s in &top.body {
-            let mut collect = |e: &Expr| {
-                let mut refs = Vec::new();
-                e.collect_refs(&mut refs);
-                for r in refs {
-                    if r.instance.is_some() {
-                        candidates.push(r.clone());
-                    }
+            for_each_read(s, |r| {
+                if r.instance.is_some() {
+                    candidates.insert(r);
                 }
-            };
-            match s {
-                Stmt::Node { expr, .. } => collect(expr),
-                Stmt::Connect { rhs, .. } => collect(rhs),
-                Stmt::MemRead { addr, .. } => collect(addr),
-                Stmt::MemWrite { addr, data, en, .. } => {
-                    collect(addr);
-                    collect(data);
-                    collect(en);
-                }
-                _ => {}
-            }
+            });
         }
-        candidates.sort_by_key(|r| (r.instance.clone(), r.name.clone()));
-        candidates.dedup();
+        let mut tracer = Tracer::new(circuit);
         for r in candidates {
-            if let Some(resolved) = trace_to_top(circuit, &r) {
-                rewrites.push((r, resolved));
+            if let Some(resolved) = tracer.trace_to_top(r) {
+                map.insert(r.clone(), resolved);
             }
         }
     }
-    if rewrites.is_empty() {
+    if map.is_empty() {
         return 0;
     }
-    let map: std::collections::HashMap<Ref, Ref> = rewrites.into_iter().collect();
     let mut count = 0usize;
     let top = circuit.module_mut(&top_name).expect("top exists");
     for s in &mut top.body {
         let mut f = |r: &mut Ref| {
-            if let Some(n) = map.get(r) {
+            // Only instance-port reads were traced.
+            if let Some(n) = r.instance.as_ref().and_then(|_| map.get(r)) {
                 *r = n.clone();
                 count += 1;
             }
@@ -187,6 +246,88 @@ pub fn resolve_shell_passthroughs(circuit: &mut Circuit) -> usize {
     count
 }
 
+/// A signal as a module's statements name it: `(instance, name)`.
+type Signal<'c> = (Option<&'c str>, &'c str);
+
+/// What dead-port planning tracks per module.
+struct Liveness<'c> {
+    module: &'c Module,
+    /// Reads of each signal by statements still alive.
+    reads: HashMap<Signal<'c>, u32>,
+    /// Positions of the connects driving each signal: the first, then
+    /// any others (none in a well-formed module).
+    connects_to: HashMap<Signal<'c>, (usize, Vec<usize>)>,
+    /// Local signals driven by a pure `lhs <= ref` connect.
+    pure: HashSet<&'c str>,
+    ports: HashMap<&'c str, usize>,
+    dead_ports: Vec<bool>,
+    dead_stmts: Vec<bool>,
+}
+
+impl<'c> Liveness<'c> {
+    fn new(module: &'c Module) -> Self {
+        let mut reads: HashMap<Signal<'c>, u32> = HashMap::with_capacity(module.body.len());
+        let mut connects_to: HashMap<Signal<'c>, (usize, Vec<usize>)> =
+            HashMap::with_capacity(module.body.len());
+        let mut pure = HashSet::new();
+        for (pos, s) in module.body.iter().enumerate() {
+            for_each_read(s, |r| {
+                *reads
+                    .entry((r.instance.as_deref(), r.name.as_str()))
+                    .or_default() += 1;
+            });
+            if let Stmt::Connect { lhs, rhs } = s {
+                connects_to
+                    .entry((lhs.instance.as_deref(), lhs.name.as_str()))
+                    .and_modify(|(_, more)| more.push(pos))
+                    .or_insert((pos, Vec::new()));
+                if lhs.is_local() && matches!(rhs, Expr::Ref(_)) {
+                    pure.insert(lhs.name.as_str());
+                }
+            }
+        }
+        let mut ports = HashMap::with_capacity(module.ports.len());
+        for (i, p) in module.ports.iter().enumerate() {
+            ports.entry(p.name.as_str()).or_insert(i);
+        }
+        Liveness {
+            module,
+            reads,
+            connects_to,
+            pure,
+            ports,
+            dead_ports: vec![false; module.ports.len()],
+            dead_stmts: vec![false; module.body.len()],
+        }
+    }
+
+    fn is_read(&self, signal: Signal<'_>) -> bool {
+        self.reads.get(&signal).is_some_and(|&n| n > 0)
+    }
+
+    /// Kills the connects driving `target`, returning the signals whose
+    /// last read went with them.
+    fn kill_connects_to(&mut self, target: Signal<'_>, unread: &mut Vec<Signal<'c>>) {
+        let Some((first, more)) = self.connects_to.get(&target) else {
+            return;
+        };
+        for &pos in std::iter::once(first).chain(more) {
+            if std::mem::replace(&mut self.dead_stmts[pos], true) {
+                continue;
+            }
+            let reads = &mut self.reads;
+            for_each_read(&self.module.body[pos], |r| {
+                let signal = (r.instance.as_deref(), r.name.as_str());
+                let n = reads.get_mut(&signal).expect("counted when indexed");
+                *n -= 1;
+                if *n == 0 {
+                    unread.push(signal);
+                }
+            });
+        }
+    }
+}
+
 /// Removes shell ports orphaned by [`resolve_shell_passthroughs`]:
 /// output ports whose value is no longer read by the (unique) parent and
 /// whose internal driver is a pure passthrough, and input ports nothing
@@ -194,111 +335,122 @@ pub fn resolve_shell_passthroughs(circuit: &mut Circuit) -> usize {
 /// uniquely-instantiated, non-extern modules are touched (shells always
 /// are, after path specialization). Iterates to fixpoint; returns the
 /// number of ports removed.
+///
+/// A port goes together with its local driver and the parent's connect
+/// to it, which can orphan further ports. Rather than re-deriving every
+/// module's read set per round, reads are counted once and a removed
+/// connect decrements the counts of what it read; only ports whose last
+/// read just went are looked at again. Rounds are kept as such (a round
+/// judges ports against the circuit the previous round left), so the
+/// result is the round-by-round one, then applied in one pass per module.
 pub fn prune_dead_shell_ports(circuit: &mut Circuit) -> usize {
-    fn reads_in(m: &Module) -> std::collections::HashSet<Ref> {
-        let mut read = std::collections::HashSet::new();
-        for s in &m.body {
-            let mut collect = |e: &Expr| {
-                let mut refs = Vec::new();
-                e.collect_refs(&mut refs);
-                for r in refs {
-                    read.insert(r.clone());
-                }
-            };
-            match s {
-                Stmt::Node { expr, .. } => collect(expr),
-                Stmt::Connect { rhs, .. } => collect(rhs),
-                Stmt::MemRead { addr, .. } => collect(addr),
-                Stmt::MemWrite { addr, data, en, .. } => {
-                    collect(addr);
-                    collect(data);
-                    collect(en);
-                }
-                _ => {}
-            }
-        }
-        read
-    }
-
     let mut removed = 0usize;
-    for _ in 0..64 {
+    let masks: Vec<(usize, Vec<bool>, Vec<bool>)> = {
+        let circuit = &*circuit;
         let counts = circuit.instance_counts();
-        // Unique parent of each module: (parent module, instance name).
-        let mut parent: std::collections::HashMap<String, (String, String)> = Default::default();
+        let mut slot_of: HashMap<&str, usize> = HashMap::new();
+        for (slot, m) in circuit.modules.iter().enumerate() {
+            slot_of.entry(m.name.as_str()).or_insert(slot);
+        }
+        // Unique parent of each module: (parent slot, instance name).
+        let mut parent: HashMap<&str, (usize, &str)> = HashMap::new();
         for m in &circuit.modules {
             for (inst, child) in m.instances() {
-                parent.insert(child.to_string(), (m.name.clone(), inst.to_string()));
+                parent.insert(child, (slot_of[m.name.as_str()], inst));
             }
         }
-
-        // Plan removals: (module, port, parent module, instance).
-        let mut plans: Vec<(String, String, String, String)> = Vec::new();
-        for m in &circuit.modules {
-            if m.is_extern() || m.name == circuit.top {
+        // Prunable modules by slot, and by where they are instantiated.
+        let mut parent_of: HashMap<usize, (usize, &str)> = HashMap::new();
+        let mut child_at: HashMap<(usize, &str), usize> = HashMap::new();
+        let mut live: HashMap<usize, Liveness<'_>> = HashMap::new();
+        for (slot, m) in circuit.modules.iter().enumerate() {
+            if m.is_extern() || m.name == circuit.top || slot_of[m.name.as_str()] != slot {
                 continue;
             }
             if counts.get(&m.name).copied().unwrap_or(0) != 1 {
                 continue;
             }
-            let Some((p_name, inst)) = parent.get(&m.name) else {
+            let Some(&(p_slot, inst)) = parent.get(m.name.as_str()) else {
                 continue;
             };
-            let Some(p_mod) = circuit.module(p_name) else {
-                continue;
-            };
-            let parent_reads = reads_in(p_mod);
-            let own_reads = reads_in(m);
-            for p in &m.ports {
-                match p.direction {
+            parent_of.insert(slot, (p_slot, inst));
+            child_at.insert((p_slot, inst), slot);
+            for s in [slot, p_slot] {
+                live.entry(s)
+                    .or_insert_with(|| Liveness::new(&circuit.modules[s]));
+            }
+        }
+
+        // Round 0 looks at every port of every prunable module.
+        let mut suspects: Vec<(usize, &str)> = Vec::new();
+        for (slot, m) in circuit.modules.iter().enumerate() {
+            if parent_of.contains_key(&slot) {
+                suspects.extend(m.ports.iter().map(|p| (slot, p.name.as_str())));
+            }
+        }
+        for _ in 0..64 {
+            // Judge against the circuit as the last round left it ...
+            let mut dead: Vec<(usize, &str)> = Vec::new();
+            for (slot, name) in suspects.drain(..) {
+                let m = &live[&slot];
+                let Some(&i) = m.ports.get(name) else {
+                    continue;
+                };
+                if m.dead_ports[i] {
+                    continue;
+                }
+                let (p_slot, inst) = parent_of[&slot];
+                let is_dead = match m.module.ports[i].direction {
                     Direction::Output => {
-                        let is_read = parent_reads
-                            .contains(&Ref::instance_port(inst.clone(), p.name.clone()));
-                        let pure = m.body.iter().any(|s| {
-                            matches!(s, Stmt::Connect { lhs, rhs: Expr::Ref(_) }
-                                if lhs.is_local() && lhs.name == p.name)
-                        });
-                        if !is_read && pure {
-                            plans.push((
-                                m.name.clone(),
-                                p.name.clone(),
-                                p_name.clone(),
-                                inst.clone(),
-                            ));
-                        }
+                        !live[&p_slot].is_read((Some(inst), name)) && m.pure.contains(name)
                     }
-                    Direction::Input => {
-                        if !own_reads.contains(&Ref::local(p.name.clone())) {
-                            plans.push((
-                                m.name.clone(),
-                                p.name.clone(),
-                                p_name.clone(),
-                                inst.clone(),
-                            ));
+                    Direction::Input => !m.is_read((None, name)),
+                };
+                if is_dead {
+                    live.get_mut(&slot).expect("indexed above").dead_ports[i] = true;
+                    dead.push((slot, name));
+                }
+            }
+            if dead.is_empty() {
+                break;
+            }
+            removed += dead.len();
+            // ... then remove, noting whose last read went.
+            for (slot, name) in dead {
+                let (p_slot, inst) = parent_of[&slot];
+                for (at, target) in [(slot, (None, name)), (p_slot, (Some(inst), name))] {
+                    let mut unread = Vec::new();
+                    live.get_mut(&at)
+                        .expect("indexed above")
+                        .kill_connects_to(target, &mut unread);
+                    for (instance, signal) in unread {
+                        match instance {
+                            // An input of `at` itself.
+                            None if parent_of.contains_key(&at) => suspects.push((at, signal)),
+                            None => {}
+                            // An output of a child of `at`.
+                            Some(i) => {
+                                if let Some(&child) = child_at.get(&(at, i)) {
+                                    suspects.push((child, signal));
+                                }
+                            }
                         }
                     }
                 }
             }
         }
-        if plans.is_empty() {
-            break;
-        }
-        removed += plans.len();
-        for (mod_name, port, p_name, inst) in &plans {
-            if let Some(m) = circuit.module_mut(mod_name) {
-                m.ports.retain(|p| &p.name != port);
-                m.body.retain(|s| {
-                    !matches!(s, Stmt::Connect { lhs, .. }
-                        if lhs.is_local() && &lhs.name == port)
-                });
-            }
-            if let Some(p_mod) = circuit.module_mut(p_name) {
-                p_mod.body.retain(|s| {
-                    !matches!(s, Stmt::Connect { lhs, .. }
-                        if lhs.instance.as_deref() == Some(inst.as_str())
-                        && &lhs.name == port)
-                });
-            }
-        }
+        live.into_iter()
+            .map(|(slot, m)| (slot, m.dead_ports, m.dead_stmts))
+            .collect()
+    };
+
+    for (slot, dead_ports, dead_stmts) in masks {
+        let m = &mut circuit.modules[slot];
+        let mut dead = dead_ports.iter();
+        m.ports.retain(|_| !dead.next().expect("one flag per port"));
+        let mut dead = dead_stmts.iter();
+        m.body
+            .retain(|_| !dead.next().expect("one flag per statement"));
     }
     removed
 }
