@@ -21,6 +21,15 @@
 //! 3. **Bounded observability overhead** — enabling the tracer (with the
 //!    default 100-cycle metric-sampling cadence) must keep settle-loop
 //!    throughput within 5% of the untraced run.
+//! 4. **A partition boundary that costs what it carries** — over 1 000
+//!    steady-state target cycles of the partitioned `noc6` cut on the
+//!    DES engine, the heap is touched at most once per token packed (a
+//!    token is a `Bits`) plus whatever the by-name bridge interface
+//!    allocates on environment channels: nothing from the LI-BDN's host
+//!    step, the extern-model ABI, `push_input`, or draining an idle
+//!    channel. And exact-mode partitioning of RocketLite (the core on
+//!    its own partition) must stay within 9× the monolithic host time
+//!    per target cycle.
 //!
 //! Results land in `BENCH_interp.json` for the before/after table in
 //! EXPERIMENTS.md. Throughput numbers are machine-dependent; the two
@@ -361,6 +370,138 @@ fn sliced_mem_alloc_guard() -> Result<(), String> {
     Ok(())
 }
 
+/// Heap allocations made while `f` runs.
+fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let out = f();
+    (out, ALLOCS.load(Ordering::Relaxed) - before)
+}
+
+/// The partitioned allocation guard: `noc6` (6 tiles, 3 × 2 routers + the
+/// remainder) on the DES engine. A budgeted run advances every node by
+/// exactly the budget, so the window packs exactly one token per output
+/// channel per cycle; each is one `Bits`. Environment channels still go
+/// through the by-name bridge interface (`ChannelSpec::{pack, unpack}`
+/// and the bridge's maps), which is priced here by running it standalone
+/// on the design's own channel specs. Everything else on the cycle —
+/// host-step bookkeeping, behavioural-model calls, `push_input`, idle
+/// env channels — must come to zero.
+fn des_alloc_guard() -> Result<(), String> {
+    const WARMUP: u64 = 500;
+    const CYCLES: u64 = 1_000;
+    // One request per tile every 16 cycles: a load the subsystem keeps up
+    // with, so the behavioural models' own queues stop growing.
+    let soc = ring_soc(&RingSocConfig {
+        tiles: 6,
+        tile_period: 16,
+        ..Default::default()
+    });
+    let groups = (0..3)
+        .map(|g| PartitionGroup {
+            name: format!("fpga{g}"),
+            selection: Selection::NocRouters {
+                routers: soc.router_paths.clone(),
+                indices: vec![2 * g, 2 * g + 1],
+            },
+            fame5: false,
+        })
+        .collect();
+    let (design, mut sim) = FireAxe::new(soc.circuit, PartitionSpec::exact(groups))
+        .build()
+        .map_err(|e| e.to_string())?;
+
+    let mut packed_per_cycle = 0u64;
+    let mut env_per_cycle = 0u64;
+    for (_, _, _, t) in design.nodes() {
+        packed_per_cycle += t.libdn.outputs.len() as u64;
+        let mut bridge = ConstBridge::zeros();
+        for &chan in &t.env_outputs {
+            let spec = &t.libdn.outputs[chan].channel;
+            let token = Bits::zero(spec.width());
+            env_per_cycle += allocs_during(|| {
+                let values = spec.unpack(&token);
+                fireaxe::sim::Bridge::consume(&mut bridge, 0, &spec.name, &values);
+            })
+            .1;
+        }
+        for &chan in &t.env_inputs {
+            let spec = &t.libdn.inputs[chan];
+            env_per_cycle += allocs_during(|| {
+                let values = fireaxe::sim::Bridge::produce(&mut bridge, 0);
+                spec.pack(&values)
+            })
+            .1;
+        }
+    }
+
+    sim.run_target_cycles(WARMUP).map_err(|e| e.to_string())?;
+    // The run hands back a metrics snapshot; price that too.
+    let (_, report) = allocs_during(|| sim.metrics());
+    let (run, delta) = allocs_during(|| sim.run_target_cycles(WARMUP + CYCLES));
+    run.map_err(|e| e.to_string())?;
+    let allowance = (packed_per_cycle + env_per_cycle) * CYCLES + report;
+    println!(
+        "alloc guard: {:.2} heap allocations per target cycle over {CYCLES} DES cycles of the \
+         noc6 cut ({packed_per_cycle} tokens packed + {env_per_cycle} on env channels per cycle; \
+         {delta} total, allowance {allowance})",
+        delta as f64 / CYCLES as f64
+    );
+    if delta > allowance {
+        return Err(format!(
+            "partitioned noc6 allocated {delta} times over {CYCLES} steady-state target cycles, \
+             above one per token packed ({packed_per_cycle}/cycle) plus the bridge interface's \
+             own ({env_per_cycle}/cycle): the host step, the extern ABI or the queues are back \
+             on the heap"
+        ));
+    }
+    Ok(())
+}
+
+/// The partitioning-overhead gate: RocketLite run to `done`, monolithic
+/// and with the core extracted onto its own partition in exact mode.
+/// Host time per target cycle, partitioned over monolithic, best of
+/// three each — both sides measured in this process, so the ratio gates.
+fn rocket_cut_gate() -> Result<(), String> {
+    use fireaxe::validation::{partitioned_cycles_to_done, ValidationTarget};
+    const MAX_RATIO: f64 = 9.0;
+    let (iterations, mem_latency) = (30, 8);
+    let circuit = fireaxe::soc::validation::rocket_soc(iterations, mem_latency);
+    let target = ValidationTarget::Rocket { iterations };
+    let best_ns_per_cycle = |run: &dyn Fn() -> Result<u64, String>| -> Result<(u64, f64), String> {
+        let mut best = f64::INFINITY;
+        let mut cycles = 0;
+        for _ in 0..3 {
+            let t0 = Instant::now();
+            cycles = run()?;
+            best = best.min(t0.elapsed().as_secs_f64() * 1e9 / cycles as f64);
+        }
+        Ok((cycles, best))
+    };
+    let (mono_cycles, mono) = best_ns_per_cycle(&|| {
+        fireaxe::soc::validation::run_monolithic_to_done(&circuit, 1_000_000)
+    })?;
+    let (cut_cycles, cut) = best_ns_per_cycle(&|| {
+        partitioned_cycles_to_done(target, PartitionMode::Exact, mem_latency)
+    })?;
+    if cut_cycles != mono_cycles {
+        return Err(format!(
+            "RocketLite exact-mode cut finished at cycle {cut_cycles}, monolithic at {mono_cycles}"
+        ));
+    }
+    let ratio = cut / mono;
+    println!(
+        "partition gate: RocketLite to done in {mono_cycles} cycles, monolithic {mono:.0} ns/cycle, \
+         core on its own partition (exact, DES) {cut:.0} ns/cycle = {ratio:.1}x (limit {MAX_RATIO:.0}x)"
+    );
+    if ratio > MAX_RATIO {
+        return Err(format!(
+            "exact-mode partitioning of RocketLite costs {ratio:.1}x the monolithic host time \
+             per target cycle (limit {MAX_RATIO:.0}x)"
+        ));
+    }
+    Ok(())
+}
+
 /// Settle-loop throughput of the compiled engine over the NoC ring,
 /// with whatever tracer state is currently in force.
 fn noc_throughput(cycles: u64) -> f64 {
@@ -653,6 +794,14 @@ fn main() -> ExitCode {
         eprintln!("FAIL: {e}");
         ok = false;
     }
+    if let Err(e) = des_alloc_guard() {
+        eprintln!("FAIL: {e}");
+        ok = false;
+    }
+    if let Err(e) = rocket_cut_gate() {
+        eprintln!("FAIL: {e}");
+        ok = false;
+    }
     if let Err(e) = obs_overhead_gate() {
         eprintln!("FAIL: {e}");
         ok = false;
@@ -665,7 +814,7 @@ fn main() -> ExitCode {
     if ok {
         ExitCode::SUCCESS
     } else {
-        eprintln!("\nFAIL: engine parity or allocation regression detected");
+        eprintln!("\nFAIL: engine parity, allocation or overhead regression detected");
         ExitCode::FAILURE
     }
 }

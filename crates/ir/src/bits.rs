@@ -228,6 +228,22 @@ impl Bits {
         true
     }
 
+    /// `self == Bits::from_u64(value, self.width())`, computed without
+    /// allocating — the change test behind an in-place
+    /// [`Bits::set_from_u64`].
+    pub fn eq_u64(&self, value: u64) -> bool {
+        let w = self.width.get();
+        let want = if w >= 64 {
+            value
+        } else {
+            value & ((1u64 << w) - 1)
+        };
+        match self.words.split_first() {
+            Some((w0, rest)) => *w0 == want && rest.iter().all(|&w| w == 0),
+            None => true,
+        }
+    }
+
     /// Returns `true` when every bit is zero.
     pub fn is_zero(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
@@ -291,18 +307,10 @@ impl Bits {
     pub fn cat(&self, low: &Bits) -> Self {
         let lw = low.width.get();
         let width = Width::new(lw + self.width.get());
-        let mut out = Bits::zero(width);
-        for i in 0..lw {
-            if low.bit(i) {
-                out.set_bit(i, true);
-            }
-        }
-        for i in 0..self.width.get() {
-            if self.bit(i) {
-                out.set_bit(lw + i, true);
-            }
-        }
-        out
+        let mut words = low.words.clone();
+        words.resize(width.words(), 0);
+        or_shifted(&mut words, &self.words, lw);
+        Bits { words, width }
     }
 
     /// Bit extraction `self[hi:lo]` (inclusive), like FIRRTL `bits(x, hi, lo)`.
@@ -317,14 +325,49 @@ impl Bits {
             "extract hi bit {hi} out of width {}",
             self.width
         );
-        let width = Width::new(hi - lo + 1);
-        let mut out = Bits::zero(width);
-        for i in 0..width.get() {
-            if self.bit(lo + i) {
-                out.set_bit(i, true);
-            }
-        }
+        let mut out = Bits::zero(hi - lo + 1);
+        out.assign_field(self, lo);
         out
+    }
+
+    /// In-place field read: `self = src[offset +: self.width()]`, keeping
+    /// this value's width and allocation. Bits of the field at or past
+    /// `src`'s width read as zero, so a token shorter than the layout it
+    /// is unpacked with is zero-extended. Never allocates.
+    ///
+    /// This is how the LI-BDN takes one port's value out of a token.
+    pub fn assign_field(&mut self, src: &Bits, offset: u32) {
+        for (i, w) in self.words.iter_mut().enumerate() {
+            *w = shifted_word(&src.words, offset, i);
+        }
+        self.mask_top();
+    }
+
+    /// In-place field write: ORs `src.resize(width)` into
+    /// `self[offset +: width]`. The field must lie inside this value's
+    /// width and is expected to be zero beforehand (tokens are packed
+    /// into a zeroed value). Never allocates.
+    ///
+    /// This is how the LI-BDN puts one port's value into a token.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the field reaches past this value's width.
+    pub fn or_field(&mut self, offset: u32, src: &Bits, width: Width) {
+        assert!(
+            offset + width.get() <= self.width.get(),
+            "field [{offset} +: {width}] out of width {}",
+            self.width
+        );
+        let n = width.words();
+        let rem = width.get() % 64;
+        for i in 0..n {
+            let mut w = src.words.get(i).copied().unwrap_or(0);
+            if i + 1 == n && rem != 0 {
+                w &= (1u64 << rem) - 1;
+            }
+            or_shifted(&mut self.words, &[w], offset + 64 * i as u32);
+        }
     }
 
     /// Wrapping addition at `max(widths)` bits.
@@ -497,6 +540,34 @@ impl Bits {
             }
         }
         std::cmp::Ordering::Equal
+    }
+}
+
+/// Word `i` of `src >> offset`; words past the end of `src` read as zero.
+fn shifted_word(src: &[u64], offset: u32, i: usize) -> u64 {
+    let at = (offset / 64) as usize + i;
+    let shift = offset % 64;
+    let word = |k: usize| src.get(k).copied().unwrap_or(0);
+    if shift == 0 {
+        word(at)
+    } else {
+        (word(at) >> shift) | (word(at + 1) << (64 - shift))
+    }
+}
+
+/// `dst |= src << offset`; bits shifted past the end of `dst` are dropped.
+fn or_shifted(dst: &mut [u64], src: &[u64], offset: u32) {
+    let at = (offset / 64) as usize;
+    let shift = offset % 64;
+    for (i, &w) in src.iter().enumerate() {
+        if let Some(d) = dst.get_mut(at + i) {
+            *d |= w << shift;
+        }
+        if shift != 0 {
+            if let Some(d) = dst.get_mut(at + i + 1) {
+                *d |= w >> (64 - shift);
+            }
+        }
     }
 }
 
@@ -740,6 +811,22 @@ mod tests {
     }
 
     #[test]
+    fn eq_u64_matches_from_u64_equality() {
+        for width in [0u32, 1, 7, 63, 64, 65, 130] {
+            for value in [0u64, 1, 0x7F, u64::MAX, 1 << 63] {
+                let want = Bits::from_u64(value, width);
+                assert!(want.eq_u64(value), "{width} bits, {value:#x}");
+                let other = Bits::ones(width);
+                assert_eq!(
+                    other.eq_u64(value),
+                    other == want,
+                    "{width} bits, {value:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn clone_from_reuses_and_copies() {
         let src = Bits::from_words(&[1, 2, 3], 180);
         let mut dst = Bits::zero(180);
@@ -748,6 +835,143 @@ mod tests {
         let mut shrunk = Bits::ones(200);
         shrunk.clone_from(&Bits::from_u64(9, 8));
         assert_eq!(shrunk, Bits::from_u64(9, 8));
+    }
+
+    /// The bit-loop `cat` the word-level one replaced, kept as its oracle.
+    fn cat_by_bits(hi: &Bits, low: &Bits) -> Bits {
+        let lw = low.width().get();
+        let mut out = Bits::zero(lw + hi.width().get());
+        for i in 0..lw {
+            if low.bit(i) {
+                out.set_bit(i, true);
+            }
+        }
+        for i in 0..hi.width().get() {
+            if hi.bit(i) {
+                out.set_bit(lw + i, true);
+            }
+        }
+        out
+    }
+
+    /// The bit-loop `extract`, widened to read zeros past the source's
+    /// width (the `unpack` zero-extension rule) so it also serves as the
+    /// oracle for `assign_field`.
+    fn field_by_bits(src: &Bits, offset: u32, width: u32) -> Bits {
+        let mut out = Bits::zero(width);
+        for i in 0..width {
+            if src.bit(offset + i) {
+                out.set_bit(i, true);
+            }
+        }
+        out
+    }
+
+    /// The bit-loop body of the old `ChannelSpec::pack`.
+    fn or_field_by_bits(dst: &mut Bits, offset: u32, src: &Bits, width: u32) {
+        let v = src.resize(width);
+        for i in 0..width {
+            if v.bit(i) {
+                dst.set_bit(offset + i, true);
+            }
+        }
+    }
+
+    fn bits_of(words: &[u64], width: u32) -> Bits {
+        Bits::from_words(words, width)
+    }
+
+    mod word_level_field_ops {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn cat_matches_the_bit_loop(
+                hi_w in 0u32..201, lo_w in 0u32..201,
+                hi in proptest::collection::vec(any::<u64>(), 4),
+                lo in proptest::collection::vec(any::<u64>(), 4),
+            ) {
+                let (hi, lo) = (bits_of(&hi, hi_w), bits_of(&lo, lo_w));
+                prop_assert_eq!(hi.cat(&lo), cat_by_bits(&hi, &lo));
+            }
+
+            #[test]
+            fn extract_matches_the_bit_loop(
+                w in 1u32..201, a in any::<u32>(), b in any::<u32>(),
+                words in proptest::collection::vec(any::<u64>(), 4),
+            ) {
+                let v = bits_of(&words, w);
+                let (a, b) = (a % w, b % w);
+                let (hi, lo) = (a.max(b), a.min(b));
+                prop_assert_eq!(v.extract(hi, lo), field_by_bits(&v, lo, hi - lo + 1));
+            }
+
+            #[test]
+            fn assign_field_reads_short_and_long_tokens(
+                token_w in 0u32..201, field_w in 0u32..201, offset in 0u32..201,
+                words in proptest::collection::vec(any::<u64>(), 4),
+            ) {
+                // The field may start or end past the token: a short token
+                // is zero-extended, a long one is simply not read past
+                // the field.
+                let token = bits_of(&words, token_w);
+                let mut field = Bits::ones(field_w);
+                field.assign_field(&token, offset);
+                prop_assert_eq!(field, field_by_bits(&token, offset, field_w));
+            }
+
+            #[test]
+            fn or_field_packs_like_the_bit_loop(
+                field_w in 0u32..201, src_w in 0u32..201, offset in 0u32..130, slack in 0u32..70,
+                words in proptest::collection::vec(any::<u64>(), 4),
+                below in proptest::collection::vec(any::<u64>(), 3),
+            ) {
+                // A neighbouring field below the one under test must
+                // survive, and a source wider or narrower than the field
+                // is truncated or zero-extended into it.
+                let src = bits_of(&words, src_w);
+                let mut token = Bits::zero(offset + field_w + slack);
+                token.or_field(0, &bits_of(&below, offset), Width::new(offset));
+                let mut want = token.clone();
+                token.or_field(offset, &src, Width::new(field_w));
+                or_field_by_bits(&mut want, offset, &src, field_w);
+                prop_assert_eq!(token, want);
+            }
+        }
+    }
+
+    #[test]
+    fn field_ops_at_word_boundaries() {
+        let v = Bits::from_words(&[u64::MAX, 0, u64::MAX, 0x5], 200);
+        for (offset, width) in [
+            (0u32, 64u32),
+            (63, 2),
+            (64, 64),
+            (1, 128),
+            (127, 73),
+            (199, 1),
+        ] {
+            let mut f = Bits::zero(width);
+            f.assign_field(&v, offset);
+            assert_eq!(f, field_by_bits(&v, offset, width), "[{offset} +: {width}]");
+            assert_eq!(f, v.extract(offset + width - 1, offset));
+        }
+        // Zero-width fields are inert in both directions.
+        let mut z = Bits::zero(0);
+        z.assign_field(&v, 70);
+        assert_eq!(z, Bits::zero(0));
+        let mut t = v.clone();
+        t.or_field(200, &Bits::ones(9), Width::new(0));
+        assert_eq!(t, v);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of width")]
+    fn or_field_past_the_width_panics() {
+        Bits::zero(8).or_field(4, &Bits::ones(8), Width::new(5));
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!   documented panics.
 //! * **Slot-indexed extern bindings** — extern behavioral models keep a
 //!   persistent, name-sorted input buffer that is refreshed by zipping
-//!   slot indices against the buffer entries; the per-call
-//!   `BTreeMap<String, Bits>` construction is gone.
+//!   slot indices against the buffer entries, and write their outputs
+//!   through a [`crate::PortWriter`] bound to the instance's slot table:
+//!   no map is built in either direction.
 //! * **Dirty-set skipping** — elaboration-time fanout lists (slot →
 //!   reading tape positions) let the sweep skip definitions whose inputs
 //!   did not change. Externally written slots (top inputs, registers,

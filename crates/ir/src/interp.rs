@@ -27,23 +27,184 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 /// to its own concrete type in [`ExternBehavior::restore`].
 pub type BehaviorSnapshot = Box<dyn Any + Send>;
 
-/// Cycle-level model bound to an extern behavioral module instance.
+/// Where a [`PortWriter`] stores the values written through it: the
+/// reference and compiled engines write value slots in place, the
+/// bit-sliced engine scatters into lane planes.
+pub(crate) trait PortSink {
+    /// Stores `value` (truncated or zero-extended to the slot's width).
+    fn put_u64(&mut self, slot: usize, value: u64);
+    /// Stores `value` resized to the slot's width.
+    fn put(&mut self, slot: usize, value: &Bits);
+}
+
+/// The output side of the [`ExternBehavior`] ABI: a model writes its
+/// output ports by name through this, straight into the interpreter's
+/// value slots.
 ///
-/// Implementations must compute [`ExternBehavior::comb_outputs`] using only
-/// the inputs named in the module's declared combinational paths; other
-/// inputs may hold values from the previous settling step when the method
-/// is invoked.
+/// A writer is bound to one instance's slot table (its source outputs for
+/// [`ExternBehavior::source_outputs`], its sink outputs for
+/// [`ExternBehavior::comb_outputs`]), resolved once at elaboration, so a
+/// write is a scan over a handful of short names and an in-place store:
+/// no map, no `String`, no `Bits` is allocated per call. Values are
+/// resized to the port's declared width. Writes to a name the table does
+/// not hold are ignored (a model may offer more than the module
+/// declares), and a port the model does not write keeps its value.
+pub struct PortWriter<'a> {
+    ports: &'a [(String, usize)],
+    sink: &'a mut dyn PortSink,
+}
+
+impl<'a> PortWriter<'a> {
+    pub(crate) fn new(ports: &'a [(String, usize)], sink: &'a mut dyn PortSink) -> Self {
+        PortWriter { ports, sink }
+    }
+
+    /// Drives output `port` from the low 64 bits of `value`.
+    pub fn set_u64(&mut self, port: &str, value: u64) {
+        if let Some(slot) = port_slot(self.ports, port) {
+            self.sink.put_u64(slot, value);
+        }
+    }
+
+    /// Drives output `port` with `value`.
+    pub fn set(&mut self, port: &str, value: &Bits) {
+        if let Some(slot) = port_slot(self.ports, port) {
+            self.sink.put(slot, value);
+        }
+    }
+}
+
+/// The slot `port` is bound to in a `(name, slot)` table: a scan, the
+/// tables being a handful of short names.
+fn port_slot(ports: &[(String, usize)], port: &str) -> Option<usize> {
+    ports.iter().find(|(n, _)| n == port).map(|(_, s)| *s)
+}
+
+impl std::fmt::Debug for PortWriter<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list()
+            .entries(self.ports.iter().map(|(n, _)| n))
+            .finish()
+    }
+}
+
+/// [`PortSink`] over the canonical value slots. `on_write(slot, changed)`
+/// runs for every store, `changed` telling whether the value differs
+/// from what the slot held — the compiled engine's dirty propagation.
+struct SlotSink<'a, F: FnMut(usize, bool)> {
+    slots: &'a mut [Bits],
+    on_write: F,
+}
+
+impl<F: FnMut(usize, bool)> PortSink for SlotSink<'_, F> {
+    fn put_u64(&mut self, slot: usize, value: u64) {
+        let s = &mut self.slots[slot];
+        let changed = !s.eq_u64(value);
+        if changed {
+            s.set_from_u64(value);
+        }
+        (self.on_write)(slot, changed);
+    }
+
+    fn put(&mut self, slot: usize, value: &Bits) {
+        let s = &mut self.slots[slot];
+        let changed = !s.eq_resized(value);
+        if changed {
+            s.assign_resized(value);
+        }
+        (self.on_write)(slot, changed);
+    }
+}
+
+/// A free-standing set of named output ports, for driving an
+/// [`ExternBehavior`] outside an interpreter: unit tests and harnesses
+/// that want to look at what a model writes.
+///
+/// ```
+/// use fireaxe_ir::PortTable;
+/// let mut ports = PortTable::new([("valid", 1), ("bits", 8)]);
+/// ports.writer().set_u64("bits", 0x1FF);
+/// assert_eq!(ports.get("bits").to_u64(), 0xFF);
+/// assert_eq!(ports.get("valid").to_u64(), 0);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PortTable {
+    ports: Vec<(String, usize)>,
+    values: PortValues,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct PortValues(Vec<Bits>);
+
+impl PortSink for PortValues {
+    fn put_u64(&mut self, slot: usize, value: u64) {
+        self.0[slot].set_from_u64(value);
+    }
+
+    fn put(&mut self, slot: usize, value: &Bits) {
+        self.0[slot].assign_resized(value);
+    }
+}
+
+impl PortTable {
+    /// A table of `(name, width)` ports, all zero.
+    pub fn new<'a>(ports: impl IntoIterator<Item = (&'a str, u32)>) -> Self {
+        let (ports, values) = ports
+            .into_iter()
+            .enumerate()
+            .map(|(i, (name, width))| ((name.to_string(), i), Bits::zero(width)))
+            .unzip();
+        PortTable {
+            ports,
+            values: PortValues(values),
+        }
+    }
+
+    /// A writer over every port of the table.
+    pub fn writer(&mut self) -> PortWriter<'_> {
+        PortWriter::new(&self.ports, &mut self.values)
+    }
+
+    /// Current value of `port`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table has no such port.
+    pub fn get(&self, port: &str) -> &Bits {
+        let i =
+            port_slot(&self.ports, port).unwrap_or_else(|| panic!("no port `{port}` in the table"));
+        &self.values.0[i]
+    }
+}
+
+/// Cycle-level model bound to an extern behavioral module instance.
 pub trait ExternBehavior: std::fmt::Debug + Send {
     /// Returns the model to its post-reset state.
     fn reset(&mut self);
 
-    /// Output values that depend only on internal state (register-driven
-    /// *source* outputs), published at the start of each cycle.
-    fn source_outputs(&mut self) -> BTreeMap<String, Bits>;
+    /// Writes the outputs that depend only on internal state
+    /// (register-driven *source* outputs); called once per target cycle,
+    /// after [`ExternBehavior::tick`] (and after reset), to publish the
+    /// new cycle's values. `out` holds the instance's source outputs.
+    fn source_outputs(&mut self, out: &mut PortWriter<'_>);
 
-    /// Combinationally derived (*sink*) output values given the settled
-    /// input values.
-    fn comb_outputs(&mut self, inputs: &BTreeMap<String, Bits>) -> BTreeMap<String, Bits>;
+    /// Writes the combinationally derived (*sink*) outputs for the given
+    /// input values; `out` holds the instance's sink outputs. The default
+    /// writes nothing, for models whose module declares no combinational
+    /// path.
+    ///
+    /// **Contract:** this must be a pure function of the model's state
+    /// and of the inputs named in the module's declared combinational
+    /// paths. It must not change state `tick` or a later call can see,
+    /// and it must not read any other input: those may still hold the
+    /// previous settle's values when it runs. How many times it is called
+    /// per target cycle is not part of the model — a partitioned run
+    /// settles once per host step on which something fires, which depends
+    /// on host-side token timing, and the engines are free to call it
+    /// again or not at all when its inputs did not change. Two calls with
+    /// equal inputs must write equal outputs and leave the following
+    /// `tick` unchanged.
+    fn comb_outputs(&mut self, _inputs: &BTreeMap<String, Bits>, _out: &mut PortWriter<'_>) {}
 
     /// Advances internal state by one target cycle using the final settled
     /// input values.
@@ -243,27 +404,26 @@ pub(crate) fn sync_extern_inputs(slots: &[Bits], e: &mut ExternInst) {
 /// Publishes every bound extern model's register-driven source outputs
 /// into their slots (start-of-cycle values).
 pub(crate) fn publish_sources(slots: &mut [Bits], externs: &mut [ExternInst]) {
+    let mut sink = SlotSink {
+        slots,
+        on_write: |_, _| {},
+    };
     for e in externs {
         if let Some(model) = &mut e.model {
-            let outs = model.source_outputs();
-            for (name, slot) in &e.source_output_slots {
-                if let Some(v) = outs.get(name) {
-                    slots[*slot].assign_resized(v);
-                }
-            }
+            model.source_outputs(&mut PortWriter::new(&e.source_output_slots, &mut sink));
         }
     }
 }
 
-/// Runs one extern combinational settle: syncs inputs, calls the model,
-/// and stores each produced sink output. `on_write(slot, changed)` is
-/// invoked for every sink output the model produced, with `changed`
-/// reporting whether the stored value differs from what the slot held —
-/// the compiled engine uses this for dirty propagation.
+/// Runs one extern combinational settle: syncs inputs and lets the model
+/// write its sink outputs in place. `on_write(slot, changed)` is invoked
+/// for every sink output the model wrote, with `changed` reporting
+/// whether the stored value differs from what the slot held — the
+/// compiled engine uses this for dirty propagation.
 pub(crate) fn run_extern_comb(
     slots: &mut [Bits],
     e: &mut ExternInst,
-    mut on_write: impl FnMut(usize, bool),
+    on_write: impl FnMut(usize, bool),
 ) -> Result<()> {
     sync_extern_inputs(slots, e);
     let model = e
@@ -273,16 +433,11 @@ pub(crate) fn run_extern_comb(
             module: e.path.clone(),
             behavior: e.behavior_key.clone(),
         })?;
-    let outs = model.comb_outputs(&e.inputs_buf);
-    for (name, slot) in &e.sink_output_slots {
-        if let Some(v) = outs.get(name) {
-            let changed = !slots[*slot].eq_resized(v);
-            if changed {
-                slots[*slot].assign_resized(v);
-            }
-            on_write(*slot, changed);
-        }
-    }
+    let mut sink = SlotSink { slots, on_write };
+    model.comb_outputs(
+        &e.inputs_buf,
+        &mut PortWriter::new(&e.sink_output_slots, &mut sink),
+    );
     Ok(())
 }
 
@@ -332,6 +487,8 @@ pub struct Interpreter {
     pub(crate) externs: Vec<ExternInst>,
     pub(crate) top_inputs: Vec<(String, usize)>,
     pub(crate) top_outputs: Vec<(String, usize)>,
+    /// Per slot: is it a top-level input port (the only pokeable kind).
+    is_top_input: Vec<bool>,
     pub(crate) cycle: u64,
     engine: ExecEngine,
     tape: Option<crate::exec::Tape>,
@@ -377,6 +534,7 @@ impl Interpreter {
                 externs: Vec::new(),
                 top_inputs: Vec::new(),
                 top_outputs: Vec::new(),
+                is_top_input: Vec::new(),
                 cycle: 0,
                 engine,
                 tape: None,
@@ -387,10 +545,14 @@ impl Interpreter {
         b.elaborate("", &circuit.top)?;
         let mut interp = b.interp;
         let top = circuit.top_module();
+        interp.is_top_input = vec![false; interp.slots.len()];
         for p in &top.ports {
             let slot = interp.slot_names[&p.name];
             match p.direction {
-                Direction::Input => interp.top_inputs.push((p.name.clone(), slot)),
+                Direction::Input => {
+                    interp.top_inputs.push((p.name.clone(), slot));
+                    interp.is_top_input[slot] = true;
+                }
                 Direction::Output => interp.top_outputs.push((p.name.clone(), slot)),
             }
         }
@@ -534,28 +696,72 @@ impl Interpreter {
     }
 
     fn input_slot(&self, name: &str) -> usize {
-        self.top_inputs
-            .iter()
-            .find(|(n, _)| n == name)
+        self.input_handle(name)
             .unwrap_or_else(|| panic!("no top input port `{name}`"))
-            .1
     }
 
     /// [`Interpreter::input_slot`] as a typed error: distinguishes a path
     /// that exists but is not drivable from one that resolves to nothing.
     pub(crate) fn try_input_slot(&self, name: &str) -> Result<usize> {
-        if let Some((_, slot)) = self.top_inputs.iter().find(|(n, _)| n == name) {
-            return Ok(*slot);
-        }
-        if self.slot_names.contains_key(name) {
-            Err(IrError::NotPokeable {
-                path: name.to_string(),
-            })
+        self.input_handle(name).ok_or_else(|| {
+            let path = name.to_string();
+            if self.slot_names.contains_key(name) {
+                IrError::NotPokeable { path }
+            } else {
+                IrError::UnknownSignal { path }
+            }
+        })
+    }
+
+    /// Resolves top-level input port `name` to a handle for
+    /// [`Interpreter::poke_field`], or `None` when it names no input
+    /// port. Handles stay valid for the interpreter's lifetime; callers
+    /// that drive the same ports every cycle (the LI-BDN wrapper)
+    /// resolve once and skip the name lookup.
+    pub fn input_handle(&self, name: &str) -> Option<usize> {
+        let slot = *self.slot_names.get(name)?;
+        self.is_top_input[slot].then_some(slot)
+    }
+
+    /// Resolves any signal path to a handle for
+    /// [`Interpreter::peek_handle`], or `None` when it names no signal.
+    pub fn signal_handle(&self, path: &str) -> Option<usize> {
+        self.slot_names.get(path).copied()
+    }
+
+    /// Drives the input port behind `handle` (from
+    /// [`Interpreter::input_handle`]) with the `width`-bit field of
+    /// `token` starting at bit `offset`; bits past `token`'s width read
+    /// as zero. In place and allocation-free when `width` is the port's
+    /// own width, which is how channel layouts are built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `handle` is not an input-port handle of this
+    /// interpreter.
+    pub fn poke_field(&mut self, handle: usize, token: &Bits, offset: u32, width: Width) {
+        assert!(
+            self.is_top_input.get(handle) == Some(&true),
+            "handle {handle} is not a top input port"
+        );
+        let slot = &mut self.slots[handle];
+        if slot.width() == width {
+            slot.assign_field(token, offset);
         } else {
-            Err(IrError::UnknownSignal {
-                path: name.to_string(),
-            })
+            let mut field = Bits::zero(width);
+            field.assign_field(token, offset);
+            slot.assign_resized(&field);
         }
+    }
+
+    /// Reads the signal behind `handle` (from
+    /// [`Interpreter::signal_handle`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `handle` is not a signal handle of this interpreter.
+    pub fn peek_handle(&self, handle: usize) -> &Bits {
+        &self.slots[handle]
     }
 
     /// Reads any signal by hierarchical path (top ports use their bare
@@ -1395,16 +1601,11 @@ mod tests {
         fn reset(&mut self) {
             self.state = 0;
         }
-        fn source_outputs(&mut self) -> BTreeMap<String, Bits> {
-            let mut m = BTreeMap::new();
-            m.insert("acc".into(), Bits::from_u64(self.state, 16));
-            m
+        fn source_outputs(&mut self, out: &mut PortWriter<'_>) {
+            out.set_u64("acc", self.state);
         }
-        fn comb_outputs(&mut self, inputs: &BTreeMap<String, Bits>) -> BTreeMap<String, Bits> {
-            let x = inputs["x"].to_u64();
-            let mut m = BTreeMap::new();
-            m.insert("twice".into(), Bits::from_u64(x * 2, 16));
-            m
+        fn comb_outputs(&mut self, inputs: &BTreeMap<String, Bits>, out: &mut PortWriter<'_>) {
+            out.set_u64("twice", inputs["x"].to_u64() * 2);
         }
         fn tick(&mut self, inputs: &BTreeMap<String, Bits>) {
             self.state = self.state.wrapping_add(inputs["x"].to_u64());

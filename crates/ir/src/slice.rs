@@ -60,6 +60,7 @@ use crate::error::{IrError, Result};
 use crate::exec::ExecEngine;
 use crate::interp::{
     sync_extern_inputs, CExpr, DefKind, ExternBehavior, ExternInst, InterpSnapshot, Interpreter,
+    PortSink, PortWriter,
 };
 
 /// Hard lane capacity: one bit position per lane in a `u64` plane.
@@ -2045,12 +2046,16 @@ impl SlicedInterpreter {
                                     behavior: e.behavior_key.clone(),
                                 }
                             })?;
-                            let outs = model.comb_outputs(&e.inputs_buf);
-                            for (name, s) in &e.sink_output_slots {
-                                if let Some(v) = outs.get(name) {
-                                    store_resized_all_lanes(tape, planes, scalars, *s, v);
-                                }
-                            }
+                            let mut sink = LaneSink {
+                                tape,
+                                planes,
+                                scalars,
+                                lane: None,
+                            };
+                            model.comb_outputs(
+                                &e.inputs_buf,
+                                &mut PortWriter::new(&e.sink_output_slots, &mut sink),
+                            );
                             pos += 1;
                             continue;
                         }
@@ -2068,12 +2073,16 @@ impl SlicedInterpreter {
                                 behavior: e.behavior_key.clone(),
                             }
                         })?;
-                        let outs = model.comb_outputs(&e.inputs_buf);
-                        for (name, s) in &e.sink_output_slots {
-                            if let Some(v) = outs.get(name) {
-                                store_resized(tape, planes, scalars, *s, lane, v);
-                            }
-                        }
+                        let mut sink = LaneSink {
+                            tape,
+                            planes,
+                            scalars,
+                            lane: Some(lane),
+                        };
+                        model.comb_outputs(
+                            &e.inputs_buf,
+                            &mut PortWriter::new(&e.sink_output_slots, &mut sink),
+                        );
                     }
                 }
             }
@@ -2254,60 +2263,28 @@ impl SlicedInterpreter {
         pend_mem_words.clear();
 
         // 6. Publish next-cycle extern source outputs.
-        for (ei, e) in parts.externs.iter().enumerate() {
-            if ext_uniform[ei] {
-                if let Some(model) = &mut models[ei][0] {
-                    let outs = model.source_outputs();
-                    for (name, s) in &e.source_output_slots {
-                        if let Some(v) = outs.get(name) {
-                            store_resized_all_lanes(tape, planes, scalars, *s, v);
-                        }
-                    }
-                }
-                continue;
-            }
-            for lane in 0..lanes {
-                if let Some(model) = &mut models[ei][lane as usize] {
-                    let outs = model.source_outputs();
-                    for (name, s) in &e.source_output_slots {
-                        if let Some(v) = outs.get(name) {
-                            store_resized(tape, planes, scalars, *s, lane, v);
-                        }
-                    }
-                }
-            }
-        }
+        publish_lane_sources(
+            tape,
+            planes,
+            scalars,
+            parts.externs,
+            models,
+            ext_uniform,
+            lanes,
+        );
         self.cycle += 1;
     }
 
     fn publish_sources(&mut self) {
-        let lanes = self.lanes;
-        let tape = &self.tape;
-        let planes = &mut self.planes;
-        let scalars = &mut self.scalars;
-        for (ei, e) in self.base.externs.iter().enumerate() {
-            if self.ext_uniform[ei] {
-                if let Some(model) = &mut self.models[ei][0] {
-                    let outs = model.source_outputs();
-                    for (name, s) in &e.source_output_slots {
-                        if let Some(v) = outs.get(name) {
-                            store_resized_all_lanes(tape, planes, scalars, *s, v);
-                        }
-                    }
-                }
-                continue;
-            }
-            for lane in 0..lanes {
-                if let Some(model) = &mut self.models[ei][lane as usize] {
-                    let outs = model.source_outputs();
-                    for (name, s) in &e.source_output_slots {
-                        if let Some(v) = outs.get(name) {
-                            store_resized(tape, planes, scalars, *s, lane, v);
-                        }
-                    }
-                }
-            }
-        }
+        publish_lane_sources(
+            &self.tape,
+            &mut self.planes,
+            &mut self.scalars,
+            &self.base.externs,
+            &mut self.models,
+            &self.ext_uniform,
+            self.lanes,
+        );
     }
 
     /// One full target cycle across every lane: settle then latch.
@@ -2437,48 +2414,83 @@ fn fork_extern_lanes(
     }
 }
 
-/// Stores an extern output into every lane of slot `s` at once
-/// (`assign_resized` semantics). Dead lanes receive the value too, which
-/// is harmless — nothing reads them — and keeps uniform planes exactly
-/// all-zeros/all-ones.
-fn store_resized_all_lanes(
-    tape: &SlicedTape,
-    planes: &mut [u64],
-    scalars: &mut [Vec<Bits>],
-    s: usize,
-    v: &Bits,
-) {
-    if tape.exact[s] {
-        let base = tape.plane_base[s];
-        let vw = v.width().get();
-        for j in 0..tape.widths[s] {
-            planes[(base + j) as usize] = if j < vw && v.bit(j) { u64::MAX } else { 0 };
-        }
-    } else {
-        let si = tape.scalar_idx[s] as usize;
-        let (first, rest) = scalars[si].split_first_mut().expect("lanes >= 1");
-        first.assign_resized(v);
-        for b in rest {
-            b.assign_resized(v);
+/// [`PortSink`] over the plane arena: what an extern model writes lands
+/// in one lane, or — for a lane-coalesced instance, whose single call
+/// serves the whole batch — in every lane at once. Stores have the
+/// reference's `assign_resized` semantics (the slot keeps its width).
+/// Broadcast stores reach dead lanes too, which is harmless — nothing
+/// reads them — and keeps uniform planes exactly all-zeros/all-ones.
+struct LaneSink<'a> {
+    tape: &'a SlicedTape,
+    planes: &'a mut [u64],
+    scalars: &'a mut [Vec<Bits>],
+    /// `None` broadcasts to every lane.
+    lane: Option<u32>,
+}
+
+impl LaneSink<'_> {
+    /// Stores one value given as a bit predicate (exact slots) or as an
+    /// in-place scalar assignment (inexact slots).
+    fn store(&mut self, s: usize, bit: impl Fn(u32) -> bool, assign: impl Fn(&mut Bits)) {
+        let tape = self.tape;
+        if tape.exact[s] {
+            let region = &mut self.planes[tape.plane_base[s] as usize..][..tape.widths[s] as usize];
+            for (j, p) in region.iter_mut().enumerate() {
+                let set = bit(j as u32);
+                match self.lane {
+                    Some(lane) if set => *p |= 1u64 << lane,
+                    Some(lane) => *p &= !(1u64 << lane),
+                    None => *p = if set { u64::MAX } else { 0 },
+                }
+            }
+        } else {
+            let lanes = &mut self.scalars[tape.scalar_idx[s] as usize];
+            match self.lane {
+                Some(lane) => assign(&mut lanes[lane as usize]),
+                None => lanes.iter_mut().for_each(assign),
+            }
         }
     }
 }
 
-/// Stores an extern output into lane `lane` of slot `s` with the
-/// reference's `assign_resized` semantics (the stored value keeps the
-/// slot's current width).
-fn store_resized(
+impl PortSink for LaneSink<'_> {
+    fn put_u64(&mut self, slot: usize, value: u64) {
+        self.store(
+            slot,
+            |j| j < 64 && (value >> j) & 1 == 1,
+            |b| b.set_from_u64(value),
+        );
+    }
+
+    fn put(&mut self, slot: usize, value: &Bits) {
+        self.store(slot, |j| value.bit(j), |b| b.assign_resized(value));
+    }
+}
+
+/// Publishes every lane model's register-driven source outputs into the
+/// planes; a lane-coalesced instance publishes once for the whole batch.
+fn publish_lane_sources(
     tape: &SlicedTape,
     planes: &mut [u64],
     scalars: &mut [Vec<Bits>],
-    s: usize,
-    lane: u32,
-    v: &Bits,
+    externs: &[ExternInst],
+    models: &mut [Vec<Option<Box<dyn ExternBehavior>>>],
+    ext_uniform: &[bool],
+    lanes: u32,
 ) {
-    if tape.exact[s] {
-        scatter_bits(planes, tape.plane_base[s], tape.widths[s], lane, v);
-    } else {
-        scalars[tape.scalar_idx[s] as usize][lane as usize].assign_resized(v);
+    for (ei, e) in externs.iter().enumerate() {
+        let calls = if ext_uniform[ei] { 1 } else { lanes };
+        for lane in 0..calls {
+            if let Some(model) = &mut models[ei][lane as usize] {
+                let mut sink = LaneSink {
+                    tape,
+                    planes,
+                    scalars,
+                    lane: (!ext_uniform[ei]).then_some(lane),
+                };
+                model.source_outputs(&mut PortWriter::new(&e.source_output_slots, &mut sink));
+            }
+        }
     }
 }
 

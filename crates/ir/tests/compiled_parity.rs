@@ -12,7 +12,7 @@ use fireaxe_ir::build::{ModuleBuilder, Sig};
 use fireaxe_ir::interp::BehaviorSnapshot;
 use fireaxe_ir::{
     BinOp, Bits, Circuit, CombPath, ExecEngine, Expr, ExternBehavior, ExternInfo, Interpreter,
-    Module, Port, ResourceHints, UnOp,
+    Module, Port, PortWriter, ResourceHints, UnOp,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -50,19 +50,12 @@ impl ExternBehavior for XorAcc {
     fn reset(&mut self) {
         self.state = 0;
     }
-    fn source_outputs(&mut self) -> BTreeMap<String, Bits> {
-        let mut m = BTreeMap::new();
-        m.insert("s".into(), Bits::from_u64(self.state, 16));
-        m
+    fn source_outputs(&mut self, out: &mut PortWriter<'_>) {
+        out.set_u64("s", self.state);
     }
-    fn comb_outputs(&mut self, inputs: &BTreeMap<String, Bits>) -> BTreeMap<String, Bits> {
+    fn comb_outputs(&mut self, inputs: &BTreeMap<String, Bits>, out: &mut PortWriter<'_>) {
         let x = inputs["x"].to_u64();
-        let mut m = BTreeMap::new();
-        m.insert(
-            "y".into(),
-            Bits::from_u64(x.rotate_left(3) ^ self.state ^ 0x9E37, 16),
-        );
-        m
+        out.set_u64("y", x.rotate_left(3) ^ self.state ^ 0x9E37);
     }
     fn tick(&mut self, inputs: &BTreeMap<String, Bits>) {
         self.state = self

@@ -38,17 +38,16 @@ impl ChannelSpec {
 
     /// Packs per-port values into a token. Ports missing from `values`
     /// contribute zeros.
+    ///
+    /// This is the by-name form bridges use on environment channels; the
+    /// LI-BDN packs partition-boundary tokens through layouts resolved
+    /// once at construction.
     pub fn pack(&self, values: &BTreeMap<String, Bits>) -> Bits {
         let mut token = Bits::zero(self.width());
         let mut offset = 0u32;
         for (port, w) in &self.ports {
             if let Some(v) = values.get(port) {
-                let v = v.resize(*w);
-                for i in 0..w.get() {
-                    if v.bit(i) {
-                        token.set_bit(offset + i, true);
-                    }
-                }
+                token.or_field(offset, v, *w);
             }
             offset += w.get();
         }
@@ -57,18 +56,14 @@ impl ChannelSpec {
 
     /// Unpacks a token into per-port values.
     ///
-    /// The token is resized to the channel width first, so short or long
-    /// tokens are tolerated (zero-extension / truncation).
+    /// Short or long tokens are tolerated: fields past the token's width
+    /// read as zero and bits past the channel width are ignored.
     pub fn unpack(&self, token: &Bits) -> BTreeMap<String, Bits> {
-        let token = token.resize(self.width());
         let mut out = BTreeMap::new();
         let mut offset = 0u32;
         for (port, w) in &self.ports {
-            let v = if w.get() == 0 {
-                Bits::zero(0)
-            } else {
-                token.extract(offset + w.get() - 1, offset)
-            };
+            let mut v = Bits::zero(*w);
+            v.assign_field(token, offset);
             out.insert(port.clone(), v);
             offset += w.get();
         }

@@ -17,7 +17,7 @@ use crate::channel::ChannelSpec;
 use crate::error::{LibdnError, Result};
 use crate::target::{TargetModel, TargetSnapshot};
 use fireaxe_ir::Bits;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Default token queue capacity, matching FireSim's shallow channel
 /// depths.
@@ -112,11 +112,45 @@ impl LiBdnSnapshot {
     }
 }
 
+/// Where one channel port lives: the model's handle for it (see
+/// [`TargetModel::input_handle`]) and its bit offset inside the token.
+/// The port's name and width stay in the [`ChannelSpec`], index for
+/// index.
+#[derive(Debug, Clone, Copy)]
+struct PortField {
+    handle: Option<usize>,
+    offset: u32,
+}
+
+/// Resolves every port of `channel` once, through `handle_of`.
+fn resolve_fields(
+    channel: &ChannelSpec,
+    handle_of: impl Fn(&str) -> Option<usize>,
+) -> Vec<PortField> {
+    let mut offset = 0u32;
+    channel
+        .ports
+        .iter()
+        .map(|(port, w)| {
+            let field = PortField {
+                handle: handle_of(port),
+                offset,
+            };
+            offset += w.get();
+            field
+        })
+        .collect()
+}
+
 /// A running LI-BDN: spec + target model + queue/FSM state.
 #[derive(Debug)]
 pub struct LiBdn {
     spec: LiBdnSpec,
     model: Box<dyn TargetModel>,
+    /// Token layout of every input channel, resolved at construction.
+    in_fields: Vec<Vec<PortField>>,
+    /// Token layout of every output channel, resolved at construction.
+    out_fields: Vec<Vec<PortField>>,
     in_queues: Vec<VecDeque<Bits>>,
     out_queues: Vec<VecDeque<Bits>>,
     fired: Vec<bool>,
@@ -138,9 +172,21 @@ impl LiBdn {
         spec.validate()?;
         let n_in = spec.inputs.len();
         let n_out = spec.outputs.len();
+        let in_fields = spec
+            .inputs
+            .iter()
+            .map(|c| resolve_fields(c, |port| model.input_handle(port)))
+            .collect();
+        let out_fields = spec
+            .outputs
+            .iter()
+            .map(|o| resolve_fields(&o.channel, |port| model.output_handle(port)))
+            .collect();
         let mut bdn = LiBdn {
             spec,
             model,
+            in_fields,
+            out_fields,
             in_queues: vec![VecDeque::new(); n_in],
             out_queues: vec![VecDeque::new(); n_out],
             fired: vec![false; n_out],
@@ -259,17 +305,15 @@ impl LiBdn {
     /// Returns [`LibdnError::ChannelFull`] when the queue is at capacity
     /// and [`LibdnError::NoSuchChannel`] for bad indices.
     pub fn push_input(&mut self, chan: usize, token: Bits) -> Result<()> {
-        let name = self.spec.name.clone();
-        let q = self
-            .in_queues
-            .get_mut(chan)
-            .ok_or(LibdnError::NoSuchChannel {
-                libdn: name.clone(),
+        let Some(q) = self.in_queues.get_mut(chan) else {
+            return Err(LibdnError::NoSuchChannel {
+                libdn: self.spec.name.clone(),
                 channel: chan,
-            })?;
+            });
+        };
         if q.len() >= self.capacity {
             return Err(LibdnError::ChannelFull {
-                libdn: name,
+                libdn: self.spec.name.clone(),
                 channel: self.spec.inputs[chan].name.clone(),
             });
         }
@@ -292,6 +336,17 @@ impl LiBdn {
         self.in_queues.get(chan).map_or(0, |q| q.len())
     }
 
+    /// Tokens queued across all input channels.
+    pub fn inputs_queued(&self) -> usize {
+        self.in_queues.iter().map(VecDeque::len).sum()
+    }
+
+    /// Returns `true` when no output channel holds a fired token that
+    /// has not been popped yet.
+    pub fn outputs_drained(&self) -> bool {
+        self.out_queues.iter().all(VecDeque::is_empty)
+    }
+
     /// Computes the *current* value of an output channel without firing —
     /// used to fabricate fast-mode seed tokens from reset state.
     ///
@@ -301,102 +356,103 @@ impl LiBdn {
     /// propagates model evaluation failures.
     pub fn sample_output(&mut self, chan: usize) -> Result<Bits> {
         self.model.eval()?;
-        let spec = &self
-            .spec
-            .outputs
-            .get(chan)
-            .ok_or_else(|| LibdnError::NoSuchChannel {
+        if chan >= self.spec.outputs.len() {
+            return Err(LibdnError::NoSuchChannel {
                 libdn: self.spec.name.clone(),
                 channel: chan,
-            })?
-            .channel;
-        let mut vals = BTreeMap::new();
-        for (port, _) in &spec.ports {
-            vals.insert(port.clone(), self.model.peek(port));
+            });
         }
-        Ok(spec.pack(&vals))
+        Ok(self.pack_output(chan))
+    }
+
+    /// Whether output channel `o`'s FSM can fire right now: not fired
+    /// yet this target cycle, queue space, and every combinationally
+    /// connected input channel holding a token.
+    fn can_fire(&self, o: usize) -> bool {
+        !self.fired[o]
+            && self.out_queues[o].len() < self.capacity
+            && self.spec.outputs[o]
+                .deps
+                .iter()
+                .all(|&d| !self.in_queues[d].is_empty())
     }
 
     /// One host cycle: run every output-channel FSM, then the fireFSM.
     ///
-    /// Returns `true` when the target advanced a cycle this host cycle.
+    /// Which FSMs fire is decided from queue state alone, before the
+    /// model is touched; queue heads cannot change inside a host step,
+    /// so the head tokens are poked once and the model settles once for
+    /// every channel that fires (ports an output does not depend on may
+    /// be stale, which is harmless by the dependency analysis). A host
+    /// cycle on which nothing can fire does not touch the model at all.
+    ///
+    /// Returns `true` when the LI-BDN made progress this host cycle (an
+    /// output fired or the target advanced).
     ///
     /// # Errors
     ///
     /// Propagates model evaluation failures.
     pub fn host_step(&mut self) -> Result<bool> {
         self.host_cycles += 1;
-        let mut progressed = false;
-
-        // Output-channel FSMs: fire once all combinationally connected
-        // input channels hold a token and there is queue space.
-        for o in 0..self.spec.outputs.len() {
-            if self.fired[o] || self.out_queues[o].len() >= self.capacity {
-                continue;
-            }
-            let deps_ready = self.spec.outputs[o]
-                .deps
-                .iter()
-                .all(|&d| !self.in_queues[d].is_empty());
-            if !deps_ready {
-                continue;
-            }
-            // Poke the values of every available input channel's head
-            // token (ports this output doesn't depend on may be stale,
-            // which is harmless by the dependency analysis).
-            self.poke_available_inputs();
-            self.model.eval()?;
-            let spec = &self.spec.outputs[o].channel;
-            let mut vals = BTreeMap::new();
-            for (port, _) in &spec.ports {
-                vals.insert(port.clone(), self.model.peek(port));
-            }
-            let token = spec.pack(&vals);
-            self.out_queues[o].push_back(token);
-            self.fired[o] = true;
-            progressed = true;
+        let n_out = self.spec.outputs.len();
+        let firing = (0..n_out).any(|o| self.can_fire(o));
+        // fireFSM: all inputs present and all outputs fired (counting
+        // the ones firing this very host cycle) -> advance.
+        let advance = self.in_queues.iter().all(|q| !q.is_empty())
+            && (0..n_out).all(|o| self.fired[o] || self.can_fire(o));
+        if !firing && !advance {
+            return Ok(false);
         }
 
-        // fireFSM: all inputs present and all outputs fired -> advance.
-        let inputs_ready = self.in_queues.iter().all(|q| !q.is_empty());
-        let outputs_done = self.fired.iter().all(|&f| f);
-        if inputs_ready && outputs_done {
-            self.poke_available_inputs();
+        self.poke_available_inputs();
+        if firing {
+            self.model.eval()?;
+            for o in 0..n_out {
+                if self.can_fire(o) {
+                    let token = self.pack_output(o);
+                    self.out_queues[o].push_back(token);
+                    self.fired[o] = true;
+                }
+            }
+        }
+        if advance {
             // Cockpit pokes land here, after the token values and only
             // at the tick: the registered state clocked this advance
             // sees the override, while the cycle's already-fired output
             // tokens do not — so the effect is identical no matter how
             // far output FSMs had run ahead when the poke was staged.
+            let overridden = !self.poke_overrides.is_empty();
             for (port, v) in self.poke_overrides.drain(..) {
                 self.model.poke(&port, v);
             }
-            self.model.eval()?;
+            if overridden || !firing {
+                self.model.eval()?;
+            }
             self.model.tick();
             for q in &mut self.in_queues {
                 q.pop_front();
             }
-            for f in &mut self.fired {
-                *f = false;
-            }
+            self.fired.fill(false);
             self.target_cycle += 1;
-            return Ok(true);
         }
-        Ok(progressed)
+        Ok(true)
+    }
+
+    /// Accounts one host cycle on which, by the caller's knowledge of
+    /// the queues, nothing can fire: [`LiBdn::host_step`] without the
+    /// scan. The DES engine charges a node waiting on a token in flight
+    /// this way instead of servicing it.
+    pub fn idle_host_step(&mut self) {
+        debug_assert!(!self.can_progress(), "idle host step on a live LI-BDN");
+        self.host_cycles += 1;
     }
 
     /// Returns `true` if the LI-BDN could make progress right now (some
     /// output can fire or the fireFSM condition holds) — used for deadlock
     /// detection across a network of LI-BDNs.
     pub fn can_progress(&self) -> bool {
-        for (o, spec) in self.spec.outputs.iter().enumerate() {
-            if !self.fired[o]
-                && self.out_queues[o].len() < self.capacity
-                && spec.deps.iter().all(|&d| !self.in_queues[d].is_empty())
-            {
-                return true;
-            }
-        }
-        self.in_queues.iter().all(|q| !q.is_empty()) && self.fired.iter().all(|&f| f)
+        (0..self.spec.outputs.len()).any(|o| self.can_fire(o))
+            || (self.in_queues.iter().all(|q| !q.is_empty()) && self.fired.iter().all(|&f| f))
     }
 
     /// Returns `true` if the LI-BDN is starved: at least one input
@@ -544,15 +600,30 @@ impl LiBdn {
         true
     }
 
+    /// Drives the model's inputs from the head token of every input
+    /// channel that holds one, field by field through the resolved
+    /// layout.
     fn poke_available_inputs(&mut self) {
-        for (ci, q) in self.in_queues.iter().enumerate() {
-            if let Some(tok) = q.front() {
-                let vals = self.spec.inputs[ci].unpack(tok);
-                for (port, v) in vals {
-                    self.model.poke(&port, v);
+        let channels = self.spec.inputs.iter().zip(&self.in_fields);
+        for ((chan, fields), q) in channels.zip(&self.in_queues) {
+            if let Some(token) = q.front() {
+                for ((port, w), f) in chan.ports.iter().zip(fields) {
+                    self.model.poke_field(f.handle, port, token, f.offset, *w);
                 }
             }
         }
+    }
+
+    /// Packs output channel `o`'s token from the model's settled output
+    /// ports.
+    fn pack_output(&self, o: usize) -> Bits {
+        let chan = &self.spec.outputs[o].channel;
+        let mut token = Bits::zero(chan.width());
+        for ((port, w), f) in chan.ports.iter().zip(&self.out_fields[o]) {
+            self.model
+                .peek_into(f.handle, port, &mut token, f.offset, *w);
+        }
+        token
     }
 }
 
@@ -750,6 +821,220 @@ mod tests {
         assert_eq!(fast, slow);
         assert_eq!(fast[0], 0); // reset value first
         assert_eq!(&fast[1..4], &[3, 1, 4]); // registered inputs follow
+    }
+
+    /// Stateful extern model for the extern-bearing partition below:
+    /// `y` is combinational in `x` and the state, `s` publishes the
+    /// state, the state steps on `x` every tick.
+    #[derive(Debug, Default)]
+    struct XorAcc {
+        state: u64,
+    }
+
+    impl fireaxe_ir::ExternBehavior for XorAcc {
+        fn reset(&mut self) {
+            self.state = 0;
+        }
+        fn source_outputs(&mut self, out: &mut fireaxe_ir::PortWriter<'_>) {
+            out.set_u64("s", self.state);
+        }
+        fn comb_outputs(
+            &mut self,
+            inputs: &std::collections::BTreeMap<String, Bits>,
+            out: &mut fireaxe_ir::PortWriter<'_>,
+        ) {
+            out.set_u64(
+                "y",
+                inputs["x"].to_u64().rotate_left(3) ^ self.state ^ 0x9E37,
+            );
+        }
+        fn tick(&mut self, inputs: &std::collections::BTreeMap<String, Bits>) {
+            self.state = self
+                .state
+                .wrapping_mul(3)
+                .wrapping_add(inputs["x"].to_u64());
+        }
+    }
+
+    /// A partition with an extern instance on its boundary: input `a`
+    /// feeds the model combinationally (`y`), input `b` a register
+    /// (`z`), and the model's state is a source output (`s`). Three
+    /// output channels with three different dependency sets, so the
+    /// order tokens arrive in decides on which host steps the model
+    /// settles — and how often.
+    fn extern_partition() -> LiBdn {
+        use fireaxe_ir::{CombPath, ExternInfo, Module, Port, ResourceHints};
+        let mut dev = Module::new("Dev");
+        dev.ports.push(Port::input("x", 16));
+        dev.ports.push(Port::output("y", 16));
+        dev.ports.push(Port::output("s", 16));
+        dev.extern_info = Some(ExternInfo {
+            behavior: "xoracc".into(),
+            comb_paths: vec![CombPath {
+                input: "x".into(),
+                output: "y".into(),
+            }],
+            resources: ResourceHints::default(),
+        });
+        let mut top = ModuleBuilder::new("P");
+        let a = top.input("a", 16);
+        let b = top.input("b", 8);
+        let y = top.output("y", 16);
+        let s = top.output("s", 16);
+        let z = top.output("z", 8);
+        top.inst("d", "Dev");
+        top.connect_inst("d", "x", &a);
+        top.connect_sig(&y, &top.inst_port("d", "y"));
+        top.connect_sig(&s, &top.inst_port("d", "s"));
+        let r = top.reg("r", 8, 7);
+        top.connect_sig(&r, &r.add(&b));
+        top.connect_sig(&z, &r);
+        let circuit = Circuit::from_modules("P", vec![top.finish(), dev], "P");
+        let mut interp = fireaxe_ir::Interpreter::new(&circuit).unwrap();
+        interp
+            .bind_behavior("d", Box::new(XorAcc::default()))
+            .unwrap();
+        interp.reset();
+        let out = |name: &str, port: &str, w: u32, deps: Vec<usize>| OutputChannelSpec {
+            channel: chan(name, port, w),
+            deps,
+        };
+        let spec = LiBdnSpec {
+            name: "P".into(),
+            inputs: vec![chan("in_a", "a", 16), chan("in_b", "b", 8)],
+            outputs: vec![
+                out("out_y", "y", 16, vec![0]),
+                out("out_s", "s", 16, vec![]),
+                out("out_z", "z", 8, vec![]),
+            ],
+        };
+        LiBdn::new(spec, Box::new(InterpreterTarget::from_interpreter(interp))).unwrap()
+    }
+
+    #[test]
+    fn host_decoupling_is_timing_independent_with_extern_models() {
+        // Each input channel gets its own arrival jitter; the three
+        // output streams (and the model's final state, through `s`) must
+        // not notice — although the number of settle passes, and with it
+        // the number of `comb_outputs` calls, differs run to run.
+        let run = |delays_a: &[usize], delays_b: &[usize]| -> (Vec<Vec<u64>>, u64) {
+            let mut bdn = extern_partition();
+            let stimulus = |c: usize| [(c as u64 * 0x1F3) & 0xFFFF, (c as u64 * 5 + 1) & 0xFF];
+            let cycles = 24;
+            let delays = [delays_a, delays_b];
+            let mut fed = [0usize; 2];
+            let mut wait = [delays_a[0], delays_b[0]];
+            let mut outs = vec![Vec::new(); 3];
+            for _ in 0..600 {
+                for ch in 0..2 {
+                    if fed[ch] == cycles {
+                        continue;
+                    }
+                    if wait[ch] == 0 && bdn.can_accept(ch) {
+                        let width = if ch == 0 { 16 } else { 8 };
+                        bdn.push_input(ch, Bits::from_u64(stimulus(fed[ch])[ch], width))
+                            .unwrap();
+                        fed[ch] += 1;
+                        wait[ch] = delays[ch][fed[ch] % delays[ch].len()];
+                    } else {
+                        wait[ch] = wait[ch].saturating_sub(1);
+                    }
+                }
+                bdn.host_step().unwrap();
+                for (o, seen) in outs.iter_mut().enumerate() {
+                    while let Some(t) = bdn.pop_output(o) {
+                        seen.push(t.to_u64());
+                    }
+                }
+            }
+            assert_eq!(bdn.target_cycle(), cycles as u64);
+            let settles = bdn.model().exec_stats().unwrap().settle_passes;
+            (outs, settles)
+        };
+        let (lockstep, settles_lockstep) = run(&[0], &[0]);
+        let (a_late, settles_a_late) = run(&[5, 0, 9, 2], &[0]);
+        let (b_late, _) = run(&[0, 1], &[7, 3, 0, 0, 11]);
+        let (both, _) = run(&[2, 6, 0], &[1, 0, 4, 8]);
+        assert_eq!(lockstep, a_late);
+        assert_eq!(lockstep, b_late);
+        assert_eq!(lockstep, both);
+        assert_eq!(lockstep[1][0], 0, "reset state first");
+        assert_ne!(lockstep[1][5], 0, "the model's state moves");
+        assert_ne!(
+            settles_lockstep, settles_a_late,
+            "the jitter must actually change how often the model settles"
+        );
+    }
+
+    /// A target that implements only the seven required methods, as an
+    /// out-of-tree model (the e2e harness's pass-through probe) does:
+    /// `y = a + 1` combinationally, `q` registers `a`, `pad` is ignored.
+    #[derive(Debug, Default)]
+    struct NameOnly {
+        a: u64,
+        q: u64,
+    }
+
+    impl TargetModel for NameOnly {
+        fn reset(&mut self) {
+            *self = NameOnly::default();
+        }
+        fn poke(&mut self, port: &str, value: Bits) {
+            match port {
+                "a" => self.a = value.to_u64(),
+                "pad" => assert_eq!(value, Bits::ones(4)),
+                other => panic!("no port `{other}`"),
+            }
+        }
+        fn eval(&mut self) -> Result<()> {
+            Ok(())
+        }
+        fn peek(&self, port: &str) -> Bits {
+            match port {
+                "y" => Bits::from_u64(self.a + 1, 8),
+                "q" => Bits::from_u64(self.q, 8),
+                other => panic!("no port `{other}`"),
+            }
+        }
+        fn tick(&mut self) {
+            self.q = self.a;
+        }
+        fn input_ports(&self) -> Vec<(String, Width)> {
+            vec![("pad".into(), Width::new(4)), ("a".into(), Width::new(8))]
+        }
+        fn output_ports(&self) -> Vec<(String, Width)> {
+            vec![("y".into(), Width::new(8)), ("q".into(), Width::new(8))]
+        }
+    }
+
+    #[test]
+    fn name_only_model_runs_through_the_provided_methods() {
+        // `a` sits at offset 4 behind a pad field; both outputs share
+        // one channel, `q` at offset 8.
+        let ports = |ports: &[(&str, u32)]| {
+            ports
+                .iter()
+                .map(|(n, w)| (n.to_string(), Width::new(*w)))
+                .collect()
+        };
+        let spec = LiBdnSpec {
+            name: "N".into(),
+            inputs: vec![ChannelSpec::new("in", ports(&[("pad", 4), ("a", 8)]))],
+            outputs: vec![OutputChannelSpec {
+                channel: ChannelSpec::new("out", ports(&[("y", 8), ("q", 8)])),
+                deps: vec![0],
+            }],
+        };
+        let mut bdn = LiBdn::new(spec, Box::new(NameOnly::default())).unwrap();
+        let mut tokens = Vec::new();
+        for a in [5u64, 9, 200] {
+            bdn.push_input(0, Bits::from_u64(a << 4 | 0xF, 12)).unwrap();
+            assert!(bdn.host_step().unwrap());
+            tokens.push(bdn.pop_output(0).unwrap().to_u64());
+        }
+        assert_eq!(bdn.target_cycle(), 3);
+        assert_eq!(tokens, vec![6, 10 | 5 << 8, 201 | 9 << 8]);
+        assert_eq!(bdn.sample_output(0).unwrap().to_u64(), 201 | 200 << 8);
     }
 
     #[test]

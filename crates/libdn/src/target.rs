@@ -25,6 +25,18 @@ pub type TargetSnapshot = Box<dyn Any + Send>;
 /// 2. [`TargetModel::eval`] settles combinational logic;
 /// 3. outputs are peeked;
 /// 4. [`TargetModel::tick`] latches state exactly once.
+///
+/// Steps 1–3 may repeat within a target cycle (once per host step on
+/// which an output channel fires), so `eval` must be a pure function of
+/// the poked inputs and the state latched by the last `tick`.
+///
+/// The seven required methods address ports by name. The LI-BDN itself
+/// goes through the provided [`TargetModel::poke_field`] /
+/// [`TargetModel::peek_into`] pair with handles it resolves once at
+/// construction; a model that implements only the required methods gets
+/// `None` handles and by-name calls, a model that can do better (the
+/// RTL interpreter resolves a port to a value slot) overrides the four
+/// handle methods.
 pub trait TargetModel: std::fmt::Debug + Send {
     /// Returns to the post-reset state.
     fn reset(&mut self);
@@ -50,6 +62,52 @@ pub trait TargetModel: std::fmt::Debug + Send {
 
     /// Output port names and widths.
     fn output_ports(&self) -> Vec<(String, Width)>;
+
+    /// Resolves input `port` to a handle [`TargetModel::poke_field`]
+    /// accepts in place of the name; `None` (the default) keeps the port
+    /// addressed by name.
+    fn input_handle(&self, _port: &str) -> Option<usize> {
+        None
+    }
+
+    /// Resolves output `port` to a handle [`TargetModel::peek_into`]
+    /// accepts in place of the name; `None` (the default) keeps the port
+    /// addressed by name.
+    fn output_handle(&self, _port: &str) -> Option<usize> {
+        None
+    }
+
+    /// Drives input `port` with the `width`-bit field of `token` that
+    /// starts at bit `offset` (bits past the token's width read as
+    /// zero). `handle` is what [`TargetModel::input_handle`] returned for
+    /// `port`; the default ignores it and pokes by name.
+    fn poke_field(
+        &mut self,
+        _handle: Option<usize>,
+        port: &str,
+        token: &Bits,
+        offset: u32,
+        width: Width,
+    ) {
+        let mut value = Bits::zero(width);
+        value.assign_field(token, offset);
+        self.poke(port, value);
+    }
+
+    /// ORs output `port`, resized to `width`, into `token` at bit
+    /// `offset` (valid after [`TargetModel::eval`]). `handle` is what
+    /// [`TargetModel::output_handle`] returned for `port`; the default
+    /// ignores it and peeks by name.
+    fn peek_into(
+        &self,
+        _handle: Option<usize>,
+        port: &str,
+        token: &mut Bits,
+        offset: u32,
+        width: Width,
+    ) {
+        token.or_field(offset, &self.peek(port), width);
+    }
 
     /// Reads one entry of an internal memory by hierarchical path, when
     /// the model exposes memories (RTL-interpreted targets do).
@@ -211,6 +269,40 @@ impl TargetModel for InterpreterTarget {
 
     fn output_ports(&self) -> Vec<(String, Width)> {
         self.interp.output_ports()
+    }
+
+    fn input_handle(&self, port: &str) -> Option<usize> {
+        self.interp.input_handle(port)
+    }
+
+    fn output_handle(&self, port: &str) -> Option<usize> {
+        self.interp.signal_handle(port)
+    }
+
+    fn poke_field(
+        &mut self,
+        handle: Option<usize>,
+        port: &str,
+        token: &Bits,
+        offset: u32,
+        width: Width,
+    ) {
+        // An unresolved port panics by name, exactly as a by-name poke
+        // of a port the circuit does not have always did.
+        let handle = handle.unwrap_or_else(|| panic!("no top input port `{port}`"));
+        self.interp.poke_field(handle, token, offset, width);
+    }
+
+    fn peek_into(
+        &self,
+        handle: Option<usize>,
+        port: &str,
+        token: &mut Bits,
+        offset: u32,
+        width: Width,
+    ) {
+        let handle = handle.unwrap_or_else(|| panic!("no signal at path `{port}`"));
+        token.or_field(offset, self.interp.peek_handle(handle), width);
     }
 
     fn peek_mem(&self, path: &str, index: usize) -> Option<Bits> {

@@ -19,7 +19,9 @@
 
 use crate::engine::SimMetrics;
 use crate::error::{Result, SimError};
-use fireaxe_ir::{Bits, Circuit, ExecEngine, ExternBehavior, Interpreter, SlicedInterpreter};
+use fireaxe_ir::{
+    Bits, Circuit, ExecEngine, ExternBehavior, Interpreter, PortWriter, SlicedInterpreter,
+};
 
 /// Maximum scenarios a single sliced interpreter evaluates per tape
 /// pass (one lane per bit of a `u64` plane word).
@@ -394,16 +396,7 @@ struct NullBehavior;
 impl ExternBehavior for NullBehavior {
     fn reset(&mut self) {}
 
-    fn source_outputs(&mut self) -> std::collections::BTreeMap<String, Bits> {
-        std::collections::BTreeMap::new()
-    }
-
-    fn comb_outputs(
-        &mut self,
-        _inputs: &std::collections::BTreeMap<String, Bits>,
-    ) -> std::collections::BTreeMap<String, Bits> {
-        std::collections::BTreeMap::new()
-    }
+    fn source_outputs(&mut self, _out: &mut PortWriter<'_>) {}
 
     fn tick(&mut self, _inputs: &std::collections::BTreeMap<String, Bits>) {}
 }
@@ -513,15 +506,11 @@ mod tests {
     impl ExternBehavior for Lfsr {
         fn reset(&mut self) {}
 
-        fn source_outputs(&mut self) -> BTreeMap<String, Bits> {
-            BTreeMap::new()
-        }
+        fn source_outputs(&mut self, _out: &mut PortWriter<'_>) {}
 
-        fn comb_outputs(&mut self, inputs: &BTreeMap<String, Bits>) -> BTreeMap<String, Bits> {
+        fn comb_outputs(&mut self, inputs: &BTreeMap<String, Bits>, out: &mut PortWriter<'_>) {
             let x = inputs.get("x").map(|b| b.to_u64()).unwrap_or(0);
-            let mut out = BTreeMap::new();
-            out.insert("y".to_string(), Bits::from_u64(self.state ^ x, 16));
-            out
+            out.set_u64("y", self.state ^ x);
         }
 
         fn tick(&mut self, inputs: &BTreeMap<String, Bits>) {

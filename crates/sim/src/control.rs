@@ -96,6 +96,7 @@ impl DistributedSim {
     /// [`fireaxe_ir::IrError`] poke errors relayed as [`SimError::Ir`].
     pub fn poke_signal(&mut self, addr: &str, value: u64) -> Result<()> {
         let (ni, path) = self.resolve_signal(addr)?;
+        self.wake_all();
         self.nodes[ni]
             .libdn
             .poke_input_next_cycle(&path, value)

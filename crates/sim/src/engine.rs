@@ -223,6 +223,12 @@ pub(crate) struct NodeRt {
     pub(crate) chan_enqueued: Vec<u64>,
     /// Observation state (metric sampling + VCD capture).
     pub(crate) obs: NodeObs,
+    /// DES only: virtual time before which this node provably cannot
+    /// progress, so its host edges are charged without servicing it (see
+    /// [`DistributedSim::step_one_edge`]); 0 services it normally.
+    /// Derived from the event queue, never checkpointed, and cleared by
+    /// [`DistributedSim::wake_all`] on every external mutation.
+    wake_ps: u64,
 }
 
 impl NodeRt {
@@ -287,6 +293,20 @@ impl NodeRt {
         Ok(progressed)
     }
 
+    /// What [`NodeRt::ingest_and_step`] does on a host edge on which the
+    /// node cannot progress — the queues are as the last service left
+    /// them, nothing is staged that fits, nothing can fire — without
+    /// looking: one host cycle, attributed to input starvation when an
+    /// input channel is empty, under the same budget rule.
+    fn charge_idle_edge(&mut self, budget: Option<u64>) {
+        if budget.is_none_or(|b| self.libdn.target_cycle() < b) {
+            if self.libdn.waiting_on_input() {
+                self.counters.input_stall_host_cycles += 1;
+            }
+            self.libdn.idle_host_step();
+        }
+    }
+
     /// Shared observation point: called after every host step on both
     /// backends, captures watched VCD signals once per completed target
     /// cycle and a metric sample every `sample_interval` cycles. The
@@ -309,13 +329,9 @@ impl NodeRt {
         if self.obs.sample_interval > 0 && tc >= self.obs.next_sample {
             let model = self.libdn.model();
             let stats = model.exec_stats().unwrap_or_default();
-            let queued: u64 = self
-                .libdn
-                .input_levels()
-                .iter()
-                .map(|(_, q)| *q as u64)
-                .sum::<u64>()
-                + self.staged.iter().map(|q| q.len() as u64).sum::<u64>();
+            let queued = (self.libdn.inputs_queued()
+                + self.staged.iter().map(VecDeque::len).sum::<usize>())
+                as u64;
             let sample = NodeSample {
                 cycle: tc,
                 host_ns: fireaxe_obs::trace::host_ns(),
@@ -345,8 +361,8 @@ impl NodeRt {
         let mut progressed = false;
         for eo in 0..self.env_outputs.len() {
             let chan = self.env_outputs[eo];
-            let spec = self.libdn.spec().outputs[chan].channel.clone();
             while let Some(token) = self.libdn.pop_output(chan) {
+                let spec = &self.libdn.spec().outputs[chan].channel;
                 let values = spec.unpack(&token);
                 let cycle = self.env_consumed[eo];
                 self.env_consumed[eo] += 1;
@@ -866,6 +882,7 @@ impl<'a> SimBuilder<'a> {
                     counters: NodeCounters::default(),
                     chan_enqueued: vec![0; n_in],
                     obs: NodeObs::default(),
+                    wake_ps: 0,
                 });
                 members.push(flat);
             }
@@ -1223,6 +1240,7 @@ impl DistributedSim {
     /// call both on `ResetToIdle` so a cached build serves its next job
     /// bit-identically to a cold build.
     pub fn reset_run_accumulators(&mut self) {
+        self.wake_all();
         self.pending.clear();
         self.time_ps = 0;
         self.seq = 0;
@@ -1318,6 +1336,7 @@ impl DistributedSim {
     /// Panics if `node` is out of range (see
     /// [`PartitionedDesign::node_index`]).
     pub fn bridge_mut(&mut self, node: usize) -> &mut dyn Bridge {
+        self.wake_all();
         self.nodes[node].bridge.as_mut()
     }
 
@@ -1348,12 +1367,16 @@ impl DistributedSim {
     ///
     /// [`SimError::Deadlock`] when no progress is possible.
     pub fn run_target_cycles(&mut self, cycles: u64) -> Result<SimMetrics> {
+        // The budget decides what a node at the stop line may do, so it
+        // is an external mutation on the way in and on the way out.
+        self.wake_all();
         let out = match self.backend {
             Backend::Des => {
                 let _span = obs_span!("des.run", self.time_ps);
                 self.cycle_budget = Some(cycles);
-                let out = self.run_while(|sim| sim.target_cycles() < cycles);
+                let out = self.run_to_budget(cycles);
                 self.cycle_budget = None;
+                self.wake_all();
                 out
             }
             Backend::Threads(workers) => {
@@ -1536,6 +1559,7 @@ impl DistributedSim {
         self.time_ps = ckpt.time_ps;
         self.seq = ckpt.seq;
         self.edges_since_progress = ckpt.edges_since_progress;
+        self.wake_all();
         Ok(())
     }
 
@@ -1631,6 +1655,7 @@ impl DistributedSim {
     /// [`SimError::Config`] when the blob does not decode as this
     /// partition's state.
     pub fn restore_partition_bytes(&mut self, partition: usize, bytes: &[u8]) -> Result<u64> {
+        self.wake_all();
         let bad = |what: &str| SimError::Config {
             message: format!("partition {partition} blob rejected: {what}"),
         };
@@ -1805,12 +1830,49 @@ impl DistributedSim {
         Ok(self.metrics())
     }
 
+    /// [`DistributedSim::run_while`] for the cycle-budget stop line. The
+    /// minimum target cycle over all nodes only moves on an edge that
+    /// progressed, so it is recomputed only after one.
+    fn run_to_budget(&mut self, cycles: u64) -> Result<SimMetrics> {
+        while self.target_cycles() < cycles {
+            while !self.step_edge()? {}
+        }
+        Ok(self.metrics())
+    }
+
+    /// Forgets every node's idle verdict (see
+    /// [`DistributedSim::step_one_edge`]): called wherever something other
+    /// than the event loop itself touches the state the verdict was
+    /// derived from — a new cycle budget, a restore, a cockpit poke, a
+    /// handed-out bridge or [`crate::netapi::NetAccess`].
+    pub(crate) fn wake_all(&mut self) {
+        for n in &mut self.nodes {
+            n.wake_ps = 0;
+        }
+    }
+
     /// Advances virtual time to the next host clock edge and services it.
+    ///
+    /// A node that made no progress when it was last serviced, holds no
+    /// fired token it has yet to put on a wire, and has a delivery in
+    /// flight towards it cannot progress before that delivery lands:
+    /// its queues only change by its own servicing, and nothing it could
+    /// be waiting for — queue space, the transmitter — is outstanding.
+    /// Until then its host edges are charged (host cycle, input-stall
+    /// attribution, the deadlock horizon's edge count) exactly as a
+    /// fruitless service would have charged them, without running one, so
+    /// virtual time and every counter are those of servicing every edge.
     ///
     /// # Errors
     ///
     /// [`SimError::Deadlock`] when the deadlock horizon is exceeded.
     pub fn step_one_edge(&mut self) -> Result<()> {
+        self.step_edge().map(drop)
+    }
+
+    /// [`DistributedSim::step_one_edge`], reporting whether the edge made
+    /// progress.
+    fn step_edge(&mut self) -> Result<bool> {
         // Next edge time across partitions (ties: lowest partition index).
         let Some((pi, edge_ps)) = self
             .partitions
@@ -1850,7 +1912,19 @@ impl DistributedSim {
             idx
         };
         self.nodes[node_idx].obs.now_ps = self.time_ps;
-        let progressed = self.service_node(node_idx)?;
+        let progressed = if self.time_ps < self.nodes[node_idx].wake_ps {
+            self.nodes[node_idx].charge_idle_edge(self.cycle_budget);
+            false
+        } else {
+            let progressed = self.service_node(node_idx)?;
+            let idle = !progressed && self.nodes[node_idx].libdn.outputs_drained();
+            self.nodes[node_idx].wake_ps = if idle {
+                self.next_delivery_to(node_idx).unwrap_or(0)
+            } else {
+                0
+            };
+            progressed
+        };
 
         // Sample every link whenever the global target cycle crosses the
         // observation cadence (DES only; it owns the virtual clock).
@@ -1884,7 +1958,16 @@ impl DistributedSim {
                 });
             }
         }
-        Ok(())
+        Ok(progressed)
+    }
+
+    /// Arrival time of the earliest delivery in flight towards node `ni`.
+    fn next_delivery_to(&self, ni: usize) -> Option<u64> {
+        self.pending
+            .iter()
+            .filter(|d| self.links[d.link].spec.to_node == ni)
+            .map(|d| d.at_ps)
+            .min()
     }
 
     fn service_node(&mut self, ni: usize) -> Result<bool> {
@@ -1994,6 +2077,10 @@ impl DistributedSim {
                     seq: self.seq,
                     link: li,
                 });
+                // A receiver sitting out its host edges until a later
+                // delivery (see `step_edge`) is woken for this one.
+                let to = &mut self.nodes[self.links[li].spec.to_node];
+                to.wake_ps = to.wake_ps.min(at_ps);
                 self.links[li].tokens += 1;
                 self.nodes[ni].counters.tokens_dequeued += 1;
                 progressed = true;

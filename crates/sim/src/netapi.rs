@@ -36,6 +36,9 @@ pub struct NetAccess<'a> {
 impl DistributedSim {
     /// Opens the external-engine access surface (see [`NetAccess`]).
     pub fn net_access(&mut self) -> NetAccess<'_> {
+        // An external engine moves tokens and state behind the event
+        // loop's back.
+        self.wake_all();
         NetAccess { sim: self }
     }
 }

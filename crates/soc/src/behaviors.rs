@@ -12,7 +12,7 @@
 //! seeded by configuration, never from wall-clock or global RNG state.
 
 use fireaxe_ir::{
-    state_fields, BehaviorSnapshot, Bits, ExternBehavior, StateDec, StateEnc, StateItem,
+    state_fields, BehaviorSnapshot, Bits, ExternBehavior, PortWriter, StateDec, StateEnc, StateItem,
 };
 use std::collections::{BTreeMap, VecDeque};
 
@@ -111,10 +111,6 @@ fn trailing_digits(path: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-fn b1(v: bool) -> Bits {
-    Bits::from_u64(u64::from(v), 1)
-}
-
 fn get_u64(inputs: &BTreeMap<String, Bits>, port: &str) -> u64 {
     inputs.get(port).map(|b| b.to_u64()).unwrap_or(0)
 }
@@ -183,18 +179,9 @@ impl ExternBehavior for FrontendModel {
         self.stall = 0;
     }
 
-    fn source_outputs(&mut self) -> BTreeMap<String, Bits> {
-        let mut m = BTreeMap::new();
-        m.insert("fetch_packet_valid".into(), b1(self.stall == 0));
-        m.insert(
-            "fetch_packet_bits".into(),
-            Bits::from_u64(self.packet_id * self.fetch_width, 64),
-        );
-        m
-    }
-
-    fn comb_outputs(&mut self, _inputs: &BTreeMap<String, Bits>) -> BTreeMap<String, Bits> {
-        BTreeMap::new()
+    fn source_outputs(&mut self, out: &mut PortWriter<'_>) {
+        out.set_u64("fetch_packet_valid", u64::from(self.stall == 0));
+        out.set_u64("fetch_packet_bits", self.packet_id * self.fetch_width);
     }
 
     fn tick(&mut self, inputs: &BTreeMap<String, Bits>) {
@@ -260,30 +247,26 @@ impl ExternBehavior for BackendModel {
         self.lsu_outstanding = 0;
     }
 
-    fn source_outputs(&mut self) -> BTreeMap<String, Bits> {
-        let mut m = BTreeMap::new();
-        m.insert("redirect_valid".into(), b1(self.redirect_now));
-        m.insert("redirect_bits".into(), Bits::from_u64(self.commits, 64));
-        m.insert(
-            "lsu_issue_valid".into(),
-            b1(self.lsu_outstanding == 0 && self.occupancy > self.rob / 4),
+    fn source_outputs(&mut self, out: &mut PortWriter<'_>) {
+        out.set_u64("redirect_valid", u64::from(self.redirect_now));
+        out.set_u64("redirect_bits", self.commits);
+        out.set_u64(
+            "lsu_issue_valid",
+            u64::from(self.lsu_outstanding == 0 && self.occupancy > self.rob / 4),
         );
-        m.insert("lsu_issue_bits".into(), Bits::from_u64(self.commits, 64));
-        m.insert("commits".into(), Bits::from_u64(self.commits, 32));
-        m.insert("booted".into(), b1(self.commits >= self.boot_insts));
-        m
+        out.set_u64("lsu_issue_bits", self.commits);
+        out.set_u64("commits", self.commits);
+        out.set_u64("booted", u64::from(self.commits >= self.boot_insts));
     }
 
-    fn comb_outputs(&mut self, inputs: &BTreeMap<String, Bits>) -> BTreeMap<String, Bits> {
+    fn comb_outputs(&mut self, inputs: &BTreeMap<String, Bits>, out: &mut PortWriter<'_>) {
         // Declared comb path: ready = valid && ROB space (cross-module
         // combinational coupling across the partition boundary).
         let valid = get_u64(inputs, "fetch_packet_valid") == 1;
-        let mut m = BTreeMap::new();
-        m.insert(
-            "fetch_packet_ready".into(),
-            b1(valid && self.occupancy + 2 * self.issue <= self.rob),
+        out.set_u64(
+            "fetch_packet_ready",
+            u64::from(valid && self.occupancy + 2 * self.issue <= self.rob),
         );
-        m
     }
 
     fn tick(&mut self, inputs: &BTreeMap<String, Bits>) {
@@ -337,23 +320,11 @@ impl ExternBehavior for LsuModel {
         self.done_now = None;
     }
 
-    fn source_outputs(&mut self) -> BTreeMap<String, Bits> {
-        let mut m = BTreeMap::new();
-        m.insert("dmem_req_valid".into(), b1(!self.pending.is_empty()));
-        m.insert(
-            "dmem_req_bits".into(),
-            Bits::from_u64(self.pending.front().copied().unwrap_or(0), 64),
-        );
-        m.insert("lsu_done_valid".into(), b1(self.done_now.is_some()));
-        m.insert(
-            "lsu_done_bits".into(),
-            Bits::from_u64(self.done_now.unwrap_or(0), 64),
-        );
-        m
-    }
-
-    fn comb_outputs(&mut self, _inputs: &BTreeMap<String, Bits>) -> BTreeMap<String, Bits> {
-        BTreeMap::new()
+    fn source_outputs(&mut self, out: &mut PortWriter<'_>) {
+        out.set_u64("dmem_req_valid", u64::from(!self.pending.is_empty()));
+        out.set_u64("dmem_req_bits", self.pending.front().copied().unwrap_or(0));
+        out.set_u64("lsu_done_valid", u64::from(self.done_now.is_some()));
+        out.set_u64("lsu_done_bits", self.done_now.unwrap_or(0));
     }
 
     fn tick(&mut self, inputs: &BTreeMap<String, Bits>) {
@@ -398,18 +369,9 @@ impl ExternBehavior for MemSysModel {
         self.resp_now = None;
     }
 
-    fn source_outputs(&mut self) -> BTreeMap<String, Bits> {
-        let mut m = BTreeMap::new();
-        m.insert("dmem_resp_valid".into(), b1(self.resp_now.is_some()));
-        m.insert(
-            "dmem_resp_bits".into(),
-            Bits::from_u64(self.resp_now.unwrap_or(0), 64),
-        );
-        m
-    }
-
-    fn comb_outputs(&mut self, _inputs: &BTreeMap<String, Bits>) -> BTreeMap<String, Bits> {
-        BTreeMap::new()
+    fn source_outputs(&mut self, out: &mut PortWriter<'_>) {
+        out.set_u64("dmem_resp_valid", u64::from(self.resp_now.is_some()));
+        out.set_u64("dmem_resp_bits", self.resp_now.unwrap_or(0));
     }
 
     fn tick(&mut self, inputs: &BTreeMap<String, Bits>) {
@@ -565,27 +527,17 @@ impl ExternBehavior for TileModel {
         self.trapped = false;
     }
 
-    fn source_outputs(&mut self) -> BTreeMap<String, Bits> {
-        let mut m = BTreeMap::new();
-        m.insert(
-            "tx_bits".into(),
-            Bits::from_u64(
-                self.pending_tx.front().copied().unwrap_or(0),
-                self.layout.width(),
-            ),
-        );
-        m.insert("trap".into(), b1(self.trapped));
-        m.insert("progress".into(), Bits::from_u64(self.responses, 32));
-        m
+    fn source_outputs(&mut self, out: &mut PortWriter<'_>) {
+        out.set_u64("tx_bits", self.pending_tx.front().copied().unwrap_or(0));
+        out.set_u64("trap", u64::from(self.trapped));
+        out.set_u64("progress", self.responses);
     }
 
-    fn comb_outputs(&mut self, inputs: &BTreeMap<String, Bits>) -> BTreeMap<String, Bits> {
+    fn comb_outputs(&mut self, inputs: &BTreeMap<String, Bits>, out: &mut PortWriter<'_>) {
         // Declared comb path: valid is credit-gated on the incoming ready
         // (note: the trap-report flit still goes out after the bug fires).
         let valid = !self.pending_tx.is_empty() && get_u64(inputs, "tx_ready") == 1;
-        let mut m = BTreeMap::new();
-        m.insert("tx_valid".into(), b1(valid));
-        m
+        out.set_u64("tx_valid", u64::from(valid));
     }
 
     fn tick(&mut self, inputs: &BTreeMap<String, Bits>) {
@@ -672,23 +624,11 @@ impl ExternBehavior for SubsystemModel {
         self.traps = 0;
     }
 
-    fn source_outputs(&mut self) -> BTreeMap<String, Bits> {
-        let mut m = BTreeMap::new();
-        m.insert("tx_valid".into(), b1(!self.pending_tx.is_empty()));
-        m.insert(
-            "tx_bits".into(),
-            Bits::from_u64(
-                self.pending_tx.front().copied().unwrap_or(0),
-                self.layout.width(),
-            ),
-        );
-        m.insert("serviced".into(), Bits::from_u64(self.serviced, 32));
-        m.insert("traps".into(), Bits::from_u64(self.traps, 32));
-        m
-    }
-
-    fn comb_outputs(&mut self, _inputs: &BTreeMap<String, Bits>) -> BTreeMap<String, Bits> {
-        BTreeMap::new()
+    fn source_outputs(&mut self, out: &mut PortWriter<'_>) {
+        out.set_u64("tx_valid", u64::from(!self.pending_tx.is_empty()));
+        out.set_u64("tx_bits", self.pending_tx.front().copied().unwrap_or(0));
+        out.set_u64("serviced", self.serviced);
+        out.set_u64("traps", self.traps);
     }
 
     fn tick(&mut self, inputs: &BTreeMap<String, Bits>) {
@@ -731,6 +671,18 @@ pub struct XbarModel {
     layout: FlitLayout,
     queues: Vec<VecDeque<(u64, u64)>>, // per destination: (ready_at, flit)
     rx_now: Vec<Option<u64>>,
+    /// Per-node port names, built once: configuration, not state.
+    ports: Vec<XbarPorts>,
+}
+
+/// The five port names of one crossbar node.
+#[derive(Debug, Clone)]
+struct XbarPorts {
+    tx_ready: String,
+    tx_valid: String,
+    tx_bits: String,
+    rx_valid: String,
+    rx_bits: String,
 }
 
 impl XbarModel {
@@ -745,6 +697,15 @@ impl XbarModel {
             },
             queues: vec![VecDeque::new(); nodes],
             rx_now: vec![None; nodes],
+            ports: (0..nodes)
+                .map(|i| XbarPorts {
+                    tx_ready: format!("node{i}_tx_ready"),
+                    tx_valid: format!("node{i}_tx_valid"),
+                    tx_bits: format!("node{i}_tx_bits"),
+                    rx_valid: format!("node{i}_rx_valid"),
+                    rx_bits: format!("node{i}_rx_bits"),
+                })
+                .collect(),
         }
     }
 }
@@ -761,29 +722,20 @@ impl ExternBehavior for XbarModel {
         self.rx_now = vec![None; self.nodes];
     }
 
-    fn source_outputs(&mut self) -> BTreeMap<String, Bits> {
-        let mut m = BTreeMap::new();
-        for i in 0..self.nodes {
+    fn source_outputs(&mut self, out: &mut PortWriter<'_>) {
+        for (p, rx) in self.ports.iter().zip(&self.rx_now) {
             // Accept while the destination queues are shallow.
-            m.insert(format!("node{i}_tx_ready"), b1(true));
-            m.insert(format!("node{i}_rx_valid"), b1(self.rx_now[i].is_some()));
-            m.insert(
-                format!("node{i}_rx_bits"),
-                Bits::from_u64(self.rx_now[i].unwrap_or(0), self.layout.width()),
-            );
+            out.set_u64(&p.tx_ready, 1);
+            out.set_u64(&p.rx_valid, u64::from(rx.is_some()));
+            out.set_u64(&p.rx_bits, rx.unwrap_or(0));
         }
-        m
-    }
-
-    fn comb_outputs(&mut self, _inputs: &BTreeMap<String, Bits>) -> BTreeMap<String, Bits> {
-        BTreeMap::new()
     }
 
     fn tick(&mut self, inputs: &BTreeMap<String, Bits>) {
         self.now += 1;
-        for i in 0..self.nodes {
-            if get_u64(inputs, &format!("node{i}_tx_valid")) == 1 {
-                let flit = get_u64(inputs, &format!("node{i}_tx_bits"));
+        for p in &self.ports {
+            if get_u64(inputs, &p.tx_valid) == 1 {
+                let flit = get_u64(inputs, &p.tx_bits);
                 let (v, dest, _, _, _) = self.layout.unpack(flit);
                 if v && (dest as usize) < self.nodes {
                     self.queues[dest as usize].push_back((self.now + self.latency, flit));
@@ -805,6 +757,70 @@ impl ExternBehavior for XbarModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fireaxe_ir::{Direction, Module, PortTable};
+
+    fn b1(v: bool) -> Bits {
+        Bits::from_u64(u64::from(v), 1)
+    }
+
+    /// Every extern module the crate's generators emit — between them
+    /// every model [`make_behavior`] can build, each with the port list
+    /// and combinational paths it is bound under.
+    fn generated_extern_modules() -> Vec<Module> {
+        let ring = |tile_kind| {
+            crate::ring_soc(&crate::RingSocConfig {
+                tiles: 2,
+                tile_kind,
+                ..Default::default()
+            })
+            .circuit
+        };
+        let circuits = [
+            ring(crate::TileKind::Boom(crate::BoomConfig::large())),
+            ring(crate::TileKind::InOrder),
+            crate::xbar_soc(&crate::XbarSocConfig {
+                tiles: 3,
+                ..Default::default()
+            })
+            .circuit,
+            crate::boom::core_circuit(&crate::BoomConfig::large()),
+        ];
+        let mut modules: Vec<Module> = Vec::new();
+        for m in circuits.iter().flat_map(|c| &c.modules) {
+            let Some(info) = &m.extern_info else { continue };
+            let known =
+                |k: &Module| k.extern_info.as_ref().map(|i| &i.behavior) == Some(&info.behavior);
+            if !modules.iter().any(known) {
+                modules.push(m.clone());
+            }
+        }
+        let names: std::collections::BTreeSet<String> = modules
+            .iter()
+            .map(|m| BehaviorKey::parse(&m.extern_info.as_ref().unwrap().behavior).name)
+            .collect();
+        assert_eq!(names.len(), 8, "a model lost its generator: {names:?}");
+        modules
+    }
+
+    fn model_of(m: &Module) -> Box<dyn ExternBehavior> {
+        let key = &m.extern_info.as_ref().unwrap().behavior;
+        make_behavior(key, "tile1").unwrap_or_else(|| panic!("no model for {key}"))
+    }
+
+    /// A port table over every output of `m`.
+    fn outputs_of(m: &Module) -> PortTable {
+        PortTable::new(
+            m.ports_in(Direction::Output)
+                .map(|p| (p.name.as_str(), p.width.get())),
+        )
+    }
+
+    /// What `model` publishes right now on the given source ports.
+    fn sources(model: &mut dyn ExternBehavior, ports: &[(&str, u32)]) -> PortTable {
+        let mut table = PortTable::new(ports.iter().copied());
+        model.source_outputs(&mut table.writer());
+        table
+    }
 
     #[test]
     fn key_parsing() {
@@ -891,7 +907,7 @@ mod tests {
             for _ in 0..50 {
                 t.tick(&inputs);
             }
-            t.source_outputs()["trap"].to_u64() == 1
+            sources(&mut t, &[("trap", 1)]).get("trap").to_u64() == 1
         };
         assert!(run("boom_tile?id=0&bug=1&heavy=1&bug_after=10"));
         assert!(!run("boom_tile?id=0&bug=1&heavy=0&bug_after=10")); // small binaries
@@ -914,10 +930,10 @@ mod tests {
         inputs.insert("rx_valid".into(), b1(false));
         let mut first_valid_at = None;
         for i in 1..20 {
-            let out = s.source_outputs();
-            if out["tx_valid"].to_u64() == 1 && first_valid_at.is_none() {
+            let out = sources(&mut s, &[("tx_valid", 1), ("tx_bits", 47)]);
+            if out.get("tx_valid").to_u64() == 1 && first_valid_at.is_none() {
                 first_valid_at = Some(i);
-                let (_, dest, src, kind, payload) = l.unpack(out["tx_bits"].to_u64());
+                let (_, dest, src, kind, payload) = l.unpack(out.get("tx_bits").to_u64());
                 assert_eq!((dest, src, kind, payload), (4, 9, flit_kind::RESP, 77));
             }
             s.tick(&inputs);
@@ -959,27 +975,19 @@ mod tests {
         inputs.insert("req_valid".into(), b1(true));
         inputs.insert("req_addr".into(), Bits::from_u64(0x40, 32));
 
-        for key in [
-            "boom_frontend?issue=3",
-            "boom_backend?issue=3&rob=96",
-            "boom_lsu",
-            "boom_memsys?latency=7",
-            "boom_tile?id=1&period=2",
-            "inorder_tile?id=2",
-            "soc_subsystem?latency=3&id=9",
-            "xbar?nodes=4&latency=2",
-        ] {
-            let mut warm = make_behavior(key, "p").unwrap_or_else(|| panic!("no model for {key}"));
+        for module in generated_extern_modules() {
+            let key = &module.extern_info.as_ref().unwrap().behavior;
+            let mut warm = model_of(&module);
             warm.reset();
             for _ in 0..17 {
-                warm.source_outputs();
+                warm.source_outputs(&mut outputs_of(&module).writer());
                 warm.tick(&inputs);
             }
             let blob = warm
                 .snapshot_bytes()
                 .unwrap_or_else(|| panic!("{key}: model is not byte-portable"));
 
-            let mut restored = make_behavior(key, "p").unwrap();
+            let mut restored = model_of(&module);
             restored.reset();
             assert!(restored.restore_bytes(&blob), "{key}: restore rejected");
             assert_eq!(
@@ -989,22 +997,64 @@ mod tests {
             );
             // Restored model must replay identically to the original.
             for step in 0..17 {
-                assert_eq!(
-                    warm.source_outputs(),
-                    restored.source_outputs(),
-                    "{key}: outputs diverge at step {step}"
-                );
+                let (mut a, mut b) = (outputs_of(&module), outputs_of(&module));
+                warm.source_outputs(&mut a.writer());
+                restored.source_outputs(&mut b.writer());
+                assert_eq!(a, b, "{key}: outputs diverge at step {step}");
                 warm.tick(&inputs);
                 restored.tick(&inputs);
             }
 
             // Garbage and truncated blobs must be rejected without effect.
-            let mut fresh = make_behavior(key, "p").unwrap();
+            let mut fresh = model_of(&module);
             fresh.reset();
             let before = fresh.snapshot_bytes();
             assert!(!fresh.restore_bytes(&blob[..blob.len() - 1]), "{key}");
             assert!(!fresh.restore_bytes(b"\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF"));
             assert_eq!(fresh.snapshot_bytes(), before, "{key}: reject mutated");
+        }
+    }
+
+    /// The contract `ExternBehavior::comb_outputs` documents, checked on
+    /// every model: it is a pure function of state and inputs. An engine
+    /// may settle any number of times per target cycle — the LI-BDN
+    /// settles once per host step on which something fires — so a second
+    /// call with equal inputs must write the same outputs and must not
+    /// be visible to the `tick` that follows.
+    #[test]
+    fn comb_outputs_is_pure_on_every_model() {
+        for module in generated_extern_modules() {
+            let key = &module.extern_info.as_ref().unwrap().behavior;
+            let mut once = model_of(&module);
+            let mut twice = model_of(&module);
+            once.reset();
+            twice.reset();
+            let mut lcg = Lcg::new(0xC0FFEE);
+            for cycle in 0..300 {
+                let inputs: BTreeMap<String, Bits> = module
+                    .ports_in(Direction::Input)
+                    .map(|p| (p.name.clone(), Bits::from_u64(lcg.next() >> 3, p.width)))
+                    .collect();
+                let (mut a, mut b) = (outputs_of(&module), outputs_of(&module));
+                once.source_outputs(&mut a.writer());
+                twice.source_outputs(&mut b.writer());
+                once.comb_outputs(&inputs, &mut a.writer());
+                twice.comb_outputs(&inputs, &mut b.writer());
+                let first = b.clone();
+                twice.comb_outputs(&inputs, &mut b.writer());
+                assert_eq!(
+                    b, first,
+                    "{key}: second settle wrote differently at {cycle}"
+                );
+                assert_eq!(a, b, "{key}: outputs diverge at cycle {cycle}");
+                once.tick(&inputs);
+                twice.tick(&inputs);
+                assert_eq!(
+                    once.snapshot_bytes(),
+                    twice.snapshot_bytes(),
+                    "{key}: an extra settle changed the tick at cycle {cycle}"
+                );
+            }
         }
     }
 }

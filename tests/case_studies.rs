@@ -237,21 +237,16 @@ fn partition_feedback_reports_widths_and_notes() {
 fn user_behaviors_override_builtins() {
     use fireaxe_ir_shim::*;
     mod fireaxe_ir_shim {
-        pub use fireaxe::ir::{Bits, ExternBehavior};
+        pub use fireaxe::ir::{Bits, ExternBehavior, PortWriter};
     }
 
     #[derive(Debug)]
     struct Stuck;
     impl ExternBehavior for Stuck {
         fn reset(&mut self) {}
-        fn source_outputs(&mut self) -> BTreeMap<String, Bits> {
-            let mut m = BTreeMap::new();
-            m.insert("tx_valid".into(), Bits::from_u64(0, 1));
-            m.insert("trap".into(), Bits::from_u64(1, 1));
-            m
-        }
-        fn comb_outputs(&mut self, _i: &BTreeMap<String, Bits>) -> BTreeMap<String, Bits> {
-            BTreeMap::new()
+        fn source_outputs(&mut self, out: &mut PortWriter<'_>) {
+            out.set_u64("tx_valid", 0);
+            out.set_u64("trap", 1);
         }
         fn tick(&mut self, _i: &BTreeMap<String, Bits>) {}
     }
