@@ -1,0 +1,354 @@
+//! Frozen bytes of the portable state codec.
+//!
+//! A partition's `snapshot_partition_bytes` blob is what a cluster
+//! checkpoint ships to the coordinator and what a respawned or pooled
+//! worker restores from, and an `Interpreter::snapshot_bytes` blob is its
+//! innermost layer. Both are a function of the design and the cycle only,
+//! and both are a wire format: a rewrite of any layer that captures or
+//! restores state must reproduce them byte for byte.
+//!
+//! Each blob is checked by length and FNV-1a digest against values frozen
+//! from the tree this suite was written against (PR 20's). On a mismatch
+//! the test prints the table it got in source form; run the suite on the
+//! reference tree with `STATE_BLOBS_DUMP=<dir>` to write every blob to a
+//! file and compare those.
+
+use fireaxe::ir::{
+    state_fields, CombPath, ExternBehavior, ExternInfo, Module, Port, PortWriter, ResourceHints,
+};
+use fireaxe::prelude::*;
+use fireaxe::sim::SimError;
+use std::collections::BTreeMap;
+
+/// FNV-1a, 64 bit: stable across toolchains, unlike `DefaultHasher`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Checks blobs against their frozen `(length, digest)` rows.
+fn check(name: &str, blobs: &[Vec<u8>], frozen: &[(usize, u64)]) {
+    if let Ok(dir) = std::env::var("STATE_BLOBS_DUMP") {
+        std::fs::create_dir_all(&dir).unwrap();
+        for (i, b) in blobs.iter().enumerate() {
+            std::fs::write(format!("{dir}/{name}.{i}.bin"), b).unwrap();
+        }
+    }
+    let got: Vec<(usize, u64)> = blobs.iter().map(|b| (b.len(), fnv1a(b))).collect();
+    let table: String = got
+        .iter()
+        .map(|(len, digest)| format!("    ({len}, {digest:#018x}),\n"))
+        .collect();
+    assert!(
+        got == frozen,
+        "state blobs moved on `{name}`; they read now:\n{table}"
+    );
+}
+
+/// `groups` NoC-mode groups of `per` consecutive routers each.
+fn noc_groups(router_paths: &[String], groups: usize, per: usize) -> Vec<PartitionGroup> {
+    (0..groups)
+        .map(|g| PartitionGroup {
+            name: format!("fpga{g}"),
+            selection: Selection::NocRouters {
+                routers: router_paths.to_vec(),
+                indices: (g * per..(g + 1) * per).collect(),
+            },
+            fame5: false,
+        })
+        .collect()
+}
+
+/// The `noc6` cut of the reference benchmark: 6 tiles, 3 × 2 routers.
+fn noc6() -> FireAxe {
+    let soc = ring_soc(&RingSocConfig {
+        tiles: 6,
+        tile_period: 4,
+        ..Default::default()
+    });
+    let groups = noc_groups(&soc.router_paths, 3, 2);
+    FireAxe::new(soc.circuit, PartitionSpec::exact(groups))
+}
+
+/// The `soc24` cut (paper Fig. 6): 24 tiles, 4 × 6 routers.
+fn soc24() -> FireAxe {
+    let soc = ring_soc(&RingSocConfig {
+        tiles: 24,
+        tile_period: 4,
+        subsystem_latency: 8,
+        heavy_workload: true,
+        bug_after: u64::MAX / 2,
+        ..Default::default()
+    });
+    let groups = noc_groups(&soc.router_paths, 4, 6);
+    FireAxe::new(soc.circuit, PartitionSpec::exact(groups))
+}
+
+/// `noc6` with metric sampling and waveform capture on, so the blobs
+/// carry an observation log.
+fn noc6_observed() -> FireAxe {
+    noc6().observe(ObsSpec {
+        sample_interval: 50,
+        vcd: true,
+        signals: Vec::new(),
+    })
+}
+
+fn built(flow: FireAxe) -> DistributedSim {
+    flow.build().expect("flow builds").1
+}
+
+fn partitions(sim: &DistributedSim) -> usize {
+    let counters = sim.metrics().counters;
+    counters.iter().map(|c| c.partition).max().unwrap() + 1
+}
+
+fn partition_blobs(sim: &DistributedSim) -> Vec<Vec<u8>> {
+    (0..partitions(sim))
+        .map(|p| sim.snapshot_partition_bytes(p).expect("portable state"))
+        .collect()
+}
+
+/// Extern model with a scalar and a queue of state.
+#[derive(Debug, Default)]
+struct Tally {
+    sum: u64,
+    recent: std::collections::VecDeque<u64>,
+}
+
+impl ExternBehavior for Tally {
+    state_fields!(sum, recent);
+
+    fn reset(&mut self) {
+        self.sum = 0;
+        self.recent.clear();
+    }
+    fn source_outputs(&mut self, out: &mut PortWriter<'_>) {
+        out.set_u64("sum", self.sum);
+    }
+    fn comb_outputs(&mut self, inputs: &BTreeMap<String, Bits>, out: &mut PortWriter<'_>) {
+        out.set_u64("mix", inputs["x"].to_u64() ^ self.sum);
+    }
+    fn tick(&mut self, inputs: &BTreeMap<String, Bits>) {
+        let x = inputs["x"].to_u64();
+        self.sum = self.sum.wrapping_mul(5).wrapping_add(x);
+        self.recent.push_back(x);
+        if self.recent.len() > 3 {
+            self.recent.pop_front();
+        }
+    }
+}
+
+/// A design with registers of three widths, a memory and an extern.
+fn mem_and_extern() -> Circuit {
+    let mut e = Module::new("Tally");
+    e.ports.push(Port::input("x", 16));
+    e.ports.push(Port::output("mix", 16));
+    e.ports.push(Port::output("sum", 16));
+    e.extern_info = Some(ExternInfo {
+        behavior: "tally".into(),
+        comb_paths: vec![CombPath {
+            input: "x".into(),
+            output: "mix".into(),
+        }],
+        resources: ResourceHints::default(),
+    });
+
+    let mut top = ModuleBuilder::new("Top");
+    let i = top.input("i", 16);
+    let o = top.output("o", 16);
+    let wide = top.output("wide", 100);
+    top.inst("t", "Tally");
+    top.connect_inst("t", "x", &i);
+    let mix = top.inst_port("t", "mix");
+    let sum = top.inst_port("t", "sum");
+    let count = top.reg("count", 3, 0);
+    top.connect_sig(&count, &count.add(&Sig::lit(1, 3)));
+    let acc = top.reg("acc", 100, 1);
+    top.connect_sig(&acc, &acc.add(&acc).xor(&mix.resize(100)));
+    let mem = top.mem("store", 12, 8);
+    top.mem_write(&mem, &count, &mix.resize(12), &Sig::lit(1, 1));
+    let rd = top.mem_read("rd", &mem, &i.bits(2, 0));
+    top.connect_sig(&o, &rd.resize(16).xor(&sum));
+    top.connect_sig(&wide, &acc);
+    Circuit::from_modules("Top", vec![top.finish(), e], "Top")
+}
+
+fn interp() -> Interpreter {
+    let mut sim = Interpreter::new(&mem_and_extern()).unwrap();
+    sim.bind_behavior("t", Box::<Tally>::default()).unwrap();
+    sim
+}
+
+fn drive(sim: &mut Interpreter, cycles: std::ops::Range<u64>) {
+    for c in cycles {
+        sim.poke("i", Bits::from_u64(c.wrapping_mul(0x9E37) ^ 0x5a5a, 16));
+        sim.step().unwrap();
+    }
+}
+
+#[test]
+fn noc6_partition_blobs_at_cycle_137() {
+    let mut sim = built(noc6_observed());
+    sim.run_target_cycles(137).unwrap();
+    check("noc6_137", &partition_blobs(&sim), NOC6_137);
+}
+
+#[test]
+fn soc24_partition_blobs_at_cycle_300() {
+    let mut sim = built(soc24());
+    sim.run_target_cycles(300).unwrap();
+    check("soc24_300", &partition_blobs(&sim), SOC24_300);
+}
+
+#[test]
+fn interpreter_blob_with_a_memory_and_a_bound_extern() {
+    let mut sim = interp();
+    drive(&mut sim, 0..23);
+    check("interp_23", &[sim.snapshot_bytes().unwrap()], INTERP_23);
+}
+
+#[test]
+fn interpreter_restore_then_replay_lands_on_the_same_bytes() {
+    let mut sim = interp();
+    drive(&mut sim, 0..23);
+    let at_23 = sim.snapshot_bytes().unwrap();
+    drive(&mut sim, 23..40);
+    let at_40 = sim.snapshot_bytes().unwrap();
+    assert_ne!(at_23, at_40);
+
+    assert!(sim.restore_snapshot_bytes(&at_23));
+    assert_eq!(sim.cycle(), 23);
+    assert_eq!(sim.snapshot_bytes().unwrap(), at_23, "restore is exact");
+    drive(&mut sim, 23..40);
+    assert_eq!(sim.snapshot_bytes().unwrap(), at_40, "replay is exact");
+
+    // A blob rehydrates into a fresh interpreter over the same design.
+    let mut fresh = interp();
+    assert!(fresh.restore_snapshot_bytes(&at_23));
+    drive(&mut fresh, 23..40);
+    assert_eq!(fresh.snapshot_bytes().unwrap(), at_40);
+}
+
+#[test]
+fn interpreter_rejects_a_blob_from_a_different_design() {
+    let mut other = Interpreter::new(&{
+        let mut mb = ModuleBuilder::new("Other");
+        let i = mb.input("i", 16);
+        let o = mb.output("o", 16);
+        let r = mb.reg("r", 16, 0);
+        mb.connect_sig(&r, &r.add(&i));
+        mb.connect_sig(&o, &r);
+        Circuit::from_modules("Other", vec![mb.finish()], "Other")
+    })
+    .unwrap();
+    other.step().unwrap();
+    let foreign = other.snapshot_bytes().unwrap();
+
+    let mut sim = interp();
+    drive(&mut sim, 0..23);
+    let before = sim.snapshot_bytes().unwrap();
+    assert!(!sim.restore_snapshot_bytes(&foreign));
+    assert!(!sim.restore_snapshot_bytes(&before[..before.len() - 1]));
+    assert!(!sim.restore_snapshot_bytes(&[before.as_slice(), &[0]].concat()));
+    assert_eq!(sim.snapshot_bytes().unwrap(), before, "state untouched");
+    assert!(!other.restore_snapshot_bytes(&before));
+    assert_eq!(other.snapshot_bytes().unwrap(), foreign, "state untouched");
+}
+
+#[test]
+fn an_unbound_or_stateless_extern_has_no_blob() {
+    #[derive(Debug)]
+    struct Opaque;
+    impl ExternBehavior for Opaque {
+        fn reset(&mut self) {}
+        fn source_outputs(&mut self, _: &mut PortWriter<'_>) {}
+        fn tick(&mut self, _: &BTreeMap<String, Bits>) {}
+    }
+    let mut sim = Interpreter::new(&mem_and_extern()).unwrap();
+    assert!(sim.snapshot_bytes().is_none(), "unbound");
+    sim.bind_behavior("t", Box::new(Opaque)).unwrap();
+    assert!(sim.snapshot_bytes().is_none(), "no state declared");
+}
+
+fn node_digests(sim: &DistributedSim) -> Vec<u64> {
+    (0..sim.metrics().counters.len())
+        .map(|n| sim.node_state_digest(n))
+        .collect()
+}
+
+#[test]
+fn checkpoint_restore_then_replay_lands_on_the_same_blobs() {
+    let mut sim = built(noc6());
+    sim.run_target_cycles(137).unwrap();
+    let at_137 = node_digests(&sim);
+    let ckpt = sim.checkpoint().unwrap();
+    assert_eq!(ckpt.target_cycles(), 137);
+    sim.run_target_cycles(250).unwrap();
+    let at_250 = partition_blobs(&sim);
+    assert_ne!(node_digests(&sim), at_137);
+
+    // The blob also carries each node's observation clock, which an
+    // in-process rollback leaves running; the replay brings it back to
+    // the same virtual time.
+    sim.restore(&ckpt).unwrap();
+    assert_eq!(sim.target_cycles(), 137);
+    assert_eq!(node_digests(&sim), at_137, "restore is exact");
+    sim.run_target_cycles(250).unwrap();
+    assert_eq!(partition_blobs(&sim), at_250, "replay is exact");
+}
+
+#[test]
+fn partition_blobs_rehydrate_a_fresh_simulation() {
+    // What a respawned worker does: a new process over the same design
+    // takes every partition's blob and reports the state it was cut at.
+    let mut sim = built(noc6_observed());
+    sim.run_target_cycles(137).unwrap();
+    let blobs = partition_blobs(&sim);
+    let mut fresh = built(noc6_observed());
+    for (p, blob) in blobs.iter().enumerate() {
+        assert_eq!(fresh.restore_partition_bytes(p, blob).unwrap(), 137);
+    }
+    assert_eq!(partition_blobs(&fresh), blobs);
+    assert_eq!(node_digests(&fresh), node_digests(&sim));
+}
+
+#[test]
+fn partition_rejects_a_blob_from_a_different_design() {
+    let mut small = built(noc6());
+    small.run_target_cycles(40).unwrap();
+    let mut big = built(soc24());
+    big.run_target_cycles(40).unwrap();
+    let before = partition_blobs(&small);
+    for p in 0..before.len() {
+        let foreign = big.snapshot_partition_bytes(p).unwrap();
+        for bad in [&foreign[..], &before[p][..before[p].len() - 1], &[]] {
+            let err = small.restore_partition_bytes(p, bad).unwrap_err();
+            assert!(matches!(err, SimError::Config { .. }), "{err}");
+        }
+        // Another partition's blob of the same design does not fit either.
+        let neighbour = &before[(p + 1) % before.len()];
+        assert!(small.restore_partition_bytes(p, neighbour).is_err());
+    }
+    assert_eq!(partition_blobs(&small), before, "state untouched");
+}
+
+// Frozen from PR 20's tree.
+
+const NOC6_137: &[(usize, u64)] = &[
+    (5702, 0x9b34d3fe15cdf3c7),
+    (5686, 0xe26d08d55514491d),
+    (5750, 0x04ca5da556ee4dd9),
+    (32216, 0x92b8fdd24b82cdfe),
+];
+
+const SOC24_300: &[(usize, u64)] = &[
+    (7230, 0xd291b97603744fce),
+    (7902, 0x36a3e9c0f66fe634),
+    (7662, 0x4c08829970570053),
+    (8158, 0xf267a78081532054),
+    (3105, 0x063bba6969f18bae),
+];
+
+const INTERP_23: &[(usize, u64)] = &[(308, 0xe2e3d0928c7c4d7f)];
