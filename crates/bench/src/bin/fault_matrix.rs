@@ -311,7 +311,7 @@ fn sliced_seeds() -> Vec<u64> {
 /// The `--sliced` cells: every seed becomes one lane of a single
 /// bit-sliced batch over the monolithic 6-tile ring (same topology as
 /// the transport matrix), behaviors seeded per lane via the models'
-/// `seed` key parameter. Verify mode inside [`BatchRun`] replays each
+/// `seed` key parameter. Verify mode inside `BatchRun` replays each
 /// lane sequentially on the compiled engine and cross-checks digests, so
 /// a miscompiled lane kernel (or an impure behavioral model) fails the
 /// build exactly like a transport-parity mismatch.

@@ -261,7 +261,7 @@ commands:
   detach | quit        end the session (the run continues)";
 
 /// Runs the line-oriented cockpit REPL over an attached session until
-/// `detach`/EOF. Commands and replies are documented under [`HELP`];
+/// `detach`/EOF. Commands and replies are documented under `help`;
 /// every reply is a single line so piped sessions are greppable.
 ///
 /// # Errors

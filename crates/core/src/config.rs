@@ -818,7 +818,7 @@ impl RunConfig {
         }
     }
 
-    /// Resolves the execution backend through [`Backend::from_str`]
+    /// Resolves the execution backend through [`Backend`]'s `FromStr`
     /// (the single parser the CLI flag also uses). The legacy separate
     /// `"threads"` count field still applies when the backend string
     /// itself doesn't carry one.

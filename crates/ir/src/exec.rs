@@ -8,12 +8,12 @@
 //! Three ideas carry the speedup:
 //!
 //! * **Word packing** — every definition whose operands and result all fit
-//!   in 64 bits compiles to straight-line [`NOp`]s over a dense `u64`
+//!   in 64 bits compiles to straight-line `NOp`s over a dense `u64`
 //!   temporary arena. Results are written back into the canonical
 //!   [`Bits`] slots in place ([`Bits::set_from_u64`]), so the fast path
 //!   performs zero heap allocations once warm. Anything wider — or any
 //!   construct whose runtime width is dynamic (width-mismatched mux
-//!   arms) — falls back to the tree-walking [`CExpr`] evaluator for that
+//!   arms) — falls back to the tree-walking `CExpr` evaluator for that
 //!   one definition, preserving exact reference semantics including its
 //!   documented panics.
 //! * **Slot-indexed extern bindings** — extern behavioral models keep a

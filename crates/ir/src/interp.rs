@@ -19,13 +19,7 @@ use crate::ast::*;
 use crate::bits::{Bits, Width};
 use crate::error::{IrError, Result};
 use crate::exec::ExecEngine;
-use std::any::Any;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-
-/// Opaque captured state of an [`ExternBehavior`] model, produced by
-/// [`ExternBehavior::snapshot`]. Each implementation downcasts it back
-/// to its own concrete type in [`ExternBehavior::restore`].
-pub type BehaviorSnapshot = Box<dyn Any + Send>;
 
 /// Where a [`PortWriter`] stores the values written through it: the
 /// reference and compiled engines write value slots in place, the
@@ -210,31 +204,15 @@ pub trait ExternBehavior: std::fmt::Debug + Send {
     /// input values.
     fn tick(&mut self, inputs: &BTreeMap<String, Bits>);
 
-    /// Captures the model's private state for checkpoint/rollback.
+    /// Captures the model's private state as a byte blob (see
+    /// [`crate::state`]): what a rollback rewinds to, and what a cluster
+    /// checkpoint ships to the coordinator so a respawned worker can
+    /// resume mid-run.
     ///
     /// `None` (the default) marks the model non-checkpointable, which
-    /// disables [`Interpreter::snapshot`] for any design containing it.
-    /// Plain-data models typically return a boxed clone of themselves.
-    fn snapshot(&self) -> Option<BehaviorSnapshot> {
-        None
-    }
-
-    /// Restores state captured by [`ExternBehavior::snapshot`]; returns
-    /// `false` when the snapshot is not this model's (leaving state
-    /// untouched).
-    fn restore(&mut self, _snap: &BehaviorSnapshot) -> bool {
-        false
-    }
-
-    /// Captures the model's private state as a portable byte blob (see
-    /// [`crate::state`]) that can cross a process boundary — the
-    /// distributed backend's cluster checkpoints ship these to the
-    /// coordinator so a respawned worker can resume mid-run.
-    ///
-    /// `None` (the default) marks the model non-portable, which disables
-    /// [`Interpreter::snapshot_bytes`] for any design containing it.
-    /// Models with plain-data state typically implement both byte
-    /// methods with one [`crate::state_fields!`] invocation.
+    /// disables [`Interpreter::snapshot_bytes`] for any design containing
+    /// it. A model declares its state once, with one
+    /// [`crate::state_fields!`] invocation that implements both methods.
     fn snapshot_bytes(&self) -> Option<Vec<u8>> {
         None
     }
@@ -441,37 +419,44 @@ pub(crate) fn run_extern_comb(
     Ok(())
 }
 
-/// A captured copy of an [`Interpreter`]'s architectural state: every
-/// value slot, every memory's contents, the cycle counter, and the
-/// private state of every extern behavioral model.
+/// Writes an interpreter state blob: cycle counter, every value slot,
+/// every memory's contents and each extern model's own byte blob. This
+/// and [`Interpreter::decode_state`] are the format's one layout;
+/// [`Interpreter::snapshot_bytes`] and
+/// [`crate::slice::SlicedInterpreter::snapshot_lane`] both go through it,
+/// so a lane's blob is a scalar interpreter's blob.
 ///
-/// Produced by [`Interpreter::snapshot`] and consumed by
-/// [`Interpreter::restore_snapshot`], this is the foundation of the
-/// simulator's checkpoint/rollback recovery: restoring a snapshot and
-/// replaying the same inputs reproduces the same trace bit for bit.
-pub struct InterpSnapshot {
+/// `None` when an extern is unbound or its model declares no state.
+pub(crate) fn encode_state<'a, S: std::borrow::Borrow<Bits>>(
+    cycle: u64,
+    slots: impl ExactSizeIterator<Item = S>,
+    mems: impl ExactSizeIterator<Item = &'a Vec<Bits>>,
+    externs: impl ExactSizeIterator<Item = &'a Option<Box<dyn ExternBehavior>>>,
+) -> Option<Vec<u8>> {
+    let mut enc = crate::state::StateEnc::new();
+    enc.u64(cycle);
+    enc.u64(slots.len() as u64);
+    for s in slots {
+        enc.bits(s.borrow());
+    }
+    enc.u64(mems.len() as u64);
+    for m in mems {
+        enc.item(m);
+    }
+    enc.u64(externs.len() as u64);
+    for e in externs {
+        enc.bytes(&e.as_ref()?.snapshot_bytes()?);
+    }
+    Some(enc.into_bytes())
+}
+
+/// A decoded interpreter state blob, already checked against the
+/// netlist it is about to be restored into.
+pub(crate) struct DecodedState<'a> {
+    pub(crate) cycle: u64,
     pub(crate) slots: Vec<Bits>,
     pub(crate) mems: Vec<Vec<Bits>>,
-    pub(crate) cycle: u64,
-    pub(crate) externs: Vec<BehaviorSnapshot>,
-}
-
-impl std::fmt::Debug for InterpSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InterpSnapshot")
-            .field("slots", &self.slots.len())
-            .field("mems", &self.mems.len())
-            .field("cycle", &self.cycle)
-            .field("externs", &self.externs.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl InterpSnapshot {
-    /// Cycle count at capture time.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
+    pub(crate) externs: Vec<&'a [u8]>,
 }
 
 /// A flattened, schedule-ordered netlist with live state: the interpreter.
@@ -943,143 +928,96 @@ impl Interpreter {
         self.cycle
     }
 
-    /// Captures the full architectural state (slots, memories, cycle,
-    /// extern behavioral model state).
-    ///
-    /// Returns `None` when the netlist contains an extern behavioral
-    /// instance whose model is unbound or does not implement
-    /// [`ExternBehavior::snapshot`]: such state cannot be captured, so
-    /// the design cannot be checkpointed.
-    pub fn snapshot(&self) -> Option<InterpSnapshot> {
-        let mut externs = Vec::with_capacity(self.externs.len());
-        for e in &self.externs {
-            externs.push(e.model.as_ref()?.snapshot()?);
-        }
-        Some(InterpSnapshot {
-            slots: self.slots.clone(),
-            mems: self.mems.iter().map(|m| m.data.clone()).collect(),
-            cycle: self.cycle,
-            externs,
-        })
-    }
-
-    /// Restores state captured by [`Interpreter::snapshot`]. Returns
-    /// `false` (leaving the interpreter untouched) when the snapshot's
-    /// shape does not match this netlist. If an extern model rejects its
-    /// sub-snapshot mid-restore — impossible for snapshots taken from
-    /// the same design — architectural state may be partially restored.
-    pub fn restore_snapshot(&mut self, snap: &InterpSnapshot) -> bool {
-        if snap.slots.len() != self.slots.len()
-            || snap.mems.len() != self.mems.len()
-            || snap.externs.len() != self.externs.len()
-            || snap
-                .mems
-                .iter()
-                .zip(&self.mems)
-                .any(|(s, m)| s.len() != m.data.len())
-        {
-            return false;
-        }
-        self.slots.clone_from(&snap.slots);
-        for (m, s) in self.mems.iter_mut().zip(&snap.mems) {
-            m.data.clone_from(s);
-        }
-        self.cycle = snap.cycle;
-        self.invalidate_tape();
-        for (e, s) in self.externs.iter_mut().zip(&snap.externs) {
-            let restored = e.model.as_mut().is_some_and(|model| model.restore(s));
-            if !restored {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Captures the full architectural state as a portable byte blob:
-    /// slots, memories, cycle counter and each extern behavioral model's
-    /// own byte snapshot. Unlike [`Interpreter::snapshot`] the result can
-    /// cross a process boundary, which is what distributed cluster
-    /// checkpoints need.
+    /// Captures the full architectural state as a byte blob: slots,
+    /// memories, cycle counter and each extern behavioral model's own
+    /// blob. It is what a rollback rewinds to and, being plain bytes,
+    /// what a cluster checkpoint sends across a process boundary.
     ///
     /// Returns `None` when any extern instance is unbound or its model
     /// does not implement [`ExternBehavior::snapshot_bytes`].
     pub fn snapshot_bytes(&self) -> Option<Vec<u8>> {
-        let mut enc = crate::state::StateEnc::new();
-        enc.u64(self.cycle);
-        enc.item(&self.slots);
-        enc.u64(self.mems.len() as u64);
-        for m in &self.mems {
-            enc.item(&m.data);
-        }
-        enc.u64(self.externs.len() as u64);
-        for e in &self.externs {
-            enc.bytes(&e.model.as_ref()?.snapshot_bytes()?);
-        }
-        Some(enc.into_bytes())
+        encode_state(
+            self.cycle,
+            self.slots.iter(),
+            self.mems.iter().map(|m| &m.data),
+            self.externs.iter().map(|e| &e.model),
+        )
     }
 
-    /// Restores state captured by [`Interpreter::snapshot_bytes`].
-    /// Returns `false` when the blob's shape does not match this netlist
-    /// (slot/memory/extern counts, memory depths, slot widths); as with
-    /// [`Interpreter::restore_snapshot`], an extern model rejecting its
-    /// sub-blob mid-restore can leave architectural state partially
-    /// restored, but that cannot happen for blobs taken from the same
-    /// design.
-    pub fn restore_snapshot_bytes(&mut self, bytes: &[u8]) -> bool {
-        let mut dec = crate::state::StateDec::new(bytes);
-        let Some(cycle) = dec.u64() else { return false };
-        let Some(slots) = dec.item::<Vec<Bits>>() else {
-            return false;
-        };
-        if slots.len() != self.slots.len()
-            || slots
-                .iter()
-                .zip(&self.slots)
-                .any(|(a, b)| a.width() != b.width())
-        {
+    /// Whether `got` could be this netlist's slot values: one per slot,
+    /// each as wide as the value the slot holds now. Only a node whose
+    /// width varies at run time (width-mismatched mux arms, see
+    /// [`crate::slice`]) may differ, which is worked out only when some
+    /// width does.
+    fn slot_widths_fit(&self, got: &[Bits]) -> bool {
+        let differs = |(a, b): (&Bits, &Bits)| a.width() != b.width();
+        if got.len() != self.slots.len() {
             return false;
         }
-        let Some(n_mems) = dec.u64() else {
-            return false;
-        };
-        if n_mems != self.mems.len() as u64 {
-            return false;
+        if !got.iter().zip(&self.slots).any(differs) {
+            return true;
+        }
+        let widths: Vec<u32> = self.slots.iter().map(|b| b.width().get()).collect();
+        let exact = crate::slice::exact_slots(self, &widths);
+        let pairs = got.iter().zip(&self.slots);
+        !pairs.zip(exact).any(|(pair, exact)| exact && differs(pair))
+    }
+
+    /// Decodes a state blob against this netlist: slot, memory and extern
+    /// counts, every slot's width, every memory's depth and word width
+    /// must match, and no byte may be left over.
+    pub(crate) fn decode_state<'a>(&self, bytes: &'a [u8]) -> Option<DecodedState<'a>> {
+        let mut dec = crate::state::StateDec::new(bytes);
+        let cycle = dec.u64()?;
+        let slots = dec.item::<Vec<Bits>>()?;
+        if !self.slot_widths_fit(&slots) {
+            return None;
+        }
+        if dec.u64()? != self.mems.len() as u64 {
+            return None;
         }
         let mut mems = Vec::with_capacity(self.mems.len());
         for m in &self.mems {
-            let Some(data) = dec.item::<Vec<Bits>>() else {
-                return false;
-            };
-            if data.len() != m.data.len() {
-                return false;
+            let data = dec.item::<Vec<Bits>>()?;
+            if data.len() != m.data.len() || data.iter().any(|w| w.width() != m.width) {
+                return None;
             }
             mems.push(data);
         }
-        let Some(n_ext) = dec.u64() else { return false };
-        if n_ext != self.externs.len() as u64 {
+        if dec.u64()? != self.externs.len() as u64 {
+            return None;
+        }
+        let externs = (0..self.externs.len())
+            .map(|_| dec.bytes())
+            .collect::<Option<Vec<_>>>()?;
+        dec.done().then_some(DecodedState {
+            cycle,
+            slots,
+            mems,
+            externs,
+        })
+    }
+
+    /// Restores state captured by [`Interpreter::snapshot_bytes`].
+    /// Returns `false`, leaving the interpreter untouched, when the blob
+    /// does not decode or its shape does not match this netlist. An
+    /// extern model rejecting its sub-blob after that can leave
+    /// architectural state partially restored; that cannot happen for
+    /// blobs taken from the same design.
+    pub fn restore_snapshot_bytes(&mut self, bytes: &[u8]) -> bool {
+        let Some(state) = self.decode_state(bytes) else {
             return false;
-        }
-        let mut ext_blobs = Vec::with_capacity(self.externs.len());
-        for _ in 0..self.externs.len() {
-            let Some(b) = dec.bytes() else { return false };
-            ext_blobs.push(b);
-        }
-        if !dec.done() {
-            return false;
-        }
-        self.slots = slots;
-        for (m, data) in self.mems.iter_mut().zip(mems) {
+        };
+        self.slots = state.slots;
+        for (m, data) in self.mems.iter_mut().zip(state.mems) {
             m.data = data;
         }
-        self.cycle = cycle;
+        self.cycle = state.cycle;
         self.invalidate_tape();
-        for (e, b) in self.externs.iter_mut().zip(ext_blobs) {
-            let restored = e.model.as_mut().is_some_and(|model| model.restore_bytes(b));
-            if !restored {
-                return false;
-            }
-        }
-        true
+        self.externs
+            .iter_mut()
+            .zip(state.externs)
+            .all(|(e, b)| e.model.as_mut().is_some_and(|model| model.restore_bytes(b)))
     }
 
     /// Hierarchical paths of every elaborated signal, sorted. Stable for
@@ -1768,8 +1706,7 @@ mod tests {
         for _ in 0..3 {
             sim.step().unwrap();
         }
-        let snap = sim.snapshot().unwrap();
-        assert_eq!(snap.cycle(), 3);
+        let snap = sim.snapshot_bytes().unwrap();
 
         // Diverge: different writes, more cycles.
         sim.poke("wdata", Bits::from_u64(0xEE, 8));
@@ -1780,7 +1717,7 @@ mod tests {
         let diverged = sim.peek("out").clone();
 
         // Roll back and replay the original inputs: identical state.
-        assert!(sim.restore_snapshot(&snap));
+        assert!(sim.restore_snapshot_bytes(&snap));
         assert_eq!(sim.cycle(), 3);
         sim.poke("wdata", Bits::from_u64(0x11, 8));
         sim.eval().unwrap();
@@ -1794,7 +1731,7 @@ mod tests {
         let mut sim = Interpreter::new(&extern_circuit()).unwrap();
         sim.bind_behavior("d", Box::new(Doubler::default()))
             .unwrap();
-        assert!(sim.snapshot().is_none());
+        assert!(sim.snapshot_bytes().is_none());
     }
 
     #[test]

@@ -64,9 +64,7 @@ pub use bits::{Bits, Width};
 pub use comb::{CombAnalysis, ModuleCombInfo};
 pub use error::{IrError, Result};
 pub use exec::{ExecEngine, ExecStats};
-pub use interp::{
-    BehaviorSnapshot, ExternBehavior, InterpSnapshot, Interpreter, PortTable, PortWriter,
-};
+pub use interp::{ExternBehavior, Interpreter, PortTable, PortWriter};
 pub use slice::{SliceCoverage, SlicedInterpreter};
 pub use state::{StateDec, StateEnc, StateItem};
 pub use tape::{circuit_from_tape, circuit_to_tape};

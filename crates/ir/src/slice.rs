@@ -5,7 +5,7 @@
 //! `u64` **plane** whose bit *k* belongs to scenario (lane) *k*, and an
 //! N-bit signal becomes N consecutive planes. A bitwise instruction over
 //! planes then evaluates all 64 lanes at once, and word-level arithmetic
-//! lowers to ripple-carry / bit-serial **lane kernels** ([`SOp`]) that
+//! lowers to ripple-carry / bit-serial **lane kernels** (`SOp`) that
 //! still amortize one instruction across 64 scenarios — the GSIM/RTeAAL
 //! reformulation of RTL simulation as data-parallel evaluation, applied
 //! to the paper's batch-of-seeds use case (many configurations of the
@@ -59,7 +59,7 @@ use crate::bits::{Bits, Width};
 use crate::error::{IrError, Result};
 use crate::exec::ExecEngine;
 use crate::interp::{
-    sync_extern_inputs, CExpr, DefKind, ExternBehavior, ExternInst, InterpSnapshot, Interpreter,
+    encode_state, sync_extern_inputs, CExpr, DefKind, ExternBehavior, ExternInst, Interpreter,
     PortSink, PortWriter,
 };
 
@@ -1849,65 +1849,43 @@ impl SlicedInterpreter {
         h.finish()
     }
 
-    /// Captures one lane's full architectural state in the same
-    /// [`InterpSnapshot`] format a plain [`Interpreter`] produces, so a
-    /// lane can be rehydrated into a sequential interpreter (or restored
-    /// into a lane). `None` when any lane model is unbound or
-    /// non-checkpointable.
-    pub fn snapshot_lane(&self, lane: u32) -> Option<InterpSnapshot> {
+    /// Captures one lane's full architectural state as the byte blob a
+    /// plain [`Interpreter::snapshot_bytes`] produces, so a lane can be
+    /// rehydrated into a sequential interpreter (or restored into a
+    /// lane). `None` when any lane model is unbound or declares no state.
+    pub fn snapshot_lane(&self, lane: u32) -> Option<Vec<u8>> {
         assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
-        let mut externs = Vec::with_capacity(self.models.len());
-        for (ei, lm) in self.models.iter().enumerate() {
-            // While an extern is lane-coalesced, only lane 0's model is
-            // live (the parked lanes are stale until a fork); its state
-            // *is* every lane's state.
-            let src = if self.ext_uniform[ei] {
-                0
-            } else {
-                lane as usize
-            };
-            externs.push(lm[src].as_ref()?.snapshot()?);
-        }
-        let slots = (0..self.tape.widths.len())
-            .map(|s| self.read_slot(lane, s))
-            .collect();
-        let mems = self
-            .lane_mems
-            .iter()
-            .map(|m| m[lane as usize].clone())
-            .collect();
-        Some(InterpSnapshot {
-            slots,
-            mems,
-            cycle: self.cycle,
-            externs,
-        })
+        let l = lane as usize;
+        // While an extern is lane-coalesced, only lane 0's model is
+        // live (the parked lanes are stale until a fork); its state
+        // *is* every lane's state.
+        let models = self.models.iter().zip(&self.ext_uniform);
+        encode_state(
+            self.cycle,
+            (0..self.tape.widths.len()).map(|s| self.read_slot(lane, s)),
+            self.lane_mems.iter().map(|m| &m[l]),
+            models.map(|(lm, uniform)| &lm[if *uniform { 0 } else { l }]),
+        )
     }
 
-    /// Restores one lane from a snapshot taken by
-    /// [`SlicedInterpreter::snapshot_lane`] or [`Interpreter::snapshot`]
-    /// over the same design. Returns `false` (lane untouched) on a shape
-    /// mismatch.
+    /// Restores one lane from a blob taken by
+    /// [`SlicedInterpreter::snapshot_lane`] or
+    /// [`Interpreter::snapshot_bytes`] over the same design. Returns
+    /// `false` (lane untouched) when the blob does not decode or does not
+    /// fit the design.
     ///
-    /// Lanes share one cycle counter, so this sets it from the snapshot:
-    /// restore coherent same-cycle snapshots across all live lanes.
-    pub fn restore_lane(&mut self, lane: u32, snap: &InterpSnapshot) -> bool {
+    /// Lanes share one cycle counter, so this sets it from the blob:
+    /// restore coherent same-cycle blobs across all live lanes.
+    pub fn restore_lane(&mut self, lane: u32, bytes: &[u8]) -> bool {
         assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
+        let Some(state) = self.base.decode_state(bytes) else {
+            return false;
+        };
         // Restoring one lane's model breaks lane uniformity: fork every
         // coalesced extern into real per-lane models first.
         self.materialize_lanes();
-        if snap.slots.len() != self.tape.widths.len()
-            || snap.mems.len() != self.lane_mems.len()
-            || snap.externs.len() != self.models.len()
-            || snap
-                .mems
-                .iter()
-                .zip(&self.lane_mems)
-                .any(|(s, m)| s.len() != m[lane as usize].len())
-        {
-            return false;
-        }
-        for (s, v) in snap.slots.iter().enumerate() {
+        let l = lane as usize;
+        for (s, v) in state.slots.iter().enumerate() {
             if self.tape.exact[s] {
                 scatter_bits(
                     &mut self.planes,
@@ -1917,22 +1895,17 @@ impl SlicedInterpreter {
                     v,
                 );
             } else {
-                self.scalars[self.tape.scalar_idx[s] as usize][lane as usize].clone_from(v);
+                self.scalars[self.tape.scalar_idx[s] as usize][l].clone_from(v);
             }
         }
-        for (mi, data) in snap.mems.iter().enumerate() {
-            self.lane_mems[mi][lane as usize].clone_from(data);
+        for (mem, data) in self.lane_mems.iter_mut().zip(state.mems) {
+            mem[l] = data;
         }
-        self.cycle = snap.cycle;
-        for (ext, s) in snap.externs.iter().enumerate() {
-            let restored = self.models[ext][lane as usize]
-                .as_mut()
-                .is_some_and(|m| m.restore(s));
-            if !restored {
-                return false;
-            }
-        }
-        true
+        self.cycle = state.cycle;
+        self.models
+            .iter_mut()
+            .zip(state.externs)
+            .all(|(lm, b)| lm[l].as_mut().is_some_and(|m| m.restore_bytes(b)))
     }
 
     /// Settles all combinational logic across every lane: sliced

@@ -1,21 +1,22 @@
-//! Portable byte serialization of architectural state.
+//! Byte serialization of architectural state: the one captured form.
 //!
-//! [`Interpreter::snapshot`](crate::Interpreter::snapshot) captures state
-//! as in-memory Rust values (`Box<dyn Any>`), which is all an
-//! intra-process rollback needs. Surviving a *process* is different: a
-//! distributed checkpoint must cross the wire to the coordinator and come
-//! back into a freshly spawned worker, so every piece of state needs a
-//! self-describing byte encoding. This module is that encoding — a tiny
-//! big-endian field codec ([`StateEnc`]/[`StateDec`]) plus the
-//! [`StateItem`] trait and the [`state_fields!`] macro that let each
-//! behavioral model declare its serializable fields in one line.
+//! Every capture of simulation state is a byte blob in this encoding,
+//! whoever asks for it: an in-process rollback, a lane of the bit-sliced
+//! engine rehydrating into a scalar interpreter, a pooled worker
+//! rewinding to cycle 0, a cluster checkpoint crossing the wire to the
+//! coordinator and coming back into a freshly spawned worker. The module
+//! is a tiny big-endian field codec ([`StateEnc`]/[`StateDec`]) plus the
+//! [`StateItem`] trait and the [`state_fields!`](crate::state_fields)
+//! macro, with which a behavioral model declares its state once, in one
+//! line.
 //!
 //! The format deliberately carries no schema: both ends are the same
 //! binary simulating the same design (the net handshake cross-checks the
-//! design digest), so field order is the contract. Decoding is
-//! total-length-checked and returns `None` on any shape mismatch, which
-//! restore paths surface as a rejected snapshot rather than corrupt
-//! state.
+//! design digest), so field order is the contract. A blob can still
+//! arrive garbled off a socket, so decoding is total-length-checked,
+//! never reserves more memory than the bytes left could fill, and
+//! returns `None` on any shape mismatch, which restore paths surface as a
+//! rejected snapshot rather than corrupt state.
 
 use crate::bits::Bits;
 use std::collections::VecDeque;
@@ -159,11 +160,14 @@ impl<'a> StateDec<'a> {
         if width > (1 << 20) {
             return None;
         }
+        // Taken before anything is reserved for them: a garbled width
+        // cannot ask for more words than the blob still holds.
         let n_words = usize::try_from(width.div_ceil(64)).ok()?;
-        let mut words = Vec::with_capacity(n_words);
-        for _ in 0..n_words {
-            words.push(u64::from_le_bytes(self.take(8)?.try_into().ok()?));
-        }
+        let raw = self.take(n_words.checked_mul(8)?)?;
+        let words: Vec<u64> = raw
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("chunks of 8")))
+            .collect();
         if width % 64 != 0 {
             if let Some(top) = words.last() {
                 if *top >> (width % 64) != 0 {
@@ -270,8 +274,13 @@ impl<T: StateItem> StateItem for Vec<T> {
         }
     }
     fn take(dec: &mut StateDec) -> Option<Self> {
+        // A garbled count can pass the one-byte-per-element check and
+        // still be many times the blob in `size_of::<T>()` units, so no
+        // more memory is reserved than there are bytes left; elements
+        // narrower on the wire than in memory grow the vector on push.
         let n = dec.len(1)?;
-        let mut out = Vec::with_capacity(n);
+        let room = (dec.buf.len() - dec.pos) / std::mem::size_of::<T>().max(1);
+        let mut out = Vec::with_capacity(n.min(room));
         for _ in 0..n {
             out.push(T::take(dec)?);
         }
@@ -287,12 +296,7 @@ impl<T: StateItem> StateItem for VecDeque<T> {
         }
     }
     fn take(dec: &mut StateDec) -> Option<Self> {
-        let n = dec.len(1)?;
-        let mut out = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            out.push_back(T::take(dec)?);
-        }
-        Some(out)
+        Vec::take(dec).map(VecDeque::from)
     }
 }
 

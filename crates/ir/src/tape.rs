@@ -517,7 +517,7 @@ impl<'a> Cur<'a> {
 /// Rejects bad magic, unknown versions, truncated buffers, and trailing
 /// garbage with [`IrError::Malformed`]. The decoded circuit is *not*
 /// typechecked — callers that accept tapes from untrusted peers should
-/// run [`crate::typecheck::check`] before elaborating.
+/// run [`crate::typecheck::validate`] before elaborating.
 pub fn circuit_from_tape(bytes: &[u8]) -> Result<Circuit> {
     let mut cur = Cur { buf: bytes, pos: 0 };
     if cur.take(4)? != TAPE_MAGIC {

@@ -9,7 +9,6 @@
 //! dirty-skipping on/off.
 
 use fireaxe_ir::build::{ModuleBuilder, Sig};
-use fireaxe_ir::interp::BehaviorSnapshot;
 use fireaxe_ir::{
     BinOp, Bits, Circuit, CombPath, ExecEngine, Expr, ExternBehavior, ExternInfo, Interpreter,
     Module, Port, PortWriter, ResourceHints, UnOp,
@@ -63,18 +62,7 @@ impl ExternBehavior for XorAcc {
             .wrapping_mul(3)
             .wrapping_add(inputs["x"].to_u64());
     }
-    fn snapshot(&self) -> Option<BehaviorSnapshot> {
-        Some(Box::new(self.clone()))
-    }
-    fn restore(&mut self, snap: &BehaviorSnapshot) -> bool {
-        match snap.downcast_ref::<Self>() {
-            Some(s) => {
-                *self = s.clone();
-                true
-            }
-            None => false,
-        }
-    }
+    fireaxe_ir::state_fields!(state);
 }
 
 fn xacc_module() -> Module {
@@ -353,12 +341,8 @@ fn run_case(seed: u64) {
         }
         compare_all(seed, &format!("cycle {c}"), &paths, &gold, &fast);
         if c == mid {
-            snap_fast = fast.snapshot();
-            assert_eq!(
-                snap_fast.is_some(),
-                gold.snapshot().is_some(),
-                "seed {seed}"
-            );
+            snap_fast = fast.snapshot_bytes();
+            assert_eq!(snap_fast, gold.snapshot_bytes(), "seed {seed}");
         }
         if switch_engines && c == mid + 1 {
             fast.set_engine(ExecEngine::Reference);
@@ -377,7 +361,7 @@ fn run_case(seed: u64) {
     // Snapshot/restore round trip: replay the recorded tail on the
     // compiled sim and it must land exactly on the reference's final state.
     if let Some(snap) = snap_fast {
-        assert!(fast.restore_snapshot(&snap), "seed {seed}");
+        assert!(fast.restore_snapshot_bytes(&snap), "seed {seed}");
         assert_eq!(fast.cycle(), mid as u64, "seed {seed}");
         for cycle_pokes in &pokes[mid..] {
             for (n, v) in cycle_pokes {

@@ -11,11 +11,10 @@
 //! on a plain interpreter running the embedded sliced engine.
 
 use fireaxe_ir::build::{ModuleBuilder, Sig};
-use fireaxe_ir::interp::BehaviorSnapshot;
 use fireaxe_ir::slice::{ScalarReason, SliceUnit};
 use fireaxe_ir::{
-    BinOp, Bits, Circuit, CombPath, ExecEngine, Expr, ExternBehavior, ExternInfo, InterpSnapshot,
-    Interpreter, Module, Port, PortWriter, ResourceHints, SlicedInterpreter, UnOp,
+    BinOp, Bits, Circuit, CombPath, ExecEngine, Expr, ExternBehavior, ExternInfo, Interpreter,
+    Module, Port, PortWriter, ResourceHints, SlicedInterpreter, UnOp,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -66,18 +65,6 @@ impl ExternBehavior for XorAcc {
             .state
             .wrapping_mul(3)
             .wrapping_add(inputs["x"].to_u64());
-    }
-    fn snapshot(&self) -> Option<BehaviorSnapshot> {
-        Some(Box::new(self.clone()))
-    }
-    fn restore(&mut self, snap: &BehaviorSnapshot) -> bool {
-        match snap.downcast_ref::<Self>() {
-            Some(s) => {
-                *self = s.clone();
-                true
-            }
-            None => false,
-        }
     }
     // Byte snapshots make identically-bound lanes eligible for the
     // engine's copy-on-write lane coalescing, so these cases also cover
@@ -426,7 +413,7 @@ fn run_batch_case(seed: u64) {
         pokes.push(per_lane);
     }
 
-    let mut snaps: Option<Vec<InterpSnapshot>> = None;
+    let mut snaps: Option<Vec<Vec<u8>>> = None;
     for (c, per_lane) in pokes.iter().enumerate() {
         for (lane, lane_pokes) in per_lane.iter().enumerate() {
             for (n, v) in lane_pokes {
@@ -456,14 +443,10 @@ fn run_batch_case(seed: u64) {
             );
         }
         if c == mid {
-            let lane_snaps: Option<Vec<InterpSnapshot>> =
-                (0..lanes).map(|l| sliced.snapshot_lane(l)).collect();
-            assert_eq!(
-                lane_snaps.is_some(),
-                refs[0].snapshot().is_some(),
-                "seed {seed}"
-            );
-            snaps = lane_snaps;
+            // A lane's blob is the blob of a scalar run of that lane.
+            snaps = (0..lanes).map(|l| sliced.snapshot_lane(l)).collect();
+            let ref_snaps = refs.iter().map(Interpreter::snapshot_bytes).collect();
+            assert_eq!(snaps, ref_snaps, "seed {seed}");
         }
         sliced.tick();
         for r in &mut refs {
@@ -558,7 +541,8 @@ fn run_embedded_case(seed: u64) {
         }
         assert_eq!(gold.state_digest(), fast.state_digest(), "seed {seed}");
         if c == mid {
-            snap_fast = fast.snapshot();
+            snap_fast = fast.snapshot_bytes();
+            assert_eq!(snap_fast, gold.snapshot_bytes(), "seed {seed}");
         }
         // Hop through every engine pairing mid-run; state must carry over.
         if switch_engines && c == mid + 1 {
@@ -575,7 +559,7 @@ fn run_embedded_case(seed: u64) {
     assert_eq!(gold.state_digest(), fast.state_digest(), "seed {seed}");
 
     if let Some(snap) = snap_fast {
-        assert!(fast.restore_snapshot(&snap), "seed {seed}");
+        assert!(fast.restore_snapshot_bytes(&snap), "seed {seed}");
         for cycle_pokes in &pokes[mid..] {
             for (n, v) in cycle_pokes {
                 fast.poke(n, v.clone());
@@ -699,7 +683,7 @@ fn lane_coalescing_forks_on_divergent_pokes() {
     gold.bind_behavior("xa", Box::new(XorAcc::default()))
         .unwrap();
     gold.reset();
-    assert!(gold.restore_snapshot(&snap));
+    assert!(gold.restore_snapshot_bytes(&snap));
     replay.poke_u64(2, "a", 0x0F0F).unwrap();
     gold.poke("a", Bits::from_u64(0x0F0F, 16));
     replay.eval().unwrap();

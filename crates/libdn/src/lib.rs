@@ -28,5 +28,5 @@ pub mod target;
 pub use channel::ChannelSpec;
 pub use error::{LibdnError, Result};
 pub use fame5::Fame5Group;
-pub use libdn::{LiBdn, LiBdnSnapshot, LiBdnSpec, OutputChannelSpec, DEFAULT_CHANNEL_CAPACITY};
-pub use target::{BehavioralTarget, CycleModel, InterpreterTarget, TargetModel, TargetSnapshot};
+pub use libdn::{LiBdn, LiBdnSpec, OutputChannelSpec, DEFAULT_CHANNEL_CAPACITY};
+pub use target::{BehavioralTarget, CycleModel, InterpreterTarget, TargetModel};

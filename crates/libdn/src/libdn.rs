@@ -15,7 +15,7 @@
 
 use crate::channel::ChannelSpec;
 use crate::error::{LibdnError, Result};
-use crate::target::{TargetModel, TargetSnapshot};
+use crate::target::TargetModel;
 use fireaxe_ir::Bits;
 use std::collections::VecDeque;
 
@@ -79,36 +79,6 @@ impl LiBdnSpec {
             .iter()
             .map(|o| u64::from(o.channel.width().get()))
             .sum()
-    }
-}
-
-/// Captured state of a running [`LiBdn`]: channel queues, output FSMs,
-/// cycle counters, and the wrapped target model's own snapshot.
-pub struct LiBdnSnapshot {
-    in_queues: Vec<VecDeque<Bits>>,
-    out_queues: Vec<VecDeque<Bits>>,
-    fired: Vec<bool>,
-    target_cycle: u64,
-    host_cycles: u64,
-    target: TargetSnapshot,
-}
-
-impl std::fmt::Debug for LiBdnSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LiBdnSnapshot")
-            .field("target_cycle", &self.target_cycle)
-            .field("host_cycles", &self.host_cycles)
-            .field("in_queues", &self.in_queues)
-            .field("out_queues", &self.out_queues)
-            .field("fired", &self.fired)
-            .finish_non_exhaustive()
-    }
-}
-
-impl LiBdnSnapshot {
-    /// Target cycle count at capture time.
-    pub fn target_cycle(&self) -> u64 {
-        self.target_cycle
     }
 }
 
@@ -510,44 +480,12 @@ impl LiBdn {
             .collect()
     }
 
-    /// Captures queue/FSM state plus the wrapped model's state.
+    /// Captures queue/FSM state plus the wrapped model's state as a byte
+    /// blob: channel queues, output FSMs, cycle counters and the model's
+    /// own blob. Rollback rewinds to it in process, and the distributed
+    /// backend ships it in cluster checkpoints.
     ///
     /// Returns `None` when the model cannot be snapshotted (see
-    /// [`TargetModel::snapshot`]).
-    pub fn snapshot(&self) -> Option<LiBdnSnapshot> {
-        Some(LiBdnSnapshot {
-            in_queues: self.in_queues.clone(),
-            out_queues: self.out_queues.clone(),
-            fired: self.fired.clone(),
-            target_cycle: self.target_cycle,
-            host_cycles: self.host_cycles,
-            target: self.model.snapshot()?,
-        })
-    }
-
-    /// Restores state captured by [`LiBdn::snapshot`]. Returns `false`
-    /// when the snapshot does not fit this LI-BDN or its model.
-    pub fn restore(&mut self, snap: &LiBdnSnapshot) -> bool {
-        if snap.in_queues.len() != self.in_queues.len()
-            || snap.out_queues.len() != self.out_queues.len()
-            || snap.fired.len() != self.fired.len()
-            || !self.model.restore(&snap.target)
-        {
-            return false;
-        }
-        self.in_queues.clone_from(&snap.in_queues);
-        self.out_queues.clone_from(&snap.out_queues);
-        self.fired.clone_from(&snap.fired);
-        self.target_cycle = snap.target_cycle;
-        self.host_cycles = snap.host_cycles;
-        true
-    }
-
-    /// Captures queue/FSM state plus the wrapped model's state as a
-    /// portable byte blob that can cross a process boundary (the
-    /// distributed backend ships these in cluster checkpoints).
-    ///
-    /// Returns `None` when the model is non-portable (see
     /// [`TargetModel::snapshot_bytes`]).
     pub fn snapshot_bytes(&self) -> Option<Vec<u8>> {
         let mut enc = fireaxe_ir::StateEnc::new();
@@ -1092,14 +1030,13 @@ mod tests {
             bdn.host_step().unwrap();
         }
         bdn.push_input(0, Bits::from_u64(5, 8)).unwrap();
-        let snap = bdn.snapshot().unwrap();
-        assert_eq!(snap.target_cycle(), 1);
+        let snap = bdn.snapshot_bytes().unwrap();
 
         // Diverge, then roll back.
         while bdn.target_cycle() < 2 {
             bdn.host_step().unwrap();
         }
-        assert!(bdn.restore(&snap));
+        assert!(bdn.restore_bytes(&snap));
         assert_eq!(bdn.target_cycle(), 1);
         assert_eq!(bdn.input_pending(0), 1, "queued token restored");
         // Replay: the same outputs emerge (reset value, then 9).

@@ -9,14 +9,8 @@
 //! BOOM-tile-sized components whose RTL we do not model).
 
 use crate::error::{LibdnError, Result};
-use fireaxe_ir::{Bits, Circuit, InterpSnapshot, Interpreter, Width};
-use std::any::Any;
+use fireaxe_ir::{Bits, Circuit, Interpreter, Width};
 use std::collections::BTreeMap;
-
-/// Opaque captured state of a [`TargetModel`], produced by
-/// [`TargetModel::snapshot`]. Each implementation downcasts it back to
-/// its own concrete type in [`TargetModel::restore`].
-pub type TargetSnapshot = Box<dyn Any + Send>;
 
 /// A cycle-accurate model of a target design with named ports.
 ///
@@ -115,31 +109,18 @@ pub trait TargetModel: std::fmt::Debug + Send {
         None
     }
 
-    /// Captures the model's architectural state for checkpoint/rollback,
-    /// or `None` when the model cannot be snapshotted (the default —
-    /// behavioral models hold arbitrary private state).
-    fn snapshot(&self) -> Option<TargetSnapshot> {
-        None
-    }
-
-    /// Restores state captured by [`TargetModel::snapshot`]; returns
-    /// `false` (leaving the model untouched) when the snapshot is not one
-    /// of this model's or does not fit.
-    fn restore(&mut self, _snap: &TargetSnapshot) -> bool {
-        false
-    }
-
-    /// Captures the model's architectural state as a portable byte blob
-    /// (see `fireaxe_ir::state`) that can cross a process boundary —
-    /// the distributed backend's cluster checkpoints are built from
-    /// these. `None` (the default) marks the model non-portable.
+    /// Captures the model's architectural state as a byte blob (see
+    /// `fireaxe_ir::state`): what a rollback rewinds to and what a
+    /// cluster checkpoint ships across a process boundary. `None` (the
+    /// default) marks the model non-checkpointable — behavioral models
+    /// hold arbitrary private state.
     fn snapshot_bytes(&self) -> Option<Vec<u8>> {
         None
     }
 
     /// Restores state captured by [`TargetModel::snapshot_bytes`];
     /// returns `false` (leaving the model untouched) when the blob does
-    /// not decode as this model's state.
+    /// not decode as this model's state or does not fit.
     fn restore_bytes(&mut self, _bytes: &[u8]) -> bool {
         false
     }
@@ -307,19 +288,6 @@ impl TargetModel for InterpreterTarget {
 
     fn peek_mem(&self, path: &str, index: usize) -> Option<Bits> {
         self.interp.peek_mem(path, index).cloned()
-    }
-
-    fn snapshot(&self) -> Option<TargetSnapshot> {
-        self.interp
-            .snapshot()
-            .map(|s| Box::new(s) as TargetSnapshot)
-    }
-
-    fn restore(&mut self, snap: &TargetSnapshot) -> bool {
-        match snap.downcast_ref::<InterpSnapshot>() {
-            Some(s) => self.interp.restore_snapshot(s),
-            None => false,
-        }
     }
 
     fn snapshot_bytes(&self) -> Option<Vec<u8>> {
@@ -537,25 +505,26 @@ mod tests {
             t.eval().unwrap();
             t.tick();
         }
-        let snap = t.snapshot().unwrap();
+        let snap = t.snapshot_bytes().unwrap();
         for _ in 0..6 {
             t.eval().unwrap();
             t.tick();
         }
         t.eval().unwrap();
         assert_eq!(t.peek("out").to_u64(), 10);
-        assert!(t.restore(&snap));
+        assert!(t.restore_bytes(&snap));
         t.eval().unwrap();
         assert_eq!(t.peek("out").to_u64(), 4);
         // A foreign snapshot is rejected without touching state.
-        let foreign: TargetSnapshot = Box::new(17u32);
-        assert!(!t.restore(&foreign));
+        let before = t.snapshot_bytes();
+        assert!(!t.restore_bytes(&17u32.to_be_bytes()));
+        assert_eq!(t.snapshot_bytes(), before);
     }
 
     #[test]
     fn behavioral_target_has_no_snapshot() {
         let t = BehavioralTarget::new(Echoer::default());
-        assert!(TargetModel::snapshot(&t).is_none());
+        assert!(t.snapshot_bytes().is_none());
     }
 
     #[test]

@@ -49,10 +49,12 @@ pub const PROTOCOL_MAGIC: u32 = 0x4641_584e;
 /// [`Msg::JobAccepted`], [`Msg::JobStatus`], [`Msg::JobStatusReply`],
 /// [`Msg::JobResult`], [`Msg::CancelJob`], [`Msg::EvictJob`]), and the
 /// binary circuit tape in [`Topology`].
-pub const PROTOCOL_VERSION: u32 = 5;
+/// v6: [`Topology`] carries the circuit once, as the tape; the printed
+/// text is gone.
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Upper bound on a single message payload (the topology message
-/// carries a whole printed circuit; token messages are tiny).
+/// carries a whole circuit tape; token messages are tiny).
 pub const MAX_MSG_LEN: u32 = 64 << 20;
 
 // ---------------------------------------------------------------------
@@ -188,17 +190,14 @@ pub struct Topology {
     pub worker: u32,
     /// Total workers in the cluster (== partition count).
     pub n_workers: u32,
-    /// The monolithic circuit, printed as textual IR.
-    pub circuit: String,
     /// The partition spec; the worker reruns FireRipper locally, which
     /// is deterministic, so all processes agree on node/link indices.
     pub spec: PartitionSpec,
     /// Engine settings the whole cluster must agree on.
     pub settings: WireSettings,
-    /// The circuit as a binary tape (see `fireaxe_ir::tape`). When
-    /// non-empty the worker decodes this instead of parsing `circuit`,
-    /// skipping the text parser; the job server always sends tapes so
-    /// its byte-level cache key and the worker's build input coincide.
+    /// The monolithic circuit as a binary tape (see `fireaxe_ir::tape`):
+    /// the worker's build input and the job server's byte-level cache
+    /// key are the same bytes.
     pub tape: Vec<u8>,
 }
 
@@ -215,7 +214,7 @@ impl Topology {
         let mut rest = Vec::new();
         put_spec(&mut rest, &self.spec);
         put_settings(&mut rest, &self.settings);
-        for bytes in [self.circuit.as_bytes(), &self.tape, &rest] {
+        for bytes in [&self.tape, &rest] {
             h.write_usize(bytes.len());
             h.write(bytes);
         }
@@ -1415,7 +1414,6 @@ pub fn encode_msg(msg: &Msg) -> Vec<u8> {
             put_u8(&mut b, TAG_TOPOLOGY);
             put_u32(&mut b, t.worker);
             put_u32(&mut b, t.n_workers);
-            put_str(&mut b, &t.circuit);
             put_spec(&mut b, &t.spec);
             put_settings(&mut b, &t.settings);
             put_u32(&mut b, t.tape.len() as u32);
@@ -1726,7 +1724,6 @@ pub fn decode_msg(buf: &[u8]) -> DecResult<Msg> {
         TAG_TOPOLOGY => {
             let worker = d.u32()?;
             let n_workers = d.u32()?;
-            let circuit = d.str()?;
             let spec = dec_spec(&mut d)?;
             let settings = dec_settings(&mut d)?;
             let n = d.count(1)?;
@@ -1734,7 +1731,6 @@ pub fn decode_msg(buf: &[u8]) -> DecResult<Msg> {
             Ok(Msg::Topology(Box::new(Topology {
                 worker,
                 n_workers,
-                circuit,
                 spec,
                 settings,
                 tape,
@@ -2320,7 +2316,6 @@ mod tests {
         roundtrip(&Msg::Topology(Box::new(Topology {
             worker: 0,
             n_workers: 2,
-            circuit: "circuit c {}".into(),
             tape: Vec::new(),
             spec: PartitionSpec::fast(vec![]),
             settings,
@@ -2336,7 +2331,6 @@ mod tests {
         let base = Topology {
             worker: 0,
             n_workers: 4,
-            circuit: "circuit c {}".into(),
             tape: vec![1, 2, 3],
             spec,
             settings: WireSettings::default(),
@@ -2365,17 +2359,7 @@ mod tests {
                 ..base.clone()
             },
             Topology {
-                circuit: "circuit d {}".into(),
-                ..base.clone()
-            },
-            Topology {
                 spec: PartitionSpec::fast(base.spec.groups.clone()),
-                ..base.clone()
-            },
-            // The same bytes split differently between text and tape.
-            Topology {
-                circuit: String::new(),
-                tape: [base.circuit.as_bytes(), &base.tape].concat(),
                 ..base.clone()
             },
         ];
@@ -2442,7 +2426,6 @@ mod tests {
         roundtrip(&Msg::Topology(Box::new(Topology {
             worker: 0,
             n_workers: 2,
-            circuit: "circuit c {}".into(),
             tape: Vec::new(),
             spec: PartitionSpec::fast(vec![]),
             settings: settings.clone(),
@@ -2486,7 +2469,6 @@ mod tests {
         roundtrip(&Msg::Topology(Box::new(Topology {
             worker: 1,
             n_workers: 4,
-            circuit: "circuit ring {}".into(),
             tape: vec![0x46, 0x58, 0x54, 0x31, 0x01],
             spec,
             settings,

@@ -502,7 +502,7 @@ pub fn run_cluster_with(
 /// `control` is given, the coordinator accepts `fireaxe attach` clients
 /// on it for the whole run. Clients can pause the cluster at an exact
 /// consistent target cycle (two-round fence negotiation, see
-/// [`PauseState`]), peek and poke signals by node, single-step, resume,
+/// `PauseState`), peek and poke signals by node, single-step, resume,
 /// subscribe to streaming waveform/metric deltas, capture an on-demand
 /// cluster checkpoint, and query per-partition progress — all without
 /// perturbing the simulated trajectory (pokes are cycle-exact staged
@@ -549,7 +549,6 @@ pub fn run_cluster_controlled(
 /// so a repeated submission skips straight to placement.
 #[derive(Clone)]
 pub struct PreparedJob {
-    circuit_text: String,
     tape: Vec<u8>,
     spec: PartitionSpec,
     settings: WireSettings,
@@ -588,14 +587,11 @@ impl PreparedJob {
         &self.settings
     }
 
-    /// The bring-up `Topology` message for one worker: binary tape
-    /// plus printed-text fallback, so tape-aware and tape-less
-    /// builders instantiate the same design.
+    /// The bring-up `Topology` message for one worker.
     fn topology_for(&self, worker: usize) -> Msg {
         Msg::Topology(Box::new(Topology {
             worker: worker as u32,
             n_workers: self.n_workers as u32,
-            circuit: self.circuit_text.clone(),
             tape: self.tape.clone(),
             spec: self.spec.clone(),
             settings: self.settings.clone(),
@@ -674,7 +670,6 @@ fn prepare_job_inner(
         specs.iter().map(|s| nodes_meta[s.from_node].1).collect();
     drop(local);
     Ok(PreparedJob {
-        circuit_text: fireaxe_ir::printer::print_circuit(circuit),
         tape,
         spec: spec.clone(),
         settings: settings.clone(),
@@ -705,12 +700,7 @@ pub fn execute_threads(
     budget: u64,
     setup: &SimSetup,
 ) -> Result<NetRunReport> {
-    let circuit = if prepared.tape.is_empty() {
-        fireaxe_ir::parser::parse_circuit(&prepared.circuit_text)
-            .map_err(|e| cfg_err(format!("threads job circuit parse failed: {e}")))?
-    } else {
-        fireaxe_ir::circuit_from_tape(&prepared.tape).map_err(SimError::Ir)?
-    };
+    let circuit = fireaxe_ir::circuit_from_tape(&prepared.tape).map_err(SimError::Ir)?;
     let design = compile(&circuit, &prepared.spec)
         .map_err(|e| cfg_err(format!("threads job partition compile failed: {e}")))?;
     let s = &prepared.settings;

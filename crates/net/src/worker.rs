@@ -41,13 +41,13 @@
 //!   the token path is a context switch, and the per-cycle critical
 //!   path of a tightly-coupled partitioning is exactly that path.
 //! * **Inline socket reads** — the same argument on the inbound side:
-//!   the service loop drains the socket itself ([`RxWire`]; nonblocking
+//!   the service loop drains the socket itself (`RxWire`; nonblocking
 //!   while active, one short blocking poll when quiescent) instead of
 //!   delegating to a reader thread. A relayed token then wakes the
 //!   worker's service loop directly, cutting one context switch from
 //!   every hop of the cut's token ring. Deadlock freedom previously
 //!   rested on the always-draining reader thread; it now rests on
-//!   [`WireBuf::flush`] draining inbound whenever the send buffer is
+//!   `WireBuf::flush` draining inbound whenever the send buffer is
 //!   full, so no two peers can sit blocked writing to each other.
 //!
 //! Runahead is bounded twice: LI-BDN queues are deepened to the
@@ -394,7 +394,7 @@ fn capture_state(
 /// Restores a [`capture_state`] blob: engine partition state first,
 /// then every flow endpoint resynced to its mark (restoring channel
 /// state without the marks would strand flow-control credits — see
-/// `NetAccess::restore`). Cross-checks the blob's cycle, link identity
+/// `NetAccess::restore_partition_bytes`). Cross-checks the blob's cycle, link identity
 /// and count against this session, and rejects trailing bytes.
 fn restore_state(
     access: &mut NetAccess<'_>,
@@ -529,7 +529,7 @@ pub fn serve_with(listener: &NetListener, setup: &SimSetup, options: &WorkerOpti
 /// Two properties make pooling safe and fast:
 ///
 /// * **Total session reset.** Every piece of per-run state lives in
-///   the session ([`run_session`]'s locals: go-back-N windows,
+///   the session (`run_session`'s locals: go-back-N windows,
 ///   deferred acks, credit budgets, staged batches) or is explicitly
 ///   wiped between jobs (the engine's run accumulators, the cycle-0
 ///   state rewind below), so job N+1 is bit-exact with a fresh-spawned
@@ -704,17 +704,8 @@ fn serve_stream(
     } else {
         // Drop the stale build before the new one allocates.
         *cache = None;
-        // The binary tape is authoritative when present; the printed
-        // text is the tape-less fallback. Both decode to the same
-        // `Circuit` (the tape round-trip is canonical), so the build —
-        // and the design digest — cannot depend on which path ran.
-        let circuit = if topology.tape.is_empty() {
-            fireaxe_ir::parser::parse_circuit(&topology.circuit)
-                .map_err(|e| cfg_err(format!("worker received unparseable circuit IR: {e}")))?
-        } else {
-            fireaxe_ir::circuit_from_tape(&topology.tape)
-                .map_err(|e| cfg_err(format!("worker received a bad circuit tape: {e}")))?
-        };
+        let circuit = fireaxe_ir::circuit_from_tape(&topology.tape)
+            .map_err(|e| cfg_err(format!("worker received a bad circuit tape: {e}")))?;
         // On before the compile: its passes belong in the merged trace.
         trace::set_enabled(true);
         let design = fireaxe_ripper::compile(&circuit, &topology.spec)

@@ -1,8 +1,8 @@
 //! Coordinated rollback across the engine and the socket-protocol
 //! endpoints, over a real partitioned design.
 //!
-//! The engine's `SimCheckpoint` rewinds node state *including* each
-//! channel's cumulative enqueue count — the very count credit-based
+//! A partition blob rewinds node state *including* each channel's
+//! cumulative enqueue count — the very count credit-based
 //! flow control banks against. These tests drive every cross-partition
 //! link of the 4-partition NoC through real `TxLink`/`RxLink` endpoints
 //! (an in-process loopback wire running the actual go-back-N frames)
@@ -86,6 +86,24 @@ fn run_to(access: &mut NetAccess<'_>, txs: &mut [TxLink], rxs: &mut [RxLink], bu
     }
 }
 
+/// What a worker keeps at a cluster barrier, here for every partition
+/// of the design at once: one portable blob each.
+fn checkpoint(access: &NetAccess<'_>) -> Vec<Vec<u8>> {
+    let partitions = (0..access.node_count())
+        .map(|n| access.node_partition(n))
+        .max()
+        .expect("nodes");
+    (0..=partitions)
+        .map(|p| access.snapshot_partition_bytes(p).expect("checkpoint"))
+        .collect()
+}
+
+fn restore(access: &mut NetAccess<'_>, ckpt: &[Vec<u8>]) {
+    for (p, blob) in ckpt.iter().enumerate() {
+        access.restore_partition_bytes(p, blob).expect("restore");
+    }
+}
+
 #[test]
 fn rollback_with_resync_keeps_every_link_window_intact() {
     let (mut sim, mut txs, mut rxs) = build();
@@ -93,7 +111,7 @@ fn rollback_with_resync_keeps_every_link_window_intact() {
     run_to(&mut access, &mut txs, &mut rxs, 50);
 
     // Quiescent: everything delivered, acked, consumed, and credited.
-    let ckpt = access.checkpoint().expect("checkpoint");
+    let ckpt = checkpoint(&access);
     let tx_marks: Vec<_> = txs.iter().map(TxLink::mark).collect();
     let rx_marks: Vec<_> = rxs.iter().map(RxLink::mark).collect();
 
@@ -101,7 +119,7 @@ fn rollback_with_resync_keeps_every_link_window_intact() {
     // (tens of tokens per link per epoch) would wedge every sender.
     for _ in 0..4 {
         run_to(&mut access, &mut txs, &mut rxs, 150);
-        access.restore(&ckpt).expect("restore");
+        restore(&mut access, &ckpt);
         for (tx, mark) in txs.iter_mut().zip(&tx_marks) {
             tx.resync(*mark);
         }
@@ -132,9 +150,9 @@ fn rollback_without_resync_is_caught_in_debug_builds() {
     let (mut sim, mut txs, mut rxs) = build();
     let mut access = sim.net_access();
     run_to(&mut access, &mut txs, &mut rxs, 50);
-    let ckpt = access.checkpoint().expect("checkpoint");
+    let ckpt = checkpoint(&access);
     run_to(&mut access, &mut txs, &mut rxs, 100);
-    access.restore(&ckpt).expect("restore");
+    restore(&mut access, &ckpt);
     // No resync: the next pass computes credits against the rewound
     // enqueue counts and must assert, not strand credits silently.
     run_to(&mut access, &mut txs, &mut rxs, 100);

@@ -205,3 +205,39 @@ fn silent_worker_surfaces_net_timeout() {
         let _ = h.join().expect("worker thread must exit");
     }
 }
+
+/// The tape is the only copy of the design a `Topology` carries: one
+/// that does not decode (here: none at all) is a typed configuration
+/// error at the worker, not a panic and not a hang.
+#[test]
+fn undecodable_tape_is_a_config_error_at_the_worker() {
+    let (_, spec) = noc_4partition_design();
+    let listener = NetListener::bind("127.0.0.1:0").expect("worker bind");
+    let addr = listener.local_addr_string();
+    let worker = std::thread::spawn(move || fireaxe_net::serve(&listener, &setup_hook));
+    let mut s = fireaxe_net::NetStream::connect(&addr, Duration::from_secs(5)).expect("connect");
+    write_msg(
+        &mut s,
+        &Msg::Hello {
+            magic: PROTOCOL_MAGIC,
+            version: PROTOCOL_VERSION,
+            worker: 0,
+        },
+    )
+    .expect("hello write");
+    let _ = read_msg(&mut s).expect("helloack read");
+    let topology = fireaxe_net::Topology {
+        worker: 0,
+        n_workers: 4,
+        spec,
+        settings: observed_settings(),
+        tape: Vec::new(),
+    };
+    write_msg(&mut s, &Msg::Topology(Box::new(topology))).expect("topology write");
+    match worker.join().expect("worker thread") {
+        Err(SimError::Config { message }) => {
+            assert!(message.contains("bad circuit tape"), "{message}");
+        }
+        other => panic!("worker should refuse the tape, got {other:?}"),
+    }
+}

@@ -1,7 +1,7 @@
 //! Streaming delta-VCD: incremental waveform frames for the live
 //! cockpit.
 //!
-//! The batch [`VcdWriter`](crate::vcd::VcdWriter) collects every change
+//! The batch [`VcdWriter`] collects every change
 //! of a run and renders one document at the end — useless for watching
 //! a *running* simulation. This module splits that pipeline into a
 //! producer half and a consumer half that meet over the wire:

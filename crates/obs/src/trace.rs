@@ -180,7 +180,7 @@ fn record(ev: TraceEvent) {
     });
 }
 
-/// Records an instant event. Prefer the [`obs_instant!`] macro, which
+/// Records an instant event. Prefer the [`obs_instant!`](crate::obs_instant) macro, which
 /// short-circuits when tracing is disabled.
 pub fn instant(name: &'static str, virt_ps: u64) {
     record(TraceEvent {
@@ -193,7 +193,7 @@ pub fn instant(name: &'static str, virt_ps: u64) {
     });
 }
 
-/// Records a counter sample. Prefer the [`obs_counter!`] macro.
+/// Records a counter sample. Prefer the [`obs_counter!`](crate::obs_counter) macro.
 pub fn counter(name: &'static str, virt_ps: u64, value: f64) {
     record(TraceEvent {
         name,
@@ -206,7 +206,7 @@ pub fn counter(name: &'static str, virt_ps: u64, value: f64) {
 }
 
 /// Opens a span; the returned guard records the end on drop. Prefer the
-/// [`obs_span!`] macro.
+/// [`obs_span!`](crate::obs_span) macro.
 pub fn span(name: &'static str, virt_ps: u64) -> SpanGuard {
     record(TraceEvent {
         name,

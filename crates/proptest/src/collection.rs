@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 use std::ops::Range;
 
-/// Element-count specification for [`vec`]: an exact length or a
+/// Element-count specification for [`vec()`]: an exact length or a
 /// half-open range of lengths.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SizeRange {
@@ -40,7 +40,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// Strategy returned by [`vec`].
+/// Strategy returned by [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

@@ -353,8 +353,15 @@ pub fn prune_dead_shell_ports(circuit: &mut Circuit) -> usize {
             slot_of.entry(m.name.as_str()).or_insert(slot);
         }
         // Unique parent of each module: (parent slot, instance name).
+        // Only modules reachable from the top count as parents, like the
+        // instance counts: an unreachable module naming a shell's module
+        // would otherwise have the shell's ports judged against its reads.
         let mut parent: HashMap<&str, (usize, &str)> = HashMap::new();
-        for m in &circuit.modules {
+        for m in circuit
+            .modules
+            .iter()
+            .filter(|m| counts.contains_key(&m.name))
+        {
             for (inst, child) in m.instances() {
                 parent.insert(child, (slot_of[m.name.as_str()], inst));
             }
@@ -581,5 +588,38 @@ mod tests {
         sim.poke("i", Bits::from_u64(1, 8));
         sim.eval().unwrap();
         assert_eq!(sim.peek("o").to_u64(), 3);
+    }
+    #[test]
+    fn prune_ignores_instances_inside_unreachable_modules() {
+        // An unreachable module that instantiates the shell's module and
+        // reads none of its outputs, declared after the real parent.
+        let mut c = shelled(false);
+        let mut dead = ModuleBuilder::new("Dead");
+        let i = dead.input("i", 8);
+        dead.inst("x", "Shell");
+        dead.connect_inst("x", "i", &i);
+        c.modules.push(dead.finish());
+
+        let before = c.clone();
+        assert_eq!(prune_dead_shell_ports(&mut c), 0);
+        assert_eq!(c, before, "the shell keeps its live ports");
+        validate(&c).unwrap();
+
+        // The whole compiler, over registered leaves so that a cut
+        // between them is legal in exact mode.
+        let mut leaf = ModuleBuilder::new("Inc");
+        let a = leaf.input("a", 8);
+        let y = leaf.output("y", 8);
+        let r = leaf.reg("r", 8, 0);
+        leaf.connect_sig(&r, &a);
+        leaf.connect_sig(&y, &r);
+        *c.module_mut("Inc").unwrap() = leaf.finish();
+        let group = crate::PartitionGroup::instances("g", vec!["s.a".into()]);
+        let design = crate::compile(&c, &crate::PartitionSpec::exact(vec![group])).unwrap();
+        for p in &design.partitions {
+            for t in &p.threads {
+                validate(&t.circuit).unwrap();
+            }
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! # fireaxe-serve — fireaxe as a service
 //!
 //! A persistent, multi-tenant simulation job server. One daemon
-//! (`fireaxe serve`) accepts many concurrent submissions over the
-//! protocol-v5 job control plane, schedules their partitions across a
+//! (`fireaxe serve`) accepts many concurrent submissions over the wire
+//! protocol's job control plane, schedules their partitions across a
 //! pooled fleet of reusable worker processes, and caches compiled
 //! designs keyed by their canonical tape bytes so repeat submissions
 //! skip the partition compile entirely.

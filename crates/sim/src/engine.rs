@@ -26,8 +26,8 @@
 use crate::bridge::{Bridge, ConstBridge};
 use crate::error::{NodeStall, Result, SimError, StallReport};
 use crate::obs::{state_digest, NodeObs, ObsReport, ObsSpec};
-use fireaxe_ir::{Bits, Interpreter};
-use fireaxe_libdn::{InterpreterTarget, LiBdn, LiBdnSnapshot, TargetModel};
+use fireaxe_ir::{Bits, Interpreter, StateDec, StateEnc};
+use fireaxe_libdn::{InterpreterTarget, LiBdn, TargetModel};
 use fireaxe_obs::vcd::{VcdSignal, VcdWriter};
 use fireaxe_obs::{obs_counter, obs_instant, obs_span};
 use fireaxe_obs::{LinkSample, LinkSeries, MetricsSeries, NodeSample, NodeSeries};
@@ -45,7 +45,7 @@ const FAULT_LOG_WINDOW: usize = 64;
 const PARTITION_BLOB_MAGIC: u32 = 0x4658_5031;
 
 /// Appends one metric sample to a portable partition blob.
-fn put_node_sample(enc: &mut fireaxe_ir::StateEnc, s: &NodeSample) {
+fn put_node_sample(enc: &mut StateEnc, s: &NodeSample) {
     for v in [
         s.cycle,
         s.host_ns,
@@ -66,7 +66,7 @@ fn put_node_sample(enc: &mut fireaxe_ir::StateEnc, s: &NodeSample) {
 }
 
 /// Reads one metric sample from a portable partition blob.
-fn take_node_sample(dec: &mut fireaxe_ir::StateDec) -> Option<NodeSample> {
+fn take_node_sample(dec: &mut StateDec) -> Option<NodeSample> {
     Some(NodeSample {
         cycle: dec.u64()?,
         host_ns: dec.u64()?,
@@ -374,6 +374,82 @@ impl NodeRt {
         progressed
     }
 
+    /// Writes this node's rewindable state: name, LI-BDN blob (target
+    /// registers and memories, extern model state, queues, fireFSMs),
+    /// staged tokens, environment channel counts, per-channel enqueue
+    /// counts, clocks and counters. This and [`NodeRt::take_state`] are
+    /// the one place that layout is written; an in-process checkpoint
+    /// and a portable partition blob both hold exactly these bytes.
+    fn put_state(&self, enc: &mut StateEnc) -> Result<()> {
+        let model = self
+            .libdn
+            .snapshot_bytes()
+            .ok_or_else(|| SimError::SnapshotUnsupported {
+                node: self.name.clone(),
+            })?;
+        enc.bytes(self.name.as_bytes());
+        enc.bytes(&model);
+        enc.item(&self.staged);
+        enc.u64(self.env_produced);
+        enc.item(&self.env_consumed);
+        enc.item(&self.chan_enqueued);
+        enc.u64(self.tx_busy_until_ps);
+        enc.u64(self.last_advance_ps);
+        let c = &self.counters;
+        for v in [
+            c.tokens_enqueued,
+            c.tokens_dequeued,
+            c.input_stall_host_cycles,
+            c.output_stall_host_cycles,
+            c.host_cycles,
+            c.target_cycles,
+        ] {
+            enc.u64(v);
+        }
+        Ok(())
+    }
+
+    /// Reads what [`NodeRt::put_state`] wrote, cross-checking the node's
+    /// name and channel shapes, and tells the bridge to forget output
+    /// tokens that will be consumed again. An error names the part that
+    /// did not fit; parts before it have already been restored.
+    fn take_state(&mut self, dec: &mut StateDec) -> std::result::Result<(), &'static str> {
+        fn shaped<T: fireaxe_ir::StateItem>(
+            dec: &mut StateDec,
+            len: usize,
+            what: &'static str,
+        ) -> std::result::Result<Vec<T>, &'static str> {
+            dec.item::<Vec<T>>().filter(|v| v.len() == len).ok_or(what)
+        }
+        if dec.bytes() != Some(self.name.as_bytes()) {
+            return Err("node name mismatch");
+        }
+        let model = dec.bytes().ok_or("truncated model state")?;
+        if !self.libdn.restore_bytes(model) {
+            return Err("model state does not fit");
+        }
+        self.staged = shaped(dec, self.staged.len(), "bad staged tokens")?;
+        self.env_produced = dec.u64().ok_or("truncated env counters")?;
+        self.env_consumed = shaped(dec, self.env_consumed.len(), "bad env counters")?;
+        self.chan_enqueued = shaped(dec, self.chan_enqueued.len(), "bad channel counts")?;
+        self.tx_busy_until_ps = dec.u64().ok_or("truncated clocks")?;
+        self.last_advance_ps = dec.u64().ok_or("truncated clocks")?;
+        let c = &mut self.counters;
+        for slot in [
+            &mut c.tokens_enqueued,
+            &mut c.tokens_dequeued,
+            &mut c.input_stall_host_cycles,
+            &mut c.output_stall_host_cycles,
+            &mut c.host_cycles,
+            &mut c.target_cycles,
+        ] {
+            *slot = dec.u64().ok_or("truncated counters")?;
+        }
+        let rollback_cycle = self.env_consumed.iter().copied().min().unwrap_or(0);
+        self.bridge.rollback_to_cycle(rollback_cycle);
+        Ok(())
+    }
+
     /// Snapshot of this node's counters with the live LI-BDN totals
     /// folded in.
     pub(crate) fn counters_snapshot(&self) -> NodeCounters {
@@ -481,7 +557,7 @@ impl std::str::FromStr for Backend {
     }
 }
 
-/// Renders the spelling [`Backend::from_str`] accepts (round-trips).
+/// Renders the spelling [`Backend`]'s `FromStr` accepts (round-trips).
 impl std::fmt::Display for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -1071,18 +1147,6 @@ impl<'a> SimBuilder<'a> {
 }
 
 #[derive(Debug)]
-struct NodeCheckpoint {
-    libdn: LiBdnSnapshot,
-    staged: Vec<VecDeque<Bits>>,
-    env_produced: u64,
-    env_consumed: Vec<u64>,
-    counters: NodeCounters,
-    chan_enqueued: Vec<u64>,
-    tx_busy_until_ps: u64,
-    last_advance_ps: u64,
-}
-
-#[derive(Debug)]
 struct LinkCheckpoint {
     busy_until_ps: u64,
     tokens: u64,
@@ -1103,23 +1167,21 @@ struct PartitionCheckpoint {
 /// [`DistributedSim::restore`].
 #[derive(Debug)]
 pub struct SimCheckpoint {
-    nodes: Vec<NodeCheckpoint>,
+    /// Per node, the bytes [`NodeRt::put_state`] writes.
+    nodes: Vec<Vec<u8>>,
     links: Vec<LinkCheckpoint>,
     partitions: Vec<PartitionCheckpoint>,
     pending: Vec<Delivery>,
     time_ps: u64,
     seq: u64,
     edges_since_progress: u64,
+    target_cycles: u64,
 }
 
 impl SimCheckpoint {
     /// Completed target cycles (minimum across nodes) at capture time.
     pub fn target_cycles(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.libdn.target_cycle())
-            .min()
-            .unwrap_or(0)
+        self.target_cycles
     }
 }
 
@@ -1450,7 +1512,10 @@ impl DistributedSim {
     /// Captures the complete simulation state (target registers and
     /// memories, LI-BDN queues and fireFSM state, staged tokens,
     /// in-flight deliveries, per-node cycle counts, virtual clocks) so a
-    /// later [`DistributedSim::restore`] replays deterministically.
+    /// later [`DistributedSim::restore`] replays deterministically. Each
+    /// node is held as the bytes a partition blob holds for it (see
+    /// [`DistributedSim::snapshot_partition_bytes`]); the observation log
+    /// is left out, so a rollback neither loses nor repeats a sample.
     ///
     /// Per-link fault-plan attempt counters are *not* part of a
     /// checkpoint: replaying after a rollback consumes fresh fault-plan
@@ -1463,22 +1528,9 @@ impl DistributedSim {
     pub fn checkpoint(&self) -> Result<SimCheckpoint> {
         let mut nodes = Vec::with_capacity(self.nodes.len());
         for n in &self.nodes {
-            let libdn = n
-                .libdn
-                .snapshot()
-                .ok_or_else(|| SimError::SnapshotUnsupported {
-                    node: n.name.clone(),
-                })?;
-            nodes.push(NodeCheckpoint {
-                libdn,
-                staged: n.staged.clone(),
-                env_produced: n.env_produced,
-                env_consumed: n.env_consumed.clone(),
-                counters: n.counters.clone(),
-                chan_enqueued: n.chan_enqueued.clone(),
-                tx_busy_until_ps: n.tx_busy_until_ps,
-                last_advance_ps: n.last_advance_ps,
-            });
+            let mut enc = StateEnc::new();
+            n.put_state(&mut enc)?;
+            nodes.push(enc.into_bytes());
         }
         Ok(SimCheckpoint {
             nodes,
@@ -1506,6 +1558,7 @@ impl DistributedSim {
             time_ps: self.time_ps,
             seq: self.seq,
             edges_since_progress: self.edges_since_progress,
+            target_cycles: self.target_cycles(),
         })
     }
 
@@ -1526,21 +1579,12 @@ impl DistributedSim {
                 message: "checkpoint shape does not match this simulation".into(),
             });
         }
-        for (n, c) in self.nodes.iter_mut().zip(&ckpt.nodes) {
-            if !n.libdn.restore(&c.libdn) {
+        for (n, bytes) in self.nodes.iter_mut().zip(&ckpt.nodes) {
+            if let Err(what) = n.take_state(&mut StateDec::new(bytes)) {
                 return Err(SimError::Config {
-                    message: format!("checkpoint does not fit node `{}`", n.name),
+                    message: format!("checkpoint does not fit node `{}`: {what}", n.name),
                 });
             }
-            n.staged.clone_from(&c.staged);
-            n.env_produced = c.env_produced;
-            n.env_consumed.clone_from(&c.env_consumed);
-            n.counters = c.counters.clone();
-            n.chan_enqueued.clone_from(&c.chan_enqueued);
-            n.tx_busy_until_ps = c.tx_busy_until_ps;
-            n.last_advance_ps = c.last_advance_ps;
-            let rollback_cycle = c.env_consumed.iter().copied().min().unwrap_or(0);
-            n.bridge.rollback_to_cycle(rollback_cycle);
         }
         for (l, c) in self.links.iter_mut().zip(&ckpt.links) {
             l.busy_until_ps = c.busy_until_ps;
@@ -1569,12 +1613,12 @@ impl DistributedSim {
     /// respawned worker can resume mid-run, and survivors keep a local
     /// copy to rewind from (see `fireaxe-net`).
     ///
-    /// Per owned node the blob carries the LI-BDN byte snapshot (target
-    /// registers/memories, queues, fireFSM state, extern behavior
-    /// state), staged tokens, environment channel counts, execution
-    /// counters, and observation state (collected samples and VCD
-    /// changes — a respawned worker must still report the pre-crash
-    /// window). The local link table's token/reliability totals ride
+    /// Per owned node the blob carries the node's rewindable state —
+    /// the LI-BDN byte snapshot (target registers/memories, queues,
+    /// fireFSM state, extern behavior state), staged tokens, environment
+    /// channel counts, execution counters — and then its observation
+    /// state (collected samples and VCD changes — a respawned worker
+    /// must still report the pre-crash window). The local link table's token/reliability totals ride
     /// along so merged end-of-run metrics survive a restore. Capture at
     /// a cluster barrier (link quiescence) so peers' marks refer to the
     /// same global point.
@@ -1593,31 +1637,12 @@ impl DistributedSim {
                 message: format!("partition {partition} has no nodes"),
             });
         }
-        let mut enc = fireaxe_ir::StateEnc::new();
+        let mut enc = StateEnc::new();
         enc.u32(PARTITION_BLOB_MAGIC);
         enc.u64(owned.len() as u64);
         for &i in &owned {
             let n = &self.nodes[i];
-            let model = n
-                .libdn
-                .snapshot_bytes()
-                .ok_or_else(|| SimError::SnapshotUnsupported {
-                    node: n.name.clone(),
-                })?;
-            enc.bytes(n.name.as_bytes());
-            enc.bytes(&model);
-            enc.item(&n.staged);
-            enc.u64(n.env_produced);
-            enc.item(&n.env_consumed);
-            enc.item(&n.chan_enqueued);
-            enc.u64(n.tx_busy_until_ps);
-            enc.u64(n.last_advance_ps);
-            enc.u64(n.counters.tokens_enqueued);
-            enc.u64(n.counters.tokens_dequeued);
-            enc.u64(n.counters.input_stall_host_cycles);
-            enc.u64(n.counters.output_stall_host_cycles);
-            enc.u64(n.counters.host_cycles);
-            enc.u64(n.counters.target_cycles);
+            n.put_state(&mut enc)?;
             enc.u64(n.obs.next_sample);
             enc.u64(n.obs.now_ps);
             enc.u64(n.obs.last_seen_cycle);
@@ -1659,7 +1684,7 @@ impl DistributedSim {
         let bad = |what: &str| SimError::Config {
             message: format!("partition {partition} blob rejected: {what}"),
         };
-        let mut dec = fireaxe_ir::StateDec::new(bytes);
+        let mut dec = StateDec::new(bytes);
         if dec.u32() != Some(PARTITION_BLOB_MAGIC) {
             return Err(bad("bad magic"));
         }
@@ -1672,49 +1697,7 @@ impl DistributedSim {
         let mut cycle = None;
         for &i in &owned {
             let n = &mut self.nodes[i];
-            if dec.bytes() != Some(n.name.as_bytes()) {
-                return Err(bad("node name mismatch"));
-            }
-            let model = dec.bytes().ok_or_else(|| bad("truncated model state"))?;
-            if !n.libdn.restore_bytes(model) {
-                return Err(SimError::Config {
-                    message: format!(
-                        "partition {partition} blob rejected: state does not \
-                         fit node `{}`",
-                        n.name
-                    ),
-                });
-            }
-            let staged: Vec<VecDeque<Bits>> =
-                dec.item().ok_or_else(|| bad("truncated staged tokens"))?;
-            if staged.len() != n.staged.len() {
-                return Err(bad("staged channel count mismatch"));
-            }
-            n.staged = staged;
-            n.env_produced = dec.u64().ok_or_else(|| bad("truncated env counters"))?;
-            let env_consumed: Vec<u64> = dec.item().ok_or_else(|| bad("truncated env counters"))?;
-            if env_consumed.len() != n.env_consumed.len() {
-                return Err(bad("env channel count mismatch"));
-            }
-            n.env_consumed = env_consumed;
-            let chan_enqueued: Vec<u64> =
-                dec.item().ok_or_else(|| bad("truncated channel counts"))?;
-            if chan_enqueued.len() != n.chan_enqueued.len() {
-                return Err(bad("input channel count mismatch"));
-            }
-            n.chan_enqueued = chan_enqueued;
-            n.tx_busy_until_ps = dec.u64().ok_or_else(|| bad("truncated clocks"))?;
-            n.last_advance_ps = dec.u64().ok_or_else(|| bad("truncated clocks"))?;
-            for slot in [
-                &mut n.counters.tokens_enqueued,
-                &mut n.counters.tokens_dequeued,
-                &mut n.counters.input_stall_host_cycles,
-                &mut n.counters.output_stall_host_cycles,
-                &mut n.counters.host_cycles,
-                &mut n.counters.target_cycles,
-            ] {
-                *slot = dec.u64().ok_or_else(|| bad("truncated counters"))?;
-            }
+            n.take_state(&mut dec).map_err(bad)?;
             n.obs.next_sample = dec.u64().ok_or_else(|| bad("truncated obs state"))?;
             n.obs.now_ps = dec.u64().ok_or_else(|| bad("truncated obs state"))?;
             n.obs.last_seen_cycle = dec.u64().ok_or_else(|| bad("truncated obs state"))?;
@@ -1725,8 +1708,6 @@ impl DistributedSim {
             }
             n.obs.samples = samples;
             n.obs.changes = dec.item().ok_or_else(|| bad("truncated VCD changes"))?;
-            let rollback_cycle = n.env_consumed.iter().copied().min().unwrap_or(0);
-            n.bridge.rollback_to_cycle(rollback_cycle);
             let tc = n.libdn.target_cycle();
             cycle = Some(cycle.map_or(tc, |c: u64| c.min(tc)));
         }

@@ -16,7 +16,7 @@
 //! observability extraction, and stall forensics. Everything else stays
 //! crate-private.
 
-use crate::engine::{DistributedSim, LinkCounters, NodeCounters, SimCheckpoint};
+use crate::engine::{DistributedSim, LinkCounters, NodeCounters};
 use crate::error::{Result, SimError, StallReport};
 use fireaxe_ir::Bits;
 use fireaxe_obs::{LinkSample, NodeSample, VcdSignal};
@@ -103,34 +103,6 @@ impl NetAccess<'_> {
         }
     }
 
-    /// Captures the engine's full state for a rollback point (see
-    /// [`DistributedSim::checkpoint`]). Capture at *link quiescence* —
-    /// nothing in flight on any cross-worker link — so protocol state
-    /// can be marked alongside.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DistributedSim::checkpoint`] failures.
-    pub fn checkpoint(&self) -> Result<SimCheckpoint> {
-        self.sim.checkpoint()
-    }
-
-    /// Rewinds the engine to a [`NetAccess::checkpoint`]. The socket
-    /// protocol state (`TxLink`/`RxLink` in `fireaxe-net`) lives outside
-    /// the engine, so the external engine **must** resync every link
-    /// endpoint from marks taken at the same point: restoring channel
-    /// state alone rewinds `chan_enqueued` underneath the credit
-    /// bookkeeping, and every token re-consumed during replay then
-    /// returns zero credits — stranding window slots until the sender
-    /// wedges at `can_send() == false`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DistributedSim::restore`] failures.
-    pub fn restore(&mut self, ckpt: &SimCheckpoint) -> Result<()> {
-        self.sim.restore(ckpt)
-    }
-
     /// Captures this worker's partition as a portable byte blob (see
     /// [`DistributedSim::snapshot_partition_bytes`]). Capture at a
     /// cluster barrier so the flow marks taken next to it refer to the
@@ -148,7 +120,10 @@ impl NetAccess<'_> {
     /// [`DistributedSim::restore_partition_bytes`]). The socket protocol
     /// state (`TxLink`/`RxLink` in `fireaxe-net`) lives outside the
     /// engine and **must** be resynced from marks captured at the same
-    /// barrier.
+    /// barrier: restoring channel state alone rewinds `chan_enqueued`
+    /// underneath the credit bookkeeping, and every token re-consumed
+    /// during replay then returns zero credits — stranding window slots
+    /// until the sender wedges at `can_send() == false`.
     ///
     /// # Errors
     ///

@@ -1,7 +1,7 @@
 //! Observability hooks: what a run samples and what it hands back.
 //!
 //! Both backends share the per-node sampling point — the tail of
-//! [`crate::engine::NodeRt::ingest_and_step`] — so metric samples and
+//! `NodeRt::ingest_and_step` — so metric samples and
 //! VCD changes are taken at identical target-cycle boundaries no matter
 //! how host execution is scheduled. Host-dependent columns (host
 //! cycles, stalls, host time) legitimately differ between backends;

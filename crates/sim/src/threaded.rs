@@ -12,7 +12,7 @@
 //! host-side arrival times. Both backends feed every node the identical
 //! token values in the identical per-channel order (links are FIFO
 //! channels; environment stimulus is produced per target cycle), and
-//! [`run`] halts every node at exactly the same target cycle, so the
+//! `run` halts every node at exactly the same target cycle, so the
 //! final target register state is bit-for-bit identical to a DES run of
 //! the same budget regardless of OS scheduling.
 //!

@@ -18,8 +18,10 @@
 
 use fireaxe_ir::build::ModuleBuilder;
 use fireaxe_ir::{Bits, Circuit};
-use fireaxe_ripper::{compile, ChannelPolicy, PartitionGroup, PartitionMode, PartitionSpec};
-use fireaxe_sim::{Backend, ScriptBridge, SimBuilder, SimError};
+use fireaxe_ripper::{
+    compile, ChannelPolicy, PartitionGroup, PartitionMode, PartitionSpec, PartitionedDesign,
+};
+use fireaxe_sim::{Backend, DistributedSim, ObsSpec, ScriptBridge, SimBuilder, SimError};
 use fireaxe_transport::fault::FaultSpec;
 use fireaxe_transport::reliable::RetryPolicy;
 use proptest::prelude::*;
@@ -68,11 +70,37 @@ fn stimulus(cycle: u64) -> BTreeMap<String, Bits> {
 /// each node's completed cycle count, and every output-port value.
 type Fingerprint = (Vec<(u64, u64)>, Vec<u64>, Vec<(usize, String, u64)>);
 
-/// Runs `cycles` with optional fault injection and recovery knobs,
-/// returning the target-visible fingerprint (plus rollbacks taken).
-/// `capacity` overrides the LI-BDN channel capacity when non-zero —
-/// the in-process runahead window, the same knob the net backend's
-/// `batch_cycles`/`slack_cycles` pacing leans on.
+/// The fixture under one case's knobs: optional fault injection, the
+/// recovery settings, what to observe, and the LI-BDN channel capacity
+/// when non-zero — the in-process runahead window, the same knob the net
+/// backend's `batch_cycles`/`slack_cycles` pacing leans on.
+fn build_sim(
+    design: &PartitionedDesign,
+    backend: Backend,
+    faults: Option<(FaultSpec, RetryPolicy)>,
+    checkpoint_interval: u64,
+    max_rollbacks: u32,
+    capacity: usize,
+    obs: ObsSpec,
+) -> DistributedSim {
+    let rest = design.node_index(1, 0);
+    let mut b = SimBuilder::new(design)
+        .backend(backend)
+        .bridge(rest, Box::new(ScriptBridge::new(stimulus).recording()))
+        .checkpoint_interval(checkpoint_interval)
+        .max_rollbacks(max_rollbacks)
+        .observe(obs);
+    if capacity > 0 {
+        b = b.channel_capacity(capacity);
+    }
+    if let Some((spec, policy)) = faults {
+        b = b.fault_spec(spec).retry_policy(policy);
+    }
+    b.build().unwrap()
+}
+
+/// Runs `cycles` on [`build_sim`]'s fixture, returning the
+/// target-visible fingerprint (plus rollbacks taken).
 fn run_fingerprint_at_capacity(
     backend: Backend,
     cycles: u64,
@@ -81,21 +109,17 @@ fn run_fingerprint_at_capacity(
     max_rollbacks: u32,
     capacity: usize,
 ) -> Result<(Fingerprint, u64), SimError> {
-    let c = soc();
-    let design = compile(&c, &spec()).unwrap();
+    let design = compile(&soc(), &spec()).unwrap();
     let rest = design.node_index(1, 0);
-    let mut b = SimBuilder::new(&design)
-        .backend(backend)
-        .bridge(rest, Box::new(ScriptBridge::new(stimulus).recording()))
-        .checkpoint_interval(checkpoint_interval)
-        .max_rollbacks(max_rollbacks);
-    if capacity > 0 {
-        b = b.channel_capacity(capacity);
-    }
-    if let Some((spec, policy)) = faults {
-        b = b.fault_spec(spec).retry_policy(policy);
-    }
-    let mut sim = b.build().unwrap();
+    let mut sim = build_sim(
+        &design,
+        backend,
+        faults,
+        checkpoint_interval,
+        max_rollbacks,
+        capacity,
+        ObsSpec::default(),
+    );
     sim.run_target_cycles_recovering(cycles)?;
     let rollbacks = sim.rollbacks_taken();
     let cycles_done: Vec<u64> = (0..design.node_count())
@@ -290,4 +314,80 @@ fn zero_rollback_budget_makes_transient_outage_fatal() {
     let err = run_fingerprint(Backend::Des, 30, Some((spec, policy)), 0, 0)
         .expect_err("no rollback budget, no recovery");
     assert!(matches!(err, SimError::LinkDown { .. }), "got {err}");
+}
+
+/// The observation log is deliberately not part of a checkpoint: a
+/// rollback leaves it in place and the replay adds only the cycles it
+/// has not seen yet. Through a down window that forces rollbacks the
+/// waveform and the sampled digests must therefore be the fault-free
+/// golden's, with nothing lost and nothing recorded twice.
+#[test]
+fn observation_log_survives_rollback_without_loss_or_repeats() {
+    /// Rendered VCD; per node the sampled `(cycle, state_digest)` rows
+    /// and the `(cycle, signal)` keys of the raw waveform log.
+    type Observed = (String, Vec<Vec<(u64, u64)>>, Vec<Vec<(u64, u32)>>);
+    fn observe(
+        backend: Backend,
+        faults: Option<(FaultSpec, RetryPolicy)>,
+        checkpoint_interval: u64,
+    ) -> (Observed, u64) {
+        let design = compile(&soc(), &spec()).unwrap();
+        let obs = ObsSpec {
+            sample_interval: 50,
+            vcd: true,
+            signals: Vec::new(),
+        };
+        let mut sim = build_sim(&design, backend, faults, checkpoint_interval, 32, 0, obs);
+        sim.run_target_cycles_recovering(230).unwrap();
+        let report = sim.obs_report();
+        let nodes = report.metrics.nodes.iter();
+        let rows = nodes.map(|n| {
+            n.samples
+                .iter()
+                .map(|s| (s.cycle, s.state_digest))
+                .collect()
+        });
+        let rollbacks = sim.rollbacks_taken();
+        let access = sim.net_access();
+        let changes = (0..access.node_count()).map(|n| {
+            let log = access.node_vcd_changes_since(n, 0);
+            log.into_iter()
+                .map(|(cycle, sig, _)| (cycle, sig))
+                .collect()
+        });
+        let changes = changes.collect();
+        (
+            (report.vcd.expect("vcd on"), rows.collect(), changes),
+            rollbacks,
+        )
+    }
+
+    let (golden, _) = observe(Backend::Des, None, 0);
+    assert!(
+        golden.1.iter().all(|rows| rows.len() == 4),
+        "{:?}",
+        golden.1
+    );
+    // Link 0 goes hard-down mid-run, after two sample points.
+    let spec = FaultSpec {
+        down: vec![(120, 150)],
+        down_link: Some(0),
+        ..FaultSpec::quiet(7)
+    };
+    let policy = RetryPolicy {
+        max_retries: 2,
+        timeout_cycles: 2,
+    };
+    for backend in [Backend::Des, Backend::Threads(0)] {
+        let (got, rollbacks) = observe(backend, Some((spec.clone(), policy)), 16);
+        assert!(rollbacks > 0, "{backend:?}: the down window must bite");
+        assert!(got == golden, "{backend:?}: observation log diverged");
+        for (rows, changes) in got.1.iter().zip(&got.2) {
+            assert!(rows.windows(2).all(|w| w[0].0 < w[1].0), "{backend:?}");
+            let mut keys = changes.clone();
+            keys.sort_unstable();
+            keys.dedup();
+            assert_eq!(keys.len(), changes.len(), "{backend:?}: repeated change");
+        }
+    }
 }

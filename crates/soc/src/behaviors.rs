@@ -11,34 +11,8 @@
 //! All models are deterministic: traffic patterns come from a small LCG
 //! seeded by configuration, never from wall-clock or global RNG state.
 
-use fireaxe_ir::{
-    state_fields, BehaviorSnapshot, Bits, ExternBehavior, PortWriter, StateDec, StateEnc, StateItem,
-};
+use fireaxe_ir::{state_fields, Bits, ExternBehavior, PortWriter, StateDec, StateEnc, StateItem};
 use std::collections::{BTreeMap, VecDeque};
-
-/// Mechanical checkpoint support for plain-data models: the snapshot is
-/// a boxed clone of the whole model, restore copies it back. Every model
-/// in this crate keeps its entire simulation state in ordinary fields,
-/// so clone-the-struct is exact — which is what lets designs built from
-/// these behavioral models participate in the simulator's
-/// checkpoint/rollback recovery.
-macro_rules! clone_snapshot {
-    () => {
-        fn snapshot(&self) -> Option<BehaviorSnapshot> {
-            Some(Box::new(self.clone()))
-        }
-
-        fn restore(&mut self, snap: &BehaviorSnapshot) -> bool {
-            match snap.downcast_ref::<Self>() {
-                Some(s) => {
-                    self.clone_from(s);
-                    true
-                }
-                None => false,
-            }
-        }
-    };
-}
 
 /// Parses `name?k=v&k=v` keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,7 +145,6 @@ impl FrontendModel {
 }
 
 impl ExternBehavior for FrontendModel {
-    clone_snapshot!();
     state_fields!(packet_id, stall, fetch_width);
 
     fn reset(&mut self) {
@@ -228,7 +201,6 @@ impl BackendModel {
 }
 
 impl ExternBehavior for BackendModel {
-    clone_snapshot!();
     state_fields!(
         issue,
         rob,
@@ -312,7 +284,6 @@ impl LsuModel {
 }
 
 impl ExternBehavior for LsuModel {
-    clone_snapshot!();
     state_fields!(pending, done_now);
 
     fn reset(&mut self) {
@@ -360,7 +331,6 @@ impl MemSysModel {
 }
 
 impl ExternBehavior for MemSysModel {
-    clone_snapshot!();
     state_fields!(latency, in_flight, now, resp_now);
 
     fn reset(&mut self) {
@@ -504,7 +474,6 @@ impl TileModel {
 }
 
 impl ExternBehavior for TileModel {
-    clone_snapshot!();
     state_fields!(
         id,
         subsystem,
@@ -613,7 +582,6 @@ impl SubsystemModel {
 }
 
 impl ExternBehavior for SubsystemModel {
-    clone_snapshot!();
     state_fields!(latency, now, queue, pending_tx, serviced, traps, layout, id);
 
     fn reset(&mut self) {
@@ -711,7 +679,6 @@ impl XbarModel {
 }
 
 impl ExternBehavior for XbarModel {
-    clone_snapshot!();
     state_fields!(nodes, latency, now, layout, queues, rx_now);
 
     fn reset(&mut self) {

@@ -16,7 +16,7 @@
 //! counting timeouts in service passes; the DES backend calls
 //! [`des_delivery`] to charge the same retransmission schedule
 //! analytically in virtual picoseconds, walking the link's
-//! [`FaultPlan`](crate::fault::FaultPlan) attempt by attempt.
+//! [`FaultPlan`] attempt by attempt.
 
 use crate::fault::{Fault, FaultEvent, FaultPlan};
 use crate::TransportError;

@@ -12,13 +12,82 @@
 //! the test prints the table it got in source form; run the suite on the
 //! reference tree with `STATE_BLOBS_DUMP=<dir>` to write every blob to a
 //! file and compare those.
+//!
+//! The blobs also arrive off a socket (`Msg::Restore`), so the second
+//! half feeds the decoders every strict prefix and seeded single-byte
+//! corruptions of each frozen blob: a restore either refuses or lands on
+//! exactly the state the bytes describe, and never asks the allocator
+//! for more than a small multiple of the blob.
 
 use fireaxe::ir::{
     state_fields, CombPath, ExternBehavior, ExternInfo, Module, Port, PortWriter, ResourceHints,
+    StateDec,
 };
 use fireaxe::prelude::*;
 use fireaxe::sim::SimError;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::BTreeMap;
+
+/// Records the largest single request each thread makes of the heap
+/// (per thread, because the suite's tests run in parallel).
+struct LargestRequest;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: defers every operation to `System` unchanged; the bookkeeping
+// is a `Cell` in a `const`-initialized thread-local with no destructor,
+// which neither allocates nor can be reentered.
+unsafe impl GlobalAlloc for LargestRequest {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST.with(|l| l.set(l.get().max(layout.size())));
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LARGEST.with(|l| l.set(l.get().max(new_size)));
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LargestRequest = LargestRequest;
+
+/// Runs `f` and checks that no single allocation inside it exceeded a
+/// small multiple of `blob_len` (decoded values are a few times wider in
+/// memory than on the wire, and vectors grow by doubling).
+fn bounded_by<R>(blob_len: usize, f: impl FnOnce() -> R) -> R {
+    LARGEST.with(|l| l.set(0));
+    let r = f();
+    let largest = LARGEST.with(Cell::get);
+    assert!(
+        largest <= 8 * blob_len + 4096,
+        "decoding {blob_len} bytes asked for {largest} at once"
+    );
+    r
+}
+
+/// Every strict prefix of `blob`, then 256 copies with one byte changed
+/// at a seeded position.
+fn damaged(blob: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+    let mut seed = fnv1a(blob);
+    let flips = (0..256).map(move |_| {
+        // splitmix64
+        seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        let mut bad = blob.to_vec();
+        bad[(z >> 8) as usize % blob.len()] ^= (z as u8).max(1);
+        bad
+    });
+    (0..blob.len()).map(|n| blob[..n].to_vec()).chain(flips)
+}
 
 /// FNV-1a, 64 bit: stable across toolchains, unlike `DefaultHasher`.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -332,6 +401,87 @@ fn partition_rejects_a_blob_from_a_different_design() {
         assert!(small.restore_partition_bytes(p, neighbour).is_err());
     }
     assert_eq!(partition_blobs(&small), before, "state untouched");
+}
+
+/// Restores every damaged copy of every blob into `sim`: each is
+/// refused as a configuration error, or accepted and then re-captured
+/// byte for byte.
+fn partition_blobs_survive_damage(mut sim: DistributedSim) {
+    for (p, blob) in partition_blobs(&sim).iter().enumerate() {
+        for bad in damaged(blob) {
+            match bounded_by(blob.len(), || sim.restore_partition_bytes(p, &bad)) {
+                Ok(_) => assert_eq!(sim.snapshot_partition_bytes(p).unwrap(), bad),
+                Err(e) => assert!(matches!(e, SimError::Config { .. }), "{e}"),
+            }
+        }
+        // The undamaged blob still restores after all of that.
+        assert!(sim.restore_partition_bytes(p, blob).is_ok());
+        assert_eq!(&sim.snapshot_partition_bytes(p).unwrap(), blob);
+    }
+}
+
+#[test]
+fn damaged_noc6_blobs_are_refused_or_restored_exactly() {
+    let mut sim = built(noc6_observed());
+    sim.run_target_cycles(137).unwrap();
+    partition_blobs_survive_damage(sim);
+}
+
+#[test]
+fn damaged_soc24_blobs_are_refused_or_restored_exactly() {
+    let mut sim = built(soc24());
+    sim.run_target_cycles(300).unwrap();
+    partition_blobs_survive_damage(sim);
+}
+
+#[test]
+fn damaged_interpreter_blobs_are_refused_or_restored_exactly() {
+    let mut sim = interp();
+    drive(&mut sim, 0..23);
+    let blob = sim.snapshot_bytes().unwrap();
+    for bad in damaged(&blob) {
+        if bounded_by(blob.len(), || sim.restore_snapshot_bytes(&bad)) {
+            assert_eq!(sim.snapshot_bytes().unwrap(), bad);
+        }
+    }
+    assert!(sim.restore_snapshot_bytes(&blob));
+    assert_eq!(sim.snapshot_bytes().unwrap(), blob);
+}
+
+#[test]
+fn interpreter_rejects_memory_words_of_the_wrong_width() {
+    // Two designs alike in every slot, memory count and depth: only the
+    // width of the memory's words tells their blobs apart.
+    let with_words_of = |width: u32| {
+        let mut mb = ModuleBuilder::new("M");
+        let en = mb.input("en", 1);
+        let mem = mb.mem("store", width, 2);
+        mb.mem_write(&mem, &en, &Sig::lit(1, width), &en);
+        Interpreter::new(&Circuit::from_modules("M", vec![mb.finish()], "M")).unwrap()
+    };
+    let mut sim = with_words_of(8);
+    let good = sim.snapshot_bytes().unwrap();
+    assert!(!sim.restore_snapshot_bytes(&with_words_of(9).snapshot_bytes().unwrap()));
+    assert_eq!(sim.snapshot_bytes().unwrap(), good, "state untouched");
+    assert!(sim.restore_snapshot_bytes(&good));
+}
+
+#[test]
+fn a_length_prefix_cannot_reserve_more_than_the_blob_holds() {
+    // A count that passes the one-byte-per-element check over elements
+    // 24 bytes wide in memory, and a width asking for 16 Ki words.
+    let mut lie = (1u64 << 20).to_be_bytes().to_vec();
+    lie.resize(8 + (1 << 20), 0);
+    let items = bounded_by(lie.len(), || {
+        StateDec::new(&lie).item::<Vec<(u64, u64, u64)>>()
+    });
+    assert!(items.is_none());
+    let queue = bounded_by(lie.len(), || {
+        StateDec::new(&lie).item::<std::collections::VecDeque<Vec<u64>>>()
+    });
+    assert!(queue.is_none());
+    let wide = [&(1u32 << 20).to_be_bytes()[..], &[0; 64]].concat();
+    assert!(bounded_by(wide.len(), || StateDec::new(&wide).bits()).is_none());
 }
 
 // Frozen from PR 20's tree.
