@@ -99,6 +99,26 @@ pub enum IrError {
         /// Bits required to represent the rejected value.
         value_bits: u32,
     },
+    /// A declared or inferred width exceeds
+    /// [`MAX_WIDTH`](crate::typecheck::MAX_WIDTH) bits.
+    WidthLimit {
+        /// Module name.
+        module: String,
+        /// The signal whose declaration or driving expression is too wide.
+        signal: String,
+        /// The width it asked for, in bits.
+        width: u64,
+    },
+    /// A memory's word storage exceeds
+    /// [`MAX_MEM_BYTES`](crate::typecheck::MAX_MEM_BYTES).
+    MemoryLimit {
+        /// Module name.
+        module: String,
+        /// Memory name.
+        memory: String,
+        /// Bytes its depth × words would take.
+        bytes: u64,
+    },
     /// Any other structural inconsistency.
     Malformed {
         /// Explanation.
@@ -164,6 +184,24 @@ impl fmt::Display for IrError {
                 "poked value needs {value_bits} bits but port `{path}` is {width} bits wide"
             ),
             IrError::Parse { line, message } => write!(f, "parse error at line {line}: {message}"),
+            IrError::WidthLimit {
+                module,
+                signal,
+                width,
+            } => write!(
+                f,
+                "signal `{signal}` in module `{module}` is {width} bits wide, over the {} bit limit",
+                crate::typecheck::MAX_WIDTH
+            ),
+            IrError::MemoryLimit {
+                module,
+                memory,
+                bytes,
+            } => write!(
+                f,
+                "memory `{memory}` in module `{module}` needs {bytes} bytes, over the {} byte limit",
+                crate::typecheck::MAX_MEM_BYTES
+            ),
             IrError::Malformed { message } => write!(f, "malformed circuit: {message}"),
         }
     }

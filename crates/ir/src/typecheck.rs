@@ -3,35 +3,53 @@
 //! [`infer_width`] computes the width of any [`Expr`] in a module context;
 //! [`validate`] checks a whole [`Circuit`] for the structural invariants
 //! the rest of FireAxe relies on (unique names, resolvable references,
-//! single drivers, acyclic hierarchy).
+//! single drivers, acyclic hierarchy) and for the size limits that keep a
+//! circuit arriving off a socket from allocating without bound
+//! ([`MAX_WIDTH`], [`MAX_MEM_BYTES`]).
 
 use crate::ast::*;
 use crate::bits::Width;
 use crate::error::{IrError, Result};
 use std::collections::{HashMap, HashSet};
 
+/// Widest signal, in bits, a circuit may declare or infer anywhere in an
+/// expression — the bound the state and wire codecs already hold every
+/// value to.
+pub const MAX_WIDTH: u32 = 1 << 20;
+
+/// Most word storage, in bytes, one memory may declare: its checkpoint
+/// must still fit a wire frame.
+pub const MAX_MEM_BYTES: u64 = 64 << 20;
+
 /// Computes the width of `expr` evaluated inside `module` (of `circuit`).
 ///
 /// # Errors
 ///
 /// Returns [`IrError::UnresolvedRef`] when the expression mentions a signal
-/// that is not declared, and [`IrError::Malformed`] for other width
-/// inconsistencies.
+/// that is not declared, [`IrError::WidthLimit`] when it or any
+/// subexpression is wider than [`MAX_WIDTH`], and [`IrError::Malformed`]
+/// for other width inconsistencies.
 pub fn infer_width(circuit: &Circuit, module: &Module, expr: &Expr) -> Result<Width> {
-    match expr {
-        Expr::Lit(b) => Ok(b.width()),
-        Expr::Ref(r) => ref_width(circuit, module, r),
-        Expr::Unary(op, a) => {
-            let w = infer_width(circuit, module, a)?;
-            Ok(match op {
-                UnOp::Not => w,
-                UnOp::OrReduce | UnOp::AndReduce | UnOp::XorReduce => Width::new(1),
-            })
-        }
+    width_of(circuit, module, expr, "expression")
+}
+
+/// [`infer_width`], naming `signal` — the statement `expr` drives or
+/// defines — in a [`IrError::WidthLimit`].
+fn width_of(circuit: &Circuit, module: &Module, expr: &Expr, signal: &str) -> Result<Width> {
+    let w = |e: &Expr| width_of(circuit, module, e, signal).map(|w| u64::from(w.get()));
+    let bits: u64 = match expr {
+        Expr::Lit(b) => b.width().get().into(),
+        Expr::Ref(r) => ref_width(circuit, module, r)?.get().into(),
+        Expr::Unary(op, a) => match op {
+            UnOp::Not => w(a)?,
+            UnOp::OrReduce | UnOp::AndReduce | UnOp::XorReduce => {
+                w(a)?;
+                1
+            }
+        },
         Expr::Binary(op, a, b) => {
-            let wa = infer_width(circuit, module, a)?;
-            let wb = infer_width(circuit, module, b)?;
-            Ok(match op {
+            let (wa, wb) = (w(a)?, w(b)?);
+            match op {
                 BinOp::Add
                 | BinOp::Sub
                 | BinOp::Mul
@@ -40,38 +58,45 @@ pub fn infer_width(circuit: &Circuit, module: &Module, expr: &Expr) -> Result<Wi
                 | BinOp::And
                 | BinOp::Or
                 | BinOp::Xor => wa.max(wb),
-                BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Leq | BinOp::Gt | BinOp::Geq => {
-                    Width::new(1)
-                }
-            })
-        }
-        Expr::Mux(_, a, b) => {
-            let wa = infer_width(circuit, module, a)?;
-            let wb = infer_width(circuit, module, b)?;
-            Ok(wa.max(wb))
-        }
-        Expr::Cat(parts) => {
-            let mut total = 0u32;
-            for p in parts {
-                total += infer_width(circuit, module, p)?.get();
+                BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Leq | BinOp::Gt | BinOp::Geq => 1,
             }
-            Ok(Width::new(total))
         }
+        Expr::Mux(sel, a, b) => {
+            w(sel)?;
+            w(a)?.max(w(b)?)
+        }
+        Expr::Cat(parts) => parts.iter().map(w).sum::<Result<u64>>()?,
         Expr::Extract(a, hi, lo) => {
-            let w = infer_width(circuit, module, a)?;
-            if hi < lo || *hi >= w.get() {
+            let wa = w(a)?;
+            if hi < lo || u64::from(*hi) >= wa {
                 return Err(IrError::Malformed {
                     message: format!(
-                        "extract [{hi}:{lo}] out of range for width {w} in module `{}`",
+                        "extract [{hi}:{lo}] out of range for width {wa} in module `{}`",
                         module.name
                     ),
                 });
             }
-            Ok(Width::new(hi - lo + 1))
+            u64::from(hi - lo + 1)
         }
-        Expr::Resize(_, w) => Ok(*w),
-        Expr::Shl(a, _) | Expr::Shr(a, _) => infer_width(circuit, module, a),
+        Expr::Resize(a, to) => {
+            w(a)?;
+            to.get().into()
+        }
+        Expr::Shl(a, _) | Expr::Shr(a, _) => w(a)?,
+    };
+    within_width(module, signal, bits)
+}
+
+/// `bits` as a [`Width`], or [`IrError::WidthLimit`] past [`MAX_WIDTH`].
+fn within_width(module: &Module, signal: &str, bits: u64) -> Result<Width> {
+    if bits > u64::from(MAX_WIDTH) {
+        return Err(IrError::WidthLimit {
+            module: module.name.clone(),
+            signal: signal.to_string(),
+            width: bits,
+        });
     }
+    Ok(Width::new(bits as u32))
 }
 
 /// Width of the signal a [`Ref`] denotes.
@@ -106,7 +131,7 @@ pub fn ref_width(circuit: &Circuit, module: &Module, r: &Ref) -> Result<Width> {
                     Some(Stmt::Mem { width, .. }) => Ok(*width),
                     _ => Err(unresolved()),
                 },
-                Stmt::Node { expr, .. } => infer_width(circuit, module, expr),
+                Stmt::Node { expr, name } => width_of(circuit, module, expr, name),
                 _ => Err(unresolved()),
             }
         }
@@ -169,7 +194,40 @@ fn check_no_recursion(circuit: &Circuit) -> Result<()> {
     Ok(())
 }
 
+/// Declared widths and memory sizes within [`MAX_WIDTH`] and
+/// [`MAX_MEM_BYTES`], checked before anything infers a width from them.
+fn check_declared_sizes(module: &Module) -> Result<()> {
+    for p in &module.ports {
+        within_width(module, &p.name, p.width.get().into())?;
+    }
+    for s in &module.body {
+        match s {
+            Stmt::Wire { name, width } => {
+                within_width(module, name, width.get().into())?;
+            }
+            Stmt::Reg { name, width, init } => {
+                within_width(module, name, width.get().into())?;
+                within_width(module, name, init.width().get().into())?;
+            }
+            Stmt::Mem { name, width, depth } => {
+                within_width(module, name, width.get().into())?;
+                let bytes = u64::from(*depth) * width.words() as u64 * 8;
+                if bytes > MAX_MEM_BYTES {
+                    return Err(IrError::MemoryLimit {
+                        module: module.name.clone(),
+                        memory: name.clone(),
+                        bytes,
+                    });
+                }
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
 fn validate_module(circuit: &Circuit, module: &Module) -> Result<()> {
+    check_declared_sizes(module)?;
     if module.is_extern() {
         if !module.body.is_empty() {
             return Err(IrError::Malformed {
@@ -227,14 +285,15 @@ fn validate_module(circuit: &Circuit, module: &Module) -> Result<()> {
         }
     }
 
-    // Every expression must width-check (which also resolves references).
+    // Every expression must width-check (which also resolves references
+    // and holds every subexpression to the width limit).
     for s in &module.body {
         match s {
-            Stmt::Node { expr, .. } => {
-                infer_width(circuit, module, expr)?;
+            Stmt::Node { expr, name } => {
+                width_of(circuit, module, expr, name)?;
             }
-            Stmt::MemRead { addr, mem, .. } => {
-                infer_width(circuit, module, addr)?;
+            Stmt::MemRead { addr, mem, name } => {
+                width_of(circuit, module, addr, name)?;
                 if !matches!(module.find_def(mem), Some(Stmt::Mem { .. })) {
                     return Err(IrError::UnresolvedRef {
                         module: module.name.clone(),
@@ -248,9 +307,9 @@ fn validate_module(circuit: &Circuit, module: &Module) -> Result<()> {
                 en,
                 mem,
             } => {
-                infer_width(circuit, module, addr)?;
-                infer_width(circuit, module, data)?;
-                infer_width(circuit, module, en)?;
+                for e in [addr, data, en] {
+                    width_of(circuit, module, e, mem)?;
+                }
                 if !matches!(module.find_def(mem), Some(Stmt::Mem { .. })) {
                     return Err(IrError::UnresolvedRef {
                         module: module.name.clone(),
@@ -259,7 +318,7 @@ fn validate_module(circuit: &Circuit, module: &Module) -> Result<()> {
                 }
             }
             Stmt::Connect { lhs, rhs } => {
-                infer_width(circuit, module, rhs)?;
+                width_of(circuit, module, rhs, &lhs.to_string())?;
                 ref_width(circuit, module, lhs)?;
                 check_drivable(circuit, module, lhs)?;
             }
@@ -497,6 +556,105 @@ mod tests {
         });
         let c = Circuit::from_modules("E", vec![m], "E");
         assert!(validate(&c).is_err());
+    }
+
+    /// The tape of the bug report: a 2^27-bit wire driven by a resize of
+    /// a 1-bit input, beside a 2^21 × 64-bit memory.
+    fn bomb() -> Circuit {
+        let mut m = Module::new("Bomb");
+        m.ports.push(Port::input("i", 1));
+        m.ports.push(Port::output("o", 1));
+        m.body.push(Stmt::Wire {
+            name: "w".into(),
+            width: Width::new(1 << 27),
+        });
+        m.body.push(Stmt::Mem {
+            name: "m".into(),
+            width: Width::new(64),
+            depth: 1 << 21,
+        });
+        m.body.push(Stmt::Connect {
+            lhs: Ref::local("w"),
+            rhs: Expr::Resize(Box::new(Expr::reference("i")), Width::new(1 << 27)),
+        });
+        m.body.push(Stmt::Connect {
+            lhs: Ref::local("o"),
+            rhs: Expr::Extract(Box::new(Expr::reference("w")), 0, 0),
+        });
+        Circuit::from_modules("Bomb", vec![m], "Bomb")
+    }
+
+    #[test]
+    fn a_tiny_tape_cannot_declare_a_huge_wire() {
+        let tape = crate::circuit_to_tape(&bomb());
+        assert!(tape.len() <= 128, "{} bytes", tape.len());
+        let back = crate::circuit_from_tape(&tape).unwrap();
+        assert_eq!(
+            validate(&back),
+            Err(IrError::WidthLimit {
+                module: "Bomb".into(),
+                signal: "w".into(),
+                width: 1 << 27,
+            })
+        );
+    }
+
+    #[test]
+    fn memories_are_capped_by_their_storage() {
+        let mem = |depth: u32| {
+            let mut m = Module::new("M");
+            m.ports.push(Port::output("y", 1));
+            m.body.push(Stmt::Mem {
+                name: "store".into(),
+                width: Width::new(64),
+                depth,
+            });
+            m.body.push(Stmt::Connect {
+                lhs: Ref::local("y"),
+                rhs: Expr::lit(0, 1),
+            });
+            Circuit::from_modules("M", vec![m], "M")
+        };
+        validate(&mem(1 << 23)).expect("64 MiB is the limit, not over it");
+        assert_eq!(
+            validate(&mem(1 << 24)),
+            Err(IrError::MemoryLimit {
+                module: "M".into(),
+                memory: "store".into(),
+                bytes: 128 << 20,
+            })
+        );
+    }
+
+    #[test]
+    fn every_subexpression_is_held_to_the_width_limit() {
+        // A narrow result hiding a wide intermediate, and a concatenation
+        // of two legal halves: both name the signal they drive.
+        let wide = Expr::Resize(Box::new(Expr::reference("a")), Width::new(MAX_WIDTH + 1));
+        let cat = Expr::Cat(vec![Expr::lit(0, MAX_WIDTH), Expr::lit(0, 1)]);
+        for (rhs, width) in [
+            (
+                Expr::Extract(Box::new(wide), 0, 0),
+                u64::from(MAX_WIDTH) + 1,
+            ),
+            (Expr::Extract(Box::new(cat), 0, 0), u64::from(MAX_WIDTH) + 1),
+        ] {
+            let mut c = passthrough();
+            let m = c.module_mut("M").unwrap();
+            m.ports.push(Port::output("z", 1));
+            m.body.push(Stmt::Connect {
+                lhs: Ref::local("z"),
+                rhs,
+            });
+            assert_eq!(
+                validate(&c),
+                Err(IrError::WidthLimit {
+                    module: "M".into(),
+                    signal: "z".into(),
+                    width,
+                })
+            );
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use fireaxe_obs::{EventKind, Fnv1a, NodeSample, OwnedTraceEvent, VcdSignal};
 use fireaxe_ripper::{
     ChannelPolicy, LinkSpec, PartitionGroup, PartitionMode, PartitionSpec, Selection,
 };
-use fireaxe_sim::{LinkCounters, NodeCounters};
+use fireaxe_sim::{LinkCounters, NetAccess, NodeCounters};
 use fireaxe_transport::reliable::{Frame, RetryPolicy};
 use fireaxe_transport::{LinkModel, TransportKind};
 use std::io::{self, Read, Write};
@@ -51,10 +51,14 @@ pub const PROTOCOL_MAGIC: u32 = 0x4641_584e;
 /// binary circuit tape in [`Topology`].
 /// v6: [`Topology`] carries the circuit once, as the tape; the printed
 /// text is gone.
-pub const PROTOCOL_VERSION: u32 = 6;
+/// v7: [`Topology`] carries the receiving worker's partition payload
+/// (see [`crate::payload`]) in place of the monolithic tape and the
+/// partition spec, and [`Msg::Ready`] digests that worker's own build
+/// (see [`partition_digest`]).
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Upper bound on a single message payload (the topology message
-/// carries a whole circuit tape; token messages are tiny).
+/// carries a partition's circuit tapes; token messages are tiny).
 pub const MAX_MSG_LEN: u32 = 64 << 20;
 
 // ---------------------------------------------------------------------
@@ -182,39 +186,34 @@ impl<'a> Dec<'a> {
 // Protocol structures.
 // ---------------------------------------------------------------------
 
-/// Everything a worker needs to deterministically rebuild its share of
-/// the simulation, shipped in [`Msg::Topology`].
+/// Everything a worker needs to build its share of the simulation,
+/// shipped in [`Msg::Topology`]: its partition of the coordinator's
+/// FireRipper output, never the whole design.
 #[derive(Debug, Clone)]
 pub struct Topology {
     /// The receiving worker's index == the partition it owns.
     pub worker: u32,
     /// Total workers in the cluster (== partition count).
     pub n_workers: u32,
-    /// The partition spec; the worker reruns FireRipper locally, which
-    /// is deterministic, so all processes agree on node/link indices.
-    pub spec: PartitionSpec,
     /// Engine settings the whole cluster must agree on.
     pub settings: WireSettings,
-    /// The monolithic circuit as a binary tape (see `fireaxe_ir::tape`):
-    /// the worker's build input and the job server's byte-level cache
-    /// key are the same bytes.
-    pub tape: Vec<u8>,
+    /// The worker's partition and the cut-wide tables, encoded by
+    /// [`crate::payload::encode_partition_payload`].
+    pub payload: Vec<u8>,
 }
 
 impl Topology {
-    /// The design-identity hash a pooled worker keys its kept build by:
-    /// everything that determines the deterministic build *except* the
-    /// worker index (placement, not design — one pooled worker may serve
-    /// partition 0 of job A and partition 2 of job B of the same design).
-    /// Process-local: the value never crosses the wire.
-    pub(crate) fn design_key(&self) -> u64 {
+    /// The hash a pooled worker keys a kept partition build by: the
+    /// payload (which names its partition) and everything else that
+    /// determines the build. Process-local: the value never crosses the
+    /// wire.
+    pub(crate) fn cache_key(&self) -> u64 {
         use std::hash::Hasher;
         let mut h = std::collections::hash_map::DefaultHasher::new();
         h.write_u32(self.n_workers);
-        let mut rest = Vec::new();
-        put_spec(&mut rest, &self.spec);
-        put_settings(&mut rest, &self.settings);
-        for bytes in [&self.tape, &rest] {
+        let mut settings = Vec::new();
+        put_settings(&mut settings, &self.settings);
+        for bytes in [&self.payload, &settings] {
             h.write_usize(bytes.len());
             h.write(bytes);
         }
@@ -458,9 +457,11 @@ pub enum Msg {
     /// Coordinator → worker: build your share of the simulation.
     Topology(Box<Topology>),
     /// Worker → coordinator: built; `design_digest` must match the
-    /// coordinator's own (see [`design_digest`]).
+    /// coordinator's digest of the same partition (see
+    /// [`partition_digest`]).
     Ready {
-        /// Digest over node names/partitions and the link table.
+        /// Digest over the worker's nodes, their port tables and the
+        /// link table.
         design_digest: u64,
     },
     /// Coordinator → worker: run to exactly `budget` target cycles.
@@ -1414,10 +1415,9 @@ pub fn encode_msg(msg: &Msg) -> Vec<u8> {
             put_u8(&mut b, TAG_TOPOLOGY);
             put_u32(&mut b, t.worker);
             put_u32(&mut b, t.n_workers);
-            put_spec(&mut b, &t.spec);
             put_settings(&mut b, &t.settings);
-            put_u32(&mut b, t.tape.len() as u32);
-            b.extend_from_slice(&t.tape);
+            put_u32(&mut b, t.payload.len() as u32);
+            b.extend_from_slice(&t.payload);
         }
         Msg::Ready { design_digest } => {
             put_u8(&mut b, TAG_READY);
@@ -1724,16 +1724,14 @@ pub fn decode_msg(buf: &[u8]) -> DecResult<Msg> {
         TAG_TOPOLOGY => {
             let worker = d.u32()?;
             let n_workers = d.u32()?;
-            let spec = dec_spec(&mut d)?;
             let settings = dec_settings(&mut d)?;
             let n = d.count(1)?;
-            let tape = d.take(n)?.to_vec();
+            let payload = d.take(n)?.to_vec();
             Ok(Msg::Topology(Box::new(Topology {
                 worker,
                 n_workers,
-                spec,
                 settings,
-                tape,
+                payload,
             })))
         }
         TAG_READY => Ok(Msg::Ready {
@@ -2059,9 +2057,50 @@ pub fn read_raw_msg(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<bool> {
     Ok(true)
 }
 
+/// FNV-1a digest over what one process built of partition `partition`:
+/// each of its nodes' flat index, name and elaborated port tables, then
+/// the cut's link table. A worker sends it in [`Msg::Ready`]; the
+/// coordinator compares it with the same digest of its own passive
+/// build, so every process is known to run the same build of the same
+/// cut before tokens start flowing.
+pub fn partition_digest(access: &NetAccess<'_>, partition: usize) -> u64 {
+    let mut h = Fnv1a::default();
+    let name = |h: &mut Fnv1a, s: &str| {
+        for b in s.as_bytes() {
+            h.write_u64(u64::from(*b));
+        }
+        h.write_u64(u64::MAX); // terminator
+    };
+    for n in (0..access.node_count()).filter(|&n| access.node_partition(n) == partition) {
+        h.write_u64(n as u64);
+        name(&mut h, access.node_name(n));
+        let model = access.node_model(n);
+        for ports in [model.input_ports(), model.output_ports()] {
+            h.write_u64(ports.len() as u64);
+            for (port, width) in ports {
+                name(&mut h, &port);
+                h.write_u64(u64::from(width.get()));
+            }
+        }
+    }
+    links_into(&mut h, &access.link_specs());
+    h.finish()
+}
+
+fn links_into(h: &mut Fnv1a, links: &[LinkSpec]) {
+    h.write_u64(links.len() as u64);
+    for l in links {
+        h.write_u64(l.from_node as u64);
+        h.write_u64(l.from_chan as u64);
+        h.write_u64(l.to_node as u64);
+        h.write_u64(l.to_chan as u64);
+        h.write_u64(l.width);
+        h.write_u64(u64::from(l.seeded));
+    }
+}
+
 /// FNV-1a digest over the compiled design's node names, partition
-/// assignments and link table: cheap agreement check that every process
-/// elaborated the same design before tokens start flowing.
+/// assignments and link table: the design's identity, whatever built it.
 pub fn design_digest(nodes: &[(String, usize)], links: &[LinkSpec]) -> u64 {
     let mut h = Fnv1a::default();
     h.write_u64(nodes.len() as u64);
@@ -2072,15 +2111,7 @@ pub fn design_digest(nodes: &[(String, usize)], links: &[LinkSpec]) -> u64 {
         h.write_u64(u64::MAX); // name terminator
         h.write_u64(*partition as u64);
     }
-    h.write_u64(links.len() as u64);
-    for l in links {
-        h.write_u64(l.from_node as u64);
-        h.write_u64(l.from_chan as u64);
-        h.write_u64(l.to_node as u64);
-        h.write_u64(l.to_chan as u64);
-        h.write_u64(l.width);
-        h.write_u64(u64::from(l.seeded));
-    }
+    links_into(&mut h, links);
     h.finish()
 }
 
@@ -2316,31 +2347,26 @@ mod tests {
         roundtrip(&Msg::Topology(Box::new(Topology {
             worker: 0,
             n_workers: 2,
-            tape: Vec::new(),
-            spec: PartitionSpec::fast(vec![]),
+            payload: Vec::new(),
             settings,
         })));
     }
 
     #[test]
-    fn design_key_ignores_placement_only() {
-        let spec = PartitionSpec::exact(vec![PartitionGroup::instances(
-            "tiles",
-            vec!["tile0".into()],
-        )]);
+    fn cache_key_follows_the_payload_and_settings() {
         let base = Topology {
             worker: 0,
             n_workers: 4,
-            tape: vec![1, 2, 3],
-            spec,
+            payload: vec![1, 2, 3],
             settings: WireSettings::default(),
         };
-        // Partition 0 of one job, partition 2 of the next: same build.
+        // The payload names its partition; the worker index is only
+        // where it was placed.
         let moved = Topology {
             worker: 2,
             ..base.clone()
         };
-        assert_eq!(base.design_key(), moved.design_key());
+        assert_eq!(base.cache_key(), moved.cache_key());
 
         let variants = [
             Topology {
@@ -2355,16 +2381,12 @@ mod tests {
                 ..base.clone()
             },
             Topology {
-                tape: vec![1, 2, 4],
-                ..base.clone()
-            },
-            Topology {
-                spec: PartitionSpec::fast(base.spec.groups.clone()),
+                payload: vec![1, 2, 4],
                 ..base.clone()
             },
         ];
         for v in &variants {
-            assert_ne!(base.design_key(), v.design_key(), "{v:?}");
+            assert_ne!(base.cache_key(), v.cache_key(), "{v:?}");
         }
     }
 
@@ -2426,8 +2448,7 @@ mod tests {
         roundtrip(&Msg::Topology(Box::new(Topology {
             worker: 0,
             n_workers: 2,
-            tape: Vec::new(),
-            spec: PartitionSpec::fast(vec![]),
+            payload: Vec::new(),
             settings: settings.clone(),
         })));
         assert_eq!(settings.effective_batch(), 64);
@@ -2450,6 +2471,21 @@ mod tests {
 
     #[test]
     fn topology_roundtrips() {
+        let mut settings = WireSettings::default();
+        settings.link_transports.push((2, LinkModel::host_pcie()));
+        settings.partition_clocks.push((1, 90.0));
+        settings.vcd = true;
+        settings.signals.push("tile0:counter".into());
+        roundtrip(&Msg::Topology(Box::new(Topology {
+            worker: 1,
+            n_workers: 4,
+            payload: vec![0x46, 0x58, 0x57, 0x31, 0x01],
+            settings,
+        })));
+    }
+
+    #[test]
+    fn submit_job_roundtrips_its_spec() {
         let spec = PartitionSpec::fast(vec![
             PartitionGroup::instances("fpga0", vec!["top.a".into(), "top.b".into()]),
             PartitionGroup {
@@ -2461,18 +2497,14 @@ mod tests {
                 fame5: true,
             },
         ]);
-        let mut settings = WireSettings::default();
-        settings.link_transports.push((2, LinkModel::host_pcie()));
-        settings.partition_clocks.push((1, 90.0));
-        settings.vcd = true;
-        settings.signals.push("tile0:counter".into());
-        roundtrip(&Msg::Topology(Box::new(Topology {
-            worker: 1,
-            n_workers: 4,
+        roundtrip(&Msg::SubmitJob {
+            tenant: "t".into(),
+            budget: 9,
+            backend: BACKEND_NET,
             tape: vec![0x46, 0x58, 0x54, 0x31, 0x01],
             spec,
-            settings,
-        })));
+            settings: WireSettings::default(),
+        });
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! the control loop, which tracks liveness and teardown.
 //!
 //! Lifecycle: connect → `Hello`/`HelloAck` version check → `Topology`
-//! (circuit IR + spec + settings) → `Ready` design-digest agreement →
+//! (the worker's partition payload + settings) → `Ready` digest
+//! agreement →
 //! `Run` → relay `Token`/`Ack`/`Credit` while tracking `Progress` →
 //! all `Done` → `Finish` → collect `Report`s → `Shutdown`. Any fatal
 //! error (peer loss, protocol mismatch, silence past the configured
@@ -31,19 +32,23 @@
 //! and surfaces as the matching typed [`SimError`].
 
 use crate::codec::{
-    decode_msg, design_digest, read_msg, read_raw_msg, write_msg, Msg, NodeInfo, Topology,
-    WireReport, WireSettings, FATAL_LINK_DOWN, PROTOCOL_MAGIC, PROTOCOL_VERSION, TAG_ACK,
+    decode_msg, design_digest, partition_digest, read_msg, read_raw_msg, write_msg, Msg, NodeInfo,
+    Topology, WireReport, WireSettings, FATAL_LINK_DOWN, PROTOCOL_MAGIC, PROTOCOL_VERSION, TAG_ACK,
     TAG_CORRUPT_TOKEN, TAG_CREDIT, TAG_TOKEN, TAG_TOKEN_BATCH,
 };
+use crate::payload::encode_partition_payload;
 use crate::stream::{NetListener, NetStream};
-use crate::worker::SimSetup;
+use crate::worker::{configure, SimSetup};
 use fireaxe_ir::Circuit;
 use fireaxe_obs::{
-    to_chrome_json_merged, trace, LinkSample, LinkSeries, MetricsSeries, NodeSeries,
+    obs_span, to_chrome_json_merged, trace, LinkSample, LinkSeries, MetricsSeries, NodeSeries,
     OwnedTraceEvent, RecoveryEvent, VcdWriter,
 };
-use fireaxe_ripper::{compile, LinkSpec, PartitionSpec};
-use fireaxe_sim::{LinkCounters, NodeStall, Result, SimError, SimMetrics, StallReport};
+use fireaxe_ripper::{compile, LinkSpec, PartitionSpec, PartitionedDesign};
+use fireaxe_sim::{
+    Backend, LinkCounters, NodeStall, PartitionCut, Result, SimBuilder, SimError, SimMetrics,
+    StallReport,
+};
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -537,11 +542,12 @@ pub fn run_cluster_controlled(
     )
 }
 
-/// A compiled design ready to be placed on a worker fleet: the binary
-/// tape workers instantiate from, the partition metadata and VCD
-/// signal table the coordinator folds reports against, the canonical
-/// design digest every worker build must match, and the
-/// link→partition owner maps the relay routes by.
+/// A compiled design ready to be placed on a worker fleet: the
+/// FireRipper output (which a threads job runs directly), one encoded
+/// payload per partition for the workers to build from, the digest each
+/// worker's `Ready` must match, the partition metadata and VCD signal
+/// table the coordinator folds reports against, and the link→partition
+/// owner maps the relay routes by.
 ///
 /// Preparing is the expensive, design-dependent step (partition
 /// compile plus a passive local build); placing and executing are
@@ -549,8 +555,9 @@ pub fn run_cluster_controlled(
 /// so a repeated submission skips straight to placement.
 #[derive(Clone)]
 pub struct PreparedJob {
-    tape: Vec<u8>,
-    spec: PartitionSpec,
+    design: PartitionedDesign,
+    payloads: Vec<Vec<u8>>,
+    ready_digests: Vec<u64>,
     settings: WireSettings,
     nodes_meta: Vec<(String, usize)>,
     specs: Vec<LinkSpec>,
@@ -558,12 +565,12 @@ pub struct PreparedJob {
     digest: u64,
     owner_of_link_sink: Vec<usize>,
     owner_of_link_source: Vec<usize>,
-    n_workers: usize,
 }
 
 impl PreparedJob {
-    /// The canonical design digest: what every worker's `Ready` must
-    /// match, and what the job server's tape cache is keyed by.
+    /// The canonical design digest (see [`design_digest`]): the
+    /// compiled cut's identity. Each worker's `Ready` is checked against
+    /// its own partition's digest instead (see [`partition_digest`]).
     #[must_use]
     pub fn design_digest(&self) -> u64 {
         self.digest
@@ -572,13 +579,18 @@ impl PreparedJob {
     /// Worker count this design needs (one per partition).
     #[must_use]
     pub fn n_workers(&self) -> usize {
-        self.n_workers
+        self.payloads.len()
     }
 
-    /// The canonical binary tape (see `fireaxe_ir::circuit_to_tape`).
+    /// Partition `partition`'s `Topology` payload (see
+    /// [`crate::payload`]), what [`crate::build_partition`] builds from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `partition` is out of range.
     #[must_use]
-    pub fn tape(&self) -> &[u8] {
-        &self.tape
+    pub fn partition_payload(&self, partition: usize) -> &[u8] {
+        &self.payloads[partition]
     }
 
     /// The wire settings the design was prepared under.
@@ -591,10 +603,9 @@ impl PreparedJob {
     fn topology_for(&self, worker: usize) -> Msg {
         Msg::Topology(Box::new(Topology {
             worker: worker as u32,
-            n_workers: self.n_workers as u32,
-            tape: self.tape.clone(),
-            spec: self.spec.clone(),
+            n_workers: self.n_workers() as u32,
             settings: self.settings.clone(),
+            payload: self.payloads[worker].clone(),
         }))
     }
 }
@@ -614,19 +625,53 @@ pub fn prepare_job(
     settings: &WireSettings,
     setup: &SimSetup,
 ) -> Result<PreparedJob> {
-    prepare_job_inner(
-        circuit,
-        fireaxe_ir::circuit_to_tape(circuit),
-        spec,
+    trace::set_enabled(true);
+    let design = compile(circuit, spec)
+        .map_err(|e| cfg_err(format!("coordinator partition compile failed: {e}")))?;
+    let n_workers = design.partitions.len();
+
+    // A passive local build of the same sim: the source of node/link
+    // metadata, the VCD signal table, the fast-mode seeds the payloads
+    // carry, and the digest each worker's build must match. It never
+    // runs a cycle.
+    let mut local = setup(configure(
+        SimBuilder::new(&design).backend(Backend::Net),
         settings,
-        setup,
-    )
+    ))
+    .build()?;
+    let payloads = (0..n_workers)
+        .map(|p| encode_partition_payload(&PartitionCut::of(&design, &local, p)))
+        .collect();
+    let access = local.net_access();
+    let ready_digests = (0..n_workers)
+        .map(|p| partition_digest(&access, p))
+        .collect();
+    let nodes_meta: Vec<(String, usize)> = (0..access.node_count())
+        .map(|n| (access.node_name(n).to_string(), access.node_partition(n)))
+        .collect();
+    let specs: Vec<LinkSpec> = access.link_specs();
+    let vcd_signals = access.vcd_signals();
+    let digest = design_digest(&nodes_meta, &specs);
+    let owner_of_link_sink: Vec<usize> = specs.iter().map(|s| nodes_meta[s.to_node].1).collect();
+    let owner_of_link_source: Vec<usize> =
+        specs.iter().map(|s| nodes_meta[s.from_node].1).collect();
+    drop(local);
+    Ok(PreparedJob {
+        design,
+        payloads,
+        ready_digests,
+        settings: settings.clone(),
+        nodes_meta,
+        specs,
+        vcd_signals,
+        digest,
+        owner_of_link_sink,
+        owner_of_link_source,
+    })
 }
 
 /// [`prepare_job`] from an already-encoded binary tape — the job
-/// server's submission path. The submitted bytes are kept verbatim
-/// (they are what the cache key was computed over) instead of being
-/// re-encoded from the decoded circuit.
+/// server's submission path.
 ///
 /// # Errors
 ///
@@ -639,89 +684,26 @@ pub fn prepare_job_from_tape(
     setup: &SimSetup,
 ) -> Result<PreparedJob> {
     let circuit = fireaxe_ir::circuit_from_tape(tape).map_err(SimError::Ir)?;
-    prepare_job_inner(&circuit, tape.to_vec(), spec, settings, setup)
-}
-
-fn prepare_job_inner(
-    circuit: &Circuit,
-    tape: Vec<u8>,
-    spec: &PartitionSpec,
-    settings: &WireSettings,
-    setup: &SimSetup,
-) -> Result<PreparedJob> {
-    trace::set_enabled(true);
-    let design = compile(circuit, spec)
-        .map_err(|e| cfg_err(format!("coordinator partition compile failed: {e}")))?;
-    let n_workers = design.partitions.len();
-
-    // A passive local build of the same sim: the source of node/link
-    // metadata, the VCD signal table, and the digest every worker's
-    // build must match. It never runs a cycle.
-    let mut local = crate::worker::build_sim(&design, settings, setup)?;
-    let access = local.net_access();
-    let nodes_meta: Vec<(String, usize)> = (0..access.node_count())
-        .map(|n| (access.node_name(n).to_string(), access.node_partition(n)))
-        .collect();
-    let specs: Vec<LinkSpec> = access.link_specs();
-    let vcd_signals = access.vcd_signals();
-    let digest = design_digest(&nodes_meta, &specs);
-    let owner_of_link_sink: Vec<usize> = specs.iter().map(|s| nodes_meta[s.to_node].1).collect();
-    let owner_of_link_source: Vec<usize> =
-        specs.iter().map(|s| nodes_meta[s.from_node].1).collect();
-    drop(local);
-    Ok(PreparedJob {
-        tape,
-        spec: spec.clone(),
-        settings: settings.clone(),
-        nodes_meta,
-        specs,
-        vcd_signals,
-        digest,
-        owner_of_link_sink,
-        owner_of_link_source,
-        n_workers,
-    })
+    prepare_job(&circuit, spec, settings, setup)
 }
 
 /// Runs a [`PreparedJob`] in-process on the threaded backend — the job
-/// server's `Backend::Threads` execution path. The same submission
-/// (tape + spec + settings) that [`place_cluster`]/[`execute_placed`]
-/// would fan across pooled workers instead builds one multi-threaded
-/// local sim and runs it to `budget`, returning the same
-/// [`NetRunReport`] shape (no chrome trace merge, no recoveries — there
-/// are no worker processes to lose).
+/// server's `Backend::Threads` execution path. The FireRipper output
+/// that [`place_cluster`]/[`execute_placed`] would fan across pooled
+/// workers instead builds one multi-threaded local sim and runs it to
+/// `budget`, returning the same [`NetRunReport`] shape (no chrome trace
+/// merge, no recoveries — there are no worker processes to lose).
 ///
 /// # Errors
 ///
-/// Tape decode, compile, and build failures, plus anything the run
-/// itself reports.
+/// Build failures, plus anything the run itself reports.
 pub fn execute_threads(
     prepared: &PreparedJob,
     budget: u64,
     setup: &SimSetup,
 ) -> Result<NetRunReport> {
-    let circuit = fireaxe_ir::circuit_from_tape(&prepared.tape).map_err(SimError::Ir)?;
-    let design = compile(&circuit, &prepared.spec)
-        .map_err(|e| cfg_err(format!("threads job partition compile failed: {e}")))?;
-    let s = &prepared.settings;
-    let mut builder = fireaxe_sim::SimBuilder::new(&design)
-        .backend(fireaxe_sim::Backend::Threads(0))
-        .transport(s.default_transport)
-        .clock_mhz(s.clock_mhz)
-        .channel_capacity(s.channel_capacity as usize)
-        .deadlock_horizon(s.deadlock_horizon)
-        .observe(fireaxe_sim::ObsSpec {
-            sample_interval: s.sample_interval,
-            vcd: s.vcd,
-            signals: s.signals.clone(),
-        });
-    for (l, m) in &s.link_transports {
-        builder = builder.link_transport(*l as usize, *m);
-    }
-    for (p, mhz) in &s.partition_clocks {
-        builder = builder.partition_clock_mhz(*p as usize, *mhz);
-    }
-    let mut sim = setup(builder).build()?;
+    let builder = SimBuilder::new(&prepared.design).backend(Backend::Threads(0));
+    let mut sim = setup(configure(builder, &prepared.settings)).build()?;
     let metrics = sim.run_target_cycles(budget)?;
     let obs = sim.obs_report();
     Ok(NetRunReport {
@@ -756,8 +738,8 @@ pub enum Teardown {
 }
 
 /// Dials one worker per partition and runs the bring-up handshake
-/// (version check, `Topology` carrying the binary tape, `Ready`
-/// digest agreement). The returned fleet is ready for
+/// (version check, `Topology` carrying the worker's partition payload,
+/// `Ready` digest agreement). The returned fleet is ready for
 /// [`execute_placed`].
 ///
 /// # Errors
@@ -771,7 +753,8 @@ pub fn place_cluster(
     workers: &[String],
     connect_timeout_ms: u64,
 ) -> Result<PlacedCluster> {
-    let n_workers = prepared.n_workers;
+    let _span = obs_span!("net.place_cluster");
+    let n_workers = prepared.n_workers();
     if workers.len() != n_workers {
         return Err(cfg_err(format!(
             "net.workers: got {} worker address(es) for a {}-partition design \
@@ -813,7 +796,7 @@ pub fn place_cluster(
             .push(stream.try_clone().map_err(setup_err)?);
         cluster.writers.push(Arc::new(Mutex::new(stream)));
     }
-    // Bring every worker up at once: a worker builds its whole design
+    // Bring every worker up at once: a worker builds its partition
     // between `Topology` and `Ready`, so all of them must hold their
     // topology before the first `Ready` is waited for — handshaking them
     // one after another would run the builds back to back.
@@ -851,13 +834,13 @@ pub fn place_cluster(
     for (i, read_half) in read_halves.iter_mut().enumerate() {
         match expect_msg(&mut cluster, read_half, i, connect_timeout_ms)? {
             Msg::Ready { design_digest } => {
-                if design_digest != prepared.digest {
+                if design_digest != prepared.ready_digests[i] {
                     cluster.shutdown_sockets();
                     return Err(cfg_err(format!(
-                        "worker {i} built a different design \
+                        "worker {i} built a different partition \
                          (digest {design_digest:#x} != {:#x}); \
                          are all processes running the same build?",
-                        prepared.digest
+                        prepared.ready_digests[i]
                     )));
                 }
             }
@@ -906,7 +889,7 @@ pub fn execute_placed(
     } = placed;
     let settings = &prepared.settings;
     let nodes_meta = &prepared.nodes_meta;
-    let n_workers = prepared.n_workers;
+    let n_workers = prepared.n_workers();
 
     // --- Run + relay ----------------------------------------------------
     // Every worker must hold its `Run` before the first relay thread
@@ -1993,8 +1976,8 @@ fn bring_up_replacement(
     hb_interval: Duration,
     hb_cycle: u64,
 ) -> std::result::Result<NetStream, String> {
-    let n_workers = prepared.n_workers;
-    let expected_digest = prepared.digest;
+    let n_workers = prepared.n_workers();
+    let expected_digest = prepared.ready_digests[w];
     let err = |m: String| m;
     let stream = NetStream::connect(addr, connect_timeout)
         .map_err(|e| err(format!("connect {addr}: {e}")))?;
@@ -2057,7 +2040,7 @@ fn bring_up_replacement(
         Msg::Ready { design_digest } => {
             if design_digest != expected_digest {
                 return Err(format!(
-                    "replacement built a different design \
+                    "replacement built a different partition \
                      (digest {design_digest:#x} != {expected_digest:#x})"
                 ));
             }

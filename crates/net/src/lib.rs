@@ -10,6 +10,8 @@
 //! sequences and VCD waveforms to the single-process DES golden model.
 //!
 //! * [`codec`] — the versioned, length-prefixed binary wire protocol;
+//! * [`payload`] — the partition payload a `Topology` ships: one
+//!   partition of the coordinator's FireRipper output;
 //! * [`stream`] — TCP / Unix-domain byte streams behind one type;
 //! * [`flow`] — credit-based token flow control mirroring the LI-BDN
 //!   channel FSMs;
@@ -25,15 +27,16 @@
 pub mod codec;
 pub mod coordinator;
 pub mod flow;
+pub mod payload;
 pub mod proxy;
 pub mod spawn;
 pub mod stream;
 pub mod worker;
 
 pub use codec::{
-    design_digest, JobInfo, Msg, NodeInfo, ServeStats, Topology, WireReport, WireSettings,
-    BACKEND_NET, BACKEND_THREADS, JOB_DONE, JOB_EVICTED, JOB_FAILED, JOB_QUEUED, JOB_RUNNING,
-    PROTOCOL_VERSION,
+    design_digest, partition_digest, JobInfo, Msg, NodeInfo, ServeStats, Topology, WireReport,
+    WireSettings, BACKEND_NET, BACKEND_THREADS, JOB_DONE, JOB_EVICTED, JOB_FAILED, JOB_QUEUED,
+    JOB_RUNNING, PROTOCOL_VERSION,
 };
 pub use coordinator::{
     execute_placed, execute_threads, place_cluster, prepare_job, prepare_job_from_tape,
@@ -42,7 +45,11 @@ pub use coordinator::{
 };
 pub use fireaxe_obs::RecoveryEvent;
 pub use flow::{RxLink, TxLink, INITIAL_CREDITS};
+pub use payload::{decode_partition_payload, encode_partition_payload};
 pub use proxy::{FaultProxy, ProxyPlan};
 pub use spawn::SpawnedWorker;
 pub use stream::{NetListener, NetStream};
-pub use worker::{serve, serve_pooled, serve_pooled_with, serve_with, SimSetup, WorkerOptions};
+pub use worker::{
+    build_partition, serve, serve_pooled, serve_pooled_with, serve_with, SimSetup, WorkerOptions,
+    BUILD_CACHE_CAPACITY,
+};

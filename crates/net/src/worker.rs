@@ -1,11 +1,11 @@
 //! The worker process: owns one partition, speaks the wire protocol.
 //!
 //! A worker accepts exactly one coordinator connection, handshakes,
-//! receives the topology (circuit IR + partition spec + settings),
-//! deterministically reruns FireRipper and `SimBuilder` locally — so
-//! every process agrees on node/link indices and fast-mode seed
-//! staging without shipping elaborated state — then services only the
-//! nodes of its own partition. Cross-worker link endpoints become
+//! receives the topology (its partition payload + settings), validates
+//! and elaborates only its own partition's threads — FireRipper ran once,
+//! on the coordinator, and the payload keeps the cut's global node, link
+//! and VCD signal numbering — then services the nodes of that
+//! partition. Cross-worker link endpoints become
 //! socket traffic: outputs are sealed into go-back-N frames and sent as
 //! [`Msg::Token`]s (gated by credits), inbound frames are classified by
 //! the reliability receiver and staged into the consuming node's LI-BDN
@@ -57,16 +57,17 @@
 //! inbound link.
 
 use crate::codec::{
-    decode_msg, design_digest, encode_msg, read_msg, write_msg, LinkReport, Msg, NodeReport,
-    WireReport, WireSettings, FATAL_LINK_DOWN, FATAL_SIM, MAX_MSG_LEN, PROTOCOL_MAGIC,
+    decode_msg, encode_msg, partition_digest, read_msg, write_msg, LinkReport, Msg, NodeReport,
+    Topology, WireReport, WireSettings, FATAL_LINK_DOWN, FATAL_SIM, MAX_MSG_LEN, PROTOCOL_MAGIC,
     PROTOCOL_VERSION,
 };
 use crate::flow::{RxLink, RxLinkMark, TxLink, TxLinkMark};
+use crate::payload::decode_partition_payload;
 use crate::stream::{NetListener, NetStream};
 use fireaxe_ir::{StateDec, StateEnc};
-use fireaxe_obs::{trace, OwnedTraceEvent};
-use fireaxe_ripper::{LinkSpec, PartitionedDesign};
-use fireaxe_sim::{Backend, DistributedSim, NetAccess, Result, SimBuilder, SimError};
+use fireaxe_obs::{obs_counter, obs_span, trace, OwnedTraceEvent};
+use fireaxe_ripper::LinkSpec;
+use fireaxe_sim::{DistributedSim, NetAccess, Result, SimBuilder, SimError};
 use fireaxe_transport::reliable::{Frame, RxVerdict};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -463,17 +464,11 @@ fn restore_state(
     Ok(())
 }
 
-/// Builds the deterministic local simulation every process of a cluster
-/// constructs from the shipped topology: same builder-call order, same
-/// settings, same setup hook — so node/link indices, channel staging,
-/// and the design digest agree across the coordinator and all workers.
-pub(crate) fn build_sim(
-    design: &PartitionedDesign,
-    settings: &WireSettings,
-    setup: &SimSetup,
-) -> Result<DistributedSim> {
-    let mut builder = SimBuilder::new(design)
-        .backend(Backend::Net)
+/// Applies the cluster-wide settings every build of a job shares — the
+/// coordinator's passive build, a threads job, each worker's partition —
+/// so all of them stage channels and observation identically.
+pub(crate) fn configure<'a>(builder: SimBuilder<'a>, settings: &WireSettings) -> SimBuilder<'a> {
+    let mut builder = builder
         .transport(settings.default_transport)
         .clock_mhz(settings.clock_mhz)
         .channel_capacity(settings.channel_capacity as usize)
@@ -489,7 +484,50 @@ pub(crate) fn build_sim(
     for (p, mhz) in &settings.partition_clocks {
         builder = builder.partition_clock_mhz(*p as usize, *mhz);
     }
-    setup(builder).build()
+    builder
+}
+
+/// Builds what a worker runs from a `Topology` payload: decodes it,
+/// validates every thread circuit (the payload comes off a socket), and
+/// elaborates only that partition's threads with `settings` and `setup`
+/// applied exactly as every other process of the cluster applies them.
+/// The build's partition blobs, VCD signal table and
+/// [`partition_digest`] are those of a whole-design build.
+///
+/// # Errors
+///
+/// [`SimError::Config`] for a payload that does not decode or carries
+/// another partition than `partition`, [`SimError::Ir`] for a thread
+/// circuit that fails validation (e.g. past the size limits), and
+/// whatever the build reports.
+pub fn build_partition(
+    payload: &[u8],
+    partition: usize,
+    settings: &WireSettings,
+    setup: &SimSetup,
+) -> Result<DistributedSim> {
+    let cut = {
+        let _decode = obs_span!("net.worker.decode");
+        decode_partition_payload(payload).map_err(|e| {
+            cfg_err(format!(
+                "worker received a bad circuit tape in its partition payload: {e}"
+            ))
+        })?
+    };
+    if cut.partition != partition {
+        return Err(cfg_err(format!(
+            "worker {partition} received partition {}'s payload",
+            cut.partition
+        )));
+    }
+    {
+        let _validate = obs_span!("net.worker.validate");
+        for t in &cut.artifact.threads {
+            fireaxe_ir::typecheck::validate(&t.circuit)?;
+        }
+    }
+    let _build = obs_span!("net.worker.build");
+    setup(configure(SimBuilder::for_partition(&cut), settings)).build()
 }
 
 /// Serves one coordinator session on `listener`: handshake, build,
@@ -515,8 +553,7 @@ pub fn serve_with(listener: &NetListener, setup: &SimSetup, options: &WorkerOpti
     let stream = listener
         .accept()
         .map_err(|e| cfg_err(format!("worker accept failed: {e}")))?;
-    let mut cache = None;
-    serve_stream(stream, setup, options, &mut cache).map(|_| ())
+    serve_stream(stream, setup, options, &mut BuildCache::default()).map(|_| ())
 }
 
 /// Serves coordinator sessions forever: a *pooled* worker. Where
@@ -534,12 +571,14 @@ pub fn serve_with(listener: &NetListener, setup: &SimSetup, options: &WorkerOpti
 ///   wiped between jobs (the engine's run accumulators, the cycle-0
 ///   state rewind below), so job N+1 is bit-exact with a fresh-spawned
 ///   worker.
-/// * **Design reuse.** The worker keeps its most recent deterministic
-///   build keyed by the topology's design inputs; a repeated job skips
-///   the parse + partition compile + build entirely and just rewinds
-///   the kept simulation to its captured cycle-0 snapshot. With the
-///   job server's digest-keyed tape cache in front, this is the common
-///   case.
+/// * **Partition reuse.** The worker keeps its last
+///   [`BUILD_CACHE_CAPACITY`] partition builds, keyed by the
+///   topology's payload and settings; a job whose partition it already
+///   built skips the decode + validate + build entirely and just
+///   rewinds the kept simulation to its captured cycle-0 snapshot. An
+///   entry is one partition, not a design, so memory grows with the
+///   partitions a worker serves. With the job server's digest-keyed
+///   tape cache in front, this is the common case.
 ///
 /// A failed session (a job that errors, a coordinator that vanishes
 /// mid-run) is *tolerated*: the worker logs nothing, drops the
@@ -565,7 +604,7 @@ pub fn serve_pooled_with(
     setup: &SimSetup,
     options: &WorkerOptions,
 ) -> Result<()> {
-    let mut cache: Option<CachedBuild> = None;
+    let mut cache = BuildCache::default();
     loop {
         let stream = listener
             .accept()
@@ -598,37 +637,93 @@ enum SessionEnd {
     Gone,
 }
 
-/// One cached deterministic build, kept across a pooled worker's
-/// sessions. `key` is `None` when the build cannot be reused (a node's
-/// target state is not snapshottable, so there is no way back to
-/// cycle 0) — the entry then only serves the current session.
+/// Partition builds a pooled worker keeps between sessions.
+pub const BUILD_CACHE_CAPACITY: usize = 8;
+
+/// One kept partition build.
 struct CachedBuild {
-    key: Option<u64>,
-    /// Cycle-0 portable snapshot per partition, captured before the
+    /// [`Topology::cache_key`] of the topology it was built from.
+    key: u64,
+    /// The partition's cycle-0 portable snapshot, captured before the
     /// first session dirtied anything.
-    init: Vec<Vec<u8>>,
+    init: Vec<u8>,
     sim: DistributedSim,
 }
 
-/// Rewinds a cached build to its captured cycle-0 state and wipes the
+/// A pooled worker's kept partition builds, most recently used first,
+/// at most [`BUILD_CACHE_CAPACITY`] of them. A build whose target state
+/// cannot be snapshotted has no way back to cycle 0: it serves its own
+/// session only, from `once`.
+#[derive(Default)]
+struct BuildCache {
+    kept: VecDeque<CachedBuild>,
+    once: Option<DistributedSim>,
+    hits: u64,
+    misses: u64,
+}
+
+impl BuildCache {
+    /// The simulation `topology` asks for, rewound to cycle 0 if kept,
+    /// else built — timed by the `net.worker.*` bring-up spans.
+    fn bring_up(
+        &mut self,
+        topology: &Topology,
+        me: usize,
+        setup: &SimSetup,
+    ) -> Result<&mut DistributedSim> {
+        self.once = None;
+        let key = topology.cache_key();
+        let Some(pos) = self.kept.iter().position(|c| c.key == key) else {
+            self.misses += 1;
+            obs_counter!("net.worker.build_cache_misses", 0, self.misses);
+            let _bringup = obs_span!("net.worker.bringup");
+            // Room first: the evicted build goes before the new one
+            // allocates.
+            self.kept.truncate(BUILD_CACHE_CAPACITY - 1);
+            let mut sim = build_partition(&topology.payload, me, &topology.settings, setup)?;
+            let init = {
+                let _snapshot = obs_span!("net.worker.snapshot");
+                sim.net_access().snapshot_partition_bytes(me)
+            };
+            return Ok(match init {
+                Ok(init) => {
+                    self.kept.push_front(CachedBuild { key, init, sim });
+                    &mut self.kept[0].sim
+                }
+                Err(_) => self.once.insert(sim),
+            });
+        };
+        self.hits += 1;
+        let mut c = self.kept.remove(pos).expect("position is in range");
+        // Trace residue from the previous session's teardown window must
+        // not leak into this job's report (drained before this bring-up's
+        // own spans open).
+        trace::flush_thread();
+        let _ = trace::take_events();
+        obs_counter!("net.worker.build_cache_hits", 0, self.hits);
+        let _bringup = obs_span!("net.worker.bringup");
+        let _rewind = obs_span!("net.worker.rewind");
+        // A failed rewind drops the entry; rebuilding is always sound
+        // (and the error already ends this session).
+        rewind(&mut c, me)?;
+        self.kept.push_front(c);
+        Ok(&mut self.kept[0].sim)
+    }
+}
+
+/// Rewinds a kept build to its captured cycle-0 state and wipes the
 /// engine's cumulative run accumulators — the "fresh worker" half of
 /// the pooled-reuse contract (the per-session protocol state is fresh
 /// by construction: it lives in [`run_session`]'s locals).
-fn rewind_cached(c: &mut CachedBuild) -> Result<()> {
+fn rewind(c: &mut CachedBuild, me: usize) -> Result<()> {
     let mut access = c.sim.net_access();
-    for (p, blob) in c.init.iter().enumerate() {
-        let restored = access.restore_partition_bytes(p, blob)?;
-        if restored != 0 {
-            return Err(cfg_err(format!(
-                "pooled worker rewound partition {p} to cycle {restored}, expected 0"
-            )));
-        }
+    let restored = access.restore_partition_bytes(me, &c.init)?;
+    if restored != 0 {
+        return Err(cfg_err(format!(
+            "pooled worker rewound partition {me} to cycle {restored}, expected 0"
+        )));
     }
     access.reset_run_accumulators();
-    // Trace residue from the previous session's teardown window must
-    // not leak into this job's report.
-    trace::flush_thread();
-    let _ = trace::take_events();
     Ok(())
 }
 
@@ -638,7 +733,7 @@ fn serve_stream(
     mut stream: NetStream,
     setup: &SimSetup,
     options: &WorkerOptions,
-    cache: &mut Option<CachedBuild>,
+    cache: &mut BuildCache,
 ) -> Result<SessionEnd> {
     let peer = stream.peer_string();
 
@@ -691,59 +786,33 @@ fn serve_stream(
             })
         }
     };
-    let key = topology.design_key();
     let settings = topology.settings.clone();
-    if cache.as_ref().and_then(|c| c.key) == Some(key) {
-        let c = cache.as_mut().expect("key matched");
-        if let Err(e) = rewind_cached(c) {
-            // A failed rewind poisons the entry; rebuilding is always
-            // sound (and the error below already ends this session).
-            *cache = None;
+    // On before the bring-up: its spans belong in the merged trace.
+    trace::set_enabled(true);
+    let sim = match cache.bring_up(&topology, me, setup) {
+        Ok(sim) => sim,
+        Err(e) => {
+            // The coordinator is waiting for Ready: tell it why not.
+            let _ = write_msg(
+                &mut stream,
+                &Msg::Fatal {
+                    code: FATAL_SIM,
+                    link: 0,
+                    attempts: 0,
+                    message: format!("worker {me}: {e}"),
+                },
+            );
+            stream.shutdown();
             return Err(e);
         }
-    } else {
-        // Drop the stale build before the new one allocates.
-        *cache = None;
-        let circuit = fireaxe_ir::circuit_from_tape(&topology.tape)
-            .map_err(|e| cfg_err(format!("worker received a bad circuit tape: {e}")))?;
-        // On before the compile: its passes belong in the merged trace.
-        trace::set_enabled(true);
-        let design = fireaxe_ripper::compile(&circuit, &topology.spec)
-            .map_err(|e| cfg_err(format!("worker partition compile failed: {e}")))?;
-        let mut sim = build_sim(&design, &settings, setup)?;
-        // Capture the cycle-0 rewind point for pooled reuse. A design
-        // whose target state cannot be snapshotted is still served —
-        // it just rebuilds on every job.
-        let init: Result<Vec<Vec<u8>>> = {
-            let access = sim.net_access();
-            (0..design.partitions.len())
-                .map(|p| access.snapshot_partition_bytes(p))
-                .collect()
-        };
-        *cache = Some(match init {
-            Ok(init) => CachedBuild {
-                key: Some(key),
-                init,
-                sim,
-            },
-            Err(_) => CachedBuild {
-                key: None,
-                init: Vec::new(),
-                sim,
-            },
-        });
-    }
-    let sim = &mut cache.as_mut().expect("installed above").sim;
+    };
 
     let mut access = sim.net_access();
-    let nodes_meta: Vec<(String, usize)> = (0..access.node_count())
-        .map(|n| (access.node_name(n).to_string(), access.node_partition(n)))
-        .collect();
     let specs = access.link_specs();
     write_msg(
         &mut stream,
         &Msg::Ready {
-            design_digest: design_digest(&nodes_meta, &specs),
+            design_digest: partition_digest(&access, me),
         },
     )
     .map_err(|e| cfg_err(format!("worker ready write failed: {e}")))?;

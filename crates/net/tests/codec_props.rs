@@ -7,9 +7,42 @@
 
 use fireaxe_ir::Bits;
 use fireaxe_net::codec::{decode_msg, encode_msg, read_msg, write_msg, JobInfo, Msg, ServeStats};
-use fireaxe_net::WireSettings;
+use fireaxe_net::{decode_partition_payload, encode_partition_payload, Topology, WireSettings};
 use fireaxe_transport::reliable::Frame;
 use proptest::prelude::*;
+use std::sync::OnceLock;
+
+/// A real partition payload: the middle partition of a 4-tile ring cut
+/// in three, with waveform capture on so every table is populated.
+fn real_payload() -> &'static [u8] {
+    static PAYLOAD: OnceLock<Vec<u8>> = OnceLock::new();
+    PAYLOAD.get_or_init(|| {
+        let soc = fireaxe_soc::ring_soc(&fireaxe_soc::RingSocConfig::default());
+        let groups = (0..2)
+            .map(|g| fireaxe_ripper::PartitionGroup {
+                name: format!("fpga{g}"),
+                selection: fireaxe_ripper::Selection::NocRouters {
+                    routers: soc.router_paths.clone(),
+                    indices: vec![2 * g, 2 * g + 1],
+                },
+                fame5: false,
+            })
+            .collect();
+        let settings = WireSettings {
+            vcd: true,
+            ..WireSettings::default()
+        };
+        fn setup(b: fireaxe_sim::SimBuilder<'_>) -> fireaxe_sim::SimBuilder<'_> {
+            let mut r = fireaxe_sim::BehaviorRegistry::new();
+            r.register_fallback(fireaxe_soc::make_behavior);
+            b.behaviors(r)
+        }
+        let spec = fireaxe_ripper::PartitionSpec::exact(groups);
+        let prepared =
+            fireaxe_net::prepare_job(&soc.circuit, &spec, &settings, &setup).expect("prepare");
+        prepared.partition_payload(1).to_vec()
+    })
+}
 
 /// Arbitrary token payloads: widths 0..=256 (zero-width pulses up to
 /// multi-word values), bits drawn from four words and truncated to
@@ -130,6 +163,41 @@ proptest! {
         });
         assert_roundtrip(&Msg::CancelJob { job });
         assert_roundtrip(&Msg::EvictJob { job, reason });
+    }
+
+    #[test]
+    fn topologies_roundtrip(
+        worker in any::<u32>(),
+        n_workers in any::<u32>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..256),
+        sample_interval in any::<u64>(),
+        vcd in any::<bool>(),
+        checkpoint_interval in any::<u64>(),
+    ) {
+        assert_roundtrip(&Msg::Topology(Box::new(Topology {
+            worker,
+            n_workers,
+            settings: WireSettings {
+                sample_interval,
+                vcd,
+                checkpoint_interval,
+                ..WireSettings::default()
+            },
+            payload,
+        })));
+    }
+
+    #[test]
+    fn damaged_partition_payloads_never_panic(cut in any::<usize>(), at in any::<usize>(), flip in 1u8..255) {
+        // The payload is canonical; any strict prefix is refused; a
+        // flipped byte is refused or decodes, and never panics.
+        let payload = real_payload();
+        let whole = decode_partition_payload(payload).expect("decode");
+        prop_assert_eq!(encode_partition_payload(&whole), payload.to_vec());
+        prop_assert!(decode_partition_payload(&payload[..cut % payload.len()]).is_err());
+        let mut bad = payload.to_vec();
+        bad[at % payload.len()] ^= flip;
+        let _ = decode_partition_payload(&bad);
     }
 
     #[test]

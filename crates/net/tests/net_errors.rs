@@ -7,10 +7,15 @@
 mod common;
 
 use common::{
-    listen_addrs, noc_4partition_design, observed_settings, setup_hook, spawn_workers, CYCLES,
+    listen_addrs, noc_4partition_design, observed_settings, setup_hook, spawn_pooled,
+    spawn_workers, CYCLES,
 };
+use fireaxe_ir::build::ModuleBuilder;
 use fireaxe_net::codec::{read_msg, write_msg, Msg, PROTOCOL_MAGIC};
-use fireaxe_net::{run_cluster, FaultProxy, NetListener, ProxyPlan, PROTOCOL_VERSION};
+use fireaxe_net::{
+    decode_partition_payload, encode_partition_payload, execute_placed, place_cluster, prepare_job,
+    run_cluster, FaultProxy, NetListener, ProxyPlan, RecoveryOptions, Teardown, PROTOCOL_VERSION,
+};
 use fireaxe_sim::SimError;
 use std::time::{Duration, Instant};
 
@@ -211,7 +216,6 @@ fn silent_worker_surfaces_net_timeout() {
 /// error at the worker, not a panic and not a hang.
 #[test]
 fn undecodable_tape_is_a_config_error_at_the_worker() {
-    let (_, spec) = noc_4partition_design();
     let listener = NetListener::bind("127.0.0.1:0").expect("worker bind");
     let addr = listener.local_addr_string();
     let worker = std::thread::spawn(move || fireaxe_net::serve(&listener, &setup_hook));
@@ -229,9 +233,8 @@ fn undecodable_tape_is_a_config_error_at_the_worker() {
     let topology = fireaxe_net::Topology {
         worker: 0,
         n_workers: 4,
-        spec,
         settings: observed_settings(),
-        tape: Vec::new(),
+        payload: Vec::new(),
     };
     write_msg(&mut s, &Msg::Topology(Box::new(topology))).expect("topology write");
     match worker.join().expect("worker thread") {
@@ -239,5 +242,74 @@ fn undecodable_tape_is_a_config_error_at_the_worker() {
             assert!(message.contains("bad circuit tape"), "{message}");
         }
         other => panic!("worker should refuse the tape, got {other:?}"),
+    }
+}
+
+/// A 2^27-bit wire driven by a resize of a 1-bit input: a tape of a
+/// hundred-odd bytes that would allocate 16 MiB per value if elaborated.
+fn oversized_circuit() -> fireaxe_ir::Circuit {
+    let mut m = ModuleBuilder::new("Bomb");
+    let i = m.input("i", 1);
+    let o = m.output("o", 1);
+    let w = m.wire("w", 1 << 27);
+    m.mem("m", 64, 1 << 21);
+    m.connect_sig(&w, &i.resize(1 << 27));
+    m.connect_sig(&o, &w.bits(0, 0));
+    fireaxe_ir::Circuit::from_modules("Bomb", vec![m.finish()], "Bomb")
+}
+
+/// The worker validates every thread circuit it receives: one past the
+/// size limits is refused with the typed error as a `Fatal` before
+/// anything is elaborated, and the pooled worker goes back to accept
+/// and serves the next job.
+#[test]
+fn oversized_thread_circuit_is_fatal_and_the_pooled_worker_serves_on() {
+    let (circuit, spec) = noc_4partition_design();
+    let settings = observed_settings();
+    let prepared = prepare_job(&circuit, &spec, &settings, &setup_hook).expect("prepare");
+    let mut cut = decode_partition_payload(prepared.partition_payload(0)).expect("payload");
+    cut.artifact.threads[0].circuit = oversized_circuit();
+
+    let (bound, handles) = spawn_pooled(&listen_addrs(4, false, "oversized"), &setup_hook);
+    let mut s = fireaxe_net::NetStream::connect(&bound[0], Duration::from_secs(5)).expect("dial");
+    write_msg(
+        &mut s,
+        &Msg::Hello {
+            magic: PROTOCOL_MAGIC,
+            version: PROTOCOL_VERSION,
+            worker: 0,
+        },
+    )
+    .expect("hello write");
+    let _ = read_msg(&mut s).expect("helloack read");
+    let topology = fireaxe_net::Topology {
+        worker: 0,
+        n_workers: 4,
+        settings: settings.clone(),
+        payload: encode_partition_payload(&cut),
+    };
+    write_msg(&mut s, &Msg::Topology(Box::new(topology))).expect("topology write");
+    match read_msg(&mut s).expect("fatal read") {
+        Some(Msg::Fatal { message, .. }) => assert!(
+            message.contains("signal `w` in module `Bomb` is 134217728 bits wide"),
+            "{message}"
+        ),
+        other => panic!("expected Fatal, got {other:?}"),
+    }
+
+    // Back in accept: the same four workers run a real job.
+    let placed = place_cluster(&prepared, &bound, 10_000).expect("place after the refusal");
+    let report = execute_placed(
+        &prepared,
+        placed,
+        CYCLES / 4,
+        RecoveryOptions::none(),
+        None,
+        Teardown::Shutdown,
+    )
+    .expect("job after the refusal");
+    assert_eq!(report.metrics.target_cycles, CYCLES / 4);
+    for h in handles {
+        h.join().expect("pooled worker thread");
     }
 }

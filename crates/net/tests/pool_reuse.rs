@@ -200,16 +200,27 @@ fn cached_build_follows_the_design_not_the_placement() {
     assert_eq!(BUILDS.load(Ordering::SeqCst), 4, "one build per worker");
 
     // Same design, every worker now on another partition (the one that
-    // served partition 0 serves partition 2): all hits.
+    // served partition 0 serves partition 2). A worker keeps partition
+    // builds, not designs — it never elaborated the other partitions —
+    // so a rotated placement misses the first time and hits the second.
+    // (Until workers built only their own partition, a rotated placement
+    // of a held design was a hit straight away; this is deliberate.)
     let mut rotated = bound.clone();
     rotated.rotate_left(2);
     let second = run(&settings, &rotated, Teardown::ResetToIdle);
     assert_eq!(
         BUILDS.load(Ordering::SeqCst),
-        4,
-        "a worker rebuilt a design it already held"
+        8,
+        "every worker builds the partition it was newly placed on"
+    );
+    let third = run(&settings, &rotated, Teardown::ResetToIdle);
+    assert_eq!(
+        BUILDS.load(Ordering::SeqCst),
+        8,
+        "a worker rebuilt a partition it already held"
     );
     assert_eq!(first, second);
+    assert_eq!(first, third);
 
     // Same circuit and cut, different settings: a different build.
     let resampled = fireaxe_net::WireSettings {
@@ -219,10 +230,168 @@ fn cached_build_follows_the_design_not_the_placement() {
     run(&resampled, &bound, Teardown::Shutdown);
     assert_eq!(
         BUILDS.load(Ordering::SeqCst),
-        8,
+        12,
         "a settings change must miss"
     );
     for h in handles {
         h.join().expect("pooled worker thread");
     }
+}
+
+/// The 6-tile, 4-partition NoC cut with `payload_bits`-wide flits: every
+/// partition's circuit differs between two widths, so every partition
+/// build does.
+fn noc_variant(payload_bits: u32) -> (fireaxe_ir::Circuit, fireaxe_ripper::PartitionSpec) {
+    let soc = fireaxe_soc::ring_soc(&fireaxe_soc::RingSocConfig {
+        tiles: 6,
+        tile_period: 4,
+        payload_bits,
+        ..Default::default()
+    });
+    let groups = (0..3)
+        .map(|g| fireaxe_ripper::PartitionGroup {
+            name: format!("fpga{g}"),
+            selection: fireaxe_ripper::Selection::NocRouters {
+                routers: soc.router_paths.clone(),
+                indices: vec![2 * g, 2 * g + 1],
+            },
+            fame5: false,
+        })
+        .collect();
+    (soc.circuit, fireaxe_ripper::PartitionSpec::exact(groups))
+}
+
+/// Runs `designs` in order on one pooled fleet (the last job shuts it
+/// down), counting worker-side builds through `builds` — which the
+/// fleet's setup hook must bump.
+fn run_sequence(
+    designs: &[u32],
+    label: &str,
+    hook: &'static fireaxe_net::SimSetup,
+    builds: &dyn Fn() -> usize,
+) -> Vec<usize> {
+    let settings = observed_settings();
+    let prepared: Vec<_> = designs
+        .iter()
+        .map(|&bits| {
+            let (circuit, spec) = noc_variant(bits);
+            prepare_job(&circuit, &spec, &settings, &setup_hook).expect("prepare")
+        })
+        .collect();
+    let (bound, handles) = spawn_pooled(&listen_addrs(4, false, label), hook);
+    let mut after = Vec::new();
+    for (i, p) in prepared.iter().enumerate() {
+        let teardown = if i + 1 == prepared.len() {
+            Teardown::Shutdown
+        } else {
+            Teardown::ResetToIdle
+        };
+        let placed = place_cluster(p, &bound, 10_000).expect("place");
+        execute_placed(
+            p,
+            placed,
+            CYCLES / 4,
+            RecoveryOptions::none(),
+            None,
+            teardown,
+        )
+        .expect("pooled job");
+        after.push(builds());
+    }
+    for h in handles {
+        h.join().expect("pooled worker thread");
+    }
+    after
+}
+
+#[test]
+fn rotating_designs_build_once_per_worker() {
+    // The serve_mix shape: three designs round-robin, three rounds, one
+    // pooled fleet. Every worker keeps one partition of each.
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static BUILDS: AtomicUsize = AtomicUsize::new(0);
+    fn counting_hook(b: fireaxe_sim::SimBuilder<'_>) -> fireaxe_sim::SimBuilder<'_> {
+        BUILDS.fetch_add(1, Ordering::SeqCst);
+        setup_hook(b)
+    }
+    let rounds = [24, 32, 40].repeat(3);
+    let after = run_sequence(&rounds, "pool-rotate", &counting_hook, &|| {
+        BUILDS.load(Ordering::SeqCst)
+    });
+    assert_eq!(after[2], 12, "round one builds every partition once");
+    assert_eq!(after[8], 12, "rounds two and three are all hits");
+}
+
+#[test]
+fn a_ninth_design_evicts_the_first() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static BUILDS: AtomicUsize = AtomicUsize::new(0);
+    fn counting_hook(b: fireaxe_sim::SimBuilder<'_>) -> fireaxe_sim::SimBuilder<'_> {
+        BUILDS.fetch_add(1, Ordering::SeqCst);
+        setup_hook(b)
+    }
+    assert_eq!(fireaxe_net::BUILD_CACHE_CAPACITY, 8);
+    let mut designs: Vec<u32> = (0..9).map(|k| 16 + 4 * k).collect();
+    designs.push(designs[0]);
+    let after = run_sequence(&designs, "pool-evict", &counting_hook, &|| {
+        BUILDS.load(Ordering::SeqCst)
+    });
+    assert_eq!(after[8], 36, "nine distinct designs, four partitions each");
+    assert_eq!(after[9], 40, "the first design fell out of every worker");
+}
+
+#[test]
+fn each_extern_instance_is_bound_once_across_the_fleet() {
+    // A counting fallback factory on the workers: with each worker
+    // elaborating only its own partition, the fleet binds exactly the
+    // extern instances one whole-design build binds.
+    use std::sync::Mutex;
+    static BOUND: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
+    fn counting_hook(b: fireaxe_sim::SimBuilder<'_>) -> fireaxe_sim::SimBuilder<'_> {
+        let mut r = fireaxe_sim::BehaviorRegistry::new();
+        r.register_fallback(|key, path| {
+            let model = fireaxe_soc::make_behavior(key, path)?;
+            BOUND
+                .lock()
+                .unwrap()
+                .push((key.to_string(), path.to_string()));
+            Some(model)
+        });
+        b.behaviors(r)
+    }
+    let take = || {
+        let mut v = std::mem::take(&mut *BOUND.lock().unwrap());
+        v.sort();
+        v
+    };
+
+    let (circuit, spec) = noc_4partition_design();
+    let settings = observed_settings();
+    let design = fireaxe_ripper::compile(&circuit, &spec).expect("compile");
+    counting_hook(fireaxe_sim::SimBuilder::new(&design))
+        .build()
+        .expect("whole-design build");
+    let whole = take();
+    assert!(!whole.is_empty(), "the design has extern instances");
+
+    let (bound, handles) = spawn_pooled(&listen_addrs(4, false, "pool-externs"), &counting_hook);
+    let prepared = prepare_job(&circuit, &spec, &settings, &setup_hook).expect("prepare");
+    let placed = place_cluster(&prepared, &bound, 10_000).expect("place");
+    execute_placed(
+        &prepared,
+        placed,
+        1,
+        RecoveryOptions::none(),
+        None,
+        Teardown::Shutdown,
+    )
+    .expect("job");
+    for h in handles {
+        h.join().expect("pooled worker thread");
+    }
+    assert_eq!(
+        take(),
+        whole,
+        "the fleet bound an instance twice or missed one"
+    );
 }

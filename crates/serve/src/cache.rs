@@ -8,8 +8,8 @@
 //! handshake uses, so two clients submitting the same design always
 //! collide on the same key. The cached value is the whole
 //! [`PreparedJob`]: the partition compile, the passive metadata build,
-//! the design digest every worker's `Ready` must match, and the tape
-//! bytes streamed to each placed worker.
+//! the digest each worker's `Ready` must match, and the partition
+//! payload streamed to each placed worker.
 //!
 //! The cache is *single-flight*: when two tenants race a cold key, one
 //! compiles and the other waits on it, then counts as a hit — it did

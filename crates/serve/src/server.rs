@@ -211,7 +211,13 @@ fn accept_loop(listener: &NetListener, shared: &Arc<Shared>) {
         let handle = std::thread::spawn(move || {
             let _ = handle_conn(stream, &conn_shared);
         });
-        shared.conns.lock().expect("conn list lock").push(handle);
+        let mut conns = shared.conns.lock().expect("conn list lock");
+        // Reap connections that already hung up: an exited thread keeps
+        // its stack until joined, and a daemon outlives many clients.
+        for done in conns.extract_if(.., |h| h.is_finished()) {
+            let _ = done.join();
+        }
+        conns.push(handle);
     }
 }
 

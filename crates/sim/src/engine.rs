@@ -25,6 +25,7 @@
 
 use crate::bridge::{Bridge, ConstBridge};
 use crate::error::{NodeStall, Result, SimError, StallReport};
+use crate::netapi::PartitionCut;
 use crate::obs::{state_digest, NodeObs, ObsReport, ObsSpec};
 use fireaxe_ir::{Bits, Interpreter, StateDec, StateEnc};
 use fireaxe_libdn::{InterpreterTarget, LiBdn, TargetModel};
@@ -751,9 +752,17 @@ impl std::fmt::Display for SimMetrics {
     }
 }
 
+/// What a [`SimBuilder`] elaborates: a whole design, or one partition of
+/// a cut.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    Design(&'a PartitionedDesign),
+    Cut(&'a PartitionCut),
+}
+
 /// Configures and constructs a [`DistributedSim`].
 pub struct SimBuilder<'a> {
-    design: &'a PartitionedDesign,
+    source: Source<'a>,
     default_transport: LinkModel,
     link_transports: BTreeMap<usize, LinkModel>,
     default_clock_mhz: f64,
@@ -772,17 +781,35 @@ pub struct SimBuilder<'a> {
 
 impl<'a> std::fmt::Debug for SimBuilder<'a> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimBuilder")
-            .field("nodes", &self.design.node_count())
-            .finish()
+        let nodes = match self.source {
+            Source::Design(d) => d.node_count(),
+            Source::Cut(c) => c.artifact.threads.len(),
+        };
+        f.debug_struct("SimBuilder").field("nodes", &nodes).finish()
     }
 }
 
 impl<'a> SimBuilder<'a> {
     /// Starts building a simulation of `design`.
     pub fn new(design: &'a PartitionedDesign) -> Self {
+        Self::from_source(Source::Design(design), Backend::Des)
+    }
+
+    /// Starts building one partition of a cut — what a net worker runs.
+    /// Only `cut.partition`'s threads are elaborated and bound to
+    /// behaviors; every other node is known by name and partition only.
+    /// Node, link and VCD signal indices stay those of the whole cut, so
+    /// partition blobs, token frames and reports are the bytes a
+    /// whole-design build produces. Bridges attached to another
+    /// partition's nodes are dropped. The backend is [`Backend::Net`]
+    /// and cannot be changed: no other backend can run a partial build.
+    pub fn for_partition(cut: &'a PartitionCut) -> Self {
+        Self::from_source(Source::Cut(cut), Backend::Net)
+    }
+
+    fn from_source(source: Source<'a>, backend: Backend) -> Self {
         SimBuilder {
-            design,
+            source,
             default_transport: LinkModel::qsfp_aurora(),
             link_transports: BTreeMap::new(),
             default_clock_mhz: 30.0,
@@ -791,7 +818,7 @@ impl<'a> SimBuilder<'a> {
             bridges: BTreeMap::new(),
             behaviors: BehaviorRegistry::new(),
             deadlock_horizon_edges: 100_000,
-            backend: Backend::Des,
+            backend,
             fault_spec: None,
             retry_policy: None,
             checkpoint_interval: 0,
@@ -917,9 +944,49 @@ impl<'a> SimBuilder<'a> {
             None
         };
 
+        // What to elaborate, `(partition, artifact, first flat node)`, and
+        // the cut's node table when it is not derived from the build.
+        let (parts, links_in, cut_nodes, seeds): (Vec<_>, _, _, &[(usize, Bits)]) =
+            match self.source {
+                Source::Design(d) => {
+                    let mut first = 0;
+                    let parts = d
+                        .partitions
+                        .iter()
+                        .enumerate()
+                        .map(|(pi, p)| {
+                            first += p.threads.len();
+                            (pi, p, first - p.threads.len())
+                        })
+                        .collect();
+                    (parts, &d.links, None, &[])
+                }
+                Source::Cut(c) => {
+                    if self.backend != Backend::Net {
+                        return Err(SimError::Config {
+                            message: format!(
+                                "a partition build runs only under the net backend, not `{}`",
+                                self.backend
+                            ),
+                        });
+                    }
+                    let first = c.first_node()?;
+                    (
+                        vec![(c.partition, &c.artifact, first)],
+                        &c.links,
+                        Some(c.nodes.clone()),
+                        &c.seeds,
+                    )
+                }
+            };
+        let n_global = cut_nodes
+            .as_ref()
+            .map_or_else(|| parts.iter().map(|p| p.1.threads.len()).sum(), Vec::len);
+        let mut slot: Vec<Option<usize>> = vec![None; n_global];
+
         let mut nodes = Vec::new();
         let mut partitions: Vec<PartitionRt> = Vec::new();
-        for (pi, part) in self.design.partitions.iter().enumerate() {
+        for (pi, part, first) in parts {
             let mhz = self
                 .partition_clocks
                 .get(&pi)
@@ -927,8 +994,10 @@ impl<'a> SimBuilder<'a> {
                 .unwrap_or(self.default_clock_mhz);
             let period_ps = mhz_to_period_ps(mhz)?;
             let mut members = Vec::new();
-            for t in &part.threads {
-                let flat = nodes.len();
+            for (ti, t) in part.threads.iter().enumerate() {
+                let flat = first + ti;
+                let local = nodes.len();
+                slot[flat] = Some(local);
                 let mut interp = Interpreter::new(&t.circuit)?;
                 self.behaviors.bind_all(&t.name, &mut interp)?;
                 interp.reset();
@@ -938,6 +1007,15 @@ impl<'a> SimBuilder<'a> {
                 libdn.set_capacity(self.channel_capacity);
                 let n_in = t.libdn.inputs.len();
                 let n_out_env = t.env_outputs.len();
+                let env_ok = |chans: &[usize], n: usize| chans.iter().all(|&c| c < n);
+                if !env_ok(&t.env_inputs, n_in) || !env_ok(&t.env_outputs, t.libdn.outputs.len()) {
+                    return Err(SimError::Config {
+                        message: format!(
+                            "thread `{}`: environment channel index out of range",
+                            t.name
+                        ),
+                    });
+                }
                 let bridge = self
                     .bridges
                     .remove(&flat)
@@ -960,7 +1038,7 @@ impl<'a> SimBuilder<'a> {
                     obs: NodeObs::default(),
                     wake_ps: 0,
                 });
-                members.push(flat);
+                members.push(local);
             }
             let _ = part.fame5; // threads encode FAME-5; scheduling is uniform
             if members.is_empty() {
@@ -977,18 +1055,18 @@ impl<'a> SimBuilder<'a> {
         }
 
         // Bridges are attached by flat node index; anything left over
-        // points at a node that doesn't exist.
-        if let Some(&node) = self.bridges.keys().next() {
+        // points at a node that doesn't exist (or, in a partition build,
+        // at another process's node, which is its business).
+        if let Some(&node) = self.bridges.keys().find(|&&n| n >= n_global) {
             return Err(SimError::Config {
                 message: format!(
-                    "bridge attached to nonexistent node index {node} (design has {} nodes)",
-                    nodes.len()
+                    "bridge attached to nonexistent node index {node} (design has {n_global} nodes)"
                 ),
             });
         }
 
         let mut links = Vec::new();
-        for (li, l) in self.design.links.iter().enumerate() {
+        for (li, l) in links_in.iter().enumerate() {
             let model = self
                 .link_transports
                 .get(&li)
@@ -997,19 +1075,26 @@ impl<'a> SimBuilder<'a> {
             let bad = |what: &str, idx: usize| SimError::Config {
                 message: format!("link {li}: {what} index {idx} out of range"),
             };
-            let from = nodes
-                .get(l.from_node)
-                .ok_or_else(|| bad("from-node", l.from_node))?;
-            if l.from_chan >= from.libdn.spec().outputs.len() {
-                return Err(bad("from-channel", l.from_chan));
+            // The endpoint's slot in `nodes`, `None` when another process
+            // builds it.
+            let endpoint = |node: usize, what: &str| match slot.get(node) {
+                Some(s) => Ok(*s),
+                None => Err(bad(what, node)),
+            };
+            let from = endpoint(l.from_node, "from-node")?;
+            if let Some(f) = from {
+                if l.from_chan >= nodes[f].libdn.spec().outputs.len() {
+                    return Err(bad("from-channel", l.from_chan));
+                }
             }
-            let to = nodes
-                .get(l.to_node)
-                .ok_or_else(|| bad("to-node", l.to_node))?;
-            if l.to_chan >= to.staged.len() {
-                return Err(bad("to-channel", l.to_chan));
+            if let Some(t) = endpoint(l.to_node, "to-node")? {
+                if l.to_chan >= nodes[t].staged.len() {
+                    return Err(bad("to-channel", l.to_chan));
+                }
             }
-            nodes[l.from_node].out_links.push(li);
+            if let Some(f) = from {
+                nodes[f].out_links.push(li);
+            }
             links.push(LinkRt {
                 spec: l.clone(),
                 model,
@@ -1041,7 +1126,26 @@ impl<'a> SimBuilder<'a> {
         // and per-node watch lists, validating every requested signal.
         let mut vcd_signals: Vec<VcdSignal> = Vec::new();
         let mut watched: Vec<Vec<(u32, String)>> = vec![Vec::new(); nodes.len()];
-        if self.obs.vcd {
+        if let (true, Source::Cut(c)) = (self.obs.vcd, self.source) {
+            // The cut's table is already resolved: each built node
+            // watches the rows scoped to it, at their global indices.
+            for (idx, sig) in c.vcd_signals.iter().enumerate() {
+                let Some(ni) = nodes.iter().position(|n| n.name == sig.scope) else {
+                    continue;
+                };
+                let width = nodes[ni].libdn.model().peek_path(&sig.name);
+                if width.map(|v| v.width().get()) != Some(sig.width) {
+                    return Err(SimError::Config {
+                        message: format!(
+                            "obs.signals: node `{}` has no {}-bit signal `{}`",
+                            sig.scope, sig.width, sig.name
+                        ),
+                    });
+                }
+                watched[ni].push((idx as u32, sig.name.clone()));
+            }
+            vcd_signals = c.vcd_signals.clone();
+        } else if self.obs.vcd {
             let watch = |ni: usize,
                          node: &NodeRt,
                          path: &str,
@@ -1119,9 +1223,18 @@ impl<'a> SimBuilder<'a> {
             }
         }
 
+        let node_table = cut_nodes.unwrap_or_else(|| {
+            nodes
+                .iter()
+                .map(|n| (n.name.clone(), n.partition))
+                .collect()
+        });
         let n_links = links.len();
         let mut sim = DistributedSim {
             nodes,
+            node_table,
+            slot,
+            seeds: Vec::new(),
             links,
             partitions,
             pending: BinaryHeap::new(),
@@ -1141,7 +1254,7 @@ impl<'a> SimBuilder<'a> {
             link_samples: vec![Vec::new(); n_links],
             link_next_sample: self.obs.sample_interval,
         };
-        sim.seed_fast_mode_links()?;
+        sim.seed_fast_mode_links(seeds)?;
         Ok(sim)
     }
 }
@@ -1187,7 +1300,18 @@ impl SimCheckpoint {
 
 /// A running multi-partition simulation.
 pub struct DistributedSim {
+    /// The nodes this process built: every node of the design, or one
+    /// partition's under [`SimBuilder::for_partition`].
     pub(crate) nodes: Vec<NodeRt>,
+    /// Every node of the cut in flat order, `(name, partition)`, built
+    /// here or not.
+    pub(crate) node_table: Vec<(String, usize)>,
+    /// Flat node index → index into `nodes`; `None` for a node another
+    /// process builds. The identity for a whole-design build.
+    pub(crate) slot: Vec<Option<usize>>,
+    /// The fast-mode seed token staged on each seeded link into a built
+    /// node, `(link, token)`.
+    pub(crate) seeds: Vec<(usize, Bits)>,
     pub(crate) links: Vec<LinkRt>,
     partitions: Vec<PartitionRt>,
     pending: BinaryHeap<Delivery>,
@@ -1229,17 +1353,39 @@ impl std::fmt::Debug for DistributedSim {
 }
 
 impl DistributedSim {
-    fn seed_fast_mode_links(&mut self) -> Result<()> {
+    /// Stages each seeded link's initial token at its consumer: sampled
+    /// from the producer when it is built here, else taken from
+    /// `shipped` (the seeds of a [`PartitionCut`]). A built producer is
+    /// sampled even when its consumer is not, so its state is that of a
+    /// whole-design build.
+    fn seed_fast_mode_links(&mut self, shipped: &[(usize, Bits)]) -> Result<()> {
         for li in 0..self.links.len() {
-            if !self.links[li].spec.seeded {
+            let LinkSpec {
+                from_node,
+                from_chan,
+                to_node,
+                to_chan,
+                seeded,
+                ..
+            } = self.links[li].spec;
+            if !seeded {
                 continue;
             }
-            let from = self.links[li].spec.from_node;
-            let chan = self.links[li].spec.from_chan;
-            let token = self.nodes[from].libdn.sample_output(chan)?;
-            let to = self.links[li].spec.to_node;
-            let to_chan = self.links[li].spec.to_chan;
-            self.nodes[to].staged[to_chan].push_back(token);
+            let token = match self.slot[from_node] {
+                Some(f) => self.nodes[f].libdn.sample_output(from_chan)?,
+                None if self.slot[to_node].is_none() => continue,
+                None => shipped
+                    .iter()
+                    .find(|(l, _)| *l == li)
+                    .map(|(_, t)| t.clone())
+                    .ok_or_else(|| SimError::Config {
+                        message: format!("no seed token shipped for fast-mode link {li}"),
+                    })?,
+            };
+            if let Some(t) = self.slot[to_node] {
+                self.nodes[t].staged[to_chan].push_back(token.clone());
+                self.seeds.push((li, token));
+            }
         }
         Ok(())
     }

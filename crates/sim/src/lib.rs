@@ -35,6 +35,6 @@ pub use engine::{
     SimCheckpoint, SimMetrics,
 };
 pub use error::{NodeStall, Result, SimError, StallReport};
-pub use netapi::NetAccess;
+pub use netapi::{NetAccess, PartitionCut};
 pub use obs::{ObsReport, ObsSpec};
 pub use perf::estimate_target_mhz;

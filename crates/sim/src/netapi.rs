@@ -16,11 +16,12 @@
 //! observability extraction, and stall forensics. Everything else stays
 //! crate-private.
 
-use crate::engine::{DistributedSim, LinkCounters, NodeCounters};
+use crate::engine::{DistributedSim, LinkCounters, NodeCounters, NodeRt};
 use crate::error::{Result, SimError, StallReport};
 use fireaxe_ir::Bits;
+use fireaxe_libdn::TargetModel;
 use fireaxe_obs::{LinkSample, NodeSample, VcdSignal};
-use fireaxe_ripper::LinkSpec;
+use fireaxe_ripper::{LinkSpec, PartitionArtifact, PartitionedDesign};
 use fireaxe_transport::reliable::RetryPolicy;
 
 /// One node's recorded VCD change: `(target cycle, signal index, value)`.
@@ -28,7 +29,87 @@ use fireaxe_transport::reliable::RetryPolicy;
 /// across processes built from the same design and observation spec.
 pub type VcdChange = (u64, u32, Bits);
 
+/// One partition of a compiled cut plus the cut-wide tables every
+/// process indexes by: what a net worker builds from (see
+/// [`SimBuilder::for_partition`](crate::SimBuilder::for_partition)).
+/// The other partitions' nodes appear by name and partition only.
+#[derive(Debug, Clone)]
+pub struct PartitionCut {
+    /// The partition this process builds.
+    pub partition: usize,
+    /// Its threads: circuits, LI-BDN specs, environment channels.
+    pub artifact: PartitionArtifact,
+    /// Every node of the cut in flat order: `(name, partition)`.
+    pub nodes: Vec<(String, usize)>,
+    /// The cut's link table, in flat node indices.
+    pub links: Vec<LinkSpec>,
+    /// The global VCD signal table (empty when waveforms are off).
+    pub vcd_signals: Vec<VcdSignal>,
+    /// `(link, token)`: the fast-mode seed of every seeded link into this
+    /// partition whose producer lives in another one.
+    pub seeds: Vec<(usize, Bits)>,
+}
+
+impl PartitionCut {
+    /// Cuts partition `partition` out of `sim`, a whole-design build of
+    /// `design` (the coordinator's passive build).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `partition` is out of range.
+    pub fn of(design: &PartitionedDesign, sim: &DistributedSim, partition: usize) -> Self {
+        let owner = |node: usize| sim.node_table[node].1;
+        PartitionCut {
+            partition,
+            artifact: design.partitions[partition].clone(),
+            nodes: sim.node_table.clone(),
+            links: design.links.clone(),
+            vcd_signals: sim.vcd_signals.clone(),
+            seeds: sim
+                .seeds
+                .iter()
+                .filter(|(l, _)| {
+                    let s = &design.links[*l];
+                    owner(s.to_node) == partition && owner(s.from_node) != partition
+                })
+                .cloned()
+                .collect(),
+        }
+    }
+
+    /// Flat index of this partition's first node, after checking that
+    /// the node table lists exactly its threads, in order, in one run.
+    pub(crate) fn first_node(&self) -> Result<usize> {
+        let bad = |why: String| SimError::Config {
+            message: format!("partition {} cut rejected: {why}", self.partition),
+        };
+        let first = self
+            .nodes
+            .iter()
+            .position(|(_, p)| *p == self.partition)
+            .ok_or_else(|| bad("the node table lists none of its nodes".into()))?;
+        let listed = self.nodes.iter().filter(|(_, p)| *p == self.partition);
+        let threads = &self.artifact.threads;
+        if listed.clone().count() != threads.len()
+            || self.nodes[first..]
+                .iter()
+                .zip(threads)
+                .any(|((name, p), t)| *p != self.partition || *name != t.name)
+        {
+            return Err(bad(format!(
+                "the node table does not list its {} thread(s) in order",
+                threads.len()
+            )));
+        }
+        Ok(first)
+    }
+}
+
 /// Narrow mutable view over a [`DistributedSim`] for external engines.
+///
+/// Nodes are addressed by their flat index in the whole cut, also on a
+/// partition build; only a node built in this process may be serviced,
+/// inspected or poked (the others panic, like an out-of-range index).
 pub struct NetAccess<'a> {
     sim: &'a mut DistributedSim,
 }
@@ -44,25 +125,46 @@ impl DistributedSim {
 }
 
 impl NetAccess<'_> {
-    /// Number of nodes (partition threads) in flat order.
+    /// Index into the built nodes of flat node `node`.
+    fn local(&self, node: usize) -> usize {
+        self.sim.slot[node].unwrap_or_else(|| panic!("node {node} is not built in this process"))
+    }
+
+    fn rt(&self, node: usize) -> &NodeRt {
+        &self.sim.nodes[self.local(node)]
+    }
+
+    fn rt_mut(&mut self, node: usize) -> &mut NodeRt {
+        let i = self.local(node);
+        &mut self.sim.nodes[i]
+    }
+
+    /// Number of nodes (partition threads) of the whole cut, in flat
+    /// order.
     pub fn node_count(&self) -> usize {
-        self.sim.nodes.len()
+        self.sim.node_table.len()
     }
 
     /// A node's name.
     pub fn node_name(&self, node: usize) -> &str {
-        &self.sim.nodes[node].name
+        &self.sim.node_table[node].0
     }
 
     /// The partition a node belongs to (one worker process per
     /// partition; FAME-5 partitions contribute several nodes).
     pub fn node_partition(&self, node: usize) -> usize {
-        self.sim.nodes[node].partition
+        self.sim.node_table[node].1
+    }
+
+    /// A built node's wrapped target model (its elaborated port tables,
+    /// signals, state).
+    pub fn node_model(&self, node: usize) -> &dyn TargetModel {
+        self.rt(node).libdn.model()
     }
 
     /// A node's completed target cycles.
     pub fn node_target_cycle(&self, node: usize) -> u64 {
-        self.sim.nodes[node].libdn.target_cycle()
+        self.rt(node).libdn.target_cycle()
     }
 
     /// The inter-partition link table, in link-index order.
@@ -135,9 +237,10 @@ impl NetAccess<'_> {
     /// Stages a delivered link token at the consuming node (it enters
     /// the LI-BDN input queue on the node's next service pass).
     pub fn stage_link_token(&mut self, link: usize, payload: Bits) {
-        let to = self.sim.links[link].spec.to_node;
-        let chan = self.sim.links[link].spec.to_chan;
-        self.sim.nodes[to].staged[chan].push_back(payload);
+        let LinkSpec {
+            to_node, to_chan, ..
+        } = self.sim.links[link].spec;
+        self.rt_mut(to_node).staged[to_chan].push_back(payload);
     }
 
     /// Backend-independent service half for one node: stage → env top-up
@@ -148,22 +251,26 @@ impl NetAccess<'_> {
     ///
     /// Propagates LI-BDN failures.
     pub fn ingest_and_step(&mut self, node: usize, budget: u64) -> Result<bool> {
-        self.sim.nodes[node].ingest_and_step(Some(budget))
+        self.rt_mut(node).ingest_and_step(Some(budget))
     }
 
     /// Drains a node's environment output channels into its bridge.
     pub fn drain_env_outputs(&mut self, node: usize) -> bool {
-        self.sim.nodes[node].drain_env_outputs()
+        self.rt_mut(node).drain_env_outputs()
     }
 
     /// Pops the next fresh token the producing node has fired on `link`,
     /// counting it as dequeued/committed exactly like the in-process
     /// backends do.
     pub fn pop_link_output(&mut self, link: usize) -> Option<Bits> {
-        let from = self.sim.links[link].spec.from_node;
-        let chan = self.sim.links[link].spec.from_chan;
-        let token = self.sim.nodes[from].libdn.pop_output(chan)?;
-        self.sim.nodes[from].counters.tokens_dequeued += 1;
+        let LinkSpec {
+            from_node,
+            from_chan,
+            ..
+        } = self.sim.links[link].spec;
+        let from = self.rt_mut(from_node);
+        let token = from.libdn.pop_output(from_chan)?;
+        from.counters.tokens_dequeued += 1;
         self.sim.links[link].tokens += 1;
         Some(token)
     }
@@ -172,12 +279,12 @@ impl NetAccess<'_> {
     /// so far — the consumption point credit-based flow control returns
     /// credits at.
     pub fn chan_enqueued(&self, node: usize, chan: usize) -> u64 {
-        self.sim.nodes[node].chan_enqueued[chan]
+        self.rt(node).chan_enqueued[chan]
     }
 
     /// Snapshot of one node's execution counters.
     pub fn node_counters(&self, node: usize) -> NodeCounters {
-        self.sim.nodes[node].counters_snapshot()
+        self.rt(node).counters_snapshot()
     }
 
     /// Mutable reliability/traffic counters of one link (the external
@@ -211,14 +318,14 @@ impl NetAccess<'_> {
 
     /// Resolves a node name to its flat index (control-plane addressing).
     pub fn node_index(&self, name: &str) -> Option<usize> {
-        self.sim.node_index_by_name(name)
+        self.sim.node_table.iter().position(|(n, _)| n == name)
     }
 
     /// Reads any watchable signal of one node by hierarchical path —
     /// the control plane's `Peek`, answered at the worker's pause fence
     /// so the value is cycle-exact.
     pub fn peek_node(&self, node: usize, path: &str) -> Option<Bits> {
-        self.sim.nodes[node].libdn.model().peek_path(path)
+        self.node_model(node).peek_path(path)
     }
 
     /// Stages a cockpit poke on one node: the named top-level input
@@ -232,7 +339,7 @@ impl NetAccess<'_> {
     /// [`SimError::Ir`] wrapping `UnknownSignal`, `NotPokeable`, or
     /// `PokeWidth`.
     pub fn poke_node(&mut self, node: usize, path: &str, value: u64) -> Result<()> {
-        self.sim.nodes[node]
+        self.rt_mut(node)
             .libdn
             .poke_input_next_cycle(path, value)
             .map_err(SimError::from)
@@ -241,40 +348,40 @@ impl NetAccess<'_> {
     /// On-demand FNV-1a digest of one node's output-port values (the
     /// same digest metric samples carry).
     pub fn node_state_digest(&self, node: usize) -> u64 {
-        self.sim.node_state_digest(node)
+        self.sim.node_state_digest(self.local(node))
     }
 
     /// Clones the tail of one node's metric samples starting at `from`,
     /// *without* draining — streaming ships tails while the end-of-run
     /// report still drains everything, so report parity is untouched.
     pub fn node_samples_since(&self, node: usize, from: usize) -> Vec<NodeSample> {
-        self.sim.node_samples_since(node, from)
+        self.sim.node_samples_since(self.local(node), from)
     }
 
     /// Total metric samples one node holds (streaming cursor bound).
     pub fn node_samples_len(&self, node: usize) -> usize {
-        self.sim.node_samples_len(node)
+        self.sim.node_samples_len(self.local(node))
     }
 
     /// Clones the tail of one node's VCD changes starting at `from`,
     /// without draining.
     pub fn node_vcd_changes_since(&self, node: usize, from: usize) -> Vec<VcdChange> {
-        self.sim.node_wave_changes_since(node, from)
+        self.sim.node_wave_changes_since(self.local(node), from)
     }
 
     /// Total VCD changes one node holds (streaming cursor bound).
     pub fn node_vcd_changes_len(&self, node: usize) -> usize {
-        self.sim.node_wave_changes_len(node)
+        self.sim.node_wave_changes_len(self.local(node))
     }
 
     /// Takes (drains) one node's collected metric samples.
     pub fn take_node_samples(&mut self, node: usize) -> Vec<NodeSample> {
-        std::mem::take(&mut self.sim.nodes[node].obs.samples)
+        std::mem::take(&mut self.rt_mut(node).obs.samples)
     }
 
     /// Takes (drains) one node's collected VCD changes.
     pub fn take_node_vcd_changes(&mut self, node: usize) -> Vec<VcdChange> {
-        std::mem::take(&mut self.sim.nodes[node].obs.changes)
+        std::mem::take(&mut self.rt_mut(node).obs.changes)
     }
 
     /// Appends a per-link metric sample (the coordinator records merged
