@@ -9,12 +9,27 @@
 //! [`Msg::Hello`]/[`Msg::HelloAck`] handshake before anything
 //! version-dependent is parsed.
 //!
+//! Each layout is written once. A private `Wire` trait gives every field
+//! type its encoding, its decoding and the fewest bytes it takes on the
+//! wire: integers, `f64`, `bool`, strings, [`Bits`], [`Frame`]s, `Option`,
+//! `Vec` (a `u32` count, then the elements; byte vectors are copied
+//! whole), tuples, and `usize` (sent as `u64`). `wire_struct!` lists each
+//! struct's fields in wire order, `wire_enum!` maps each enum's variants
+//! to tag bytes, and the message table, `TAG = n => Variant { field: Type,
+//! … }`, declares [`Msg`], its tag constants, [`encode_msg`] and
+//! [`decode_msg`]. No other module knows the frame layout: the relay and
+//! the fault proxy peek raw frames through this one.
+//!
 //! Decoding is defensive: lengths are bounded by [`MAX_MSG_LEN`],
-//! collection counts are validated against the bytes actually present,
-//! and a [`Msg::Token`] whose frame bytes no longer parse (a fault
-//! proxy or a real flaky wire can damage them) degrades to
-//! [`Msg::CorruptToken`] so the receiver counts a CRC casualty and
-//! waits for the retransmission instead of tearing the session down.
+//! collection counts are validated against the bytes actually present
+//! and never reserve more than twice those bytes in memory, and a
+//! [`Msg::Token`] whose frame bytes no longer parse (a fault proxy or a
+//! real flaky wire can damage them) degrades to [`Msg::CorruptToken`] so
+//! the receiver counts a CRC casualty and waits for the retransmission
+//! instead of tearing the session down. That degradation is the only
+//! decoding written by hand.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use fireaxe_ir::Bits;
 use fireaxe_obs::{EventKind, Fnv1a, NodeSample, OwnedTraceEvent, VcdSignal};
@@ -61,62 +76,32 @@ pub const PROTOCOL_VERSION: u32 = 7;
 /// carries a partition's circuit tapes; token messages are tiny).
 pub const MAX_MSG_LEN: u32 = 64 << 20;
 
+/// Bytes of the length prefix in front of every payload.
+const PREFIX: usize = 4;
+
 // ---------------------------------------------------------------------
-// Primitive encoders/decoders.
+// Field codecs.
 // ---------------------------------------------------------------------
 
-fn put_u8(b: &mut Vec<u8>, v: u8) {
-    b.push(v);
-}
-
-fn put_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_f64(b: &mut Vec<u8>, v: f64) {
-    put_u64(b, v.to_bits());
-}
-
-fn put_bool(b: &mut Vec<u8>, v: bool) {
-    put_u8(b, u8::from(v));
-}
-
-fn put_str(b: &mut Vec<u8>, s: &str) {
-    put_u32(b, s.len() as u32);
-    b.extend_from_slice(s.as_bytes());
-}
-
-fn put_bits(b: &mut Vec<u8>, v: &Bits) {
-    put_u32(b, v.width().get());
-    for w in v.as_words() {
-        b.extend_from_slice(&w.to_le_bytes());
-    }
-}
+type DecResult<T> = std::result::Result<T, String>;
 
 /// Cursor over a received payload.
-pub struct Dec<'a> {
+struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
-type DecResult<T> = std::result::Result<T, String>;
-
 impl<'a> Dec<'a> {
-    /// Starts decoding `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     fn take(&mut self, n: usize) -> DecResult<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
+        if self.remaining() < n {
             return Err(format!(
                 "message truncated: wanted {n} bytes at offset {}, have {}",
                 self.pos,
-                self.buf.len() - self.pos
+                self.remaining()
             ));
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -124,83 +109,523 @@ impl<'a> Dec<'a> {
         Ok(s)
     }
 
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+    fn array<const N: usize>(&mut self) -> DecResult<[u8; N]> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
+    }
+}
+
+/// A value with a wire layout.
+trait Wire: Sized {
+    /// The fewest bytes any value of this type takes on the wire.
+    const MIN: usize;
+
+    fn put(&self, b: &mut Vec<u8>);
+
+    fn get(d: &mut Dec) -> DecResult<Self>;
+
+    /// Appends a run of values (bytes override this with one copy).
+    fn put_all(items: &[Self], b: &mut Vec<u8>) {
+        for v in items {
+            v.put(b);
+        }
     }
 
-    fn u8(&mut self) -> DecResult<u8> {
-        Ok(self.take(1)?[0])
+    /// Reads `n` values, `n` already checked against [`Wire::MIN`].
+    /// Reserves no more than twice the bytes left: a hostile count can
+    /// pass the wire-size check and still be many times the frame in
+    /// `size_of::<Self>()` units, while a valid token batch (a one-word
+    /// frame is 28 B on the wire, 48 B in memory) still reserves once.
+    fn get_all(d: &mut Dec, n: usize) -> DecResult<Vec<Self>> {
+        let room = 2 * d.remaining() / std::mem::size_of::<Self>().max(1);
+        let mut out = Vec::with_capacity(n.min(room));
+        for _ in 0..n {
+            out.push(Self::get(d)?);
+        }
+        Ok(out)
     }
+}
 
-    fn u32(&mut self) -> DecResult<u32> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
+impl Wire for u8 {
+    const MIN: usize = 1;
+    fn put(&self, b: &mut Vec<u8>) {
+        b.push(*self);
     }
-
-    fn u64(&mut self) -> DecResult<u64> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
+    fn get(d: &mut Dec) -> DecResult<Self> {
+        Ok(d.take(1)?[0])
     }
-
-    fn f64(&mut self) -> DecResult<f64> {
-        Ok(f64::from_bits(self.u64()?))
+    fn put_all(items: &[Self], b: &mut Vec<u8>) {
+        b.extend_from_slice(items);
     }
-
-    fn bool(&mut self) -> DecResult<bool> {
-        Ok(self.u8()? != 0)
+    fn get_all(d: &mut Dec, n: usize) -> DecResult<Vec<Self>> {
+        Ok(d.take(n)?.to_vec())
     }
+}
 
-    fn str(&mut self) -> DecResult<String> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "string is not UTF-8".to_string())
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN: usize = std::mem::size_of::<$t>();
+            fn put(&self, b: &mut Vec<u8>) {
+                b.extend_from_slice(&self.to_be_bytes());
+            }
+            fn get(d: &mut Dec) -> DecResult<Self> {
+                Ok(<$t>::from_be_bytes(d.array()?))
+            }
+        }
+    )*};
+}
+
+wire_int!(u32, u64);
+
+/// Types sent as another wire type.
+macro_rules! wire_via {
+    ($($t:ty as $via:ty: $to:expr, $from:expr;)*) => {$(
+        impl Wire for $t {
+            const MIN: usize = <$via as Wire>::MIN;
+            fn put(&self, b: &mut Vec<u8>) {
+                $to(*self).put(b);
+            }
+            fn get(d: &mut Dec) -> DecResult<Self> {
+                $from(<$via as Wire>::get(d)?)
+            }
+        }
+    )*};
+}
+
+wire_via! {
+    usize as u64: |v: usize| v as u64, |v: u64| usize::try_from(v).map_err(|e| e.to_string());
+    f64 as u64: f64::to_bits, |v| Ok(f64::from_bits(v));
+    bool as u8: u8::from, |v| Ok(v != 0);
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN: usize = 4;
+    fn put(&self, b: &mut Vec<u8>) {
+        (self.len() as u32).put(b);
+        T::put_all(self, b);
     }
-
-    /// Validates a collection count against the bytes left, where each
-    /// element needs at least `min_elem_bytes` bytes.
-    fn count(&mut self, min_elem_bytes: usize) -> DecResult<usize> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_elem_bytes.max(1)) > self.remaining() {
+    fn get(d: &mut Dec) -> DecResult<Self> {
+        let n = u32::get(d)? as usize;
+        if n.saturating_mul(T::MIN.max(1)) > d.remaining() {
             return Err(format!("collection count {n} exceeds message size"));
         }
-        Ok(n)
+        T::get_all(d, n)
     }
+}
 
-    fn bits(&mut self) -> DecResult<Bits> {
-        let width = self.u32()?;
+impl Wire for String {
+    const MIN: usize = 4;
+    fn put(&self, b: &mut Vec<u8>) {
+        (self.len() as u32).put(b);
+        b.extend_from_slice(self.as_bytes());
+    }
+    fn get(d: &mut Dec) -> DecResult<Self> {
+        String::from_utf8(Wire::get(d)?).map_err(|_| "string is not UTF-8".to_string())
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    const MIN: usize = 1;
+    fn put(&self, b: &mut Vec<u8>) {
+        self.is_some().put(b);
+        if let Some(v) = self {
+            v.put(b);
+        }
+    }
+    fn get(d: &mut Dec) -> DecResult<Self> {
+        bool::get(d)?.then(|| T::get(d)).transpose()
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    const MIN: usize = T::MIN;
+    fn put(&self, b: &mut Vec<u8>) {
+        (**self).put(b);
+    }
+    fn get(d: &mut Dec) -> DecResult<Self> {
+        T::get(d).map(Box::new)
+    }
+}
+
+macro_rules! wire_tuple {
+    ($($t:ident . $i:tt),*) => {
+        impl<$($t: Wire),*> Wire for ($($t,)*) {
+            const MIN: usize = 0 $(+ $t::MIN)*;
+            fn put(&self, b: &mut Vec<u8>) {
+                $(self.$i.put(b);)*
+            }
+            fn get(d: &mut Dec) -> DecResult<Self> {
+                Ok(($($t::get(d)?,)*))
+            }
+        }
+    };
+}
+
+wire_tuple!(A.0, B.1);
+wire_tuple!(A.0, B.1, C.2);
+
+/// A width (`1..=2^20` bits), then the little-endian words; set bits
+/// above the width are refused.
+impl Wire for Bits {
+    const MIN: usize = 4 + 8;
+    fn put(&self, b: &mut Vec<u8>) {
+        self.width().get().put(b);
+        for w in self.as_words() {
+            b.extend_from_slice(&w.to_le_bytes());
+        }
+    }
+    fn get(d: &mut Dec) -> DecResult<Self> {
+        let width = u32::get(d)?;
         if width == 0 || width > (1 << 20) {
             return Err(format!("bad payload width {width}"));
         }
-        let words = (width as usize).div_ceil(64);
-        let mut ws = Vec::with_capacity(words);
-        for _ in 0..words {
-            ws.push(u64::from_le_bytes(self.take(8)?.try_into().unwrap()));
-        }
-        let v = Bits::from_words(&ws, width);
-        if v.as_words() != ws.as_slice() {
+        let words = (0..width.div_ceil(64))
+            .map(|_| d.array().map(u64::from_le_bytes))
+            .collect::<DecResult<Vec<u64>>>()?;
+        let v = Bits::from_words(&words, width);
+        if v.as_words() != words.as_slice() {
             return Err("payload sets bits above its declared width".to_string());
         }
         Ok(v)
     }
 }
 
+/// The reliability layer's own byte encoding ([`Frame::encode_bytes`]).
+impl Wire for Frame {
+    // `seq`, `crc`, `delay_quanta`, the payload width, no words.
+    const MIN: usize = 8 + 4 + 4 + 4;
+    fn put(&self, b: &mut Vec<u8>) {
+        self.encode_bytes(b);
+    }
+    fn get(d: &mut Dec) -> DecResult<Self> {
+        Frame::decode_bytes(d.buf, &mut d.pos)
+    }
+}
+
+/// Implements `Wire` for structs, fields in wire order: declared here in
+/// full (the declaration is the layout), or as `Name { field: Type, … }`
+/// for a struct declared elsewhere.
+macro_rules! wire_struct {
+    ($(
+        $(#[$meta:meta])*
+        pub struct $ty:ident { $($(#[$fmeta:meta])* pub $f:ident: $ft:ty),* $(,)? }
+    )*) => {$(
+        $(#[$meta])*
+        pub struct $ty { $($(#[$fmeta])* pub $f: $ft),* }
+        wire_struct!($ty { $($f: $ft),* });
+    )*};
+    ($($ty:ident { $($f:ident: $ft:ty),* $(,)? })*) => {$(
+        impl Wire for $ty {
+            const MIN: usize = 0 $(+ <$ft as Wire>::MIN)*;
+            fn put(&self, b: &mut Vec<u8>) {
+                $(self.$f.put(b);)*
+            }
+            fn get(d: &mut Dec) -> DecResult<Self> {
+                Ok($ty { $($f: <$ft as Wire>::get(d)?),* })
+            }
+        }
+    )*};
+}
+
+/// Implements `Wire` for an enum: a tag byte, then the variant's fields.
+/// A variant marked `with f` is decoded by `f` instead.
+macro_rules! wire_enum {
+    // One decode arm: the `with` decoder, or the fields in order.
+    (@get $d:ident, [$dec:ident] $($variant:tt)*) => {
+        $dec($d)
+    };
+    (@get $d:ident, [] $ty:ident::$v:ident $({ $($f:ident: $ft:ty),* })? $(($tt:ty))?) => {
+        Ok($ty::$v $({ $($f: <$ft as Wire>::get($d)?),* })? $((<$tt as Wire>::get($d)?))?)
+    };
+    ($ty:ident, $what:literal {
+        $($tag:tt => $v:ident $({ $($f:ident: $ft:ty),* $(,)? })? $(($tn:ident: $tt:ty))?
+            $(with $dec:ident)?),* $(,)?
+    }) => {
+        impl Wire for $ty {
+            const MIN: usize = 1;
+            fn put(&self, b: &mut Vec<u8>) {
+                match self {
+                    $($ty::$v $({ $($f),* })? $(($tn))? => {
+                        b.push($tag);
+                        $($($f.put(b);)*)?
+                        $($tn.put(b);)?
+                    })*
+                }
+            }
+            fn get(d: &mut Dec) -> DecResult<Self> {
+                match u8::get(d)? {
+                    $($tag => wire_enum!(@get d, [$($dec)?] $ty::$v
+                        $({ $($f: $ft),* })? $(($tt))?),)*
+                    t => Err(format!(concat!("unknown ", $what, " {}"), t)),
+                }
+            }
+        }
+    };
+}
+
+wire_enum!(TransportKind, "transport kind" {
+    0 => HostPcie, 1 => PeerPcie, 2 => QsfpAurora, 3 => Loopback,
+});
+
+wire_enum!(EventKind, "event kind" {
+    0 => SpanBegin, 1 => SpanEnd, 2 => Instant, 3 => Counter,
+});
+
+wire_enum!(PartitionMode, "partition mode" { 0 => Exact, 1 => Fast });
+
+wire_enum!(ChannelPolicy, "channel policy" { 0 => Separated, 1 => Monolithic });
+
+wire_enum!(Selection, "selection tag" {
+    0 => Instances(paths: Vec<String>),
+    1 => NocRouters { routers: Vec<String>, indices: Vec<usize> },
+});
+
 // ---------------------------------------------------------------------
 // Protocol structures.
 // ---------------------------------------------------------------------
 
-/// Everything a worker needs to build its share of the simulation,
-/// shipped in [`Msg::Topology`]: its partition of the coordinator's
-/// FireRipper output, never the whole design.
-#[derive(Debug, Clone)]
-pub struct Topology {
-    /// The receiving worker's index == the partition it owns.
-    pub worker: u32,
-    /// Total workers in the cluster (== partition count).
-    pub n_workers: u32,
-    /// Engine settings the whole cluster must agree on.
-    pub settings: WireSettings,
-    /// The worker's partition and the cut-wide tables, encoded by
-    /// [`crate::payload::encode_partition_payload`].
-    pub payload: Vec<u8>,
+wire_struct! {
+    LinkModel { kind: TransportKind, latency_ns: u64, beat_bits: u64 }
+    RetryPolicy { max_retries: u32, timeout_cycles: u64 }
+    PartitionSpec {
+        mode: PartitionMode,
+        channel_policy: ChannelPolicy,
+        groups: Vec<PartitionGroup>,
+    }
+    PartitionGroup { name: String, fame5: bool, selection: Selection }
+    NodeCounters {
+        node: String,
+        partition: usize,
+        tokens_enqueued: u64,
+        tokens_dequeued: u64,
+        input_stall_host_cycles: u64,
+        output_stall_host_cycles: u64,
+        host_cycles: u64,
+        target_cycles: u64,
+    }
+    NodeSample {
+        cycle: u64,
+        host_ns: u64,
+        time_ps: u64,
+        host_cycles: u64,
+        tokens_enqueued: u64,
+        tokens_dequeued: u64,
+        input_stall_host_cycles: u64,
+        output_stall_host_cycles: u64,
+        queue_occupancy: u64,
+        settle_passes: u64,
+        defs_run: u64,
+        defs_skipped: u64,
+        state_digest: u64,
+    }
+    LinkCounters {
+        link: usize,
+        tokens: u64,
+        sent_frames: u64,
+        retransmits: u64,
+        timeout_escalations: u64,
+        crc_failures: u64,
+        duplicates_dropped: u64,
+        delivery_delay_ps: u64,
+    }
+    OwnedTraceEvent {
+        name: String,
+        kind: EventKind,
+        host_ns: u64,
+        virt_ps: u64,
+        value: f64,
+        tid: u64,
+    }
+    VcdSignal { scope: String, name: String, width: u32 }
 }
+
+wire_struct! {
+    /// Everything a worker needs to build its share of the simulation,
+    /// shipped in [`Msg::Topology`]: its partition of the coordinator's
+    /// FireRipper output, never the whole design.
+    #[derive(Debug, Clone)]
+    pub struct Topology {
+        /// The receiving worker's index == the partition it owns.
+        pub worker: u32,
+        /// Total workers in the cluster (== partition count).
+        pub n_workers: u32,
+        /// Engine settings the whole cluster must agree on.
+        pub settings: WireSettings,
+        /// The worker's partition and the cut-wide tables, encoded by
+        /// [`crate::payload::encode_partition_payload`].
+        pub payload: Vec<u8>,
+    }
+
+    /// Cluster-wide engine settings (the subset of `SimBuilder` knobs that
+    /// must match across processes for bit-exact parity), plus the net
+    /// backend's own pacing knobs.
+    #[derive(Debug, Clone)]
+    pub struct WireSettings {
+        /// Transport model for links without an override.
+        pub default_transport: LinkModel,
+        /// Per-link transport overrides.
+        pub link_transports: Vec<(u32, LinkModel)>,
+        /// Default bitstream clock, MHz.
+        pub clock_mhz: f64,
+        /// Per-partition clock overrides, MHz.
+        pub partition_clocks: Vec<(u32, f64)>,
+        /// LI-BDN channel capacity.
+        pub channel_capacity: u64,
+        /// Deadlock horizon in host edges.
+        pub deadlock_horizon: u64,
+        /// Retry/backoff knobs for the socket go-back-N protocol (the
+        /// protocol itself is always on for net links).
+        pub retry: RetryPolicy,
+        /// Metric sampling cadence in target cycles (0 = off).
+        pub sample_interval: u64,
+        /// Capture VCD changes.
+        pub vcd: bool,
+        /// VCD watch list (empty = every node's output ports).
+        pub signals: Vec<String>,
+        /// Target cycles between worker [`Msg::Progress`] reports.
+        pub progress_interval: u64,
+        /// Silence budget: a peer that sends nothing for this long while
+        /// the run is incomplete trips `SimError::NetTimeout`.
+        pub io_timeout_ms: u64,
+        /// Target cycles of tokens packed per link into one
+        /// [`Msg::TokenBatch`] before it is flushed to the wire (quiescence
+        /// always flushes early, so small runs never stall). Clamped to
+        /// `1..=INITIAL_CREDITS`.
+        pub batch_cycles: u64,
+        /// Lookahead window: how many target cycles a partition may run
+        /// ahead of its slowest inbound link (the paper's fast-mode
+        /// analogue). Bounds LI-BDN queue deepening; clamped to
+        /// `batch_cycles..=INITIAL_CREDITS` so the credit window still caps
+        /// runahead.
+        pub slack_cycles: u64,
+        /// Target cycles between coordinated cluster checkpoints (0 = no
+        /// checkpointing, and therefore no crash recovery). Every worker
+        /// stops at each multiple of this interval, reaches link
+        /// quiescence, and ships a portable state blob to the coordinator
+        /// (see `fireaxe-net`'s failure-model docs).
+        pub checkpoint_interval: u64,
+    }
+
+    /// One worker's end-of-run report: everything the coordinator folds
+    /// into the merged `SimMetrics`, metric series, VCD and Chrome trace.
+    #[derive(Debug, Clone, Default)]
+    pub struct WireReport {
+        /// Reporting worker.
+        pub worker: u32,
+        /// Per owned node: counters, metric samples, VCD changes.
+        pub nodes: Vec<NodeReport>,
+        /// Per touched link: this side's counter contributions.
+        pub links: Vec<LinkReport>,
+        /// This process's trace events.
+        pub traces: Vec<OwnedTraceEvent>,
+    }
+
+    /// One owned node's report.
+    #[derive(Debug, Clone)]
+    pub struct NodeReport {
+        /// Flat node index.
+        pub node: u32,
+        /// Execution counters.
+        pub counters: NodeCounters,
+        /// Metric samples in cycle order.
+        pub samples: Vec<NodeSample>,
+        /// VCD changes `(cycle, signal, value)`.
+        pub vcd: Vec<(u64, u32, Bits)>,
+    }
+
+    /// One link's counter contributions from one side. Sender-owned fields
+    /// (tokens, sent/retransmitted frames, timeouts) and receiver-owned
+    /// fields (CRC failures, duplicates) are disjoint, so the coordinator
+    /// folds reports by summing fieldwise.
+    #[derive(Debug, Clone)]
+    pub struct LinkReport {
+        /// Link index.
+        pub link: u32,
+        /// Fresh tokens committed (sender side).
+        pub tokens: u64,
+        /// Reliability counters.
+        pub counters: LinkCounters,
+    }
+
+    /// One node's identity and progress as reported to an attached client
+    /// in [`Msg::AttachAck`] and [`Msg::StatusReply`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct NodeInfo {
+        /// Flat node index (the control plane's peek/poke address space).
+        pub node: u32,
+        /// Node name.
+        pub name: String,
+        /// Owning partition (== worker index).
+        pub partition: u32,
+        /// Completed target cycles at send time.
+        pub cycle: u64,
+    }
+
+    /// One job's identity and progress as reported in
+    /// [`Msg::JobStatusReply`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct JobInfo {
+        /// Server-assigned job id.
+        pub job: u64,
+        /// Submitting tenant.
+        pub tenant: String,
+        /// Lifecycle state ([`JOB_QUEUED`]..[`JOB_FAILED`]).
+        pub state: u8,
+        /// Requested backend ([`BACKEND_NET`]/[`BACKEND_THREADS`]).
+        pub backend: u8,
+        /// Requested target-cycle budget (post-quota-clamp).
+        pub budget: u64,
+        /// Completed target cycles at send time.
+        pub cycle: u64,
+        /// Whether admission hit the tape cache.
+        pub cache_hit: bool,
+        /// Workers placed (0 while queued / for threads jobs).
+        pub workers: u32,
+    }
+
+    /// Server-wide tape-cache and worker-pool statistics, shipped in
+    /// [`Msg::JobStatusReply`] (the same counters back the server's
+    /// `fireaxe-obs` metrics).
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct ServeStats {
+        /// Admissions that reused a cached compiled design.
+        pub cache_hits: u64,
+        /// Admissions that compiled from scratch.
+        pub cache_misses: u64,
+        /// Designs currently cached.
+        pub cache_entries: u32,
+        /// Designs evicted by the LRU bound.
+        pub cache_evictions: u64,
+        /// Pooled workers currently idle.
+        pub pool_idle: u32,
+        /// Pooled workers currently leased to jobs.
+        pub pool_busy: u32,
+    }
+}
+
+/// [`JobInfo::state`]/[`Msg::JobResult`] outcome: queued, waiting for
+/// workers or quota headroom.
+pub const JOB_QUEUED: u8 = 0;
+/// [`JobInfo::state`]: placed on workers and running.
+pub const JOB_RUNNING: u8 = 1;
+/// [`JobInfo::state`]/outcome: ran to its full budget.
+pub const JOB_DONE: u8 = 2;
+/// [`JobInfo::state`]/outcome: evicted (quota clamp, operator
+/// [`Msg::EvictJob`], or [`Msg::CancelJob`]) — the result still carries
+/// the partial metrics of the cycles that did run.
+pub const JOB_EVICTED: u8 = 3;
+/// [`JobInfo::state`]/outcome: failed with a simulation or
+/// infrastructure error.
+pub const JOB_FAILED: u8 = 4;
+
+/// [`Msg::SubmitJob`] backend selector: schedule onto pooled net
+/// workers.
+pub const BACKEND_NET: u8 = 0;
+/// [`Msg::SubmitJob`] backend selector: run in-process on the server's
+/// threaded backend (same scheduler, no worker placement).
+pub const BACKEND_THREADS: u8 = 1;
 
 impl Topology {
     /// The hash a pooled worker keys a kept partition build by: the
@@ -212,63 +637,13 @@ impl Topology {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         h.write_u32(self.n_workers);
         let mut settings = Vec::new();
-        put_settings(&mut settings, &self.settings);
+        self.settings.put(&mut settings);
         for bytes in [&self.payload, &settings] {
             h.write_usize(bytes.len());
             h.write(bytes);
         }
         h.finish()
     }
-}
-
-/// Cluster-wide engine settings (the subset of `SimBuilder` knobs that
-/// must match across processes for bit-exact parity), plus the net
-/// backend's own pacing knobs.
-#[derive(Debug, Clone)]
-pub struct WireSettings {
-    /// Transport model for links without an override.
-    pub default_transport: LinkModel,
-    /// Per-link transport overrides.
-    pub link_transports: Vec<(u32, LinkModel)>,
-    /// Default bitstream clock, MHz.
-    pub clock_mhz: f64,
-    /// Per-partition clock overrides, MHz.
-    pub partition_clocks: Vec<(u32, f64)>,
-    /// LI-BDN channel capacity.
-    pub channel_capacity: u64,
-    /// Deadlock horizon in host edges.
-    pub deadlock_horizon: u64,
-    /// Retry/backoff knobs for the socket go-back-N protocol (the
-    /// protocol itself is always on for net links).
-    pub retry: RetryPolicy,
-    /// Metric sampling cadence in target cycles (0 = off).
-    pub sample_interval: u64,
-    /// Capture VCD changes.
-    pub vcd: bool,
-    /// VCD watch list (empty = every node's output ports).
-    pub signals: Vec<String>,
-    /// Target cycles between worker [`Msg::Progress`] reports.
-    pub progress_interval: u64,
-    /// Silence budget: a peer that sends nothing for this long while
-    /// the run is incomplete trips `SimError::NetTimeout`.
-    pub io_timeout_ms: u64,
-    /// Target cycles of tokens packed per link into one
-    /// [`Msg::TokenBatch`] before it is flushed to the wire (quiescence
-    /// always flushes early, so small runs never stall). Clamped to
-    /// `1..=INITIAL_CREDITS`.
-    pub batch_cycles: u64,
-    /// Lookahead window: how many target cycles a partition may run
-    /// ahead of its slowest inbound link (the paper's fast-mode
-    /// analogue). Bounds LI-BDN queue deepening; clamped to
-    /// `batch_cycles..=INITIAL_CREDITS` so the credit window still caps
-    /// runahead.
-    pub slack_cycles: u64,
-    /// Target cycles between coordinated cluster checkpoints (0 = no
-    /// checkpointing, and therefore no crash recovery). Every worker
-    /// stops at each multiple of this interval, reaches link
-    /// quiescence, and ships a portable state blob to the coordinator
-    /// (see `fireaxe-net`'s failure-model docs).
-    pub checkpoint_interval: u64,
 }
 
 impl Default for WireSettings {
@@ -310,124 +685,6 @@ impl WireSettings {
     }
 }
 
-/// One worker's end-of-run report: everything the coordinator folds
-/// into the merged `SimMetrics`, metric series, VCD and Chrome trace.
-#[derive(Debug, Clone, Default)]
-pub struct WireReport {
-    /// Reporting worker.
-    pub worker: u32,
-    /// Per owned node: counters, metric samples, VCD changes.
-    pub nodes: Vec<NodeReport>,
-    /// Per touched link: this side's counter contributions.
-    pub links: Vec<LinkReport>,
-    /// This process's trace events.
-    pub traces: Vec<OwnedTraceEvent>,
-}
-
-/// One owned node's report.
-#[derive(Debug, Clone)]
-pub struct NodeReport {
-    /// Flat node index.
-    pub node: u32,
-    /// Execution counters.
-    pub counters: NodeCounters,
-    /// Metric samples in cycle order.
-    pub samples: Vec<NodeSample>,
-    /// VCD changes `(cycle, signal, value)`.
-    pub vcd: Vec<(u64, u32, Bits)>,
-}
-
-/// One link's counter contributions from one side. Sender-owned fields
-/// (tokens, sent/retransmitted frames, timeouts) and receiver-owned
-/// fields (CRC failures, duplicates) are disjoint, so the coordinator
-/// folds reports by summing fieldwise.
-#[derive(Debug, Clone)]
-pub struct LinkReport {
-    /// Link index.
-    pub link: u32,
-    /// Fresh tokens committed (sender side).
-    pub tokens: u64,
-    /// Reliability counters.
-    pub counters: LinkCounters,
-}
-
-/// One node's identity and progress as reported to an attached client
-/// in [`Msg::AttachAck`] and [`Msg::StatusReply`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeInfo {
-    /// Flat node index (the control plane's peek/poke address space).
-    pub node: u32,
-    /// Node name.
-    pub name: String,
-    /// Owning partition (== worker index).
-    pub partition: u32,
-    /// Completed target cycles at send time.
-    pub cycle: u64,
-}
-
-/// [`JobInfo::state`]/[`Msg::JobResult`] outcome: queued, waiting for
-/// workers or quota headroom.
-pub const JOB_QUEUED: u8 = 0;
-/// [`JobInfo::state`]: placed on workers and running.
-pub const JOB_RUNNING: u8 = 1;
-/// [`JobInfo::state`]/outcome: ran to its full budget.
-pub const JOB_DONE: u8 = 2;
-/// [`JobInfo::state`]/outcome: evicted (quota clamp, operator
-/// [`Msg::EvictJob`], or [`Msg::CancelJob`]) — the result still carries
-/// the partial metrics of the cycles that did run.
-pub const JOB_EVICTED: u8 = 3;
-/// [`JobInfo::state`]/outcome: failed with a simulation or
-/// infrastructure error.
-pub const JOB_FAILED: u8 = 4;
-
-/// [`Msg::SubmitJob`] backend selector: schedule onto pooled net
-/// workers.
-pub const BACKEND_NET: u8 = 0;
-/// [`Msg::SubmitJob`] backend selector: run in-process on the server's
-/// threaded backend (same scheduler, no worker placement).
-pub const BACKEND_THREADS: u8 = 1;
-
-/// One job's identity and progress as reported in
-/// [`Msg::JobStatusReply`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobInfo {
-    /// Server-assigned job id.
-    pub job: u64,
-    /// Submitting tenant.
-    pub tenant: String,
-    /// Lifecycle state ([`JOB_QUEUED`]..[`JOB_FAILED`]).
-    pub state: u8,
-    /// Requested backend ([`BACKEND_NET`]/[`BACKEND_THREADS`]).
-    pub backend: u8,
-    /// Requested target-cycle budget (post-quota-clamp).
-    pub budget: u64,
-    /// Completed target cycles at send time.
-    pub cycle: u64,
-    /// Whether admission hit the tape cache.
-    pub cache_hit: bool,
-    /// Workers placed (0 while queued / for threads jobs).
-    pub workers: u32,
-}
-
-/// Server-wide tape-cache and worker-pool statistics, shipped in
-/// [`Msg::JobStatusReply`] (the same counters back the server's
-/// `fireaxe-obs` metrics).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Admissions that reused a cached compiled design.
-    pub cache_hits: u64,
-    /// Admissions that compiled from scratch.
-    pub cache_misses: u64,
-    /// Designs currently cached.
-    pub cache_entries: u32,
-    /// Designs evicted by the LRU bound.
-    pub cache_evictions: u64,
-    /// Pooled workers currently idle.
-    pub pool_idle: u32,
-    /// Pooled workers currently leased to jobs.
-    pub pool_busy: u32,
-}
-
 /// [`Msg::Fatal`] code: generic simulation failure (message carries the
 /// rendered error).
 pub const FATAL_SIM: u8 = 0;
@@ -435,1269 +692,482 @@ pub const FATAL_SIM: u8 = 0;
 /// `attempts` are meaningful).
 pub const FATAL_LINK_DOWN: u8 = 1;
 
-/// A wire protocol message.
-#[derive(Debug, Clone)]
-pub enum Msg {
-    /// Coordinator → worker: protocol identification.
-    Hello {
-        /// [`PROTOCOL_MAGIC`].
-        magic: u32,
-        /// Sender's [`PROTOCOL_VERSION`].
-        version: u32,
-        /// The worker index this connection is for.
-        worker: u32,
-    },
-    /// Worker → coordinator: handshake response.
-    HelloAck {
-        /// [`PROTOCOL_MAGIC`].
-        magic: u32,
-        /// Responder's [`PROTOCOL_VERSION`].
-        version: u32,
-    },
-    /// Coordinator → worker: build your share of the simulation.
-    Topology(Box<Topology>),
-    /// Worker → coordinator: built; `design_digest` must match the
-    /// coordinator's digest of the same partition (see
-    /// [`partition_digest`]).
-    Ready {
-        /// Digest over the worker's nodes, their port tables and the
-        /// link table.
-        design_digest: u64,
-    },
-    /// Coordinator → worker: run to exactly `budget` target cycles.
-    Run {
-        /// Target-cycle budget.
-        budget: u64,
-    },
-    /// A sealed token frame on a cross-worker link (sender → coordinator
-    /// → receiving worker).
-    Token {
-        /// Link index.
-        link: u32,
-        /// The sealed go-back-N frame.
-        frame: Frame,
-    },
-    /// Several consecutive target cycles' worth of sealed token frames
-    /// for one link, packed into a single wire message (sender →
-    /// coordinator → receiving worker). Frames ride back-to-back in
-    /// sequence order; the receiver acknowledges once, cumulatively,
-    /// after staging the whole batch. Semantically identical to the
-    /// same frames sent as individual [`Msg::Token`]s — batching only
-    /// amortizes round trips and syscalls.
-    TokenBatch {
-        /// Link index.
-        link: u32,
-        /// The sealed frames, in ascending sequence order.
-        frames: Vec<Frame>,
-    },
-    /// Decode-side stand-in for a [`Msg::Token`] whose frame bytes were
-    /// damaged in flight: the link index survived but the frame did not.
-    /// Counted as a CRC casualty; the sender's timeout recovers.
-    CorruptToken {
-        /// Link index.
-        link: u32,
-    },
-    /// Cumulative acknowledgment for a link (receiver → sender).
-    Ack {
-        /// Link index.
-        link: u32,
-        /// Next expected sequence number.
-        ack: u64,
-    },
-    /// Flow-control credits returned as the receiver's LI-BDN queue
-    /// consumes staged tokens (receiver → sender).
-    Credit {
-        /// Link index.
-        link: u32,
-        /// Tokens consumed since the last credit message.
-        amount: u32,
-    },
-    /// Worker → coordinator: lowest owned-node target cycle, sent every
-    /// `progress_interval` cycles (feeds stall forensics).
-    Progress {
-        /// Minimum completed target cycle across owned nodes.
-        cycle: u64,
-    },
-    /// Worker → coordinator: every owned node reached the budget and
-    /// every outbound frame is acknowledged.
-    Done {
-        /// The completed budget.
-        cycle: u64,
-    },
-    /// Coordinator → worker: the whole cluster is done; send your
-    /// report.
-    Finish,
-    /// Worker → coordinator: end-of-run report.
-    Report(Box<WireReport>),
-    /// Coordinator → worker: tear down and exit cleanly.
-    Shutdown,
-    /// Worker → coordinator: unrecoverable failure ([`FATAL_SIM`],
-    /// [`FATAL_LINK_DOWN`]).
-    Fatal {
-        /// Failure class.
-        code: u8,
-        /// Failing link ([`FATAL_LINK_DOWN`] only).
-        link: u32,
-        /// Delivery attempts spent ([`FATAL_LINK_DOWN`] only).
-        attempts: u32,
-        /// Rendered error.
-        message: String,
-    },
-    /// Worker → coordinator: every owned node stopped exactly at the
-    /// checkpoint barrier `cycle` and every outbound frame is
-    /// acknowledged (link quiescence). The worker then waits for
-    /// [`Msg::TakeCheckpoint`] — the two-phase handoff guarantees no
-    /// relayed frame is still in flight toward any worker when state is
-    /// captured.
-    Barrier {
-        /// Recovery epoch the worker believes it is in.
-        epoch: u32,
-        /// The barrier cycle (a multiple of `checkpoint_interval`).
-        cycle: u64,
-    },
-    /// Coordinator → workers: the whole cluster is quiescent at the
-    /// barrier; capture your partition's portable state now.
-    TakeCheckpoint {
-        /// Current recovery epoch.
-        epoch: u32,
-        /// The barrier cycle.
-        cycle: u64,
-    },
-    /// Worker → coordinator: the partition's portable state blob (see
-    /// `DistributedSim::snapshot_partition_bytes` plus the net layer's
-    /// flow marks). The worker keeps a local copy to rewind from.
-    Checkpoint {
-        /// Current recovery epoch.
-        epoch: u32,
-        /// The barrier cycle the blob was captured at.
-        cycle: u64,
-        /// The portable state blob.
-        blob: Vec<u8>,
-    },
-    /// Coordinator → workers: every worker's blob arrived; the
-    /// checkpoint set is durable. Resume running.
-    CheckpointAck {
-        /// Current recovery epoch.
-        epoch: u32,
-        /// The acknowledged barrier cycle.
-        cycle: u64,
-    },
-    /// Coordinator → surviving workers: a peer died; rewind to the last
-    /// complete checkpoint at `cycle` and enter recovery epoch `epoch`.
-    /// The survivor restores from its locally kept blob, resyncs every
-    /// link endpoint, and answers [`Msg::RewindAck`] — *without*
-    /// stepping — until [`Msg::Resume`] arrives.
-    Rewind {
-        /// The new (incremented) recovery epoch.
-        epoch: u32,
-        /// The checkpoint cycle to rewind to.
-        cycle: u64,
-    },
-    /// Worker → coordinator: rewound and holding at `cycle`.
-    RewindAck {
-        /// The recovery epoch being acknowledged.
-        epoch: u32,
-        /// The cycle the worker rewound to.
-        cycle: u64,
-    },
-    /// Coordinator → a freshly respawned worker: adopt this checkpoint
-    /// blob (captured by your predecessor at `cycle`) before running.
-    Restore {
-        /// Current recovery epoch.
-        epoch: u32,
-        /// The checkpoint cycle the blob was captured at.
-        cycle: u64,
-        /// The portable state blob.
-        blob: Vec<u8>,
-    },
-    /// Coordinator → workers: recovery is complete (every survivor
-    /// rewound and the replacement is in place); resume running toward
-    /// the budget.
-    Resume {
-        /// Current recovery epoch.
-        epoch: u32,
-        /// The cycle the cluster is resuming from.
-        cycle: u64,
-    },
-
-    // -- Control plane (v4): the live cockpit. Clients speak these to
-    // the coordinator's control listener; the coordinator forwards the
-    // worker-facing subset over the existing worker connections.
-    /// Client → coordinator: attach a cockpit session.
-    Attach {
-        /// [`PROTOCOL_MAGIC`].
-        magic: u32,
-        /// Client's [`PROTOCOL_VERSION`].
-        version: u32,
-    },
-    /// Coordinator → client: attach accepted; the cluster's node table
-    /// and shared VCD signal table (the peek/poke and wave-stream
-    /// address spaces).
-    AttachAck {
-        /// Every node with identity and current progress.
-        nodes: Vec<NodeInfo>,
-        /// The global VCD signal table (empty when capture is off).
-        signals: Vec<VcdSignal>,
-        /// Metric sampling cadence in target cycles (0 = off).
-        sample_interval: u64,
-    },
-    /// Client → coordinator: end the cockpit session (the run
-    /// continues; a pause fence left standing is lifted).
-    Detach,
-    /// Pause request. Client → coordinator with `cycle == 0` ("pick the
-    /// nearest safe fence"); coordinator → workers with the concrete
-    /// fence cycle every partition must stop at. Workers stop *exactly*
-    /// at the fence — the same deterministic cycle-boundary sampling
-    /// point budgets and checkpoint barriers use — so peeks, pokes, and
-    /// digests taken while paused are cycle-exact.
-    Pause {
-        /// Fence target cycle (0 in the client request form).
-        cycle: u64,
-    },
-    /// Worker → coordinator: every owned node sits exactly at the fence
-    /// and all outbound frames are acknowledged. Coordinator → client:
-    /// the whole cluster is paused at `cycle`.
-    PauseAck {
-        /// The fence cycle reached.
-        cycle: u64,
-    },
-    /// Client → coordinator: advance the paused cluster exactly `n`
-    /// target cycles, then pause again (implemented as a fence move).
-    Step {
-        /// Cycles to advance.
-        n: u64,
-    },
-    /// Resume after a pause: client → coordinator, coordinator →
-    /// workers (lifts the fence; the run continues toward its budget).
-    ResumeRun,
-    /// Peek a signal: client → coordinator → owning worker.
-    Peek {
-        /// Flat node index (from [`Msg::AttachAck`]).
-        node: u32,
-        /// Hierarchical signal path inside the node.
-        path: String,
-    },
-    /// Peek answer: worker → coordinator → client.
-    PeekReply {
-        /// Flat node index.
-        node: u32,
-        /// The peeked path.
-        path: String,
-        /// The node's completed target cycle when the value was read.
-        cycle: u64,
-        /// The value, or `None` when the path names no signal.
-        value: Option<Bits>,
-    },
-    /// Poke a top-level input port: client → coordinator → owning
-    /// worker. Applied at the node's next target-cycle advance (see
-    /// `LiBdn::poke_input_next_cycle` for the determinism argument).
-    Poke {
-        /// Flat node index.
-        node: u32,
-        /// Input-port path inside the node.
-        path: String,
-        /// The value to drive.
-        value: u64,
-    },
-    /// Poke outcome: worker → coordinator → client. `error` is empty on
-    /// success, otherwise the rendered field-named `IrError`
-    /// (`UnknownSignal`/`NotPokeable`/`PokeWidth`).
-    PokeAck {
-        /// Flat node index.
-        node: u32,
-        /// The poked path.
-        path: String,
-        /// The node's completed target cycle when the poke was staged.
-        cycle: u64,
-        /// Empty on success, rendered error otherwise.
-        error: String,
-    },
-    /// Subscribe to live streams: client → coordinator → workers.
-    /// While subscribed, workers ship [`Msg::WaveDelta`] and
-    /// [`Msg::MetricDelta`] tails alongside progress heartbeats; both
-    /// streams are *clones* of the observability buffers, so the
-    /// end-of-run report is unaffected.
-    Subscribe {
-        /// Stream waveform deltas.
-        wave: bool,
-        /// Stream metric samples.
-        metrics: bool,
-    },
-    /// New waveform changes of one node since the last delta (worker →
-    /// coordinator → client). Signal indices refer to the
-    /// [`Msg::AttachAck`] signal table; reassembling every delta in
-    /// stream order into a `VcdWriter` yields a document byte-identical
-    /// to the batch end-of-run VCD.
-    WaveDelta {
-        /// Flat node index.
-        node: u32,
-        /// Changes `(cycle, signal, value)` in recording order.
-        changes: Vec<(u64, u32, Bits)>,
-    },
-    /// New metric samples of one node since the last delta (worker →
-    /// coordinator → client).
-    MetricDelta {
-        /// Flat node index.
-        node: u32,
-        /// Samples in cycle order.
-        samples: Vec<NodeSample>,
-    },
-    /// Client → coordinator: capture a coordinated cluster checkpoint
-    /// now (reuses the two-phase barrier/checkpoint machinery).
-    SnapshotNow,
-    /// Coordinator → client: the on-demand checkpoint set is durable.
-    SnapshotDone {
-        /// The barrier cycle the snapshot was captured at.
-        cycle: u64,
-    },
-    /// Client → coordinator: report cluster progress.
-    Status,
-    /// Coordinator → client: per-node progress plus pause state.
-    StatusReply {
-        /// Every node with identity and current progress.
-        nodes: Vec<NodeInfo>,
-        /// Whether a pause fence is standing.
-        paused: bool,
-        /// The standing fence cycle (meaningful when `paused`).
-        fence: u64,
-    },
-
-    // -- Job server (v5): worker pooling and the job control plane.
-    /// Coordinator → worker: the job is complete (or torn down); return
-    /// to the idle pool instead of exiting. The worker acknowledges
-    /// with [`Msg::IdleAck`], drops every trace of the finished session
-    /// (sequence counters, deferred acks, credit budgets, staged
-    /// tokens), closes this connection, and listens for the next job's
-    /// handshake.
-    ResetToIdle,
-    /// Worker → coordinator: reset complete, returning to accept. Sent
-    /// immediately before the worker closes the session socket.
-    IdleAck,
-    /// Client → job server: run this design. The circuit rides as a
-    /// binary tape (see `fireaxe_ir::tape`); its bytes — with the spec
-    /// and settings — key the server's compiled-design cache.
-    SubmitJob {
-        /// Submitting tenant (quota accounting key; empty = default).
-        tenant: String,
-        /// Target-cycle budget.
-        budget: u64,
-        /// [`BACKEND_NET`] or [`BACKEND_THREADS`].
-        backend: u8,
-        /// The circuit tape.
-        tape: Vec<u8>,
-        /// Partition spec.
-        spec: PartitionSpec,
-        /// Engine settings.
-        settings: WireSettings,
-    },
-    /// Job server → client: submission admitted and queued.
-    JobAccepted {
-        /// Server-assigned job id.
-        job: u64,
-    },
-    /// Client → job server: report job status (`job == 0`: all jobs).
-    JobStatus {
-        /// Job id, or 0 for every job.
-        job: u64,
-    },
-    /// Job server → client: job table plus cache/pool statistics.
-    JobStatusReply {
-        /// Matching jobs, in submission order.
-        jobs: Vec<JobInfo>,
-        /// Server-wide cache and pool counters.
-        stats: ServeStats,
-    },
-    /// Job server → client: terminal result of a submitted job.
-    JobResult {
-        /// Job id.
-        job: u64,
-        /// [`JOB_DONE`], [`JOB_EVICTED`], or [`JOB_FAILED`].
-        outcome: u8,
-        /// Rendered error (empty for [`JOB_DONE`]).
-        error: String,
-        /// Target cycles actually completed.
-        cycles: u64,
-        /// Whether admission hit the tape cache.
-        cache_hit: bool,
-        /// Submit-to-placement-complete admission latency, µs.
-        admission_micros: u64,
-        /// Folded `SimMetrics`, rendered as JSON.
-        metrics_json: String,
-        /// Sampled `MetricsSeries` (with per-node state digests),
-        /// rendered as JSON — the parity-bearing payload.
-        series_json: String,
-        /// Rendered VCD document (empty when capture is off).
-        vcd: String,
-    },
-    /// Client → job server: cancel a job you submitted. A queued job is
-    /// evicted immediately; a running job is torn down and reported as
-    /// [`JOB_EVICTED`] with partial metrics where available.
-    CancelJob {
-        /// Job id.
-        job: u64,
-    },
-    /// Operator → job server: forcibly evict any job (the
-    /// quota-enforcement verb, also usable by an administrator).
-    EvictJob {
-        /// Job id.
-        job: u64,
-        /// Human-readable reason echoed into the job's result.
-        reason: String,
-    },
-}
-
 // ---------------------------------------------------------------------
-// Structure encoders/decoders.
+// The message table.
 // ---------------------------------------------------------------------
 
-fn put_link_model(b: &mut Vec<u8>, m: &LinkModel) {
-    let kind = match m.kind {
-        TransportKind::HostPcie => 0u8,
-        TransportKind::PeerPcie => 1,
-        TransportKind::QsfpAurora => 2,
-        TransportKind::Loopback => 3,
-    };
-    put_u8(b, kind);
-    put_u64(b, m.latency_ns);
-    put_u64(b, m.beat_bits);
-}
-
-fn dec_link_model(d: &mut Dec) -> DecResult<LinkModel> {
-    let kind = match d.u8()? {
-        0 => TransportKind::HostPcie,
-        1 => TransportKind::PeerPcie,
-        2 => TransportKind::QsfpAurora,
-        3 => TransportKind::Loopback,
-        k => return Err(format!("unknown transport kind {k}")),
-    };
-    Ok(LinkModel {
-        kind,
-        latency_ns: d.u64()?,
-        beat_bits: d.u64()?,
-    })
-}
-
-fn put_spec(b: &mut Vec<u8>, spec: &PartitionSpec) {
-    put_u8(b, matches!(spec.mode, PartitionMode::Fast) as u8);
-    put_u8(
-        b,
-        matches!(spec.channel_policy, ChannelPolicy::Monolithic) as u8,
-    );
-    put_u32(b, spec.groups.len() as u32);
-    for g in &spec.groups {
-        put_str(b, &g.name);
-        put_bool(b, g.fame5);
-        match &g.selection {
-            Selection::Instances(paths) => {
-                put_u8(b, 0);
-                put_u32(b, paths.len() as u32);
-                for p in paths {
-                    put_str(b, p);
-                }
-            }
-            Selection::NocRouters { routers, indices } => {
-                put_u8(b, 1);
-                put_u32(b, routers.len() as u32);
-                for r in routers {
-                    put_str(b, r);
-                }
-                put_u32(b, indices.len() as u32);
-                for i in indices {
-                    put_u64(b, *i as u64);
-                }
-            }
+/// Declares the message enum from its table, with one `TAG_* = n`
+/// constant per variant and the enum's `Wire` layout: the tag byte, then
+/// the variant's fields in declaration order.
+macro_rules! messages {
+    (
+        $(#[$meta:meta])*
+        pub enum Msg {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:ident = $n:literal => $v:ident
+                    $({ $($(#[$fmeta:meta])* $f:ident: $ft:ty),* $(,)? })?
+                    $(($tn:ident: $tt:ty))?
+                    $(with $dec:ident)?
+            ),* $(,)?
         }
-    }
-}
+    ) => {
+        $(#[$meta])*
+        pub enum Msg {
+            $(
+                $(#[$vmeta])*
+                $v $({ $($(#[$fmeta])* $f: $ft),* })? $(($tt))?,
+            )*
+        }
 
-fn dec_spec(d: &mut Dec) -> DecResult<PartitionSpec> {
-    let mode = if d.u8()? == 0 {
-        PartitionMode::Exact
-    } else {
-        PartitionMode::Fast
-    };
-    let channel_policy = if d.u8()? == 0 {
-        ChannelPolicy::Separated
-    } else {
-        ChannelPolicy::Monolithic
-    };
-    let n = d.count(3)?;
-    let mut groups = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = d.str()?;
-        let fame5 = d.bool()?;
-        let selection = match d.u8()? {
-            0 => {
-                let k = d.count(4)?;
-                let mut paths = Vec::with_capacity(k);
-                for _ in 0..k {
-                    paths.push(d.str()?);
-                }
-                Selection::Instances(paths)
-            }
-            1 => {
-                let k = d.count(4)?;
-                let mut routers = Vec::with_capacity(k);
-                for _ in 0..k {
-                    routers.push(d.str()?);
-                }
-                let k = d.count(8)?;
-                let mut indices = Vec::with_capacity(k);
-                for _ in 0..k {
-                    indices.push(d.u64()? as usize);
-                }
-                Selection::NocRouters { routers, indices }
-            }
-            t => return Err(format!("unknown selection tag {t}")),
-        };
-        groups.push(PartitionGroup {
-            name,
-            selection,
-            fame5,
+        $(const $tag: u8 = $n;)*
+
+        wire_enum!(Msg, "message tag" {
+            $($tag => $v $({ $($f: $ft),* })? $(($tn: $tt))? $(with $dec)?),*
         });
-    }
-    Ok(PartitionSpec {
-        mode,
-        channel_policy,
-        groups,
-    })
-}
-
-fn put_settings(b: &mut Vec<u8>, s: &WireSettings) {
-    put_link_model(b, &s.default_transport);
-    put_u32(b, s.link_transports.len() as u32);
-    for (l, m) in &s.link_transports {
-        put_u32(b, *l);
-        put_link_model(b, m);
-    }
-    put_f64(b, s.clock_mhz);
-    put_u32(b, s.partition_clocks.len() as u32);
-    for (p, mhz) in &s.partition_clocks {
-        put_u32(b, *p);
-        put_f64(b, *mhz);
-    }
-    put_u64(b, s.channel_capacity);
-    put_u64(b, s.deadlock_horizon);
-    put_u32(b, s.retry.max_retries);
-    put_u64(b, s.retry.timeout_cycles);
-    put_u64(b, s.sample_interval);
-    put_bool(b, s.vcd);
-    put_u32(b, s.signals.len() as u32);
-    for sig in &s.signals {
-        put_str(b, sig);
-    }
-    put_u64(b, s.progress_interval);
-    put_u64(b, s.io_timeout_ms);
-    put_u64(b, s.batch_cycles);
-    put_u64(b, s.slack_cycles);
-    put_u64(b, s.checkpoint_interval);
-}
-
-fn dec_settings(d: &mut Dec) -> DecResult<WireSettings> {
-    let default_transport = dec_link_model(d)?;
-    let n = d.count(21)?;
-    let mut link_transports = Vec::with_capacity(n);
-    for _ in 0..n {
-        let l = d.u32()?;
-        link_transports.push((l, dec_link_model(d)?));
-    }
-    let clock_mhz = d.f64()?;
-    let n = d.count(12)?;
-    let mut partition_clocks = Vec::with_capacity(n);
-    for _ in 0..n {
-        let p = d.u32()?;
-        partition_clocks.push((p, d.f64()?));
-    }
-    let channel_capacity = d.u64()?;
-    let deadlock_horizon = d.u64()?;
-    let retry = RetryPolicy {
-        max_retries: d.u32()?,
-        timeout_cycles: d.u64()?,
     };
-    let sample_interval = d.u64()?;
-    let vcd = d.bool()?;
-    let n = d.count(4)?;
-    let mut signals = Vec::with_capacity(n);
-    for _ in 0..n {
-        signals.push(d.str()?);
+}
+
+messages! {
+    /// A wire protocol message.
+    #[derive(Debug, Clone)]
+    pub enum Msg {
+        /// Coordinator → worker: protocol identification.
+        TAG_HELLO = 1 => Hello {
+            /// [`PROTOCOL_MAGIC`].
+            magic: u32,
+            /// Sender's [`PROTOCOL_VERSION`].
+            version: u32,
+            /// The worker index this connection is for.
+            worker: u32,
+        },
+        /// Worker → coordinator: handshake response.
+        TAG_HELLO_ACK = 2 => HelloAck {
+            /// [`PROTOCOL_MAGIC`].
+            magic: u32,
+            /// Responder's [`PROTOCOL_VERSION`].
+            version: u32,
+        },
+        /// Coordinator → worker: build your share of the simulation.
+        TAG_TOPOLOGY = 3 => Topology(topology: Box<Topology>),
+        /// Worker → coordinator: built; `design_digest` must match the
+        /// coordinator's digest of the same partition (see
+        /// [`partition_digest`]).
+        TAG_READY = 4 => Ready {
+            /// Digest over the worker's nodes, their port tables and the
+            /// link table.
+            design_digest: u64,
+        },
+        /// Coordinator → worker: run to exactly `budget` target cycles.
+        TAG_RUN = 5 => Run {
+            /// Target-cycle budget.
+            budget: u64,
+        },
+        /// A sealed token frame on a cross-worker link (sender → coordinator
+        /// → receiving worker).
+        TAG_TOKEN = 6 => Token {
+            /// Link index.
+            link: u32,
+            /// The sealed go-back-N frame.
+            frame: Frame,
+        } with decode_token,
+        /// Several consecutive target cycles' worth of sealed token frames
+        /// for one link, packed into a single wire message (sender →
+        /// coordinator → receiving worker). Frames ride back-to-back in
+        /// sequence order; the receiver acknowledges once, cumulatively,
+        /// after staging the whole batch. Semantically identical to the
+        /// same frames sent as individual [`Msg::Token`]s — batching only
+        /// amortizes round trips and syscalls.
+        TAG_TOKEN_BATCH = 16 => TokenBatch {
+            /// Link index.
+            link: u32,
+            /// The sealed frames, in ascending sequence order.
+            frames: Vec<Frame>,
+        } with decode_token_batch,
+        /// Decode-side stand-in for a [`Msg::Token`] whose frame bytes were
+        /// damaged in flight: the link index survived but the frame did not.
+        /// Counted as a CRC casualty; the sender's timeout recovers.
+        TAG_CORRUPT_TOKEN = 15 => CorruptToken {
+            /// Link index.
+            link: u32,
+        },
+        /// Cumulative acknowledgment for a link (receiver → sender).
+        TAG_ACK = 7 => Ack {
+            /// Link index.
+            link: u32,
+            /// Next expected sequence number.
+            ack: u64,
+        },
+        /// Flow-control credits returned as the receiver's LI-BDN queue
+        /// consumes staged tokens (receiver → sender).
+        TAG_CREDIT = 8 => Credit {
+            /// Link index.
+            link: u32,
+            /// Tokens consumed since the last credit message.
+            amount: u32,
+        },
+        /// Worker → coordinator: lowest owned-node target cycle, sent every
+        /// `progress_interval` cycles (feeds stall forensics).
+        TAG_PROGRESS = 9 => Progress {
+            /// Minimum completed target cycle across owned nodes.
+            cycle: u64,
+        },
+        /// Worker → coordinator: every owned node reached the budget and
+        /// every outbound frame is acknowledged.
+        TAG_DONE = 10 => Done {
+            /// The completed budget.
+            cycle: u64,
+        },
+        /// Coordinator → worker: the whole cluster is done; send your
+        /// report.
+        TAG_FINISH = 11 => Finish,
+        /// Worker → coordinator: end-of-run report.
+        TAG_REPORT = 12 => Report(report: Box<WireReport>),
+        /// Coordinator → worker: tear down and exit cleanly.
+        TAG_SHUTDOWN = 13 => Shutdown,
+        /// Worker → coordinator: unrecoverable failure ([`FATAL_SIM`],
+        /// [`FATAL_LINK_DOWN`]).
+        TAG_FATAL = 14 => Fatal {
+            /// Failure class.
+            code: u8,
+            /// Failing link ([`FATAL_LINK_DOWN`] only).
+            link: u32,
+            /// Delivery attempts spent ([`FATAL_LINK_DOWN`] only).
+            attempts: u32,
+            /// Rendered error.
+            message: String,
+        },
+        /// Worker → coordinator: every owned node stopped exactly at the
+        /// checkpoint barrier `cycle` and every outbound frame is
+        /// acknowledged (link quiescence). The worker then waits for
+        /// [`Msg::TakeCheckpoint`] — the two-phase handoff guarantees no
+        /// relayed frame is still in flight toward any worker when state is
+        /// captured.
+        TAG_BARRIER = 17 => Barrier {
+            /// Recovery epoch the worker believes it is in.
+            epoch: u32,
+            /// The barrier cycle (a multiple of `checkpoint_interval`).
+            cycle: u64,
+        },
+        /// Coordinator → workers: the whole cluster is quiescent at the
+        /// barrier; capture your partition's portable state now.
+        TAG_TAKE_CHECKPOINT = 18 => TakeCheckpoint {
+            /// Current recovery epoch.
+            epoch: u32,
+            /// The barrier cycle.
+            cycle: u64,
+        },
+        /// Worker → coordinator: the partition's portable state blob (see
+        /// `DistributedSim::snapshot_partition_bytes` plus the net layer's
+        /// flow marks). The worker keeps a local copy to rewind from.
+        TAG_CHECKPOINT = 19 => Checkpoint {
+            /// Current recovery epoch.
+            epoch: u32,
+            /// The barrier cycle the blob was captured at.
+            cycle: u64,
+            /// The portable state blob.
+            blob: Vec<u8>,
+        },
+        /// Coordinator → workers: every worker's blob arrived; the
+        /// checkpoint set is durable. Resume running.
+        TAG_CHECKPOINT_ACK = 20 => CheckpointAck {
+            /// Current recovery epoch.
+            epoch: u32,
+            /// The acknowledged barrier cycle.
+            cycle: u64,
+        },
+        /// Coordinator → surviving workers: a peer died; rewind to the last
+        /// complete checkpoint at `cycle` and enter recovery epoch `epoch`.
+        /// The survivor restores from its locally kept blob, resyncs every
+        /// link endpoint, and answers [`Msg::RewindAck`] — *without*
+        /// stepping — until [`Msg::Resume`] arrives.
+        TAG_REWIND = 21 => Rewind {
+            /// The new (incremented) recovery epoch.
+            epoch: u32,
+            /// The checkpoint cycle to rewind to.
+            cycle: u64,
+        },
+        /// Worker → coordinator: rewound and holding at `cycle`.
+        TAG_REWIND_ACK = 22 => RewindAck {
+            /// The recovery epoch being acknowledged.
+            epoch: u32,
+            /// The cycle the worker rewound to.
+            cycle: u64,
+        },
+        /// Coordinator → a freshly respawned worker: adopt this checkpoint
+        /// blob (captured by your predecessor at `cycle`) before running.
+        TAG_RESTORE = 23 => Restore {
+            /// Current recovery epoch.
+            epoch: u32,
+            /// The checkpoint cycle the blob was captured at.
+            cycle: u64,
+            /// The portable state blob.
+            blob: Vec<u8>,
+        },
+        /// Coordinator → workers: recovery is complete (every survivor
+        /// rewound and the replacement is in place); resume running toward
+        /// the budget.
+        TAG_RESUME = 24 => Resume {
+            /// Current recovery epoch.
+            epoch: u32,
+            /// The cycle the cluster is resuming from.
+            cycle: u64,
+        },
+
+        // -- Control plane (v4): the live cockpit. Clients speak these to
+        // the coordinator's control listener; the coordinator forwards the
+        // worker-facing subset over the existing worker connections.
+        /// Client → coordinator: attach a cockpit session.
+        TAG_ATTACH = 25 => Attach {
+            /// [`PROTOCOL_MAGIC`].
+            magic: u32,
+            /// Client's [`PROTOCOL_VERSION`].
+            version: u32,
+        },
+        /// Coordinator → client: attach accepted; the cluster's node table
+        /// and shared VCD signal table (the peek/poke and wave-stream
+        /// address spaces).
+        TAG_ATTACH_ACK = 26 => AttachAck {
+            /// Every node with identity and current progress.
+            nodes: Vec<NodeInfo>,
+            /// The global VCD signal table (empty when capture is off).
+            signals: Vec<VcdSignal>,
+            /// Metric sampling cadence in target cycles (0 = off).
+            sample_interval: u64,
+        },
+        /// Client → coordinator: end the cockpit session (the run
+        /// continues; a pause fence left standing is lifted).
+        TAG_DETACH = 27 => Detach,
+        /// Pause request. Client → coordinator with `cycle == 0` ("pick the
+        /// nearest safe fence"); coordinator → workers with the concrete
+        /// fence cycle every partition must stop at. Workers stop *exactly*
+        /// at the fence — the same deterministic cycle-boundary sampling
+        /// point budgets and checkpoint barriers use — so peeks, pokes, and
+        /// digests taken while paused are cycle-exact.
+        TAG_PAUSE = 28 => Pause {
+            /// Fence target cycle (0 in the client request form).
+            cycle: u64,
+        },
+        /// Worker → coordinator: every owned node sits exactly at the fence
+        /// and all outbound frames are acknowledged. Coordinator → client:
+        /// the whole cluster is paused at `cycle`.
+        TAG_PAUSE_ACK = 29 => PauseAck {
+            /// The fence cycle reached.
+            cycle: u64,
+        },
+        /// Client → coordinator: advance the paused cluster exactly `n`
+        /// target cycles, then pause again (implemented as a fence move).
+        TAG_STEP = 30 => Step {
+            /// Cycles to advance.
+            n: u64,
+        },
+        /// Resume after a pause: client → coordinator, coordinator →
+        /// workers (lifts the fence; the run continues toward its budget).
+        TAG_RESUME_RUN = 31 => ResumeRun,
+        /// Peek a signal: client → coordinator → owning worker.
+        TAG_PEEK = 32 => Peek {
+            /// Flat node index (from [`Msg::AttachAck`]).
+            node: u32,
+            /// Hierarchical signal path inside the node.
+            path: String,
+        },
+        /// Peek answer: worker → coordinator → client.
+        TAG_PEEK_REPLY = 33 => PeekReply {
+            /// Flat node index.
+            node: u32,
+            /// The peeked path.
+            path: String,
+            /// The node's completed target cycle when the value was read.
+            cycle: u64,
+            /// The value, or `None` when the path names no signal.
+            value: Option<Bits>,
+        },
+        /// Poke a top-level input port: client → coordinator → owning
+        /// worker. Applied at the node's next target-cycle advance (see
+        /// `LiBdn::poke_input_next_cycle` for the determinism argument).
+        TAG_POKE = 34 => Poke {
+            /// Flat node index.
+            node: u32,
+            /// Input-port path inside the node.
+            path: String,
+            /// The value to drive.
+            value: u64,
+        },
+        /// Poke outcome: worker → coordinator → client. `error` is empty on
+        /// success, otherwise the rendered field-named `IrError`
+        /// (`UnknownSignal`/`NotPokeable`/`PokeWidth`).
+        TAG_POKE_ACK = 35 => PokeAck {
+            /// Flat node index.
+            node: u32,
+            /// The poked path.
+            path: String,
+            /// The node's completed target cycle when the poke was staged.
+            cycle: u64,
+            /// Empty on success, rendered error otherwise.
+            error: String,
+        },
+        /// Subscribe to live streams: client → coordinator → workers.
+        /// While subscribed, workers ship [`Msg::WaveDelta`] and
+        /// [`Msg::MetricDelta`] tails alongside progress heartbeats; both
+        /// streams are *clones* of the observability buffers, so the
+        /// end-of-run report is unaffected.
+        TAG_SUBSCRIBE = 36 => Subscribe {
+            /// Stream waveform deltas.
+            wave: bool,
+            /// Stream metric samples.
+            metrics: bool,
+        },
+        /// New waveform changes of one node since the last delta (worker →
+        /// coordinator → client). Signal indices refer to the
+        /// [`Msg::AttachAck`] signal table; reassembling every delta in
+        /// stream order into a `VcdWriter` yields a document byte-identical
+        /// to the batch end-of-run VCD.
+        TAG_WAVE_DELTA = 37 => WaveDelta {
+            /// Flat node index.
+            node: u32,
+            /// Changes `(cycle, signal, value)` in recording order.
+            changes: Vec<(u64, u32, Bits)>,
+        },
+        /// New metric samples of one node since the last delta (worker →
+        /// coordinator → client).
+        TAG_METRIC_DELTA = 38 => MetricDelta {
+            /// Flat node index.
+            node: u32,
+            /// Samples in cycle order.
+            samples: Vec<NodeSample>,
+        },
+        /// Client → coordinator: capture a coordinated cluster checkpoint
+        /// now (reuses the two-phase barrier/checkpoint machinery).
+        TAG_SNAPSHOT_NOW = 39 => SnapshotNow,
+        /// Coordinator → client: the on-demand checkpoint set is durable.
+        TAG_SNAPSHOT_DONE = 40 => SnapshotDone {
+            /// The barrier cycle the snapshot was captured at.
+            cycle: u64,
+        },
+        /// Client → coordinator: report cluster progress.
+        TAG_STATUS = 41 => Status,
+        /// Coordinator → client: per-node progress plus pause state.
+        TAG_STATUS_REPLY = 42 => StatusReply {
+            /// Every node with identity and current progress.
+            nodes: Vec<NodeInfo>,
+            /// Whether a pause fence is standing.
+            paused: bool,
+            /// The standing fence cycle (meaningful when `paused`).
+            fence: u64,
+        },
+
+        // -- Job server (v5): worker pooling and the job control plane.
+        /// Coordinator → worker: the job is complete (or torn down); return
+        /// to the idle pool instead of exiting. The worker acknowledges
+        /// with [`Msg::IdleAck`], drops every trace of the finished session
+        /// (sequence counters, deferred acks, credit budgets, staged
+        /// tokens), closes this connection, and listens for the next job's
+        /// handshake.
+        TAG_RESET_TO_IDLE = 43 => ResetToIdle,
+        /// Worker → coordinator: reset complete, returning to accept. Sent
+        /// immediately before the worker closes the session socket.
+        TAG_IDLE_ACK = 44 => IdleAck,
+        /// Client → job server: run this design. The circuit rides as a
+        /// binary tape (see `fireaxe_ir::tape`); its bytes — with the spec
+        /// and settings — key the server's compiled-design cache.
+        TAG_SUBMIT_JOB = 45 => SubmitJob {
+            /// Submitting tenant (quota accounting key; empty = default).
+            tenant: String,
+            /// Target-cycle budget.
+            budget: u64,
+            /// [`BACKEND_NET`] or [`BACKEND_THREADS`].
+            backend: u8,
+            /// The circuit tape.
+            tape: Vec<u8>,
+            /// Partition spec.
+            spec: PartitionSpec,
+            /// Engine settings.
+            settings: WireSettings,
+        },
+        /// Job server → client: submission admitted and queued.
+        TAG_JOB_ACCEPTED = 46 => JobAccepted {
+            /// Server-assigned job id.
+            job: u64,
+        },
+        /// Client → job server: report job status (`job == 0`: all jobs).
+        TAG_JOB_STATUS = 47 => JobStatus {
+            /// Job id, or 0 for every job.
+            job: u64,
+        },
+        /// Job server → client: job table plus cache/pool statistics.
+        TAG_JOB_STATUS_REPLY = 48 => JobStatusReply {
+            /// Matching jobs, in submission order.
+            jobs: Vec<JobInfo>,
+            /// Server-wide cache and pool counters.
+            stats: ServeStats,
+        },
+        /// Job server → client: terminal result of a submitted job.
+        TAG_JOB_RESULT = 49 => JobResult {
+            /// Job id.
+            job: u64,
+            /// [`JOB_DONE`], [`JOB_EVICTED`], or [`JOB_FAILED`].
+            outcome: u8,
+            /// Rendered error (empty for [`JOB_DONE`]).
+            error: String,
+            /// Target cycles actually completed.
+            cycles: u64,
+            /// Whether admission hit the tape cache.
+            cache_hit: bool,
+            /// Submit-to-placement-complete admission latency, µs.
+            admission_micros: u64,
+            /// Folded `SimMetrics`, rendered as JSON.
+            metrics_json: String,
+            /// Sampled `MetricsSeries` (with per-node state digests),
+            /// rendered as JSON — the parity-bearing payload.
+            series_json: String,
+            /// Rendered VCD document (empty when capture is off).
+            vcd: String,
+        },
+        /// Client → job server: cancel a job you submitted. A queued job is
+        /// evicted immediately; a running job is torn down and reported as
+        /// [`JOB_EVICTED`] with partial metrics where available.
+        TAG_CANCEL_JOB = 50 => CancelJob {
+            /// Job id.
+            job: u64,
+        },
+        /// Operator → job server: forcibly evict any job (the
+        /// quota-enforcement verb, also usable by an administrator).
+        TAG_EVICT_JOB = 51 => EvictJob {
+            /// Job id.
+            job: u64,
+            /// Human-readable reason echoed into the job's result.
+            reason: String,
+        },
     }
-    Ok(WireSettings {
-        default_transport,
-        link_transports,
-        clock_mhz,
-        partition_clocks,
-        channel_capacity,
-        deadlock_horizon,
-        retry,
-        sample_interval,
-        vcd,
-        signals,
-        progress_interval: d.u64()?,
-        io_timeout_ms: d.u64()?,
-        batch_cycles: d.u64()?,
-        slack_cycles: d.u64()?,
-        checkpoint_interval: d.u64()?,
+}
+
+/// A token's link index decides where a damaged frame is counted, so
+/// once the link is read the token never fails: a frame damaged in flight
+/// decodes as [`Msg::CorruptToken`], a CRC casualty the sender's timeout
+/// recovers.
+fn decode_token(d: &mut Dec) -> DecResult<Msg> {
+    let link = Wire::get(d)?;
+    Ok(match Wire::get(d) {
+        Ok(frame) => Msg::Token { link, frame },
+        Err(_) => Msg::CorruptToken { link },
     })
 }
 
-fn put_node_counters(b: &mut Vec<u8>, c: &NodeCounters) {
-    put_str(b, &c.node);
-    put_u64(b, c.partition as u64);
-    put_u64(b, c.tokens_enqueued);
-    put_u64(b, c.tokens_dequeued);
-    put_u64(b, c.input_stall_host_cycles);
-    put_u64(b, c.output_stall_host_cycles);
-    put_u64(b, c.host_cycles);
-    put_u64(b, c.target_cycles);
-}
-
-fn dec_node_counters(d: &mut Dec) -> DecResult<NodeCounters> {
-    Ok(NodeCounters {
-        node: d.str()?,
-        partition: d.u64()? as usize,
-        tokens_enqueued: d.u64()?,
-        tokens_dequeued: d.u64()?,
-        input_stall_host_cycles: d.u64()?,
-        output_stall_host_cycles: d.u64()?,
-        host_cycles: d.u64()?,
-        target_cycles: d.u64()?,
+/// As [`decode_token`], for a whole batch: any damage degrades it, since
+/// the go-back-N window retransmits everything unacked and dropping the
+/// readable tail loses nothing.
+fn decode_token_batch(d: &mut Dec) -> DecResult<Msg> {
+    let link = Wire::get(d)?;
+    Ok(match Wire::get(d) {
+        Ok(frames) => Msg::TokenBatch { link, frames },
+        Err(_) => Msg::CorruptToken { link },
     })
 }
-
-fn put_link_counters(b: &mut Vec<u8>, c: &LinkCounters) {
-    put_u64(b, c.link as u64);
-    put_u64(b, c.tokens);
-    put_u64(b, c.sent_frames);
-    put_u64(b, c.retransmits);
-    put_u64(b, c.timeout_escalations);
-    put_u64(b, c.crc_failures);
-    put_u64(b, c.duplicates_dropped);
-    put_u64(b, c.delivery_delay_ps);
-}
-
-fn dec_link_counters(d: &mut Dec) -> DecResult<LinkCounters> {
-    Ok(LinkCounters {
-        link: d.u64()? as usize,
-        tokens: d.u64()?,
-        sent_frames: d.u64()?,
-        retransmits: d.u64()?,
-        timeout_escalations: d.u64()?,
-        crc_failures: d.u64()?,
-        duplicates_dropped: d.u64()?,
-        delivery_delay_ps: d.u64()?,
-    })
-}
-
-fn put_node_sample(b: &mut Vec<u8>, s: &NodeSample) {
-    for v in [
-        s.cycle,
-        s.host_ns,
-        s.time_ps,
-        s.host_cycles,
-        s.tokens_enqueued,
-        s.tokens_dequeued,
-        s.input_stall_host_cycles,
-        s.output_stall_host_cycles,
-        s.queue_occupancy,
-        s.settle_passes,
-        s.defs_run,
-        s.defs_skipped,
-        s.state_digest,
-    ] {
-        put_u64(b, v);
-    }
-}
-
-fn dec_node_sample(d: &mut Dec) -> DecResult<NodeSample> {
-    Ok(NodeSample {
-        cycle: d.u64()?,
-        host_ns: d.u64()?,
-        time_ps: d.u64()?,
-        host_cycles: d.u64()?,
-        tokens_enqueued: d.u64()?,
-        tokens_dequeued: d.u64()?,
-        input_stall_host_cycles: d.u64()?,
-        output_stall_host_cycles: d.u64()?,
-        queue_occupancy: d.u64()?,
-        settle_passes: d.u64()?,
-        defs_run: d.u64()?,
-        defs_skipped: d.u64()?,
-        state_digest: d.u64()?,
-    })
-}
-
-fn put_trace_event(b: &mut Vec<u8>, e: &OwnedTraceEvent) {
-    put_str(b, &e.name);
-    let kind = match e.kind {
-        EventKind::SpanBegin => 0u8,
-        EventKind::SpanEnd => 1,
-        EventKind::Instant => 2,
-        EventKind::Counter => 3,
-    };
-    put_u8(b, kind);
-    put_u64(b, e.host_ns);
-    put_u64(b, e.virt_ps);
-    put_f64(b, e.value);
-    put_u64(b, e.tid);
-}
-
-fn dec_trace_event(d: &mut Dec) -> DecResult<OwnedTraceEvent> {
-    let name = d.str()?;
-    let kind = match d.u8()? {
-        0 => EventKind::SpanBegin,
-        1 => EventKind::SpanEnd,
-        2 => EventKind::Instant,
-        3 => EventKind::Counter,
-        k => return Err(format!("unknown event kind {k}")),
-    };
-    Ok(OwnedTraceEvent {
-        name,
-        kind,
-        host_ns: d.u64()?,
-        virt_ps: d.u64()?,
-        value: d.f64()?,
-        tid: d.u64()?,
-    })
-}
-
-fn put_vcd_signal(b: &mut Vec<u8>, s: &VcdSignal) {
-    put_str(b, &s.scope);
-    put_str(b, &s.name);
-    put_u32(b, s.width);
-}
-
-fn dec_vcd_signal(d: &mut Dec) -> DecResult<VcdSignal> {
-    Ok(VcdSignal {
-        scope: d.str()?,
-        name: d.str()?,
-        width: d.u32()?,
-    })
-}
-
-fn put_node_info(b: &mut Vec<u8>, n: &NodeInfo) {
-    put_u32(b, n.node);
-    put_str(b, &n.name);
-    put_u32(b, n.partition);
-    put_u64(b, n.cycle);
-}
-
-fn dec_node_info(d: &mut Dec) -> DecResult<NodeInfo> {
-    Ok(NodeInfo {
-        node: d.u32()?,
-        name: d.str()?,
-        partition: d.u32()?,
-        cycle: d.u64()?,
-    })
-}
-
-fn put_job_info(b: &mut Vec<u8>, j: &JobInfo) {
-    put_u64(b, j.job);
-    put_str(b, &j.tenant);
-    put_u8(b, j.state);
-    put_u8(b, j.backend);
-    put_u64(b, j.budget);
-    put_u64(b, j.cycle);
-    put_bool(b, j.cache_hit);
-    put_u32(b, j.workers);
-}
-
-fn dec_job_info(d: &mut Dec) -> DecResult<JobInfo> {
-    Ok(JobInfo {
-        job: d.u64()?,
-        tenant: d.str()?,
-        state: d.u8()?,
-        backend: d.u8()?,
-        budget: d.u64()?,
-        cycle: d.u64()?,
-        cache_hit: d.bool()?,
-        workers: d.u32()?,
-    })
-}
-
-fn put_serve_stats(b: &mut Vec<u8>, s: &ServeStats) {
-    put_u64(b, s.cache_hits);
-    put_u64(b, s.cache_misses);
-    put_u32(b, s.cache_entries);
-    put_u64(b, s.cache_evictions);
-    put_u32(b, s.pool_idle);
-    put_u32(b, s.pool_busy);
-}
-
-fn dec_serve_stats(d: &mut Dec) -> DecResult<ServeStats> {
-    Ok(ServeStats {
-        cache_hits: d.u64()?,
-        cache_misses: d.u64()?,
-        cache_entries: d.u32()?,
-        cache_evictions: d.u64()?,
-        pool_idle: d.u32()?,
-        pool_busy: d.u32()?,
-    })
-}
-
-fn put_opt_bits(b: &mut Vec<u8>, v: &Option<Bits>) {
-    match v {
-        Some(bits) => {
-            put_bool(b, true);
-            put_bits(b, bits);
-        }
-        None => put_bool(b, false),
-    }
-}
-
-fn dec_opt_bits(d: &mut Dec) -> DecResult<Option<Bits>> {
-    Ok(if d.bool()? { Some(d.bits()?) } else { None })
-}
-
-fn put_wave_changes(b: &mut Vec<u8>, changes: &[(u64, u32, Bits)]) {
-    put_u32(b, changes.len() as u32);
-    for (cycle, sig, value) in changes {
-        put_u64(b, *cycle);
-        put_u32(b, *sig);
-        put_bits(b, value);
-    }
-}
-
-fn dec_wave_changes(d: &mut Dec) -> DecResult<Vec<(u64, u32, Bits)>> {
-    let n = d.count(8 + 4 + 4)?;
-    let mut changes = Vec::with_capacity(n);
-    for _ in 0..n {
-        let cycle = d.u64()?;
-        let sig = d.u32()?;
-        changes.push((cycle, sig, d.bits()?));
-    }
-    Ok(changes)
-}
-
-fn put_report(b: &mut Vec<u8>, r: &WireReport) {
-    put_u32(b, r.worker);
-    put_u32(b, r.nodes.len() as u32);
-    for n in &r.nodes {
-        put_u32(b, n.node);
-        put_node_counters(b, &n.counters);
-        put_u32(b, n.samples.len() as u32);
-        for s in &n.samples {
-            put_node_sample(b, s);
-        }
-        put_wave_changes(b, &n.vcd);
-    }
-    put_u32(b, r.links.len() as u32);
-    for l in &r.links {
-        put_u32(b, l.link);
-        put_u64(b, l.tokens);
-        put_link_counters(b, &l.counters);
-    }
-    put_u32(b, r.traces.len() as u32);
-    for e in &r.traces {
-        put_trace_event(b, e);
-    }
-}
-
-fn dec_report(d: &mut Dec) -> DecResult<WireReport> {
-    let worker = d.u32()?;
-    let n = d.count(8)?;
-    let mut nodes = Vec::with_capacity(n);
-    for _ in 0..n {
-        let node = d.u32()?;
-        let counters = dec_node_counters(d)?;
-        let k = d.count(13 * 8)?;
-        let mut samples = Vec::with_capacity(k);
-        for _ in 0..k {
-            samples.push(dec_node_sample(d)?);
-        }
-        let vcd = dec_wave_changes(d)?;
-        nodes.push(NodeReport {
-            node,
-            counters,
-            samples,
-            vcd,
-        });
-    }
-    let n = d.count(12)?;
-    let mut links = Vec::with_capacity(n);
-    for _ in 0..n {
-        let link = d.u32()?;
-        let tokens = d.u64()?;
-        links.push(LinkReport {
-            link,
-            tokens,
-            counters: dec_link_counters(d)?,
-        });
-    }
-    let n = d.count(4)?;
-    let mut traces = Vec::with_capacity(n);
-    for _ in 0..n {
-        traces.push(dec_trace_event(d)?);
-    }
-    Ok(WireReport {
-        worker,
-        nodes,
-        links,
-        traces,
-    })
-}
-
-// ---------------------------------------------------------------------
-// Message encode/decode + framed I/O.
-// ---------------------------------------------------------------------
-
-const TAG_HELLO: u8 = 1;
-const TAG_HELLO_ACK: u8 = 2;
-const TAG_TOPOLOGY: u8 = 3;
-const TAG_READY: u8 = 4;
-const TAG_RUN: u8 = 5;
-pub(crate) const TAG_TOKEN: u8 = 6;
-pub(crate) const TAG_ACK: u8 = 7;
-pub(crate) const TAG_CREDIT: u8 = 8;
-const TAG_PROGRESS: u8 = 9;
-const TAG_DONE: u8 = 10;
-const TAG_FINISH: u8 = 11;
-const TAG_REPORT: u8 = 12;
-const TAG_SHUTDOWN: u8 = 13;
-const TAG_FATAL: u8 = 14;
-pub(crate) const TAG_CORRUPT_TOKEN: u8 = 15;
-pub(crate) const TAG_TOKEN_BATCH: u8 = 16;
-const TAG_BARRIER: u8 = 17;
-const TAG_TAKE_CHECKPOINT: u8 = 18;
-const TAG_CHECKPOINT: u8 = 19;
-const TAG_CHECKPOINT_ACK: u8 = 20;
-const TAG_REWIND: u8 = 21;
-const TAG_REWIND_ACK: u8 = 22;
-const TAG_RESTORE: u8 = 23;
-const TAG_RESUME: u8 = 24;
-const TAG_ATTACH: u8 = 25;
-const TAG_ATTACH_ACK: u8 = 26;
-const TAG_DETACH: u8 = 27;
-const TAG_PAUSE: u8 = 28;
-const TAG_PAUSE_ACK: u8 = 29;
-const TAG_STEP: u8 = 30;
-const TAG_RESUME_RUN: u8 = 31;
-const TAG_PEEK: u8 = 32;
-const TAG_PEEK_REPLY: u8 = 33;
-const TAG_POKE: u8 = 34;
-const TAG_POKE_ACK: u8 = 35;
-const TAG_SUBSCRIBE: u8 = 36;
-const TAG_WAVE_DELTA: u8 = 37;
-const TAG_METRIC_DELTA: u8 = 38;
-const TAG_SNAPSHOT_NOW: u8 = 39;
-const TAG_SNAPSHOT_DONE: u8 = 40;
-const TAG_STATUS: u8 = 41;
-const TAG_STATUS_REPLY: u8 = 42;
-const TAG_RESET_TO_IDLE: u8 = 43;
-const TAG_IDLE_ACK: u8 = 44;
-const TAG_SUBMIT_JOB: u8 = 45;
-const TAG_JOB_ACCEPTED: u8 = 46;
-const TAG_JOB_STATUS: u8 = 47;
-const TAG_JOB_STATUS_REPLY: u8 = 48;
-const TAG_JOB_RESULT: u8 = 49;
-const TAG_CANCEL_JOB: u8 = 50;
-const TAG_EVICT_JOB: u8 = 51;
 
 /// Serializes one message (without the length prefix).
 pub fn encode_msg(msg: &Msg) -> Vec<u8> {
     let mut b = Vec::with_capacity(32);
-    match msg {
-        Msg::Hello {
-            magic,
-            version,
-            worker,
-        } => {
-            put_u8(&mut b, TAG_HELLO);
-            put_u32(&mut b, *magic);
-            put_u32(&mut b, *version);
-            put_u32(&mut b, *worker);
-        }
-        Msg::HelloAck { magic, version } => {
-            put_u8(&mut b, TAG_HELLO_ACK);
-            put_u32(&mut b, *magic);
-            put_u32(&mut b, *version);
-        }
-        Msg::Topology(t) => {
-            put_u8(&mut b, TAG_TOPOLOGY);
-            put_u32(&mut b, t.worker);
-            put_u32(&mut b, t.n_workers);
-            put_settings(&mut b, &t.settings);
-            put_u32(&mut b, t.payload.len() as u32);
-            b.extend_from_slice(&t.payload);
-        }
-        Msg::Ready { design_digest } => {
-            put_u8(&mut b, TAG_READY);
-            put_u64(&mut b, *design_digest);
-        }
-        Msg::Run { budget } => {
-            put_u8(&mut b, TAG_RUN);
-            put_u64(&mut b, *budget);
-        }
-        Msg::Token { link, frame } => {
-            put_u8(&mut b, TAG_TOKEN);
-            put_u32(&mut b, *link);
-            frame.encode_bytes(&mut b);
-        }
-        Msg::TokenBatch { link, frames } => {
-            put_u8(&mut b, TAG_TOKEN_BATCH);
-            put_u32(&mut b, *link);
-            put_u32(&mut b, frames.len() as u32);
-            for frame in frames {
-                frame.encode_bytes(&mut b);
-            }
-        }
-        Msg::CorruptToken { link } => {
-            put_u8(&mut b, TAG_CORRUPT_TOKEN);
-            put_u32(&mut b, *link);
-        }
-        Msg::Ack { link, ack } => {
-            put_u8(&mut b, TAG_ACK);
-            put_u32(&mut b, *link);
-            put_u64(&mut b, *ack);
-        }
-        Msg::Credit { link, amount } => {
-            put_u8(&mut b, TAG_CREDIT);
-            put_u32(&mut b, *link);
-            put_u32(&mut b, *amount);
-        }
-        Msg::Progress { cycle } => {
-            put_u8(&mut b, TAG_PROGRESS);
-            put_u64(&mut b, *cycle);
-        }
-        Msg::Done { cycle } => {
-            put_u8(&mut b, TAG_DONE);
-            put_u64(&mut b, *cycle);
-        }
-        Msg::Finish => put_u8(&mut b, TAG_FINISH),
-        Msg::Report(r) => {
-            put_u8(&mut b, TAG_REPORT);
-            put_report(&mut b, r);
-        }
-        Msg::Shutdown => put_u8(&mut b, TAG_SHUTDOWN),
-        Msg::Fatal {
-            code,
-            link,
-            attempts,
-            message,
-        } => {
-            put_u8(&mut b, TAG_FATAL);
-            put_u8(&mut b, *code);
-            put_u32(&mut b, *link);
-            put_u32(&mut b, *attempts);
-            put_str(&mut b, message);
-        }
-        Msg::Barrier { epoch, cycle } => {
-            put_u8(&mut b, TAG_BARRIER);
-            put_u32(&mut b, *epoch);
-            put_u64(&mut b, *cycle);
-        }
-        Msg::TakeCheckpoint { epoch, cycle } => {
-            put_u8(&mut b, TAG_TAKE_CHECKPOINT);
-            put_u32(&mut b, *epoch);
-            put_u64(&mut b, *cycle);
-        }
-        Msg::Checkpoint { epoch, cycle, blob } => {
-            put_u8(&mut b, TAG_CHECKPOINT);
-            put_u32(&mut b, *epoch);
-            put_u64(&mut b, *cycle);
-            put_u32(&mut b, blob.len() as u32);
-            b.extend_from_slice(blob);
-        }
-        Msg::CheckpointAck { epoch, cycle } => {
-            put_u8(&mut b, TAG_CHECKPOINT_ACK);
-            put_u32(&mut b, *epoch);
-            put_u64(&mut b, *cycle);
-        }
-        Msg::Rewind { epoch, cycle } => {
-            put_u8(&mut b, TAG_REWIND);
-            put_u32(&mut b, *epoch);
-            put_u64(&mut b, *cycle);
-        }
-        Msg::RewindAck { epoch, cycle } => {
-            put_u8(&mut b, TAG_REWIND_ACK);
-            put_u32(&mut b, *epoch);
-            put_u64(&mut b, *cycle);
-        }
-        Msg::Restore { epoch, cycle, blob } => {
-            put_u8(&mut b, TAG_RESTORE);
-            put_u32(&mut b, *epoch);
-            put_u64(&mut b, *cycle);
-            put_u32(&mut b, blob.len() as u32);
-            b.extend_from_slice(blob);
-        }
-        Msg::Resume { epoch, cycle } => {
-            put_u8(&mut b, TAG_RESUME);
-            put_u32(&mut b, *epoch);
-            put_u64(&mut b, *cycle);
-        }
-        Msg::Attach { magic, version } => {
-            put_u8(&mut b, TAG_ATTACH);
-            put_u32(&mut b, *magic);
-            put_u32(&mut b, *version);
-        }
-        Msg::AttachAck {
-            nodes,
-            signals,
-            sample_interval,
-        } => {
-            put_u8(&mut b, TAG_ATTACH_ACK);
-            put_u32(&mut b, nodes.len() as u32);
-            for n in nodes {
-                put_node_info(&mut b, n);
-            }
-            put_u32(&mut b, signals.len() as u32);
-            for s in signals {
-                put_vcd_signal(&mut b, s);
-            }
-            put_u64(&mut b, *sample_interval);
-        }
-        Msg::Detach => put_u8(&mut b, TAG_DETACH),
-        Msg::Pause { cycle } => {
-            put_u8(&mut b, TAG_PAUSE);
-            put_u64(&mut b, *cycle);
-        }
-        Msg::PauseAck { cycle } => {
-            put_u8(&mut b, TAG_PAUSE_ACK);
-            put_u64(&mut b, *cycle);
-        }
-        Msg::Step { n } => {
-            put_u8(&mut b, TAG_STEP);
-            put_u64(&mut b, *n);
-        }
-        Msg::ResumeRun => put_u8(&mut b, TAG_RESUME_RUN),
-        Msg::Peek { node, path } => {
-            put_u8(&mut b, TAG_PEEK);
-            put_u32(&mut b, *node);
-            put_str(&mut b, path);
-        }
-        Msg::PeekReply {
-            node,
-            path,
-            cycle,
-            value,
-        } => {
-            put_u8(&mut b, TAG_PEEK_REPLY);
-            put_u32(&mut b, *node);
-            put_str(&mut b, path);
-            put_u64(&mut b, *cycle);
-            put_opt_bits(&mut b, value);
-        }
-        Msg::Poke { node, path, value } => {
-            put_u8(&mut b, TAG_POKE);
-            put_u32(&mut b, *node);
-            put_str(&mut b, path);
-            put_u64(&mut b, *value);
-        }
-        Msg::PokeAck {
-            node,
-            path,
-            cycle,
-            error,
-        } => {
-            put_u8(&mut b, TAG_POKE_ACK);
-            put_u32(&mut b, *node);
-            put_str(&mut b, path);
-            put_u64(&mut b, *cycle);
-            put_str(&mut b, error);
-        }
-        Msg::Subscribe { wave, metrics } => {
-            put_u8(&mut b, TAG_SUBSCRIBE);
-            put_bool(&mut b, *wave);
-            put_bool(&mut b, *metrics);
-        }
-        Msg::WaveDelta { node, changes } => {
-            put_u8(&mut b, TAG_WAVE_DELTA);
-            put_u32(&mut b, *node);
-            put_wave_changes(&mut b, changes);
-        }
-        Msg::MetricDelta { node, samples } => {
-            put_u8(&mut b, TAG_METRIC_DELTA);
-            put_u32(&mut b, *node);
-            put_u32(&mut b, samples.len() as u32);
-            for s in samples {
-                put_node_sample(&mut b, s);
-            }
-        }
-        Msg::SnapshotNow => put_u8(&mut b, TAG_SNAPSHOT_NOW),
-        Msg::SnapshotDone { cycle } => {
-            put_u8(&mut b, TAG_SNAPSHOT_DONE);
-            put_u64(&mut b, *cycle);
-        }
-        Msg::Status => put_u8(&mut b, TAG_STATUS),
-        Msg::StatusReply {
-            nodes,
-            paused,
-            fence,
-        } => {
-            put_u8(&mut b, TAG_STATUS_REPLY);
-            put_u32(&mut b, nodes.len() as u32);
-            for n in nodes {
-                put_node_info(&mut b, n);
-            }
-            put_bool(&mut b, *paused);
-            put_u64(&mut b, *fence);
-        }
-        Msg::ResetToIdle => put_u8(&mut b, TAG_RESET_TO_IDLE),
-        Msg::IdleAck => put_u8(&mut b, TAG_IDLE_ACK),
-        Msg::SubmitJob {
-            tenant,
-            budget,
-            backend,
-            tape,
-            spec,
-            settings,
-        } => {
-            put_u8(&mut b, TAG_SUBMIT_JOB);
-            put_str(&mut b, tenant);
-            put_u64(&mut b, *budget);
-            put_u8(&mut b, *backend);
-            put_u32(&mut b, tape.len() as u32);
-            b.extend_from_slice(tape);
-            put_spec(&mut b, spec);
-            put_settings(&mut b, settings);
-        }
-        Msg::JobAccepted { job } => {
-            put_u8(&mut b, TAG_JOB_ACCEPTED);
-            put_u64(&mut b, *job);
-        }
-        Msg::JobStatus { job } => {
-            put_u8(&mut b, TAG_JOB_STATUS);
-            put_u64(&mut b, *job);
-        }
-        Msg::JobStatusReply { jobs, stats } => {
-            put_u8(&mut b, TAG_JOB_STATUS_REPLY);
-            put_u32(&mut b, jobs.len() as u32);
-            for j in jobs {
-                put_job_info(&mut b, j);
-            }
-            put_serve_stats(&mut b, stats);
-        }
-        Msg::JobResult {
-            job,
-            outcome,
-            error,
-            cycles,
-            cache_hit,
-            admission_micros,
-            metrics_json,
-            series_json,
-            vcd,
-        } => {
-            put_u8(&mut b, TAG_JOB_RESULT);
-            put_u64(&mut b, *job);
-            put_u8(&mut b, *outcome);
-            put_str(&mut b, error);
-            put_u64(&mut b, *cycles);
-            put_bool(&mut b, *cache_hit);
-            put_u64(&mut b, *admission_micros);
-            put_str(&mut b, metrics_json);
-            put_str(&mut b, series_json);
-            put_str(&mut b, vcd);
-        }
-        Msg::CancelJob { job } => {
-            put_u8(&mut b, TAG_CANCEL_JOB);
-            put_u64(&mut b, *job);
-        }
-        Msg::EvictJob { job, reason } => {
-            put_u8(&mut b, TAG_EVICT_JOB);
-            put_u64(&mut b, *job);
-            put_str(&mut b, reason);
-        }
-    }
+    msg.put(&mut b);
     b
 }
 
@@ -1709,256 +1179,51 @@ pub fn encode_msg(msg: &Msg) -> Vec<u8> {
 /// damaged but whose link index is readable decodes as
 /// [`Msg::CorruptToken`] instead of failing.
 pub fn decode_msg(buf: &[u8]) -> DecResult<Msg> {
-    let mut d = Dec::new(buf);
-    let tag = d.u8()?;
-    match tag {
-        TAG_HELLO => Ok(Msg::Hello {
-            magic: d.u32()?,
-            version: d.u32()?,
-            worker: d.u32()?,
-        }),
-        TAG_HELLO_ACK => Ok(Msg::HelloAck {
-            magic: d.u32()?,
-            version: d.u32()?,
-        }),
-        TAG_TOPOLOGY => {
-            let worker = d.u32()?;
-            let n_workers = d.u32()?;
-            let settings = dec_settings(&mut d)?;
-            let n = d.count(1)?;
-            let payload = d.take(n)?.to_vec();
-            Ok(Msg::Topology(Box::new(Topology {
-                worker,
-                n_workers,
-                settings,
-                payload,
-            })))
-        }
-        TAG_READY => Ok(Msg::Ready {
-            design_digest: d.u64()?,
-        }),
-        TAG_RUN => Ok(Msg::Run { budget: d.u64()? }),
-        TAG_TOKEN => {
-            let link = d.u32()?;
-            let mut pos = 0usize;
-            match Frame::decode_bytes(&buf[d.pos..], &mut pos) {
-                Ok(frame) => Ok(Msg::Token { link, frame }),
-                Err(_) => Ok(Msg::CorruptToken { link }),
-            }
-        }
-        TAG_TOKEN_BATCH => {
-            let link = d.u32()?;
-            let n = d.count(20)?; // minimum sealed-frame footprint
-            let mut frames = Vec::with_capacity(n);
-            let mut pos = d.pos;
-            for _ in 0..n {
-                let mut advanced = 0usize;
-                match Frame::decode_bytes(&buf[pos..], &mut advanced) {
-                    Ok(frame) => {
-                        pos += advanced;
-                        frames.push(frame);
-                    }
-                    // Any damaged frame degrades the whole batch: the
-                    // go-back-N window retransmits everything unacked,
-                    // so dropping the readable tail loses nothing.
-                    Err(_) => return Ok(Msg::CorruptToken { link }),
-                }
-            }
-            Ok(Msg::TokenBatch { link, frames })
-        }
-        TAG_CORRUPT_TOKEN => Ok(Msg::CorruptToken { link: d.u32()? }),
-        TAG_ACK => Ok(Msg::Ack {
-            link: d.u32()?,
-            ack: d.u64()?,
-        }),
-        TAG_CREDIT => Ok(Msg::Credit {
-            link: d.u32()?,
-            amount: d.u32()?,
-        }),
-        TAG_PROGRESS => Ok(Msg::Progress { cycle: d.u64()? }),
-        TAG_DONE => Ok(Msg::Done { cycle: d.u64()? }),
-        TAG_FINISH => Ok(Msg::Finish),
-        TAG_REPORT => Ok(Msg::Report(Box::new(dec_report(&mut d)?))),
-        TAG_SHUTDOWN => Ok(Msg::Shutdown),
-        TAG_FATAL => Ok(Msg::Fatal {
-            code: d.u8()?,
-            link: d.u32()?,
-            attempts: d.u32()?,
-            message: d.str()?,
-        }),
-        TAG_BARRIER => Ok(Msg::Barrier {
-            epoch: d.u32()?,
-            cycle: d.u64()?,
-        }),
-        TAG_TAKE_CHECKPOINT => Ok(Msg::TakeCheckpoint {
-            epoch: d.u32()?,
-            cycle: d.u64()?,
-        }),
-        TAG_CHECKPOINT => {
-            let epoch = d.u32()?;
-            let cycle = d.u64()?;
-            let n = d.count(1)?;
-            Ok(Msg::Checkpoint {
-                epoch,
-                cycle,
-                blob: d.take(n)?.to_vec(),
-            })
-        }
-        TAG_CHECKPOINT_ACK => Ok(Msg::CheckpointAck {
-            epoch: d.u32()?,
-            cycle: d.u64()?,
-        }),
-        TAG_REWIND => Ok(Msg::Rewind {
-            epoch: d.u32()?,
-            cycle: d.u64()?,
-        }),
-        TAG_REWIND_ACK => Ok(Msg::RewindAck {
-            epoch: d.u32()?,
-            cycle: d.u64()?,
-        }),
-        TAG_RESTORE => {
-            let epoch = d.u32()?;
-            let cycle = d.u64()?;
-            let n = d.count(1)?;
-            Ok(Msg::Restore {
-                epoch,
-                cycle,
-                blob: d.take(n)?.to_vec(),
-            })
-        }
-        TAG_RESUME => Ok(Msg::Resume {
-            epoch: d.u32()?,
-            cycle: d.u64()?,
-        }),
-        TAG_ATTACH => Ok(Msg::Attach {
-            magic: d.u32()?,
-            version: d.u32()?,
-        }),
-        TAG_ATTACH_ACK => {
-            let n = d.count(4 + 4 + 4 + 8)?;
-            let mut nodes = Vec::with_capacity(n);
-            for _ in 0..n {
-                nodes.push(dec_node_info(&mut d)?);
-            }
-            let n = d.count(4 + 4 + 4)?;
-            let mut signals = Vec::with_capacity(n);
-            for _ in 0..n {
-                signals.push(dec_vcd_signal(&mut d)?);
-            }
-            Ok(Msg::AttachAck {
-                nodes,
-                signals,
-                sample_interval: d.u64()?,
-            })
-        }
-        TAG_DETACH => Ok(Msg::Detach),
-        TAG_PAUSE => Ok(Msg::Pause { cycle: d.u64()? }),
-        TAG_PAUSE_ACK => Ok(Msg::PauseAck { cycle: d.u64()? }),
-        TAG_STEP => Ok(Msg::Step { n: d.u64()? }),
-        TAG_RESUME_RUN => Ok(Msg::ResumeRun),
-        TAG_PEEK => Ok(Msg::Peek {
-            node: d.u32()?,
-            path: d.str()?,
-        }),
-        TAG_PEEK_REPLY => Ok(Msg::PeekReply {
-            node: d.u32()?,
-            path: d.str()?,
-            cycle: d.u64()?,
-            value: dec_opt_bits(&mut d)?,
-        }),
-        TAG_POKE => Ok(Msg::Poke {
-            node: d.u32()?,
-            path: d.str()?,
-            value: d.u64()?,
-        }),
-        TAG_POKE_ACK => Ok(Msg::PokeAck {
-            node: d.u32()?,
-            path: d.str()?,
-            cycle: d.u64()?,
-            error: d.str()?,
-        }),
-        TAG_SUBSCRIBE => Ok(Msg::Subscribe {
-            wave: d.bool()?,
-            metrics: d.bool()?,
-        }),
-        TAG_WAVE_DELTA => Ok(Msg::WaveDelta {
-            node: d.u32()?,
-            changes: dec_wave_changes(&mut d)?,
-        }),
-        TAG_METRIC_DELTA => {
-            let node = d.u32()?;
-            let n = d.count(13 * 8)?;
-            let mut samples = Vec::with_capacity(n);
-            for _ in 0..n {
-                samples.push(dec_node_sample(&mut d)?);
-            }
-            Ok(Msg::MetricDelta { node, samples })
-        }
-        TAG_SNAPSHOT_NOW => Ok(Msg::SnapshotNow),
-        TAG_SNAPSHOT_DONE => Ok(Msg::SnapshotDone { cycle: d.u64()? }),
-        TAG_STATUS => Ok(Msg::Status),
-        TAG_STATUS_REPLY => {
-            let n = d.count(4 + 4 + 4 + 8)?;
-            let mut nodes = Vec::with_capacity(n);
-            for _ in 0..n {
-                nodes.push(dec_node_info(&mut d)?);
-            }
-            Ok(Msg::StatusReply {
-                nodes,
-                paused: d.bool()?,
-                fence: d.u64()?,
-            })
-        }
-        TAG_RESET_TO_IDLE => Ok(Msg::ResetToIdle),
-        TAG_IDLE_ACK => Ok(Msg::IdleAck),
-        TAG_SUBMIT_JOB => {
-            let tenant = d.str()?;
-            let budget = d.u64()?;
-            let backend = d.u8()?;
-            let n = d.count(1)?;
-            let tape = d.take(n)?.to_vec();
-            let spec = dec_spec(&mut d)?;
-            let settings = dec_settings(&mut d)?;
-            Ok(Msg::SubmitJob {
-                tenant,
-                budget,
-                backend,
-                tape,
-                spec,
-                settings,
-            })
-        }
-        TAG_JOB_ACCEPTED => Ok(Msg::JobAccepted { job: d.u64()? }),
-        TAG_JOB_STATUS => Ok(Msg::JobStatus { job: d.u64()? }),
-        TAG_JOB_STATUS_REPLY => {
-            let n = d.count(8 + 4 + 1 + 1 + 8 + 8 + 1 + 4)?;
-            let mut jobs = Vec::with_capacity(n);
-            for _ in 0..n {
-                jobs.push(dec_job_info(&mut d)?);
-            }
-            Ok(Msg::JobStatusReply {
-                jobs,
-                stats: dec_serve_stats(&mut d)?,
-            })
-        }
-        TAG_JOB_RESULT => Ok(Msg::JobResult {
-            job: d.u64()?,
-            outcome: d.u8()?,
-            error: d.str()?,
-            cycles: d.u64()?,
-            cache_hit: d.bool()?,
-            admission_micros: d.u64()?,
-            metrics_json: d.str()?,
-            series_json: d.str()?,
-            vcd: d.str()?,
-        }),
-        TAG_CANCEL_JOB => Ok(Msg::CancelJob { job: d.u64()? }),
-        TAG_EVICT_JOB => Ok(Msg::EvictJob {
-            job: d.u64()?,
-            reason: d.str()?,
-        }),
-        t => Err(format!("unknown message tag {t}")),
+    Msg::get(&mut Dec { buf, pos: 0 })
+}
+
+// ---------------------------------------------------------------------
+// Framing.
+// ---------------------------------------------------------------------
+
+/// Appends `msg` to `buf` as one length-prefixed frame, encoded in
+/// place: the prefix is reserved, the message encoded behind it, and
+/// the length patched in.
+pub(crate) fn frame_into(buf: &mut Vec<u8>, msg: &Msg) {
+    let at = buf.len();
+    buf.extend_from_slice(&[0; PREFIX]);
+    msg.put(buf);
+    let len = buf.len() - at - PREFIX;
+    debug_assert!(len <= MAX_MSG_LEN as usize);
+    buf[at..at + PREFIX].copy_from_slice(&(len as u32).to_be_bytes());
+}
+
+/// The payload length a frame's prefix announces.
+fn payload_len(prefix: [u8; PREFIX]) -> io::Result<usize> {
+    let len = u32::from_be_bytes(prefix);
+    if len > MAX_MSG_LEN {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("message length {len} exceeds {MAX_MSG_LEN}"),
+        ));
     }
+    Ok(len as usize)
+}
+
+/// The length of the complete frame (prefix included) at the front of a
+/// stream buffer, `Ok(None)` while it is incomplete, `Err` for a length
+/// prefix above [`MAX_MSG_LEN`].
+pub(crate) fn framed_len(buf: &[u8]) -> io::Result<Option<usize>> {
+    let Some(prefix) = buf.first_chunk::<PREFIX>() else {
+        return Ok(None);
+    };
+    let end = PREFIX + payload_len(*prefix)?;
+    Ok((buf.len() >= end).then_some(end))
+}
+
+/// [`decode_msg`] on one frame as [`read_raw_msg`] returns it.
+pub(crate) fn decode_frame(frame: &[u8]) -> DecResult<Msg> {
+    decode_msg(frame.get(PREFIX..).unwrap_or_default())
 }
 
 /// Writes one length-prefixed message.
@@ -1967,11 +1232,8 @@ pub fn decode_msg(buf: &[u8]) -> DecResult<Msg> {
 ///
 /// Propagates I/O failures.
 pub fn write_msg(w: &mut impl Write, msg: &Msg) -> io::Result<()> {
-    let payload = encode_msg(msg);
-    debug_assert!(payload.len() <= MAX_MSG_LEN as usize);
-    let mut framed = Vec::with_capacity(4 + payload.len());
-    framed.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    framed.extend_from_slice(&payload);
+    let mut framed = Vec::with_capacity(64);
+    frame_into(&mut framed, msg);
     w.write_all(&framed)?;
     w.flush()
 }
@@ -1983,32 +1245,11 @@ pub fn write_msg(w: &mut impl Write, msg: &Msg) -> io::Result<()> {
 ///
 /// I/O failures, EOF inside a message, oversized or malformed payloads.
 pub fn read_msg(r: &mut impl Read) -> io::Result<Option<Msg>> {
-    let mut len_buf = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut len_buf[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "EOF inside a message length prefix",
-                ))
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
+    let mut frame = Vec::new();
+    if !read_raw_msg(r, &mut frame)? {
+        return Ok(None);
     }
-    let len = u32::from_be_bytes(len_buf);
-    if len > MAX_MSG_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("message length {len} exceeds {MAX_MSG_LEN}"),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    decode_msg(&payload).map(Some).map_err(|e| {
+    decode_frame(&frame).map(Some).map_err(|e| {
         io::Error::new(
             io::ErrorKind::InvalidData,
             format!("malformed message: {e}"),
@@ -2028,33 +1269,75 @@ pub fn read_msg(r: &mut impl Read) -> io::Result<Option<Msg>> {
 /// I/O failures, EOF inside a message, oversized payloads.
 pub fn read_raw_msg(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<bool> {
     buf.clear();
-    let mut len_buf = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut len_buf[got..]) {
-            Ok(0) if got == 0 => return Ok(false),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "EOF inside a message length prefix",
-                ))
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+    let mut prefix = [0u8; PREFIX];
+    // EOF before the first byte is a clean end; after it, a torn frame.
+    loop {
+        match r.read(&mut prefix[..1]) {
+            Ok(0) => return Ok(false),
+            Ok(_) => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
-    let len = u32::from_be_bytes(len_buf);
-    if len > MAX_MSG_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("message length {len} exceeds {MAX_MSG_LEN}"),
-        ));
-    }
-    buf.extend_from_slice(&len_buf);
-    buf.resize(4 + len as usize, 0);
-    r.read_exact(&mut buf[4..])?;
+    r.read_exact(&mut prefix[1..])?;
+    let len = payload_len(prefix)?;
+    buf.extend_from_slice(&prefix);
+    buf.resize(PREFIX + len, 0);
+    r.read_exact(&mut buf[PREFIX..])?;
     Ok(true)
+}
+
+/// A data-plane frame as the coordinator's relay and the fault proxy
+/// route it, read without decoding. A field is `None` when the frame is
+/// too short to carry it; a token's `max_seq` covers a whole batch, whose
+/// frames carry consecutive sequences.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DataMsg {
+    Token {
+        link: Option<usize>,
+        max_seq: Option<u64>,
+    },
+    CorruptToken {
+        link: Option<usize>,
+    },
+    Ack {
+        link: Option<usize>,
+        ack: Option<u64>,
+    },
+    Credit {
+        link: Option<usize>,
+    },
+}
+
+/// Peeks a raw frame as [`read_raw_msg`] returns it: the data-plane
+/// message it carries, or `None` for a control message.
+pub(crate) fn peek_data(frame: &[u8]) -> Option<DataMsg> {
+    let buf = frame.get(PREFIX..)?;
+    let mut d = Dec { buf, pos: 0 };
+    let tag = u8::get(&mut d).ok()?;
+    let link = u32::get(&mut d).ok().map(|l| l as usize);
+    Some(match tag {
+        // A frame leads with its sequence number.
+        TAG_TOKEN => DataMsg::Token {
+            link,
+            max_seq: u64::get(&mut d).ok(),
+        },
+        TAG_TOKEN_BATCH => {
+            let n = u32::get(&mut d).ok();
+            let first = u64::get(&mut d).ok();
+            let max_seq = n
+                .zip(first)
+                .map(|(n, s)| s.saturating_add(u64::from(n.max(1) - 1)));
+            DataMsg::Token { link, max_seq }
+        }
+        TAG_CORRUPT_TOKEN => DataMsg::CorruptToken { link },
+        TAG_ACK => DataMsg::Ack {
+            link,
+            ack: u64::get(&mut d).ok(),
+        },
+        TAG_CREDIT => DataMsg::Credit { link },
+        _ => return None,
+    })
 }
 
 /// FNV-1a digest over what one process built of partition `partition`:
@@ -2065,26 +1348,27 @@ pub fn read_raw_msg(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<bool> {
 /// cut before tokens start flowing.
 pub fn partition_digest(access: &NetAccess<'_>, partition: usize) -> u64 {
     let mut h = Fnv1a::default();
-    let name = |h: &mut Fnv1a, s: &str| {
-        for b in s.as_bytes() {
-            h.write_u64(u64::from(*b));
-        }
-        h.write_u64(u64::MAX); // terminator
-    };
     for n in (0..access.node_count()).filter(|&n| access.node_partition(n) == partition) {
         h.write_u64(n as u64);
-        name(&mut h, access.node_name(n));
+        name_into(&mut h, access.node_name(n));
         let model = access.node_model(n);
         for ports in [model.input_ports(), model.output_ports()] {
             h.write_u64(ports.len() as u64);
             for (port, width) in ports {
-                name(&mut h, &port);
+                name_into(&mut h, &port);
                 h.write_u64(u64::from(width.get()));
             }
         }
     }
     links_into(&mut h, &access.link_specs());
     h.finish()
+}
+
+fn name_into(h: &mut Fnv1a, s: &str) {
+    for b in s.as_bytes() {
+        h.write_u64(u64::from(*b));
+    }
+    h.write_u64(u64::MAX); // terminator
 }
 
 fn links_into(h: &mut Fnv1a, links: &[LinkSpec]) {
@@ -2105,10 +1389,7 @@ pub fn design_digest(nodes: &[(String, usize)], links: &[LinkSpec]) -> u64 {
     let mut h = Fnv1a::default();
     h.write_u64(nodes.len() as u64);
     for (name, partition) in nodes {
-        for b in name.as_bytes() {
-            h.write_u64(u64::from(*b));
-        }
-        h.write_u64(u64::MAX); // name terminator
+        name_into(&mut h, name);
         h.write_u64(*partition as u64);
     }
     links_into(&mut h, links);
@@ -2116,6 +1397,7 @@ pub fn design_digest(nodes: &[(String, usize)], links: &[LinkSpec]) -> u64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
 
@@ -2233,9 +1515,9 @@ mod tests {
         });
         // A truncated blob is rejected, not silently shortened.
         let mut b = vec![TAG_CHECKPOINT];
-        put_u32(&mut b, 0);
-        put_u64(&mut b, 64);
-        put_u32(&mut b, 100); // claims 100 bytes, carries none
+        0u32.put(&mut b);
+        64u64.put(&mut b);
+        100u32.put(&mut b); // claims 100 bytes, carries none
         assert!(decode_msg(&b).is_err());
     }
 
@@ -2564,8 +1846,8 @@ mod tests {
         assert!(decode_msg(&[TAG_HELLO, 0, 0]).is_err());
         // Oversized collection count in a report.
         let mut b = vec![TAG_REPORT];
-        put_u32(&mut b, 0);
-        put_u32(&mut b, u32::MAX);
+        0u32.put(&mut b);
+        u32::MAX.put(&mut b);
         assert!(decode_msg(&b).is_err());
     }
 

@@ -32,9 +32,9 @@
 //! and surfaces as the matching typed [`SimError`].
 
 use crate::codec::{
-    decode_msg, design_digest, partition_digest, read_msg, read_raw_msg, write_msg, Msg, NodeInfo,
-    Topology, WireReport, WireSettings, FATAL_LINK_DOWN, PROTOCOL_MAGIC, PROTOCOL_VERSION, TAG_ACK,
-    TAG_CORRUPT_TOKEN, TAG_CREDIT, TAG_TOKEN, TAG_TOKEN_BATCH,
+    decode_frame, design_digest, framed_len, partition_digest, peek_data, read_msg, read_raw_msg,
+    write_msg, DataMsg, Msg, NodeInfo, Topology, WireReport, WireSettings, FATAL_LINK_DOWN,
+    PROTOCOL_MAGIC, PROTOCOL_VERSION,
 };
 use crate::payload::encode_partition_payload;
 use crate::stream::{NetListener, NetStream};
@@ -2063,35 +2063,6 @@ fn bring_up_replacement(
     Ok(read_half)
 }
 
-/// Max go-back-N sequence carried by a raw token message. Frames in a
-/// batch carry consecutive sequences, so the last is first + count − 1.
-fn raw_max_seq(tag: u8, payload: &[u8]) -> Option<u64> {
-    let seq_at = |off: usize| -> Option<u64> {
-        payload
-            .get(off..off + 8)
-            .and_then(|s| s.try_into().ok())
-            .map(u64::from_be_bytes)
-    };
-    match tag {
-        TAG_TOKEN => seq_at(5),
-        TAG_TOKEN_BATCH => {
-            let count = u64::from(u32::from_be_bytes(payload.get(5..9)?.try_into().ok()?));
-            Some(seq_at(9)? + count.saturating_sub(1))
-        }
-        _ => None,
-    }
-}
-
-/// True when `buf` starts with one complete `[len][payload]` frame —
-/// i.e. another [`read_raw_msg`] call will succeed without touching
-/// the socket.
-fn buffered_complete_frame(buf: &[u8]) -> bool {
-    buf.get(..4)
-        .and_then(|s| s.try_into().ok())
-        .map(|s: [u8; 4]| u32::from_be_bytes(s) as usize)
-        .is_some_and(|len| buf.len() >= 4 + len)
-}
-
 /// One worker's relay thread: reads raw framed messages off that
 /// worker's socket and forwards data-plane traffic (tokens, acks,
 /// credits) verbatim to the destination worker's write half — no
@@ -2138,6 +2109,7 @@ fn relay_worker(
     tx: &mpsc::Sender<(usize, Event)>,
 ) {
     let n_links = sink_owner.len();
+    let known = |link: Option<usize>| link.filter(|&l| l < n_links);
     let mut reader = std::io::BufReader::with_capacity(128 << 10, reader);
     let mut buf: Vec<u8> = Vec::with_capacity(4 << 10);
     let mut outbound: Vec<Vec<u8>> = writers.iter().map(|_| Vec::new()).collect();
@@ -2170,45 +2142,35 @@ fn relay_worker(
                 return;
             }
         }
-        let payload = &buf[4..];
-        let tag = payload.first().copied().unwrap_or(0);
-        let link = payload
-            .get(1..5)
-            .and_then(|s| s.try_into().ok())
-            .map(|s: [u8; 4]| u32::from_be_bytes(s) as usize);
-        let dest = match tag {
-            TAG_TOKEN | TAG_TOKEN_BATCH => {
-                let Some(l) = link.filter(|&l| l < n_links) else {
+        let dest = match peek_data(&buf) {
+            Some(DataMsg::Token { link, max_seq }) => {
+                let Some(l) = known(link) else {
                     let m = format!("worker {me} sent token for unknown link {link:?}");
                     let _ = tx.send((me, Event::Bad(m)));
                     return;
                 };
-                if let Some(seq) = raw_max_seq(tag, payload) {
+                if let Some(seq) = max_seq {
                     let mut b = book.lock().unwrap();
                     b.max_seq[l] = Some(b.max_seq[l].map_or(seq, |m| m.max(seq)));
                 }
                 Some(sink_owner[l])
             }
-            TAG_CORRUPT_TOKEN => link.filter(|&l| l < n_links).map(|l| sink_owner[l]),
-            TAG_ACK => {
-                let Some(l) = link.filter(|&l| l < n_links) else {
+            Some(DataMsg::CorruptToken { link }) => known(link).map(|l| sink_owner[l]),
+            Some(DataMsg::Ack { link, ack }) => {
+                let Some(l) = known(link) else {
                     let m = format!("worker {me} sent ack for unknown link {link:?}");
                     let _ = tx.send((me, Event::Bad(m)));
                     return;
                 };
-                if let Some(ack) = payload
-                    .get(5..13)
-                    .and_then(|s| s.try_into().ok())
-                    .map(u64::from_be_bytes)
-                {
+                if let Some(ack) = ack {
                     let mut b = book.lock().unwrap();
                     b.acked[l] = b.acked[l].max(ack);
                 }
                 Some(source_owner[l])
             }
-            TAG_CREDIT => link.filter(|&l| l < n_links).map(|l| source_owner[l]),
-            _ => {
-                match decode_msg(payload) {
+            Some(DataMsg::Credit { link }) => known(link).map(|l| source_owner[l]),
+            None => {
+                match decode_frame(&buf) {
                     Ok(m) => {
                         // Everything read before this control message
                         // must be at its destination before the control
@@ -2232,7 +2194,7 @@ fn relay_worker(
         }
         // Keep consuming while the next message is already buffered in
         // full — the rest of this burst routes without a socket write.
-        if buffered_complete_frame(reader.buffer()) {
+        if matches!(framed_len(reader.buffer()), Ok(Some(_))) {
             continue;
         }
         flush(&mut outbound);

@@ -18,6 +18,8 @@
 //! [`MAX_WIDTH`]; the thread circuits it returns are *not* validated —
 //! callers run [`fireaxe_ir::typecheck::validate`] before elaborating.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use fireaxe_ir::typecheck::MAX_WIDTH;
 use fireaxe_ir::{circuit_from_tape, circuit_to_tape, StateDec, StateEnc, Width};
 use fireaxe_libdn::{ChannelSpec, LiBdnSpec, OutputChannelSpec};

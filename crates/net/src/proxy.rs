@@ -18,19 +18,11 @@
 //! recovery-counter assertions in the tests flaky. Keyed to tokens,
 //! every planned fault is one the protocol must visibly recover from.
 
+use crate::codec::{decode_frame, frame_into, peek_data, read_raw_msg, DataMsg, Msg};
 use crate::stream::{NetListener, NetStream};
-use std::io::{self, Read, Write};
+use fireaxe_transport::reliable;
+use std::io::{self, Write};
 use std::time::Duration;
-
-const TAG_TOKEN: u8 = 6;
-const TAG_ACK: u8 = 7;
-const TAG_TOKEN_BATCH: u8 = 16;
-/// Byte offset of the first token payload word inside a `Token`
-/// message: tag(1) + link(4) + seq(8) + crc(4) + delay(4) + width(4).
-const TOKEN_PAYLOAD_OFFSET: usize = 25;
-/// Same offset inside a `TokenBatch`'s first frame: tag(1) + link(4) +
-/// count(4) + seq(8) + crc(4) + delay(4) + width(4).
-const BATCH_PAYLOAD_OFFSET: usize = 29;
 
 /// Deterministic fault schedule for one relay direction, keyed by the
 /// 1-based index of token-carrying messages (`Token` or `TokenBatch`)
@@ -133,26 +125,14 @@ impl Drop for FaultProxy {
 fn pump(mut from: NetStream, mut to: NetStream, plan: ProxyPlan) {
     let mut data_idx = 0u64;
     let mut token_idx = 0u64;
-    loop {
-        let mut len_buf = [0u8; 4];
-        if read_exact_or_eof(&mut from, &mut len_buf).is_err() {
-            break;
-        }
-        let len = u32::from_be_bytes(len_buf) as usize;
-        if len > crate::codec::MAX_MSG_LEN as usize {
-            break;
-        }
-        let mut payload = vec![0u8; len];
-        if from.read_exact(&mut payload).is_err() {
-            break;
-        }
-        let is_data = payload
-            .first()
-            .is_some_and(|&t| t == TAG_TOKEN || t == TAG_ACK || t == TAG_TOKEN_BATCH);
+    let mut frame = Vec::new();
+    while let Ok(true) = read_raw_msg(&mut from, &mut frame) {
+        // Credits are not data here: go-back-N does not cover them.
+        let data = peek_data(&frame);
+        let is_token = matches!(data, Some(DataMsg::Token { .. }));
         let mut copies = 1u32;
-        if is_data {
+        if is_token || matches!(data, Some(DataMsg::Ack { .. })) {
             data_idx += 1;
-            let is_token = payload[0] == TAG_TOKEN || payload[0] == TAG_TOKEN_BATCH;
             if is_token {
                 token_idx += 1;
             }
@@ -160,7 +140,7 @@ fn pump(mut from: NetStream, mut to: NetStream, plan: ProxyPlan) {
                 if data_idx > cut {
                     from.shutdown();
                     to.shutdown();
-                    break;
+                    return;
                 }
             }
             if is_token {
@@ -171,14 +151,7 @@ fn pump(mut from: NetStream, mut to: NetStream, plan: ProxyPlan) {
                     continue;
                 }
                 if plan.corrupt.contains(&token_idx) {
-                    let off = if payload[0] == TAG_TOKEN {
-                        TOKEN_PAYLOAD_OFFSET
-                    } else {
-                        BATCH_PAYLOAD_OFFSET
-                    };
-                    if payload.len() > off {
-                        payload[off] ^= 0x01;
-                    }
+                    corrupt_first_token(&mut frame);
                 }
                 if plan.duplicate.contains(&token_idx) {
                     copies = 2;
@@ -186,7 +159,7 @@ fn pump(mut from: NetStream, mut to: NetStream, plan: ProxyPlan) {
             }
         }
         for _ in 0..copies {
-            if to.write_all(&len_buf).is_err() || to.write_all(&payload).is_err() {
+            if to.write_all(&frame).is_err() {
                 return;
             }
         }
@@ -199,6 +172,21 @@ fn pump(mut from: NetStream, mut to: NetStream, plan: ProxyPlan) {
     to.shutdown();
 }
 
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<()> {
-    r.read_exact(buf)
+/// Flips bit 0 of the first token a raw `Token`/`TokenBatch` frame
+/// carries, leaving its CRC stale (zero-width tokens stay as they are).
+fn corrupt_first_token(raw: &mut Vec<u8>) {
+    let Ok(mut msg) = decode_frame(raw) else {
+        return;
+    };
+    let frame = match &mut msg {
+        Msg::Token { frame, .. } => frame,
+        Msg::TokenBatch { frames, .. } => match frames.first_mut() {
+            Some(frame) => frame,
+            None => return,
+        },
+        _ => return,
+    };
+    frame.payload = reliable::corrupt(&frame.payload, 0);
+    raw.clear();
+    frame_into(raw, &msg);
 }

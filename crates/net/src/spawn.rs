@@ -177,20 +177,37 @@ mod tests {
     #[cfg(target_os = "linux")]
     fn failed_launch_kills_and_reaps_the_child() {
         let marker = format!("fxspawn_leak_probe_{}", std::process::id());
+        let pid_file = std::env::temp_dir().join(format!("{marker}.pid"));
+        // The shell records its own pid before closing stdout, which is
+        // what fails the launch. Only that pid is checked: the shell's
+        // forked `sleep` carries the marker in its argv until it execs.
         let err = SpawnedWorker::launch(sh(&format!(
-            "printf '\\377\\376 junk\\n'; exec >&-; sleep 30; : {marker}"
+            "echo $$ > '{}'; printf '\\377\\376 junk\\n'; exec >&-; sleep 30; : {marker}",
+            pid_file.display()
         )))
         .expect_err("no advertisement must fail the launch");
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        // The shell (whose argv carries the marker) must be gone: not
-        // running, and not a zombie either (reaped processes have no
-        // /proc entry at all).
-        let leaked = std::fs::read_dir("/proc").expect("/proc").any(|e| {
-            let Ok(e) = e else { return false };
-            let mut p = e.path();
-            p.push("cmdline");
-            std::fs::read(&p).is_ok_and(|c| String::from_utf8_lossy(&c).contains(&marker))
+        let pid = std::fs::read_to_string(&pid_file).expect("pid file");
+        let _ = std::fs::remove_file(&pid_file);
+        // The shell must be gone: not running, and not a zombie either
+        // (reaped processes have no /proc entry at all). An entry under
+        // that pid is the shell only if it still carries the marker or,
+        // as a zombie (whose cmdline is empty), is still our child;
+        // anything else reused the pid.
+        let dir = format!("/proc/{}", pid.trim());
+        let leaked = std::fs::read_to_string(format!("{dir}/stat")).is_ok_and(|stat| {
+            let cmdline = std::fs::read(format!("{dir}/cmdline")).unwrap_or_default();
+            let mut fields = stat
+                .rsplit_once(')')
+                .map_or("", |(_, r)| r)
+                .split_whitespace();
+            let (state, ppid) = (fields.next(), fields.next());
+            String::from_utf8_lossy(&cmdline).contains(&marker)
+                || (state == Some("Z") && ppid == Some(&std::process::id().to_string()))
         });
-        assert!(!leaked, "failed launch leaked the worker child process");
+        assert!(
+            !leaked,
+            "failed launch leaked the worker child process {dir}"
+        );
     }
 }

@@ -57,8 +57,8 @@
 //! inbound link.
 
 use crate::codec::{
-    decode_msg, encode_msg, partition_digest, read_msg, write_msg, LinkReport, Msg, NodeReport,
-    Topology, WireReport, WireSettings, FATAL_LINK_DOWN, FATAL_SIM, MAX_MSG_LEN, PROTOCOL_MAGIC,
+    decode_frame, frame_into, framed_len, partition_digest, read_msg, write_msg, LinkReport, Msg,
+    NodeReport, Topology, WireReport, WireSettings, FATAL_LINK_DOWN, FATAL_SIM, PROTOCOL_MAGIC,
     PROTOCOL_VERSION,
 };
 use crate::flow::{RxLink, RxLinkMark, TxLink, TxLinkMark};
@@ -101,13 +101,6 @@ struct OutLink {
     link: usize,
     txl: TxLink,
     pending: Vec<Frame>,
-}
-
-/// Appends one length-prefixed message to `buf`.
-fn frame_into(buf: &mut Vec<u8>, msg: &Msg) {
-    let payload = encode_msg(msg);
-    buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    buf.extend_from_slice(&payload);
 }
 
 /// The service loop's outbound wire buffer: messages queue locally
@@ -272,27 +265,24 @@ impl RxWire {
 
     /// Decodes every complete frame sitting in the buffer.
     fn decode(&mut self, events: &mut VecDeque<Event>) {
-        while self.buf.len() - self.start >= 4 {
-            let len_bytes: [u8; 4] = self.buf[self.start..self.start + 4]
-                .try_into()
-                .expect("slice is 4 bytes");
-            let len = u32::from_be_bytes(len_bytes) as usize;
-            if len as u32 > MAX_MSG_LEN {
-                self.close(events);
-                return;
-            }
-            let end = self.start + 4 + len;
-            if self.buf.len() < end {
-                break;
-            }
-            match decode_msg(&self.buf[self.start + 4..end]) {
+        loop {
+            let rest = &self.buf[self.start..];
+            let n = match framed_len(rest) {
+                Ok(Some(n)) => n,
+                Ok(None) => break,
+                Err(_) => {
+                    self.close(events);
+                    return;
+                }
+            };
+            match decode_frame(&rest[..n]) {
                 Ok(msg) => events.push_back(Event::Msg(Box::new(msg))),
                 Err(_) => {
                     self.close(events);
                     return;
                 }
             }
-            self.start = end;
+            self.start += n;
         }
         if self.start > 0 {
             self.buf.drain(..self.start);
