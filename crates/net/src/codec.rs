@@ -1210,14 +1210,22 @@ fn payload_len(prefix: [u8; PREFIX]) -> io::Result<usize> {
     Ok(len as usize)
 }
 
+/// How many bytes the frame at the front of a stream buffer spans,
+/// prefix included, as far as is known: its declared length once the
+/// whole prefix is in, else just the prefix. `Err` for a length prefix
+/// above [`MAX_MSG_LEN`].
+pub(crate) fn frame_extent(buf: &[u8]) -> io::Result<usize> {
+    match buf.first_chunk::<PREFIX>() {
+        Some(prefix) => Ok(PREFIX + payload_len(*prefix)?),
+        None => Ok(PREFIX),
+    }
+}
+
 /// The length of the complete frame (prefix included) at the front of a
 /// stream buffer, `Ok(None)` while it is incomplete, `Err` for a length
 /// prefix above [`MAX_MSG_LEN`].
 pub(crate) fn framed_len(buf: &[u8]) -> io::Result<Option<usize>> {
-    let Some(prefix) = buf.first_chunk::<PREFIX>() else {
-        return Ok(None);
-    };
-    let end = PREFIX + payload_len(*prefix)?;
+    let end = frame_extent(buf)?;
     Ok((buf.len() >= end).then_some(end))
 }
 

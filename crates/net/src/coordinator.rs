@@ -32,17 +32,17 @@
 //! and surfaces as the matching typed [`SimError`].
 
 use crate::codec::{
-    decode_frame, design_digest, framed_len, partition_digest, peek_data, read_msg, read_raw_msg,
-    write_msg, DataMsg, Msg, NodeInfo, Topology, WireReport, WireSettings, FATAL_LINK_DOWN,
-    PROTOCOL_MAGIC, PROTOCOL_VERSION,
+    decode_frame, design_digest, partition_digest, peek_data, read_msg, write_msg, DataMsg, Msg,
+    NodeInfo, Topology, WireReport, WireSettings, FATAL_LINK_DOWN, PROTOCOL_MAGIC,
+    PROTOCOL_VERSION,
 };
 use crate::payload::encode_partition_payload;
-use crate::stream::{NetListener, NetStream};
+use crate::stream::{Filled, FrameReader, NetListener, NetStream, Wait};
 use crate::worker::{configure, SimSetup};
 use fireaxe_ir::Circuit;
 use fireaxe_obs::{
-    obs_span, to_chrome_json_merged, trace, LinkSample, LinkSeries, MetricsSeries, NodeSeries,
-    OwnedTraceEvent, RecoveryEvent, VcdWriter,
+    obs_counter, obs_span, to_chrome_json_merged, trace, LinkSample, LinkSeries, MetricsSeries,
+    NodeSeries, OwnedTraceEvent, RecoveryEvent, VcdWriter,
 };
 use fireaxe_ripper::{compile, LinkSpec, PartitionSpec, PartitionedDesign};
 use fireaxe_sim::{
@@ -50,7 +50,7 @@ use fireaxe_sim::{
     StallReport,
 };
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -150,14 +150,24 @@ fn cfg_err(message: String) -> SimError {
 }
 
 /// Relay-level sequence bookkeeping, shared between the relay threads
-/// (which update it on the hot path) and the control loop (which reads
-/// it for stall forensics).
-#[derive(Default)]
+/// (which raise it on the hot path, lock-free) and the control loop
+/// (which reads it for stall forensics). Statistics only: they publish
+/// no other data, so every access is `Relaxed`.
 struct RelayBook {
-    /// Highest sequence relayed per link, if any.
-    max_seq: Vec<Option<u64>>,
-    /// Highest cumulative ACK relayed per link.
-    acked: Vec<u64>,
+    /// Per link: highest sequence relayed + 1, 0 while none was.
+    sent: Vec<AtomicU64>,
+    /// Per link: highest cumulative ACK relayed.
+    acked: Vec<AtomicU64>,
+}
+
+impl RelayBook {
+    fn new(links: usize) -> Self {
+        let zeros = || (0..links).map(|_| AtomicU64::new(0)).collect();
+        RelayBook {
+            sent: zeros(),
+            acked: zeros(),
+        }
+    }
 }
 
 struct Cluster {
@@ -178,7 +188,7 @@ struct Cluster {
     /// When each worker was last heard from, for per-worker silence
     /// attribution (a hung-but-connected worker produces no `Closed`).
     last_heard: Vec<Instant>,
-    book: Arc<Mutex<RelayBook>>,
+    book: Arc<RelayBook>,
 }
 
 impl Cluster {
@@ -192,12 +202,15 @@ impl Cluster {
     /// view: one row per worker with its last reported cycle, and the
     /// relay's estimate of tokens still unacknowledged on the wire.
     fn stall_report(&self) -> StallReport {
-        let book = self.book.lock().unwrap();
-        let tokens_in_flight: u64 = book
-            .max_seq
+        let tokens_in_flight: u64 = self
+            .book
+            .sent
             .iter()
-            .zip(&book.acked)
-            .map(|(m, a)| m.map_or(0, |m| (m + 1).saturating_sub(*a)))
+            .zip(&self.book.acked)
+            .map(|(s, a)| {
+                s.load(Ordering::Relaxed)
+                    .saturating_sub(a.load(Ordering::Relaxed))
+            })
             .sum();
         StallReport {
             time_ps: 0,
@@ -772,10 +785,7 @@ pub fn place_cluster(
         progress: vec![0; n_workers],
         dead: Arc::new((0..n_workers).map(|_| AtomicBool::new(false)).collect()),
         last_heard: vec![Instant::now(); n_workers],
-        book: Arc::new(Mutex::new(RelayBook {
-            max_seq: vec![None; specs.len()],
-            acked: vec![0; specs.len()],
-        })),
+        book: Arc::new(RelayBook::new(specs.len())),
     };
     // Bring-up reads go through `read_halves`; at run time each one
     // moves into that worker's relay thread.
@@ -924,9 +934,6 @@ pub fn execute_placed(
         });
     };
     for (i, reader) in read_halves.into_iter().enumerate() {
-        reader
-            .set_read_timeout(None)
-            .map_err(|e| cfg_err(format!("coordinator socket setup failed: {e}")))?;
         spawn_relay(i, reader, 0, &cluster);
     }
     // (`tx_ev` stays alive: failovers clone it for replacement relays.)
@@ -1741,11 +1748,17 @@ fn handle_client_msg(
 }
 
 /// Advances the pause negotiation on one worker's `PauseAck`. Round 1
-/// (`Holding`) collects every worker's hold cycle and either declares
-/// the cluster paused (all aligned) or broadcasts the max as the
-/// concrete fence; round 2 (`Fencing`) counts quiescent acks at that
-/// fence. A deferred `Step` is applied as a fence move the moment the
-/// cluster would otherwise be paused.
+/// (`Holding`) collects every worker's hold cycle and broadcasts one
+/// past the max (capped at the budget) as the concrete fence; round 2
+/// (`Fencing`) counts quiescent acks at that fence. A deferred `Step`
+/// is applied as a fence move the moment the cluster would otherwise be
+/// paused.
+///
+/// Not the max itself: a node holding there may already have begun
+/// that cycle's host steps (poked the inputs it had, fired the outputs
+/// those allow) before the hold reached it, so what a peek reads there
+/// depends on timing. A node that reaches its fence by ticking, as in
+/// a DES run to the same cycle, has taken no host step at it.
 #[allow(clippy::too_many_arguments)]
 fn advance_pause(
     w: usize,
@@ -1770,7 +1783,8 @@ fn advance_pause(
                 *a = Some(cycle);
             }
             if acks.iter().all(Option::is_some) {
-                let f = acks.iter().filter_map(|a| *a).max().unwrap_or(0);
+                let top = acks.iter().filter_map(|a| *a).max().unwrap_or(0);
+                let f = top.saturating_add(1).min(budget);
                 Some((f, acks.iter().all(|a| *a == Some(f))))
             } else {
                 None
@@ -2054,24 +2068,22 @@ fn bring_up_replacement(
         .map_err(|e| err(format!("restore write failed: {e}")))?;
     write_msg(&mut write_half, &Msg::Run { budget })
         .map_err(|e| err(format!("run write failed: {e}")))?;
-    read_half
-        .set_read_timeout(None)
-        .map_err(|e| err(format!("socket setup: {e}")))?;
     *cluster.writers[w].lock().unwrap() = write_half;
     cluster.shutdowns[w] = shutdown_half;
     cluster.addrs[w] = addr.to_string();
     Ok(read_half)
 }
 
-/// One worker's relay thread: reads raw framed messages off that
-/// worker's socket and forwards data-plane traffic (tokens, acks,
-/// credits) verbatim to the destination worker's write half — no
+/// One worker's relay thread: reads raw frames off that worker's socket
+/// through a [`FrameReader`] and forwards data-plane traffic (tokens,
+/// acks, credits) verbatim to the destination worker's write half — no
 /// decode, no re-encode, no hand-off through the control loop. Control
 /// messages are decoded and sent to the control loop's event channel.
 ///
-/// Messages are not written one at a time: everything already buffered
-/// from one read burst is routed first, accumulated per destination,
-/// then shipped with one write per destination. A worker flushes its
+/// Messages are not written one at a time: every complete frame
+/// buffered after a read is routed first, copied once from the reader's
+/// buffer into its destination's outbound buffer, and the burst then
+/// ships with one write per destination. A worker flushes its
 /// whole service-loop pass in one socket write, so the common arrival
 /// pattern is several messages at once — and forwarding them as one
 /// write means one scheduler wakeup at the destination, not one per
@@ -2103,17 +2115,24 @@ fn relay_worker(
     reader: NetStream,
     writers: &[Arc<Mutex<NetStream>>],
     dead: &[AtomicBool],
-    book: &Mutex<RelayBook>,
+    book: &RelayBook,
     sink_owner: &[usize],
     source_owner: &[usize],
     tx: &mpsc::Sender<(usize, Event)>,
 ) {
     let n_links = sink_owner.len();
     let known = |link: Option<usize>| link.filter(|&l| l < n_links);
-    let mut reader = std::io::BufReader::with_capacity(128 << 10, reader);
-    let mut buf: Vec<u8> = Vec::with_capacity(4 << 10);
+    let closed = || {
+        let _ = tx.send((me, Event::Closed(generation)));
+    };
+    let Ok(mut reader) = FrameReader::new(reader) else {
+        return closed();
+    };
     let mut outbound: Vec<Vec<u8>> = writers.iter().map(|_| Vec::new()).collect();
-    let flush = |outbound: &mut Vec<Vec<u8>>| {
+    // Socket reads, frames routed and destination writes, emitted with
+    // each report this relay forwards.
+    let (mut reads, mut frames, mut writes) = (0u64, 0u64, 0u64);
+    let flush = |outbound: &mut Vec<Vec<u8>>, writes: &mut u64| {
         for (dest, out) in outbound.iter_mut().enumerate() {
             if out.is_empty() {
                 continue;
@@ -2122,6 +2141,7 @@ fn relay_worker(
                 out.clear();
                 continue;
             }
+            *writes += 1;
             let delivered = {
                 let mut w = writers[dest].lock().unwrap();
                 w.write_all(out).and_then(|()| w.flush()).is_ok()
@@ -2135,14 +2155,21 @@ fn relay_worker(
         }
     };
     loop {
-        match read_raw_msg(&mut reader, &mut buf) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => {
-                let _ = tx.send((me, Event::Closed(generation)));
-                return;
+        let frame = match reader.next_frame() {
+            Ok(Some(frame)) => frame,
+            Ok(None) => {
+                // Every frame of the burst is routed: ship it, then read.
+                flush(&mut outbound, &mut writes);
+                reads += 1;
+                match reader.fill(Wait::Forever) {
+                    Ok(Filled::Bytes(_) | Filled::Nothing) => continue,
+                    Ok(Filled::Eof) | Err(_) => return closed(),
+                }
             }
-        }
-        let dest = match peek_data(&buf) {
+            Err(_) => return closed(),
+        };
+        frames += 1;
+        let dest = match peek_data(frame) {
             Some(DataMsg::Token { link, max_seq }) => {
                 let Some(l) = known(link) else {
                     let m = format!("worker {me} sent token for unknown link {link:?}");
@@ -2150,8 +2177,7 @@ fn relay_worker(
                     return;
                 };
                 if let Some(seq) = max_seq {
-                    let mut b = book.lock().unwrap();
-                    b.max_seq[l] = Some(b.max_seq[l].map_or(seq, |m| m.max(seq)));
+                    book.sent[l].fetch_max(seq.saturating_add(1), Ordering::Relaxed);
                 }
                 Some(sink_owner[l])
             }
@@ -2163,19 +2189,26 @@ fn relay_worker(
                     return;
                 };
                 if let Some(ack) = ack {
-                    let mut b = book.lock().unwrap();
-                    b.acked[l] = b.acked[l].max(ack);
+                    book.acked[l].fetch_max(ack, Ordering::Relaxed);
                 }
                 Some(source_owner[l])
             }
             Some(DataMsg::Credit { link }) => known(link).map(|l| source_owner[l]),
             None => {
-                match decode_frame(&buf) {
+                match decode_frame(frame) {
                     Ok(m) => {
                         // Everything read before this control message
                         // must be at its destination before the control
                         // loop can act on it (see the doc comment).
-                        flush(&mut outbound);
+                        flush(&mut outbound, &mut writes);
+                        if matches!(m, Msg::Report(_)) {
+                            // In the trace sink before the control
+                            // loop can fold this job's trace.
+                            obs_counter!("net.relay.reads", 0, reads);
+                            obs_counter!("net.relay.frames", 0, frames);
+                            obs_counter!("net.relay.writes", 0, writes);
+                            trace::flush_thread();
+                        }
                         if tx.send((me, Event::Msg(m))).is_err() {
                             return;
                         }
@@ -2190,14 +2223,8 @@ fn relay_worker(
             }
         };
         if let Some(dest) = dest {
-            outbound[dest].extend_from_slice(&buf);
+            outbound[dest].extend_from_slice(frame);
         }
-        // Keep consuming while the next message is already buffered in
-        // full — the rest of this burst routes without a socket write.
-        if matches!(framed_len(reader.buffer()), Ok(Some(_))) {
-            continue;
-        }
-        flush(&mut outbound);
     }
 }
 

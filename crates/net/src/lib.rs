@@ -23,6 +23,7 @@
 //!   protocol over real sockets in tests.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod codec;
 pub mod coordinator;

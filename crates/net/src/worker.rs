@@ -41,14 +41,19 @@
 //!   the token path is a context switch, and the per-cycle critical
 //!   path of a tightly-coupled partitioning is exactly that path.
 //! * **Inline socket reads** — the same argument on the inbound side:
-//!   the service loop drains the socket itself (`RxWire`; nonblocking
-//!   while active, one short blocking poll when quiescent) instead of
-//!   delegating to a reader thread. A relayed token then wakes the
-//!   worker's service loop directly, cutting one context switch from
-//!   every hop of the cut's token ring. Deadlock freedom previously
-//!   rested on the always-draining reader thread; it now rests on
-//!   `WireBuf::flush` draining inbound whenever the send buffer is
-//!   full, so no two peers can sit blocked writing to each other.
+//!   the service loop drains the socket itself (`RxWire`, a
+//!   [`FrameReader`]) instead of delegating to a reader thread. A
+//!   relayed token then wakes the worker's service loop directly,
+//!   cutting one context switch from every hop of the cut's token ring.
+//!   The socket stays in blocking mode: an active pass drains with
+//!   `MSG_DONTWAIT` reads, and a quiescent one makes a single blocking
+//!   read bounded by `SO_RCVTIMEO`, which is set again only when the
+//!   wanted timeout changes. Reads land in the reader's persistent
+//!   buffer, so a pass costs its syscalls and nothing more. Deadlock
+//!   freedom previously rested on the always-draining reader thread; it
+//!   now rests on `WireBuf::flush` draining inbound whenever a
+//!   nonblocking `send` finds the send buffer full, so no two peers can
+//!   sit blocked writing to each other.
 //!
 //! Runahead is bounded twice: LI-BDN queues are deepened to the
 //! `slack_cycles` lookahead window, and every fresh frame still spends
@@ -57,20 +62,19 @@
 //! inbound link.
 
 use crate::codec::{
-    decode_frame, frame_into, framed_len, partition_digest, read_msg, write_msg, LinkReport, Msg,
-    NodeReport, Topology, WireReport, WireSettings, FATAL_LINK_DOWN, FATAL_SIM, PROTOCOL_MAGIC,
+    decode_frame, frame_into, partition_digest, read_msg, write_msg, LinkReport, Msg, NodeReport,
+    Topology, WireReport, WireSettings, FATAL_LINK_DOWN, FATAL_SIM, PROTOCOL_MAGIC,
     PROTOCOL_VERSION,
 };
 use crate::flow::{RxLink, RxLinkMark, TxLink, TxLinkMark};
 use crate::payload::decode_partition_payload;
-use crate::stream::{NetListener, NetStream};
+use crate::stream::{Filled, FrameReader, NetListener, NetStream, Wait};
 use fireaxe_ir::{StateDec, StateEnc};
 use fireaxe_obs::{obs_counter, obs_span, trace, OwnedTraceEvent};
 use fireaxe_ripper::LinkSpec;
 use fireaxe_sim::{DistributedSim, NetAccess, Result, SimBuilder, SimError};
 use fireaxe_transport::reliable::{Frame, RxVerdict};
 use std::collections::VecDeque;
-use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
 /// Hook for binding process-local, non-serializable simulation inputs
@@ -80,7 +84,12 @@ use std::time::{Duration, Instant};
 pub type SimSetup = dyn for<'a> Fn(SimBuilder<'a>) -> SimBuilder<'a> + Sync;
 
 /// Idle poll granularity: how long a quiescent worker blocks on the
-/// socket before ticking retransmission timers again.
+/// socket before ticking retransmission timers again. `SO_RCVTIMEO`
+/// rounds it up to the kernel tick, so an idle wait that times out
+/// lasts ≈ 8 ms, and that — not this constant — sets the go-back-N
+/// timeout's wall time (32 quiescent ticks ≈ 256 ms). A true 200 µs
+/// wait makes that 6.4 ms, short enough to retransmit on a clean but
+/// busy host.
 const IDLE_POLL: Duration = Duration::from_micros(200);
 
 enum Event {
@@ -104,17 +113,22 @@ struct OutLink {
 }
 
 /// The service loop's outbound wire buffer: messages queue locally
-/// (infallibly) and ship in one `write`+`flush` wherever the loop
-/// chooses to flush, so a pass that produces a burst of acks, credits
-/// and tokens costs one syscall instead of one per message.
+/// (infallibly) and ship in one `send` wherever the loop chooses to
+/// flush, so a pass that produces a burst of acks, credits and tokens
+/// costs one syscall instead of one per message.
 struct WireBuf {
     buf: Vec<u8>,
+    /// `send` calls and bytes sent, for the session's counters.
+    sends: u64,
+    bytes_out: u64,
 }
 
 impl WireBuf {
     fn new() -> Self {
         WireBuf {
             buf: Vec::with_capacity(16 << 10),
+            sends: 0,
+            bytes_out: 0,
         }
     }
 
@@ -122,14 +136,14 @@ impl WireBuf {
         frame_into(&mut self.buf, msg);
     }
 
-    /// Ships the queued bytes. While the socket's send buffer is full
-    /// (nonblocking mode only), keeps draining the inbound side: the
-    /// peer that must consume our bytes may itself be blocked writing
-    /// to us, and draining breaks that cycle — the deadlock-freedom
-    /// guarantee the dedicated reader thread used to provide.
+    /// Ships the queued bytes. While the socket's send buffer is full,
+    /// keeps draining the inbound side: the peer that must consume our
+    /// bytes may itself be blocked writing to us, and draining breaks
+    /// that cycle — the deadlock-freedom guarantee the dedicated reader
+    /// thread used to provide.
     fn flush(
         &mut self,
-        stream: &mut NetStream,
+        stream: &NetStream,
         rx: &mut RxWire,
         events: &mut VecDeque<Event>,
     ) -> std::io::Result<()> {
@@ -139,13 +153,15 @@ impl WireBuf {
         let mut off = 0;
         let mut stalls = 0u32;
         while off < self.buf.len() {
-            match stream.write(&self.buf[off..]) {
+            self.sends += 1;
+            match stream.send_nonblocking(&self.buf[off..]) {
                 Ok(0) => {
                     self.buf.clear();
                     return Err(std::io::ErrorKind::WriteZero.into());
                 }
                 Ok(n) => {
                     off += n;
+                    self.bytes_out += n as u64;
                     stalls = 0;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -168,126 +184,78 @@ impl WireBuf {
             }
         }
         self.buf.clear();
-        stream.flush()
+        Ok(())
     }
 }
 
-/// The service loop's inbound wire: the socket drained directly by the
-/// loop, with complete frames decoded out of an accumulation buffer.
-/// See the module docs for why there is deliberately no reader thread.
-///
-/// The underlying descriptor is switched to nonblocking on
-/// construction; since clones share it, the *write* half inherits that
-/// too, which [`WireBuf::flush`] handles. EOF and unrecoverable read or
-/// decode errors surface as one final [`Event::Closed`].
+/// The service loop's inbound wire: a [`FrameReader`] on the socket,
+/// read by the loop itself (see the module docs for why there is
+/// deliberately no reader thread), with each frame decoded into an
+/// [`Event`]. EOF and unrecoverable read or decode errors surface as
+/// one final [`Event::Closed`].
 struct RxWire {
-    stream: NetStream,
-    buf: Vec<u8>,
-    /// Parse cursor; consumed bytes are compacted away after each drain.
-    start: usize,
+    reader: FrameReader,
     closed: bool,
+    /// `recv` calls and bytes received, for the session's counters.
+    recvs: u64,
+    bytes_in: u64,
 }
 
 impl RxWire {
     fn new(stream: NetStream) -> std::io::Result<Self> {
-        stream.set_nonblocking(true)?;
         Ok(RxWire {
-            stream,
-            buf: Vec::with_capacity(64 << 10),
-            start: 0,
+            reader: FrameReader::new(stream)?,
             closed: false,
+            recvs: 0,
+            bytes_in: 0,
         })
     }
 
     /// Pulls every byte currently available and decodes complete frames
     /// into `events`. Never blocks.
     fn drain(&mut self, events: &mut VecDeque<Event>) {
-        if self.closed {
-            return;
-        }
-        let mut chunk = [0u8; 64 << 10];
-        loop {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.close(events);
-                    return;
-                }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.close(events);
-                    return;
-                }
-            }
-        }
-        self.decode(events);
+        while self.read(Wait::No, events) && self.reader.is_full() {}
     }
 
-    /// Blocks until the socket has bytes or `timeout` elapses, then
-    /// drains. Only called when the service loop is quiescent.
-    fn wait(&mut self, timeout: Duration, events: &mut VecDeque<Event>) {
+    /// Blocks until the socket has bytes or `timeout` elapses, and
+    /// decodes what came. Only called when the service loop is
+    /// quiescent; the next pass's drain takes the rest. Returns whether
+    /// it waited and nothing came.
+    fn wait(&mut self, timeout: Duration, events: &mut VecDeque<Event>) -> bool {
         if self.closed || !events.is_empty() {
-            return;
+            return false;
         }
-        let armed = self.stream.set_nonblocking(false).is_ok()
-            && self.stream.set_read_timeout(Some(timeout)).is_ok();
-        if !armed {
-            // Degenerate fallback: sleep out the poll interval; the
-            // drain below still collects whatever arrived meanwhile.
-            std::thread::sleep(timeout);
-            self.drain(events);
-            return;
-        }
-        let mut chunk = [0u8; 64 << 10];
-        let outcome = self.stream.read(&mut chunk);
-        let _ = self.stream.set_nonblocking(true);
-        match outcome {
-            Ok(0) => {
-                self.close(events);
-                return;
-            }
-            Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => {
-                self.close(events);
-                return;
-            }
-        }
-        self.drain(events);
+        !self.read(Wait::Upto(timeout), events)
     }
 
-    /// Decodes every complete frame sitting in the buffer.
-    fn decode(&mut self, events: &mut VecDeque<Event>) {
-        loop {
-            let rest = &self.buf[self.start..];
-            let n = match framed_len(rest) {
-                Ok(Some(n)) => n,
-                Ok(None) => break,
-                Err(_) => {
-                    self.close(events);
-                    return;
-                }
-            };
-            match decode_frame(&rest[..n]) {
-                Ok(msg) => events.push_back(Event::Msg(Box::new(msg))),
-                Err(_) => {
-                    self.close(events);
-                    return;
-                }
+    /// One read, then every complete frame decoded. Returns whether
+    /// bytes arrived.
+    fn read(&mut self, wait: Wait, events: &mut VecDeque<Event>) -> bool {
+        if self.closed {
+            return false;
+        }
+        self.recvs += 1;
+        let got = match self.reader.fill(wait) {
+            Ok(Filled::Bytes(n)) => n,
+            Ok(Filled::Nothing) => return false,
+            Ok(Filled::Eof) | Err(_) => {
+                self.close(events);
+                return false;
             }
-            self.start += n;
+        };
+        self.bytes_in += got as u64;
+        loop {
+            match self.reader.next_frame() {
+                Ok(Some(frame)) => match decode_frame(frame) {
+                    Ok(msg) => events.push_back(Event::Msg(Box::new(msg))),
+                    Err(_) => break,
+                },
+                Ok(None) => return true,
+                Err(_) => break,
+            }
         }
-        if self.start > 0 {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
+        self.close(events);
+        false
     }
 
     fn close(&mut self, events: &mut VecDeque<Event>) {
@@ -829,9 +797,6 @@ fn serve_stream(
             Some(other) => return Err(cfg_err(format!("worker expected Run, got {other:?}"))),
         }
     };
-    stream
-        .set_read_timeout(None)
-        .map_err(|e| cfg_err(format!("worker socket setup failed: {e}")))?;
 
     let result = run_session(
         &mut stream,
@@ -850,9 +815,6 @@ fn serve_stream(
         if matches!(e, SimError::Config { message } if message == CHAOS_KILLED) {
             return result;
         }
-        // The session may have left the descriptor nonblocking; the
-        // Fatal report must not be lost to a transient WouldBlock.
-        let _ = stream.set_nonblocking(false);
         let (code, link, attempts) = match e {
             SimError::LinkDown { link, attempts, .. } => (FATAL_LINK_DOWN, *link as u32, *attempts),
             _ => (FATAL_SIM, 0, 0),
@@ -974,7 +936,7 @@ fn run_session(
 
     // Inbound wire: the service loop drains the socket itself (see the
     // module docs on why there is deliberately no reader thread on this
-    // path). Constructing it flips the shared descriptor nonblocking.
+    // path).
     let reader = stream
         .try_clone()
         .map_err(|e| cfg_err(format!("worker socket clone failed: {e}")))?;
@@ -1033,7 +995,15 @@ fn run_session(
     let mut wave_cursor = vec![0usize; owned.len()];
     let mut samp_cursor = vec![0usize; owned.len()];
 
+    // The loop's own counters (with `rx`'s and `wire`'s syscall and
+    // byte counts), emitted with the report. Plain counts, not spans: a
+    // span per pass would tax the loop it measures.
+    let mut passes = 0u64;
+    let mut waits = 0u64;
+    let mut idle_timeouts = 0u64;
+
     let outcome: Result<SessionEnd> = 'outer: loop {
+        passes += 1;
         // Chaos hooks (fault-injection harness only; all-off defaults).
         let chaos_at = |k: Option<u64>| k.is_some_and(|k| min_cycle(access, &owned) >= k);
         if chaos_at(options.chaos_kill) {
@@ -1272,7 +1242,8 @@ fn run_session(
             if wire.flush(stream, &mut rx, &mut events).is_err() {
                 break 'outer Err(lost(me));
             }
-            rx.wait(hb_interval, &mut events);
+            waits += 1;
+            idle_timeouts += u64::from(rx.wait(hb_interval, &mut events));
             if events.is_empty() {
                 if last_activity.elapsed() >= io_timeout {
                     break 'outer Err(SimError::NetTimeout {
@@ -1483,6 +1454,13 @@ fn run_session(
         }
         if finishing && !reported {
             reported = true;
+            obs_counter!("net.worker.passes", 0, passes);
+            obs_counter!("net.worker.waits", 0, waits);
+            obs_counter!("net.worker.idle_timeouts", 0, idle_timeouts);
+            obs_counter!("net.worker.recvs", 0, rx.recvs);
+            obs_counter!("net.worker.sends", 0, wire.sends);
+            obs_counter!("net.worker.bytes_in", 0, rx.bytes_in);
+            obs_counter!("net.worker.bytes_out", 0, wire.bytes_out);
             queue_report(
                 access,
                 me,
@@ -1552,7 +1530,8 @@ fn run_session(
         } else {
             IDLE_POLL
         };
-        rx.wait(idle, &mut events);
+        waits += 1;
+        idle_timeouts += u64::from(rx.wait(idle, &mut events));
         if events.is_empty() {
             if last_activity.elapsed() >= io_timeout {
                 if reported {
@@ -1574,9 +1553,6 @@ fn run_session(
     };
 
     access.restore_capacities(saved);
-    // Back to plain blocking I/O (on the error path, for `serve`'s
-    // Fatal report).
-    let _ = stream.set_nonblocking(false);
     let _ = shutdown; // session ends the same way on Shutdown or silence
     let end = outcome?;
     stream.shutdown();
