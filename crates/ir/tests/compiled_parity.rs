@@ -495,3 +495,227 @@ fn poke_u64_matches_poke() {
         );
     }
 }
+
+/// A design whose latches read top inputs directly — narrow and wide
+/// registers, a narrow memory write port — beside combinational readers
+/// of the same inputs and registers, an extern model (sink output and
+/// source root) and a memory read port.
+fn coherence_circuit() -> Circuit {
+    let mut mb = ModuleBuilder::new("C");
+    let i = mb.input("i", 8);
+    let w = mb.input("w", 100);
+    let en = mb.input("en", 1);
+    let r = mb.reg("r", 8, 0);
+    let acc = mb.reg("acc", 8, 1);
+    let wr = mb.reg("wr", 100, 0);
+    mb.connect_sig(&r, &i);
+    mb.connect_sig(&acc, &acc.add(&i));
+    mb.connect_sig(&wr, &w.xor(&wr));
+    let n = mb.node("n", &r.xor(&i));
+    let s = mb.node("s", &acc.add(&r));
+    let m = mb.mem("m", 16, 16);
+    mb.mem_write(&m, &i.resize(4), &i.resize(16), &en);
+    let rd = mb.mem_read("rd", &m, &r.resize(4));
+    mb.inst("xa", "XAcc");
+    mb.connect_inst("xa", "x", &i.resize(16));
+    let t = mb.node("t", &mb.inst_port("xa", "y").xor(&rd));
+    let xs = mb.inst_port("xa", "s");
+    for (name, width, sig) in [
+        ("o1", 8, &n),
+        ("o2", 8, &s),
+        ("o3", 100, &wr),
+        ("o4", 16, &t),
+    ] {
+        let o = mb.output(name, width);
+        mb.connect_sig(&o, sig);
+    }
+    let o5 = mb.output("o5", 16);
+    mb.connect_sig(&o5, &xs);
+    Circuit::from_modules("C", vec![mb.finish(), xacc_module()], "C")
+}
+
+/// The reference engine and the compiled one driven in lockstep over
+/// [`coherence_circuit`], compared signal by signal and memory word by
+/// memory word.
+struct Lockstep {
+    gold: Interpreter,
+    fast: Interpreter,
+    paths: Vec<String>,
+    rng: Rng,
+}
+
+impl Lockstep {
+    fn new(seed: u64) -> Self {
+        let circuit = coherence_circuit();
+        let [gold, fast] = [ExecEngine::Reference, ExecEngine::Compiled].map(|engine| {
+            let mut sim = Interpreter::with_engine(&circuit, engine).unwrap();
+            sim.bind_behavior("xa", Box::new(XorAcc::default()))
+                .unwrap();
+            sim.reset();
+            sim
+        });
+        let paths = gold.signal_paths();
+        Lockstep {
+            gold,
+            fast,
+            paths,
+            rng: Rng(seed),
+        }
+    }
+
+    fn both(&mut self, f: impl Fn(&mut Interpreter)) {
+        f(&mut self.gold);
+        f(&mut self.fast);
+    }
+
+    /// Pokes fresh values into some inputs (each is left alone one time
+    /// in three, so unchanged roots are exercised too).
+    fn poke(&mut self) {
+        for (name, w) in [("i", 8), ("w", 100), ("en", 1)] {
+            if !self.rng.coin(3) {
+                let v = rand_bits(&mut self.rng, w);
+                self.both(|sim| sim.poke(name, v.clone()));
+            }
+        }
+    }
+
+    fn eval(&mut self) {
+        self.both(|sim| sim.eval().unwrap());
+    }
+
+    fn tick(&mut self) {
+        self.both(Interpreter::tick);
+    }
+
+    fn check(&self, at: &str) {
+        compare_all(0, at, &self.paths, &self.gold, &self.fast);
+        compare_mems(0, at, &self.gold, &self.fast);
+    }
+
+    /// One target cycle: poke, settle, compare, poke again before the
+    /// latch, latch, compare (the latch's own writes), settle, compare.
+    fn cycle(&mut self, at: &str) {
+        self.poke();
+        self.eval();
+        self.check(&format!("{at}, settled"));
+        self.poke();
+        self.tick();
+        self.check(&format!("{at}, latched"));
+        self.eval();
+        self.check(&format!("{at}, resettled"));
+    }
+}
+
+/// An input poked after `eval` and before `tick` must reach every latch
+/// that reads it — a register, a wide register, a memory write port —
+/// exactly as the reference engine's latch reads the slot, and the
+/// readers of that input must rerun at the next settle even when nothing
+/// is poked in between.
+#[test]
+fn poke_between_eval_and_tick_reaches_the_latch() {
+    let mut ls = Lockstep::new(1);
+    for c in 0..200 {
+        ls.cycle(&format!("cycle {c}"));
+    }
+    // A poke the next settle sees no further change to.
+    for v in [0x5Au64, 0xA5, 0xA5, 0x00] {
+        ls.both(|sim| sim.poke_u64("i", 0x11).unwrap());
+        ls.eval();
+        ls.both(|sim| sim.poke_u64("i", v).unwrap());
+        ls.tick();
+        ls.eval();
+        ls.check(&format!("late poke {v:#x}"));
+    }
+}
+
+/// `restore_snapshot_bytes` mid-run: straight into a latch, between a
+/// settle and its latch, and at a cycle boundary.
+#[test]
+fn restore_mid_run_matches_reference() {
+    let mut ls = Lockstep::new(2);
+    for c in 0..20 {
+        ls.cycle(&format!("cycle {c}"));
+    }
+    // A nonzero input in the blob, so a latch reading stale registers
+    // after the restore cannot land on the right value by accident.
+    ls.both(|sim| sim.poke_u64("i", 0x3C).unwrap());
+    ls.eval();
+    let blob = ls.fast.snapshot_bytes().unwrap();
+    assert_eq!(Some(&blob), ls.gold.snapshot_bytes().as_ref());
+    for (k, when) in ["before tick", "after eval", "at boundary"]
+        .iter()
+        .enumerate()
+    {
+        for c in 0..5 + k {
+            ls.cycle(&format!("{when}, run {c}"));
+        }
+        match *when {
+            "before tick" => {
+                ls.both(|sim| assert!(sim.restore_snapshot_bytes(&blob)));
+                ls.tick();
+            }
+            "after eval" => {
+                ls.poke();
+                ls.eval();
+                ls.both(|sim| assert!(sim.restore_snapshot_bytes(&blob)));
+                ls.tick();
+            }
+            _ => ls.both(|sim| assert!(sim.restore_snapshot_bytes(&blob))),
+        }
+        ls.check(&format!("restored {when}"));
+        for c in 0..10 {
+            ls.cycle(&format!("{when}, replay {c}"));
+        }
+    }
+}
+
+/// Dirty-set skipping switched off and on again mid-run, including
+/// between a settle and its latch.
+#[test]
+fn dirty_skipping_toggled_mid_run_matches_reference() {
+    let mut ls = Lockstep::new(3);
+    for c in 0..120 {
+        match c % 7 {
+            2 => ls.fast.set_dirty_skipping(c % 2 == 0),
+            5 => {
+                ls.poke();
+                ls.eval();
+                ls.fast.set_dirty_skipping(c % 3 == 0);
+                ls.poke();
+                ls.tick();
+                ls.check(&format!("cycle {c}, toggled before the latch"));
+            }
+            _ => {}
+        }
+        ls.cycle(&format!("cycle {c}"));
+    }
+}
+
+/// Compiled → reference → compiled, at cycle boundaries and between a
+/// settle and its latch: the arena must come back coherent with whatever
+/// the other engine left in the slots.
+#[test]
+fn engine_switch_round_trip_matches_reference() {
+    let mut ls = Lockstep::new(4);
+    let mut engine = ExecEngine::Compiled;
+    for c in 0..120 {
+        if c % 5 == 0 {
+            engine = match engine {
+                ExecEngine::Compiled => ExecEngine::Reference,
+                _ => ExecEngine::Compiled,
+            };
+            if c % 10 == 0 {
+                ls.fast.set_engine(engine);
+            } else {
+                ls.poke();
+                ls.eval();
+                ls.fast.set_engine(engine);
+                ls.poke();
+                ls.tick();
+                ls.check(&format!("cycle {c}, switched before the latch"));
+            }
+        }
+        ls.cycle(&format!("cycle {c}"));
+    }
+    assert_eq!(ls.fast.engine(), ExecEngine::Compiled);
+}
