@@ -3,7 +3,7 @@
 //!
 //! Runs the same workloads through both execution engines (the compiled
 //! instruction tape and the tree-walking reference), reports settle-loop
-//! throughput in cycles/s, and enforces two CI invariants:
+//! throughput in cycles/s, and enforces these CI invariants:
 //!
 //! 1. **Bit-exactness** — both engines must end every workload in an
 //!    identical architectural state (probe signals compared).
@@ -23,13 +23,30 @@
 //!    throughput within 5% of the untraced run.
 //! 4. **A partition boundary that costs what it carries** — over 1 000
 //!    steady-state target cycles of the partitioned `noc6` cut on the
-//!    DES engine, the heap is touched at most once per token packed (a
-//!    token is a `Bits`) plus whatever the by-name bridge interface
-//!    allocates on environment channels: nothing from the LI-BDN's host
-//!    step, the extern-model ABI, `push_input`, or draining an idle
+//!    DES engine, the heap is touched at most once per token wider than
+//!    64 bits packed (a token is a `Bits`, and only those keep their
+//!    words on the heap; narrower ones are inline) plus whatever the
+//!    by-name bridge interface allocates on environment channels and the
+//!    run's metrics snapshot: nothing from narrow tokens, the LI-BDN's
+//!    host step, the extern-model ABI, `push_input`, or draining an idle
 //!    channel. And exact-mode partitioning of RocketLite (the core on
 //!    its own partition) must stay within 9× the monolithic host time
 //!    per target cycle.
+//! 5. **Sliced batch floors** — aggregate 64-lane throughput over one
+//!    compiled run: ≥ 10× on `noc_ring_4`, ≥ 7× on `soc24_fig6`. The
+//!    floors are ratios against the compiled engine, so they moved down
+//!    when the compiled engine itself got faster (inline one-word `Bits`
+//!    and the value-arena tape) while the sliced lane rate stayed where
+//!    it was: on a 2-core box, two alternated runs per tree, sliced
+//!    `noc_ring_4` read 8.3–9.2 M lane-c/s before and 8.0–9.1 M after,
+//!    its compiled denominator 334–456 k → 642–645 k c/s, and its gain
+//!    20.2–25.0× → 12.5–14.0×; `soc24_fig6` 11.0–12.7× → 10.2–12.1×
+//!    (single runs down to 9.6×). The old 20× floor had no headroom even
+//!    before that.
+//!
+//! The observability gate is noise-dominated at this size (single
+//! attempts in one session read anywhere from 95 % to above 100 %),
+//! which is why it retries; its 95 % bar is unchanged.
 //!
 //! Results land in `BENCH_interp.json` for the before/after table in
 //! EXPERIMENTS.md. Throughput numbers are machine-dependent; the two
@@ -259,7 +276,7 @@ fn bench_noc_ring() -> WorkloadResult {
             lanes: LANES,
             lane_cps,
             lanes_match,
-            min_gain: Some(20.0),
+            min_gain: Some(10.0),
             coverage: si.coverage(),
         }),
     }
@@ -380,7 +397,8 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// The partitioned allocation guard: `noc6` (6 tiles, 3 × 2 routers + the
 /// remainder) on the DES engine. A budgeted run advances every node by
 /// exactly the budget, so the window packs exactly one token per output
-/// channel per cycle; each is one `Bits`. Environment channels still go
+/// channel per cycle; each is one `Bits`, which allocates only when it is
+/// wider than 64 bits. Environment channels still go
 /// through the by-name bridge interface (`ChannelSpec::{pack, unpack}`
 /// and the bridge's maps), which is priced here by running it standalone
 /// on the design's own channel specs. Everything else on the cycle —
@@ -413,7 +431,12 @@ fn des_alloc_guard() -> Result<(), String> {
     let mut packed_per_cycle = 0u64;
     let mut env_per_cycle = 0u64;
     for (_, _, _, t) in design.nodes() {
-        packed_per_cycle += t.libdn.outputs.len() as u64;
+        packed_per_cycle += t
+            .libdn
+            .outputs
+            .iter()
+            .filter(|o| o.channel.width().get() > 64)
+            .count() as u64;
         let mut bridge = ConstBridge::zeros();
         for &chan in &t.env_outputs {
             let spec = &t.libdn.outputs[chan].channel;
@@ -442,16 +465,16 @@ fn des_alloc_guard() -> Result<(), String> {
     let allowance = (packed_per_cycle + env_per_cycle) * CYCLES + report;
     println!(
         "alloc guard: {:.2} heap allocations per target cycle over {CYCLES} DES cycles of the \
-         noc6 cut ({packed_per_cycle} tokens packed + {env_per_cycle} on env channels per cycle; \
-         {delta} total, allowance {allowance})",
+         noc6 cut ({packed_per_cycle} tokens > 64 bits packed + {env_per_cycle} on env channels \
+         per cycle; {delta} total, allowance {allowance})",
         delta as f64 / CYCLES as f64
     );
     if delta > allowance {
         return Err(format!(
             "partitioned noc6 allocated {delta} times over {CYCLES} steady-state target cycles, \
-             above one per token packed ({packed_per_cycle}/cycle) plus the bridge interface's \
-             own ({env_per_cycle}/cycle): the host step, the extern ABI or the queues are back \
-             on the heap"
+             above one per token wider than 64 bits packed ({packed_per_cycle}/cycle) plus the \
+             bridge interface's own ({env_per_cycle}/cycle): narrow tokens, the host step, the \
+             extern ABI or the queues are back on the heap"
         ));
     }
     Ok(())
@@ -628,7 +651,7 @@ fn bench_soc24() -> WorkloadResult {
             lanes: LANES,
             lane_cps,
             lanes_match,
-            min_gain: Some(10.0),
+            min_gain: Some(7.0),
             coverage: si.coverage(),
         }),
     }
