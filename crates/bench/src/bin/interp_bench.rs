@@ -30,19 +30,29 @@
 //!    run's metrics snapshot: nothing from narrow tokens, the LI-BDN's
 //!    host step, the extern-model ABI, `push_input`, or draining an idle
 //!    channel. And exact-mode partitioning of RocketLite (the core on
-//!    its own partition) must stay within 9× the monolithic host time
+//!    its own partition) must stay within 12.5× the monolithic host time
 //!    per target cycle.
 //! 5. **Sliced batch floors** — aggregate 64-lane throughput over one
-//!    compiled run: ≥ 10× on `noc_ring_4`, ≥ 7× on `soc24_fig6`. The
-//!    floors are ratios against the compiled engine, so they moved down
-//!    when the compiled engine itself got faster (inline one-word `Bits`
-//!    and the value-arena tape) while the sliced lane rate stayed where
-//!    it was: on a 2-core box, two alternated runs per tree, sliced
-//!    `noc_ring_4` read 8.3–9.2 M lane-c/s before and 8.0–9.1 M after,
-//!    its compiled denominator 334–456 k → 642–645 k c/s, and its gain
-//!    20.2–25.0× → 12.5–14.0×; `soc24_fig6` 11.0–12.7× → 10.2–12.1×
-//!    (single runs down to 9.6×). The old 20× floor had no headroom even
-//!    before that.
+//!    compiled run: ≥ 4.5× on `noc_ring_4`, ≥ 3.5× on `soc24_fig6`.
+//!
+//! The floors and the RocketLite limit are ratios against the compiled
+//! engine, so they move when that engine gets faster while the other
+//! side stays where it was. Inline one-word `Bits` and the value-arena
+//! tape moved the floors from 20×/10× to 10×/7× (two alternated runs per
+//! tree on a 2-core box: sliced `noc_ring_4` 8.3–9.2 M lane-c/s before,
+//! 8.0–9.1 M after; gain 20.2–25.0× → 12.5–14.0×; `soc24_fig6`
+//! 11.0–12.7× → 10.2–12.1×, single runs down to 9.6×). Folding
+//! port-connection copies into their source's write moved them again,
+//! with the limit from 9×, over 14 alternated runs per tree on a noisy
+//! 2-core box: the other sides did not slow down — sliced `noc_ring_4`
+//! 4.3–7.9 M → 4.1–7.9 M lane-c/s (medians 5.54 → 5.51 M), sliced
+//! `soc24_fig6` 0.63–1.22 M → 0.72–1.21 M, the DES cut 2.0–4.4 →
+//! 2.0–3.9 µs per target cycle — while the compiled denominators rose
+//! (`noc_ring_4` medians 413 k → 643 k c/s). The gains read 11.2–26.0× →
+//! 5.9–11.1× and 9.1–18.4× → 5.3–10.6×, the cut ratio 6.1–7.7× →
+//! 6.0–10.3×. Each bound keeps the previous re-basing's headroom from
+//! the worst reading: 0.8 × 5.9 for `noc_ring_4`, 0.73 × 5.3 for
+//! `soc24_fig6`, 1.2 × 10.3 for the cut.
 //!
 //! The observability gate is noise-dominated at this size (single
 //! attempts in one session read anywhere from 95 % to above 100 %),
@@ -52,7 +62,7 @@
 //! EXPERIMENTS.md. Throughput numbers are machine-dependent; the two
 //! invariants are not.
 
-use fireaxe::ir::{Bits, ExecEngine, Interpreter, SliceCoverage, SlicedInterpreter};
+use fireaxe::ir::{Bits, ExecEngine, Interpreter, SliceCoverage, SlicedInterpreter, TapeShape};
 use fireaxe::obs::{obs_counter, obs_span, trace};
 use fireaxe::prelude::*;
 use fireaxe::soc::noc::{ring_noc_circuit, NocConfig};
@@ -107,6 +117,8 @@ struct WorkloadResult {
     compiled_cps: f64,
     reference_cps: f64,
     probes_match: bool,
+    /// The compiled engine's tape: what its row's rate pays for.
+    shape: TapeShape,
     sliced: Option<SlicedResult>,
 }
 
@@ -272,11 +284,14 @@ fn bench_noc_ring() -> WorkloadResult {
         compiled_cps: out[0],
         reference_cps: out[1],
         probes_match: probes[0] == probes[1],
+        shape: Interpreter::with_engine(&circuit, ExecEngine::Compiled)
+            .unwrap()
+            .tape_shape(),
         sliced: Some(SlicedResult {
             lanes: LANES,
             lane_cps,
             lanes_match,
-            min_gain: Some(10.0),
+            min_gain: Some(4.5),
             coverage: si.coverage(),
         }),
     }
@@ -486,7 +501,7 @@ fn des_alloc_guard() -> Result<(), String> {
 /// three each — both sides measured in this process, so the ratio gates.
 fn rocket_cut_gate() -> Result<(), String> {
     use fireaxe::validation::{partitioned_cycles_to_done, ValidationTarget};
-    const MAX_RATIO: f64 = 9.0;
+    const MAX_RATIO: f64 = 12.5;
     let (iterations, mem_latency) = (30, 8);
     let circuit = fireaxe::soc::validation::rocket_soc(iterations, mem_latency);
     let target = ValidationTarget::Rocket { iterations };
@@ -514,12 +529,12 @@ fn rocket_cut_gate() -> Result<(), String> {
     let ratio = cut / mono;
     println!(
         "partition gate: RocketLite to done in {mono_cycles} cycles, monolithic {mono:.0} ns/cycle, \
-         core on its own partition (exact, DES) {cut:.0} ns/cycle = {ratio:.1}x (limit {MAX_RATIO:.0}x)"
+         core on its own partition (exact, DES) {cut:.0} ns/cycle = {ratio:.1}x (limit {MAX_RATIO:.1}x)"
     );
     if ratio > MAX_RATIO {
         return Err(format!(
             "exact-mode partitioning of RocketLite costs {ratio:.1}x the monolithic host time \
-             per target cycle (limit {MAX_RATIO:.0}x)"
+             per target cycle (limit {MAX_RATIO:.1}x)"
         ));
     }
     Ok(())
@@ -647,11 +662,12 @@ fn bench_soc24() -> WorkloadResult {
         compiled_cps: out[0],
         reference_cps: out[1],
         probes_match: probes[0] == probes[1],
+        shape: gold.tape_shape(),
         sliced: Some(SlicedResult {
             lanes: LANES,
             lane_cps,
             lanes_match,
-            min_gain: Some(7.0),
+            min_gain: Some(3.5),
             coverage: si.coverage(),
         }),
     }
@@ -713,6 +729,7 @@ fn bench_sha3() -> WorkloadResult {
         compiled_cps: out[0],
         reference_cps: out[1],
         probes_match: probes[0] == probes[1],
+        shape: gold.tape_shape(),
         sliced: Some(SlicedResult {
             lanes: LANES,
             lane_cps,
@@ -787,6 +804,7 @@ fn main() -> ExitCode {
                 "NO"
             }
         );
+        println!("{:<12} tape {}", "", r.shape);
         if let Some(sl) = &r.sliced {
             println!("{:<12} sliced {}", "", sl.coverage);
         }
@@ -796,7 +814,7 @@ fn main() -> ExitCode {
         if let Some(min) = r.sliced.as_ref().and_then(|sl| sl.min_gain) {
             if r.sliced_gain() < min {
                 eprintln!(
-                    "FAIL: {} sliced gain {:.1}x below the {min:.0}x floor",
+                    "FAIL: {} sliced gain {:.1}x below the {min:.1}x floor",
                     r.name,
                     r.sliced_gain()
                 );

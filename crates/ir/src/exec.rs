@@ -5,7 +5,7 @@
 //! topological (levelized) order so a settle pass is a single linear sweep
 //! with no recursion and no per-node heap traffic.
 //!
-//! Four ideas carry the speedup:
+//! Five ideas carry the speedup:
 //!
 //! * **A value arena** — every slot of at most 64 bits whose width never
 //!   varies at run time has a `u64` in one dense arena, laid out as
@@ -17,6 +17,10 @@
 //!   — falls back to the tree-walking `CExpr` evaluator for that one
 //!   definition, preserving exact reference semantics including its
 //!   documented panics.
+//! * **Folded copies** — a resize to a value's own width emits nothing,
+//!   so a port connection `y <= x` lowers to no instruction; chains of
+//!   such copies leave the program list and are written in one go when
+//!   the slot heading them changes (see `Folds`).
 //! * **Write-through** — the canonical [`Bits`] slots stay the
 //!   interpreter's state. A narrow program stores into its slot
 //!   ([`Bits::set_from_u64`], in place, no allocation) only when its
@@ -318,8 +322,13 @@ fn run(ops: &[FOp], v: &mut [u64]) {
     }
 }
 
+/// Marks a program, latch or root whose slot heads no folded copies.
+const NO_HEAD: u32 = u32::MAX;
+
 /// The compiled form of one scheduled definition. Narrow programs are the
 /// instruction range `ops[start..end]`, whose result is `vals[out]`.
+/// `head` names the fold head ([`Folds`]) of the written slot, or is
+/// [`NO_HEAD`].
 #[derive(Debug, Clone, Copy)]
 enum Program {
     /// Word-packed expression: store `vals[out]` into `slot`.
@@ -328,6 +337,7 @@ enum Program {
         end: u32,
         out: u32,
         slot: u32,
+        head: u32,
     },
     /// Word-packed memory read: the range computes the address
     /// `vals[addr]`; store entry `addr` of memory `mem` into `slot`.
@@ -337,9 +347,10 @@ enum Program {
         addr: u32,
         mem: u32,
         slot: u32,
+        head: u32,
     },
     /// Fall back to the tree-walking evaluator for definition `di`.
-    Tree { di: u32 },
+    Tree { di: u32, head: u32 },
     /// Extern combinational model call for definition `di` (always run).
     Extern { di: u32 },
 }
@@ -355,9 +366,10 @@ enum Latch {
         end: u32,
         out: u32,
         slot: u32,
+        head: u32,
     },
     /// Tree-walk `regs[ri].next` like the reference engine.
-    RegTree { ri: u32 },
+    RegTree { ri: u32, head: u32 },
     /// Word-packed write port of a memory at most 64 bits wide: enable,
     /// address and data are `vals[en]`, `vals[addr]`, `vals[data]`;
     /// `dmask` truncates the data to the memory width.
@@ -410,6 +422,109 @@ impl Csr {
     }
 }
 
+/// Port-connection copies folded out of the program list.
+///
+/// A *folded copy* is a definition `y <= x` that lowered to no
+/// instruction: `y` is a narrow, width-exact slot of `x`'s width with one
+/// unforced writer. Following `x` up through other folded copies ends at
+/// the chain's *head*: a slot no definition writes (top input, register,
+/// extern source output, undriven) or the output of one unforced
+/// `Narrow`, `NarrowMem` or `Tree` program. After every settle each
+/// folded copy holds its head's value, so a head that changes writes its
+/// whole subtree at once and a head that did not leaves it alone.
+#[derive(Debug)]
+struct Folds {
+    /// Per head: its slot. Heads `0..outer` change outside the sweep
+    /// (roots, registers); the rest are program outputs.
+    slot: Vec<u32>,
+    outer: usize,
+    /// Per head: how many of its copies read the head itself.
+    direct: Vec<u32>,
+    /// Row `h`: head `h`'s copies in schedule order, so every copy comes
+    /// after the one it reads.
+    members: Csr,
+    /// Schedule position of each entry of `members.idx`.
+    pos: Vec<u32>,
+}
+
+impl Folds {
+    /// Whether head `h` moved away from its copies since they were last
+    /// written.
+    #[inline]
+    fn changed(&self, h: usize, vals: &[u64]) -> bool {
+        let first = self.members.idx[self.members.off[h] as usize];
+        vals[self.slot[h] as usize] != vals[first as usize]
+    }
+
+    /// Writes head `h`'s value into each of its copies scheduled before
+    /// `limit` and marks their readers; returns how many it wrote.
+    #[inline]
+    fn write(
+        &self,
+        h: usize,
+        limit: u32,
+        vals: &mut [u64],
+        slots: &mut [Bits],
+        fanout: &Csr,
+        dirty: &mut [bool],
+    ) -> u64 {
+        let (lo, mut hi) = (
+            self.members.off[h] as usize,
+            self.members.off[h + 1] as usize,
+        );
+        if limit != u32::MAX {
+            hi = lo + self.pos[lo..hi].partition_point(|&p| p < limit);
+        }
+        let v = vals[self.slot[h] as usize];
+        for &y in &self.members.idx[lo..hi] {
+            vals[y as usize] = v;
+            slots[y as usize].set_from_u64(v);
+            fanout.mark(y as usize, dirty);
+        }
+        (hi - lo) as u64
+    }
+}
+
+/// Outer fold heads that changed since the last settle, each listed once.
+#[derive(Debug)]
+struct Deferred {
+    heads: Vec<u32>,
+    queued: Vec<bool>,
+}
+
+impl Deferred {
+    #[inline]
+    fn push(&mut self, h: u32) {
+        if h != NO_HEAD && !self.queued[h as usize] {
+            self.queued[h as usize] = true;
+            self.heads.push(h);
+        }
+    }
+}
+
+/// The size of a compiled tape, from [`Interpreter::tape_shape`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TapeShape {
+    /// Programs the settle sweep visits.
+    pub programs: usize,
+    /// Port-connection copies folded into their head's write.
+    pub folded_copies: usize,
+    /// Word-packed instructions of every program and latch.
+    pub instructions: usize,
+    /// Register updates and memory write ports.
+    pub latches: usize,
+}
+
+impl std::fmt::Display for TapeShape {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} programs + {} folded copies, {} instructions, {} latches",
+            self.programs, self.folded_copies, self.instructions, self.latches
+        )
+    }
+}
+
 /// The compiled execution state attached to an [`Interpreter`].
 ///
 /// Everything in here is derived from the interpreter's architectural
@@ -436,12 +551,19 @@ pub(crate) struct Tape {
     fanout: Csr,
     /// memory → tape positions reading it.
     mem_users: Csr,
-    /// Non-register roots held in the arena, which is their shadow.
-    roots: Vec<u32>,
+    /// Schedule position and extern of every extern program.
+    extern_at: Vec<(u32, u32)>,
+    folds: Folds,
+    /// Outer heads whose copies the next settle brings up to date.
+    deferred: Deferred,
+    /// Non-register roots held in the arena, which is their shadow, each
+    /// with its fold head.
+    roots: Vec<(u32, u32)>,
     /// Non-register roots outside the arena, each with a shadow.
     wide_roots: Vec<(u32, Bits)>,
-    pending_narrow: Vec<(u32, u64)>,
-    pending_wide: Vec<(u32, Bits)>,
+    /// Register commits awaiting the end of the latch: slot, value, head.
+    pending_narrow: Vec<(u32, u64, u32)>,
+    pending_wide: Vec<(u32, Bits, u32)>,
     pending_mems: Vec<(u32, u32, PendVal)>,
     /// Reload the arena, run everything next pass, refresh all shadows.
     pub(crate) force_all: bool,
@@ -639,7 +761,11 @@ impl NCompiler<'_> {
                 if wn > 64 {
                     return None;
                 }
-                let (a, _) = self.go(a)?;
+                let (a, wa) = self.go(a)?;
+                if wa == wn {
+                    // Arena values are already masked to their width.
+                    return Some((a, wn));
+                }
                 Some((
                     self.push(|dst| FOp::Resize {
                         a,
@@ -756,8 +882,9 @@ impl Tape {
         };
         let mut programs = Vec::with_capacity(n_pos);
         let mut always_dirty = vec![false; n_pos];
-        let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); n_slots];
-        let mut mem_users: Vec<Vec<u32>> = vec![Vec::new(); interp.mems.len()];
+        let mut extern_at = Vec::new();
+        // Slots an extern model writes (sink outputs): never fold heads.
+        let mut by_extern = vec![false; n_slots];
 
         for (pos, &di) in interp.schedule.iter().enumerate() {
             let def = &interp.defs[di];
@@ -766,9 +893,13 @@ impl Tape {
                 .iter()
                 .any(|&w| writer_count[w] > 1 || ext_written[w]);
             let program = match &def.kind {
-                DefKind::ExternComb { .. } => {
+                DefKind::ExternComb { ext } => {
                     // Models may be stateful: never skip.
                     always_dirty[pos] = true;
+                    extern_at.push((pos as u32, *ext as u32));
+                    for &w in &def.writes {
+                        by_extern[w] = true;
+                    }
                     Program::Extern { di: di as u32 }
                 }
                 DefKind::Expr(e) => {
@@ -784,15 +915,18 @@ impl Tape {
                             end,
                             out,
                             slot: slot as u32,
+                            head: NO_HEAD,
                         },
                         None => {
                             always_dirty[pos] |= forced;
-                            Program::Tree { di: di as u32 }
+                            Program::Tree {
+                                di: di as u32,
+                                head: NO_HEAD,
+                            }
                         }
                     }
                 }
                 DefKind::MemRead { mem, addr } => {
-                    mem_users[*mem].push(pos as u32);
                     let slot = def.writes[0];
                     let fits = !forced && narrow[slot] && interp.mems[*mem].width.get() <= 64;
                     match fits.then(|| nc.program(|nc| nc.go(addr))).flatten() {
@@ -802,21 +936,104 @@ impl Tape {
                             addr,
                             mem: *mem as u32,
                             slot: slot as u32,
+                            head: NO_HEAD,
                         },
                         None => {
                             always_dirty[pos] |= forced;
-                            Program::Tree { di: di as u32 }
+                            Program::Tree {
+                                di: di as u32,
+                                head: NO_HEAD,
+                            }
                         }
                     }
                 }
             };
+            programs.push(program);
+        }
+
+        // Fold copies into their heads. A copy's source can head it when
+        // nothing writes the source, or one unforced non-extern program
+        // does (a folded copy included). `top[y]` is the head of folded
+        // copy `y`; schedule order puts every source before its copies.
+        let can_head = |x: usize| {
+            writer_count[x] == 0 || (writer_count[x] == 1 && !ext_written[x] && !by_extern[x])
+        };
+        let mut top = vec![NO_HEAD; n_slots];
+        let mut folded = vec![false; n_pos];
+        for (pos, p) in programs.iter().enumerate() {
+            if let Program::Narrow {
+                start,
+                end,
+                out,
+                slot,
+                ..
+            } = *p
+            {
+                let x = out as usize;
+                if start == end && x < n_slots && can_head(x) {
+                    folded[pos] = true;
+                    top[slot as usize] = if top[x] == NO_HEAD { out } else { top[x] };
+                }
+            }
+        }
+        // Heads written outside the sweep take the low ids.
+        let mut head_slots: Vec<u32> = (0..n_pos)
+            .filter(|&p| folded[p])
+            .map(|p| top[interp.defs[interp.schedule[p]].writes[0]])
+            .collect();
+        head_slots.sort_unstable_by_key(|&s| (writer_count[s as usize] != 0, s));
+        head_slots.dedup();
+        let outer = head_slots
+            .iter()
+            .take_while(|&&s| writer_count[s as usize] == 0)
+            .count();
+        let mut head_id = vec![NO_HEAD; n_slots];
+        for (h, &s) in head_slots.iter().enumerate() {
+            head_id[s as usize] = h as u32;
+        }
+        let mut members: Vec<Vec<u32>> = vec![Vec::new(); head_slots.len()];
+        let mut member_pos: Vec<Vec<u32>> = vec![Vec::new(); head_slots.len()];
+        let mut direct = vec![0u32; head_slots.len()];
+
+        // Compact the folded copies out of the program list, give every
+        // program its head and number the fanout by the compacted list.
+        let mut kept = Vec::with_capacity(n_pos);
+        let mut kept_always = Vec::with_capacity(n_pos);
+        let mut fanout: Vec<Vec<u32>> = vec![Vec::new(); n_slots];
+        let mut mem_users: Vec<Vec<u32>> = vec![Vec::new(); interp.mems.len()];
+        for (pos, &di) in interp.schedule.iter().enumerate() {
+            let def = &interp.defs[di];
+            let mut program = programs[pos];
+            if folded[pos] {
+                let (y, x) = match program {
+                    Program::Narrow { slot, out, .. } => (slot as usize, out),
+                    _ => unreachable!("only narrow programs fold"),
+                };
+                let h = head_id[top[y] as usize] as usize;
+                members[h].push(y as u32);
+                member_pos[h].push(pos as u32);
+                direct[h] += u32::from(x == top[y]);
+                continue;
+            }
+            let at = kept.len() as u32;
+            match &mut program {
+                Program::Narrow { slot, head, .. } | Program::NarrowMem { slot, head, .. } => {
+                    *head = head_id[*slot as usize];
+                }
+                Program::Tree { head, .. } => *head = head_id[def.writes[0]],
+                Program::Extern { .. } => {}
+            }
+            if let DefKind::MemRead { mem, .. } = &def.kind {
+                mem_users[*mem].push(at);
+            }
             let mut reads = def.reads.clone();
             reads.sort_unstable();
             reads.dedup();
             for r in reads {
-                fanout[r].push(pos as u32);
+                fanout[r].push(at);
             }
-            programs.push(program);
+            kept.push(program);
+            kept_always.push(always_dirty[pos]);
         }
 
         // Roots: slots with no writer definition plus every externally
@@ -827,7 +1044,7 @@ impl Tape {
         for (s, b) in interp.slots.iter().enumerate() {
             if (writer_count[s] == 0 || ext_written[s]) && !is_reg[s] {
                 if narrow[s] {
-                    roots.push(s as u32);
+                    roots.push((s as u32, head_id[s]));
                 } else {
                     wide_roots.push((s as u32, b.clone()));
                 }
@@ -838,16 +1055,22 @@ impl Tape {
         for (ri, r) in interp.regs.iter().enumerate() {
             let Some(next) = &r.next else { continue };
             let w = slot_widths[r.slot];
+            let head = head_id[r.slot];
             let compiled = narrow[r.slot]
                 .then(|| {
                     nc.program(|nc| {
-                        let (a, _) = nc.go(next)?;
-                        // Mirror the reference engine's final `.resize(w)`.
-                        Some(nc.push(|dst| FOp::Resize {
-                            a,
-                            mask: mask(w),
-                            dst,
-                        }))
+                        let (a, wa) = nc.go(next)?;
+                        // Mirror the reference engine's final `.resize(w)`,
+                        // which is the identity at the value's own width.
+                        Some(if wa == w {
+                            a
+                        } else {
+                            nc.push(|dst| FOp::Resize {
+                                a,
+                                mask: mask(w),
+                                dst,
+                            })
+                        })
                     })
                 })
                 .flatten();
@@ -857,8 +1080,12 @@ impl Tape {
                     end,
                     out,
                     slot: r.slot as u32,
+                    head,
                 },
-                None => Latch::RegTree { ri: ri as u32 },
+                None => Latch::RegTree {
+                    ri: ri as u32,
+                    head,
+                },
             });
         }
         for (mi, m) in interp.mems.iter().enumerate() {
@@ -895,15 +1122,28 @@ impl Tape {
         let mut vals: Vec<u64> = interp.slots.iter().map(Bits::to_u64).collect();
         vals.extend(&pool);
         vals.resize(vals.len() + nc.max_tmp as usize, 0);
+        let n_heads = head_slots.len();
         Tape {
             ops: nc.ops,
-            programs,
+            dirty: vec![false; kept.len()],
+            programs: kept,
             latches,
             vals,
-            dirty: vec![false; n_pos],
-            always_dirty,
+            always_dirty: kept_always,
             fanout: Csr::new(&fanout),
             mem_users: Csr::new(&mem_users),
+            extern_at,
+            folds: Folds {
+                slot: head_slots,
+                outer,
+                direct,
+                members: Csr::new(&members),
+                pos: member_pos.concat(),
+            },
+            deferred: Deferred {
+                heads: Vec::with_capacity(outer),
+                queued: vec![false; n_heads],
+            },
             roots,
             wide_roots,
             pending_narrow: Vec::new(),
@@ -929,7 +1169,8 @@ impl Tape {
     /// reference engine's schedule sweep.
     pub(crate) fn eval(&mut self, interp: &mut Interpreter) -> Result<()> {
         let slots = &mut interp.slots;
-        if self.force_all || !self.skip {
+        let all = self.force_all || !self.skip;
+        if all {
             self.reload(slots);
             self.dirty.fill(true);
             self.force_all = false;
@@ -941,15 +1182,20 @@ impl Tape {
             dirty,
             always_dirty,
             fanout,
+            extern_at,
+            folds,
+            deferred,
             roots,
             wide_roots,
+            force_all,
             ..
         } = self;
-        for &s in roots.iter() {
+        for &(s, h) in roots.iter() {
             let cur = slots[s as usize].to_u64();
             if cur != vals[s as usize] {
                 vals[s as usize] = cur;
                 fanout.mark(s as usize, dirty);
+                deferred.push(h);
             }
         }
         for (s, shadow) in wide_roots.iter_mut() {
@@ -960,24 +1206,52 @@ impl Tape {
             }
         }
 
+        // A pass that stops at an unbound extern leaves every copy
+        // scheduled after it as the reference sweep would: unwritten.
+        let limit = extern_at
+            .iter()
+            .find(|&&(_, e)| interp.externs[e as usize].model.is_none())
+            .map_or(u32::MAX, |&(pos, _)| pos);
+
+        // Copies of outer heads: all of them after an out-of-band change;
+        // otherwise those of heads that changed since the last settle,
+        // where every direct copy runs and the subtree is written only if
+        // the head moved.
         let mut defs_run: u64 = 0;
-        let mut defs_skipped: u64 = 0;
+        for &h in &deferred.heads {
+            let h = h as usize;
+            deferred.queued[h] = false;
+            if !all {
+                defs_run += if folds.changed(h, vals) {
+                    folds.write(h, limit, vals, slots, fanout, dirty)
+                } else {
+                    u64::from(folds.direct[h])
+                };
+            }
+        }
+        deferred.heads.clear();
+        if all {
+            for h in 0..folds.outer {
+                defs_run += folds.write(h, limit, vals, slots, fanout, dirty);
+            }
+        }
+
         for pos in 0..programs.len() {
             if !dirty[pos] {
-                defs_skipped += 1;
                 continue;
             }
             defs_run += 1;
             dirty[pos] = always_dirty[pos];
-            let (s, v) = match programs[pos] {
+            let (s, v, head) = match programs[pos] {
                 Program::Narrow {
                     start,
                     end,
                     out,
                     slot,
+                    head,
                 } => {
                     run(&ops[start as usize..end as usize], vals);
-                    (slot as usize, vals[out as usize])
+                    (slot as usize, vals[out as usize], head)
                 }
                 Program::NarrowMem {
                     start,
@@ -985,6 +1259,7 @@ impl Tape {
                     addr,
                     mem,
                     slot,
+                    head,
                 } => {
                     run(&ops[start as usize..end as usize], vals);
                     let a = vals[addr as usize] as usize;
@@ -992,9 +1267,9 @@ impl Tape {
                         .data
                         .get(a)
                         .map_or(0, Bits::to_u64);
-                    (slot as usize, v)
+                    (slot as usize, v, head)
                 }
-                Program::Tree { di } => {
+                Program::Tree { di, head } => {
                     let def = &interp.defs[di as usize];
                     let v = match &def.kind {
                         DefKind::Expr(e) => e.eval(slots),
@@ -1011,10 +1286,14 @@ impl Tape {
                         }
                     };
                     let s = def.writes[0];
-                    if slots[s] != v {
+                    let changed = slots[s] != v;
+                    if changed {
                         vals[s] = v.to_u64();
                         slots[s] = v;
                         fanout.mark(s, dirty);
+                    }
+                    if (changed || all) && head != NO_HEAD {
+                        defs_run += folds.write(head as usize, limit, vals, slots, fanout, dirty);
                     }
                     continue;
                 }
@@ -1024,27 +1303,47 @@ impl Tape {
                         unreachable!("Program::Extern wraps an extern def")
                     };
                     let e = &mut interp.externs[*ext];
-                    run_extern_comb(slots, e, |s, changed| {
+                    let r = run_extern_comb(slots, e, |s, changed| {
                         if changed {
                             fanout.mark(s, dirty);
                         }
-                    })?;
+                    });
+                    if r.is_err() {
+                        // Copies past this point are stale: start over.
+                        *force_all = true;
+                        return r;
+                    }
                     for (_, s) in &e.sink_output_slots {
                         vals[*s] = slots[*s].to_u64();
                     }
                     continue;
                 }
             };
-            if vals[s] != v {
+            let changed = vals[s] != v;
+            if changed {
                 vals[s] = v;
                 slots[s].set_from_u64(v);
                 fanout.mark(s, dirty);
             }
+            if (changed || all) && head != NO_HEAD {
+                defs_run += folds.write(head as usize, limit, vals, slots, fanout, dirty);
+            }
         }
+        let positions = (programs.len() + folds.members.idx.len()) as u64;
         interp.stats.settle_passes += 1;
         interp.stats.defs_run += defs_run;
-        interp.stats.defs_skipped += defs_skipped;
+        interp.stats.defs_skipped += positions - defs_run;
         Ok(())
+    }
+
+    /// The tape's size: programs, folded copies, instructions, latches.
+    pub(crate) fn shape(&self) -> TapeShape {
+        TapeShape {
+            programs: self.programs.len(),
+            folded_copies: self.folds.members.idx.len(),
+            instructions: self.ops.len(),
+            latches: self.latches.len(),
+        }
     }
 
     /// Latches registers, applies memory writes, ticks extern models, and
@@ -1067,17 +1366,19 @@ impl Tape {
             dirty,
             fanout,
             mem_users,
+            deferred,
             roots,
             pending_narrow,
             pending_wide,
             pending_mems,
             ..
         } = self;
-        for &s in roots.iter() {
+        for &(s, h) in roots.iter() {
             let cur = slots[s as usize].to_u64();
             if cur != vals[s as usize] {
                 vals[s as usize] = cur;
                 fanout.mark(s as usize, dirty);
+                deferred.push(h);
             }
         }
 
@@ -1088,15 +1389,16 @@ impl Tape {
                     end,
                     out,
                     slot,
+                    head,
                 } => {
                     run(&ops[start as usize..end as usize], vals);
-                    pending_narrow.push((slot, vals[out as usize]));
+                    pending_narrow.push((slot, vals[out as usize], head));
                 }
-                Latch::RegTree { ri } => {
+                Latch::RegTree { ri, head } => {
                     let r = &interp.regs[ri as usize];
                     let e = r.next.as_ref().expect("RegTree has a next expression");
                     let w = slots[r.slot].width();
-                    pending_wide.push((r.slot as u32, e.eval(slots).resize(w)));
+                    pending_wide.push((r.slot as u32, e.eval(slots).resize(w), head));
                 }
                 Latch::MemWrite {
                     start,
@@ -1137,20 +1439,24 @@ impl Tape {
             }
         }
 
-        for (s, v) in pending_narrow.drain(..) {
+        // A committed register's copies keep the old value until the next
+        // settle, as on the reference engine.
+        for (s, v, h) in pending_narrow.drain(..) {
             let s = s as usize;
             if vals[s] != v {
                 vals[s] = v;
                 slots[s].set_from_u64(v);
                 fanout.mark(s, dirty);
+                deferred.push(h);
             }
         }
-        for (s, b) in pending_wide.drain(..) {
+        for (s, b, h) in pending_wide.drain(..) {
             let s = s as usize;
             if slots[s] != b {
                 vals[s] = b.to_u64();
                 slots[s] = b;
                 fanout.mark(s, dirty);
+                deferred.push(h);
             }
         }
         for (mi, a, v) in pending_mems.drain(..) {

@@ -472,8 +472,16 @@ pub struct Interpreter {
     pub(crate) externs: Vec<ExternInst>,
     pub(crate) top_inputs: Vec<(String, usize)>,
     pub(crate) top_outputs: Vec<(String, usize)>,
-    /// Per slot: is it a top-level input port (the only pokeable kind).
-    is_top_input: Vec<bool>,
+    /// Per slot: its index in `top_inputs` (inputs are the only pokeable
+    /// kind), or `None`.
+    input_index: Vec<Option<u32>>,
+    /// Per top input: the input poked right after it last time (at first
+    /// the next one declared). A harness that pokes the same ports in the
+    /// same order every cycle finds each one here without hashing its
+    /// name.
+    poke_next: Vec<u32>,
+    /// The top input poked last.
+    last_poke: usize,
     pub(crate) cycle: u64,
     engine: ExecEngine,
     tape: Option<crate::exec::Tape>,
@@ -519,7 +527,9 @@ impl Interpreter {
                 externs: Vec::new(),
                 top_inputs: Vec::new(),
                 top_outputs: Vec::new(),
-                is_top_input: Vec::new(),
+                input_index: Vec::new(),
+                poke_next: Vec::new(),
+                last_poke: 0,
                 cycle: 0,
                 engine,
                 tape: None,
@@ -530,17 +540,20 @@ impl Interpreter {
         b.elaborate("", &circuit.top)?;
         let mut interp = b.interp;
         let top = circuit.top_module();
-        interp.is_top_input = vec![false; interp.slots.len()];
+        interp.input_index = vec![None; interp.slots.len()];
         for p in &top.ports {
             let slot = interp.slot_names[&p.name];
             match p.direction {
                 Direction::Input => {
+                    interp.input_index[slot] = Some(interp.top_inputs.len() as u32);
                     interp.top_inputs.push((p.name.clone(), slot));
-                    interp.is_top_input[slot] = true;
                 }
                 Direction::Output => interp.top_outputs.push((p.name.clone(), slot)),
             }
         }
+        let n_inputs = interp.top_inputs.len();
+        interp.poke_next = (0..n_inputs).map(|k| ((k + 1) % n_inputs) as u32).collect();
+        interp.last_poke = n_inputs.saturating_sub(1);
         interp.schedule = schedule_defs(&interp.defs, interp.slots.len())?;
         interp.tape = Some(crate::exec::Tape::build(&interp));
         if engine == ExecEngine::Sliced {
@@ -680,22 +693,36 @@ impl Interpreter {
         Ok(())
     }
 
-    fn input_slot(&self, name: &str) -> usize {
-        self.input_handle(name)
-            .unwrap_or_else(|| panic!("no top input port `{name}`"))
+    /// [`Interpreter::try_input_slot`] for pokes that panic on a bad
+    /// name.
+    pub(crate) fn input_slot(&mut self, name: &str) -> usize {
+        self.try_input_slot(name)
+            .unwrap_or_else(|_| panic!("no top input port `{name}`"))
     }
 
-    /// [`Interpreter::input_slot`] as a typed error: distinguishes a path
-    /// that exists but is not drivable from one that resolves to nothing.
-    pub(crate) fn try_input_slot(&self, name: &str) -> Result<usize> {
-        self.input_handle(name).ok_or_else(|| {
-            let path = name.to_string();
-            if self.slot_names.contains_key(name) {
-                IrError::NotPokeable { path }
-            } else {
-                IrError::UnknownSignal { path }
+    /// Resolves the input port a poke names, trying the port that
+    /// followed the last one poked before the name index. Distinguishes a
+    /// path that exists but is not drivable from one that resolves to
+    /// nothing.
+    pub(crate) fn try_input_slot(&mut self, name: &str) -> Result<usize> {
+        let k = match self.poke_next.get(self.last_poke).map(|&k| k as usize) {
+            Some(k) if self.top_inputs[k].0 == name => k,
+            _ => {
+                let slot = self.input_handle(name).ok_or_else(|| {
+                    let path = name.to_string();
+                    if self.slot_names.contains_key(name) {
+                        IrError::NotPokeable { path }
+                    } else {
+                        IrError::UnknownSignal { path }
+                    }
+                })?;
+                let k = self.input_index[slot].expect("an input handle is a top input");
+                self.poke_next[self.last_poke] = k;
+                k as usize
             }
-        })
+        };
+        self.last_poke = k;
+        Ok(self.top_inputs[k].1)
     }
 
     /// Resolves top-level input port `name` to a handle for
@@ -705,7 +732,7 @@ impl Interpreter {
     /// resolve once and skip the name lookup.
     pub fn input_handle(&self, name: &str) -> Option<usize> {
         let slot = *self.slot_names.get(name)?;
-        self.is_top_input[slot].then_some(slot)
+        self.input_index[slot].map(|_| slot)
     }
 
     /// Resolves any signal path to a handle for
@@ -726,7 +753,7 @@ impl Interpreter {
     /// interpreter.
     pub fn poke_field(&mut self, handle: usize, token: &Bits, offset: u32, width: Width) {
         assert!(
-            self.is_top_input.get(handle) == Some(&true),
+            matches!(self.input_index.get(handle), Some(Some(_))),
             "handle {handle} is not a top input port"
         );
         let slot = &mut self.slots[handle];
@@ -776,6 +803,13 @@ impl Interpreter {
     /// settle-iteration and dirty-skip-rate time series.
     pub fn exec_stats(&self) -> crate::exec::ExecStats {
         self.stats
+    }
+
+    /// The compiled tape's size: programs the settle sweep visits,
+    /// port-connection copies folded into their source's write,
+    /// word-packed instructions and latches. Fixed at elaboration.
+    pub fn tape_shape(&self) -> crate::exec::TapeShape {
+        self.tape.as_ref().expect("compiled tape present").shape()
     }
 
     /// Reads one entry of a memory by hierarchical path (e.g.

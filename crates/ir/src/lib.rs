@@ -63,7 +63,7 @@ pub use ast::{
 pub use bits::{Bits, Width};
 pub use comb::{CombAnalysis, ModuleCombInfo};
 pub use error::{IrError, Result};
-pub use exec::{ExecEngine, ExecStats};
+pub use exec::{ExecEngine, ExecStats, TapeShape};
 pub use interp::{ExternBehavior, Interpreter, PortTable, PortWriter};
 pub use slice::{SliceCoverage, SlicedInterpreter};
 pub use state::{StateDec, StateEnc, StateItem};

@@ -1644,7 +1644,7 @@ impl SlicedInterpreter {
     /// Panics if the port does not exist or `lane` is out of range.
     pub fn poke(&mut self, lane: u32, name: &str, value: &Bits) {
         assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
-        let slot = self.input_slot(name);
+        let slot = self.base.input_slot(name);
         if self.tape.exact[slot] {
             scatter_bits(
                 &mut self.planes,
@@ -1716,7 +1716,7 @@ impl SlicedInterpreter {
             self.lanes as usize,
             "poke_lanes_u64 needs one value per lane"
         );
-        let slot = self.input_slot(name);
+        let slot = self.base.input_slot(name);
         if !self.tape.exact[slot] {
             for (lane, v) in values.iter().enumerate() {
                 self.poke_u64_at(lane as u32, slot, *v);
@@ -1744,15 +1744,6 @@ impl SlicedInterpreter {
                 self.planes[(base + j) as usize] = plane;
             }
         }
-    }
-
-    fn input_slot(&self, name: &str) -> usize {
-        self.base
-            .top_inputs
-            .iter()
-            .find(|(n, _)| n == name)
-            .unwrap_or_else(|| panic!("no top input port `{name}`"))
-            .1
     }
 
     /// Reads any signal on one lane by hierarchical path.

@@ -2,11 +2,14 @@
 //! to the tree-walking reference evaluator on randomized circuits.
 //!
 //! Each case generates a random netlist (mixed narrow/wide signals,
-//! registers, memories, optionally a stateful extern behavioral model),
+//! registers, memories, optionally a stateful extern behavioral model,
+//! optionally port-connection chains through pass-through instances),
 //! runs the same workload through both engines, and compares every
 //! elaborated signal after every settle, plus memory contents, port
 //! traces, snapshot/restore round-trips, mid-run engine switches, and
-//! dirty-skipping on/off.
+//! dirty-skipping on/off. Hand-built cases then pin each rule by which
+//! the compiled tape folds port-connection copies into their source's
+//! write.
 
 use fireaxe_ir::build::{ModuleBuilder, Sig};
 use fireaxe_ir::{
@@ -14,7 +17,7 @@ use fireaxe_ir::{
     Module, Port, PortWriter, ResourceHints, UnOp,
 };
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// splitmix64: deterministic per-seed stream for circuit + workload
 /// generation, independent of the proptest shim's own PRNG details.
@@ -97,13 +100,39 @@ fn rand_bits(rng: &mut Rng, w: u32) -> Bits {
     }
 }
 
+/// `b <= a` at width `w`: one port connection per level of hierarchy.
+fn pass_module(w: u32) -> Module {
+    let mut mb = ModuleBuilder::new(format!("Pass{w}"));
+    let a = mb.input("a", w);
+    let b = mb.output("b", w);
+    mb.connect_sig(&b, &a);
+    mb.finish()
+}
+
+/// Threads `src` through `depth` pass-through instances named
+/// `{name}0`, `{name}1`, …: every level adds two copies (into the
+/// instance, out of it).
+fn pass_chain(mb: &mut ModuleBuilder, name: &str, src: &Sig, w: u32, depth: u32) -> Sig {
+    let mut cur = src.clone();
+    for d in 0..depth {
+        let inst = format!("{name}{d}");
+        mb.inst(&inst, format!("Pass{w}"));
+        mb.connect_inst(&inst, "a", &cur);
+        cur = mb.inst_port(&inst, "b");
+    }
+    cur
+}
+
 struct GenCircuit {
     circuit: Circuit,
     input_widths: Vec<(String, u32)>,
     has_extern: bool,
 }
 
-fn gen_circuit(rng: &mut Rng) -> GenCircuit {
+/// A random netlist; with `hier`, some nodes are port-connection chains
+/// through pass-through instances (sometimes behind a node alias)
+/// instead. Without it the stream of draws is the flat generator's.
+fn gen_circuit(rng: &mut Rng, hier: bool) -> GenCircuit {
     let mut mb = ModuleBuilder::new("T");
     // pool of (signal, static width)
     let mut pool: Vec<(Sig, u32)> = Vec::new();
@@ -157,7 +186,19 @@ fn gen_circuit(rng: &mut Rng) -> GenCircuit {
     }
 
     let n_nodes = 8 + rng.below(18);
+    let mut pass_widths = BTreeSet::new();
     for k in 0..n_nodes {
+        if hier && rng.coin(3) {
+            let (src, w) = pool[rng.below(pool.len() as u64) as usize].clone();
+            let depth = 1 + rng.below(4) as u32;
+            let mut out = pass_chain(&mut mb, &format!("p{k}_"), &src, w, depth);
+            if rng.coin(2) {
+                out = mb.node(format!("n{k}"), &out);
+            }
+            pass_widths.insert(w);
+            pool.push((out, w));
+            continue;
+        }
         let (a, wa) = pool[rng.below(pool.len() as u64) as usize].clone();
         let (b, wb) = pool[rng.below(pool.len() as u64) as usize].clone();
         let (sig, w) = match rng.below(12) {
@@ -252,6 +293,7 @@ fn gen_circuit(rng: &mut Rng) -> GenCircuit {
     if has_extern {
         modules.push(xacc_module());
     }
+    modules.extend(pass_widths.into_iter().map(pass_module));
     GenCircuit {
         circuit: Circuit::from_modules("T", modules, "T"),
         input_widths,
@@ -288,8 +330,37 @@ fn compare_mems(seed: u64, at: &str, gold: &Interpreter, fast: &Interpreter) {
 }
 
 fn run_case(seed: u64) {
+    run_case_with(seed, false);
+}
+
+/// Every settle's totals must be the reference's: a pass either runs or
+/// skips each definition, folded copies included; with dirty skipping
+/// off all of them run.
+fn check_stats(seed: u64, at: &str, gold: &Interpreter, fast: &Interpreter, skipping: bool) {
+    let (g, f) = (gold.exec_stats(), fast.exec_stats());
+    assert_eq!(
+        g.settle_passes, f.settle_passes,
+        "settle passes at {at} (seed {seed})"
+    );
+    assert_eq!(
+        g.defs_run,
+        f.defs_run + f.defs_skipped,
+        "definitions per pass at {at} (seed {seed})"
+    );
+    if !skipping {
+        assert_eq!(
+            f.defs_skipped, 0,
+            "skipped with skipping off at {at} (seed {seed})"
+        );
+    }
+}
+
+/// With `hier`, port-connection chains join the netlist and every
+/// settle and latch is also checked by snapshot bytes and by
+/// [`check_stats`].
+fn run_case_with(seed: u64, hier: bool) {
     let mut rng = Rng(seed);
-    let g = gen_circuit(&mut rng);
+    let g = gen_circuit(&mut rng, hier);
     let mut gold = Interpreter::with_engine(&g.circuit, ExecEngine::Reference)
         .unwrap_or_else(|e| panic!("reference elaboration failed (seed {seed}): {e}"));
     let mut fast = Interpreter::with_engine(&g.circuit, ExecEngine::Compiled)
@@ -304,7 +375,8 @@ fn run_case(seed: u64) {
         gold.reset();
         fast.reset();
     }
-    if rng.coin(4) {
+    let skipping = !rng.coin(4);
+    if !skipping {
         fast.set_dirty_skipping(false);
     }
     let paths = gold.signal_paths();
@@ -340,6 +412,15 @@ fn run_case(seed: u64) {
             fast.eval().unwrap();
         }
         compare_all(seed, &format!("cycle {c}"), &paths, &gold, &fast);
+        if hier {
+            let at = format!("cycle {c}");
+            assert_eq!(
+                gold.snapshot_bytes(),
+                fast.snapshot_bytes(),
+                "{at} (seed {seed})"
+            );
+            check_stats(seed, &at, &gold, &fast, skipping);
+        }
         if c == mid {
             snap_fast = fast.snapshot_bytes();
             assert_eq!(snap_fast, gold.snapshot_bytes(), "seed {seed}");
@@ -352,6 +433,15 @@ fn run_case(seed: u64) {
         }
         gold.tick();
         fast.tick();
+        if hier {
+            let at = format!("cycle {c}, latched");
+            compare_all(seed, &at, &paths, &gold, &fast);
+            assert_eq!(
+                gold.snapshot_bytes(),
+                fast.snapshot_bytes(),
+                "{at} (seed {seed})"
+            );
+        }
     }
     gold.eval().unwrap();
     fast.eval().unwrap();
@@ -383,6 +473,25 @@ proptest! {
     fn compiled_engine_matches_reference(seed in any::<u64>()) {
         run_case(seed);
     }
+
+    #[test]
+    fn folded_copy_chains_match_reference(seed in any::<u64>()) {
+        run_case_with(seed, true);
+    }
+}
+
+/// The hierarchical generator must actually exercise the fold: most of
+/// its netlists compile with folded copies.
+#[test]
+fn generated_chains_fold() {
+    let folded = (0..100u64)
+        .filter(|&seed| {
+            let g = gen_circuit(&mut Rng(seed), true);
+            let sim = Interpreter::with_engine(&g.circuit, ExecEngine::Compiled).unwrap();
+            sim.tape_shape().folded_copies > 0
+        })
+        .count();
+    assert!(folded >= 90, "only {folded} of 100 netlists fold a copy");
 }
 
 /// A mux whose arms have different widths has a *dynamic* runtime width
@@ -541,16 +650,28 @@ struct Lockstep {
     gold: Interpreter,
     fast: Interpreter,
     paths: Vec<String>,
+    inputs: Vec<(&'static str, u32)>,
     rng: Rng,
 }
 
 impl Lockstep {
     fn new(seed: u64) -> Self {
-        let circuit = coherence_circuit();
+        Self::over(
+            &coherence_circuit(),
+            &[("i", 8), ("w", 100), ("en", 1)],
+            seed,
+        )
+    }
+
+    /// Both engines over `circuit`, every extern instance bound to an
+    /// [`XorAcc`]; [`Lockstep::poke`] drives `inputs`.
+    fn over(circuit: &Circuit, inputs: &[(&'static str, u32)], seed: u64) -> Self {
         let [gold, fast] = [ExecEngine::Reference, ExecEngine::Compiled].map(|engine| {
-            let mut sim = Interpreter::with_engine(&circuit, engine).unwrap();
-            sim.bind_behavior("xa", Box::new(XorAcc::default()))
-                .unwrap();
+            let mut sim = Interpreter::with_engine(circuit, engine).unwrap();
+            for (path, _, _) in sim.extern_instances() {
+                sim.bind_behavior(&path, Box::new(XorAcc::default()))
+                    .unwrap();
+            }
             sim.reset();
             sim
         });
@@ -559,6 +680,7 @@ impl Lockstep {
             gold,
             fast,
             paths,
+            inputs: inputs.to_vec(),
             rng: Rng(seed),
         }
     }
@@ -571,7 +693,7 @@ impl Lockstep {
     /// Pokes fresh values into some inputs (each is left alone one time
     /// in three, so unchanged roots are exercised too).
     fn poke(&mut self) {
-        for (name, w) in [("i", 8), ("w", 100), ("en", 1)] {
+        for (name, w) in self.inputs.clone() {
             if !self.rng.coin(3) {
                 let v = rand_bits(&mut self.rng, w);
                 self.both(|sim| sim.poke(name, v.clone()));
@@ -590,6 +712,19 @@ impl Lockstep {
     fn check(&self, at: &str) {
         compare_all(0, at, &self.paths, &self.gold, &self.fast);
         compare_mems(0, at, &self.gold, &self.fast);
+    }
+
+    /// [`Lockstep::check`], the state blobs and the settle totals.
+    fn check_blob(&self, at: &str) {
+        self.check(at);
+        let blob = self.fast.snapshot_bytes();
+        assert!(blob.is_some(), "{at}: no blob");
+        assert_eq!(
+            self.gold.snapshot_bytes(),
+            blob,
+            "state blob diverged at {at}"
+        );
+        check_stats(0, at, &self.gold, &self.fast, true);
     }
 
     /// One target cycle: poke, settle, compare, poke again before the
@@ -718,4 +853,207 @@ fn engine_switch_round_trip_matches_reference() {
         ls.cycle(&format!("cycle {c}"));
     }
     assert_eq!(ls.fast.engine(), ExecEngine::Compiled);
+}
+
+/// Port-connection chains through two levels of pass-through instances
+/// behind every kind of fold head: a register (`r`, whose next value
+/// `r ^ i` returns it to where it was after two latches with the same
+/// `i`), a top input (`i`, also latched through its copy by `s`), a
+/// computing node (`n`), and an extern's source output (`xa.s`).
+fn fold_circuit() -> Circuit {
+    let mut mb = ModuleBuilder::new("F");
+    let i = mb.input("i", 8);
+    let j = mb.input("j", 8);
+    let r = mb.reg("r", 8, 3);
+    mb.connect_sig(&r, &r.xor(&i));
+    let rc = pass_chain(&mut mb, "pr", &r, 8, 2);
+    let ic = pass_chain(&mut mb, "pi", &i, 8, 2);
+    let n = mb.node("n", &rc.add(&j));
+    let nc = pass_chain(&mut mb, "pn", &n, 8, 2);
+    let s = mb.reg("s", 8, 0);
+    mb.connect_sig(&s, &ic);
+    mb.inst("xa", "XAcc");
+    mb.connect_inst("xa", "x", &i.resize(16));
+    let (s_out, y_out) = (mb.inst_port("xa", "s"), mb.inst_port("xa", "y"));
+    let xs = pass_chain(&mut mb, "px", &s_out, 16, 2);
+    let xy = mb.node("xy", &y_out.bits(7, 0));
+    for (name, width, sig) in [
+        ("o1", 8, &rc),
+        ("o2", 8, &ic),
+        ("o3", 8, &nc),
+        ("o4", 8, &s),
+        ("o5", 16, &xs),
+        ("o6", 8, &xy),
+    ] {
+        let o = mb.output(name, width);
+        mb.connect_sig(&o, sig);
+    }
+    let modules = vec![mb.finish(), xacc_module(), pass_module(8), pass_module(16)];
+    Circuit::from_modules("F", modules, "F")
+}
+
+const FOLD_INPUTS: &[(&str, u32)] = &[("i", 8), ("j", 8)];
+
+#[test]
+fn fold_circuit_folds_every_chain() {
+    let sim = Interpreter::with_engine(&fold_circuit(), ExecEngine::Compiled).unwrap();
+    let shape = sim.tape_shape();
+    // Four chains of two instances (four copies each) plus the four
+    // outputs that copy a chain's end or a register.
+    assert!(shape.folded_copies >= 16, "{shape}");
+}
+
+/// A register's copies keep its old value from the latch to the next
+/// settle: a peek in between reads them as the reference leaves them.
+#[test]
+fn register_copy_peeked_between_tick_and_eval() {
+    let mut ls = Lockstep::over(&fold_circuit(), FOLD_INPUTS, 11);
+    for c in 0..100 {
+        ls.poke();
+        ls.eval();
+        ls.check_blob(&format!("cycle {c}, settled"));
+        ls.tick();
+        ls.check_blob(&format!("cycle {c}, latched"));
+        assert_eq!(ls.gold.peek("pr1.b"), ls.fast.peek("pr1.b"), "cycle {c}");
+    }
+}
+
+/// An input poked between a settle and its latch: the latch reading
+/// the input's copy sees the copy's settled value, and the copies follow
+/// the input only at the next settle.
+#[test]
+fn input_copy_poked_between_eval_and_tick() {
+    let mut ls = Lockstep::over(&fold_circuit(), FOLD_INPUTS, 12);
+    for c in 0..100 {
+        ls.poke();
+        ls.eval();
+        ls.check_blob(&format!("cycle {c}, settled"));
+        let v = ls.rng.below(256);
+        ls.both(|sim| sim.poke_u64("i", v).unwrap());
+        ls.check_blob(&format!("cycle {c}, poked"));
+        ls.tick();
+        ls.check_blob(&format!("cycle {c}, latched"));
+    }
+}
+
+/// Two latches with no settle between them, the register coming back
+/// to its old value: its copies did not change, and the counts say so
+/// as the dirty set without folding counted them (frozen from it).
+#[test]
+fn register_returns_across_two_ticks() {
+    let mut ls = Lockstep::over(&fold_circuit(), FOLD_INPUTS, 13);
+    for c in 0..20 {
+        ls.poke();
+        ls.eval();
+        ls.check_blob(&format!("cycle {c}, settled"));
+        if c % 3 == 0 {
+            ls.tick();
+            ls.check_blob(&format!("cycle {c}, first latch"));
+        }
+        ls.tick();
+        ls.check_blob(&format!("cycle {c}, latched"));
+    }
+    ls.eval();
+    ls.check_blob("final");
+    let f = ls.fast.exec_stats();
+    assert_eq!(
+        (f.settle_passes, f.defs_run, f.defs_skipped),
+        (21, 409, 137)
+    );
+}
+
+/// A blob restored between a settle and its latch, taken at every point
+/// of the cycle.
+#[test]
+fn restore_between_eval_and_tick_with_copies() {
+    let mut ls = Lockstep::over(&fold_circuit(), FOLD_INPUTS, 14);
+    let mut blobs = Vec::new();
+    for c in 0..30 {
+        ls.poke();
+        blobs.push(ls.fast.snapshot_bytes().unwrap());
+        ls.eval();
+        ls.check_blob(&format!("cycle {c}, settled"));
+        if c % 4 == 3 {
+            let blob = &blobs[ls.rng.below(blobs.len() as u64) as usize];
+            ls.both(|sim| assert!(sim.restore_snapshot_bytes(blob)));
+            ls.check_blob(&format!("cycle {c}, restored"));
+        }
+        ls.tick();
+        ls.check_blob(&format!("cycle {c}, latched"));
+    }
+}
+
+/// Dirty skipping off from the start: every pass writes every copy and
+/// counts exactly what the reference runs.
+#[test]
+fn dirty_skipping_off_for_a_whole_run_with_copies() {
+    let mut ls = Lockstep::over(&fold_circuit(), FOLD_INPUTS, 15);
+    ls.fast.set_dirty_skipping(false);
+    for c in 0..60 {
+        ls.cycle(&format!("cycle {c}"));
+        assert_eq!(ls.gold.exec_stats(), ls.fast.exec_stats(), "cycle {c}");
+    }
+}
+
+/// An input copied through eight instances beside an extern model that
+/// reads it: most of the chain is scheduled after the extern.
+fn unbound_circuit() -> Circuit {
+    let mut mb = ModuleBuilder::new("U");
+    let i = mb.input("i", 16);
+    let r = mb.reg("r", 16, 5);
+    mb.connect_sig(&r, &r.add(&i));
+    let ic = pass_chain(&mut mb, "pi", &i, 16, 8);
+    let rc = pass_chain(&mut mb, "pr", &r, 16, 8);
+    mb.inst("xa", "XAcc");
+    mb.connect_inst("xa", "x", &i);
+    let y = mb.inst_port("xa", "y");
+    for (name, sig) in [("o1", &ic), ("o2", &rc), ("o3", &y)] {
+        let o = mb.output(name, 16);
+        mb.connect_sig(&o, sig);
+    }
+    let modules = vec![mb.finish(), xacc_module(), pass_module(16)];
+    Circuit::from_modules("U", modules, "U")
+}
+
+/// A settle that stops at an extern with no model: both engines return
+/// the same error and leave every slot alike, so no copy scheduled after
+/// the extern may be written ahead of its turn.
+#[test]
+fn unbound_extern_stops_the_sweep_where_the_reference_does() {
+    let circuit = unbound_circuit();
+    let [mut gold, mut fast] = [ExecEngine::Reference, ExecEngine::Compiled]
+        .map(|engine| Interpreter::with_engine(&circuit, engine).unwrap());
+    let paths = gold.signal_paths();
+    for c in 0..6u64 {
+        for sim in [&mut gold, &mut fast] {
+            sim.poke_u64("i", 0x1234 + c).unwrap();
+        }
+        let (g, f) = (gold.eval(), fast.eval());
+        assert_eq!(format!("{g:?}"), format!("{f:?}"), "cycle {c}");
+        assert!(g.is_err(), "cycle {c}");
+        compare_all(0, &format!("cycle {c}, stopped"), &paths, &gold, &fast);
+        // The stop is only a test of the rule if it cut a chain short.
+        assert_ne!(gold.peek("i"), gold.peek("pi7.b"), "cycle {c}");
+        gold.tick();
+        fast.tick();
+        compare_all(0, &format!("cycle {c}, latched"), &paths, &gold, &fast);
+    }
+    for sim in [&mut gold, &mut fast] {
+        sim.bind_behavior("xa", Box::new(XorAcc::default()))
+            .unwrap();
+    }
+    for c in 0..6u64 {
+        for sim in [&mut gold, &mut fast] {
+            sim.poke_u64("i", 0x4321 + c).unwrap();
+            sim.eval().unwrap();
+        }
+        compare_all(0, &format!("bound, cycle {c}"), &paths, &gold, &fast);
+        assert_eq!(
+            gold.snapshot_bytes(),
+            fast.snapshot_bytes(),
+            "bound, cycle {c}"
+        );
+        gold.tick();
+        fast.tick();
+    }
 }

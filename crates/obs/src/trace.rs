@@ -10,11 +10,19 @@
 //! 2. **No heap allocation on the hot path when enabled.** Each thread
 //!    owns a fixed-capacity ring of plain-old-data events (names are
 //!    `&'static str`), allocated once on first use. When the ring is
-//!    full the oldest event is overwritten and a drop counter bumps.
+//!    full the oldest event is overwritten and the ring's own drop
+//!    counter bumps; it joins the global count when the ring is flushed.
 //! 3. **No locks on the hot path.** The only synchronization is the
 //!    enable flag and the epoch; the global sink mutex is taken only at
 //!    flush time (explicit [`flush_thread`], thread exit, or
 //!    [`take_events`]).
+//! 4. **The cheapest clock that keeps time.** A span costs two clock
+//!    reads, and a traced settle loop opens one per target cycle. Where
+//!    the kernel itself keeps time by the x86-64 time-stamp counter,
+//!    events are stamped with the raw counter (about half the cost of
+//!    reading an `Instant`) and turned into nanoseconds since the epoch
+//!    when their ring is flushed; elsewhere they are stamped from
+//!    `Instant` directly.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -58,7 +66,71 @@ pub struct TraceEvent {
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
-static EPOCH: OnceLock<Instant> = OnceLock::new();
+static EPOCH: OnceLock<Epoch> = OnceLock::new();
+
+/// The tracer's time origin and the clock its events are stamped with.
+struct Epoch {
+    at: Instant,
+    /// The time-stamp counter at `at`, when events are stamped by it.
+    tsc: Option<u64>,
+}
+
+impl Epoch {
+    fn new() -> Epoch {
+        let tsc = tsc_keeps_time().then(read_tsc);
+        Epoch {
+            at: Instant::now(),
+            tsc,
+        }
+    }
+
+    /// An event stamp: counter ticks, or nanoseconds since the epoch.
+    #[inline]
+    fn stamp(&self) -> u64 {
+        match self.tsc {
+            Some(_) => read_tsc(),
+            None => self.ns(),
+        }
+    }
+
+    fn ns(&self) -> u64 {
+        self.at.elapsed().as_nanos() as u64
+    }
+
+    /// Turns the stamps of `events` into nanoseconds since the epoch,
+    /// at the counter's rate over the whole time since the epoch.
+    fn stamps_to_ns(&self, events: &mut [TraceEvent]) {
+        let Some(t0) = self.tsc else { return };
+        let (ticks, ns) = (read_tsc().saturating_sub(t0), self.ns());
+        let ns_per_tick = ns as f64 / ticks.max(1) as f64;
+        for e in events {
+            e.host_ns = (e.host_ns.saturating_sub(t0) as f64 * ns_per_tick) as u64;
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn read_tsc() -> u64 {
+    // SAFETY: `rdtsc` reads a counter; it has no preconditions on x86-64.
+    unsafe { core::arch::x86_64::_rdtsc() }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn read_tsc() -> u64 {
+    0
+}
+
+/// Whether the kernel keeps time by the time-stamp counter, which it
+/// does only when the counter runs at a constant rate and agrees across
+/// CPUs.
+fn tsc_keeps_time() -> bool {
+    cfg!(target_arch = "x86_64")
+        && std::fs::read_to_string(
+            "/sys/devices/system/clocksource/clocksource0/current_clocksource",
+        )
+        .is_ok_and(|s| s.trim() == "tsc")
+}
 
 fn sink() -> &'static Mutex<Vec<TraceEvent>> {
     static SINK: OnceLock<Mutex<Vec<TraceEvent>>> = OnceLock::new();
@@ -69,7 +141,7 @@ fn sink() -> &'static Mutex<Vec<TraceEvent>> {
 /// first enable so `host_ns` stamps are comparable across threads.
 pub fn set_enabled(on: bool) {
     if on {
-        let _ = EPOCH.get_or_init(Instant::now);
+        let _ = EPOCH.get_or_init(Epoch::new);
     }
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -81,24 +153,23 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Events overwritten because a thread ring was full.
+/// Events overwritten because a thread ring was full, counted when each
+/// ring was last flushed.
 pub fn dropped_events() -> u64 {
     DROPPED.load(Ordering::Relaxed)
 }
 
+/// An event stamp (see [`Epoch::stamp`]); `0` before the first enable.
 #[inline]
-fn now_ns() -> u64 {
-    match EPOCH.get() {
-        Some(e) => e.elapsed().as_nanos() as u64,
-        None => 0,
-    }
+fn stamp() -> u64 {
+    EPOCH.get().map_or(0, Epoch::stamp)
 }
 
 /// Host time in nanoseconds since the tracer epoch — `0` until tracing
 /// is first enabled. Used to stamp metric samples with the same clock
 /// the trace events carry.
 pub fn host_ns() -> u64 {
-    now_ns()
+    EPOCH.get().map_or(0, Epoch::ns)
 }
 
 /// Fixed-capacity overwrite-oldest ring of events.
@@ -107,6 +178,9 @@ struct Ring {
     start: usize,
     len: usize,
     tid: u64,
+    /// Events overwritten since the last drain: a plain count, so a full
+    /// ring's hot path has no atomic.
+    dropped: u64,
 }
 
 impl Ring {
@@ -116,6 +190,7 @@ impl Ring {
             start: 0,
             len: 0,
             tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
+            dropped: 0,
         }
     }
 
@@ -133,7 +208,7 @@ impl Ring {
         } else {
             self.buf[self.start] = ev;
             self.start = (self.start + 1) % RING_CAPACITY;
-            DROPPED.fetch_add(1, Ordering::Relaxed);
+            self.dropped += 1;
         }
     }
 
@@ -143,6 +218,8 @@ impl Ring {
         }
         self.start = 0;
         self.len = 0;
+        DROPPED.fetch_add(self.dropped, Ordering::Relaxed);
+        self.dropped = 0;
     }
 }
 
@@ -156,12 +233,20 @@ struct RingCell(RefCell<Ring>);
 
 impl Drop for RingCell {
     fn drop(&mut self) {
-        let mut ring = self.0.borrow_mut();
-        if ring.len > 0 {
-            let mut out = sink()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            ring.drain_into(&mut out);
+        flush_ring(&mut self.0.borrow_mut());
+    }
+}
+
+/// Moves `ring`'s events into the global sink, stamped in nanoseconds.
+fn flush_ring(ring: &mut Ring) {
+    if ring.len > 0 {
+        let mut out = sink()
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let from = out.len();
+        ring.drain_into(&mut out);
+        if let Some(e) = EPOCH.get() {
+            e.stamps_to_ns(&mut out[from..]);
         }
     }
 }
@@ -186,7 +271,7 @@ pub fn instant(name: &'static str, virt_ps: u64) {
     record(TraceEvent {
         name,
         kind: EventKind::Instant,
-        host_ns: now_ns(),
+        host_ns: stamp(),
         virt_ps,
         value: 0.0,
         tid: 0,
@@ -198,7 +283,7 @@ pub fn counter(name: &'static str, virt_ps: u64, value: f64) {
     record(TraceEvent {
         name,
         kind: EventKind::Counter,
-        host_ns: now_ns(),
+        host_ns: stamp(),
         virt_ps,
         value,
         tid: 0,
@@ -211,7 +296,7 @@ pub fn span(name: &'static str, virt_ps: u64) -> SpanGuard {
     record(TraceEvent {
         name,
         kind: EventKind::SpanBegin,
-        host_ns: now_ns(),
+        host_ns: stamp(),
         virt_ps,
         value: 0.0,
         tid: 0,
@@ -230,7 +315,7 @@ impl Drop for SpanGuard {
         record(TraceEvent {
             name: self.name,
             kind: EventKind::SpanEnd,
-            host_ns: now_ns(),
+            host_ns: stamp(),
             virt_ps: 0,
             value: 0.0,
             tid: 0,
@@ -240,15 +325,7 @@ impl Drop for SpanGuard {
 
 /// Flushes the calling thread's ring into the global sink.
 pub fn flush_thread() {
-    let _ = RING.try_with(|cell| {
-        let mut ring = cell.0.borrow_mut();
-        if ring.len > 0 {
-            let mut out = sink()
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            ring.drain_into(&mut out);
-        }
-    });
+    let _ = RING.try_with(|cell| flush_ring(&mut cell.0.borrow_mut()));
 }
 
 /// Flushes the calling thread and drains every event collected so far,
@@ -371,6 +448,43 @@ mod tests {
         assert!(b < e);
     }
 
+    /// Event stamps come out in the nanoseconds `host_ns` reads, on
+    /// either clock: a span recorded between two `host_ns` readings lands
+    /// between them and lasts at least as long as it was timed open.
+    #[test]
+    fn event_stamps_keep_host_time() {
+        let _l = TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        set_enabled(true);
+        let _ = take_events();
+        let before = host_ns();
+        let open = {
+            let _g = obs_span!("timed");
+            let t = Instant::now();
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            t.elapsed().as_nanos() as u64
+        };
+        let after = host_ns();
+        set_enabled(false);
+        let events = take_events();
+        let at = |k| {
+            events
+                .iter()
+                .find(|e| e.name == "timed" && e.kind == k)
+                .expect("span recorded")
+                .host_ns
+        };
+        let (b, e) = (at(EventKind::SpanBegin), at(EventKind::SpanEnd));
+        // Conversion from counter ticks may be off by a few ns.
+        let slack = 1_000;
+        assert!(
+            before <= b + slack && e <= after + slack,
+            "{before} {b} {e} {after}"
+        );
+        assert!(e - b + slack >= open, "span {} ns, timed {open} ns", e - b);
+    }
+
     #[test]
     fn ring_overwrites_oldest_when_full() {
         let mut ring = Ring::new();
@@ -384,8 +498,10 @@ mod tests {
                 tid: 0,
             });
         }
+        assert_eq!(ring.dropped, 10);
         let mut out = Vec::new();
         ring.drain_into(&mut out);
+        assert_eq!(ring.dropped, 0);
         assert_eq!(out.len(), RING_CAPACITY);
         assert_eq!(out.first().unwrap().host_ns, 10);
         assert_eq!(out.last().unwrap().host_ns, (RING_CAPACITY + 10 - 1) as u64);
