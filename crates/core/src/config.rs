@@ -148,9 +148,10 @@ pub struct RunConfig {
     /// `"onprem-qsfp"`, `"cloud-f1"`, or `"host-managed"`.
     pub platform: String,
     /// Execution backend: `"des"` (deterministic discrete-event golden
-    /// model, the default), `"threads"` / `"threads:<n>"` (one OS
-    /// thread per partition, optionally capped), or `"net"` (one OS
-    /// process per partition over sockets). Parsed by
+    /// model, the default), `"threads"` / `"threads:<n>"` (partitions on
+    /// one OS worker thread per available core, or on `n` workers; never
+    /// more workers than partitions), or `"net"` (one OS process per
+    /// partition over sockets). Parsed by
     /// [`Backend::from_str`][std::str::FromStr] — the same spelling the
     /// `--backend` CLI flag accepts.
     pub backend: String,
@@ -162,7 +163,8 @@ pub struct RunConfig {
     /// flag accept.
     pub engine: String,
     /// Worker thread cap for the `"threads"` backend; `0` means one
-    /// thread per partition.
+    /// worker per available core. Either way a run uses at most one
+    /// worker per partition.
     pub threads: usize,
     /// Bitstream frequency in MHz for all partitions.
     pub clock_mhz: f64,

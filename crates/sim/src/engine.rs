@@ -510,8 +510,8 @@ struct PartitionRt {
 /// discrete-event simulation in virtual picoseconds, fully deterministic
 /// and the only backend that models transport/clock timing (so
 /// [`SimMetrics::target_mhz`] is meaningful). [`Backend::Threads`] runs
-/// each partition thread on its own OS thread exchanging tokens over
-/// channels — a functional backend for raw host throughput. By the
+/// the partition threads on a pool of OS worker threads exchanging tokens
+/// over channels — a functional backend for raw host throughput. By the
 /// LI-BDN timing-independence property, both backends produce
 /// bit-identical target state and identical
 /// [`SimMetrics::target_cycles`] for the same cycle budget.
@@ -520,8 +520,11 @@ pub enum Backend {
     /// Deterministic discrete-event simulation (the default).
     #[default]
     Des,
-    /// One OS thread per partition thread, capped at the given worker
-    /// count; `Threads(0)` means one worker per node.
+    /// Partition threads on `min(n, P)` OS worker threads for `P`
+    /// partition threads; `Threads(0)` means one worker per available
+    /// core (CPU affinity and cgroup quota respected), again at most `P`.
+    /// Each worker hosts a contiguous run of partitions in FireRipper's
+    /// node order, with run lengths differing by at most one.
     Threads(usize),
     /// One OS *process* per partition, joined over real sockets. The
     /// engine lives in `fireaxe-net`; calling
@@ -536,8 +539,8 @@ pub enum Backend {
 /// The one place backend names are parsed: both the `--backend` CLI
 /// flag and the JSON config's `"backend"` field go through this impl.
 ///
-/// Accepted spellings: `des`, `threads` (one worker per node),
-/// `threads:<n>` (capped worker pool), `net`.
+/// Accepted spellings: `des`, `threads` (one worker per available core,
+/// at most one per partition), `threads:<n>` (capped worker pool), `net`.
 impl std::str::FromStr for Backend {
     type Err = String;
 

@@ -1,10 +1,21 @@
 //! The multi-threaded execution backend ([`Backend::Threads`]).
 //!
-//! Each partition thread emitted by FireRipper becomes an OS thread
-//! driving its own LI-BDN; inter-partition links become message
-//! channels. There is no virtual clock and no transport timing — this
-//! backend answers "how fast can the host actually push tokens", while
-//! the discrete-event backend remains the golden timing model.
+//! The partition threads emitted by FireRipper are placed on a pool of
+//! OS worker threads: by default one per available core, and never more
+//! than one per partition (`placement`). Each worker services a contiguous run of
+//! partitions in FireRipper's node order, driving each partition's own
+//! LI-BDN; inter-partition links become message channels, whether or not
+//! their two ends share a worker. There is no virtual clock and no
+//! transport timing — this backend answers "how fast can the host
+//! actually push tokens", while the discrete-event backend remains the
+//! golden timing model.
+//!
+//! The pool is sized to cores, not partitions: partition threads that
+//! share a core yield to each other on every idle pass, so their time
+//! goes to OS context switches (noc6's 4 partitions on 2 cores paid 2.0
+//! per target cycle as 4 threads, ≈ 0.002 as 2 workers, and ran 1.4×
+//! faster; EXPERIMENTS.md "Threads: one worker per core"). A worker that
+//! hosts a run of partitions services them in one pass instead.
 //!
 //! Correctness rests on the LI-BDN theorem the paper's exact mode is
 //! built on: the target-visible cycle sequence of a node depends only on
@@ -23,12 +34,14 @@
 //! [`FaultPlan`] is applied at each physical transmission (drops,
 //! bit-flips, duplicates, stalls, down windows); receivers deliver
 //! strictly in order and return cumulative ACKs over a reverse channel;
-//! senders retransmit go-back-N on timeout (counted in service passes)
-//! and escalate to [`SimError::LinkDown`] when the retry budget runs
-//! out. Because the protocol delivers exactly the sent token sequence in
-//! per-channel order no matter what the fault plan does, the LI-BDN
-//! theorem still applies and fault-injected runs remain bit-identical to
-//! fault-free ones.
+//! senders retransmit go-back-N on timeout and escalate to
+//! [`SimError::LinkDown`] when the retry budget runs out. A timeout is
+//! counted in sender passes during which the *receiver's* worker also
+//! completed a pass (`Shared::passes`), so a descheduled receiver never
+//! looks like a lost frame. Because the protocol delivers exactly the
+//! sent token sequence in per-channel order no matter what the fault plan
+//! does, the LI-BDN theorem still applies and fault-injected runs remain
+//! bit-identical to fault-free ones.
 //!
 //! At the end of every run the channel endpoints are *reconciled*:
 //! frames still in flight — in a channel, held back by a stall, or
@@ -90,6 +103,11 @@ struct TxEp {
     /// Faults injected by this endpoint, merged into the sim's forensics
     /// window after the run.
     events: Vec<FaultEvent>,
+    /// Worker hosting the link's receiver: the retransmit clock only
+    /// advances while it runs.
+    peer_worker: usize,
+    /// [`Shared::passes`] of `peer_worker` at the last clock advance.
+    peer_passes: u64,
 }
 
 impl TxEp {
@@ -191,6 +209,12 @@ struct StuckVotes {
     workers: u64,
 }
 
+/// One worker's pass counter, on its own cache line: every worker bumps
+/// its own once a pass, and must not evict its neighbours' to do so.
+#[repr(align(64))]
+#[derive(Default)]
+struct PassCount(AtomicU64);
+
 /// Shared coordination state for one threaded run.
 struct Shared {
     /// Bumped on any node progress; workers watch it to tell "the system
@@ -210,6 +234,13 @@ struct Shared {
     abort: AtomicBool,
     /// First error raised by any worker.
     error: Mutex<Option<SimError>>,
+    /// Service passes completed per worker, bumped (Release) at the end
+    /// of each pass over its pool. A sender's retransmit clock ticks only
+    /// when its receiver's count has moved (Acquire, so the ACKs that
+    /// pass sent are visible first): timeouts measure the peer's turns,
+    /// not the sender's, and a descheduled receiver cannot make a frame
+    /// look lost.
+    passes: Vec<PassCount>,
 }
 
 impl Shared {
@@ -236,6 +267,17 @@ impl Shared {
         votes.workers >= self.running.load(Ordering::Acquire)
     }
 
+    /// Test gate: parks the caller until worker `worker` has completed
+    /// `passes` service passes (or the run aborts).
+    #[cfg(test)]
+    fn wait_for_passes(&self, worker: usize, passes: u64) {
+        while !self.abort.load(Ordering::Relaxed)
+            && self.passes[worker].0.load(Ordering::Acquire) < passes
+        {
+            std::thread::yield_now();
+        }
+    }
+
     /// Test gate: parks the caller until every *other* running worker
     /// has voted stuck at the current epoch — the state in which the old
     /// one-worker detector had already aborted the run.
@@ -255,8 +297,32 @@ impl Shared {
     }
 }
 
+/// Resolves a `Backend::Threads(requested)` pool for `n_nodes` (> 0)
+/// partitions on a host with `cores` usable cores, returning the worker
+/// that hosts each node.
+///
+/// `requested == 0` asks for one worker per core; any other value is an
+/// explicit cap. Either way there are `W = min(cap, n_nodes)` workers
+/// (at least one), and node `ni` goes to worker `ni · W / n_nodes`: each
+/// worker hosts a contiguous run of nodes in FireRipper's order, and run
+/// lengths differ by at most one. Worker indices never decrease along the
+/// nodes, so the last entry is `W - 1`.
+fn placement(n_nodes: usize, requested: usize, cores: usize) -> Vec<usize> {
+    let cap = if requested == 0 { cores } else { requested };
+    let n_workers = cap.clamp(1, n_nodes);
+    (0..n_nodes).map(|ni| ni * n_workers / n_nodes).collect()
+}
+
+/// Cores this process may run on (CPU affinity and cgroup quota
+/// respected), 1 if the host cannot say. Queried once per process.
+fn available_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
 /// Runs `sim` until every node has completed exactly `budget` target
-/// cycles, using `workers` OS threads (0 = one per node).
+/// cycles on a pool of OS worker threads sized and filled by
+/// [`placement`] (`workers` = 0: one per available core).
 ///
 /// # Errors
 ///
@@ -272,6 +338,8 @@ pub(crate) fn run(sim: &mut DistributedSim, budget: u64, workers: usize) -> Resu
         });
     }
     let policy = sim.reliability.as_ref().map(|r| r.policy);
+    let worker_of = placement(n_nodes, workers, available_cores());
+    let n_workers = worker_of[n_nodes - 1] + 1;
 
     // One FIFO data channel per link (plus a reverse ACK channel when the
     // reliability protocol is on). The sender endpoint lives with the
@@ -291,6 +359,8 @@ pub(crate) fn run(sim: &mut DistributedSim, budget: u64, workers: usize) -> Resu
             fault_attempts: link.fault_attempts,
             tokens: 0,
             events: Vec::new(),
+            peer_worker: worker_of[link.spec.to_node],
+            peer_passes: 0,
         });
         rx_lists[link.spec.to_node].push(RxEp {
             chan: link.spec.to_chan,
@@ -302,11 +372,6 @@ pub(crate) fn run(sim: &mut DistributedSim, budget: u64, workers: usize) -> Resu
         });
     }
 
-    let n_workers = if workers == 0 {
-        n_nodes
-    } else {
-        workers.min(n_nodes)
-    };
     let shared = Shared {
         progress: AtomicU64::new(0),
         running: AtomicU64::new(n_workers as u64),
@@ -314,6 +379,7 @@ pub(crate) fn run(sim: &mut DistributedSim, budget: u64, workers: usize) -> Resu
         nodes_done: AtomicU64::new(0),
         abort: AtomicBool::new(false),
         error: Mutex::new(None),
+        passes: (0..n_workers).map(|_| PassCount::default()).collect(),
     };
     let n_links = sim.links.len();
 
@@ -328,7 +394,7 @@ pub(crate) fn run(sim: &mut DistributedSim, budget: u64, workers: usize) -> Resu
         })
         .collect();
 
-    // Distribute nodes round-robin over the worker pool.
+    // Each worker hosts its contiguous run of nodes.
     let mut pools: Vec<Vec<WorkerNode<'_>>> = (0..n_workers).map(|_| Vec::new()).collect();
     for (ni, node) in sim.nodes.iter_mut().enumerate() {
         let mut rx = std::mem::take(&mut rx_lists[ni]);
@@ -338,7 +404,7 @@ pub(crate) fn run(sim: &mut DistributedSim, budget: u64, workers: usize) -> Resu
         // reason about).
         rx.sort_by_key(|ep| (ep.chan, ep.li));
         tx.sort_by_key(|ep| (ep.chan, ep.li));
-        pools[ni % n_workers].push(WorkerNode {
+        pools[worker_of[ni]].push(WorkerNode {
             node,
             rx,
             tx,
@@ -349,10 +415,19 @@ pub(crate) fn run(sim: &mut DistributedSim, budget: u64, workers: usize) -> Resu
     let horizon = sim.deadlock_horizon_edges;
     #[cfg(test)]
     let mut hold_next_worker = tests::HOLD_FIRST_WORKER.with(std::cell::Cell::get);
+    // (parked worker, worker whose passes it waits for, pass count)
+    #[cfg(test)]
+    let park = tests::PARK_LINK_RECEIVER
+        .with(std::cell::Cell::get)
+        .map(|(li, passes)| {
+            let spec = &sim.links[li].spec;
+            (worker_of[spec.to_node], worker_of[spec.from_node], passes)
+        });
     let endpoints = std::thread::scope(|scope| {
         let handles: Vec<_> = pools
             .into_iter()
-            .map(|pool| {
+            .enumerate()
+            .map(|(w, pool)| {
                 let shared = &shared;
                 #[cfg(test)]
                 let hold = std::mem::take(&mut hold_next_worker);
@@ -361,7 +436,11 @@ pub(crate) fn run(sim: &mut DistributedSim, budget: u64, workers: usize) -> Resu
                     if hold {
                         shared.wait_until_peers_voted_stuck();
                     }
-                    let endpoints = worker_loop(pool, budget, shared, horizon, policy, n_nodes);
+                    #[cfg(test)]
+                    if let Some((_, sender, passes)) = park.filter(|p| p.0 == w) {
+                        shared.wait_for_passes(sender, passes);
+                    }
+                    let endpoints = worker_loop(w, pool, budget, shared, horizon, policy, n_nodes);
                     // The scope's implicit join does not wait for this
                     // thread's TLS destructors, so the ring's drop-flush
                     // can come too late for the caller's `take_events`.
@@ -511,6 +590,7 @@ fn reconcile(sim: &mut DistributedSim, endpoints: Vec<NodeEndpoints>, n_links: u
 /// an error/deadlock aborts the run, or nothing moves for long enough.
 /// Returns the pool's endpoint state for reconciliation.
 fn worker_loop(
+    worker: usize,
     mut pool: Vec<WorkerNode<'_>>,
     budget: u64,
     shared: &Shared,
@@ -542,12 +622,12 @@ fn worker_loop(
             // on a frame this node's endpoints owe it.
             let outcome = if wn.node.libdn.target_cycle() >= budget {
                 if policy.is_some() {
-                    pump_protocol(wn)
+                    pump_protocol(wn, &shared.passes)
                 } else {
                     Ok(false)
                 }
             } else {
-                service(wn, budget, policy)
+                service(wn, budget, &shared.passes)
             };
             match outcome {
                 Ok(p) => progressed |= p,
@@ -568,6 +648,7 @@ fn worker_loop(
             }
             all_done &= done;
         }
+        shared.passes[worker].0.fetch_add(1, Ordering::Release);
         if all_done {
             // With the protocol on, this worker's endpoints may still owe
             // peers ACKs or retransmissions: keep pumping until every
@@ -632,25 +713,32 @@ fn drain_acks(ep: &mut TxEp) {
     }
 }
 
-/// Advances the sender's timeout clock one service pass; on expiry,
-/// physically retransmits the go-back-N set.
+/// Advances the sender's timeout clock one tick if the receiver's worker
+/// has completed a pass since the last tick; on expiry, physically
+/// retransmits the go-back-N set. The peer's count is read before the ACK
+/// channel is drained, so a tick never counts a peer pass whose ACKs have
+/// not been absorbed.
 ///
 /// # Errors
 ///
 /// [`SimError::LinkDown`] when the oldest unacked frame has exhausted its
 /// retry budget (the run-level code attaches real forensics).
-fn tick_timeouts(ep: &mut TxEp) -> Result<bool> {
-    let frames = match ep.state.as_mut().map(TxState::on_tick) {
-        None => return Ok(false),
-        Some(Ok(frames)) => frames,
-        Some(Err(attempts)) => {
-            return Err(SimError::LinkDown {
-                link: ep.li,
-                attempts,
-                report: StallReport::default(),
-            })
-        }
-    };
+fn tick_timeouts(ep: &mut TxEp, passes: &[PassCount]) -> Result<bool> {
+    if ep.state.is_none() {
+        return Ok(false);
+    }
+    let peer = passes[ep.peer_worker].0.load(Ordering::Acquire);
+    drain_acks(ep);
+    if peer == ep.peer_passes {
+        return Ok(false);
+    }
+    ep.peer_passes = peer;
+    let state = ep.state.as_mut().expect("checked above");
+    let frames = state.on_tick().map_err(|attempts| SimError::LinkDown {
+        link: ep.li,
+        attempts,
+        report: StallReport::default(),
+    })?;
     let retransmitted = !frames.is_empty();
     for frame in &frames {
         ep.physical_send(frame);
@@ -713,14 +801,13 @@ fn process_rx(ep: &mut RxEp, staged: &mut [VecDeque<fireaxe_ir::Bits>]) -> bool 
 /// Protocol maintenance for a node that has already reached the budget:
 /// receive (and ACK) peers' frames, process ACKs, retransmit on timeout.
 /// No host cycles are taken.
-fn pump_protocol(wn: &mut WorkerNode<'_>) -> Result<bool> {
+fn pump_protocol(wn: &mut WorkerNode<'_>, passes: &[PassCount]) -> Result<bool> {
     let mut progressed = false;
     for ep in &mut wn.rx {
         progressed |= process_rx(ep, &mut wn.node.staged);
     }
     for ep in &mut wn.tx {
-        drain_acks(ep);
-        progressed |= tick_timeouts(ep)?;
+        progressed |= tick_timeouts(ep, passes)?;
     }
     Ok(progressed)
 }
@@ -732,7 +819,7 @@ fn pump_protocol(wn: &mut WorkerNode<'_>) -> Result<bool> {
 /// host cycle per virtual clock edge — the threaded backend has no
 /// virtual clock, so batching host steps per pass is free and amortizes
 /// the channel/atomic traffic.
-fn service(wn: &mut WorkerNode<'_>, budget: u64, policy: Option<RetryPolicy>) -> Result<bool> {
+fn service(wn: &mut WorkerNode<'_>, budget: u64, passes: &[PassCount]) -> Result<bool> {
     let mut progressed = false;
     for ep in &mut wn.rx {
         progressed |= process_rx(ep, &mut wn.node.staged);
@@ -779,9 +866,8 @@ fn service(wn: &mut WorkerNode<'_>, budget: u64, policy: Option<RetryPolicy>) ->
         }
     }
 
-    let _ = policy; // timeouts are pass-counted; the policy lives in TxState
     for ep in &mut wn.tx {
-        progressed |= tick_timeouts(ep)?;
+        progressed |= tick_timeouts(ep, passes)?;
     }
     Ok(progressed)
 }
@@ -789,7 +875,7 @@ fn service(wn: &mut WorkerNode<'_>, budget: u64, policy: Option<RetryPolicy>) ->
 #[cfg(test)]
 mod tests {
     use crate::bridge::ScriptBridge;
-    use crate::engine::{Backend, SimBuilder};
+    use crate::engine::{Backend, SimBuilder, SimMetrics};
     use crate::error::SimError;
     use fireaxe_ir::build::ModuleBuilder;
     use fireaxe_ir::{Bits, Circuit};
@@ -804,6 +890,55 @@ mod tests {
         /// the runs it starts until every other worker has voted stuck.
         pub(super) static HOLD_FIRST_WORKER: std::cell::Cell<bool> =
             const { std::cell::Cell::new(false) };
+
+        /// Set by a test, like [`HOLD_FIRST_WORKER`], to `(link, n)`: the
+        /// worker hosting the link's receiver is parked until the worker
+        /// hosting its sender has completed `n` service passes.
+        pub(super) static PARK_LINK_RECEIVER: std::cell::Cell<Option<(usize, u64)>> =
+            const { std::cell::Cell::new(None) };
+    }
+
+    #[test]
+    fn placement_resolves_the_pool_size() {
+        let workers = |n_nodes, requested, cores| {
+            super::placement(n_nodes, requested, cores)[n_nodes - 1] + 1
+        };
+        // Threads(0): one worker per core, never more than one per node.
+        assert_eq!(workers(4, 0, 2), 2);
+        assert_eq!(workers(4, 0, 1), 1);
+        assert_eq!(workers(4, 0, 16), 4);
+        // Threads(n): an explicit cap, whatever the core count.
+        assert_eq!(workers(4, 3, 1), 3);
+        assert_eq!(workers(4, 9, 2), 4);
+        assert_eq!(workers(1, 0, 8), 1);
+    }
+
+    #[test]
+    fn placement_deals_contiguous_balanced_runs() {
+        for n_nodes in 1..=12 {
+            for requested in 0..=n_nodes + 1 {
+                for cores in 1..=4 {
+                    let worker_of = super::placement(n_nodes, requested, cores);
+                    assert_eq!(worker_of.len(), n_nodes, "every node placed once");
+                    let n_workers = worker_of[n_nodes - 1] + 1;
+                    // Runs: consecutive nodes share a worker or move to the
+                    // next one, starting at worker 0.
+                    assert_eq!(worker_of[0], 0);
+                    assert!(worker_of
+                        .windows(2)
+                        .all(|w| w[0] <= w[1] && w[1] <= w[0] + 1));
+                    let mut lens = vec![0usize; n_workers];
+                    for &w in &worker_of {
+                        lens[w] += 1;
+                    }
+                    let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+                    assert!(
+                        *min >= 1 && max - min <= 1,
+                        "{n_nodes}/{requested}/{cores}: {lens:?}"
+                    );
+                }
+            }
+        }
     }
 
     fn soc() -> Circuit {
@@ -836,6 +971,18 @@ mod tests {
     }
 
     fn trace(backend: Backend, mode: PartitionMode, cycles: u64) -> (Vec<(u64, u64)>, u64) {
+        let (t, metrics) = trace_on(backend, mode, cycles, |b| b);
+        (t, metrics.target_cycles)
+    }
+
+    /// The `soc()` cut's output trace and metrics after `cycles`, on a sim
+    /// built by `backend` plus whatever `configure` adds.
+    fn trace_on(
+        backend: Backend,
+        mode: PartitionMode,
+        cycles: u64,
+        configure: impl FnOnce(SimBuilder<'_>) -> SimBuilder<'_>,
+    ) -> (Vec<(u64, u64)>, SimMetrics) {
         let c = soc();
         let design = compile(&c, &spec(mode)).unwrap();
         let rest = design.node_index(1, 0);
@@ -845,11 +992,10 @@ mod tests {
             m
         })
         .recording();
-        let mut sim = SimBuilder::new(&design)
+        let builder = SimBuilder::new(&design)
             .backend(backend)
-            .bridge(rest, Box::new(bridge))
-            .build()
-            .unwrap();
+            .bridge(rest, Box::new(bridge));
+        let mut sim = configure(builder).build().unwrap();
         let metrics = sim.run_target_cycles(cycles).unwrap();
         let b = sim
             .bridge_mut(rest)
@@ -862,7 +1008,7 @@ mod tests {
             .filter_map(|r| r.values.get("o").map(|v| (r.cycle, v.to_u64())))
             .collect();
         t.sort_unstable();
-        (t, metrics.target_cycles)
+        (t, metrics)
     }
 
     #[test]
@@ -947,8 +1093,12 @@ mod tests {
     #[test]
     fn late_starting_worker_is_not_a_deadlock() {
         let (des, des_cycles) = trace(Backend::Des, PartitionMode::Exact, 60);
+        // One worker per node, whatever the host's core count.
+        let n_nodes = compile(&soc(), &spec(PartitionMode::Exact))
+            .unwrap()
+            .node_count();
         HOLD_FIRST_WORKER.with(|h| h.set(true));
-        let (thr, thr_cycles) = trace(Backend::Threads(0), PartitionMode::Exact, 60);
+        let (thr, thr_cycles) = trace(Backend::Threads(n_nodes), PartitionMode::Exact, 60);
         HOLD_FIRST_WORKER.with(|h| h.set(false));
         assert_eq!(des_cycles, thr_cycles);
         assert_eq!(des, thr, "threaded backend must be bit-exact vs DES");
@@ -990,7 +1140,7 @@ mod tests {
         };
         let design = compile(&c, &spec).unwrap();
         let mut sim = SimBuilder::new(&design)
-            .backend(Backend::Threads(0))
+            .backend(Backend::Threads(design.node_count()))
             .deadlock_horizon(2048)
             .build()
             .unwrap();
@@ -1022,19 +1172,8 @@ mod tests {
         // A noisy-but-recoverable fault campaign must leave the
         // target-visible trace bit-identical to the no-reliability run.
         let (clean, clean_cycles) = trace(Backend::Threads(0), PartitionMode::Exact, 50);
-        let c = soc();
-        let design = compile(&c, &spec(PartitionMode::Exact)).unwrap();
-        let rest = design.node_index(1, 0);
-        let bridge = ScriptBridge::new(|cycle| {
-            let mut m = std::collections::BTreeMap::new();
-            m.insert("i".to_string(), Bits::from_u64(cycle % 251, 8));
-            m
-        })
-        .recording();
-        let mut sim = SimBuilder::new(&design)
-            .backend(Backend::Threads(0))
-            .bridge(rest, Box::new(bridge))
-            .fault_spec(FaultSpec {
+        let (t, m) = trace_on(Backend::Threads(0), PartitionMode::Exact, 50, |b| {
+            b.fault_spec(FaultSpec {
                 drop_per_mille: 80,
                 corrupt_per_mille: 80,
                 duplicate_per_mille: 80,
@@ -1046,22 +1185,43 @@ mod tests {
                 max_retries: 8,
                 timeout_cycles: 8,
             })
-            .build()
-            .unwrap();
-        let m = sim.run_target_cycles(50).unwrap();
+        });
         assert_eq!(m.target_cycles, clean_cycles);
-        let b = sim
-            .bridge_mut(rest)
-            .as_any()
-            .downcast_mut::<ScriptBridge>()
-            .unwrap();
-        let mut t: Vec<(u64, u64)> = b
-            .log()
-            .iter()
-            .filter_map(|r| r.values.get("o").map(|v| (r.cycle, v.to_u64())))
-            .collect();
-        t.sort_unstable();
         assert_eq!(t, clean, "faults must be invisible to target state");
+    }
+
+    /// The retransmit clock runs on the receiver's passes: a receiver
+    /// whose worker is descheduled for far longer than the whole retry
+    /// budget spans in sender passes must not make its fault-free link
+    /// time out, let alone go down.
+    #[test]
+    fn parked_receiver_does_not_time_out_its_sender() {
+        let (des, des_cycles) = trace(Backend::Des, PartitionMode::Exact, 60);
+        let policy = RetryPolicy {
+            max_retries: 3,
+            timeout_cycles: 4,
+        };
+        let budget_passes: u64 = (0..=policy.max_retries)
+            .map(|a| policy.timeout_for_attempt(a))
+            .sum();
+        let design = compile(&soc(), &spec(PartitionMode::Exact)).unwrap();
+        // The hub register drives the tile's request without waiting for
+        // a response, so this link has a frame in flight from cycle 0.
+        let rest = design.node_index(1, 0);
+        let li = design
+            .links
+            .iter()
+            .position(|l| l.from_node == rest)
+            .unwrap();
+        PARK_LINK_RECEIVER.with(|p| p.set(Some((li, 20 * budget_passes))));
+        let backend = Backend::Threads(design.node_count());
+        let (thr, m) = trace_on(backend, PartitionMode::Exact, 60, |b| {
+            b.fault_spec(FaultSpec::quiet(3)).retry_policy(policy)
+        });
+        PARK_LINK_RECEIVER.with(|p| p.set(None));
+        assert_eq!(m.target_cycles, des_cycles);
+        assert!(m.links.iter().all(|l| l.retransmits == 0), "{:?}", m.links);
+        assert_eq!(thr, des, "threaded backend must be bit-exact vs DES");
     }
 
     #[test]

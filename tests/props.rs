@@ -196,6 +196,8 @@ fn partitioned_trace_on(
         .bridge(1, Box::new(bridge))
         .build()
         .unwrap();
+    // The backend-parity proptests draw worker counts from 0..=P+1.
+    assert_eq!(design.node_count(), 2, "one tile partition + the rest");
     sim.run_target_cycles(cycles as u64 + 2).unwrap();
     let rest = design.node_index(1, 0);
     let b = sim
@@ -290,7 +292,10 @@ proptest! {
     /// monolithic interpreter (exact mode), despite OS scheduling being
     /// free to deliver tokens in any host-side order. The monolithic
     /// trace itself is produced by both execution engines (compiled tape
-    /// and tree-walking reference), which must agree bit for bit.
+    /// and tree-walking reference), which must agree bit for bit. The
+    /// worker count ranges over `0..=P+1` for this P = 2 cut: one per core,
+    /// one worker hosting both partitions, one per partition, and a cap
+    /// above the partition count.
     #[test]
     fn threaded_backend_matches_des_and_monolithic(
         rules in proptest::collection::vec(
@@ -298,20 +303,22 @@ proptest! {
             2..5,
         ),
         inits in proptest::collection::vec(any::<u64>(), 5),
+        workers in 0usize..4,
     ) {
         let c = random_soc(&rules, &inits);
         let cycles = 25;
         let golden = golden_trace_on(&c, cycles, fireaxe::ir::ExecEngine::Reference);
         let compiled = golden_trace_on(&c, cycles, fireaxe::ir::ExecEngine::Compiled);
         let des = partitioned_trace_on(&c, PartitionMode::Exact, cycles, Backend::Des);
-        let threads = partitioned_trace_on(&c, PartitionMode::Exact, cycles, Backend::Threads(0));
+        let threads =
+            partitioned_trace_on(&c, PartitionMode::Exact, cycles, Backend::Threads(workers));
         prop_assert_eq!(&compiled[..], &golden[..]);
         prop_assert_eq!(&des[..], &golden[..]);
         prop_assert_eq!(&threads[..], &des[..]);
     }
 
     /// Fast mode seeds links from reset state; both backends must agree
-    /// on the seeded (modified-target) trace too.
+    /// on the seeded (modified-target) trace too, at every worker count.
     #[test]
     fn threaded_backend_matches_des_fast_mode(
         rules in proptest::collection::vec(
@@ -319,10 +326,12 @@ proptest! {
             2..4,
         ),
         inits in proptest::collection::vec(any::<u64>(), 5),
+        workers in 0usize..4,
     ) {
         let c = random_soc(&rules, &inits);
         let des = partitioned_trace_on(&c, PartitionMode::Fast, 25, Backend::Des);
-        let threads = partitioned_trace_on(&c, PartitionMode::Fast, 25, Backend::Threads(0));
+        let threads =
+            partitioned_trace_on(&c, PartitionMode::Fast, 25, Backend::Threads(workers));
         prop_assert_eq!(threads, des);
     }
 }
