@@ -85,9 +85,11 @@ pub struct ObsConfig {
 /// processes listen and how patient the coordinator is.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetConfig {
-    /// Worker addresses, one per partition, index-aligned: `host:port`
-    /// for TCP or `unix:/path` for Unix-domain sockets. Empty means the
-    /// `fireaxe` binary self-spawns workers on localhost.
+    /// Worker addresses, 1 to one per partition: `host:port` for TCP or
+    /// `unix:/path` for Unix-domain sockets. Worker `w` hosts the
+    /// contiguous run of partitions `fireaxe_sim::placement` assigns it.
+    /// Empty means the `fireaxe` binary self-spawns one worker per core
+    /// (at most one per partition) on localhost.
     pub workers: Vec<String>,
     /// Bring-up patience per worker (connect + handshake), milliseconds.
     pub connect_timeout_ms: u64,

@@ -3,8 +3,8 @@
 //! tables a worker indexes by — a [`PartitionCut`] as bytes.
 //!
 //! The coordinator encodes one payload per partition, once per prepared
-//! job; a worker decodes only its own and elaborates only its own
-//! threads. Each thread circuit travels as a binary tape
+//! job; a worker decodes only those of the partitions it hosts and
+//! elaborates only their threads. Each thread circuit travels as a binary tape
 //! ([`circuit_to_tape`]), so the payload is canonical: the same cut
 //! encodes to the same bytes, and a pooled worker keys its kept builds
 //! by a hash over them.

@@ -265,6 +265,20 @@ fn digests(obs: &fireaxe_obs::MetricsSeries) -> Vec<(String, Vec<(u64, u64)>)> {
 
 #[test]
 fn cockpit_pause_peek_poke_step_resume_matches_poked_des() {
+    pause_peek_poke_step_resume(4, "cockpit");
+}
+
+/// The same session on the 4 partitions packed onto 2 workers: peeks
+/// and pokes route to the worker hosting the node, and the two-round
+/// fence lands every hosted partition on one cycle.
+#[test]
+fn cockpit_on_a_packed_cluster_matches_poked_des() {
+    pause_peek_poke_step_resume(2, "cockpit-packed");
+}
+
+/// Runs [`cockpit_session`] against the 4-partition cut on `n_workers`
+/// workers and checks it against the poked DES reference.
+fn pause_peek_poke_step_resume(n_workers: usize, label: &str) {
     let (circuit, spec) = noc_4partition_design();
     let settings = observed_settings();
 
@@ -290,7 +304,7 @@ fn cockpit_pause_peek_poke_step_resume_matches_poked_des() {
     let poke_port = port.name.clone();
     let poke_addr = format!("{poke_node_name}:{poke_port}");
 
-    let addrs = listen_addrs(4, false, "cockpit");
+    let addrs = listen_addrs(n_workers, false, label);
     let (bound, handles) = spawn_workers(&addrs);
     let control = NetListener::bind("127.0.0.1:0").expect("control bind");
     let ctl_addr = control.local_addr_string();

@@ -169,7 +169,7 @@ proptest! {
     fn topologies_roundtrip(
         worker in any::<u32>(),
         n_workers in any::<u32>(),
-        payload in proptest::collection::vec(any::<u8>(), 0..256),
+        payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..128), 0..4),
         sample_interval in any::<u64>(),
         vcd in any::<bool>(),
         checkpoint_interval in any::<u64>(),
@@ -183,7 +183,7 @@ proptest! {
                 checkpoint_interval,
                 ..WireSettings::default()
             },
-            payload,
+            payloads,
         })));
     }
 

@@ -12,8 +12,11 @@ use common::{
     des_reference, listen_addrs, noc_4partition_design, observed_settings,
     observed_settings_batched, setup_hook, spawn_workers, CYCLES,
 };
-use fireaxe_net::{run_cluster, NetRunReport, WireSettings};
-use fireaxe_sim::{ObsReport, SimMetrics};
+use fireaxe_net::{
+    execute_placed, place_cluster, prepare_job, run_cluster, NetRunReport, RecoveryOptions,
+    Teardown, WireSettings,
+};
+use fireaxe_sim::{placement, ObsReport, SimMetrics};
 
 fn run_net(unix: bool, label: &str) -> NetRunReport {
     run_net_with(unix, label, observed_settings())
@@ -142,4 +145,99 @@ fn unix_cluster_matches_des_at_every_batch_size() {
         );
         assert_parity(&net, &des_metrics, &des_obs);
     }
+}
+
+/// Runs the 4-partition cut packed onto `n_workers` Unix-socket workers
+/// through `prepare_job` → `place_cluster` → `execute_placed`.
+fn run_packed(n_workers: usize, label: &str) -> NetRunReport {
+    let (circuit, spec) = noc_4partition_design();
+    let settings = observed_settings();
+    let prepared = prepare_job(&circuit, &spec, &settings, &setup_hook).expect("prepare");
+    assert_eq!(prepared.n_partitions(), 4);
+    let (bound, handles) = spawn_workers(&listen_addrs(n_workers, true, label));
+    let placed = place_cluster(&prepared, &bound, 10_000).expect("place");
+    let report = execute_placed(
+        &prepared,
+        placed,
+        CYCLES,
+        RecoveryOptions::none(),
+        None,
+        Teardown::Shutdown,
+    )
+    .expect("packed cluster run");
+    for h in handles {
+        h.join().expect("worker thread").expect("worker exit");
+    }
+    report
+}
+
+/// A packed placement changes where partitions run, never what they
+/// compute: digests, VCD and per-link token totals match DES, links
+/// between co-resident partitions never reach a socket, and the trace
+/// carries exactly one track per worker.
+fn assert_packed_parity(net: &NetRunReport, n_workers: usize) {
+    let (circuit, spec) = noc_4partition_design();
+    let (des_metrics, des_obs) = des_reference(&circuit, &spec, &observed_settings());
+    assert_eq!(
+        digests(&net.series),
+        digests(&des_obs.metrics),
+        "state digests diverged from DES at {n_workers} worker(s)"
+    );
+    assert_eq!(
+        net.vcd, des_obs.vcd,
+        "VCD diverged at {n_workers} worker(s)"
+    );
+    assert_eq!(net.metrics.target_cycles, CYCLES);
+    assert_eq!(
+        net.metrics.link_tokens, des_metrics.link_tokens,
+        "per-link token totals diverged at {n_workers} worker(s)"
+    );
+    let worker_of = placement(4, n_workers, n_workers);
+    let worker = |node: usize| worker_of[net.metrics.counters[node].partition];
+    let design = fireaxe_ripper::compile(&circuit, &spec).expect("compile");
+    for (l, spec) in design.links.iter().enumerate() {
+        let local = worker(spec.from_node) == worker(spec.to_node);
+        let framed = net.metrics.links[l].sent_frames;
+        assert_eq!(
+            framed == 0,
+            local,
+            "link {l} framed {framed} token(s) at {n_workers} worker(s)"
+        );
+    }
+    for w in 0..4 {
+        assert_eq!(
+            net.chrome_trace.contains(&format!("worker{w}")),
+            w < n_workers,
+            "worker{w} track at {n_workers} worker(s)"
+        );
+    }
+}
+
+#[test]
+fn one_worker_hosting_every_partition_matches_des() {
+    assert_packed_parity(&run_packed(1, "packed-w1"), 1);
+}
+
+#[test]
+fn two_workers_hosting_two_partitions_each_match_des() {
+    assert_packed_parity(&run_packed(2, "packed-w2"), 2);
+}
+
+#[test]
+fn three_workers_hosting_uneven_runs_match_des() {
+    assert_packed_parity(&run_packed(3, "packed-w3"), 3);
+}
+
+/// The fleet the CLI, the job server and the benchmark size by: one
+/// worker per core, at most one per partition. Under `taskset -c 0` that
+/// is one worker with every link local and only control traffic on the
+/// relay.
+#[test]
+fn a_fleet_sized_by_n_workers_matches_des() {
+    let (circuit, spec) = noc_4partition_design();
+    let prepared =
+        prepare_job(&circuit, &spec, &observed_settings(), &setup_hook).expect("prepare");
+    let n = prepared.n_workers();
+    assert_eq!(n, 4.min(fireaxe_sim::available_cores()));
+    assert_packed_parity(&run_packed(n, "packed-auto"), n);
 }

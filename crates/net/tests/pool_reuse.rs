@@ -395,3 +395,59 @@ fn each_extern_instance_is_bound_once_across_the_fleet() {
         "the fleet bound an instance twice or missed one"
     );
 }
+
+#[test]
+fn a_set_build_never_serves_one_of_its_partitions() {
+    // A pooled worker keys its kept builds by partition set: having
+    // built {0, 1} as the first of two workers, it rebuilds when it
+    // hosts {0} alone as the first of four, then rewinds each kept set
+    // when the placements repeat. Counting setup-hook calls tells hits
+    // from misses; every job stays bit-exact with the DES golden.
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static BUILDS: AtomicUsize = AtomicUsize::new(0);
+    fn counting_hook(b: fireaxe_sim::SimBuilder<'_>) -> fireaxe_sim::SimBuilder<'_> {
+        BUILDS.fetch_add(1, Ordering::SeqCst);
+        setup_hook(b)
+    }
+
+    let (circuit, spec) = noc_4partition_design();
+    let settings = observed_settings();
+    let (_, des_obs) = des_reference(&circuit, &spec, &settings);
+    let golden = (
+        digest_rows(&des_obs.metrics),
+        des_obs.vcd.clone().expect("des vcd"),
+    );
+    let (bound, handles) = spawn_pooled(&listen_addrs(4, false, "pool-sets"), &counting_hook);
+    let prepared = prepare_job(&circuit, &spec, &settings, &setup_hook).expect("prepare");
+    let steps = [
+        (2, Teardown::ResetToIdle, 2),
+        (4, Teardown::ResetToIdle, 6),
+        (2, Teardown::ResetToIdle, 6),
+        (4, Teardown::Shutdown, 6),
+    ];
+    for (n_workers, teardown, builds) in steps {
+        let placed = place_cluster(&prepared, &bound[..n_workers], 10_000).expect("place");
+        let report = execute_placed(
+            &prepared,
+            placed,
+            CYCLES,
+            RecoveryOptions::none(),
+            None,
+            teardown,
+        )
+        .expect("pooled job");
+        assert_eq!(
+            parity_key(&report),
+            golden,
+            "{n_workers}-worker job diverged from DES"
+        );
+        assert_eq!(
+            BUILDS.load(Ordering::SeqCst),
+            builds,
+            "builds after a {n_workers}-worker job"
+        );
+    }
+    for h in handles {
+        h.join().expect("pooled worker thread");
+    }
+}

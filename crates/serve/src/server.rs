@@ -51,7 +51,7 @@ pub struct ServeOptions {
     pub cache_capacity: usize,
     /// Worker dial timeout during placement, ms.
     pub connect_timeout_ms: u64,
-    /// Per-partition respawn budget for mid-job failover (active only
+    /// Per-worker respawn budget for mid-job failover (active only
     /// when the submission enables checkpointing).
     pub max_restarts: u32,
     /// Quota applied to tenants without an explicit entry.
@@ -395,6 +395,7 @@ fn run_job(
     // Placement + execution, per backend.
     let outcome: Result<NetRunReport>;
     let admission_micros;
+    // Workers charged for the job's wall time: the fleet it leased.
     let n_workers_equiv;
     let t_exec;
     if backend == BACKEND_THREADS {
@@ -404,7 +405,6 @@ fn run_job(
         t_exec = Instant::now();
         outcome = execute_threads(&prepared, admission.allowed_budget, hook);
     } else {
-        n_workers_equiv = prepared.n_workers() as u64;
         let lease = match shared.pool.acquire(prepared.n_workers()) {
             Ok(l) => l,
             Err(e) => {
@@ -413,6 +413,7 @@ fn run_job(
                 return failed_result(job, cache_hit, 0, &e);
             }
         };
+        n_workers_equiv = lease.addrs.len() as u64;
         shared.jobs.update(job, |j| {
             j.state = JOB_RUNNING;
             j.workers = lease.addrs.len() as u32;

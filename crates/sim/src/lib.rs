@@ -14,7 +14,8 @@
 //! * [`bridge`] — environment token sources/sinks;
 //! * [`batch`] — batch-of-seeds execution over the bit-sliced engine:
 //!   up to 64 scenario variants per tape pass;
-//! * [`perf`] — the closed-form rate preview FireRipper reports.
+//! * [`perf`] — the closed-form rate preview FireRipper reports;
+//! * [`placement()`] — the one rule that packs partitions onto workers.
 
 #![warn(missing_docs)]
 
@@ -26,6 +27,7 @@ pub mod error;
 pub mod netapi;
 pub mod obs;
 pub mod perf;
+pub mod placement;
 pub mod threaded;
 
 pub use batch::{BatchLaneResult, BatchReport, BatchRun, BatchScenario, InputSink};
@@ -38,3 +40,4 @@ pub use error::{NodeStall, Result, SimError, StallReport};
 pub use netapi::{NetAccess, PartitionCut};
 pub use obs::{ObsReport, ObsSpec};
 pub use perf::estimate_target_mhz;
+pub use placement::{available_cores, placement, pool_size};

@@ -2,8 +2,11 @@
 //! backend").
 //!
 //! The 6-tile ring SoC is cut along NoC router boundaries into four
-//! partitions, and each partition is run in its **own OS process**: the
-//! example binary re-execs itself four times as workers, discovers
+//! partitions, and each partition is run in its **own OS process** —
+//! the widest placement; with fewer worker addresses each worker hosts
+//! a contiguous run of partitions and the links inside a run never
+//! reach a socket. The example binary re-execs itself four times as
+//! workers, discovers
 //! their ephemeral listen addresses from the `listening on <addr>`
 //! advertisement, then drives them as the coordinator over localhost
 //! TCP. No manual orchestration — `cargo run --example distributed_noc`
@@ -31,7 +34,7 @@ use std::process::Command;
 const CYCLES: u64 = 1_000;
 const SAMPLE_EVERY: u64 = 100;
 
-/// The re-exec marker: `example-binary --worker` serves one partition
+/// The re-exec marker: `example-binary --worker` serves as a worker
 /// instead of coordinating.
 const WORKER_FLAG: &str = "--worker";
 
@@ -116,7 +119,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut trace = String::new();
     for batch in BATCHES {
-        // Re-exec this binary once per partition; `SpawnedWorker` reads
+        // Re-exec this binary once per partition, so every worker hosts
+        // one (the widest placement); `SpawnedWorker` reads
         // each child's advertised address, and kills it on drop, so a
         // failed run cannot leak processes. Workers serve exactly one
         // coordinator session, so each batch depth gets a fresh fleet.

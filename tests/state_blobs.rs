@@ -23,9 +23,12 @@ use fireaxe::ir::{
     state_fields, CombPath, ExternBehavior, ExternInfo, Module, Port, PortWriter, ResourceHints,
     StateDec,
 };
-use fireaxe::net::{build_partition, prepare_job, WireSettings};
+use fireaxe::net::{
+    build_partition, build_partitions, encode_partition_payload, prepare_job, restore_checkpoint,
+    session_checkpoint, WireSettings,
+};
 use fireaxe::prelude::*;
-use fireaxe::sim::SimError;
+use fireaxe::sim::{PartitionCut, SimError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -330,7 +333,7 @@ fn own_partition_cycle0(
     settings: WireSettings,
 ) -> (Vec<Vec<u8>>, Vec<u64>) {
     let prepared = prepare_job(&circuit, &spec, &settings, &soc_behaviors).expect("prepare");
-    (0..prepared.n_workers())
+    (0..prepared.n_partitions())
         .map(|p| {
             let payload = prepared.partition_payload(p);
             let sim = build_partition(payload, p, prepared.settings(), &soc_behaviors)
@@ -620,3 +623,43 @@ const SOC24_NET_0: &[(usize, u64)] = &[
 
 /// The empty table: soc24 captures no waveform.
 const SOC24_NET_VCD: u64 = 0xcbf29ce484222325;
+
+/// The FXC1 checkpoint a worker hosting two of noc6's partitions holds
+/// before its first step — one engine blob per hosted partition plus its
+/// cross-worker flow marks — fed every strict prefix and seeded byte
+/// flip: each is refused as a configuration error, or accepted and
+/// re-captured byte for byte.
+#[test]
+fn damaged_two_partition_checkpoints_are_refused_or_restored_exactly() {
+    // Payloads cut from a whole-design build, as `prepare_job` cuts
+    // them, without turning the tracer on (that would stamp the other
+    // tests' samples with host time).
+    let (design, whole) = noc6_observed()
+        .backend(Backend::Net)
+        .build()
+        .expect("flow builds");
+    let payloads: Vec<Vec<u8>> = (0..2)
+        .map(|p| encode_partition_payload(&PartitionCut::of(&design, &whole, p)))
+        .collect();
+    let settings = WireSettings {
+        sample_interval: 50,
+        vcd: true,
+        ..WireSettings::default()
+    };
+    let payloads: Vec<&[u8]> = payloads.iter().map(Vec::as_slice).collect();
+    let mut sim = build_partitions(&payloads, &settings, &soc_behaviors).expect("set build");
+    let blob = session_checkpoint(&mut sim, &settings).expect("portable state");
+    for bad in damaged(&blob) {
+        match bounded_by(blob.len(), || {
+            restore_checkpoint(&mut sim, &settings, 0, &bad)
+        }) {
+            Ok(again) => assert_eq!(again, bad),
+            Err(e) => assert!(matches!(e, SimError::Config { .. }), "{e}"),
+        }
+    }
+    // The undamaged blob still restores after all of that.
+    assert_eq!(
+        restore_checkpoint(&mut sim, &settings, 0, &blob).unwrap(),
+        blob
+    );
+}
