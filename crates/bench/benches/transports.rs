@@ -9,19 +9,14 @@
 //! Unix-domain sockets). All variants are gated on identical per-link
 //! token totals first — timing a wrong answer is meaningless.
 //!
-//! The net variants sweep the `batch_cycles` knob over {1, 8, 64}:
-//! 1 is the pre-batching wire shape (one `Token` message per token),
-//! 8 is the default, 64 packs a full credit window per message. Each
-//! swept point gets its own row in the summary, and the headline
-//! `net_tcp`/`net_unix` entries quote the best batch size — that is
-//! the number the roadmap's "within 3× of threads" target is scored
-//! against.
+//! The headline `net_tcp`/`net_unix` entries are the number the
+//! roadmap's "within 3× of threads" target is scored against.
 //!
-//! Two priced add-ons ride on the best batch size per transport: the
-//! coordinated-checkpoint variants (`net_*_ckpt`) and the live-cockpit
-//! variants (`net_*_attached`, one control client attached but idle —
-//! the standing cost of being observable). Both are scored against a
-//! <5% overhead target vs their base row.
+//! Two priced add-ons ride on each transport: the coordinated-checkpoint
+//! variants (`net_*_ckpt`) and the live-cockpit variants
+//! (`net_*_attached`, one control client attached but idle — the
+//! standing cost of being observable). Both are scored against a <5%
+//! overhead target vs their base row.
 //!
 //! Besides the criterion timings, a machine-readable summary with the
 //! headline numbers (target-cycles/s, ns per target cycle, and
@@ -43,7 +38,6 @@ use std::time::{Duration, Instant};
 // steady-state wire throughput, the quantity a long simulation sees.
 const CYCLES: u64 = 6_000;
 const BEST_OF: usize = 5;
-const BATCHES: [u64; 3] = [1, 8, 64];
 
 /// Cluster-checkpoint cadence for the checkpointing-enabled variants:
 /// the interval EXPERIMENTS.md prices (six barrier/snapshot/commit
@@ -94,7 +88,6 @@ fn run_net(
     spec: &PartitionSpec,
     unix: bool,
     tag: usize,
-    batch_cycles: u64,
     checkpoint_interval: u64,
 ) -> SimMetrics {
     let mut bound = Vec::new();
@@ -114,7 +107,6 @@ fn run_net(
         handles.push(std::thread::spawn(move || serve(&listener, &setup)));
     }
     let settings = WireSettings {
-        batch_cycles,
         checkpoint_interval,
         ..WireSettings::default()
     };
@@ -131,13 +123,7 @@ fn run_net(
 /// socket the coordinator polls at every relay round. This prices the
 /// standing cost of being observable: the target is <5% vs the same
 /// transport unattached.
-fn run_net_attached(
-    circuit: &Circuit,
-    spec: &PartitionSpec,
-    unix: bool,
-    tag: usize,
-    batch_cycles: u64,
-) -> SimMetrics {
+fn run_net_attached(circuit: &Circuit, spec: &PartitionSpec, unix: bool, tag: usize) -> SimMetrics {
     let mut bound = Vec::new();
     let mut handles = Vec::new();
     for i in 0..4 {
@@ -179,16 +165,12 @@ fn run_net_attached(
         // Idle until the coordinator closes the socket at end of run.
         while read_msg(&mut stream).expect("attach read").is_some() {}
     });
-    let settings = WireSettings {
-        batch_cycles,
-        ..WireSettings::default()
-    };
     let report = run_cluster_controlled(
         circuit,
         spec,
         CYCLES,
         &bound,
-        &settings,
+        &WireSettings::default(),
         10_000,
         &setup,
         RecoveryOptions::none(),
@@ -223,28 +205,24 @@ fn transport_throughput(c: &mut Criterion) {
     let (circuit, spec) = noc_4partition_design();
 
     // Parity gate: every timed path must move the exact same per-link
-    // token totals before any of them is timed — including each swept
-    // batch size, since batching reshapes the wire but must not reshape
-    // the traffic.
+    // token totals before any of them is timed.
     let threads_tokens = run_threads(&circuit, &spec).link_tokens;
-    for (bi, &batch) in BATCHES.iter().enumerate() {
-        assert_eq!(
-            threads_tokens,
-            run_net(&circuit, &spec, false, 2 * bi, batch, 0).link_tokens,
-            "TCP cluster (batch {batch}) disagrees with Threads on link tokens"
-        );
-        assert_eq!(
-            threads_tokens,
-            run_net(&circuit, &spec, true, 2 * bi + 1, batch, 0).link_tokens,
-            "Unix cluster (batch {batch}) disagrees with Threads on link tokens"
-        );
-    }
+    assert_eq!(
+        threads_tokens,
+        run_net(&circuit, &spec, false, 0, 0).link_tokens,
+        "TCP cluster disagrees with Threads on link tokens"
+    );
+    assert_eq!(
+        threads_tokens,
+        run_net(&circuit, &spec, true, 1, 0).link_tokens,
+        "Unix cluster disagrees with Threads on link tokens"
+    );
     // Checkpointing reshapes the host-time schedule (barrier, snapshot,
     // commit every CKPT_INTERVAL cycles) but must not reshape traffic.
     for (ti, &unix) in [false, true].iter().enumerate() {
         assert_eq!(
             threads_tokens,
-            run_net(&circuit, &spec, unix, 8 + ti, 8, CKPT_INTERVAL).link_tokens,
+            run_net(&circuit, &spec, unix, 8 + ti, CKPT_INTERVAL).link_tokens,
             "checkpointing cluster (unix={unix}) disagrees with Threads on link tokens"
         );
     }
@@ -253,7 +231,7 @@ fn transport_throughput(c: &mut Criterion) {
     for (ti, &unix) in [false, true].iter().enumerate() {
         assert_eq!(
             threads_tokens,
-            run_net_attached(&circuit, &spec, unix, 50 + ti, 8).link_tokens,
+            run_net_attached(&circuit, &spec, unix, 50 + ti).link_tokens,
             "attached cluster (unix={unix}) disagrees with Threads on link tokens"
         );
     }
@@ -263,57 +241,42 @@ fn transport_throughput(c: &mut Criterion) {
     g.bench_function("threads_noc4", |bench| {
         bench.iter(|| black_box(run_threads(&circuit, &spec)))
     });
-    for (bi, &batch) in BATCHES.iter().enumerate() {
-        g.bench_function(&format!("net_tcp_noc4_batch{batch}"), |bench| {
-            bench.iter(|| black_box(run_net(&circuit, &spec, false, 10 + 2 * bi, batch, 0)))
-        });
-        g.bench_function(&format!("net_unix_noc4_batch{batch}"), |bench| {
-            bench.iter(|| black_box(run_net(&circuit, &spec, true, 11 + 2 * bi, batch, 0)))
-        });
-    }
+    g.bench_function("net_tcp_noc4", |bench| {
+        bench.iter(|| black_box(run_net(&circuit, &spec, false, 10, 0)))
+    });
+    g.bench_function("net_unix_noc4", |bench| {
+        bench.iter(|| black_box(run_net(&circuit, &spec, true, 11, 0)))
+    });
     g.bench_function(&format!("net_unix_noc4_ckpt{CKPT_INTERVAL}"), |bench| {
-        bench.iter(|| black_box(run_net(&circuit, &spec, true, 18, 8, CKPT_INTERVAL)))
+        bench.iter(|| black_box(run_net(&circuit, &spec, true, 18, CKPT_INTERVAL)))
     });
     g.bench_function("net_unix_noc4_attached", |bench| {
-        bench.iter(|| black_box(run_net_attached(&circuit, &spec, true, 19, 8)))
+        bench.iter(|| black_box(run_net_attached(&circuit, &spec, true, 19)))
     });
     g.finish();
 
-    // Headline numbers, best of five, and the machine-readable summary:
-    // one row per swept point, then `net_tcp`/`net_unix` quoting the
-    // best batch for each transport.
+    // Headline numbers, best of five, and the machine-readable summary.
     let mut rows: Vec<(String, f64, f64, f64)> = Vec::new();
-    let mut best: [Option<(u64, f64, f64, f64)>; 2] = [None, None];
+    let mut base_rates = [0.0f64; 2];
     {
         let (rate, ns, tps) = measure(|| run_threads(&circuit, &spec));
         rows.push(("threads".to_string(), rate, ns, tps));
     }
-    for &batch in &BATCHES {
-        for (ti, &unix) in [false, true].iter().enumerate() {
-            let transport = if unix { "unix" } else { "tcp" };
-            let tag = 20 + 2 * batch as usize + ti;
-            let (rate, ns, tps) = measure(|| run_net(&circuit, &spec, unix, tag, batch, 0));
-            rows.push((format!("net_{transport}_batch{batch}"), rate, ns, tps));
-            if best[ti].is_none_or(|(_, r, _, _)| rate > r) {
-                best[ti] = Some((batch, rate, ns, tps));
-            }
-        }
-    }
-    for (ti, transport) in ["tcp", "unix"].into_iter().enumerate() {
-        let (batch, rate, ns, tps) = best[ti].expect("swept at least one batch size");
+    for (ti, &unix) in [false, true].iter().enumerate() {
+        let transport = if unix { "unix" } else { "tcp" };
+        let (rate, ns, tps) = measure(|| run_net(&circuit, &spec, unix, 20 + ti, 0));
         rows.push((format!("net_{transport}"), rate, ns, tps));
-        println!("transport/net_{transport}: best batch_cycles = {batch}");
+        base_rates[ti] = rate;
     }
 
-    // Checkpointing priced against the same transport at its best
-    // batch: the coordinated barrier + snapshot + commit round every
-    // CKPT_INTERVAL cycles should cost <5%.
+    // Checkpointing priced against the same transport: the coordinated
+    // barrier + snapshot + commit round every CKPT_INTERVAL cycles
+    // should cost <5%.
     let mut overhead = [0.0f64; 2];
     for (ti, &unix) in [false, true].iter().enumerate() {
         let transport = if unix { "unix" } else { "tcp" };
-        let (batch, base_rate, _, _) = best[ti].expect("measured above");
-        let (rate, ns, tps) =
-            measure(|| run_net(&circuit, &spec, unix, 40 + ti, batch, CKPT_INTERVAL));
+        let base_rate = base_rates[ti];
+        let (rate, ns, tps) = measure(|| run_net(&circuit, &spec, unix, 40 + ti, CKPT_INTERVAL));
         overhead[ti] = (base_rate - rate) / base_rate * 100.0;
         rows.push((format!("net_{transport}_ckpt"), rate, ns, tps));
         println!(
@@ -324,7 +287,7 @@ fn transport_throughput(c: &mut Criterion) {
     }
 
     // An attached-but-idle cockpit client priced against the same
-    // transport at its best batch: a live control socket with nothing
+    // transport: a live control socket with nothing
     // subscribed should cost <5%. Quoted as the *median of paired
     // ratios* — each attached run is ratioed against the unattached run
     // immediately before it, so machine-load drift (which hits both
@@ -335,16 +298,15 @@ fn transport_throughput(c: &mut Criterion) {
     let mut attached = [0.0f64; 2];
     for (ti, &unix) in [false, true].iter().enumerate() {
         let transport = if unix { "unix" } else { "tcp" };
-        let (batch, _, _, _) = best[ti].expect("measured above");
         let mut ratios = [0.0f64; PAIRS];
         let mut best_secs = f64::INFINITY;
         let mut tokens = 0u64;
         for r in &mut ratios {
             let t = Instant::now();
-            run_net(&circuit, &spec, unix, 58 + ti, batch, 0);
+            run_net(&circuit, &spec, unix, 58 + ti, 0);
             let base = t.elapsed().as_secs_f64();
             let t = Instant::now();
-            let m = run_net_attached(&circuit, &spec, unix, 60 + ti, batch);
+            let m = run_net_attached(&circuit, &spec, unix, 60 + ti);
             let secs = t.elapsed().as_secs_f64();
             *r = secs / base;
             if secs < best_secs {
@@ -370,11 +332,6 @@ fn transport_throughput(c: &mut Criterion) {
     let mut doc = String::from("{\n");
     doc.push_str(&format!(
         "  \"bench\": \"transports\",\n  \"cycles\": {CYCLES},\n"
-    ));
-    doc.push_str(&format!(
-        "  \"best_batch_cycles\": {{ \"net_tcp\": {}, \"net_unix\": {} }},\n",
-        best[0].unwrap().0,
-        best[1].unwrap().0
     ));
     doc.push_str(&format!(
         "  \"checkpoint_interval\": {CKPT_INTERVAL},\n  \"checkpoint_overhead_pct\": \

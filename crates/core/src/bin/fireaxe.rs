@@ -66,8 +66,8 @@ const USAGE: &str = "usage: fireaxe run <run.json> [--circuit <design.fir>] [--c
      [--backend des|threads[:n]|net] [--engine compiled|reference|sliced] \
      [--trace <out.json>] [--vcd <out.vcd>] \
      [--metrics <out.json|out.csv>] [--signals <a,b,..>] [--sample-interval N] [--estimate]\n\
-       fireaxe coordinator <run.json> [--workers <addr,addr,..>] [--batch-cycles N] \
-     [--control <addr>] [run flags]\n\
+       fireaxe coordinator <run.json> [--workers <addr,addr,..>] [--control <addr>] \
+     [run flags]\n\
        fireaxe worker [--listen <host:port|unix:/path>] [--chaos-kill N] [--pooled]\n\
        fireaxe attach <addr> [--serve-http <port>]\n\
        fireaxe serve [--listen <addr>] [--pool N] [--cache N] [--quota <t:j:c:s>] [--stop]\n\
@@ -123,8 +123,6 @@ struct Args {
     force_net: bool,
     /// `--workers` override for the config's `net.workers` list.
     workers: Option<Vec<String>>,
-    /// `--batch-cycles` override for the config's `net.batch_cycles`.
-    batch_cycles: Option<u64>,
     /// `--control` override for the config's `net.control` address.
     control: Option<String>,
     trace: Option<String>,
@@ -220,8 +218,9 @@ fn parse_u64(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<u64, S
         .map_err(|e| format!("bad {flag} value: {e}"))
 }
 
-fn parse_args() -> Result<Cmd, String> {
-    let mut it = std::env::args().skip(1).peekable();
+/// Parses the command line after the program name.
+fn parse_args(args: impl Iterator<Item = String>) -> Result<Cmd, String> {
+    let mut it = args.peekable();
     if it.peek().map(String::as_str) == Some("worker") {
         it.next();
         let mut listen = "127.0.0.1:0".to_string();
@@ -400,7 +399,6 @@ fn parse_args() -> Result<Cmd, String> {
     let mut engine = None;
     let mut force_net = false;
     let mut workers = None;
-    let mut batch_cycles = None;
     let mut control = None;
     let mut trace = None;
     let mut vcd = None;
@@ -429,7 +427,6 @@ fn parse_args() -> Result<Cmd, String> {
                 let list = it.next().ok_or("--workers needs a comma-separated list")?;
                 workers = Some(list.split(',').map(str::to_string).collect());
             }
-            "--batch-cycles" => batch_cycles = Some(parse_u64(&mut it, "--batch-cycles")?),
             "--control" => control = Some(it.next().ok_or("--control needs an address")?),
             "--trace" => trace = Some(it.next().ok_or("--trace needs a path")?),
             "--vcd" => vcd = Some(it.next().ok_or("--vcd needs a path")?),
@@ -456,7 +453,6 @@ fn parse_args() -> Result<Cmd, String> {
         engine,
         force_net,
         workers,
-        batch_cycles,
         control,
         trace,
         vcd,
@@ -651,7 +647,6 @@ fn run_submit(args: &SubmitArgs) -> Result<(), String> {
         engine: None,
         force_net: false,
         workers: None,
-        batch_cycles: None,
         control: None,
         trace: None,
         vcd: args.vcd.clone(),
@@ -865,7 +860,6 @@ fn wire_settings(
     }
     if let Some(net) = &cfg.net {
         settings.io_timeout_ms = net.io_timeout_ms;
-        settings.batch_cycles = net.batch_cycles;
     }
     // The same knob Des/Threads honor arms cluster checkpointing here:
     // every worker snapshots at the shared cycle barrier.
@@ -912,10 +906,7 @@ fn run_net(cfg: &RunConfig, circuit: Circuit, args: &Args) -> Result<(), String>
     if let Some(c) = &args.control {
         net.control = c.clone();
     }
-    let mut settings = wire_settings(cfg, platform, &obs)?;
-    if let Some(b) = args.batch_cycles {
-        settings.batch_cycles = b;
-    }
+    let settings = wire_settings(cfg, platform, &obs)?;
 
     // The cockpit listener comes up before the workers so an operator
     // can attach the moment the addresses print.
@@ -1187,7 +1178,7 @@ fn run(args: Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let outcome = match parse_args() {
+    let outcome = match parse_args(std::env::args().skip(1)) {
         Ok(Cmd::Worker {
             listen,
             chaos_kill,
@@ -1218,6 +1209,20 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("fireaxe: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    #[test]
+    fn the_removed_batch_cycles_flag_is_an_unknown_argument() {
+        let argv = ["coordinator", "demo/run.json", "--batch-cycles", "8"];
+        match parse_args(argv.into_iter().map(String::from)) {
+            Err(e) => assert!(e.contains("unknown argument `--batch-cycles`"), "{e}"),
+            Ok(_) => panic!("--batch-cycles must be refused"),
         }
     }
 }

@@ -95,10 +95,6 @@ pub struct NetConfig {
     pub connect_timeout_ms: u64,
     /// Run-phase silence tolerated before `NetTimeout`, milliseconds.
     pub io_timeout_ms: u64,
-    /// Target cycles of tokens packed per link into one wire message
-    /// before flushing (latency hiding; clamped to the credit window by
-    /// the backend). 1 sends every token in its own message.
-    pub batch_cycles: u64,
     /// Times a dead worker may be respawned before the run degrades to
     /// `PartitionLost` (0 disables failover; recovery also requires a
     /// nonzero top-level `checkpoint_interval` and a self-spawned
@@ -120,7 +116,6 @@ impl Default for NetConfig {
             workers: Vec::new(),
             connect_timeout_ms: 10_000,
             io_timeout_ms: 10_000,
-            batch_cycles: 8,
             max_restarts: 2,
             restart_backoff_ms: 50,
             control: String::new(),
@@ -384,6 +379,13 @@ impl NetConfig {
         let obj = v
             .as_object()
             .ok_or_else(|| schema_err("net", "expected an object"))?;
+        if obj.contains_key("batch_cycles") {
+            return Err(schema_err(
+                "net.batch_cycles",
+                "removed: a link's frames ship when its credit window is spent \
+                 or when its worker goes quiescent; drop the key",
+            ));
+        }
         let mut workers = Vec::new();
         if let Some(arr) = obj.get("workers") {
             for item in arr
@@ -403,7 +405,6 @@ impl NetConfig {
             connect_timeout_ms: get_u64(obj, "connect_timeout_ms")?
                 .unwrap_or(defaults.connect_timeout_ms),
             io_timeout_ms: get_u64(obj, "io_timeout_ms")?.unwrap_or(defaults.io_timeout_ms),
-            batch_cycles: get_u64(obj, "batch_cycles")?.unwrap_or(defaults.batch_cycles),
             max_restarts: match get_u64(obj, "max_restarts")? {
                 Some(n) => u32::try_from(n).map_err(|_| {
                     schema_err("max_restarts", format!("{n} exceeds the u32 range"))
@@ -440,12 +441,6 @@ impl NetConfig {
             m.insert(
                 "io_timeout_ms".to_string(),
                 Value::Number(self.io_timeout_ms as f64),
-            );
-        }
-        if self.batch_cycles != defaults.batch_cycles {
-            m.insert(
-                "batch_cycles".to_string(),
-                Value::Number(self.batch_cycles as f64),
             );
         }
         if self.max_restarts != defaults.max_restarts {
@@ -1122,7 +1117,6 @@ mod tests {
             "net": {
                 "workers": ["127.0.0.1:7001", "unix:/tmp/w1.sock"],
                 "connect_timeout_ms": 2500,
-                "batch_cycles": 64,
                 "control": "127.0.0.1:9100"
             },
             "groups": [{ "name": "g", "instances": ["a"] }]
@@ -1133,7 +1127,6 @@ mod tests {
         assert_eq!(net.workers.len(), 2);
         assert_eq!(net.connect_timeout_ms, 2500);
         assert_eq!(net.io_timeout_ms, NetConfig::default().io_timeout_ms);
-        assert_eq!(net.batch_cycles, 64);
         assert_eq!(net.control, "127.0.0.1:9100");
         let back = RunConfig::from_json(&cfg.to_json()).unwrap();
         assert_eq!(back, cfg);
@@ -1151,6 +1144,26 @@ mod tests {
         .unwrap();
         assert!(cfg.net.is_none());
         assert_eq!(cfg.execution_backend().unwrap(), Backend::Net);
+    }
+
+    #[test]
+    fn a_removed_net_key_is_refused_by_name() {
+        let err = RunConfig::from_json(
+            r#"{
+                "mode": "exact", "platform": "host-managed", "backend": "net",
+                "net": { "batch_cycles": 64 },
+                "groups": [{ "name": "g", "instances": ["a"] }]
+            }"#,
+        )
+        .unwrap_err();
+        match &err {
+            ConfigError::Invalid { field, message } => {
+                assert_eq!(*field, "net.batch_cycles");
+                assert!(message.starts_with("removed"), "{message}");
+            }
+            other => panic!("expected a typed field error, got {other:?}"),
+        }
+        assert!(err.to_string().contains("`net.batch_cycles`"), "{err}");
     }
 
     #[test]

@@ -73,7 +73,10 @@ pub const PROTOCOL_MAGIC: u32 = 0x4641_584e;
 /// v8: a worker hosts a contiguous run of partitions: [`Topology`]
 /// carries one partition payload per hosted partition, and
 /// [`Msg::Ready`] digests the whole set (see [`set_digest`]).
-pub const PROTOCOL_VERSION: u32 = 8;
+/// v9: [`WireSettings`] loses `batch_cycles`, `slack_cycles` and
+/// `progress_interval`: a link's frames ship when its credit window is
+/// spent or at quiescence, and progress reports keep a fixed cadence.
+pub const PROTOCOL_VERSION: u32 = 9;
 
 /// Upper bound on a single message payload (the topology message
 /// carries a partition's circuit tapes; token messages are tiny).
@@ -462,9 +465,9 @@ wire_struct! {
         pub payloads: Vec<Vec<u8>>,
     }
 
-    /// Cluster-wide engine settings (the subset of `SimBuilder` knobs that
-    /// must match across processes for bit-exact parity), plus the net
-    /// backend's own pacing knobs.
+    /// Cluster-wide engine settings: the subset of `SimBuilder` knobs that
+    /// must match across processes for bit-exact parity, plus the net
+    /// backend's liveness and checkpoint cadences.
     #[derive(Debug, Clone)]
     pub struct WireSettings {
         /// Transport model for links without an override.
@@ -488,22 +491,9 @@ wire_struct! {
         pub vcd: bool,
         /// VCD watch list (empty = every node's output ports).
         pub signals: Vec<String>,
-        /// Target cycles between worker [`Msg::Progress`] reports.
-        pub progress_interval: u64,
         /// Silence budget: a peer that sends nothing for this long while
         /// the run is incomplete trips `SimError::NetTimeout`.
         pub io_timeout_ms: u64,
-        /// Target cycles of tokens packed per link into one
-        /// [`Msg::TokenBatch`] before it is flushed to the wire (quiescence
-        /// always flushes early, so small runs never stall). Clamped to
-        /// `1..=INITIAL_CREDITS`.
-        pub batch_cycles: u64,
-        /// Lookahead window: how many target cycles a partition may run
-        /// ahead of its slowest inbound link (the paper's fast-mode
-        /// analogue). Bounds LI-BDN queue deepening; clamped to
-        /// `batch_cycles..=INITIAL_CREDITS` so the credit window still caps
-        /// runahead.
-        pub slack_cycles: u64,
         /// Target cycles between coordinated cluster checkpoints (0 = no
         /// checkpointing, and therefore no crash recovery). Every worker
         /// stops at each multiple of this interval, reaches link
@@ -664,29 +654,17 @@ impl Default for WireSettings {
             sample_interval: 0,
             vcd: false,
             signals: Vec::new(),
-            progress_interval: 256,
             io_timeout_ms: 10_000,
-            batch_cycles: 8,
-            slack_cycles: crate::flow::INITIAL_CREDITS as u64,
             checkpoint_interval: 0,
         }
     }
 }
 
 impl WireSettings {
-    /// `batch_cycles` clamped to the credit window (at least 1).
+    /// The most frames one token message carries: a link's credit
+    /// window, [`crate::flow::INITIAL_CREDITS`].
     pub fn effective_batch(&self) -> usize {
-        self.batch_cycles
-            .clamp(1, crate::flow::INITIAL_CREDITS as u64) as usize
-    }
-
-    /// `slack_cycles` clamped between the batch size and the credit
-    /// window: a partition must be able to buffer at least one full
-    /// batch, and may never outrun flow control.
-    pub fn effective_slack(&self) -> usize {
-        (self.slack_cycles as usize)
-            .max(self.effective_batch())
-            .min(crate::flow::INITIAL_CREDITS as usize)
+        crate::flow::INITIAL_CREDITS as usize
     }
 }
 
@@ -812,7 +790,8 @@ messages! {
             amount: u32,
         },
         /// Worker → coordinator: lowest owned-node target cycle, sent every
-        /// `progress_interval` cycles (feeds stall forensics).
+        /// 256 target cycles and on a wall-clock heartbeat (feeds stall
+        /// forensics).
         TAG_PROGRESS = 9 => Progress {
             /// Minimum completed target cycle across owned nodes.
             cycle: u64,
@@ -1755,37 +1734,6 @@ mod tests {
             Msg::CorruptToken { link } => assert_eq!(link, 6),
             other => panic!("expected CorruptToken, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn settings_pacing_knobs_roundtrip_and_clamp() {
-        let mut settings = WireSettings {
-            batch_cycles: 64,
-            slack_cycles: 17,
-            ..Default::default()
-        };
-        roundtrip(&Msg::Topology(Box::new(Topology {
-            worker: 0,
-            n_workers: 2,
-            payloads: Vec::new(),
-            settings: settings.clone(),
-        })));
-        assert_eq!(settings.effective_batch(), 64);
-        // Slack may not drop below the batch size…
-        assert_eq!(settings.effective_slack(), 64);
-        // …and neither knob escapes the credit window.
-        settings.batch_cycles = 10_000;
-        settings.slack_cycles = 10_000;
-        assert_eq!(
-            settings.effective_batch(),
-            crate::flow::INITIAL_CREDITS as usize
-        );
-        assert_eq!(
-            settings.effective_slack(),
-            crate::flow::INITIAL_CREDITS as usize
-        );
-        settings.batch_cycles = 0;
-        assert_eq!(settings.effective_batch(), 1);
     }
 
     #[test]

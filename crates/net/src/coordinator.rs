@@ -1243,7 +1243,7 @@ pub fn execute_placed(
                         Msg::Barrier { epoch: e, cycle } if e == epoch => {
                             // Reaching a barrier proves progress to its
                             // cycle — `Progress` reports are far coarser
-                            // (every `progress_interval` cycles), and
+                            // (every 256 cycles), and
                             // recovery forensics want the tighter bound.
                             cluster.progress[w] = cluster.progress[w].max(cycle);
                             let (c, arrived) =

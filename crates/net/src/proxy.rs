@@ -22,6 +22,8 @@ use crate::codec::{decode_frame, frame_into, peek_data, read_raw_msg, DataMsg, M
 use crate::stream::{NetListener, NetStream};
 use fireaxe_transport::reliable;
 use std::io::{self, Write};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Deterministic fault schedule for one relay direction, keyed by the
@@ -60,6 +62,7 @@ impl ProxyPlan {
 pub struct FaultProxy {
     /// Address to hand the coordinator in place of the worker's.
     pub addr: String,
+    largest_batch: Arc<AtomicUsize>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -82,6 +85,8 @@ impl FaultProxy {
         let listener = NetListener::bind(listen_addr)?;
         let addr = listener.local_addr_string();
         let target = target.to_string();
+        let largest_batch = Arc::new(AtomicUsize::new(0));
+        let (l1, l2) = (largest_batch.clone(), largest_batch.clone());
         let accept_thread = std::thread::spawn(move || {
             let Ok(client) = listener.accept() else {
                 return;
@@ -95,15 +100,22 @@ impl FaultProxy {
                 upstream.shutdown();
                 return;
             };
-            let t1 = std::thread::spawn(move || pump(client, upstream, to_target));
-            let t2 = std::thread::spawn(move || pump(u2, c2, to_client));
+            let t1 = std::thread::spawn(move || pump(client, upstream, to_target, &l1));
+            let t2 = std::thread::spawn(move || pump(u2, c2, to_client, &l2));
             let _ = t1.join();
             let _ = t2.join();
         });
         Ok(FaultProxy {
             addr,
+            largest_batch,
             accept_thread: Some(accept_thread),
         })
+    }
+
+    /// The most frames any one token message carried through the proxy
+    /// so far, in either direction.
+    pub fn largest_batch(&self) -> usize {
+        self.largest_batch.load(Ordering::Relaxed)
     }
 }
 
@@ -121,8 +133,9 @@ impl Drop for FaultProxy {
 }
 
 /// Relays framed messages `from` → `to`, applying `plan` to data
-/// messages, until EOF, error, or the plan's cut point.
-fn pump(mut from: NetStream, mut to: NetStream, plan: ProxyPlan) {
+/// messages, until EOF, error, or the plan's cut point, and records the
+/// largest token batch it reads in `largest_batch`.
+fn pump(mut from: NetStream, mut to: NetStream, plan: ProxyPlan, largest_batch: &AtomicUsize) {
     let mut data_idx = 0u64;
     let mut token_idx = 0u64;
     let mut frame = Vec::new();
@@ -144,6 +157,11 @@ fn pump(mut from: NetStream, mut to: NetStream, plan: ProxyPlan) {
                 }
             }
             if is_token {
+                let frames = match decode_frame(&frame) {
+                    Ok(Msg::TokenBatch { frames, .. }) => frames.len(),
+                    _ => 1,
+                };
+                largest_batch.fetch_max(frames, Ordering::Relaxed);
                 if let Some(&(_, ms)) = plan.stall.iter().find(|(i, _)| *i == token_idx) {
                     std::thread::sleep(Duration::from_millis(ms));
                 }

@@ -25,25 +25,28 @@
 //!
 //! # Latency hiding
 //!
-//! Two mechanisms keep the wire off the critical path (the paper's
+//! Three mechanisms keep the wire off the critical path (the paper's
 //! inter-FPGA latency amortization, §V):
 //!
-//! * **Cycle batching** — outbound fresh tokens accumulate per link and
-//!   ship as one [`Msg::TokenBatch`] per `batch_cycles` target cycles
-//!   (quiescence always flushes a partial batch, so liveness never
-//!   depends on filling one). The receiver stages the whole batch and
-//!   acknowledges once, cumulatively.
+//! * **Credit-window framing** — a link's fresh frames accumulate while
+//!   it holds credits and ship as one [`Msg::TokenBatch`] when its
+//!   credit window is spent or at the pass's quiescent flush, whichever
+//!   comes first, so liveness never depends on filling a window. The
+//!   receiver stages the whole batch and acknowledges once,
+//!   cumulatively. Framing is invisible to the target, so it is a fixed
+//!   rule rather than a setting.
 //! * **Write coalescing** — outbound messages queue into one local
 //!   buffer and ship with a single `write`+`flush` per service-loop
-//!   pass (a completed token batch still flushes immediately). The
+//!   pass (a spent window's batch rides that same write). The
 //!   kernel socket buffer provides the compute/communication overlap:
 //!   a write returns as soon as the bytes are queued, and the worker
 //!   keeps stepping while the coordinator relays them (double
-//!   buffering: a link's next batch fills while the previous one is
-//!   still in flight unacknowledged). A dedicated writer thread was
-//!   measured slower here — on a loaded host every thread hand-off on
-//!   the token path is a context switch, and the per-cycle critical
-//!   path of a tightly-coupled partitioning is exactly that path.
+//!   buffering: a link's next batch fills as credits come back, while
+//!   the last one may still be unacknowledged). A dedicated writer
+//!   thread was measured slower here — on a loaded host every thread
+//!   hand-off on the token path is a context switch, and the per-cycle
+//!   critical path of a tightly-coupled partitioning is exactly that
+//!   path.
 //! * **Inline socket reads** — the same argument on the inbound side:
 //!   the service loop drains the socket itself (`RxWire`, a
 //!   [`FrameReader`]) instead of delegating to a reader thread. A
@@ -59,11 +62,10 @@
 //!   nonblocking `send` finds the send buffer full, so no two peers can
 //!   sit blocked writing to each other.
 //!
-//! Runahead is bounded twice: LI-BDN queues are deepened to the
-//! `slack_cycles` lookahead window, and every fresh frame still spends
-//! a flow-control credit — a partition can never run more than
-//! [`crate::flow::INITIAL_CREDITS`] cycles ahead of its slowest
-//! inbound link.
+//! Runahead is bounded by the credit window: LI-BDN queues are deepened
+//! to [`INITIAL_CREDITS`] slots, and every fresh frame spends a
+//! flow-control credit — a partition can never run more than
+//! [`INITIAL_CREDITS`] cycles ahead of its slowest inbound link.
 
 use crate::codec::{
     decode_frame, frame_into, partition_digest, read_msg, set_digest, write_msg, LinkReport, Msg,
@@ -97,6 +99,10 @@ pub type SimSetup = dyn for<'a> Fn(SimBuilder<'a>) -> SimBuilder<'a> + Sync;
 /// wait makes that 6.4 ms, short enough to retransmit on a clean but
 /// busy host.
 const IDLE_POLL: Duration = Duration::from_micros(200);
+
+/// Target cycles between [`Msg::Progress`] reports (the wall-clock
+/// heartbeat may send one sooner).
+const PROGRESS_INTERVAL: u64 = 256;
 
 enum Event {
     // Boxed: `Msg` carries whole topologies and reports, and `Closed`
@@ -1157,8 +1163,7 @@ fn run_session(
         return Err(cfg_err(format!("{who} owns no nodes in this partitioning")));
     }
     let mut timeout_escalations = vec![0u64; specs.len()];
-    let batch = settings.effective_batch();
-    let saved = access.deepen_capacities(settings.effective_slack());
+    let saved = access.deepen_capacities(INITIAL_CREDITS as usize);
 
     // --- Checkpoint state -----------------------------------------------
     // `committed` is the blob every peer's committed blob was captured
@@ -1549,9 +1554,9 @@ fn run_session(
 
         // 2. Step owned nodes and move link outputs to quiescence,
         //    accumulating outbound tokens into per-link batches. A batch
-        //    ships as soon as it holds `batch` frames; partial batches
-        //    ship at quiescence below, so no token is ever held while
-        //    the loop has nothing else to do.
+        //    ships as soon as its link's credit window is spent; partial
+        //    batches ship at quiescence below, so no token is ever held
+        //    while the loop has nothing else to do.
         loop {
             let mut pass = false;
             for &n in &owned {
@@ -1571,22 +1576,19 @@ fn run_session(
                 }
             }
             for ol in &mut out_links {
-                loop {
-                    while ol.txl.can_send() && ol.pending.len() < batch {
-                        match access.pop_link_output(ol.link) {
-                            Some(payload) => {
-                                ol.pending.push(ol.txl.send(payload));
-                                pass = true;
-                            }
-                            None => break,
+                while ol.txl.can_send() {
+                    match access.pop_link_output(ol.link) {
+                        Some(payload) => {
+                            ol.pending.push(ol.txl.send(payload));
+                            pass = true;
                         }
+                        None => break,
                     }
-                    if ol.pending.len() < batch {
-                        break;
-                    }
-                    // A completed batch is queued here and leaves at
-                    // the end of this pass: sink workers compute on it
-                    // while this loop keeps stepping.
+                }
+                if !ol.txl.can_send() && !ol.pending.is_empty() {
+                    // A spent window's batch is queued here and leaves
+                    // at the end of this pass: sink workers compute on
+                    // it while this loop keeps stepping.
                     let frames = std::mem::take(&mut ol.pending);
                     wire.queue(&token_msg(ol.link, frames));
                 }
@@ -1642,7 +1644,7 @@ fn run_session(
         //    stall, or simply slow — must never fall silent for a whole
         //    io_timeout, or the coordinator declares it dead.
         let cycle = min_cycle(access, &owned);
-        if cycle >= last_progress_sent + settings.progress_interval.max(1)
+        if cycle >= last_progress_sent + PROGRESS_INTERVAL
             || last_heartbeat.elapsed() >= hb_interval
         {
             last_progress_sent = cycle;

@@ -3,8 +3,8 @@
 //! dropped with no `Fatal`, exactly like a crash) must be respawned,
 //! rewound to the last cluster checkpoint, and finish with the same
 //! sampled `(cycle, state_digest)` rows and byte-identical VCD as the
-//! undisturbed DES golden model — on both transports, at every
-//! supported batch size, for randomized kill schedules. Exhausting the
+//! undisturbed DES golden model — on both transports, for randomized
+//! kill schedules. Exhausting the
 //! restart budget must degrade to the typed `PartitionLost`, and
 //! multi-worker silence must name every silent worker, not just the
 //! first.
@@ -12,7 +12,7 @@
 mod common;
 
 use common::{
-    des_reference, listen_addrs, noc_4partition_design, observed_settings_batched, setup_hook,
+    des_reference, listen_addrs, noc_4partition_design, observed_settings, setup_hook,
     spawn_workers_with, CYCLES,
 };
 use fireaxe_net::{
@@ -30,10 +30,10 @@ use std::time::Duration;
 /// before cycle 100 exercise the implicit cycle-0 checkpoint).
 const CKPT_INTERVAL: u64 = 100;
 
-fn chaos_settings(batch: u64) -> WireSettings {
+fn chaos_settings() -> WireSettings {
     WireSettings {
         checkpoint_interval: CKPT_INTERVAL,
-        ..observed_settings_batched(batch)
+        ..observed_settings()
     }
 }
 
@@ -85,7 +85,6 @@ fn serve_with_hook(listener: &NetListener, opts: &WorkerOptions) -> Result<()> {
 fn run_chaos(
     unix: bool,
     label: &str,
-    batch: u64,
     victim: usize,
     kill_cycle: u64,
     max_restarts: u32,
@@ -95,7 +94,6 @@ fn run_chaos(
         4,
         unix,
         label,
-        batch,
         victim,
         kill_cycle,
         max_restarts,
@@ -104,12 +102,10 @@ fn run_chaos(
 }
 
 /// [`run_chaos`] with the 4 partitions packed onto `n_workers` workers.
-#[allow(clippy::too_many_arguments)]
 fn run_chaos_on(
     n_workers: usize,
     unix: bool,
     label: &str,
-    batch: u64,
     victim: usize,
     kill_cycle: u64,
     max_restarts: u32,
@@ -140,7 +136,7 @@ fn run_chaos_on(
         &spec,
         CYCLES,
         &bound,
-        &chaos_settings(batch),
+        &chaos_settings(),
         10_000,
         &setup_hook,
         recovery,
@@ -191,13 +187,12 @@ fn digests(obs: &fireaxe_obs::MetricsSeries) -> Vec<(String, Vec<(u64, u64)>)> {
 /// The undisturbed golden: the DES model under the same observation
 /// settings. `distributed_parity` already proves an undisturbed cluster
 /// matches it bit for bit, so recovered-run == DES implies
-/// recovered-run == undisturbed-run. Cached: batching and chaos must
-/// not change it.
+/// recovered-run == undisturbed-run. Cached: chaos must not change it.
 fn golden() -> &'static (SimMetrics, ObsReport) {
     static GOLDEN: OnceLock<(SimMetrics, ObsReport)> = OnceLock::new();
     GOLDEN.get_or_init(|| {
         let (circuit, spec) = noc_4partition_design();
-        des_reference(&circuit, &spec, &chaos_settings(8))
+        des_reference(&circuit, &spec, &chaos_settings())
     })
 }
 
@@ -249,7 +244,6 @@ fn checkpointing_alone_is_invisible_in_target_state() {
     let net = run_chaos(
         true,
         "ckpt-clean",
-        8,
         0,
         CYCLES + 1, // never fires
         2,
@@ -262,15 +256,15 @@ fn checkpointing_alone_is_invisible_in_target_state() {
 
 #[test]
 fn tcp_cluster_survives_a_mid_run_worker_kill() {
-    let net = run_chaos(false, "kill-tcp", 8, 1, 233, 2, WorkerOptions::default())
-        .expect("recovered run");
+    let net =
+        run_chaos(false, "kill-tcp", 1, 233, 2, WorkerOptions::default()).expect("recovered run");
     assert_recovered_parity(&net, true);
 }
 
 #[test]
 fn unix_cluster_survives_a_mid_run_worker_kill() {
-    let net = run_chaos(true, "kill-unix", 8, 2, 233, 2, WorkerOptions::default())
-        .expect("recovered run");
+    let net =
+        run_chaos(true, "kill-unix", 2, 233, 2, WorkerOptions::default()).expect("recovered run");
     assert_recovered_parity(&net, true);
 }
 
@@ -278,8 +272,8 @@ fn unix_cluster_survives_a_mid_run_worker_kill() {
 /// the implicit cycle-0 checkpoint and still finishes bit-exactly.
 #[test]
 fn kill_before_the_first_checkpoint_rewinds_to_cycle_zero() {
-    let net = run_chaos(true, "kill-early", 8, 3, 42, 2, WorkerOptions::default())
-        .expect("recovered run");
+    let net =
+        run_chaos(true, "kill-early", 3, 42, 2, WorkerOptions::default()).expect("recovered run");
     assert!(net.recoveries.iter().any(|r| r.rewind_cycle == 0));
     assert_recovered_parity(&net, true);
 }
@@ -289,17 +283,8 @@ fn kill_before_the_first_checkpoint_rewinds_to_cycle_zero() {
 /// adopts its predecessor's two-partition checkpoint, bit-exactly.
 #[test]
 fn a_packed_worker_kill_recovers_both_of_its_partitions() {
-    let net = run_chaos_on(
-        2,
-        true,
-        "kill-packed",
-        8,
-        1,
-        233,
-        2,
-        WorkerOptions::default(),
-    )
-    .expect("recovered run");
+    let net = run_chaos_on(2, true, "kill-packed", 1, 233, 2, WorkerOptions::default())
+        .expect("recovered run");
     assert_eq!(net.recoveries.len(), 1, "{:?}", net.recoveries);
     let r = &net.recoveries[0];
     assert_eq!(
@@ -314,22 +299,21 @@ fn a_packed_worker_kill_recovers_both_of_its_partitions() {
 proptest! {
     // Each case is a full 4-worker cluster run plus a recovery; a
     // handful of randomized schedules per CI run keeps the suite fast
-    // while the matrix (transport x batch x kill point x victim) stays
+    // while the matrix (transport x kill point x victim) stays
     // genuinely randomized.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Acceptance: randomized kill schedules recover bit-exactly on
-    /// both transports for batch_cycles in {1, 8, 64}.
+    /// both transports.
     #[test]
     fn randomized_kill_schedules_recover_bit_exactly(
         unix in any::<bool>(),
-        batch in (0usize..3).prop_map(|i| [1u64, 8, 64][i]),
         victim in 0usize..4,
         kill_cycle in 1u64..CYCLES,
     ) {
-        let label = format!("prop-b{batch}-{victim}-{kill_cycle}");
+        let label = format!("prop-{victim}-{kill_cycle}");
         let net = run_chaos(
-            unix, &label, batch, victim, kill_cycle, 2, WorkerOptions::default(),
+            unix, &label, victim, kill_cycle, 2, WorkerOptions::default(),
         ).expect("recovered run");
         assert_recovered_parity(&net, true);
     }
@@ -344,7 +328,7 @@ fn exceeding_max_restarts_degrades_to_partition_lost() {
         chaos_kill: Some(150),
         ..WorkerOptions::default()
     };
-    let err = run_chaos(true, "kill-budget", 8, 1, 150, 1, always_dies)
+    let err = run_chaos(true, "kill-budget", 1, 150, 1, always_dies)
         .expect_err("a worker dying every life must fail the run");
     match err {
         SimError::PartitionLost {

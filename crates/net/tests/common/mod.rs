@@ -1,11 +1,13 @@
 //! Shared fixture for the distributed-backend integration tests: the
 //! 4-partition NoC ring SoC (the same cut the backend benchmarks use),
-//! the behavior-registry setup hook every process applies, a DES golden
+//! a 2-partition feed-forward cut that fills whole credit windows, the
+//! behavior-registry setup hook every process applies, a DES golden
 //! reference run, and in-process worker spawning on TCP or Unix-domain
 //! listeners.
 
 #![allow(dead_code)] // each test binary uses a different subset
 
+use fireaxe_ir::build::ModuleBuilder;
 use fireaxe_ir::Circuit;
 use fireaxe_net::{
     serve, serve_pooled, serve_with, NetListener, SimSetup, WireSettings, WorkerOptions,
@@ -40,6 +42,30 @@ pub fn noc_4partition_design() -> (Circuit, PartitionSpec) {
     (soc.circuit, PartitionSpec::exact(groups))
 }
 
+/// A feed-forward cut: the remainder `Feed` streams a 200-bit word into
+/// the `Sink` partition every cycle and never waits on it, so its
+/// worker runs a whole credit window ahead and ships it as one message.
+/// The same design `des_exact_counts` freezes under backpressure.
+pub fn feed_forward_design() -> (Circuit, PartitionSpec) {
+    let mut sink = ModuleBuilder::new("Sink");
+    let x = sink.input("x", 200);
+    let acc = sink.reg("acc", 200, 0);
+    sink.connect_sig(&acc, &acc.add(&x));
+    let sink = sink.finish();
+
+    let mut top = ModuleBuilder::new("Feed");
+    let i = top.input("i", 8);
+    let o = top.output("o", 8);
+    top.inst("s", "Sink");
+    let n = top.reg("n", 200, 1);
+    top.connect_sig(&n, &n.add(&n).xor(&i));
+    top.connect_inst("s", "x", &n);
+    top.connect_sig(&o, &n.bits(7, 0));
+    let circuit = Circuit::from_modules("Feed", vec![top.finish(), sink], "Feed");
+    let spec = PartitionSpec::exact(vec![PartitionGroup::instances("s", vec!["s".into()])]);
+    (circuit, spec)
+}
+
 /// The setup hook every process (workers, coordinator's passive build,
 /// and the DES reference) must apply identically: SoC extern behaviors.
 pub fn setup_hook(b: SimBuilder<'_>) -> SimBuilder<'_> {
@@ -56,16 +82,6 @@ pub fn observed_settings() -> WireSettings {
         vcd: true,
         io_timeout_ms: 30_000,
         ..Default::default()
-    }
-}
-
-/// [`observed_settings`] with an explicit cycle-batching knob, for the
-/// batch-size parity sweeps (the DES reference never sees this knob —
-/// batching must be invisible in target state at every size).
-pub fn observed_settings_batched(batch_cycles: u64) -> WireSettings {
-    WireSettings {
-        batch_cycles,
-        ..observed_settings()
     }
 }
 
@@ -117,6 +133,20 @@ pub fn listen_addrs(n: usize, unix: bool, label: &str) -> Vec<String> {
             }
         })
         .collect()
+}
+
+/// A listen address for a fault proxy, namespaced like
+/// [`listen_addrs`].
+pub fn proxy_addr(unix: bool, label: &str) -> String {
+    if unix {
+        format!(
+            "unix:{}/fxnet-{}-{label}-proxy.sock",
+            std::env::temp_dir().display(),
+            std::process::id()
+        )
+    } else {
+        "127.0.0.1:0".to_string()
+    }
 }
 
 /// Binds and serves one in-process worker per address, returning the

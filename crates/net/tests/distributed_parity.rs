@@ -4,25 +4,23 @@
 //! `(cycle, state_digest)` rows and VCD waveform, and the coordinator's
 //! folded `SimMetrics` must account for every cross-process token.
 //! Checked on both supported transports (localhost TCP and Unix-domain
-//! sockets) with in-process workers, so the test is hermetic.
+//! sockets) with in-process workers, so the test is hermetic. A
+//! feed-forward cut checks the same parity when whole credit windows
+//! travel as one message.
 
 mod common;
 
 use common::{
-    des_reference, listen_addrs, noc_4partition_design, observed_settings,
-    observed_settings_batched, setup_hook, spawn_workers, CYCLES,
+    des_reference, feed_forward_design, listen_addrs, noc_4partition_design, observed_settings,
+    proxy_addr, setup_hook, spawn_workers, CYCLES,
 };
 use fireaxe_net::{
-    execute_placed, place_cluster, prepare_job, run_cluster, NetRunReport, RecoveryOptions,
-    Teardown, WireSettings,
+    execute_placed, place_cluster, prepare_job, run_cluster, FaultProxy, NetRunReport, ProxyPlan,
+    RecoveryOptions, Teardown, INITIAL_CREDITS,
 };
 use fireaxe_sim::{placement, ObsReport, SimMetrics};
 
 fn run_net(unix: bool, label: &str) -> NetRunReport {
-    run_net_with(unix, label, observed_settings())
-}
-
-fn run_net_with(unix: bool, label: &str, settings: WireSettings) -> NetRunReport {
     let (circuit, spec) = noc_4partition_design();
     let addrs = listen_addrs(4, unix, label);
     let (bound, handles) = spawn_workers(&addrs);
@@ -31,7 +29,7 @@ fn run_net_with(unix: bool, label: &str, settings: WireSettings) -> NetRunReport
         &spec,
         CYCLES,
         &bound,
-        &settings,
+        &observed_settings(),
         10_000,
         &setup_hook,
     )
@@ -59,7 +57,12 @@ fn digests(obs: &fireaxe_obs::MetricsSeries) -> Vec<(String, Vec<(u64, u64)>)> {
         .collect()
 }
 
-fn assert_parity(net: &NetRunReport, des_metrics: &SimMetrics, des_obs: &ObsReport) {
+fn assert_parity(
+    net: &NetRunReport,
+    des_metrics: &SimMetrics,
+    des_obs: &ObsReport,
+    n_workers: usize,
+) {
     // Sampled deterministic state, node by node, cycle by cycle.
     let net_digests = digests(&net.series);
     let des_digests = digests(&des_obs.metrics);
@@ -103,10 +106,12 @@ fn assert_parity(net: &NetRunReport, des_metrics: &SimMetrics, des_obs: &ObsRepo
             l.link
         );
     }
-    // The merged Chrome trace carries all five process tracks.
-    for part in ["coordinator", "worker0", "worker1", "worker2", "worker3"] {
+    // The merged Chrome trace carries the coordinator's and every
+    // worker's process track.
+    let workers = (0..n_workers).map(|w| format!("worker{w}"));
+    for part in std::iter::once("coordinator".to_string()).chain(workers) {
         assert!(
-            net.chrome_trace.contains(part),
+            net.chrome_trace.contains(&part),
             "chrome trace missing process track {part}"
         );
     }
@@ -117,7 +122,7 @@ fn tcp_cluster_matches_des_golden_model() {
     let (circuit, spec) = noc_4partition_design();
     let (des_metrics, des_obs) = des_reference(&circuit, &spec, &observed_settings());
     let net = run_net(false, "parity-tcp");
-    assert_parity(&net, &des_metrics, &des_obs);
+    assert_parity(&net, &des_metrics, &des_obs, 4);
 }
 
 #[test]
@@ -125,26 +130,60 @@ fn unix_cluster_matches_des_golden_model() {
     let (circuit, spec) = noc_4partition_design();
     let (des_metrics, des_obs) = des_reference(&circuit, &spec, &observed_settings());
     let net = run_net(true, "parity-unix");
-    assert_parity(&net, &des_metrics, &des_obs);
+    assert_parity(&net, &des_metrics, &des_obs, 4);
 }
 
-/// The cycle-batching knob must be invisible in target state: the same
-/// `(cycle, state_digest)` rows and the byte-identical VCD at every
-/// batch size. 1 (a `Token` message per token, the pre-batching wire
-/// shape) and 64 (a full credit window per message) bracket the
-/// default of 8, which the two tests above already exercise.
-#[test]
-fn unix_cluster_matches_des_at_every_batch_size() {
-    let (circuit, spec) = noc_4partition_design();
-    let (des_metrics, des_obs) = des_reference(&circuit, &spec, &observed_settings());
-    for batch in [1u64, 64] {
-        let net = run_net_with(
-            true,
-            &format!("parity-b{batch}"),
-            observed_settings_batched(batch),
-        );
-        assert_parity(&net, &des_metrics, &des_obs);
+/// Runs the feed-forward cut on two workers, one partition each, with a
+/// transparent proxy in front of worker 1, and returns the report and
+/// the most frames one token message carried through the proxy.
+fn run_feed_forward(unix: bool, label: &str) -> (NetRunReport, usize) {
+    let (circuit, spec) = feed_forward_design();
+    let (bound, handles) = spawn_workers(&listen_addrs(2, unix, label));
+    let proxy = FaultProxy::start(
+        &proxy_addr(unix, label),
+        &bound[1],
+        ProxyPlan::clean(),
+        ProxyPlan::clean(),
+    )
+    .expect("proxy start");
+    let report = run_cluster(
+        &circuit,
+        &spec,
+        CYCLES,
+        &[bound[0].clone(), proxy.addr.clone()],
+        &observed_settings(),
+        10_000,
+        &setup_hook,
+    )
+    .expect("feed-forward cluster run");
+    for h in handles {
+        h.join().expect("worker thread").expect("worker exit");
     }
+    (report, proxy.largest_batch())
+}
+
+/// Framing is invisible in target state: the producer runs a whole
+/// credit window ahead of its sink and ships the spent window as one
+/// message, and digests, VCD and link tokens still match DES exactly.
+fn assert_feed_forward_parity(unix: bool, label: &str) {
+    let (circuit, spec) = feed_forward_design();
+    let (des_metrics, des_obs) = des_reference(&circuit, &spec, &observed_settings());
+    let (net, largest) = run_feed_forward(unix, label);
+    assert_parity(&net, &des_metrics, &des_obs, 2);
+    assert_eq!(
+        largest, INITIAL_CREDITS as usize,
+        "a spent credit window must travel as one message"
+    );
+}
+
+#[test]
+fn tcp_feed_forward_cut_ships_whole_windows_bit_exact() {
+    assert_feed_forward_parity(false, "ff-tcp");
+}
+
+#[test]
+fn unix_feed_forward_cut_ships_whole_windows_bit_exact() {
+    assert_feed_forward_parity(true, "ff-unix");
 }
 
 /// Runs the 4-partition cut packed onto `n_workers` Unix-socket workers

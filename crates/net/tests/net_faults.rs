@@ -3,31 +3,26 @@
 //! corrupts go-back-N data frames on the actual byte stream, and the
 //! run must still finish bit-exact against the DES golden model — with
 //! the recovery visible in the folded link counters (retransmits, CRC
-//! casualties, dropped duplicates). Checked on both transports.
+//! casualties, dropped duplicates). Checked on both transports, and on a
+//! feed-forward cut where every damaged message is a whole credit
+//! window of frames.
 
 mod common;
 
 use common::{
-    des_reference, listen_addrs, noc_4partition_design, observed_settings,
-    observed_settings_batched, setup_hook, spawn_workers, CYCLES,
+    des_reference, feed_forward_design, listen_addrs, noc_4partition_design, observed_settings,
+    proxy_addr, setup_hook, spawn_workers, CYCLES,
 };
-use fireaxe_net::{run_cluster, FaultProxy, NetRunReport, ProxyPlan};
+use fireaxe_ir::Circuit;
+use fireaxe_net::{run_cluster, FaultProxy, NetRunReport, ProxyPlan, INITIAL_CREDITS};
+use fireaxe_ripper::PartitionSpec;
+
+/// A design and its partition cut.
+type Cut = fn() -> (Circuit, PartitionSpec);
 
 /// Runs the 4-partition cluster with worker 1 behind a fault proxy
 /// damaging both directions of its connection.
 fn run_faulted(unix: bool, label: &str) -> NetRunReport {
-    run_faulted_batched(unix, label, None)
-}
-
-fn run_faulted_batched(unix: bool, label: &str, batch_cycles: Option<u64>) -> NetRunReport {
-    let (circuit, spec) = noc_4partition_design();
-    let settings = match batch_cycles {
-        Some(b) => observed_settings_batched(b),
-        None => observed_settings(),
-    };
-    let addrs = listen_addrs(4, unix, label);
-    let (bound, handles) = spawn_workers(&addrs);
-
     // Early token messages on worker 1's leg get dropped, corrupted, and
     // duplicated, in both directions. Indices count token-carrying
     // messages (`Token` or `TokenBatch`), and each category keeps one
@@ -45,17 +40,37 @@ fn run_faulted_batched(unix: bool, label: &str, batch_cycles: Option<u64>) -> Ne
         duplicate: vec![4, 37],
         ..ProxyPlan::clean()
     };
-    let proxy_listen = if unix {
-        format!(
-            "unix:{}/fxnet-{}-{label}-proxy.sock",
-            std::env::temp_dir().display(),
-            std::process::id()
-        )
-    } else {
-        "127.0.0.1:0".to_string()
-    };
-    let proxy = FaultProxy::start(&proxy_listen, &bound[1], to_worker, to_coordinator)
-        .expect("proxy start");
+    run_faulted_on(
+        noc_4partition_design,
+        4,
+        unix,
+        label,
+        to_worker,
+        to_coordinator,
+    )
+}
+
+/// Runs `cut` on `n` workers with worker 1 behind a fault proxy applying
+/// the two plans.
+fn run_faulted_on(
+    cut: Cut,
+    n: usize,
+    unix: bool,
+    label: &str,
+    to_worker: ProxyPlan,
+    to_coordinator: ProxyPlan,
+) -> NetRunReport {
+    let (circuit, spec) = cut();
+    let settings = observed_settings();
+    let addrs = listen_addrs(n, unix, label);
+    let (bound, handles) = spawn_workers(&addrs);
+    let proxy = FaultProxy::start(
+        &proxy_addr(unix, label),
+        &bound[1],
+        to_worker,
+        to_coordinator,
+    )
+    .expect("proxy start");
     let mut cluster_addrs = bound.clone();
     cluster_addrs[1] = proxy.addr.clone();
 
@@ -75,8 +90,8 @@ fn run_faulted_batched(unix: bool, label: &str, batch_cycles: Option<u64>) -> Ne
     report
 }
 
-fn assert_recovered_bit_exact(net: &NetRunReport) {
-    let (circuit, spec) = noc_4partition_design();
+fn assert_recovered_bit_exact(cut: Cut, net: &NetRunReport) {
+    let (circuit, spec) = cut();
     let (des_metrics, des_obs) = des_reference(&circuit, &spec, &observed_settings());
 
     // Bit-exact despite the damage: every sampled digest and the full
@@ -134,25 +149,47 @@ fn assert_recovered_bit_exact(net: &NetRunReport) {
 
 #[test]
 fn tcp_cluster_recovers_bit_exact_through_fault_proxy() {
-    assert_recovered_bit_exact(&run_faulted(false, "faults-tcp"));
+    assert_recovered_bit_exact(noc_4partition_design, &run_faulted(false, "faults-tcp"));
 }
 
 #[test]
 fn unix_cluster_recovers_bit_exact_through_fault_proxy() {
-    assert_recovered_bit_exact(&run_faulted(true, "faults-unix"));
+    assert_recovered_bit_exact(noc_4partition_design, &run_faulted(true, "faults-unix"));
 }
 
-/// The same damage campaign at every batch size: a dropped or corrupted
-/// `TokenBatch` costs a whole window of tokens at once, and go-back-N
-/// plus the credit window must still replay it into a bit-exact run.
-/// (The two tests above cover the default batch of 8.)
+/// The damage campaign on a feed-forward cut, where the producer ships
+/// whole credit windows: only one direction of worker 1's leg carries
+/// tokens, and there a dropped or corrupted `TokenBatch` costs many
+/// frames at once. Message 1 is the producer's first spent window, so
+/// dropping it forces the whole window out again; go-back-N plus the
+/// credit window must still replay every loss into a bit-exact run.
 #[test]
-fn unix_cluster_recovers_bit_exact_at_every_batch_size() {
-    for batch in [1u64, 8, 64] {
-        assert_recovered_bit_exact(&run_faulted_batched(
-            true,
-            &format!("faults-b{batch}"),
-            Some(batch),
-        ));
-    }
+fn unix_feed_forward_cut_recovers_whole_windows_through_fault_proxy() {
+    let plan = ProxyPlan {
+        drop: vec![1],
+        corrupt: vec![3],
+        duplicate: vec![5],
+        ..ProxyPlan::clean()
+    };
+    let net = run_faulted_on(
+        feed_forward_design,
+        2,
+        true,
+        "faults-ff",
+        plan.clone(),
+        plan,
+    );
+    assert_recovered_bit_exact(feed_forward_design, &net);
+    // `retransmits` counts go-back-N rounds; the frames they resent are
+    // the transmissions beyond one per fresh token.
+    let resent: u64 = net
+        .metrics
+        .links
+        .iter()
+        .map(|l| l.sent_frames - l.tokens)
+        .sum();
+    assert!(
+        resent >= u64::from(INITIAL_CREDITS),
+        "the dropped window cost only {resent} resent frames"
+    );
 }

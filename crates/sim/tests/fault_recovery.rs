@@ -72,8 +72,8 @@ type Fingerprint = (Vec<(u64, u64)>, Vec<u64>, Vec<(usize, String, u64)>);
 
 /// The fixture under one case's knobs: optional fault injection, the
 /// recovery settings, what to observe, and the LI-BDN channel capacity
-/// when non-zero — the in-process runahead window, the same knob the net
-/// backend's `batch_cycles`/`slack_cycles` pacing leans on.
+/// when non-zero — the in-process runahead window, the same depth the
+/// net backend deepens its queues to (its credit window).
 fn build_sim(
     design: &PartitionedDesign,
     backend: Backend,
@@ -196,9 +196,9 @@ proptest! {
     /// The keystone: random recoverable fault schedules leave both
     /// backends bit-identical to the fault-free DES golden run — at
     /// every runahead window. Sweeping the channel capacity over
-    /// {1, 8, 64} (lockstep, the net backend's default batch, a full
-    /// credit window) proves pacing is invisible in target state even
-    /// composed with faults and rollback recovery.
+    /// {1, 8, 64} (lockstep, a middle depth, a full credit window)
+    /// proves pacing is invisible in target state even composed with
+    /// faults and rollback recovery.
     #[test]
     fn recoverable_fault_runs_match_faultfree_golden(
         spec in recoverable_faults(),

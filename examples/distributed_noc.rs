@@ -12,13 +12,10 @@
 //! TCP. No manual orchestration — `cargo run --example distributed_noc`
 //! does the whole flow.
 //!
-//! The cluster run is repeated at every wire batching depth
-//! (`batch_cycles` ∈ {1, 8, 64} — unbatched, default, a full credit
-//! window), with a fresh set of worker processes each time, and every
-//! run is compared against the in-process DES golden model: the
-//! sampled `(cycle, state_digest)` rows and the rendered VCD must be
-//! byte-identical (the LI-BDN argument — target state depends only on
-//! token values in per-channel order — holds across process
+//! The cluster run is compared against the in-process DES golden
+//! model: the sampled `(cycle, state_digest)` rows and the rendered VCD
+//! must be byte-identical (the LI-BDN argument — target state depends
+//! only on token values in per-channel order — holds across process
 //! boundaries, real sockets, and any wire framing of the same token
 //! stream).
 //!
@@ -66,15 +63,10 @@ fn setup(b: SimBuilder<'_>) -> SimBuilder<'_> {
     b.behaviors(registry)
 }
 
-/// Wire batching depths swept by the parity loop: unbatched, the
-/// default, and a full credit window.
-const BATCHES: [u64; 3] = [1, 8, 64];
-
-fn settings(batch_cycles: u64) -> WireSettings {
+fn settings() -> WireSettings {
     WireSettings {
         sample_interval: SAMPLE_EVERY,
         vcd: true,
-        batch_cycles,
         ..Default::default()
     }
 }
@@ -117,73 +109,53 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let des_metrics = des.run_target_cycles(CYCLES)?;
     let des_report = des.obs_report();
 
-    let mut trace = String::new();
-    for batch in BATCHES {
-        // Re-exec this binary once per partition, so every worker hosts
-        // one (the widest placement); `SpawnedWorker` reads
-        // each child's advertised address, and kills it on drop, so a
-        // failed run cannot leak processes. Workers serve exactly one
-        // coordinator session, so each batch depth gets a fresh fleet.
-        let workers: Vec<SpawnedWorker> = (0..n)
-            .map(|_| {
-                let mut cmd = Command::new(&exe);
-                cmd.arg(WORKER_FLAG);
-                SpawnedWorker::launch(cmd).expect("spawn worker")
-            })
-            .collect();
-        let addrs: Vec<String> = workers.iter().map(|w| w.addr.clone()).collect();
-        println!(
-            "batch_cycles={batch}: spawned {n} worker processes on {}",
-            addrs.join(", ")
-        );
+    // Re-exec this binary once per partition, so every worker hosts one
+    // (the widest placement); `SpawnedWorker` reads each child's
+    // advertised address, and kills it on drop, so a failed run cannot
+    // leak processes.
+    let workers: Vec<SpawnedWorker> = (0..n)
+        .map(|_| {
+            let mut cmd = Command::new(&exe);
+            cmd.arg(WORKER_FLAG);
+            SpawnedWorker::launch(cmd).expect("spawn worker")
+        })
+        .collect();
+    let addrs: Vec<String> = workers.iter().map(|w| w.addr.clone()).collect();
+    println!("spawned {n} worker processes on {}", addrs.join(", "));
 
-        let net = run_cluster(
-            &circuit,
-            &spec,
-            CYCLES,
-            &addrs,
-            &settings(batch),
-            10_000,
-            &setup,
-        )?;
-        println!(
-            "batch_cycles={batch}: simulated {} target cycles over {} cross-partition links",
-            net.metrics.target_cycles,
-            net.metrics.link_tokens.len()
-        );
-
-        // Clean shutdown: every worker process must exit zero.
-        for w in workers {
-            assert!(w.wait()?, "worker exited with failure");
-        }
-
-        // Bit-exactness across process boundaries, at every wire
-        // batching depth: sampled digests, the waveform, and the
-        // per-link token totals all match the DES run.
-        assert_eq!(net.series.nodes.len(), des_report.metrics.nodes.len());
-        for (a, b) in net.series.nodes.iter().zip(&des_report.metrics.nodes) {
-            assert_eq!(a.node, b.node);
-            assert_eq!(a.samples.len(), b.samples.len(), "node {}", a.node);
-            for (sa, sb) in a.samples.iter().zip(&b.samples) {
-                assert_eq!((sa.cycle, sa.state_digest), (sb.cycle, sb.state_digest));
-            }
-        }
-        assert_eq!(
-            net.vcd, des_report.vcd,
-            "waveforms diverged at batch_cycles={batch}"
-        );
-        assert_eq!(net.metrics.link_tokens, des_metrics.link_tokens);
-        trace = net.chrome_trace;
-    }
+    let net = run_cluster(&circuit, &spec, CYCLES, &addrs, &settings(), 10_000, &setup)?;
     println!(
-        "4 processes and the DES golden model agree on (cycle, state_digest) at every \
-         batch depth {BATCHES:?}; waveforms are byte-identical"
+        "simulated {} target cycles over {} cross-partition links",
+        net.metrics.target_cycles,
+        net.metrics.link_tokens.len()
     );
 
-    std::fs::write("distributed_noc.trace.json", &trace)?;
+    // Clean shutdown: every worker process must exit zero.
+    for w in workers {
+        assert!(w.wait()?, "worker exited with failure");
+    }
+
+    // Bit-exactness across process boundaries: sampled digests, the
+    // waveform, and the per-link token totals all match the DES run.
+    assert_eq!(net.series.nodes.len(), des_report.metrics.nodes.len());
+    for (a, b) in net.series.nodes.iter().zip(&des_report.metrics.nodes) {
+        assert_eq!(a.node, b.node);
+        assert_eq!(a.samples.len(), b.samples.len(), "node {}", a.node);
+        for (sa, sb) in a.samples.iter().zip(&b.samples) {
+            assert_eq!((sa.cycle, sa.state_digest), (sb.cycle, sb.state_digest));
+        }
+    }
+    assert_eq!(net.vcd, des_report.vcd, "waveforms diverged from DES");
+    assert_eq!(net.metrics.link_tokens, des_metrics.link_tokens);
+    println!(
+        "4 processes and the DES golden model agree on (cycle, state_digest); \
+         waveforms are byte-identical"
+    );
+
+    std::fs::write("distributed_noc.trace.json", &net.chrome_trace)?;
     println!(
         "wrote distributed_noc.trace.json ({} bytes): coordinator + {} worker process tracks",
-        trace.len(),
+        net.chrome_trace.len(),
         n
     );
     Ok(())
