@@ -135,7 +135,7 @@ impl FireAxe {
             circuit,
             spec,
             platform: Platform::OnPremQsfp,
-            clock_mhz: 30.0,
+            clock_mhz: fireaxe_sim::DEFAULT_CLOCK_MHZ,
             partition_clocks: BTreeMap::new(),
             bridges: BTreeMap::new(),
             check_fit: false,
@@ -144,7 +144,7 @@ impl FireAxe {
             fault_spec: None,
             retry_policy: None,
             checkpoint_interval: 0,
-            max_rollbacks: 8,
+            max_rollbacks: fireaxe_sim::DEFAULT_MAX_ROLLBACKS,
             obs: ObsSpec::default(),
         }
     }

@@ -641,20 +641,23 @@ impl Topology {
     }
 }
 
+/// Run-phase silence, milliseconds, a net run tolerates by default.
+pub const DEFAULT_IO_TIMEOUT_MS: u64 = 10_000;
+
 impl Default for WireSettings {
     fn default() -> Self {
         WireSettings {
             default_transport: LinkModel::qsfp_aurora(),
             link_transports: Vec::new(),
-            clock_mhz: 30.0,
+            clock_mhz: fireaxe_sim::DEFAULT_CLOCK_MHZ,
             partition_clocks: Vec::new(),
             channel_capacity: fireaxe_libdn::DEFAULT_CHANNEL_CAPACITY as u64,
-            deadlock_horizon: 100_000,
+            deadlock_horizon: fireaxe_sim::DEFAULT_DEADLOCK_HORIZON,
             retry: RetryPolicy::default(),
             sample_interval: 0,
             vcd: false,
             signals: Vec::new(),
-            io_timeout_ms: 10_000,
+            io_timeout_ms: DEFAULT_IO_TIMEOUT_MS,
             checkpoint_interval: 0,
         }
     }

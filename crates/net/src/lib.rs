@@ -39,8 +39,8 @@ pub mod worker;
 
 pub use codec::{
     design_digest, partition_digest, set_digest, JobInfo, Msg, NodeInfo, ServeStats, Topology,
-    WireReport, WireSettings, BACKEND_NET, BACKEND_THREADS, JOB_DONE, JOB_EVICTED, JOB_FAILED,
-    JOB_QUEUED, JOB_RUNNING, PROTOCOL_VERSION,
+    WireReport, WireSettings, BACKEND_NET, BACKEND_THREADS, DEFAULT_IO_TIMEOUT_MS, JOB_DONE,
+    JOB_EVICTED, JOB_FAILED, JOB_QUEUED, JOB_RUNNING, PROTOCOL_VERSION,
 };
 pub use coordinator::{
     execute_placed, execute_threads, place_cluster, prepare_job, prepare_job_from_tape,

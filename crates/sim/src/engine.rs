@@ -767,6 +767,14 @@ enum Source<'a> {
     Cut(&'a [PartitionCut]),
 }
 
+/// Bitstream clock, MHz, of a partition without its own.
+pub const DEFAULT_CLOCK_MHZ: f64 = 30.0;
+/// Host edges without target-cycle progress before a run is declared
+/// deadlocked.
+pub const DEFAULT_DEADLOCK_HORIZON: u64 = 100_000;
+/// Checkpoint rollbacks a recovering run may take.
+pub const DEFAULT_MAX_ROLLBACKS: u32 = 8;
+
 /// Configures and constructs a [`DistributedSim`].
 pub struct SimBuilder<'a> {
     source: Source<'a>,
@@ -821,17 +829,17 @@ impl<'a> SimBuilder<'a> {
             source,
             default_transport: LinkModel::qsfp_aurora(),
             link_transports: BTreeMap::new(),
-            default_clock_mhz: 30.0,
+            default_clock_mhz: DEFAULT_CLOCK_MHZ,
             partition_clocks: BTreeMap::new(),
             channel_capacity: fireaxe_libdn::DEFAULT_CHANNEL_CAPACITY,
             bridges: BTreeMap::new(),
             behaviors: BehaviorRegistry::new(),
-            deadlock_horizon_edges: 100_000,
+            deadlock_horizon_edges: DEFAULT_DEADLOCK_HORIZON,
             backend,
             fault_spec: None,
             retry_policy: None,
             checkpoint_interval: 0,
-            max_rollbacks: 8,
+            max_rollbacks: DEFAULT_MAX_ROLLBACKS,
             obs: ObsSpec::default(),
         }
     }

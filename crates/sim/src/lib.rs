@@ -34,7 +34,7 @@ pub use batch::{BatchLaneResult, BatchReport, BatchRun, BatchScenario, InputSink
 pub use bridge::{Bridge, ConstBridge, RecordedToken, ScriptBridge};
 pub use engine::{
     Backend, BehaviorRegistry, DistributedSim, LinkCounters, NodeCounters, SimBuilder,
-    SimCheckpoint, SimMetrics,
+    SimCheckpoint, SimMetrics, DEFAULT_CLOCK_MHZ, DEFAULT_DEADLOCK_HORIZON, DEFAULT_MAX_ROLLBACKS,
 };
 pub use error::{NodeStall, Result, SimError, StallReport};
 pub use netapi::{NetAccess, PartitionCut};
