@@ -125,11 +125,73 @@ struct Args {
     workers: Option<Vec<String>>,
     /// `--control` override for the config's `net.control` address.
     control: Option<String>,
+    obs: ObsFlags,
+}
+
+/// The observability flags of `run` and `submit`, folded over the
+/// config's `"obs"` object.
+#[derive(Default)]
+struct ObsFlags {
+    /// `--trace`: `run` only.
     trace: Option<String>,
     vcd: Option<String>,
     metrics: Option<String>,
     signals: Option<Vec<String>>,
     sample_interval: Option<u64>,
+}
+
+impl ObsFlags {
+    /// Takes `arg` (and its value from `it`) when it is a waveform or
+    /// metric flag; says whether it was one.
+    fn take(&mut self, arg: &str, it: &mut impl Iterator<Item = String>) -> Result<bool, String> {
+        match arg {
+            "--vcd" => self.vcd = Some(it.next().ok_or("--vcd needs a path")?),
+            "--metrics" => self.metrics = Some(it.next().ok_or("--metrics needs a path")?),
+            "--signals" => {
+                let list = it.next().ok_or("--signals needs a comma-separated list")?;
+                self.signals = Some(list.split(',').map(str::to_string).collect());
+            }
+            "--sample-interval" => {
+                self.sample_interval = Some(parse_u64(it, "--sample-interval")?);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Overrides the config's `"obs"` fields with the flags given.
+    fn apply(&self, cfg: &mut RunConfig) {
+        let wants_obs = self.trace.is_some()
+            || self.vcd.is_some()
+            || self.metrics.is_some()
+            || self.signals.is_some()
+            || self.sample_interval.is_some();
+        if cfg.obs.is_none() && !wants_obs {
+            return;
+        }
+        let obs = cfg.obs.get_or_insert_with(ObsConfig::default);
+        if let Some(p) = &self.trace {
+            obs.trace_path = p.clone();
+        }
+        if let Some(p) = &self.vcd {
+            obs.vcd_path = p.clone();
+        }
+        if let Some(p) = &self.metrics {
+            obs.metrics_path = p.clone();
+        }
+        if let Some(s) = &self.signals {
+            obs.signals = s.clone();
+        }
+        if let Some(n) = self.sample_interval {
+            obs.sample_interval = n;
+        }
+        // Asking for a trace or metric file implies sampling; pick a
+        // default interval rather than silently producing an empty series.
+        if obs.sample_interval == 0 && (!obs.trace_path.is_empty() || !obs.metrics_path.is_empty())
+        {
+            obs.sample_interval = 100;
+        }
+    }
 }
 
 enum Cmd {
@@ -174,10 +236,7 @@ struct SubmitArgs {
     circuit: Option<String>,
     /// `net` (pooled worker processes) or `threads` (in the daemon).
     backend: String,
-    vcd: Option<String>,
-    metrics: Option<String>,
-    signals: Option<Vec<String>>,
-    sample_interval: Option<u64>,
+    obs: ObsFlags,
 }
 
 /// Parses one `--quota tenant:jobs:cycles:worker_secs` spec (0 means
@@ -286,26 +345,17 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cmd, String> {
         let mut cycles = 10_000u64;
         let mut circuit = None;
         let mut backend = "net".to_string();
-        let mut vcd = None;
-        let mut metrics = None;
-        let mut signals = None;
-        let mut sample_interval = None;
+        let mut obs = ObsFlags::default();
         while let Some(arg) = it.next() {
+            if obs.take(&arg, &mut it)? {
+                continue;
+            }
             match arg.as_str() {
                 "--server" => server = it.next().ok_or("--server needs an address")?,
                 "--tenant" => tenant = it.next().ok_or("--tenant needs a name")?,
                 "--cycles" => cycles = parse_u64(&mut it, "--cycles")?,
                 "--circuit" => circuit = Some(it.next().ok_or("--circuit needs a path")?),
                 "--backend" => backend = it.next().ok_or("--backend needs net|threads")?,
-                "--vcd" => vcd = Some(it.next().ok_or("--vcd needs a path")?),
-                "--metrics" => metrics = Some(it.next().ok_or("--metrics needs a path")?),
-                "--signals" => {
-                    let list = it.next().ok_or("--signals needs a comma-separated list")?;
-                    signals = Some(list.split(',').map(str::to_string).collect());
-                }
-                "--sample-interval" => {
-                    sample_interval = Some(parse_u64(&mut it, "--sample-interval")?);
-                }
                 "--help" | "-h" => return Err(SUBMIT_USAGE.into()),
                 other if config.is_none() && !other.starts_with('-') => {
                     config = Some(other.to_string());
@@ -320,10 +370,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cmd, String> {
             cycles,
             circuit,
             backend,
-            vcd,
-            metrics,
-            signals,
-            sample_interval,
+            obs,
         })));
     }
     if it.peek().map(String::as_str) == Some("jobs") {
@@ -400,13 +447,12 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cmd, String> {
     let mut force_net = false;
     let mut workers = None;
     let mut control = None;
-    let mut trace = None;
-    let mut vcd = None;
-    let mut metrics = None;
-    let mut signals = None;
-    let mut sample_interval = None;
+    let mut obs = ObsFlags::default();
     let mut run_seen = false;
     while let Some(arg) = it.next() {
+        if obs.take(&arg, &mut it)? {
+            continue;
+        }
         match arg.as_str() {
             "run" if !run_seen && config.is_none() => run_seen = true,
             "coordinator" if !run_seen && config.is_none() => {
@@ -428,14 +474,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cmd, String> {
                 workers = Some(list.split(',').map(str::to_string).collect());
             }
             "--control" => control = Some(it.next().ok_or("--control needs an address")?),
-            "--trace" => trace = Some(it.next().ok_or("--trace needs a path")?),
-            "--vcd" => vcd = Some(it.next().ok_or("--vcd needs a path")?),
-            "--metrics" => metrics = Some(it.next().ok_or("--metrics needs a path")?),
-            "--signals" => {
-                let list = it.next().ok_or("--signals needs a comma-separated list")?;
-                signals = Some(list.split(',').map(str::to_string).collect());
-            }
-            "--sample-interval" => sample_interval = Some(parse_u64(&mut it, "--sample-interval")?),
+            "--trace" => obs.trace = Some(it.next().ok_or("--trace needs a path")?),
             "--estimate" => estimate_only = true,
             "--help" | "-h" => return Err(USAGE.into()),
             other if run_seen && config.is_none() && !other.starts_with('-') => {
@@ -454,45 +493,8 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cmd, String> {
         force_net,
         workers,
         control,
-        trace,
-        vcd,
-        metrics,
-        signals,
-        sample_interval,
+        obs,
     })))
-}
-
-/// Folds the CLI observability flags over the config's `"obs"` object.
-fn apply_obs_flags(cfg: &mut RunConfig, args: &Args) {
-    let wants_obs = args.trace.is_some()
-        || args.vcd.is_some()
-        || args.metrics.is_some()
-        || args.signals.is_some()
-        || args.sample_interval.is_some();
-    if cfg.obs.is_none() && !wants_obs {
-        return;
-    }
-    let obs = cfg.obs.get_or_insert_with(ObsConfig::default);
-    if let Some(p) = &args.trace {
-        obs.trace_path = p.clone();
-    }
-    if let Some(p) = &args.vcd {
-        obs.vcd_path = p.clone();
-    }
-    if let Some(p) = &args.metrics {
-        obs.metrics_path = p.clone();
-    }
-    if let Some(s) = &args.signals {
-        obs.signals = s.clone();
-    }
-    if let Some(n) = args.sample_interval {
-        obs.sample_interval = n;
-    }
-    // Asking for a trace or metric file implies sampling; pick a default
-    // interval rather than silently producing an empty series.
-    if obs.sample_interval == 0 && (!obs.trace_path.is_empty() || !obs.metrics_path.is_empty()) {
-        obs.sample_interval = 100;
-    }
 }
 
 fn write_out(path: &str, contents: &str) -> Result<(), String> {
@@ -636,25 +638,7 @@ fn run_submit(args: &SubmitArgs) -> Result<(), String> {
             ))
         }
     };
-    // The submit-side obs flags fold over the config exactly like
-    // `fireaxe run`'s.
-    let obs_args = Args {
-        circuit: None,
-        config: args.config.clone(),
-        cycles: args.cycles,
-        estimate_only: false,
-        backend: None,
-        engine: None,
-        force_net: false,
-        workers: None,
-        control: None,
-        trace: None,
-        vcd: args.vcd.clone(),
-        metrics: args.metrics.clone(),
-        signals: args.signals.clone(),
-        sample_interval: args.sample_interval,
-    };
-    apply_obs_flags(&mut cfg, &obs_args);
+    args.obs.apply(&mut cfg);
     let obs = cfg.obs.clone().unwrap_or_default();
 
     let circuit_path = match &args.circuit {
@@ -672,9 +656,8 @@ fn run_submit(args: &SubmitArgs) -> Result<(), String> {
     let circuit_text =
         std::fs::read_to_string(&circuit_path).map_err(|e| format!("{circuit_path}: {e}"))?;
     let circuit = fireaxe::ir::parser::parse_circuit(&circuit_text).map_err(|e| e.to_string())?;
-    let platform = cfg.platform().map_err(|e| e.to_string())?;
     let spec = cfg.partition_spec().map_err(|e| e.to_string())?;
-    let settings = wire_settings(&cfg, platform, &obs)?;
+    let settings = cfg.wire_settings().map_err(|e| e.to_string())?;
 
     let mut client =
         fireaxe_serve::ServeClient::connect(&args.server, std::time::Duration::from_secs(10))
@@ -834,39 +817,6 @@ fn print_design_report(
     Ok(())
 }
 
-/// The cluster-wide engine settings the coordinator ships to every
-/// worker, derived from the same config fields the in-process backends
-/// read.
-fn wire_settings(
-    cfg: &RunConfig,
-    platform: Platform,
-    obs: &ObsConfig,
-) -> Result<fireaxe_net::WireSettings, String> {
-    let mut settings = fireaxe_net::WireSettings {
-        default_transport: platform.transport(),
-        clock_mhz: cfg.clock_mhz,
-        partition_clocks: cfg
-            .partition_clocks
-            .iter()
-            .map(|&(p, mhz)| (p as u32, mhz))
-            .collect(),
-        sample_interval: obs.sample_interval,
-        vcd: !obs.vcd_path.is_empty(),
-        signals: obs.signals.clone(),
-        ..Default::default()
-    };
-    if let Some(policy) = cfg.retry_policy().map_err(|e| e.to_string())? {
-        settings.retry = policy;
-    }
-    if let Some(net) = &cfg.net {
-        settings.io_timeout_ms = net.io_timeout_ms;
-    }
-    // The same knob Des/Threads honor arms cluster checkpointing here:
-    // every worker snapshots at the shared cycle barrier.
-    settings.checkpoint_interval = cfg.checkpoint_interval;
-    Ok(settings)
-}
-
 /// The command line for one self-hosted worker subprocess. Respawned
 /// replacements use the same spelling — deliberately without any
 /// `--chaos-kill` the original may have carried, so a chaos campaign
@@ -906,7 +856,7 @@ fn run_net(cfg: &RunConfig, circuit: Circuit, args: &Args) -> Result<(), String>
     if let Some(c) = &args.control {
         net.control = c.clone();
     }
-    let settings = wire_settings(cfg, platform, &obs)?;
+    let settings = cfg.wire_settings().map_err(|e| e.to_string())?;
 
     // The cockpit listener comes up before the workers so an operator
     // can attach the moment the addresses print.
@@ -1077,7 +1027,7 @@ fn run(args: Args) -> Result<(), String> {
         }
         cfg.backend = "net".into();
     }
-    apply_obs_flags(&mut cfg, &args);
+    args.obs.apply(&mut cfg);
 
     // The circuit comes from --circuit, else the config's `circuit`
     // field resolved relative to the config file.
