@@ -308,7 +308,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cmd, String> {
         let mut listen = DEFAULT_SERVE_ADDR.to_string();
         let mut pool = 8usize;
         let mut cache = 8usize;
-        let mut max_restarts = 2u32;
+        let mut max_restarts = fireaxe_net::DEFAULT_MAX_RESTARTS;
         let mut quotas = Vec::new();
         let mut stop = false;
         while let Some(arg) = it.next() {
@@ -640,6 +640,7 @@ fn run_submit(args: &SubmitArgs) -> Result<(), String> {
     };
     args.obs.apply(&mut cfg);
     let obs = cfg.obs.clone().unwrap_or_default();
+    let settings = cfg.wire_settings().map_err(|e| e.to_string())?;
 
     let circuit_path = match &args.circuit {
         Some(p) => p.clone(),
@@ -657,7 +658,6 @@ fn run_submit(args: &SubmitArgs) -> Result<(), String> {
         std::fs::read_to_string(&circuit_path).map_err(|e| format!("{circuit_path}: {e}"))?;
     let circuit = fireaxe::ir::parser::parse_circuit(&circuit_text).map_err(|e| e.to_string())?;
     let spec = cfg.partition_spec().map_err(|e| e.to_string())?;
-    let settings = cfg.wire_settings().map_err(|e| e.to_string())?;
 
     let mut client =
         fireaxe_serve::ServeClient::connect(&args.server, std::time::Duration::from_secs(10))
@@ -832,14 +832,7 @@ fn worker_command(exe: &std::path::Path) -> std::process::Command {
 /// `fireaxe worker` subprocess per core (at most one per partition) when
 /// the config names no addresses.
 fn run_net(cfg: &RunConfig, circuit: Circuit, args: &Args) -> Result<(), String> {
-    if cfg.fault.is_some() {
-        return Err(
-            "the net backend does not schedule modeled link faults; drop the \
-             `fault` object (real-socket loss is exercised by the fault proxy in \
-             the fireaxe-net tests) or pick --backend des|threads"
-                .into(),
-        );
-    }
+    let settings = cfg.wire_settings().map_err(|e| e.to_string())?;
     let platform = cfg.platform().map_err(|e| e.to_string())?;
     let obs = cfg.obs.clone().unwrap_or_default();
     let spec = cfg.partition_spec().map_err(|e| e.to_string())?;
@@ -856,7 +849,6 @@ fn run_net(cfg: &RunConfig, circuit: Circuit, args: &Args) -> Result<(), String>
     if let Some(c) = &args.control {
         net.control = c.clone();
     }
-    let settings = cfg.wire_settings().map_err(|e| e.to_string())?;
 
     // The cockpit listener comes up before the workers so an operator
     // can attach the moment the addresses print.

@@ -366,14 +366,14 @@ config_struct! {
         /// (at most one per partition) on localhost.
         pub workers: Vec<String> = Vec::new(),
         /// Bring-up patience per worker (connect + handshake), milliseconds.
-        pub connect_timeout_ms: u64 = 10_000,
+        pub connect_timeout_ms: u64 = fireaxe_net::DEFAULT_CONNECT_TIMEOUT_MS,
         /// Run-phase silence tolerated before `NetTimeout`, milliseconds.
         pub io_timeout_ms: u64 = fireaxe_net::DEFAULT_IO_TIMEOUT_MS,
         /// Times a dead worker may be respawned before the run degrades to
         /// `PartitionLost` (0 disables failover; recovery also requires a
         /// nonzero top-level `checkpoint_interval` and a self-spawned
         /// cluster, since only those workers can be relaunched).
-        pub max_restarts: u32 = 2,
+        pub max_restarts: u32 = fireaxe_net::DEFAULT_MAX_RESTARTS,
         /// Base delay before the first respawn attempt, milliseconds
         /// (doubles per consecutive attempt, capped at 16x).
         pub restart_backoff_ms: u64 = 50,
@@ -676,6 +676,15 @@ impl RunConfig {
     ///
     /// Propagates config validation failures.
     pub fn wire_settings(&self) -> Result<WireSettings, ConfigError> {
+        if self.fault.is_some() {
+            return Err(ConfigError::Invalid {
+                field: "fault",
+                message: "a net run does not schedule modeled link faults (real-socket loss \
+                          is exercised by the fault proxy in the fireaxe-net tests): drop the \
+                          object, or run in-process with backend des|threads"
+                    .into(),
+            });
+        }
         let obs = self.obs_spec()?.unwrap_or_default();
         Ok(WireSettings {
             default_transport: self.platform()?.transport(),
@@ -1195,6 +1204,17 @@ mod tests {
         assert_eq!(
             (bare.sample_interval, bare.vcd, bare.checkpoint_interval),
             (0, false, 0)
+        );
+
+        // No net entry point schedules modeled faults: refused by name.
+        let faulty = RunConfig::from_json(&splice(r#", "fault": { "seed": 7 }"#, "")).unwrap();
+        assert!(
+            matches!(
+                faulty.wire_settings(),
+                Err(ConfigError::Invalid { field: "fault", .. })
+            ),
+            "{:?}",
+            faulty.wire_settings()
         );
     }
 

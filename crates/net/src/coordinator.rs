@@ -50,7 +50,7 @@ use fireaxe_obs::{
     obs_counter, obs_span, to_chrome_json_merged, trace, LinkSample, LinkSeries, MetricsSeries,
     NodeSeries, OwnedTraceEvent, RecoveryEvent, VcdWriter,
 };
-use fireaxe_ripper::{compile, LinkSpec, PartitionSpec, PartitionedDesign};
+use fireaxe_ripper::{compile, LinkSpec, PartitionSpec};
 use fireaxe_sim::{
     available_cores, placement, pool_size, Backend, LinkCounters, NodeStall, PartitionCut, Result,
     SimBuilder, SimError, SimMetrics, StallReport,
@@ -85,6 +85,12 @@ pub struct NetRunReport {
 /// dead worker hosted. Called by the coordinator after a worker death,
 /// once per restart attempt.
 pub type RespawnFn = Box<dyn FnMut(usize) -> Result<String> + Send>;
+
+/// Bring-up patience per worker (connect + handshake), milliseconds,
+/// by default.
+pub const DEFAULT_CONNECT_TIMEOUT_MS: u64 = 10_000;
+/// Times a dead worker may be respawned by default.
+pub const DEFAULT_MAX_RESTARTS: u32 = 2;
 
 /// Failover policy for [`run_cluster_with`]: what the coordinator does
 /// when a worker connection dies mid-run.
@@ -574,11 +580,12 @@ pub fn run_cluster_controlled(
     )
 }
 
-/// A compiled design ready to be placed on a worker fleet: the
-/// FireRipper output (which a threads job runs directly), one encoded
-/// payload per partition for the workers to build from, the node shapes
-/// each worker's `Ready` digest covers, and the partition metadata and
-/// VCD signal table the coordinator folds reports against.
+/// A compiled design ready to be placed on a worker fleet: one
+/// [`PartitionCut`] per partition (a threads job builds the set of all
+/// of them; their node, link and VCD signal tables are what the
+/// coordinator places and folds reports against), the same cuts encoded
+/// as payloads for the workers to build from, and the node shapes each
+/// worker's `Ready` digest covers.
 ///
 /// A `PreparedJob` is placement-independent: [`place_cluster`] packs its
 /// partitions onto however many workers it is given (see
@@ -592,13 +599,10 @@ pub fn run_cluster_controlled(
 /// so a repeated submission skips straight to placement.
 #[derive(Clone)]
 pub struct PreparedJob {
-    design: PartitionedDesign,
+    cuts: Vec<PartitionCut>,
     payloads: Vec<Vec<u8>>,
     ready_digests: Vec<u64>,
     settings: WireSettings,
-    nodes_meta: Vec<(String, usize)>,
-    specs: Vec<LinkSpec>,
-    vcd_signals: Vec<fireaxe_obs::VcdSignal>,
     digest: u64,
 }
 
@@ -662,6 +666,13 @@ impl PreparedJob {
     fn ready_digest(&self, parts: &[usize]) -> u64 {
         set_digest(parts.iter().map(|&p| self.ready_digests[p]))
     }
+
+    /// The cut-wide node, link and VCD signal tables, which every cut
+    /// carries (FireRipper always emits at least the remainder
+    /// partition).
+    fn tables(&self) -> &PartitionCut {
+        &self.cuts[0]
+    }
 }
 
 /// Where a placed job's partitions run.
@@ -685,23 +696,12 @@ impl Placement {
         for (p, &w) in worker_of.iter().enumerate() {
             hosted[w].push(p);
         }
-        let node_worker: Vec<usize> = prepared
-            .nodes_meta
-            .iter()
-            .map(|(_, p)| worker_of[*p])
-            .collect();
+        let cut = prepared.tables();
+        let node_worker: Vec<usize> = cut.nodes.iter().map(|(_, p)| worker_of[*p]).collect();
         Placement {
             hosted,
-            sink_worker: prepared
-                .specs
-                .iter()
-                .map(|s| node_worker[s.to_node])
-                .collect(),
-            source_worker: prepared
-                .specs
-                .iter()
-                .map(|s| node_worker[s.from_node])
-                .collect(),
+            sink_worker: cut.links.iter().map(|s| node_worker[s.to_node]).collect(),
+            source_worker: cut.links.iter().map(|s| node_worker[s.from_node]).collect(),
             node_worker,
         }
     }
@@ -727,38 +727,28 @@ pub fn prepare_job(
         .map_err(|e| cfg_err(format!("coordinator partition compile failed: {e}")))?;
     let n_partitions = design.partitions.len();
 
-    // A passive local build of the same sim: the source of node/link
-    // metadata, the VCD signal table, the fast-mode seeds the payloads
-    // carry, and the node shapes each worker's build must match. It
-    // never runs a cycle.
+    // A passive local build of the same sim: the source of the cuts'
+    // tables (the node table, the VCD signal table, the fast-mode seeds)
+    // and of the node shapes each worker's build must match. It never
+    // runs a cycle.
     let mut local = setup(configure(
         SimBuilder::new(&design).backend(Backend::Net),
         settings,
     ))
     .build()?;
-    let payloads = (0..n_partitions)
-        .map(|p| encode_partition_payload(&PartitionCut::of(&design, &local, p)))
+    let cuts: Vec<PartitionCut> = (0..n_partitions)
+        .map(|p| PartitionCut::of(&design, &local, p))
         .collect();
     let access = local.net_access();
     let ready_digests = (0..n_partitions)
         .map(|p| partition_digest(&access, p))
         .collect();
-    let nodes_meta: Vec<(String, usize)> = (0..access.node_count())
-        .map(|n| (access.node_name(n).to_string(), access.node_partition(n)))
-        .collect();
-    let specs: Vec<LinkSpec> = access.link_specs();
-    let vcd_signals = access.vcd_signals();
-    let digest = design_digest(&nodes_meta, &specs);
-    drop(local);
     Ok(PreparedJob {
-        design,
-        payloads,
+        payloads: cuts.iter().map(encode_partition_payload).collect(),
         ready_digests,
         settings: settings.clone(),
-        nodes_meta,
-        specs,
-        vcd_signals,
-        digest,
+        digest: design_digest(&cuts[0].nodes, &design.links),
+        cuts,
     })
 }
 
@@ -780,11 +770,12 @@ pub fn prepare_job_from_tape(
 }
 
 /// Runs a [`PreparedJob`] in-process on the threaded backend — the job
-/// server's `Backend::Threads` execution path. The FireRipper output
-/// that [`place_cluster`]/[`execute_placed`] would fan across pooled
-/// workers instead builds one multi-threaded local sim and runs it to
-/// `budget`, returning the same [`NetRunReport`] shape (no chrome trace
-/// merge, no recoveries — there are no worker processes to lose).
+/// server's `Backend::Threads` execution path. The partition cuts that
+/// [`place_cluster`]/[`execute_placed`] would fan across pooled workers
+/// instead build one set hosting every partition, the way a worker
+/// builds its own, on `Backend::Threads(0)`, and run to `budget`,
+/// returning the same [`NetRunReport`] shape (no chrome trace merge, no
+/// recoveries — there are no worker processes to lose).
 ///
 /// # Errors
 ///
@@ -794,7 +785,7 @@ pub fn execute_threads(
     budget: u64,
     setup: &SimSetup,
 ) -> Result<NetRunReport> {
-    let builder = SimBuilder::new(&prepared.design).backend(Backend::Threads(0));
+    let builder = SimBuilder::for_partitions(&prepared.cuts).backend(Backend::Threads(0));
     let mut sim = setup(configure(builder, &prepared.settings)).build()?;
     let metrics = sim.run_target_cycles(budget)?;
     let obs = sim.obs_report();
@@ -857,7 +848,7 @@ pub fn place_cluster(
              design (it needs 1 to {n_partitions})"
         )));
     }
-    let specs = &prepared.specs;
+    let n_links = prepared.tables().links.len();
     let connect_timeout = Duration::from_millis(connect_timeout_ms.max(1));
     let mut cluster = Cluster {
         writers: Vec::with_capacity(n_workers),
@@ -866,7 +857,7 @@ pub fn place_cluster(
         progress: vec![0; n_workers],
         dead: Arc::new((0..n_workers).map(|_| AtomicBool::new(false)).collect()),
         last_heard: vec![Instant::now(); n_workers],
-        book: Arc::new(RelayBook::new(specs.len())),
+        book: Arc::new(RelayBook::new(n_links)),
         placement: Placement::new(prepared, n_workers),
     };
     // Bring-up reads go through `read_halves`; at run time each one
@@ -981,7 +972,7 @@ pub fn execute_placed(
         connect_timeout,
     } = placed;
     let settings = &prepared.settings;
-    let nodes_meta = &prepared.nodes_meta;
+    let nodes_meta = &prepared.tables().nodes;
     let n_workers = cluster.addrs.len();
 
     // --- Run + relay ----------------------------------------------------
@@ -1175,7 +1166,7 @@ pub fn execute_placed(
                             &mut cockpit,
                             &mut cluster,
                             nodes_meta,
-                            &prepared.vcd_signals,
+                            &prepared.tables().vcd_signals,
                             settings,
                             budget,
                             epoch,
@@ -1633,9 +1624,9 @@ pub fn execute_placed(
     let mut folded = fold_reports(
         budget,
         nodes_meta,
-        &prepared.specs,
+        &prepared.tables().links,
         settings,
-        prepared.vcd_signals.clone(),
+        prepared.tables().vcd_signals.clone(),
         reports,
     );
     folded.recoveries = recoveries;

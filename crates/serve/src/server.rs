@@ -65,8 +65,8 @@ impl Default for ServeOptions {
         ServeOptions {
             pool_size: 8,
             cache_capacity: 8,
-            connect_timeout_ms: 10_000,
-            max_restarts: 2,
+            connect_timeout_ms: fireaxe_net::DEFAULT_CONNECT_TIMEOUT_MS,
+            max_restarts: fireaxe_net::DEFAULT_MAX_RESTARTS,
             default_quota: TenantQuota::default(),
             quotas: HashMap::new(),
         }

@@ -32,7 +32,7 @@ use fireaxe_libdn::{InterpreterTarget, LiBdn, TargetModel};
 use fireaxe_obs::vcd::{VcdSignal, VcdWriter};
 use fireaxe_obs::{obs_counter, obs_instant, obs_span};
 use fireaxe_obs::{LinkSample, LinkSeries, MetricsSeries, NodeSample, NodeSeries};
-use fireaxe_ripper::{LinkSpec, PartitionedDesign};
+use fireaxe_ripper::{LinkSpec, PartitionArtifact, PartitionedDesign};
 use fireaxe_transport::fault::{Fault, FaultEvent, FaultPlan, FaultSpec};
 use fireaxe_transport::reliable::{des_delivery, RetryPolicy, FRAME_HEADER_BITS};
 use fireaxe_transport::{mhz_to_period_ps, LinkModel};
@@ -759,12 +759,21 @@ impl std::fmt::Display for SimMetrics {
     }
 }
 
-/// What a [`SimBuilder`] elaborates: a whole design, or a set of
-/// partitions of a cut.
-#[derive(Clone, Copy)]
-enum Source<'a> {
-    Design(&'a PartitionedDesign),
-    Cut(&'a [PartitionCut]),
+/// What a [`SimBuilder`] elaborates: the hosted partitions of one cut
+/// and the cut-wide tables every partition indexes by.
+struct PartitionSet<'a> {
+    /// `(partition, artifact, first flat node)` per hosted partition,
+    /// ascending.
+    parts: Vec<(usize, &'a PartitionArtifact, usize)>,
+    /// The cut's partition count.
+    n_partitions: usize,
+    /// Every node of the cut in flat order: `(name, partition)`.
+    nodes: Vec<(String, usize)>,
+    links: &'a [LinkSpec],
+    /// The cut's resolved VCD signal table, when the set ships one.
+    vcd_signals: Option<&'a [VcdSignal]>,
+    /// Shipped fast-mode seeds (see [`PartitionCut::seeds`]).
+    seeds: Vec<(usize, Bits)>,
 }
 
 /// Bitstream clock, MHz, of a partition without its own.
@@ -777,7 +786,8 @@ pub const DEFAULT_MAX_ROLLBACKS: u32 = 8;
 
 /// Configures and constructs a [`DistributedSim`].
 pub struct SimBuilder<'a> {
-    source: Source<'a>,
+    /// The set to elaborate, or why it cannot be.
+    set: Result<PartitionSet<'a>>,
     default_transport: LinkModel,
     link_transports: BTreeMap<usize, LinkModel>,
     default_clock_mhz: f64,
@@ -796,37 +806,67 @@ pub struct SimBuilder<'a> {
 
 impl<'a> std::fmt::Debug for SimBuilder<'a> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let nodes = match self.source {
-            Source::Design(d) => d.node_count(),
-            Source::Cut(cuts) => cuts.iter().map(|c| c.artifact.threads.len()).sum(),
-        };
+        let nodes = self.set.as_ref().map_or(0, |s| s.nodes.len());
         f.debug_struct("SimBuilder").field("nodes", &nodes).finish()
     }
 }
 
 impl<'a> SimBuilder<'a> {
-    /// Starts building a simulation of `design`.
+    /// Starts building a simulation of `design`: the set that hosts every
+    /// partition of its cut, elaborated from the design's own artifacts
+    /// and tables. The backend defaults to [`Backend::Des`].
     pub fn new(design: &'a PartitionedDesign) -> Self {
-        Self::from_source(Source::Design(design), Backend::Des)
+        let (mut parts, mut nodes) = (Vec::new(), Vec::new());
+        for (pi, p) in design.partitions.iter().enumerate() {
+            parts.push((pi, p, nodes.len()));
+            nodes.extend(p.threads.iter().map(|t| (t.name.clone(), pi)));
+        }
+        let set = PartitionSet {
+            n_partitions: parts.len(),
+            parts,
+            nodes,
+            links: &design.links,
+            vcd_signals: None,
+            seeds: Vec::new(),
+        };
+        Self::hosting(Ok(set), Backend::Des)
     }
 
-    /// Starts building a set of partitions of one cut — what a net worker
-    /// runs — from one [`PartitionCut`] per hosted partition. Only their
-    /// threads are elaborated and bound to behaviors; every other node is
-    /// known by name and partition only. Node, link and VCD signal
-    /// indices stay those of the whole cut, so partition blobs, token
-    /// frames and reports are the bytes a whole-design build produces.
-    /// Bridges attached to another process's nodes are dropped. The
-    /// backend is [`Backend::Net`] and cannot be changed: no other backend
-    /// can run a partial build. [`SimBuilder::build`] rejects cuts whose
-    /// node, link or VCD tables disagree, and a partition given twice.
+    /// Starts building a set of partitions of one cut from one
+    /// [`PartitionCut`] per hosted partition. Only their threads are
+    /// elaborated and bound to behaviors; every other node is known by
+    /// name and partition only. Node, link and VCD signal indices stay
+    /// those of the whole cut, so partition blobs, token frames and
+    /// reports are the bytes a whole-design build produces, and the
+    /// cuts' VCD signal table is adopted as is. Bridges attached to
+    /// another process's nodes are dropped. The backend defaults to
+    /// [`Backend::Net`], what a worker runs: a set that hosts every
+    /// partition of its cut runs on any backend, one missing a partition
+    /// only under [`Backend::Net`]. [`SimBuilder::build`] rejects cuts
+    /// whose node, link or VCD tables disagree, and a partition given
+    /// twice.
     pub fn for_partitions(cuts: &'a [PartitionCut]) -> Self {
-        Self::from_source(Source::Cut(cuts), Backend::Net)
+        let set = PartitionCut::check_set(cuts).and_then(|(c, n_partitions)| {
+            let mut parts = cuts
+                .iter()
+                .map(|c| Ok((c.partition, &c.artifact, c.first_node()?)))
+                .collect::<Result<Vec<_>>>()?;
+            parts.sort_by_key(|p| p.0);
+            Ok(PartitionSet {
+                parts,
+                n_partitions,
+                nodes: c.nodes.clone(),
+                links: &c.links,
+                vcd_signals: Some(&c.vcd_signals),
+                seeds: cuts.iter().flat_map(|c| c.seeds.iter().cloned()).collect(),
+            })
+        });
+        Self::hosting(set, Backend::Net)
     }
 
-    fn from_source(source: Source<'a>, backend: Backend) -> Self {
+    fn hosting(set: Result<PartitionSet<'a>>, backend: Backend) -> Self {
         SimBuilder {
-            source,
+            set,
             default_transport: LinkModel::qsfp_aurora(),
             link_transports: BTreeMap::new(),
             default_clock_mhz: DEFAULT_CLOCK_MHZ,
@@ -961,55 +1001,43 @@ impl<'a> SimBuilder<'a> {
             None
         };
 
-        // What to elaborate, `(partition, artifact, first flat node)`, and
-        // the cut's node table when it is not derived from the build. A
-        // set's seeds are its cuts' seeds; those on links between two of
-        // its partitions are sampled from the built producer instead.
-        let seeds: Vec<(usize, Bits)> = match self.source {
-            Source::Design(_) => Vec::new(),
-            Source::Cut(cuts) => cuts.iter().flat_map(|c| c.seeds.iter().cloned()).collect(),
-        };
-        let (parts, links_in, cut_nodes, seeds): (Vec<_>, _, _, &[(usize, Bits)]) =
-            match self.source {
-                Source::Design(d) => {
-                    let mut first = 0;
-                    let parts = d
-                        .partitions
-                        .iter()
-                        .enumerate()
-                        .map(|(pi, p)| {
-                            first += p.threads.len();
-                            (pi, p, first - p.threads.len())
-                        })
-                        .collect();
-                    (parts, &d.links, None, &[])
-                }
-                Source::Cut(cuts) => {
-                    if self.backend != Backend::Net {
-                        return Err(SimError::Config {
-                            message: format!(
-                                "a partition build runs only under the net backend, not `{}`",
-                                self.backend
-                            ),
-                        });
-                    }
-                    let (c, _) = PartitionCut::check_set(cuts)?;
-                    let mut parts = cuts
-                        .iter()
-                        .map(|c| Ok((c.partition, &c.artifact, c.first_node()?)))
-                        .collect::<Result<Vec<_>>>()?;
-                    parts.sort_by_key(|p| p.0);
-                    (parts, &c.links, Some(c.nodes.clone()), &seeds)
-                }
-            };
-        let n_global = cut_nodes
-            .as_ref()
-            .map_or_else(|| parts.iter().map(|p| p.1.threads.len()).sum(), Vec::len);
+        let set = self.set?;
+        let unhosted = (0..set.n_partitions).find(|p| set.parts.iter().all(|q| q.0 != *p));
+        if let (Some(p), false) = (unhosted, self.backend == Backend::Net) {
+            return Err(SimError::Config {
+                message: format!(
+                    "partition {p} of the cut is not hosted: a partial set runs only under \
+                     the net backend, not `{}`",
+                    self.backend
+                ),
+            });
+        }
+        // An override names an index of the whole cut, on every process.
+        let n_global = set.nodes.len();
+        for (what, last, count) in [
+            ("node", self.bridges.keys().next_back(), n_global),
+            (
+                "partition",
+                self.partition_clocks.keys().next_back(),
+                set.n_partitions,
+            ),
+            (
+                "link",
+                self.link_transports.keys().next_back(),
+                set.links.len(),
+            ),
+        ] {
+            if let Some(i) = last.filter(|&&i| i >= count) {
+                return Err(SimError::Config {
+                    message: format!("a setting names {what} {i}, but the cut has {count} {what}s"),
+                });
+            }
+        }
         let mut slot: Vec<Option<usize>> = vec![None; n_global];
 
         let mut nodes = Vec::new();
         let mut partitions: Vec<PartitionRt> = Vec::new();
-        for (pi, part, first) in parts {
+        for (pi, part, first) in set.parts {
             let mhz = self
                 .partition_clocks
                 .get(&pi)
@@ -1077,19 +1105,8 @@ impl<'a> SimBuilder<'a> {
             });
         }
 
-        // Bridges are attached by flat node index; anything left over
-        // points at a node that doesn't exist (or, in a partition build,
-        // at another process's node, which is its business).
-        if let Some(&node) = self.bridges.keys().find(|&&n| n >= n_global) {
-            return Err(SimError::Config {
-                message: format!(
-                    "bridge attached to nonexistent node index {node} (design has {n_global} nodes)"
-                ),
-            });
-        }
-
         let mut links = Vec::new();
-        for (li, l) in links_in.iter().enumerate() {
+        for (li, l) in set.links.iter().enumerate() {
             let model = self
                 .link_transports
                 .get(&li)
@@ -1145,95 +1162,29 @@ impl<'a> SimBuilder<'a> {
             }
         }
 
-        // Resolve the observation spec: assign global VCD signal indices
-        // and per-node watch lists, validating every requested signal.
-        let mut vcd_signals: Vec<VcdSignal> = Vec::new();
+        // The set's VCD signal table, or the observation spec resolved
+        // against the built nodes: each built node watches the rows
+        // scoped to it, at their global indices.
+        let vcd_signals = match (self.obs.vcd, set.vcd_signals) {
+            (false, _) => Vec::new(),
+            (true, Some(table)) => table.to_vec(),
+            (true, None) => resolve_vcd_signals(&self.obs.signals, &nodes)?,
+        };
         let mut watched: Vec<Vec<(u32, String)>> = vec![Vec::new(); nodes.len()];
-        if let (true, Source::Cut([c, ..])) = (self.obs.vcd, self.source) {
-            // The cut's table is already resolved: each built node
-            // watches the rows scoped to it, at their global indices.
-            for (idx, sig) in c.vcd_signals.iter().enumerate() {
-                let Some(ni) = nodes.iter().position(|n| n.name == sig.scope) else {
-                    continue;
-                };
-                let width = nodes[ni].libdn.model().peek_path(&sig.name);
-                if width.map(|v| v.width().get()) != Some(sig.width) {
-                    return Err(SimError::Config {
-                        message: format!(
-                            "obs.signals: node `{}` has no {}-bit signal `{}`",
-                            sig.scope, sig.width, sig.name
-                        ),
-                    });
-                }
-                watched[ni].push((idx as u32, sig.name.clone()));
-            }
-            vcd_signals = c.vcd_signals.clone();
-        } else if self.obs.vcd {
-            let watch = |ni: usize,
-                         node: &NodeRt,
-                         path: &str,
-                         sigs: &mut Vec<VcdSignal>,
-                         watched: &mut Vec<Vec<(u32, String)>>|
-             -> Result<()> {
-                let value = node
-                    .libdn
-                    .model()
-                    .peek_path(path)
-                    .ok_or_else(|| SimError::Config {
-                        message: format!(
-                            "obs.signals: node `{}` has no signal `{path}`",
-                            node.name
-                        ),
-                    })?;
-                let idx = sigs.len() as u32;
-                sigs.push(VcdSignal {
-                    scope: node.name.clone(),
-                    name: path.to_string(),
-                    width: value.width().get(),
-                });
-                watched[ni].push((idx, path.to_string()));
-                Ok(())
+        for (idx, sig) in vcd_signals.iter().enumerate() {
+            let Some(ni) = nodes.iter().position(|n| n.name == sig.scope) else {
+                continue;
             };
-            if self.obs.signals.is_empty() {
-                // Default watch set: every node's output ports.
-                for (ni, node) in nodes.iter().enumerate() {
-                    for (port, _) in node.libdn.model().output_ports() {
-                        watch(ni, node, &port, &mut vcd_signals, &mut watched)?;
-                    }
-                }
-            } else {
-                for entry in &self.obs.signals {
-                    match entry.split_once(':') {
-                        Some((node_name, path)) => {
-                            let ni = nodes.iter().position(|n| n.name == node_name).ok_or_else(
-                                || SimError::Config {
-                                    message: format!(
-                                        "obs.signals: no node named `{node_name}` \
-                                         (in `{entry}`)"
-                                    ),
-                                },
-                            )?;
-                            watch(ni, &nodes[ni], path, &mut vcd_signals, &mut watched)?;
-                        }
-                        None => {
-                            let mut found = false;
-                            for (ni, node) in nodes.iter().enumerate() {
-                                if node.libdn.model().peek_path(entry).is_some() {
-                                    watch(ni, node, entry, &mut vcd_signals, &mut watched)?;
-                                    found = true;
-                                }
-                            }
-                            if !found {
-                                return Err(SimError::Config {
-                                    message: format!(
-                                        "obs.signals: no node exposes a signal `{entry}`"
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                }
+            let width = nodes[ni].libdn.model().peek_path(&sig.name);
+            if width.map(|v| v.width().get()) != Some(sig.width) {
+                return Err(SimError::Config {
+                    message: format!(
+                        "obs.signals: node `{}` has no {}-bit signal `{}`",
+                        sig.scope, sig.width, sig.name
+                    ),
+                });
             }
+            watched[ni].push((idx as u32, sig.name.clone()));
         }
         for (node, watched) in nodes.iter_mut().zip(watched) {
             node.obs = NodeObs::new(self.obs.sample_interval, watched);
@@ -1246,16 +1197,10 @@ impl<'a> SimBuilder<'a> {
             }
         }
 
-        let node_table = cut_nodes.unwrap_or_else(|| {
-            nodes
-                .iter()
-                .map(|n| (n.name.clone(), n.partition))
-                .collect()
-        });
         let n_links = links.len();
         let mut sim = DistributedSim {
             nodes,
-            node_table,
+            node_table: set.nodes,
             slot,
             seeds: Vec::new(),
             links,
@@ -1277,9 +1222,62 @@ impl<'a> SimBuilder<'a> {
             link_samples: vec![Vec::new(); n_links],
             link_next_sample: self.obs.sample_interval,
         };
-        sim.seed_fast_mode_links(seeds)?;
+        sim.seed_fast_mode_links(&set.seeds)?;
         Ok(sim)
     }
+}
+
+/// Resolves an observation spec's signal list (empty: every node's
+/// output ports) against the built nodes, in watch order, validating
+/// every requested signal.
+fn resolve_vcd_signals(signals: &[String], nodes: &[NodeRt]) -> Result<Vec<VcdSignal>> {
+    let cfg = |message: String| SimError::Config { message };
+    let mut sigs = Vec::new();
+    let mut watch = |node: &NodeRt, path: &str| -> Result<()> {
+        let value = node.libdn.model().peek_path(path).ok_or_else(|| {
+            cfg(format!(
+                "obs.signals: node `{}` has no signal `{path}`",
+                node.name
+            ))
+        })?;
+        sigs.push(VcdSignal {
+            scope: node.name.clone(),
+            name: path.to_string(),
+            width: value.width().get(),
+        });
+        Ok(())
+    };
+    if signals.is_empty() {
+        for node in nodes {
+            for (port, _) in node.libdn.model().output_ports() {
+                watch(node, &port)?;
+            }
+        }
+    }
+    for entry in signals {
+        if let Some((node_name, path)) = entry.split_once(':') {
+            let node = nodes.iter().find(|n| n.name == node_name).ok_or_else(|| {
+                cfg(format!(
+                    "obs.signals: no node named `{node_name}` (in `{entry}`)"
+                ))
+            })?;
+            watch(node, path)?;
+            continue;
+        }
+        let mut found = false;
+        for node in nodes {
+            if node.libdn.model().peek_path(entry).is_some() {
+                watch(node, entry)?;
+                found = true;
+            }
+        }
+        if !found {
+            return Err(cfg(format!(
+                "obs.signals: no node exposes a signal `{entry}`"
+            )));
+        }
+    }
+    Ok(sigs)
 }
 
 #[derive(Debug)]
@@ -1323,14 +1321,13 @@ impl SimCheckpoint {
 
 /// A running multi-partition simulation.
 pub struct DistributedSim {
-    /// The nodes this process built: every node of the design, or a
-    /// partition set's under [`SimBuilder::for_partitions`].
+    /// The nodes of the partitions this process hosts.
     pub(crate) nodes: Vec<NodeRt>,
     /// Every node of the cut in flat order, `(name, partition)`, built
     /// here or not.
     pub(crate) node_table: Vec<(String, usize)>,
     /// Flat node index → index into `nodes`; `None` for a node another
-    /// process builds. The identity for a whole-design build.
+    /// process builds. The identity when every partition is hosted.
     pub(crate) slot: Vec<Option<usize>>,
     /// The fast-mode seed token staged on each seeded link into a built
     /// node, `(link, token)`.
@@ -2547,6 +2544,75 @@ mod tests {
         assert!(pcie > host);
     }
 
+    /// One cut per partition of `design`, cut from a whole-design build
+    /// observed under `obs` (the coordinator's passive build).
+    fn cut_set(design: &PartitionedDesign, obs: ObsSpec) -> Vec<PartitionCut> {
+        let sim = SimBuilder::new(design).observe(obs).build().unwrap();
+        (0..design.partitions.len())
+            .map(|p| PartitionCut::of(design, &sim, p))
+            .collect()
+    }
+
+    #[test]
+    fn a_complete_cut_set_builds_what_the_whole_design_builds() {
+        let obs = ObsSpec {
+            sample_interval: 0,
+            vcd: true,
+            signals: Vec::new(),
+        };
+        for mode in [PartitionMode::Exact, PartitionMode::Fast] {
+            let spec = PartitionSpec {
+                mode,
+                channel_policy: ChannelPolicy::Separated,
+                groups: vec![PartitionGroup::instances("tile", vec!["tile0".into()])],
+            };
+            let design = compile(&soc(), &spec).unwrap();
+            let cuts = cut_set(&design, obs.clone());
+            let rest = design.node_index(1, 0);
+            // Cycle-0 blobs, then 40 cycles: node digests, VCD, and on the
+            // deterministic backend the blobs again.
+            let run = |builder: SimBuilder<'_>, backend: Backend| {
+                let bridge = ScriptBridge::new(|cycle| {
+                    let mut m = BTreeMap::new();
+                    m.insert("i".to_string(), Bits::from_u64(cycle % 251, 8));
+                    m
+                });
+                let mut sim = builder
+                    .backend(backend)
+                    .observe(obs.clone())
+                    .bridge(rest, Box::new(bridge))
+                    .build()
+                    .unwrap();
+                let blobs = |sim: &DistributedSim| {
+                    (0..2)
+                        .map(|p| sim.snapshot_partition_bytes(p).unwrap())
+                        .collect::<Vec<_>>()
+                };
+                let at_0 = blobs(&sim);
+                let cycles = sim.run_target_cycles(40).unwrap().target_cycles;
+                let digests: Vec<u64> = (0..2).map(|n| sim.node_state_digest(n)).collect();
+                let at_40 = (backend == Backend::Des).then(|| blobs(&sim));
+                (at_0, cycles, digests, at_40, sim.obs_report().vcd)
+            };
+            for backend in [Backend::Des, Backend::Threads(2)] {
+                assert_eq!(
+                    run(SimBuilder::for_partitions(&cuts), backend),
+                    run(SimBuilder::new(&design), backend),
+                    "{mode:?} on {backend}"
+                );
+            }
+            let err = SimBuilder::for_partitions(&cuts[..1])
+                .backend(Backend::Des)
+                .build()
+                .unwrap_err();
+            assert!(
+                matches!(&err, SimError::Config { message }
+                    if message.contains("partition 1 ") && message.contains("`des`")),
+                "{mode:?}: got {err}"
+            );
+        }
+    }
+
     #[test]
     fn bridge_on_nonexistent_node_is_a_config_error() {
         let c = soc();
@@ -2555,14 +2621,44 @@ mod tests {
             vec!["tile0".into()],
         )]);
         let design = compile(&c, &spec).unwrap();
-        let err = SimBuilder::new(&design)
-            .bridge(99, Box::new(ScriptBridge::new(|_| Default::default())))
-            .build()
-            .unwrap_err();
-        assert!(
-            matches!(&err, SimError::Config { message } if message.contains("99")),
-            "got {err}"
+        let (n_links, cuts) = (design.links.len(), cut_set(&design, ObsSpec::default()));
+        // An index past the cut, on a whole-design build and on a set:
+        // (what the message names, the count it gives, the builder).
+        type Case<'a> = (
+            String,
+            usize,
+            Box<dyn Fn(SimBuilder<'a>) -> SimBuilder<'a> + 'a>,
         );
+        let cases: Vec<Case<'_>> = vec![
+            (
+                "node 99".into(),
+                2,
+                Box::new(|b| b.bridge(99, Box::new(ScriptBridge::new(|_| Default::default())))),
+            ),
+            (
+                "partition 2".into(),
+                2,
+                Box::new(|b| b.partition_clock_mhz(2, 10.0)),
+            ),
+            (
+                format!("link {n_links}"),
+                n_links,
+                Box::new(move |b| b.link_transport(n_links, LinkModel::loopback())),
+            ),
+        ];
+        for (what, count, configure) in &cases {
+            for builder in [SimBuilder::new(&design), SimBuilder::for_partitions(&cuts)] {
+                let err = configure(builder.backend(Backend::Des))
+                    .build()
+                    .unwrap_err();
+                assert!(
+                    matches!(&err, SimError::Config { message }
+                        if message.contains(what.as_str())
+                            && message.contains(&format!("the cut has {count} "))),
+                    "{what}: got {err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -25,8 +25,8 @@ use fireaxe_ripper::{LinkSpec, PartitionArtifact, PartitionedDesign};
 use fireaxe_transport::reliable::RetryPolicy;
 
 /// One node's recorded VCD change: `(target cycle, signal index, value)`.
-/// Signal indices refer to [`NetAccess::vcd_signals`], which is identical
-/// across processes built from the same design and observation spec.
+/// Signal indices refer to the cut's VCD signal table
+/// ([`PartitionCut::vcd_signals`]), which every process of a cut shares.
 pub type VcdChange = (u64, u32, Bits);
 
 /// One partition of a compiled cut plus the cut-wide tables every
@@ -386,13 +386,6 @@ impl NetAccess<'_> {
     /// Metric sampling cadence in target cycles (0 = off).
     pub fn obs_interval(&self) -> u64 {
         self.sim.obs_interval
-    }
-
-    /// Global VCD signal declarations, in identifier order. Identical
-    /// across processes that built the same design with the same
-    /// observation spec, so shipped change sets merge by index.
-    pub fn vcd_signals(&self) -> Vec<VcdSignal> {
-        self.sim.vcd_signals.clone()
     }
 
     /// Resolves a node name to its flat index (control-plane addressing).
