@@ -184,10 +184,6 @@ fn des_observed_golden(circuit: &Circuit, spec: &PartitionSpec) -> (ObsRows, Str
     let design = fireaxe::ripper::compile(circuit, spec).expect("golden compile");
     let builder = SimBuilder::new(&design)
         .backend(Backend::Des)
-        .transport(s.default_transport)
-        .clock_mhz(s.clock_mhz)
-        .channel_capacity(s.channel_capacity as usize)
-        .deadlock_horizon(s.deadlock_horizon)
         .observe(ObsSpec {
             sample_interval: s.sample_interval,
             vcd: s.vcd,

@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! fireaxe run <run.json> [--circuit design.fir] [--cycles N]
-//!             [--backend des|threads[:n]|net]
-//!             [--engine compiled|reference|sliced] [--trace out.trace.json]
+//!             [--backend des|threads[:n]|net] [--trace out.trace.json]
 //!             [--vcd out.vcd] [--metrics out.json|out.csv]
 //!             [--signals a,b,..] [--sample-interval N] [--estimate]
 //! fireaxe coordinator <run.json> [--workers addr,addr,..] [run flags]
@@ -30,13 +29,9 @@
 //! self-spawns `fireaxe worker` subprocesses on localhost.
 //! `fireaxe coordinator` is `run` with the backend pinned to `net`.
 //!
-//! The `--engine` flag and the config's `"engine"` field likewise share
-//! one parser (`ExecEngine::from_str`) with the `FIREAXE_ENGINE`
-//! environment variable: `compiled` (the default word-packed tape),
-//! `reference` (the tree-walking golden model), or `sliced` (the
-//! 64-lane bit-sliced tape). A non-default knob is exported as
-//! `FIREAXE_ENGINE` so every interpreter in the flow — including worker
-//! subprocesses — picks it up.
+//! Every partition runs on the compiled tape. The config's `platform`,
+//! `clock_mhz` and `partition_clocks` shape the DES model's virtual
+//! clock; a threads or net run has none and ignores them.
 //!
 //! Prints the partition report, the compiler's quick rate estimate, the
 //! measured simulation rate, and the per-node/per-link metrics summary.
@@ -63,8 +58,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: fireaxe run <run.json> [--circuit <design.fir>] [--cycles N] \
-     [--backend des|threads[:n]|net] [--engine compiled|reference|sliced] \
-     [--trace <out.json>] [--vcd <out.vcd>] \
+     [--backend des|threads[:n]|net] [--trace <out.json>] [--vcd <out.vcd>] \
      [--metrics <out.json|out.csv>] [--signals <a,b,..>] [--sample-interval N] [--estimate]\n\
        fireaxe coordinator <run.json> [--workers <addr,addr,..>] [--control <addr>] \
      [run flags]\n\
@@ -98,7 +92,7 @@ the default). --stop asks a running daemon (at --listen) to shut down";
 
 const SUBMIT_USAGE: &str = "usage: fireaxe submit <run.json> [--server <addr>] \
 [--tenant <name>] [--cycles N] [--circuit <design.fir>] [--backend net|threads] \
-[--vcd <out.vcd>] [--metrics <out.json|out.csv>] [--signals <a,b,..>] [--sample-interval N]\n\
+[--vcd <out.vcd>] [--metrics <out.json>] [--signals <a,b,..>] [--sample-interval N]\n\
 sends the design to a `fireaxe serve` daemon and waits for the result";
 
 const JOBS_USAGE: &str = "usage: fireaxe jobs [--server <addr>] [--job N]\n\
@@ -117,8 +111,6 @@ struct Args {
     cycles: u64,
     estimate_only: bool,
     backend: Option<String>,
-    /// `--engine` override for the config's `engine` field.
-    engine: Option<String>,
     /// `coordinator` subcommand: pin the backend to `net`.
     force_net: bool,
     /// `--workers` override for the config's `net.workers` list.
@@ -210,10 +202,7 @@ enum Cmd {
     },
     Serve {
         listen: String,
-        pool: usize,
-        cache: usize,
-        max_restarts: u32,
-        quotas: Vec<(String, fireaxe_serve::TenantQuota)>,
+        options: fireaxe_serve::ServeOptions,
         stop: bool,
     },
     Submit(Box<SubmitArgs>),
@@ -306,22 +295,24 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cmd, String> {
     if it.peek().map(String::as_str) == Some("serve") {
         it.next();
         let mut listen = DEFAULT_SERVE_ADDR.to_string();
-        let mut pool = 8usize;
-        let mut cache = 8usize;
-        let mut max_restarts = fireaxe_net::DEFAULT_MAX_RESTARTS;
-        let mut quotas = Vec::new();
+        let mut options = fireaxe_serve::ServeOptions::default();
         let mut stop = false;
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--listen" | "--server" => listen = it.next().ok_or("--listen needs an address")?,
-                "--pool" => pool = parse_u64(&mut it, "--pool")? as usize,
-                "--cache" => cache = parse_u64(&mut it, "--cache")? as usize,
+                "--pool" => options.pool_size = parse_u64(&mut it, "--pool")? as usize,
+                "--cache" => options.cache_capacity = parse_u64(&mut it, "--cache")? as usize,
                 "--max-restarts" => {
-                    max_restarts = u32::try_from(parse_u64(&mut it, "--max-restarts")?)
+                    options.max_restarts = u32::try_from(parse_u64(&mut it, "--max-restarts")?)
                         .map_err(|_| "--max-restarts too large".to_string())?;
                 }
                 "--quota" => {
-                    quotas.push(parse_quota(&it.next().ok_or("--quota needs a spec")?)?);
+                    let (tenant, q) = parse_quota(&it.next().ok_or("--quota needs a spec")?)?;
+                    if tenant == "*" {
+                        options.default_quota = q;
+                    } else {
+                        options.quotas.insert(tenant, q);
+                    }
                 }
                 "--stop" => stop = true,
                 "--help" | "-h" => return Err(SERVE_USAGE.into()),
@@ -330,10 +321,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cmd, String> {
         }
         return Ok(Cmd::Serve {
             listen,
-            pool,
-            cache,
-            max_restarts,
-            quotas,
+            options,
             stop,
         });
     }
@@ -443,7 +431,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cmd, String> {
     let mut cycles = 10_000u64;
     let mut estimate_only = false;
     let mut backend = None;
-    let mut engine = None;
     let mut force_net = false;
     let mut workers = None;
     let mut control = None;
@@ -463,12 +450,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cmd, String> {
             "--config" => config = Some(it.next().ok_or("--config needs a path")?),
             "--cycles" => cycles = parse_u64(&mut it, "--cycles")?,
             "--backend" => backend = Some(it.next().ok_or("--backend needs des|threads[:n]|net")?),
-            "--engine" => {
-                engine = Some(
-                    it.next()
-                        .ok_or("--engine needs compiled|reference|sliced")?,
-                )
-            }
             "--workers" => {
                 let list = it.next().ok_or("--workers needs a comma-separated list")?;
                 workers = Some(list.split(',').map(str::to_string).collect());
@@ -489,7 +470,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Cmd, String> {
         cycles,
         estimate_only,
         backend,
-        engine,
         force_net,
         workers,
         control,
@@ -580,14 +560,7 @@ fn pooled_worker_command(exe: &std::path::Path) -> std::process::Command {
 
 /// `fireaxe serve`: the persistent multi-tenant job server (or, with
 /// `stop`, ask a running one to shut down).
-fn run_serve(
-    listen: &str,
-    pool: usize,
-    cache: usize,
-    max_restarts: u32,
-    quotas: Vec<(String, fireaxe_serve::TenantQuota)>,
-    stop: bool,
-) -> Result<(), String> {
+fn run_serve(listen: &str, options: fireaxe_serve::ServeOptions, stop: bool) -> Result<(), String> {
     if stop {
         let mut client =
             fireaxe_serve::ServeClient::connect(listen, std::time::Duration::from_secs(10))
@@ -595,19 +568,6 @@ fn run_serve(
         client.shutdown_server().map_err(|e| e.to_string())?;
         println!("asked the daemon at {listen} to shut down");
         return Ok(());
-    }
-    let mut options = fireaxe_serve::ServeOptions {
-        pool_size: pool,
-        cache_capacity: cache,
-        max_restarts,
-        ..Default::default()
-    };
-    for (tenant, q) in quotas {
-        if tenant == "*" {
-            options.default_quota = q;
-        } else {
-            options.quotas.insert(tenant, q);
-        }
     }
     let listener =
         fireaxe_net::NetListener::bind(listen).map_err(|e| format!("bind {listen}: {e}"))?;
@@ -640,6 +600,13 @@ fn run_submit(args: &SubmitArgs) -> Result<(), String> {
     };
     args.obs.apply(&mut cfg);
     let obs = cfg.obs.clone().unwrap_or_default();
+    if obs.metrics_path.ends_with(".csv") {
+        return Err(format!(
+            "metrics_path `{}`: a job server returns the metric series as JSON; \
+             name a .json file",
+            obs.metrics_path
+        ));
+    }
     let settings = cfg.wire_settings().map_err(|e| e.to_string())?;
 
     let circuit_path = match &args.circuit {
@@ -1002,17 +969,6 @@ fn run(args: Args) -> Result<(), String> {
     if let Some(b) = &args.backend {
         cfg.backend = b.clone();
     }
-    if let Some(e) = &args.engine {
-        cfg.engine = e.clone();
-    }
-    // One parser decides the interpreter engine for the flag, the
-    // config field and FIREAXE_ENGINE alike; a non-default knob is
-    // exported so every interpreter built downstream — including worker
-    // subprocesses — picks it up.
-    cfg.execution_engine().map_err(|e| e.to_string())?;
-    if cfg.engine != "compiled" {
-        std::env::set_var("FIREAXE_ENGINE", &cfg.engine);
-    }
     if args.force_net {
         if args.backend.as_deref().is_some_and(|b| b != "net") {
             return Err("`fireaxe coordinator` implies --backend net".into());
@@ -1130,12 +1086,9 @@ fn main() -> ExitCode {
         Ok(Cmd::Attach { addr, serve_http }) => run_attach(&addr, serve_http),
         Ok(Cmd::Serve {
             listen,
-            pool,
-            cache,
-            max_restarts,
-            quotas,
+            options,
             stop,
-        }) => run_serve(&listen, pool, cache, max_restarts, quotas, stop),
+        }) => run_serve(&listen, options, stop),
         Ok(Cmd::Submit(args)) => run_submit(&args),
         Ok(Cmd::Jobs { server, job }) => run_jobs(&server, job),
         Ok(Cmd::Cancel {
@@ -1157,7 +1110,11 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_args;
+    use super::{parse_args, run_submit, Cmd};
+
+    fn parse(argv: &[&str]) -> Result<Cmd, String> {
+        parse_args(argv.iter().map(|a| a.to_string()))
+    }
 
     #[test]
     fn the_removed_batch_cycles_flag_is_an_unknown_argument() {
@@ -1166,5 +1123,45 @@ mod tests {
             Err(e) => assert!(e.contains("unknown argument `--batch-cycles`"), "{e}"),
             Ok(_) => panic!("--batch-cycles must be refused"),
         }
+    }
+
+    #[test]
+    fn the_removed_engine_flag_is_an_unknown_argument() {
+        match parse(&["run", "demo/run.json", "--engine", "reference"]) {
+            Err(e) => assert!(e.contains("unknown argument `--engine`"), "{e}"),
+            Ok(_) => panic!("--engine must be refused"),
+        }
+    }
+
+    #[test]
+    fn serve_without_flags_takes_the_server_defaults() {
+        let Ok(Cmd::Serve { options, .. }) = parse(&["serve"]) else {
+            panic!("`serve` must parse");
+        };
+        let defaults = fireaxe_serve::ServeOptions::default();
+        assert_eq!(
+            (options.pool_size, options.cache_capacity),
+            (defaults.pool_size, defaults.cache_capacity)
+        );
+    }
+
+    #[test]
+    fn submit_refuses_a_csv_metrics_path_before_it_connects() {
+        let config = concat!(env!("CARGO_MANIFEST_DIR"), "/../../demo/run.json");
+        // Nothing listens on port 9 of this host: a connect attempt
+        // would fail with another error.
+        let argv = [
+            "submit",
+            config,
+            "--server",
+            "127.0.0.1:9",
+            "--metrics",
+            "out.csv",
+        ];
+        let Ok(Cmd::Submit(args)) = parse(&argv) else {
+            panic!("`submit` must parse");
+        };
+        let err = run_submit(&args).expect_err("a .csv metrics path must be refused");
+        assert!(err.contains("metrics_path"), "{err}");
     }
 }

@@ -66,11 +66,24 @@ fn schema_err(field: &'static str, message: impl Into<String>) -> ConfigError {
 }
 
 /// Keys a config object once had, refused with what replaced them.
-const REMOVED_KEYS: &[(&str, &str)] = &[(
-    "net.batch_cycles",
-    "removed: a link's frames ship when its credit window is spent \
-     or when its worker goes quiescent; drop the key",
-)];
+const REMOVED_KEYS: &[(&str, &str)] = &[
+    (
+        "net.batch_cycles",
+        "removed: a link's frames ship when its credit window is spent \
+         or when its worker goes quiescent; drop the key",
+    ),
+    (
+        "engine",
+        "removed: partitions always run on the compiled tape; drop the key \
+         (the reference and sliced engines are library choices, \
+         `Interpreter::with_engine`)",
+    ),
+    (
+        "threads",
+        "removed: write the worker count into the backend, \
+         `\"backend\": \"threads:<n>\"`",
+    ),
+];
 
 /// The error for `key` in the object found under `at` (empty at the
 /// top level).
@@ -376,7 +389,7 @@ config_struct! {
         pub max_restarts: u32 = fireaxe_net::DEFAULT_MAX_RESTARTS,
         /// Base delay before the first respawn attempt, milliseconds
         /// (doubles per consecutive attempt, capped at 16x).
-        pub restart_backoff_ms: u64 = 50,
+        pub restart_backoff_ms: u64 = fireaxe_net::DEFAULT_RESTART_BACKOFF_MS,
         /// Control-plane listen address for live cockpit clients
         /// (`host:port` or `unix:/path`; empty = no control listener).
         /// `fireaxe attach <addr>` connects here to peek/poke/pause a
@@ -396,7 +409,9 @@ config_struct! {
         pub circuit: String = String::new(),
         /// `"exact"` or `"fast"`.
         pub mode: String,
-        /// `"onprem-qsfp"`, `"cloud-f1"`, or `"host-managed"`.
+        /// `"onprem-qsfp"`, `"cloud-f1"`, or `"host-managed"`: the link
+        /// model of the DES backend. A threads or net run has no virtual
+        /// clock and ignores it, like `clock_mhz` and `partition_clocks`.
         pub platform: String,
         /// Execution backend: `"des"` (deterministic discrete-event golden
         /// model, the default), `"threads"` / `"threads:<n>"` (partitions on
@@ -406,20 +421,10 @@ config_struct! {
         /// [`Backend::from_str`][std::str::FromStr] — the same spelling the
         /// `--backend` CLI flag accepts.
         pub backend: String = "des".to_string(),
-        /// Per-partition interpreter engine: `"compiled"` (word-packed
-        /// tape, the default), `"reference"` (tree-walking golden model) or
-        /// `"sliced"` (bit-sliced 64-lane tape). Parsed by
-        /// [`ExecEngine::from_str`][std::str::FromStr] — the same spelling
-        /// the `FIREAXE_ENGINE` environment variable and the `--engine` CLI
-        /// flag accept.
-        pub engine: String = "compiled".to_string(),
-        /// Worker thread cap for the `"threads"` backend; `0` means one
-        /// worker per available core. Either way a run uses at most one
-        /// worker per partition.
-        pub threads: usize = 0,
-        /// Bitstream frequency in MHz for all partitions.
+        /// Bitstream frequency in MHz for all partitions (DES model only).
         pub clock_mhz: f64 = fireaxe_sim::DEFAULT_CLOCK_MHZ,
-        /// Per-partition clock overrides: `[partition index, MHz]` pairs.
+        /// Per-partition clock overrides: `[partition index, MHz]` pairs
+        /// (DES model only).
         pub partition_clocks: Vec<(u32, f64)> = Vec::new(),
         /// Router paths for NoC-partition-mode groups, in index order.
         pub routers: Vec<String> = Vec::new(),
@@ -505,35 +510,15 @@ impl RunConfig {
     }
 
     /// Resolves the execution backend through [`Backend`]'s `FromStr`
-    /// (the single parser the CLI flag also uses). The legacy separate
-    /// `"threads"` count field still applies when the backend string
-    /// itself doesn't carry one.
+    /// (the single parser the CLI flag also uses).
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError::Invalid`] for unknown backend strings.
     pub fn execution_backend(&self) -> Result<Backend, ConfigError> {
-        let backend: Backend = self
-            .backend
+        self.backend
             .parse()
-            .map_err(|e: String| schema_err("backend", e))?;
-        Ok(match backend {
-            Backend::Threads(0) if self.threads != 0 => Backend::Threads(self.threads),
-            other => other,
-        })
-    }
-
-    /// Resolves the interpreter execution engine through
-    /// [`ExecEngine::from_str`][std::str::FromStr] (the single parser
-    /// shared with `FIREAXE_ENGINE` and the `--engine` CLI flag).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::Invalid`] for unknown engine names.
-    pub fn execution_engine(&self) -> Result<fireaxe_ir::ExecEngine, ConfigError> {
-        self.engine
-            .parse()
-            .map_err(|e: fireaxe_ir::IrError| schema_err("engine", e.to_string()))
+            .map_err(|e: String| schema_err("backend", e))
     }
 
     /// Validates the fault-injection campaign.
@@ -669,8 +654,11 @@ impl RunConfig {
         Ok(fa)
     }
 
-    /// The cluster-wide engine settings a coordinator ships to every
+    /// The cluster-wide run settings a coordinator ships to every
     /// worker, read from the same fields the in-process backends use.
+    /// The DES model's platform and clocks are not among them: a net run
+    /// has no virtual clock. The platform is still checked, so a
+    /// misspelt one is refused on every path.
     ///
     /// # Errors
     ///
@@ -685,11 +673,9 @@ impl RunConfig {
                     .into(),
             });
         }
+        self.platform()?;
         let obs = self.obs_spec()?.unwrap_or_default();
         Ok(WireSettings {
-            default_transport: self.platform()?.transport(),
-            clock_mhz: self.clock_mhz,
-            partition_clocks: self.partition_clocks.clone(),
             retry: self.retry_policy()?.unwrap_or_default(),
             sample_interval: obs.sample_interval,
             vcd: obs.vcd,
@@ -701,7 +687,6 @@ impl RunConfig {
             // The same knob Des/Threads honor arms cluster checkpointing
             // here: every worker snapshots at the shared cycle barrier.
             checkpoint_interval: self.checkpoint_interval,
-            ..WireSettings::default()
         })
     }
 }
@@ -743,41 +728,34 @@ mod tests {
         assert!(cfg.execution_backend().is_err());
     }
 
+    /// The top-level keys a config no longer has, each with a value it
+    /// once took and the replacement its refusal names.
+    const REMOVED_TOP_KEYS: [(&str, &str, &str); 2] = [
+        ("engine", r#""reference""#, "compiled tape"),
+        ("threads", "4", "threads:<n>"),
+    ];
+
     #[test]
-    fn engine_field_parses_roundtrips_and_rejects() {
-        use fireaxe_ir::ExecEngine;
-        let cfg = RunConfig::from_json(EXAMPLE).unwrap();
-        assert_eq!(cfg.engine, "compiled");
-        assert_eq!(cfg.execution_engine().unwrap(), ExecEngine::Compiled);
-        // Non-default spellings round-trip through the serializer and
-        // share the FIREAXE_ENGINE parser.
-        for (spelling, expect) in [
-            ("reference", ExecEngine::Reference),
-            ("tree", ExecEngine::Reference),
-            ("sliced", ExecEngine::Sliced),
-            ("slice", ExecEngine::Sliced),
-            ("tape", ExecEngine::Compiled),
-        ] {
-            let mut cfg = RunConfig::from_json(EXAMPLE).unwrap();
-            cfg.engine = spelling.to_string();
-            assert_eq!(cfg.execution_engine().unwrap(), expect, "{spelling}");
-            let back = RunConfig::from_json(&cfg.to_json()).unwrap();
-            assert_eq!(back, cfg, "{spelling}");
+    fn the_removed_engine_and_threads_keys_are_refused_by_name() {
+        for (key, value, replacement) in REMOVED_TOP_KEYS {
+            let err =
+                RunConfig::from_json(&splice(&format!(r#", "{key}": {value}"#), "")).unwrap_err();
+            match &err {
+                ConfigError::Invalid { field, message } => {
+                    assert_eq!(*field, key);
+                    assert!(message.starts_with("removed"), "{message}");
+                    assert!(message.contains(replacement), "{message}");
+                }
+                other => panic!("expected a typed field error, got {other:?}"),
+            }
         }
-        let mut cfg = RunConfig::from_json(EXAMPLE).unwrap();
-        cfg.engine = "warp".into();
-        let err = cfg.execution_engine().unwrap_err();
-        assert!(
-            err.to_string().contains("unknown execution engine"),
-            "{err}"
-        );
     }
 
     #[test]
     fn backend_field_parses_threads() {
         let text = r#"{
             "mode": "exact", "platform": "onprem-qsfp",
-            "backend": "threads", "threads": 4,
+            "backend": "threads:4",
             "groups": [{ "name": "g", "instances": ["a"] }]
         }"#;
         let cfg = RunConfig::from_json(text).unwrap();
@@ -798,13 +776,8 @@ mod tests {
             ("net", Backend::Net),
         ] {
             cfg.backend = spelling.to_string();
-            cfg.threads = 0;
             assert_eq!(cfg.execution_backend().unwrap(), expect, "{spelling}");
         }
-        // An inline count wins over the legacy separate field.
-        cfg.backend = "threads:2".into();
-        cfg.threads = 7;
-        assert_eq!(cfg.execution_backend().unwrap(), Backend::Threads(2));
         // Parse errors name the field, like every other config error.
         cfg.backend = "threads:lots".into();
         assert!(matches!(
@@ -1180,9 +1153,6 @@ mod tests {
         )
         .unwrap();
         let s = cfg.wire_settings().unwrap();
-        assert_eq!(s.default_transport, Platform::CloudF1.transport());
-        assert_eq!(s.clock_mhz, 45.0);
-        assert_eq!(s.partition_clocks, vec![(1, 20.0)]);
         assert_eq!(s.retry, cfg.retry_policy().unwrap().unwrap());
         assert_eq!(s.checkpoint_interval, 64);
         let obs = cfg.obs_spec().unwrap().unwrap();
@@ -1198,7 +1168,6 @@ mod tests {
             .wire_settings()
             .unwrap();
         let defaults = WireSettings::default();
-        assert_eq!(bare.clock_mhz, defaults.clock_mhz);
         assert_eq!(bare.retry, defaults.retry);
         assert_eq!(bare.io_timeout_ms, defaults.io_timeout_ms);
         assert_eq!(
@@ -1298,8 +1267,6 @@ mod tests {
         ("", "mode", "str"),
         ("", "platform", "str"),
         ("", "backend", "str"),
-        ("", "engine", "str"),
-        ("", "threads", "u64"),
         ("", "clock_mhz", "f64"),
         ("", "partition_clocks", "clocks"),
         ("", "routers", "strs"),
@@ -1385,7 +1352,7 @@ mod tests {
                 "test threads",
                 r#"{
             "mode": "exact", "platform": "onprem-qsfp",
-            "backend": "threads", "threads": 4,
+            "backend": "threads:4",
             "groups": [{ "name": "g", "instances": ["a"] }]
         }"#,
             ),
@@ -1435,7 +1402,7 @@ mod tests {
                 "every field set",
                 r#"{
             "circuit": "c.fir", "mode": "fast", "platform": "cloud-f1",
-            "backend": "threads:2", "engine": "sliced", "threads": 3,
+            "backend": "threads:2",
             "clock_mhz": 45.5, "partition_clocks": [[1, 20.0], [0, 12.5]],
             "routers": ["r0", "r1"],
             "groups": [
@@ -1525,6 +1492,9 @@ mod tests {
                 rows.push(field_row(at, key, value));
             }
         }
+        for (key, value, _) in REMOVED_TOP_KEYS {
+            rows.push(field_row("", key, value));
+        }
         for at in ["", "groups", "fault", "reliability", "obs", "net"] {
             let key = if at.is_empty() {
                 "chekpoint_interval"
@@ -1541,15 +1511,13 @@ mod tests {
     fn dump(c: &RunConfig) -> String {
         use std::fmt::Write as _;
         let mut s = format!(
-            "circuit={:?} mode={:?} platform={:?} backend={:?} engine={:?} threads={} \
+            "circuit={:?} mode={:?} platform={:?} backend={:?} \
              clock_mhz={:?} partition_clocks={:?} routers={:?} check_fit={} \
              checkpoint_interval={} max_rollbacks={}\n",
             c.circuit,
             c.mode,
             c.platform,
             c.backend,
-            c.engine,
-            c.threads,
             c.clock_mhz,
             c.partition_clocks,
             c.routers,

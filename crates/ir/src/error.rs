@@ -71,12 +71,6 @@ pub enum IrError {
         /// Explanation.
         message: String,
     },
-    /// `FIREAXE_ENGINE` (or the `engine` config knob) named an execution
-    /// engine that does not exist.
-    UnknownEngine {
-        /// The unrecognized engine name.
-        value: String,
-    },
     /// A peek/poke named a signal path that does not exist in the
     /// elaborated design.
     UnknownSignal {
@@ -163,10 +157,6 @@ impl fmt::Display for IrError {
             IrError::ExternWithoutBehavior { module, behavior } => write!(
                 f,
                 "extern module `{module}` requires behavior `{behavior}` which is not bound"
-            ),
-            IrError::UnknownEngine { value } => write!(
-                f,
-                "unknown execution engine `{value}` (expected `compiled`, `reference`, or `sliced`)"
             ),
             IrError::UnknownSignal { path } => {
                 write!(f, "no signal at path `{path}`")

@@ -75,42 +75,6 @@ pub enum ExecEngine {
     Sliced,
 }
 
-impl std::str::FromStr for ExecEngine {
-    type Err = crate::error::IrError;
-
-    /// Parses an engine name as used by `FIREAXE_ENGINE` and the
-    /// `engine` config knob. `compiled`/`tape` pick the word-packed
-    /// tape, `reference`/`tree` the tree walker, `sliced`/`slice` the
-    /// bit-sliced tape; the empty string picks the default.
-    fn from_str(s: &str) -> Result<Self> {
-        match s {
-            "" | "compiled" | "tape" => Ok(ExecEngine::Compiled),
-            "reference" | "tree" => Ok(ExecEngine::Reference),
-            "sliced" | "slice" => Ok(ExecEngine::Sliced),
-            other => Err(crate::error::IrError::UnknownEngine {
-                value: other.to_string(),
-            }),
-        }
-    }
-}
-
-impl ExecEngine {
-    /// Engine selected by the `FIREAXE_ENGINE` environment variable
-    /// (unset or empty picks [`ExecEngine::Compiled`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::error::IrError::UnknownEngine`] when the variable
-    /// is set to a name no engine answers to — a misspelled engine should
-    /// fail loudly, not silently fall back to the default.
-    pub fn from_env() -> Result<Self> {
-        match std::env::var("FIREAXE_ENGINE") {
-            Ok(v) => v.parse(),
-            Err(_) => Ok(ExecEngine::Compiled),
-        }
-    }
-}
-
 /// Cumulative settle-loop statistics, kept by both engines and read via
 /// `Interpreter::exec_stats`. All counters are since elaboration (they
 /// survive `reset`), so consumers sample them over time and difference.

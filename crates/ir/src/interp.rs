@@ -490,21 +490,17 @@ pub struct Interpreter {
 }
 
 impl Interpreter {
-    /// Elaborates `circuit` into an executable netlist.
-    ///
-    /// The execution engine defaults to the compiled instruction tape;
-    /// set the `FIREAXE_ENGINE` environment variable to `reference` for
-    /// the tree-walking evaluator or `sliced` for the bit-sliced tape,
-    /// or use [`Interpreter::with_engine`] / [`Interpreter::set_engine`].
+    /// Elaborates `circuit` into an executable netlist on the compiled
+    /// instruction tape. [`Interpreter::with_engine`] and
+    /// [`Interpreter::set_engine`] pick the tree-walking reference or
+    /// the bit-sliced tape instead.
     ///
     /// # Errors
     ///
-    /// Propagates validation errors, returns [`IrError::CombCycle`] if
-    /// the flattened combinational definitions cannot be scheduled, and
-    /// [`IrError::UnknownEngine`] if `FIREAXE_ENGINE` is set to a name no
-    /// engine answers to.
+    /// Propagates validation errors and returns [`IrError::CombCycle`]
+    /// if the flattened combinational definitions cannot be scheduled.
     pub fn new(circuit: &Circuit) -> Result<Self> {
-        Self::with_engine(circuit, ExecEngine::from_env()?)
+        Self::with_engine(circuit, ExecEngine::Compiled)
     }
 
     /// Elaborates `circuit` and selects the execution engine explicitly.

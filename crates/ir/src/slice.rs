@@ -2615,19 +2615,6 @@ mod tests {
     }
 
     #[test]
-    fn unknown_engine_is_a_typed_error() {
-        let e = "warp9".parse::<ExecEngine>().unwrap_err();
-        assert!(matches!(e, IrError::UnknownEngine { ref value } if value == "warp9"));
-        assert!(e.to_string().contains("warp9"));
-        assert_eq!("sliced".parse::<ExecEngine>().unwrap(), ExecEngine::Sliced);
-        assert_eq!("tape".parse::<ExecEngine>().unwrap(), ExecEngine::Compiled);
-        assert_eq!(
-            "reference".parse::<ExecEngine>().unwrap(),
-            ExecEngine::Reference
-        );
-    }
-
-    #[test]
     fn lane_count_validated() {
         let circuit = alu_circuit();
         assert!(SlicedInterpreter::new(&circuit, 0).is_err());

@@ -38,7 +38,6 @@ use fireaxe_ripper::{
 };
 use fireaxe_sim::{LinkCounters, NetAccess, NodeCounters};
 use fireaxe_transport::reliable::{Frame, RetryPolicy};
-use fireaxe_transport::{LinkModel, TransportKind};
 use std::io::{self, Read, Write};
 
 /// Protocol magic: `FAXN` as a big-endian word.
@@ -76,7 +75,11 @@ pub const PROTOCOL_MAGIC: u32 = 0x4641_584e;
 /// v9: [`WireSettings`] loses `batch_cycles`, `slack_cycles` and
 /// `progress_interval`: a link's frames ship when its credit window is
 /// spent or at quiescence, and progress reports keep a fixed cadence.
-pub const PROTOCOL_VERSION: u32 = 9;
+/// v10: [`WireSettings`] loses the DES model's `default_transport`,
+/// `link_transports`, `clock_mhz`, `partition_clocks`,
+/// `channel_capacity` and `deadlock_horizon`: no net or threads build
+/// has a virtual clock, so none of them reached target state.
+pub const PROTOCOL_VERSION: u32 = 10;
 
 /// Upper bound on a single message payload (the topology message
 /// carries a partition's circuit tapes; token messages are tiny).
@@ -371,10 +374,6 @@ macro_rules! wire_enum {
     };
 }
 
-wire_enum!(TransportKind, "transport kind" {
-    0 => HostPcie, 1 => PeerPcie, 2 => QsfpAurora, 3 => Loopback,
-});
-
 wire_enum!(EventKind, "event kind" {
     0 => SpanBegin, 1 => SpanEnd, 2 => Instant, 3 => Counter,
 });
@@ -393,7 +392,6 @@ wire_enum!(Selection, "selection tag" {
 // ---------------------------------------------------------------------
 
 wire_struct! {
-    LinkModel { kind: TransportKind, latency_ns: u64, beat_bits: u64 }
     RetryPolicy { max_retries: u32, timeout_cycles: u64 }
     PartitionSpec {
         mode: PartitionMode,
@@ -457,7 +455,7 @@ wire_struct! {
         pub worker: u32,
         /// Total workers in the cluster.
         pub n_workers: u32,
-        /// Engine settings the whole cluster must agree on.
+        /// Run settings the whole cluster must agree on.
         pub settings: WireSettings,
         /// One payload per hosted partition, in partition order: each
         /// partition and the cut-wide tables, encoded by
@@ -465,23 +463,13 @@ wire_struct! {
         pub payloads: Vec<Vec<u8>>,
     }
 
-    /// Cluster-wide engine settings: the subset of `SimBuilder` knobs that
-    /// must match across processes for bit-exact parity, plus the net
-    /// backend's liveness and checkpoint cadences.
+    /// Cluster-wide run settings: the observation spec every build of a
+    /// job applies, plus the net backend's retry, liveness and checkpoint
+    /// cadences. The DES model's link timing, clocks, channel capacity
+    /// and deadlock horizon are not here: a net or threads build has no
+    /// virtual clock, so it takes the `SimBuilder` defaults.
     #[derive(Debug, Clone)]
     pub struct WireSettings {
-        /// Transport model for links without an override.
-        pub default_transport: LinkModel,
-        /// Per-link transport overrides.
-        pub link_transports: Vec<(u32, LinkModel)>,
-        /// Default bitstream clock, MHz.
-        pub clock_mhz: f64,
-        /// Per-partition clock overrides, MHz.
-        pub partition_clocks: Vec<(u32, f64)>,
-        /// LI-BDN channel capacity.
-        pub channel_capacity: u64,
-        /// Deadlock horizon in host edges.
-        pub deadlock_horizon: u64,
         /// Retry/backoff knobs for the socket go-back-N protocol (the
         /// protocol itself is always on for net links).
         pub retry: RetryPolicy,
@@ -647,12 +635,6 @@ pub const DEFAULT_IO_TIMEOUT_MS: u64 = 10_000;
 impl Default for WireSettings {
     fn default() -> Self {
         WireSettings {
-            default_transport: LinkModel::qsfp_aurora(),
-            link_transports: Vec::new(),
-            clock_mhz: fireaxe_sim::DEFAULT_CLOCK_MHZ,
-            partition_clocks: Vec::new(),
-            channel_capacity: fireaxe_libdn::DEFAULT_CHANNEL_CAPACITY as u64,
-            deadlock_horizon: fireaxe_sim::DEFAULT_DEADLOCK_HORIZON,
             retry: RetryPolicy::default(),
             sample_interval: 0,
             vcd: false,
@@ -1068,7 +1050,7 @@ messages! {
             tape: Vec<u8>,
             /// Partition spec.
             spec: PartitionSpec,
-            /// Engine settings.
+            /// Run settings.
             settings: WireSettings,
         },
         /// Job server → client: submission admitted and queued.
@@ -1741,11 +1723,11 @@ mod tests {
 
     #[test]
     fn topology_roundtrips() {
-        let mut settings = WireSettings::default();
-        settings.link_transports.push((2, LinkModel::host_pcie()));
-        settings.partition_clocks.push((1, 90.0));
-        settings.vcd = true;
-        settings.signals.push("tile0:counter".into());
+        let settings = WireSettings {
+            vcd: true,
+            signals: vec!["tile0:counter".into()],
+            ..WireSettings::default()
+        };
         roundtrip(&Msg::Topology(Box::new(Topology {
             worker: 1,
             n_workers: 4,

@@ -91,6 +91,9 @@ pub type RespawnFn = Box<dyn FnMut(usize) -> Result<String> + Send>;
 pub const DEFAULT_CONNECT_TIMEOUT_MS: u64 = 10_000;
 /// Times a dead worker may be respawned by default.
 pub const DEFAULT_MAX_RESTARTS: u32 = 2;
+/// Delay before the first respawn of a dead worker, milliseconds, by
+/// default.
+pub const DEFAULT_RESTART_BACKOFF_MS: u64 = 50;
 
 /// Failover policy for [`run_cluster_with`]: what the coordinator does
 /// when a worker connection dies mid-run.
@@ -119,7 +122,7 @@ impl RecoveryOptions {
     pub fn none() -> Self {
         Self {
             max_restarts: 0,
-            restart_backoff: Duration::from_millis(50),
+            restart_backoff: Duration::from_millis(DEFAULT_RESTART_BACKOFF_MS),
             respawn: None,
         }
     }

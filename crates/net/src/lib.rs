@@ -46,7 +46,7 @@ pub use coordinator::{
     execute_placed, execute_threads, place_cluster, prepare_job, prepare_job_from_tape,
     run_cluster, run_cluster_controlled, run_cluster_with, NetRunReport, PlacedCluster,
     PreparedJob, RecoveryOptions, RespawnFn, Teardown, DEFAULT_CONNECT_TIMEOUT_MS,
-    DEFAULT_MAX_RESTARTS,
+    DEFAULT_MAX_RESTARTS, DEFAULT_RESTART_BACKOFF_MS,
 };
 pub use fireaxe_obs::RecoveryEvent;
 pub use flow::{RxLink, TxLink, INITIAL_CREDITS};

@@ -599,25 +599,14 @@ fn restore_state(
 
 /// Applies the cluster-wide settings every build of a job shares — the
 /// coordinator's passive build, a threads job, each worker's partition —
-/// so all of them stage channels and observation identically.
+/// so all of them observe identically. Everything else is the
+/// `SimBuilder` default: no net or threads build has a virtual clock.
 pub(crate) fn configure<'a>(builder: SimBuilder<'a>, settings: &WireSettings) -> SimBuilder<'a> {
-    let mut builder = builder
-        .transport(settings.default_transport)
-        .clock_mhz(settings.clock_mhz)
-        .channel_capacity(settings.channel_capacity as usize)
-        .deadlock_horizon(settings.deadlock_horizon)
-        .observe(fireaxe_sim::ObsSpec {
-            sample_interval: settings.sample_interval,
-            vcd: settings.vcd,
-            signals: settings.signals.clone(),
-        });
-    for (l, m) in &settings.link_transports {
-        builder = builder.link_transport(*l as usize, *m);
-    }
-    for (p, mhz) in &settings.partition_clocks {
-        builder = builder.partition_clock_mhz(*p as usize, *mhz);
-    }
-    builder
+    builder.observe(fireaxe_sim::ObsSpec {
+        sample_interval: settings.sample_interval,
+        vcd: settings.vcd,
+        signals: settings.signals.clone(),
+    })
 }
 
 /// Decodes `Topology` payloads (each timed by `net.worker.decode`).

@@ -228,10 +228,6 @@ fn poked_des_reference(
     let design = fireaxe_ripper::compile(circuit, spec).expect("reference compile");
     let builder = SimBuilder::new(&design)
         .backend(Backend::Des)
-        .transport(settings.default_transport)
-        .clock_mhz(settings.clock_mhz)
-        .channel_capacity(settings.channel_capacity as usize)
-        .deadlock_horizon(settings.deadlock_horizon)
         .observe(ObsSpec {
             sample_interval: settings.sample_interval,
             vcd: settings.vcd,

@@ -93,23 +93,13 @@ pub fn des_reference(
     settings: &WireSettings,
 ) -> (SimMetrics, ObsReport) {
     let design = fireaxe_ripper::compile(circuit, spec).expect("reference compile");
-    let mut builder = SimBuilder::new(&design)
+    let builder = SimBuilder::new(&design)
         .backend(Backend::Des)
-        .transport(settings.default_transport)
-        .clock_mhz(settings.clock_mhz)
-        .channel_capacity(settings.channel_capacity as usize)
-        .deadlock_horizon(settings.deadlock_horizon)
         .observe(ObsSpec {
             sample_interval: settings.sample_interval,
             vcd: settings.vcd,
             signals: settings.signals.clone(),
         });
-    for (l, m) in &settings.link_transports {
-        builder = builder.link_transport(*l as usize, *m);
-    }
-    for (p, mhz) in &settings.partition_clocks {
-        builder = builder.partition_clock_mhz(*p as usize, *mhz);
-    }
     let mut sim = setup_hook(builder).build().expect("reference build");
     let metrics = sim.run_target_cycles(CYCLES).expect("reference run");
     let obs = sim.obs_report();

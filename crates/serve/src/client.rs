@@ -34,7 +34,7 @@ pub struct SubmitSpec {
     pub tape: Vec<u8>,
     /// Partition spec.
     pub spec: PartitionSpec,
-    /// Engine settings.
+    /// Run settings.
     pub settings: WireSettings,
 }
 

@@ -124,21 +124,10 @@ impl DistributedSim {
         changes[from.min(changes.len())..].to_vec()
     }
 
-    /// Total VCD changes one node has recorded so far (cursor bound for
-    /// [`DistributedSim::node_wave_changes_since`]).
-    pub fn node_wave_changes_len(&self, node: usize) -> usize {
-        self.nodes[node].obs.changes.len()
-    }
-
     /// Clones the tail of one node's metric samples starting at index
     /// `from`, without draining.
     pub fn node_samples_since(&self, node: usize, from: usize) -> Vec<NodeSample> {
         let samples = &self.nodes[node].obs.samples;
         samples[from.min(samples.len())..].to_vec()
-    }
-
-    /// Total metric samples one node has recorded so far.
-    pub fn node_samples_len(&self, node: usize) -> usize {
-        self.nodes[node].obs.samples.len()
     }
 }

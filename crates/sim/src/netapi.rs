@@ -20,7 +20,7 @@ use crate::engine::{DistributedSim, LinkCounters, NodeCounters, NodeRt};
 use crate::error::{Result, SimError, StallReport};
 use fireaxe_ir::Bits;
 use fireaxe_libdn::TargetModel;
-use fireaxe_obs::{LinkSample, NodeSample, VcdSignal};
+use fireaxe_obs::{NodeSample, VcdSignal};
 use fireaxe_ripper::{LinkSpec, PartitionArtifact, PartitionedDesign};
 use fireaxe_transport::reliable::RetryPolicy;
 
@@ -430,20 +430,10 @@ impl NetAccess<'_> {
         self.sim.node_samples_since(self.local(node), from)
     }
 
-    /// Total metric samples one node holds (streaming cursor bound).
-    pub fn node_samples_len(&self, node: usize) -> usize {
-        self.sim.node_samples_len(self.local(node))
-    }
-
     /// Clones the tail of one node's VCD changes starting at `from`,
     /// without draining.
     pub fn node_vcd_changes_since(&self, node: usize, from: usize) -> Vec<VcdChange> {
         self.sim.node_wave_changes_since(self.local(node), from)
-    }
-
-    /// Total VCD changes one node holds (streaming cursor bound).
-    pub fn node_vcd_changes_len(&self, node: usize) -> usize {
-        self.sim.node_wave_changes_len(self.local(node))
     }
 
     /// Takes (drains) one node's collected metric samples.
@@ -454,12 +444,6 @@ impl NetAccess<'_> {
     /// Takes (drains) one node's collected VCD changes.
     pub fn take_node_vcd_changes(&mut self, node: usize) -> Vec<VcdChange> {
         std::mem::take(&mut self.rt_mut(node).obs.changes)
-    }
-
-    /// Appends a per-link metric sample (the coordinator records merged
-    /// end-of-run totals here, like the threaded backend does).
-    pub fn push_link_sample(&mut self, link: usize, sample: LinkSample) {
-        self.sim.link_samples[link].push(sample);
     }
 
     /// Validates a link index against the design, as a typed error.
