@@ -4,10 +4,10 @@
 //! to 51, some twice) is encoded and checked by tag, length and FNV-1a
 //! digest against values frozen from the hand-written codec, so a
 //! rewrite of the codec must put exactly the same bytes on the wire.
-//! Between them the instances cover every `TransportKind` and
-//! `EventKind`, both `Selection` kinds, fast mode and monolithic
-//! channels, settings with link overrides, partition clocks and
-//! signals, a report with samples, VCD changes, links and traces,
+//! Between them the instances cover every `EventKind`, both
+//! `Selection` kinds, fast mode and monolithic channels, settings with
+//! a retry policy and signals, a report with samples, VCD changes,
+//! links and traces,
 //! `Option<Bits>` both ways, `Bits` of widths 1, 64, 65 and 130, and
 //! empty and non-empty blobs. Each instance must also decode and
 //! re-encode to the same bytes, directly and through the framed
@@ -31,7 +31,6 @@ use fireaxe_obs::{EventKind, NodeSample, OwnedTraceEvent, VcdSignal};
 use fireaxe_ripper::{ChannelPolicy, PartitionGroup, PartitionMode, PartitionSpec, Selection};
 use fireaxe_sim::{LinkCounters, NodeCounters};
 use fireaxe_transport::reliable::{Frame, RetryPolicy};
-use fireaxe_transport::{LinkModel, TransportKind};
 
 /// FNV-1a, 64 bit: stable across toolchains, unlike `DefaultHasher`.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -85,41 +84,6 @@ fn node_info(node: u32, name: &str) -> NodeInfo {
 
 fn full_settings() -> WireSettings {
     WireSettings {
-        default_transport: LinkModel {
-            kind: TransportKind::QsfpAurora,
-            latency_ns: 123,
-            beat_bits: 64,
-        },
-        link_transports: vec![
-            (
-                0,
-                LinkModel {
-                    kind: TransportKind::HostPcie,
-                    latency_ns: 1_000,
-                    beat_bits: 512,
-                },
-            ),
-            (
-                2,
-                LinkModel {
-                    kind: TransportKind::PeerPcie,
-                    latency_ns: 700,
-                    beat_bits: 256,
-                },
-            ),
-            (
-                5,
-                LinkModel {
-                    kind: TransportKind::Loopback,
-                    latency_ns: 0,
-                    beat_bits: 1,
-                },
-            ),
-        ],
-        clock_mhz: 37.5,
-        partition_clocks: vec![(1, 90.0), (3, 12.25)],
-        channel_capacity: 4,
-        deadlock_horizon: 77_777,
         retry: RetryPolicy {
             max_retries: 6,
             timeout_cycles: 48,
@@ -566,8 +530,8 @@ fn corpus() -> Vec<(&'static str, Msg)> {
 const FROZEN: &[(&str, u8, usize, u64)] = &[
     ("hello", 1, 13, 0x582060523f66b60f),
     ("hello_ack", 2, 9, 0x2fa20eb111b2cd7b),
-    ("topology", 3, 243, 0x26dc3a44574ff4e3),
-    ("topology_default", 3, 103, 0xc90bb6e759b38e4c),
+    ("topology", 3, 107, 0x80b4f7b81134ed8e),
+    ("topology_default", 3, 54, 0x13559e5a918ec078),
     ("ready", 4, 9, 0x645f2294c995bba3),
     ("run", 5, 9, 0x050179663d972ed9),
     ("token", 6, 41, 0xdecd6a8eb66a39a7),
@@ -611,7 +575,7 @@ const FROZEN: &[(&str, u8, usize, u64)] = &[
     ("status_reply", 42, 41, 0xad26d60bfe2a8589),
     ("reset_to_idle", 43, 1, 0xaf63a64c860190ca),
     ("idle_ack", 44, 1, 0xaf63a14c8601884b),
-    ("submit_job", 45, 333, 0xfe6e1a7d4996b94f),
+    ("submit_job", 45, 197, 0x9b220bdf41be8ec0),
     ("job_accepted", 46, 9, 0xed37e5b90cd3454e),
     ("job_status", 47, 9, 0x59cd815b783835be),
     ("job_status_reply", 48, 119, 0xe23b6f3d4e4baae7),
@@ -703,15 +667,6 @@ fn unknown_tags_are_rejected() {
 
 #[test]
 fn unknown_kinds_are_rejected() {
-    // Topology: tag, worker, n_workers, then the default transport's
-    // kind byte.
-    let mut b = encoded("topology");
-    assert_eq!(b[9], 2, "QsfpAurora");
-    for k in [4u8, 0x80, 0xFF] {
-        b[9] = k;
-        rejected("transport kind", &b);
-    }
-
     // Report with only traces: tag, worker, 0 nodes, 0 links, 1 trace,
     // its name, then its kind byte.
     let mut report = full_report();
