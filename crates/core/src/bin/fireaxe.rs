@@ -481,6 +481,53 @@ fn write_out(path: &str, contents: &str) -> Result<(), String> {
     std::fs::write(path, contents).map_err(|e| format!("{path}: {e}"))
 }
 
+/// Reads and parses the circuit of a run: `--circuit`, else the
+/// config's `circuit` field resolved relative to the config file.
+fn read_circuit(flag: Option<&str>, config: &str, cfg: &RunConfig) -> Result<Circuit, String> {
+    let path = match flag {
+        Some(p) => p.to_string(),
+        None if !cfg.circuit.is_empty() => Path::new(config)
+            .parent()
+            .unwrap_or_else(|| Path::new("."))
+            .join(&cfg.circuit)
+            .to_string_lossy()
+            .into_owned(),
+        None => {
+            return Err("missing circuit: pass --circuit or set `circuit` in the config".into())
+        }
+    };
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
+    fireaxe::ir::parser::parse_circuit(&text).map_err(|e| e.to_string())
+}
+
+/// Writes the waveform and the metric series (CSV or JSON by the path's
+/// extension) `obs` asks for; `series` names the series in the message.
+fn write_observations(
+    obs: &ObsConfig,
+    vcd: Option<&str>,
+    metrics: &fireaxe::obs::MetricsSeries,
+    series: &str,
+) -> Result<(), String> {
+    if !obs.vcd_path.is_empty() {
+        write_out(&obs.vcd_path, vcd.unwrap_or_default())?;
+        println!("wrote waveform to {}", obs.vcd_path);
+    }
+    if !obs.metrics_path.is_empty() {
+        let doc = if obs.metrics_path.ends_with(".csv") {
+            metrics.to_csv()
+        } else {
+            metrics.to_json()
+        };
+        write_out(&obs.metrics_path, &doc)?;
+        let samples: usize = metrics.nodes.iter().map(|n| n.samples.len()).sum();
+        println!(
+            "wrote {series} ({samples} node samples) to {}",
+            obs.metrics_path
+        );
+    }
+    Ok(())
+}
+
 /// The behavior bindings every process in a cluster applies
 /// identically: the built-in SoC models as a fallback factory. Workers,
 /// the coordinator's passive build, and the single-process backends all
@@ -609,21 +656,7 @@ fn run_submit(args: &SubmitArgs) -> Result<(), String> {
     }
     let settings = cfg.wire_settings().map_err(|e| e.to_string())?;
 
-    let circuit_path = match &args.circuit {
-        Some(p) => p.clone(),
-        None if !cfg.circuit.is_empty() => Path::new(&args.config)
-            .parent()
-            .unwrap_or_else(|| Path::new("."))
-            .join(&cfg.circuit)
-            .to_string_lossy()
-            .into_owned(),
-        None => {
-            return Err("missing circuit: pass --circuit or set `circuit` in the config".into())
-        }
-    };
-    let circuit_text =
-        std::fs::read_to_string(&circuit_path).map_err(|e| format!("{circuit_path}: {e}"))?;
-    let circuit = fireaxe::ir::parser::parse_circuit(&circuit_text).map_err(|e| e.to_string())?;
+    let circuit = read_circuit(args.circuit.as_deref(), &args.config, &cfg)?;
     let spec = cfg.partition_spec().map_err(|e| e.to_string())?;
 
     let mut client =
@@ -936,30 +969,12 @@ fn run_net(cfg: &RunConfig, circuit: Circuit, args: &Args) -> Result<(), String>
             obs.trace_path
         );
     }
-    if !obs.vcd_path.is_empty() {
-        let vcd = report.vcd.as_deref().unwrap_or_default();
-        write_out(&obs.vcd_path, vcd)?;
-        println!("wrote waveform to {}", obs.vcd_path);
-    }
-    if !obs.metrics_path.is_empty() {
-        let doc = if obs.metrics_path.ends_with(".csv") {
-            report.series.to_csv()
-        } else {
-            report.series.to_json()
-        };
-        write_out(&obs.metrics_path, &doc)?;
-        println!(
-            "wrote merged metric series ({} node samples) to {}",
-            report
-                .series
-                .nodes
-                .iter()
-                .map(|n| n.samples.len())
-                .sum::<usize>(),
-            obs.metrics_path
-        );
-    }
-    Ok(())
+    write_observations(
+        &obs,
+        report.vcd.as_deref(),
+        &report.series,
+        "merged metric series",
+    )
 }
 
 fn run(args: Args) -> Result<(), String> {
@@ -977,23 +992,7 @@ fn run(args: Args) -> Result<(), String> {
     }
     args.obs.apply(&mut cfg);
 
-    // The circuit comes from --circuit, else the config's `circuit`
-    // field resolved relative to the config file.
-    let circuit_path = match &args.circuit {
-        Some(p) => p.clone(),
-        None if !cfg.circuit.is_empty() => Path::new(&args.config)
-            .parent()
-            .unwrap_or_else(|| Path::new("."))
-            .join(&cfg.circuit)
-            .to_string_lossy()
-            .into_owned(),
-        None => {
-            return Err("missing circuit: pass --circuit or set `circuit` in the config".into())
-        }
-    };
-    let circuit_text =
-        std::fs::read_to_string(&circuit_path).map_err(|e| format!("{circuit_path}: {e}"))?;
-    let circuit = fireaxe::ir::parser::parse_circuit(&circuit_text).map_err(|e| e.to_string())?;
+    let circuit = read_circuit(args.circuit.as_deref(), &args.config, &cfg)?;
 
     // One parser decides the backend for the flag and the config field
     // alike; the multi-process path forks off before the in-process
@@ -1049,30 +1048,12 @@ fn run(args: Args) -> Result<(), String> {
         write_out(&obs.trace_path, &fireaxe::obs::to_chrome_json(&events))?;
         println!("wrote {} trace events to {}", events.len(), obs.trace_path);
     }
-    if !obs.vcd_path.is_empty() {
-        let vcd = report.vcd.as_deref().unwrap_or_default();
-        write_out(&obs.vcd_path, vcd)?;
-        println!("wrote waveform to {}", obs.vcd_path);
-    }
-    if !obs.metrics_path.is_empty() {
-        let doc = if obs.metrics_path.ends_with(".csv") {
-            report.metrics.to_csv()
-        } else {
-            report.metrics.to_json()
-        };
-        write_out(&obs.metrics_path, &doc)?;
-        println!(
-            "wrote metric series ({} node samples) to {}",
-            report
-                .metrics
-                .nodes
-                .iter()
-                .map(|n| n.samples.len())
-                .sum::<usize>(),
-            obs.metrics_path
-        );
-    }
-    Ok(())
+    write_observations(
+        &obs,
+        report.vcd.as_deref(),
+        &report.metrics,
+        "metric series",
+    )
 }
 
 fn main() -> ExitCode {

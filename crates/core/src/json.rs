@@ -133,17 +133,7 @@ fn format_number(n: f64) -> String {
 
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    fireaxe_obs::chrome::escape(s, out);
     out.push('"');
 }
 
@@ -418,6 +408,70 @@ mod tests {
         assert!(parse("{} x").is_err());
         assert!(parse("").is_err());
         assert!(parse("[1,]").is_err());
+    }
+
+    /// Every string leaf of `v`, depth first.
+    fn strings(v: &Value, out: &mut Vec<String>) {
+        match v {
+            Value::String(s) => out.push(s.clone()),
+            Value::Array(items) => items.iter().for_each(|i| strings(i, out)),
+            Value::Object(map) => map.iter().for_each(|(k, i)| {
+                out.push(k.clone());
+                strings(i, out);
+            }),
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn written_documents_escape_every_name() {
+        use fireaxe_obs::{
+            metric_delta_json, signal_table_json, to_chrome_json_merged, wave_delta_json,
+            MetricsSeries, NodeSample, NodeSeries, OwnedTraceEvent, VcdSignal,
+        };
+        let name = "q\"b\\n\nc\u{1}";
+        let signals = vec![VcdSignal {
+            scope: name.into(),
+            name: name.into(),
+            width: 8,
+        }];
+        let sample = NodeSample::default();
+        let series = MetricsSeries {
+            sample_interval: 1,
+            nodes: vec![NodeSeries {
+                node: name.into(),
+                samples: vec![sample],
+            }],
+            links: Vec::new(),
+        };
+        let event = OwnedTraceEvent {
+            name: name.into(),
+            kind: fireaxe_obs::EventKind::Instant,
+            host_ns: 0,
+            virt_ps: 0,
+            value: 0.0,
+            tid: 0,
+        };
+        let wave = [(3, 0, fireaxe_ir::Bits::from_u64(5, 8))];
+        for (doc, expect) in [
+            (signal_table_json(&signals), vec![name, name]),
+            (
+                wave_delta_json(&signals, &wave),
+                vec![&format!("{name}:{name}")],
+            ),
+            (metric_delta_json(name, &[sample]), vec![name]),
+            (series.to_json(), vec![name]),
+            (
+                to_chrome_json_merged(&[(name.into(), vec![event])]),
+                vec![name, name],
+            ),
+        ] {
+            let v = parse(&doc).unwrap_or_else(|e| panic!("{e} in {doc}"));
+            let mut found = Vec::new();
+            strings(&v, &mut found);
+            found.retain(|s| s.contains(name));
+            assert_eq!(found, expect, "{doc}");
+        }
     }
 
     #[test]

@@ -558,12 +558,6 @@ impl Circuit {
         }
     }
 
-    /// Removes a module by name, returning it if present.
-    pub fn remove_module(&mut self, name: &str) -> Option<Module> {
-        let idx = self.modules.iter().position(|m| m.name == name)?;
-        Some(self.modules.remove(idx))
-    }
-
     /// Module names in dependency (topological) order: leaves first, top
     /// last. Modules not reachable from the top are appended at the end.
     ///

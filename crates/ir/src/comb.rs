@@ -58,20 +58,6 @@ impl ModuleCombInfo {
             .flat_map(|deps| deps.iter().cloned())
             .collect()
     }
-
-    /// As [`CombPath`] records (used when wrapping modules as externs).
-    pub fn to_comb_paths(&self) -> Vec<CombPath> {
-        let mut out = Vec::new();
-        for (output, deps) in &self.output_deps {
-            for input in deps {
-                out.push(CombPath {
-                    input: input.clone(),
-                    output: output.clone(),
-                });
-            }
-        }
-        out
-    }
 }
 
 /// Whole-circuit combinational analysis.

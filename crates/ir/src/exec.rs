@@ -57,7 +57,8 @@ use std::collections::HashMap;
 ///
 /// Both engines maintain the same canonical architectural state (value
 /// slots, memories, extern models), so they can be switched at any cycle
-/// boundary and produce bit-identical traces.
+/// boundary and produce bit-identical traces. The bit-sliced tape has
+/// its own batched front end, [`crate::slice::SlicedInterpreter`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecEngine {
     /// Flat levelized instruction tape with a word-packed `u64` fast path
@@ -67,12 +68,6 @@ pub enum ExecEngine {
     /// The original tree-walking evaluator, kept as the differential
     /// golden reference.
     Reference,
-    /// The bit-sliced (transposed) tape: every 1-bit signal is a `u64` of
-    /// 64 lanes, so one sweep evaluates up to 64 independent scenarios.
-    /// On a plain [`Interpreter`] only lane 0 is populated (useful for
-    /// differential testing); the batched front end is
-    /// [`crate::slice::SlicedInterpreter`].
-    Sliced,
 }
 
 /// Cumulative settle-loop statistics, kept by both engines and read via

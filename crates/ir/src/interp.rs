@@ -485,15 +485,14 @@ pub struct Interpreter {
     pub(crate) cycle: u64,
     engine: ExecEngine,
     tape: Option<crate::exec::Tape>,
-    sliced: Option<Box<crate::slice::EmbeddedSliced>>,
     pub(crate) stats: crate::exec::ExecStats,
 }
 
 impl Interpreter {
     /// Elaborates `circuit` into an executable netlist on the compiled
     /// instruction tape. [`Interpreter::with_engine`] and
-    /// [`Interpreter::set_engine`] pick the tree-walking reference or
-    /// the bit-sliced tape instead.
+    /// [`Interpreter::set_engine`] pick the tree-walking reference
+    /// instead.
     ///
     /// # Errors
     ///
@@ -529,7 +528,6 @@ impl Interpreter {
                 cycle: 0,
                 engine,
                 tape: None,
-                sliced: None,
                 stats: crate::exec::ExecStats::default(),
             },
         };
@@ -552,9 +550,6 @@ impl Interpreter {
         interp.last_poke = n_inputs.saturating_sub(1);
         interp.schedule = schedule_defs(&interp.defs, interp.slots.len())?;
         interp.tape = Some(crate::exec::Tape::build(&interp));
-        if engine == ExecEngine::Sliced {
-            interp.sliced = Some(Box::new(crate::slice::EmbeddedSliced::new(&interp)));
-        }
         interp.reset();
         Ok(interp)
     }
@@ -568,9 +563,6 @@ impl Interpreter {
     /// the same architectural state, so the trace is unaffected.
     pub fn set_engine(&mut self, engine: ExecEngine) {
         self.engine = engine;
-        if engine == ExecEngine::Sliced && self.sliced.is_none() {
-            self.sliced = Some(Box::new(crate::slice::EmbeddedSliced::new(self)));
-        }
         self.invalidate_tape();
     }
 
@@ -839,12 +831,6 @@ impl Interpreter {
                 self.tape = Some(tape);
                 r
             }
-            ExecEngine::Sliced => {
-                let mut em = self.sliced.take().expect("sliced tape present");
-                let r = em.eval(self);
-                self.sliced = Some(em);
-                r
-            }
         }
     }
 
@@ -886,9 +872,7 @@ impl Interpreter {
     /// by [`Interpreter::eval`].
     pub fn tick(&mut self) {
         match self.engine {
-            // The embedded sliced engine settles def by def against the
-            // canonical slots, so the reference latch step is exact.
-            ExecEngine::Reference | ExecEngine::Sliced => self.tick_reference(),
+            ExecEngine::Reference => self.tick_reference(),
             ExecEngine::Compiled => {
                 let mut tape = self.tape.take().expect("compiled tape present");
                 tape.tick(self);

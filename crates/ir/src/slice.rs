@@ -40,15 +40,10 @@
 //! in the reference's order. A port scalarizes only when its expressions
 //! do not slice or its address is wider than 64 bits.
 //!
-//! ## Two front ends
+//! ## Front end
 //!
-//! * [`SlicedInterpreter`] — the batched front end: per-lane pokes,
-//!   peeks, snapshots and digests over up to 64 lanes of one design.
-//! * [`crate::exec::ExecEngine::Sliced`] on a plain
-//!   [`Interpreter`] — an embedded single-lane mode that routes every
-//!   sliceable definition through the plane kernels (lane 0) while
-//!   keeping the canonical scalar state, so the whole simulation stack
-//!   can differential-test the kernels without changing its driver code.
+//! [`SlicedInterpreter`] is the batched front end: per-lane pokes,
+//! peeks, snapshots and digests over up to 64 lanes of one design.
 //!
 //! Dead lanes (`lane >= lanes`) may hold garbage in every plane; nothing
 //! ever reads them, so padding a batch to fewer than 64 live lanes cannot
@@ -205,20 +200,12 @@ fn rd(s: SSrc, j: u32, planes: &[u64], tmps: &[u64], consts: &[u64]) -> u64 {
 /// How one scheduled definition executes under the sliced engine.
 #[derive(Debug)]
 enum DefProg {
-    /// Plane-kernel program `ops[lo..hi]` (ends in a `Store` to `slot`).
-    /// `imports` lists the exact slots it reads — the embedded single-lane
-    /// mode scatters those from the canonical scalars before running.
-    Sliced {
-        lo: u32,
-        hi: u32,
-        imports: Vec<u32>,
-        slot: u32,
-    },
+    /// Plane-kernel program `ops[lo..hi]` (ends in a `Store` to the
+    /// definition's slot).
+    Sliced { lo: u32, hi: u32 },
     /// Memory read: the plane program `ops[lo..hi]` computes the address
     /// `addr`, then one transposed lookup per 64-bit word of data fills
-    /// `slot`'s planes (see `SlicedInterpreter::eval`). The embedded
-    /// single-lane mode runs these through `run_def` instead — its memory
-    /// contents are the canonical scalars.
+    /// `slot`'s planes (see `SlicedInterpreter::eval`).
     MemRead {
         lo: u32,
         hi: u32,
@@ -393,7 +380,7 @@ struct ScalarizedAt {
 
 /// The bit-sliced compilation of an elaborated netlist: plane layout,
 /// lane-kernel programs, and fallback bookkeeping. Holds no live state —
-/// [`SlicedInterpreter`] and [`EmbeddedSliced`] own the arenas.
+/// [`SlicedInterpreter`] owns the arenas.
 #[derive(Debug)]
 pub(crate) struct SlicedTape {
     /// Declared width of every slot (runtime widths can differ only for
@@ -871,15 +858,7 @@ impl SlicedTape {
                                 w: src.width,
                             });
                             let (lo, hi) = cc.finish(&mut ops, &mut n_tmps);
-                            let mut imports: Vec<u32> = d.reads.iter().map(|&r| r as u32).collect();
-                            imports.sort_unstable();
-                            imports.dedup();
-                            DefProg::Sliced {
-                                lo,
-                                hi,
-                                imports,
-                                slot: slot as u32,
-                            }
+                            DefProg::Sliced { lo, hi }
                         }
                         Err(reason) => {
                             fell(SliceUnit::Def, slot, 0, reason);
@@ -1252,78 +1231,6 @@ fn lane_words(s: SSrc, first: u32, planes: &[u64], tmps: &[u64], consts: &[u64])
     m
 }
 
-/// Embedded single-lane sliced execution for a plain [`Interpreter`]
-/// running with [`ExecEngine::Sliced`]: every sliceable definition is
-/// imported into lane 0 of a scratch plane arena, run through the lane
-/// kernels, and exported back to the canonical slots; everything else
-/// (fallback defs, externs, the latch step) runs exactly like the
-/// reference engine. Slow by design — it exists so the entire stack can
-/// differential-test the kernels — the batched payoff is
-/// [`SlicedInterpreter`].
-#[derive(Debug)]
-pub(crate) struct EmbeddedSliced {
-    tape: SlicedTape,
-    planes: Vec<u64>,
-    tmps: Vec<u64>,
-    word_buf: Vec<u64>,
-}
-
-impl EmbeddedSliced {
-    pub(crate) fn new(interp: &Interpreter) -> Self {
-        let tape = SlicedTape::build(interp);
-        let planes = vec![0u64; tape.n_planes as usize];
-        let tmps = vec![0u64; tape.n_tmps as usize];
-        EmbeddedSliced {
-            tape,
-            planes,
-            tmps,
-            word_buf: Vec::new(),
-        }
-    }
-
-    pub(crate) fn eval(&mut self, interp: &mut Interpreter) -> Result<()> {
-        for pos in 0..self.tape.def_progs.len() {
-            match &self.tape.def_progs[pos] {
-                DefProg::Sliced {
-                    lo,
-                    hi,
-                    imports,
-                    slot,
-                } => {
-                    for &s in imports {
-                        let s = s as usize;
-                        scatter_bits(
-                            &mut self.planes,
-                            self.tape.plane_base[s],
-                            self.tape.widths[s],
-                            0,
-                            &interp.slots[s],
-                        );
-                    }
-                    self.tape
-                        .run_ops(*lo, *hi, &mut self.planes, &mut self.tmps);
-                    let slot = *slot as usize;
-                    gather_words(
-                        &self.planes,
-                        self.tape.plane_base[slot],
-                        self.tape.widths[slot],
-                        0,
-                        &mut self.word_buf,
-                    );
-                    interp.slots[slot].set_from_words(&self.word_buf);
-                }
-                DefProg::MemRead { .. } | DefProg::Fallback | DefProg::Extern { .. } => {
-                    let di = interp.schedule[pos];
-                    interp.run_def(di)?;
-                }
-            }
-        }
-        interp.stats.settle_passes += 1;
-        interp.stats.defs_run += self.tape.def_progs.len() as u64;
-        Ok(())
-    }
-}
-
 /// The batched bit-sliced front end: one design, up to 64 independent
 /// scenarios (lanes), one settle sweep per batch cycle.
 ///
@@ -1495,17 +1402,6 @@ impl SlicedInterpreter {
             });
         }
         cov
-    }
-
-    /// Scheduled definitions (expressions and memory reads) that compiled
-    /// to plane kernels, out of everything scheduled — read off
-    /// [`SlicedInterpreter::coverage`].
-    pub fn sliced_def_counts(&self) -> (u32, u32) {
-        let c = self.coverage();
-        (
-            c.defs.kernels + c.mem_reads.kernels,
-            self.tape.def_progs.len() as u32,
-        )
     }
 
     /// Hierarchical paths of every elaborated signal, sorted.
@@ -2563,25 +2459,6 @@ mod tests {
         b.eval().unwrap();
         for lane in 0..64 {
             assert_eq!(a.lane_digest(lane), b.lane_digest(lane), "lane {lane}");
-        }
-    }
-
-    #[test]
-    fn embedded_sliced_engine_matches_reference() {
-        let circuit = alu_circuit();
-        let mut gold = Interpreter::with_engine(&circuit, ExecEngine::Reference).unwrap();
-        let mut fast = Interpreter::with_engine(&circuit, ExecEngine::Sliced).unwrap();
-        assert_eq!(fast.engine(), ExecEngine::Sliced);
-        for c in 0..10u64 {
-            for sim in [&mut gold, &mut fast] {
-                sim.poke_u64("a", c.wrapping_mul(0x1357_9BDF) & 0xFFFF)
-                    .unwrap();
-                sim.poke_u64("b", c.wrapping_mul(0xFDB9_7531) & 0xFFFF)
-                    .unwrap();
-                sim.step().unwrap();
-                sim.eval().unwrap();
-            }
-            assert_eq!(gold.state_digest(), fast.state_digest(), "cycle {c}");
         }
     }
 

@@ -7,8 +7,7 @@
 //! lanes must not perturb live ones), drives every lane with its own
 //! workload, and compares every elaborated signal, memory contents, and
 //! the FNV state digest per lane after every settle — plus per-lane
-//! snapshot/restore round trips and, separately, mid-run engine switches
-//! on a plain interpreter running the embedded sliced engine.
+//! snapshot/restore round trips.
 
 use fireaxe_ir::build::{ModuleBuilder, Sig};
 use fireaxe_ir::slice::{ScalarReason, SliceUnit};
@@ -489,95 +488,6 @@ fn run_batch_case(seed: u64) {
     }
 }
 
-/// A plain [`Interpreter`] on the embedded sliced engine must match the
-/// reference bit for bit, including snapshot/restore round trips and
-/// switching engines mid-run.
-fn run_embedded_case(seed: u64) {
-    let mut rng = Rng(seed);
-    let g = gen_circuit(&mut rng);
-    let mut gold = Interpreter::with_engine(&g.circuit, ExecEngine::Reference)
-        .unwrap_or_else(|e| panic!("reference elaboration failed (seed {seed}): {e}"));
-    let mut fast = Interpreter::with_engine(&g.circuit, ExecEngine::Sliced)
-        .unwrap_or_else(|e| panic!("sliced elaboration failed (seed {seed}): {e}"));
-    assert_eq!(fast.engine(), ExecEngine::Sliced);
-    if g.has_extern {
-        gold.bind_behavior("xa", Box::new(XorAcc::default()))
-            .unwrap();
-        fast.bind_behavior("xa", Box::new(XorAcc::default()))
-            .unwrap();
-        gold.reset();
-        fast.reset();
-    }
-    let paths = gold.signal_paths();
-
-    let cycles = 8 + rng.below(10) as usize;
-    let mid = cycles / 2;
-    let switch_engines = rng.coin(2);
-    let mut pokes: Vec<Vec<(String, Bits)>> = Vec::new();
-    for _ in 0..cycles {
-        let mut v = Vec::new();
-        for (name, w) in &g.input_widths {
-            if !rng.coin(3) {
-                v.push((name.clone(), rand_bits(&mut rng, *w)));
-            }
-        }
-        pokes.push(v);
-    }
-
-    let mut snap_fast = None;
-    for (c, cycle_pokes) in pokes.iter().enumerate() {
-        for (n, v) in cycle_pokes {
-            gold.poke(n, v.clone());
-            fast.poke(n, v.clone());
-        }
-        gold.eval().unwrap();
-        fast.eval().unwrap();
-        for p in &paths {
-            assert_eq!(
-                gold.peek(p),
-                fast.peek(p),
-                "signal `{p}` diverged at cycle {c} (seed {seed})"
-            );
-        }
-        assert_eq!(gold.state_digest(), fast.state_digest(), "seed {seed}");
-        if c == mid {
-            snap_fast = fast.snapshot_bytes();
-            assert_eq!(snap_fast, gold.snapshot_bytes(), "seed {seed}");
-        }
-        // Hop through every engine pairing mid-run; state must carry over.
-        if switch_engines && c == mid + 1 {
-            fast.set_engine(ExecEngine::Compiled);
-        }
-        if switch_engines && c == mid + 3 {
-            fast.set_engine(ExecEngine::Sliced);
-        }
-        gold.tick();
-        fast.tick();
-    }
-    gold.eval().unwrap();
-    fast.eval().unwrap();
-    assert_eq!(gold.state_digest(), fast.state_digest(), "seed {seed}");
-
-    if let Some(snap) = snap_fast {
-        assert!(fast.restore_snapshot_bytes(&snap), "seed {seed}");
-        for cycle_pokes in &pokes[mid..] {
-            for (n, v) in cycle_pokes {
-                fast.poke(n, v.clone());
-            }
-            fast.eval().unwrap();
-            fast.tick();
-        }
-        fast.eval().unwrap();
-        for p in &paths {
-            assert_eq!(
-                gold.peek(p),
-                fast.peek(p),
-                "signal `{p}` diverged after restore+replay (seed {seed})"
-            );
-        }
-    }
-}
-
 /// Deterministic walk through the copy-on-write lane lifecycle:
 /// identically-bound lanes stay coalesced while every lane is poked the
 /// same values, the first divergent poke forks real per-lane model state,
@@ -793,10 +703,5 @@ proptest! {
     #[test]
     fn sliced_lanes_match_reference(seed in any::<u64>()) {
         run_batch_case(seed);
-    }
-
-    #[test]
-    fn embedded_sliced_matches_reference(seed in any::<u64>()) {
-        run_embedded_case(seed);
     }
 }

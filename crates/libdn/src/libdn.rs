@@ -179,11 +179,6 @@ impl LiBdn {
         self.model.as_ref()
     }
 
-    /// Mutable access to the wrapped target model.
-    pub fn model_mut(&mut self) -> &mut dyn TargetModel {
-        self.model.as_mut()
-    }
-
     /// Stages a cockpit poke: drives input port `port` with `value` for
     /// exactly the next target-cycle advance, *after* the token-driven
     /// values. Deferring to the tick (instead of poking the model now)

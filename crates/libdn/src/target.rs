@@ -215,11 +215,6 @@ impl InterpreterTarget {
     pub fn interpreter(&self) -> &Interpreter {
         &self.interp
     }
-
-    /// Mutable access to the wrapped interpreter.
-    pub fn interpreter_mut(&mut self) -> &mut Interpreter {
-        &mut self.interp
-    }
 }
 
 impl TargetModel for InterpreterTarget {
@@ -367,11 +362,6 @@ impl<M: CycleModel> BehavioralTarget<M> {
     /// Access to the wrapped model.
     pub fn model(&self) -> &M {
         &self.model
-    }
-
-    /// Mutable access to the wrapped model.
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
     }
 }
 

@@ -36,7 +36,7 @@ use fireaxe_obs::{EventKind, Fnv1a, NodeSample, OwnedTraceEvent, VcdSignal};
 use fireaxe_ripper::{
     ChannelPolicy, LinkSpec, PartitionGroup, PartitionMode, PartitionSpec, Selection,
 };
-use fireaxe_sim::{LinkCounters, NetAccess, NodeCounters};
+use fireaxe_sim::{DistributedSim, LinkCounters, NodeCounters};
 use fireaxe_transport::reliable::{Frame, RetryPolicy};
 use std::io::{self, Read, Write};
 
@@ -1322,12 +1322,12 @@ pub(crate) fn peek_data(frame: &[u8]) -> Option<DataMsg> {
 /// the cut's link table. The coordinator compares it with the same
 /// digest of its own passive build, so every process is known to run
 /// the same build of the same cut before tokens start flowing.
-pub fn partition_digest(access: &NetAccess<'_>, partition: usize) -> u64 {
+pub fn partition_digest(sim: &DistributedSim, partition: usize) -> u64 {
     let mut h = Fnv1a::default();
-    for n in (0..access.node_count()).filter(|&n| access.node_partition(n) == partition) {
+    for n in (0..sim.node_count()).filter(|&n| sim.node_partition(n) == partition) {
         h.write_u64(n as u64);
-        name_into(&mut h, access.node_name(n));
-        let model = access.node_model(n);
+        name_into(&mut h, sim.node_name(n));
+        let model = sim.target(n);
         for ports in [model.input_ports(), model.output_ports()] {
             h.write_u64(ports.len() as u64);
             for (port, width) in ports {
@@ -1336,7 +1336,7 @@ pub fn partition_digest(access: &NetAccess<'_>, partition: usize) -> u64 {
             }
         }
     }
-    links_into(&mut h, &access.link_specs());
+    links_into(&mut h, &sim.link_specs());
     h.finish()
 }
 

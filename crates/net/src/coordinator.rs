@@ -734,7 +734,7 @@ pub fn prepare_job(
     // tables (the node table, the VCD signal table, the fast-mode seeds)
     // and of the node shapes each worker's build must match. It never
     // runs a cycle.
-    let mut local = setup(configure(
+    let local = setup(configure(
         SimBuilder::new(&design).backend(Backend::Net),
         settings,
     ))
@@ -742,9 +742,8 @@ pub fn prepare_job(
     let cuts: Vec<PartitionCut> = (0..n_partitions)
         .map(|p| PartitionCut::of(&design, &local, p))
         .collect();
-    let access = local.net_access();
     let ready_digests = (0..n_partitions)
-        .map(|p| partition_digest(&access, p))
+        .map(|p| partition_digest(&local, p))
         .collect();
     Ok(PreparedJob {
         payloads: cuts.iter().map(encode_partition_payload).collect(),

@@ -78,9 +78,7 @@ use crate::stream::{Filled, FrameReader, NetListener, NetStream, Wait};
 use fireaxe_ir::{StateDec, StateEnc};
 use fireaxe_obs::{obs_counter, obs_span, trace, OwnedTraceEvent};
 use fireaxe_ripper::LinkSpec;
-use fireaxe_sim::{
-    placement, DistributedSim, NetAccess, PartitionCut, Result, SimBuilder, SimError,
-};
+use fireaxe_sim::{placement, DistributedSim, PartitionCut, Result, SimBuilder, SimError};
 use fireaxe_transport::reliable::{Frame, RxVerdict};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -366,14 +364,14 @@ struct Endpoints {
 impl Endpoints {
     /// Fresh endpoints, every flow mark at its session start.
     fn new(
-        access: &NetAccess<'_>,
+        sim: &DistributedSim,
         parts: &[usize],
         specs: &[LinkSpec],
         settings: &WireSettings,
     ) -> Self {
-        let mine = |node: usize| parts.contains(&access.node_partition(node));
+        let mine = |node: usize| parts.contains(&sim.node_partition(node));
         let mut e = Endpoints {
-            owned: (0..access.node_count()).filter(|&n| mine(n)).collect(),
+            owned: (0..sim.node_count()).filter(|&n| mine(n)).collect(),
             out_links: Vec::new(),
             in_links: Vec::new(),
             local_links: Vec::new(),
@@ -394,15 +392,10 @@ impl Endpoints {
     }
 
     /// The endpoints of `sim`'s built partitions.
-    fn of<'a>(
-        sim: &'a mut DistributedSim,
-        settings: &WireSettings,
-    ) -> (NetAccess<'a>, Vec<usize>, Self) {
-        let access = sim.net_access();
-        let parts = access.built_partitions();
-        let specs = access.link_specs();
-        let e = Endpoints::new(&access, &parts, &specs, settings);
-        (access, parts, e)
+    fn of(sim: &DistributedSim, settings: &WireSettings) -> (Vec<usize>, Self) {
+        let parts = sim.built_partitions();
+        let e = Endpoints::new(sim, &parts, &sim.link_specs(), settings);
+        (parts, e)
     }
 }
 
@@ -419,8 +412,8 @@ impl Endpoints {
 /// byte-portable.
 #[doc(hidden)]
 pub fn session_checkpoint(sim: &mut DistributedSim, settings: &WireSettings) -> Result<Vec<u8>> {
-    let (access, parts, e) = Endpoints::of(sim, settings);
-    capture_state(&access, &parts, 0, &e.out_links, &e.in_links)
+    let (parts, e) = Endpoints::of(sim, settings);
+    capture_state(sim, &parts, 0, &e.out_links, &e.in_links)
 }
 
 /// Restores an FXC1 checkpoint taken at `cycle` into `sim` against fresh
@@ -441,9 +434,9 @@ pub fn restore_checkpoint(
     cycle: u64,
     blob: &[u8],
 ) -> Result<Vec<u8>> {
-    let (mut access, parts, mut e) = Endpoints::of(sim, settings);
+    let (parts, mut e) = Endpoints::of(sim, settings);
     restore_state(
-        &mut access,
+        sim,
         "worker",
         &parts,
         cycle,
@@ -451,7 +444,7 @@ pub fn restore_checkpoint(
         &mut e.out_links,
         &mut e.in_links,
     )?;
-    capture_state(&access, &parts, cycle, &e.out_links, &e.in_links)
+    capture_state(sim, &parts, cycle, &e.out_links, &e.in_links)
 }
 
 /// Captures this worker's rewindable state at a cluster barrier: the
@@ -461,7 +454,7 @@ pub fn restore_checkpoint(
 /// (all owned nodes at the barrier cycle, nothing unacknowledged in any
 /// go-back-N window) — `TxLink::mark` debug-asserts that.
 fn capture_state(
-    access: &NetAccess<'_>,
+    sim: &DistributedSim,
     parts: &[usize],
     cycle: u64,
     out_links: &[OutLink],
@@ -473,7 +466,7 @@ fn capture_state(
     enc.u64(parts.len() as u64);
     for &p in parts {
         enc.u64(p as u64);
-        enc.bytes(&access.snapshot_partition_bytes(p)?);
+        enc.bytes(&sim.snapshot_partition_bytes(p)?);
     }
     enc.u64(out_links.len() as u64);
     for ol in out_links {
@@ -495,11 +488,11 @@ fn capture_state(
 /// Restores a [`capture_state`] blob: engine partition state first,
 /// then every flow endpoint resynced to its mark (restoring channel
 /// state without the marks would strand flow-control credits — see
-/// `NetAccess::restore_partition_bytes`). Cross-checks the blob's cycle,
+/// `DistributedSim::restore_partition_bytes`). Cross-checks the blob's cycle,
 /// partition list, link identity and count against this session, and
 /// rejects trailing bytes.
 fn restore_state(
-    access: &mut NetAccess<'_>,
+    sim: &mut DistributedSim,
     who: &str,
     parts: &[usize],
     cycle: u64,
@@ -533,8 +526,8 @@ fn restore_state(
             blobs.iter().map(|b| b.0).collect::<Vec<_>>()
         )));
     }
-    for (&p, (_, sim)) in parts.iter().zip(&blobs) {
-        let restored = access.restore_partition_bytes(p, sim)?;
+    for (&p, (_, blob)) in parts.iter().zip(&blobs) {
+        let restored = sim.restore_partition_bytes(p, blob)?;
         if restored != cycle {
             return Err(bad(format!(
                 "partition {p} restored to cycle {restored}, expected {cycle}"
@@ -543,8 +536,8 @@ fn restore_state(
     }
     // Every engine blob carries the link totals; blobs captured at one
     // barrier agree on them, so the restored state re-captures each.
-    for (&p, (_, sim)) in parts.iter().zip(&blobs) {
-        if access.snapshot_partition_bytes(p)? != *sim {
+    for (&p, (_, blob)) in parts.iter().zip(&blobs) {
+        if sim.snapshot_partition_bytes(p)? != *blob {
             return Err(bad(format!(
                 "partition {p}'s blob disagrees with the others on the link state"
             )));
@@ -886,15 +879,13 @@ impl BuildCache {
             // Room first: the evicted build goes before the new one
             // allocates.
             self.kept.truncate(BUILD_CACHE_CAPACITY - 1);
-            let mut sim = build_cuts(&cuts, &topology.settings, setup)?;
+            let sim = build_cuts(&cuts, &topology.settings, setup)?;
             drop(cuts);
             let init = {
                 let _snapshot = obs_span!("net.worker.snapshot");
-                let access = sim.net_access();
-                access
-                    .built_partitions()
+                sim.built_partitions()
                     .into_iter()
-                    .map(|p| Ok((p, access.snapshot_partition_bytes(p)?)))
+                    .map(|p| Ok((p, sim.snapshot_partition_bytes(p)?)))
                     .collect::<Result<Vec<_>>>()
             };
             return Ok(match init {
@@ -906,17 +897,13 @@ impl BuildCache {
             });
         };
         let mut c = self.kept.remove(pos).expect("position is in range");
-        {
-            let access = c.sim.net_access();
-            let n_partitions = (0..access.node_count())
-                .map(|n| access.node_partition(n) + 1)
-                .max()
-                .unwrap_or(0);
-            let checked = check_run(topology, n_partitions, &access.built_partitions());
-            if let Err(e) = checked {
-                self.kept.insert(pos, c);
-                return Err(e);
-            }
+        let n_partitions = (0..c.sim.node_count())
+            .map(|n| c.sim.node_partition(n) + 1)
+            .max()
+            .unwrap_or(0);
+        if let Err(e) = check_run(topology, n_partitions, &c.sim.built_partitions()) {
+            self.kept.insert(pos, c);
+            return Err(e);
         }
         self.hits += 1;
         // Trace residue from the previous session's teardown window must
@@ -940,16 +927,15 @@ impl BuildCache {
 /// the pooled-reuse contract (the per-session protocol state is fresh
 /// by construction: it lives in [`run_session`]'s locals).
 fn rewind(c: &mut CachedBuild) -> Result<()> {
-    let mut access = c.sim.net_access();
     for (p, init) in &c.init {
-        let restored = access.restore_partition_bytes(*p, init)?;
+        let restored = c.sim.restore_partition_bytes(*p, init)?;
         if restored != 0 {
             return Err(cfg_err(format!(
                 "pooled worker rewound partition {p} to cycle {restored}, expected 0"
             )));
         }
     }
-    access.reset_run_accumulators();
+    c.sim.reset_run_accumulators();
     Ok(())
 }
 
@@ -1042,13 +1028,12 @@ fn serve_stream(
         }
     };
 
-    let mut access = sim.net_access();
-    let specs = access.link_specs();
-    let parts = access.built_partitions();
+    let specs = sim.link_specs();
+    let parts = sim.built_partitions();
     write_msg(
         &mut stream,
         &Msg::Ready {
-            design_digest: set_digest(parts.iter().map(|&p| partition_digest(&access, p))),
+            design_digest: set_digest(parts.iter().map(|&p| partition_digest(sim, p))),
         },
     )
     .map_err(|e| cfg_err(format!("worker ready write failed: {e}")))?;
@@ -1083,7 +1068,7 @@ fn serve_stream(
         me,
         &who,
         &parts,
-        &mut access,
+        sim,
         &specs,
         &settings,
         budget,
@@ -1135,7 +1120,7 @@ fn run_session(
     me: usize,
     who: &str,
     parts: &[usize],
-    access: &mut NetAccess<'_>,
+    sim: &mut DistributedSim,
     specs: &[LinkSpec],
     settings: &WireSettings,
     budget: u64,
@@ -1147,12 +1132,12 @@ fn run_session(
         mut out_links,
         mut in_links,
         local_links,
-    } = Endpoints::new(access, parts, specs, settings);
+    } = Endpoints::new(sim, parts, specs, settings);
     if owned.is_empty() {
         return Err(cfg_err(format!("{who} owns no nodes in this partitioning")));
     }
     let mut timeout_escalations = vec![0u64; specs.len()];
-    let saved = access.deepen_capacities(INITIAL_CREDITS as usize);
+    let saved = sim.deepen_capacities(INITIAL_CREDITS as usize);
 
     // --- Checkpoint state -----------------------------------------------
     // `committed` is the blob every peer's committed blob was captured
@@ -1185,7 +1170,7 @@ fn run_session(
         // the cluster-wide Resume.
         epoch = e;
         if !blob.is_empty() {
-            restore_state(access, who, parts, c, &blob, &mut out_links, &mut in_links)?;
+            restore_state(sim, who, parts, c, &blob, &mut out_links, &mut in_links)?;
             committed_ckpt = Some((c, blob));
         }
         if ckpt_interval > 0 {
@@ -1196,7 +1181,7 @@ fn run_session(
     if ckpt_interval > 0 && committed_ckpt.is_none() {
         // Nothing has stepped yet: the fresh state *is* the cycle-0
         // checkpoint, and every flow endpoint is at its initial mark.
-        committed_ckpt = Some((0, capture_state(access, parts, 0, &out_links, &in_links)?));
+        committed_ckpt = Some((0, capture_state(sim, parts, 0, &out_links, &in_links)?));
     }
 
     // Inbound wire: the service loop drains the socket itself (see the
@@ -1224,17 +1209,17 @@ fn run_session(
     let mut shutdown = false;
     let lost = || cfg_err(format!("{who} send to coordinator failed: connection lost"));
 
-    let min_cycle = |access: &NetAccess, owned: &[usize]| {
+    let min_cycle = |sim: &DistributedSim, owned: &[usize]| {
         owned
             .iter()
-            .map(|&n| access.node_target_cycle(n))
+            .map(|&n| sim.node_target_cycles(n))
             .min()
             .unwrap_or(0)
     };
-    let max_cycle = |access: &NetAccess, owned: &[usize]| {
+    let max_cycle = |sim: &DistributedSim, owned: &[usize]| {
         owned
             .iter()
-            .map(|&n| access.node_target_cycle(n))
+            .map(|&n| sim.node_target_cycles(n))
             .max()
             .unwrap_or(0)
     };
@@ -1247,7 +1232,7 @@ fn run_session(
     // fence cycle — the shared deterministic sampling point — and the
     // PauseAck below fires once per fence when the halt is quiescent.
     // Subscription cursors index into the non-draining observability
-    // tails ([`NetAccess::node_vcd_changes_since`]), so streaming never
+    // tails ([`DistributedSim::node_wave_changes_since`]), so streaming never
     // steals anything from the end-of-run report.
     let mut fence: Option<u64> = None;
     let mut fence_acked = false;
@@ -1266,7 +1251,7 @@ fn run_session(
     let outcome: Result<SessionEnd> = 'outer: loop {
         passes += 1;
         // Chaos hooks (fault-injection harness only; all-off defaults).
-        let chaos_at = |k: Option<u64>| k.is_some_and(|k| min_cycle(access, &owned) >= k);
+        let chaos_at = |k: Option<u64>| k.is_some_and(|k| min_cycle(sim, &owned) >= k);
         if chaos_at(options.chaos_kill) {
             if options.chaos_abort {
                 std::process::abort();
@@ -1296,8 +1281,8 @@ fn run_session(
                 Event::Closed => {
                     break 'outer Err(SimError::PeerDisconnected {
                         peer: peer.to_string(),
-                        last_acked_cycle: min_cycle(access, &owned),
-                        report: access.stall_report(),
+                        last_acked_cycle: min_cycle(sim, &owned),
+                        report: sim.stall_report(),
                     })
                 }
             };
@@ -1323,7 +1308,7 @@ fn run_session(
                 }
                 continue;
             }
-            match handle_event(msg, access, &mut out_links, &mut in_links, &mut wire)? {
+            match handle_event(msg, sim, &mut out_links, &mut in_links, &mut wire)? {
                 Control::Progress => progress = true,
                 Control::Finish => finishing = true,
                 Control::Shutdown => {
@@ -1345,7 +1330,7 @@ fn run_session(
                     break 'outer Ok(SessionEnd::Idle);
                 }
                 Control::TakeCheckpoint { epoch: e, cycle } if e == epoch && park == Park::No => {
-                    let blob = capture_state(access, parts, cycle, &out_links, &in_links)?;
+                    let blob = capture_state(sim, parts, cycle, &out_links, &in_links)?;
                     pending_ckpt = Some((cycle, blob.clone()));
                     wire.queue(&Msg::Checkpoint { epoch, cycle, blob });
                 }
@@ -1394,7 +1379,7 @@ fn run_session(
                     match &committed_ckpt {
                         Some((c, b)) if *c == cycle => {
                             restore_state(
-                                access,
+                                sim,
                                 who,
                                 parts,
                                 cycle,
@@ -1429,7 +1414,7 @@ fn run_session(
                     // fresh traffic arrived while we were parked, then
                     // step again.
                     while let Some(m) = parked_buf.pop_front() {
-                        handle_event(m, access, &mut out_links, &mut in_links, &mut wire)?;
+                        handle_event(m, sim, &mut out_links, &mut in_links, &mut wire)?;
                     }
                     park = Park::No;
                     progress = true;
@@ -1446,7 +1431,7 @@ fn run_session(
                     // them reach exactly. A concrete fence is clamped up
                     // the same way — no owned node can ever sit *past*
                     // its fence.
-                    let f = cycle.max(max_cycle(access, &owned));
+                    let f = cycle.max(max_cycle(sim, &owned));
                     fence = Some(f);
                     fence_acked = cycle == 0;
                     if fence_acked {
@@ -1466,8 +1451,8 @@ fn run_session(
                 }
                 Control::Peek { node, path } => {
                     let n = node as usize;
-                    let (cycle, value) = if n < access.node_count() && owned.contains(&n) {
-                        (access.node_target_cycle(n), access.peek_node(n, &path))
+                    let (cycle, value) = if owned.contains(&n) {
+                        (sim.node_target_cycles(n), sim.target(n).peek_path(&path))
                     } else {
                         (0, None)
                     };
@@ -1480,13 +1465,13 @@ fn run_session(
                 }
                 Control::Poke { node, path, value } => {
                     let n = node as usize;
-                    let (cycle, error) = if n < access.node_count() && owned.contains(&n) {
-                        let e = access
+                    let (cycle, error) = if owned.contains(&n) {
+                        let e = sim
                             .poke_node(n, &path, value)
                             .err()
                             .map(|e| e.to_string())
                             .unwrap_or_default();
-                        (access.node_target_cycle(n), e)
+                        (sim.node_target_cycles(n), e)
                     } else {
                         (0, format!("node {node} is not owned by this worker"))
                     };
@@ -1514,7 +1499,7 @@ fn run_session(
             if last_heartbeat.elapsed() >= hb_interval {
                 last_heartbeat = Instant::now();
                 wire.queue(&Msg::Progress {
-                    cycle: min_cycle(access, &owned),
+                    cycle: min_cycle(sim, &owned),
                 });
             }
             if wire.flush(stream, &mut rx, &mut events).is_err() {
@@ -1527,7 +1512,7 @@ fn run_session(
                     break 'outer Err(SimError::NetTimeout {
                         peer: peer.to_string(),
                         timeout_ms: settings.io_timeout_ms,
-                        last_acked_cycle: min_cycle(access, &owned),
+                        last_acked_cycle: min_cycle(sim, &owned),
                     });
                 }
             } else {
@@ -1550,7 +1535,7 @@ fn run_session(
             let mut pass = false;
             for &n in &owned {
                 if let Err(e) = (|| -> Result<()> {
-                    while access.ingest_and_step(n, stop)? {
+                    while sim.ingest_and_step(n, stop)? {
                         pass = true;
                     }
                     Ok(())
@@ -1559,14 +1544,14 @@ fn run_session(
                 }
             }
             for &l in &local_links {
-                while let Some(payload) = access.pop_link_output(l) {
-                    access.stage_link_token(l, payload);
+                while let Some(payload) = sim.pop_link_output(l) {
+                    sim.stage_link_token(l, payload);
                     pass = true;
                 }
             }
             for ol in &mut out_links {
                 while ol.txl.can_send() {
-                    match access.pop_link_output(ol.link) {
+                    match sim.pop_link_output(ol.link) {
                         Some(payload) => {
                             ol.pending.push(ol.txl.send(payload));
                             pass = true;
@@ -1610,7 +1595,7 @@ fn run_session(
 
         // 3. Environment bridges.
         for &n in &owned {
-            if access.drain_env_outputs(n) {
+            if sim.drain_env_outputs(n) {
                 progress = true;
             }
         }
@@ -1618,7 +1603,7 @@ fn run_session(
         // 4. Return flow-control credits at the LI-BDN consumption point.
         for (l, rxl) in &mut in_links {
             let s = &specs[*l];
-            let due = rxl.credit_due(access.chan_enqueued(s.to_node, s.to_chan));
+            let due = rxl.credit_due(sim.chan_enqueued(s.to_node, s.to_chan));
             if due > 0 {
                 wire.queue(&Msg::Credit {
                     link: *l as u32,
@@ -1632,7 +1617,7 @@ fn run_session(
         //    that is alive but target-stalled — waiting out a wire
         //    stall, or simply slow — must never fall silent for a whole
         //    io_timeout, or the coordinator declares it dead.
-        let cycle = min_cycle(access, &owned);
+        let cycle = min_cycle(sim, &owned);
         if cycle >= last_progress_sent + PROGRESS_INTERVAL
             || last_heartbeat.elapsed() >= hb_interval
         {
@@ -1643,7 +1628,7 @@ fn run_session(
             // observability tails accumulated since the last delta
             // ships alongside the heartbeat.
             ship_deltas(
-                access,
+                sim,
                 &owned,
                 sub_wave,
                 sub_metrics,
@@ -1660,12 +1645,12 @@ fn run_session(
         //    the complete waveform before the coordinator can begin
         //    teardown (per-socket FIFO end to end).
         if !done_sent
-            && owned.iter().all(|&n| access.node_target_cycle(n) >= budget)
+            && owned.iter().all(|&n| sim.node_target_cycles(n) >= budget)
             && out_links.iter().all(|ol| ol.txl.tx.in_flight() == 0)
         {
             done_sent = true;
             ship_deltas(
-                access,
+                sim,
                 &owned,
                 sub_wave,
                 sub_metrics,
@@ -1690,7 +1675,7 @@ fn run_session(
             && !barrier_sent
             && stop == next_barrier
             && stop < budget
-            && owned.iter().all(|&n| access.node_target_cycle(n) >= stop)
+            && owned.iter().all(|&n| sim.node_target_cycles(n) >= stop)
             && out_links.iter().all(|ol| ol.txl.tx.in_flight() == 0)
         {
             barrier_sent = true;
@@ -1705,12 +1690,12 @@ fn run_session(
         //     client that pauses then reads sees a fully-reported view.
         if let Some(f) = fence {
             if !fence_acked
-                && owned.iter().all(|&n| access.node_target_cycle(n) >= f)
+                && owned.iter().all(|&n| sim.node_target_cycles(n) >= f)
                 && out_links.iter().all(|ol| ol.txl.tx.in_flight() == 0)
             {
                 fence_acked = true;
                 ship_deltas(
-                    access,
+                    sim,
                     &owned,
                     sub_wave,
                     sub_metrics,
@@ -1737,7 +1722,7 @@ fn run_session(
             obs_counter!("net.worker.bytes_in", 0, rx.bytes_in);
             obs_counter!("net.worker.bytes_out", 0, wire.bytes_out);
             queue_report(
-                access,
+                sim,
                 me,
                 &owned,
                 &out_links,
@@ -1786,7 +1771,7 @@ fn run_session(
                     break 'outer Err(SimError::LinkDown {
                         link: ol.link,
                         attempts,
-                        report: access.stall_report(),
+                        report: sim.stall_report(),
                     });
                 }
             }
@@ -1818,7 +1803,7 @@ fn run_session(
                 break 'outer Err(SimError::NetTimeout {
                     peer: peer.to_string(),
                     timeout_ms: settings.io_timeout_ms,
-                    last_acked_cycle: min_cycle(access, &owned),
+                    last_acked_cycle: min_cycle(sim, &owned),
                 });
             }
         } else {
@@ -1827,7 +1812,7 @@ fn run_session(
         }
     };
 
-    access.restore_capacities(saved);
+    sim.restore_capacities(saved);
     let _ = shutdown; // session ends the same way on Shutdown or silence
     let end = outcome?;
     stream.shutdown();
@@ -1840,7 +1825,7 @@ fn run_session(
 /// metric samples and VCD changes, per-link counters, and traces.
 #[allow(clippy::too_many_arguments)]
 fn queue_report(
-    access: &mut NetAccess<'_>,
+    sim: &mut DistributedSim,
     me: usize,
     owned: &[usize],
     out_links: &[OutLink],
@@ -1850,13 +1835,13 @@ fn queue_report(
     wire: &mut WireBuf,
 ) {
     for ol in out_links {
-        let c = access.link_counters_mut(ol.link);
+        let c = sim.link_counters_mut(ol.link);
         c.sent_frames += ol.txl.tx.sent_frames;
         c.retransmits += ol.txl.tx.retransmits;
         c.timeout_escalations += timeout_escalations[ol.link];
     }
     for (l, rxl) in in_links {
-        let c = access.link_counters_mut(*l);
+        let c = sim.link_counters_mut(*l);
         c.crc_failures += rxl.rx.corrupt_frames;
         c.duplicates_dropped += rxl.rx.duplicate_frames;
     }
@@ -1867,30 +1852,30 @@ fn queue_report(
     for &n in owned {
         report.nodes.push(NodeReport {
             node: n as u32,
-            counters: access.node_counters(n),
-            samples: access.take_node_samples(n),
-            vcd: access.take_node_vcd_changes(n),
+            counters: sim.node_counters(n),
+            samples: sim.take_node_samples(n),
+            vcd: sim.take_node_vcd_changes(n),
         });
     }
     for ol in out_links {
         report.links.push(LinkReport {
             link: ol.link as u32,
-            tokens: access.link_tokens(ol.link),
-            counters: access.link_counters_mut(ol.link).clone(),
+            tokens: sim.link_tokens(ol.link),
+            counters: sim.link_counters_mut(ol.link).clone(),
         });
     }
     for (l, _) in in_links {
         report.links.push(LinkReport {
             link: *l as u32,
             tokens: 0,
-            counters: access.link_counters_mut(*l).clone(),
+            counters: sim.link_counters_mut(*l).clone(),
         });
     }
     for &l in local_links {
         report.links.push(LinkReport {
             link: l as u32,
-            tokens: access.link_tokens(l),
-            counters: access.link_counters_mut(l).clone(),
+            tokens: sim.link_tokens(l),
+            counters: sim.link_counters_mut(l).clone(),
         });
     }
     trace::flush_thread();
@@ -1908,7 +1893,7 @@ fn queue_report(
 /// an overlay on the run, not a tap that consumes it.
 #[allow(clippy::too_many_arguments)]
 fn ship_deltas(
-    access: &NetAccess<'_>,
+    sim: &DistributedSim,
     owned: &[usize],
     sub_wave: bool,
     sub_metrics: bool,
@@ -1918,7 +1903,7 @@ fn ship_deltas(
 ) {
     for (k, &n) in owned.iter().enumerate() {
         if sub_wave {
-            let changes = access.node_vcd_changes_since(n, wave_cursor[k]);
+            let changes = sim.node_wave_changes_since(n, wave_cursor[k]);
             if !changes.is_empty() {
                 wave_cursor[k] += changes.len();
                 wire.queue(&Msg::WaveDelta {
@@ -1928,7 +1913,7 @@ fn ship_deltas(
             }
         }
         if sub_metrics {
-            let samples = access.node_samples_since(n, samp_cursor[k]);
+            let samples = sim.node_samples_since(n, samp_cursor[k]);
             if !samples.is_empty() {
                 samp_cursor[k] += samples.len();
                 wire.queue(&Msg::MetricDelta {
@@ -2020,14 +2005,14 @@ enum Control {
 
 fn handle_event(
     msg: Msg,
-    access: &mut NetAccess<'_>,
+    sim: &mut DistributedSim,
     out_links: &mut [OutLink],
     in_links: &mut [(usize, RxLink)],
     wire: &mut WireBuf,
 ) -> Result<Control> {
     match msg {
-        Msg::Token { link, frame } => stage_frames(access, in_links, wire, link, &[frame]),
-        Msg::TokenBatch { link, frames } => stage_frames(access, in_links, wire, link, &frames),
+        Msg::Token { link, frame } => stage_frames(sim, in_links, wire, link, &[frame]),
+        Msg::TokenBatch { link, frames } => stage_frames(sim, in_links, wire, link, &frames),
         Msg::CorruptToken { link } => {
             let l = link as usize;
             if let Some((_, rxl)) = in_links.iter_mut().find(|(i, _)| *i == l) {
@@ -2077,14 +2062,14 @@ fn handle_event(
 /// per-message acks would give back the round trips and scheduler
 /// wakeups that batching and write coalescing exist to save.
 fn stage_frames(
-    access: &mut NetAccess<'_>,
+    sim: &mut DistributedSim,
     in_links: &mut [(usize, RxLink)],
     wire: &mut WireBuf,
     link: u32,
     frames: &[Frame],
 ) -> Result<Control> {
     let l = link as usize;
-    access.check_link(l)?;
+    sim.check_link(l)?;
     let Some((_, rxl)) = in_links.iter_mut().find(|(i, _)| *i == l) else {
         // A misrouted token is a protocol bug, not a fault.
         return Err(cfg_err(format!(
@@ -2097,7 +2082,7 @@ fn stage_frames(
     for frame in frames {
         match rxl.rx.on_frame(frame) {
             RxVerdict::Deliver { payload, ack } => {
-                access.stage_link_token(l, payload);
+                sim.stage_link_token(l, payload);
                 delivered += 1;
                 latest_ack = Some(ack);
             }

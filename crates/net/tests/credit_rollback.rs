@@ -22,12 +22,12 @@ mod common;
 use common::{noc_4partition_design, setup_hook};
 use fireaxe_net::{RxLink, TxLink, INITIAL_CREDITS};
 use fireaxe_ripper::compile;
-use fireaxe_sim::{Backend, NetAccess, SimBuilder};
+use fireaxe_sim::{Backend, DistributedSim, SimBuilder};
 use fireaxe_transport::reliable::{RetryPolicy, RxVerdict};
 
 /// Builds the 4-partition design as one engine plus per-link protocol
 /// endpoints, exactly the pieces a worker process holds.
-fn build() -> (fireaxe_sim::DistributedSim, Vec<TxLink>, Vec<RxLink>) {
+fn build() -> (DistributedSim, Vec<TxLink>, Vec<RxLink>) {
     let (circuit, spec) = noc_4partition_design();
     let design = compile(&circuit, &spec).expect("compile");
     let builder = SimBuilder::new(&design)
@@ -47,38 +47,38 @@ fn build() -> (fireaxe_sim::DistributedSim, Vec<TxLink>, Vec<RxLink>) {
 /// ship every fired token through its link's go-back-N endpoints, stage
 /// deliveries, and return credits at the consumption point. Runs until
 /// every node reaches `budget` target cycles.
-fn run_to(access: &mut NetAccess<'_>, txs: &mut [TxLink], rxs: &mut [RxLink], budget: u64) {
-    let specs = access.link_specs();
+fn run_to(sim: &mut DistributedSim, txs: &mut [TxLink], rxs: &mut [RxLink], budget: u64) {
+    let specs = sim.link_specs();
     loop {
         let mut progress = false;
-        for n in 0..access.node_count() {
-            while access.ingest_and_step(n, budget).expect("step") {
+        for n in 0..sim.node_count() {
+            while sim.ingest_and_step(n, budget).expect("step") {
                 progress = true;
             }
-            if access.drain_env_outputs(n) {
+            if sim.drain_env_outputs(n) {
                 progress = true;
             }
         }
         for (l, spec) in specs.iter().enumerate() {
             while txs[l].can_send() {
-                let Some(payload) = access.pop_link_output(l) else {
+                let Some(payload) = sim.pop_link_output(l) else {
                     break;
                 };
                 let frame = txs[l].send(payload);
                 match rxs[l].rx.on_frame(&frame) {
                     RxVerdict::Deliver { payload, ack } => {
-                        access.stage_link_token(l, payload);
+                        sim.stage_link_token(l, payload);
                         txs[l].tx.on_ack(ack);
                     }
                     other => panic!("loopback wire must deliver, got {other:?}"),
                 }
                 progress = true;
             }
-            let due = rxs[l].credit_due(access.chan_enqueued(spec.to_node, spec.to_chan));
+            let due = rxs[l].credit_due(sim.chan_enqueued(spec.to_node, spec.to_chan));
             txs[l].on_credit(due);
             assert!(txs[l].window_intact(), "link {l} window over-committed");
         }
-        let done = (0..access.node_count()).all(|n| access.node_target_cycle(n) >= budget);
+        let done = (0..sim.node_count()).all(|n| sim.node_target_cycles(n) >= budget);
         if done {
             break;
         }
@@ -88,38 +88,37 @@ fn run_to(access: &mut NetAccess<'_>, txs: &mut [TxLink], rxs: &mut [RxLink], bu
 
 /// What a worker keeps at a cluster barrier, here for every partition
 /// of the design at once: one portable blob each.
-fn checkpoint(access: &NetAccess<'_>) -> Vec<Vec<u8>> {
-    let partitions = (0..access.node_count())
-        .map(|n| access.node_partition(n))
+fn checkpoint(sim: &DistributedSim) -> Vec<Vec<u8>> {
+    let partitions = (0..sim.node_count())
+        .map(|n| sim.node_partition(n))
         .max()
         .expect("nodes");
     (0..=partitions)
-        .map(|p| access.snapshot_partition_bytes(p).expect("checkpoint"))
+        .map(|p| sim.snapshot_partition_bytes(p).expect("checkpoint"))
         .collect()
 }
 
-fn restore(access: &mut NetAccess<'_>, ckpt: &[Vec<u8>]) {
+fn restore(sim: &mut DistributedSim, ckpt: &[Vec<u8>]) {
     for (p, blob) in ckpt.iter().enumerate() {
-        access.restore_partition_bytes(p, blob).expect("restore");
+        sim.restore_partition_bytes(p, blob).expect("restore");
     }
 }
 
 #[test]
 fn rollback_with_resync_keeps_every_link_window_intact() {
     let (mut sim, mut txs, mut rxs) = build();
-    let mut access = sim.net_access();
-    run_to(&mut access, &mut txs, &mut rxs, 50);
+    run_to(&mut sim, &mut txs, &mut rxs, 50);
 
     // Quiescent: everything delivered, acked, consumed, and credited.
-    let ckpt = checkpoint(&access);
+    let ckpt = checkpoint(&sim);
     let tx_marks: Vec<_> = txs.iter().map(TxLink::mark).collect();
     let rx_marks: Vec<_> = rxs.iter().map(RxLink::mark).collect();
 
     // Enough rollback/replay epochs that pre-fix credit stranding
     // (tens of tokens per link per epoch) would wedge every sender.
     for _ in 0..4 {
-        run_to(&mut access, &mut txs, &mut rxs, 150);
-        restore(&mut access, &ckpt);
+        run_to(&mut sim, &mut txs, &mut rxs, 150);
+        restore(&mut sim, &ckpt);
         for (tx, mark) in txs.iter_mut().zip(&tx_marks) {
             tx.resync(*mark);
         }
@@ -127,7 +126,7 @@ fn rollback_with_resync_keeps_every_link_window_intact() {
             rx.resync(*mark);
         }
     }
-    run_to(&mut access, &mut txs, &mut rxs, 150);
+    run_to(&mut sim, &mut txs, &mut rxs, 150);
 
     for (l, tx) in txs.iter().enumerate() {
         assert_eq!(tx.tx.in_flight(), 0, "link {l} not quiescent");
@@ -148,12 +147,11 @@ fn rollback_with_resync_keeps_every_link_window_intact() {
 #[should_panic(expected = "moved backwards")]
 fn rollback_without_resync_is_caught_in_debug_builds() {
     let (mut sim, mut txs, mut rxs) = build();
-    let mut access = sim.net_access();
-    run_to(&mut access, &mut txs, &mut rxs, 50);
-    let ckpt = checkpoint(&access);
-    run_to(&mut access, &mut txs, &mut rxs, 100);
-    restore(&mut access, &ckpt);
+    run_to(&mut sim, &mut txs, &mut rxs, 50);
+    let ckpt = checkpoint(&sim);
+    run_to(&mut sim, &mut txs, &mut rxs, 100);
+    restore(&mut sim, &ckpt);
     // No resync: the next pass computes credits against the rewound
     // enqueue counts and must assert, not strand credits silently.
-    run_to(&mut access, &mut txs, &mut rxs, 100);
+    run_to(&mut sim, &mut txs, &mut rxs, 100);
 }

@@ -11,8 +11,9 @@
 
 use crate::trace::{EventKind, TraceEvent};
 
-/// Escapes a string for embedding in a JSON string literal.
-fn escape(s: &str, out: &mut String) {
+/// Escapes a string for embedding in a JSON string literal: the one
+/// escaper behind every JSON document the workspace writes.
+pub fn escape(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -24,51 +25,6 @@ fn escape(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
-}
-
-/// Renders `events` (host-time ordered; see
-/// [`crate::trace::take_events`]) as a Chrome trace JSON document.
-///
-/// Timestamps are microseconds (`ts`) with nanosecond precision kept in
-/// the fraction. All events share `pid` 1; `tid` is the recording
-/// thread's dense tracer id.
-pub fn to_chrome_json(events: &[TraceEvent]) -> String {
-    let mut s = String::with_capacity(64 + events.len() * 96);
-    s.push_str("{\"traceEvents\":[");
-    s.push_str(
-        "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":\"fireaxe\"}}",
-    );
-    for e in events {
-        let ph = match e.kind {
-            EventKind::SpanBegin => "B",
-            EventKind::SpanEnd => "E",
-            EventKind::Instant => "i",
-            EventKind::Counter => "C",
-        };
-        s.push(',');
-        s.push_str("{\"name\":\"");
-        escape(e.name, &mut s);
-        s.push_str("\",\"ph\":\"");
-        s.push_str(ph);
-        s.push_str("\",\"ts\":");
-        // Microseconds with the nanosecond fraction preserved.
-        s.push_str(&format!("{}.{:03}", e.host_ns / 1_000, e.host_ns % 1_000));
-        s.push_str(",\"pid\":1,\"tid\":");
-        s.push_str(&e.tid.to_string());
-        if e.kind == EventKind::Instant {
-            s.push_str(",\"s\":\"t\"");
-        }
-        s.push_str(",\"args\":{\"virt_ps\":");
-        s.push_str(&e.virt_ps.to_string());
-        if e.kind == EventKind::Counter {
-            s.push_str(",\"value\":");
-            let v = if e.value.is_finite() { e.value } else { 0.0 };
-            s.push_str(&format!("{v}"));
-        }
-        s.push_str("}}");
-    }
-    s.push_str("]}\n");
-    s
 }
 
 /// A trace event with an owned name: what cross-process trace merging
@@ -101,6 +57,18 @@ impl From<&TraceEvent> for OwnedTraceEvent {
             tid: e.tid,
         }
     }
+}
+
+/// Renders `events` (host-time ordered; see
+/// [`crate::trace::take_events`]) as a Chrome trace JSON document: the
+/// merged document of one process, `fireaxe`.
+///
+/// Timestamps are microseconds (`ts`) with nanosecond precision kept in
+/// the fraction. All events share `pid` 1; `tid` is the recording
+/// thread's dense tracer id.
+pub fn to_chrome_json(events: &[TraceEvent]) -> String {
+    let events = events.iter().map(OwnedTraceEvent::from).collect();
+    to_chrome_json_merged(&[("fireaxe".to_string(), events)])
 }
 
 /// Renders per-process event sets as one merged Chrome trace document.

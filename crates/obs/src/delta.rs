@@ -26,6 +26,7 @@
 //! anyway — the rendered bytes cannot tell the difference. That is the
 //! property the `delta_vcd` golden tests pin for all three backends.
 
+use crate::chrome::escape;
 use crate::metrics::NodeSample;
 use crate::vcd::{VcdSignal, VcdWriter};
 use fireaxe_ir::Bits;
@@ -148,10 +149,9 @@ pub fn wave_delta_json(signals: &[VcdSignal], frame: &[WaveChange]) -> String {
             .get(*sig as usize)
             .map(|d| format!("{}:{}", d.scope, d.name))
             .unwrap_or_default();
-        s.push_str(&format!(
-            "{{\"cycle\":{t},\"sig\":{sig},\"name\":\"{name}\",\"value\":\"{}\"}}",
-            bits_hex(v)
-        ));
+        s.push_str(&format!("{{\"cycle\":{t},\"sig\":{sig},\"name\":\""));
+        escape(&name, &mut s);
+        s.push_str(&format!("\",\"value\":\"{}\"}}", bits_hex(v)));
     }
     s.push_str("]}");
     s
@@ -165,10 +165,11 @@ pub fn signal_table_json(signals: &[VcdSignal]) -> String {
         if i > 0 {
             s.push(',');
         }
-        s.push_str(&format!(
-            "{{\"sig\":{i},\"scope\":\"{}\",\"name\":\"{}\",\"width\":{}}}",
-            d.scope, d.name, d.width
-        ));
+        s.push_str(&format!("{{\"sig\":{i},\"scope\":\""));
+        escape(&d.scope, &mut s);
+        s.push_str("\",\"name\":\"");
+        escape(&d.name, &mut s);
+        s.push_str(&format!("\",\"width\":{}}}", d.width));
     }
     s.push_str("]}");
     s
@@ -177,7 +178,9 @@ pub fn signal_table_json(signals: &[VcdSignal]) -> String {
 /// One newline-delimited JSON line describing a metric delta frame (new
 /// samples of one node's series).
 pub fn metric_delta_json(node: &str, samples: &[NodeSample]) -> String {
-    let mut s = format!("{{\"type\":\"metrics\",\"node\":\"{node}\",\"samples\":[");
+    let mut s = String::from("{\"type\":\"metrics\",\"node\":\"");
+    escape(node, &mut s);
+    s.push_str("\",\"samples\":[");
     for (i, m) in samples.iter().enumerate() {
         if i > 0 {
             s.push(',');

@@ -135,30 +135,6 @@ pub struct RecoveryEvent {
     pub recovery_ms: u64,
 }
 
-impl RecoveryEvent {
-    /// Renders a slice of events as a JSON array (one object per event).
-    pub fn to_json_array(events: &[RecoveryEvent]) -> String {
-        let mut s = String::from("[\n");
-        for (i, e) in events.iter().enumerate() {
-            s.push_str(&format!(
-                "  {{\"worker\": {}, \"partitions\": {:?}, \"epoch\": {}, \
-                 \"detected_cycle\": {}, \"rewind_cycle\": {}, \"restart\": {}, \
-                 \"recovery_ms\": {}}}{}",
-                e.worker,
-                e.partitions,
-                e.epoch,
-                e.detected_cycle,
-                e.rewind_cycle,
-                e.restart,
-                e.recovery_ms,
-                if i + 1 < events.len() { ",\n" } else { "\n" }
-            ));
-        }
-        s.push_str("]\n");
-        s
-    }
-}
-
 /// A complete sampled run: per-node and per-link time series.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSeries {
@@ -188,10 +164,9 @@ impl MetricsSeries {
         ));
         s.push_str("  \"nodes\": [\n");
         for (ni, n) in self.nodes.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"node\": \"{}\", \"samples\": [\n",
-                n.node.replace('"', "\\\"")
-            ));
+            s.push_str("    {\"node\": \"");
+            crate::chrome::escape(&n.node, &mut s);
+            s.push_str("\", \"samples\": [\n");
             for (si, p) in n.samples.iter().enumerate() {
                 s.push_str(&format!(
                     "      {{\"cycle\": {}, \"host_ns\": {}, \"time_ps\": {}, \

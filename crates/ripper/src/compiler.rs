@@ -14,7 +14,7 @@ use crate::fastmode::apply_fast_mode;
 use crate::hier::{group_instances, reparent_all, split_partitions, PartRef};
 use crate::noc::ConnGraph;
 use crate::spec::{PartitionMode, PartitionSpec, Selection};
-use fireaxe_ir::{Circuit, Direction};
+use fireaxe_ir::Circuit;
 use fireaxe_libdn::LiBdnSpec;
 use fireaxe_obs::obs_span;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -481,29 +481,6 @@ fn check_fame5_group(circuit: &Circuit, group: &str, insts: &[String]) -> Result
         });
     }
     Ok(())
-}
-
-/// Checks that a partition's boundary module has output ports on its
-/// boundary (sanity helper used by tests and examples).
-pub fn boundary_summary(design: &PartitionedDesign) -> Vec<(String, u64, u64)> {
-    design
-        .nodes()
-        .map(|(_, _, _, t)| {
-            let inputs: u64 = t
-                .circuit
-                .top_module()
-                .ports_in(Direction::Input)
-                .map(|p| u64::from(p.width.get()))
-                .sum();
-            let outputs: u64 = t
-                .circuit
-                .top_module()
-                .ports_in(Direction::Output)
-                .map(|p| u64::from(p.width.get()))
-                .sum();
-            (t.name.clone(), inputs, outputs)
-        })
-        .collect()
 }
 
 #[cfg(test)]

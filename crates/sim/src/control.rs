@@ -12,6 +12,8 @@
 //! Signal addressing follows the `obs.signals` convention already used
 //! by the observation spec: `node:path` names signal `path` inside node
 //! `node`; a bare `path` resolves only if exactly one node exposes it.
+//! Nodes are numbered by their flat index in the whole cut; on a
+//! partition build a node another process builds panics when read.
 //!
 //! Pokes go through [`fireaxe_libdn::LiBdn::poke_input_next_cycle`], so a poke staged
 //! with the simulation at target cycle `C` takes effect at the cycle
@@ -25,14 +27,16 @@ use crate::obs::state_digest;
 use fireaxe_ir::Bits;
 use fireaxe_obs::{NodeSample, VcdSignal};
 
-/// One recorded waveform change (re-exported shape of
-/// [`crate::netapi::VcdChange`]).
+/// One node's recorded VCD change: `(target cycle, signal index, value)`.
+/// Signal indices refer to the cut's VCD signal table
+/// ([`DistributedSim::vcd_signal_table`]), which every process of a cut
+/// shares.
 pub type VcdChange = (u64, u32, Bits);
 
 impl DistributedSim {
     /// Resolves a node name to its flat index.
     pub fn node_index_by_name(&self, name: &str) -> Option<usize> {
-        self.nodes.iter().position(|n| n.name == name)
+        self.node_table.iter().position(|(n, _)| n == name)
     }
 
     /// Splits a `node:path` signal address into `(node index, path)`.
@@ -52,13 +56,11 @@ impl DistributedSim {
                 })?;
             return Ok((ni, path.to_string()));
         }
-        let mut hits = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.libdn.model().peek_path(addr).is_some());
+        let mut hits = (0..self.node_count()).filter(|&n| {
+            self.slot[n].is_some_and(|i| self.nodes[i].libdn.model().peek_path(addr).is_some())
+        });
         match (hits.next(), hits.next()) {
-            (Some((ni, _)), None) => Ok((ni, addr.to_string())),
+            (Some(ni), None) => Ok((ni, addr.to_string())),
             _ => Err(SimError::Ir(fireaxe_ir::IrError::UnknownSignal {
                 path: addr.to_string(),
             })),
@@ -75,9 +77,7 @@ impl DistributedSim {
     /// exposes no such signal.
     pub fn peek_signal(&self, addr: &str) -> Result<Bits> {
         let (ni, path) = self.resolve_signal(addr)?;
-        self.nodes[ni]
-            .libdn
-            .model()
+        self.target(ni)
             .peek_path(&path)
             .ok_or(SimError::Ir(fireaxe_ir::IrError::UnknownSignal {
                 path: addr.to_string(),
@@ -96,10 +96,21 @@ impl DistributedSim {
     /// [`fireaxe_ir::IrError`] poke errors relayed as [`SimError::Ir`].
     pub fn poke_signal(&mut self, addr: &str, value: u64) -> Result<()> {
         let (ni, path) = self.resolve_signal(addr)?;
-        self.wake_all();
-        self.nodes[ni]
+        self.poke_node(ni, &path, value)
+    }
+
+    /// [`DistributedSim::poke_signal`] of the resolved address: drives
+    /// top-level input port `path` of node `node` with `value` for
+    /// exactly its next target-cycle advance.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Ir`] wrapping `UnknownSignal`, `NotPokeable`, or
+    /// `PokeWidth`.
+    pub fn poke_node(&mut self, node: usize, path: &str, value: u64) -> Result<()> {
+        self.rt_mut(node)
             .libdn
-            .poke_input_next_cycle(&path, value)
+            .poke_input_next_cycle(path, value)
             .map_err(SimError::from)
     }
 
@@ -107,7 +118,7 @@ impl DistributedSim {
     /// deterministic per-cycle digest metric samples carry, computable
     /// on demand at a segment boundary.
     pub fn node_state_digest(&self, node: usize) -> u64 {
-        state_digest(self.nodes[node].libdn.model())
+        state_digest(self.target(node))
     }
 
     /// The global VCD signal table (empty when waveform capture is off).
@@ -120,14 +131,24 @@ impl DistributedSim {
     /// sees every change. Streaming consumers track their own cursor
     /// and advance it by the returned length.
     pub fn node_wave_changes_since(&self, node: usize, from: usize) -> Vec<VcdChange> {
-        let changes = &self.nodes[node].obs.changes;
+        let changes = &self.rt(node).obs.changes;
         changes[from.min(changes.len())..].to_vec()
     }
 
     /// Clones the tail of one node's metric samples starting at index
     /// `from`, without draining.
     pub fn node_samples_since(&self, node: usize, from: usize) -> Vec<NodeSample> {
-        let samples = &self.nodes[node].obs.samples;
+        let samples = &self.rt(node).obs.samples;
         samples[from.min(samples.len())..].to_vec()
+    }
+
+    /// Takes (drains) one node's collected metric samples.
+    pub fn take_node_samples(&mut self, node: usize) -> Vec<NodeSample> {
+        std::mem::take(&mut self.rt_mut(node).obs.samples)
+    }
+
+    /// Takes (drains) one node's collected VCD changes.
+    pub fn take_node_vcd_changes(&mut self, node: usize) -> Vec<VcdChange> {
+        std::mem::take(&mut self.rt_mut(node).obs.changes)
     }
 }

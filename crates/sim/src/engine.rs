@@ -534,9 +534,8 @@ pub enum Backend {
     /// directly with this backend is a configuration error — a net run
     /// is orchestrated by a coordinator across worker processes
     /// (`fireaxe coordinator` / `fireaxe worker`), each of which
-    /// services its partitions' nodes through
-    /// [`crate::netapi::NetAccess`], links between two of them
-    /// in-process.
+    /// services its partitions' nodes through this type's per-node and
+    /// per-link methods, links between two of them in-process.
     Net,
 }
 
@@ -1410,14 +1409,40 @@ impl DistributedSim {
         Ok(())
     }
 
+    /// Index into `nodes` of flat node `node` (see
+    /// [`PartitionedDesign::node_index`]): every public method addresses
+    /// a node by its flat index in the whole cut, also on a partition
+    /// build.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range or not built in this process.
+    fn built(&self, node: usize) -> usize {
+        self.slot[node].unwrap_or_else(|| panic!("node {node} is not built in this process"))
+    }
+
+    /// Flat node `node`, built here.
+    pub(crate) fn rt(&self, node: usize) -> &NodeRt {
+        &self.nodes[self.built(node)]
+    }
+
+    /// Flat node `node`, built here, for a change made outside the DES
+    /// loop: its idle verdict (see [`DistributedSim::step_one_edge`]) is
+    /// forgotten.
+    pub(crate) fn rt_mut(&mut self, node: usize) -> &mut NodeRt {
+        let i = self.built(node);
+        let n = &mut self.nodes[i];
+        n.wake_ps = 0;
+        n
+    }
+
     /// Completed target cycles of one node.
     ///
     /// # Panics
     ///
-    /// Panics if `node` is out of range (see
-    /// [`PartitionedDesign::node_index`]).
+    /// Panics if `node` is out of range or not built in this process.
     pub fn node_target_cycles(&self, node: usize) -> u64 {
-        self.nodes[node].libdn.target_cycle()
+        self.rt(node).libdn.target_cycle()
     }
 
     /// Completed target cycles (minimum across nodes).
@@ -1461,8 +1486,8 @@ impl DistributedSim {
     /// Partition-local state (register files, LI-BDN queues, node
     /// counters, observation buffers) lives in partition snapshots and
     /// is reset by restoring a cycle-0
-    /// [`NetAccess::snapshot_partition_bytes`](crate::netapi::NetAccess)
-    /// blob; this method covers the rest: link traffic totals, link
+    /// [`DistributedSim::snapshot_partition_bytes`] blob; this method
+    /// covers the rest: link traffic totals, link
     /// reliability counters, link metric samples, the DES event queue,
     /// virtual time, and the fault log. Pooled `fireaxe-net` workers
     /// call both on `ResetToIdle` so a cached build serves its next job
@@ -1528,9 +1553,10 @@ impl DistributedSim {
         ObsReport { metrics, vcd }
     }
 
-    /// Checks token conservation on every link: each token the sender
-    /// committed to the wire (plus the fast-mode seed) must be exactly
-    /// accounted for as ingested by the receiver (`chan_enqueued`),
+    /// Checks token conservation on every link whose two ends are built
+    /// in this process (a link to another process balances across
+    /// processes): each token the sender committed to the wire (plus the
+    /// fast-mode seed) must be exactly accounted for as ingested by the receiver (`chan_enqueued`),
     /// staged awaiting queue space, or still in transport flight.
     /// Both backends maintain this after any successful run; it is
     /// debug-asserted there and property-tested.
@@ -1540,7 +1566,11 @@ impl DistributedSim {
     /// A human-readable description of the first imbalanced link.
     pub fn verify_token_conservation(&self) -> std::result::Result<(), String> {
         for (li, l) in self.links.iter().enumerate() {
-            let n = &self.nodes[l.spec.to_node];
+            let (Some(_), Some(to)) = (self.slot[l.spec.from_node], self.slot[l.spec.to_node])
+            else {
+                continue;
+            };
+            let n = &self.nodes[to];
             let chan = l.spec.to_chan;
             let sent = l.tokens + u64::from(l.spec.seeded);
             let ingested = n.chan_enqueued[chan];
@@ -1561,26 +1591,57 @@ impl DistributedSim {
     ///
     /// # Panics
     ///
-    /// Panics if `node` is out of range (see
-    /// [`PartitionedDesign::node_index`]).
+    /// Panics if `node` is out of range or not built in this process.
     pub fn bridge_mut(&mut self, node: usize) -> &mut dyn Bridge {
-        self.wake_all();
-        self.nodes[node].bridge.as_mut()
+        self.rt_mut(node).bridge.as_mut()
     }
 
-    /// Access a node's wrapped target model.
+    /// Access a node's wrapped target model (its elaborated port tables,
+    /// signals, state).
     ///
     /// # Panics
     ///
-    /// Panics if `node` is out of range (see
-    /// [`PartitionedDesign::node_index`]).
+    /// Panics if `node` is out of range or not built in this process.
     pub fn target(&self, node: usize) -> &dyn TargetModel {
-        self.nodes[node].libdn.model()
+        self.rt(node).libdn.model()
     }
 
-    /// Node names in flat order.
+    /// Names of every node of the cut, in flat order.
     pub fn node_names(&self) -> Vec<String> {
-        self.nodes.iter().map(|n| n.name.clone()).collect()
+        self.node_table.iter().map(|(n, _)| n.clone()).collect()
+    }
+
+    /// Number of nodes (partition threads) of the whole cut.
+    pub fn node_count(&self) -> usize {
+        self.node_table.len()
+    }
+
+    /// A node's name.
+    pub fn node_name(&self, node: usize) -> &str {
+        &self.node_table[node].0
+    }
+
+    /// The partition a node belongs to (FAME-5 partitions contribute
+    /// several nodes).
+    pub fn node_partition(&self, node: usize) -> usize {
+        self.node_table[node].1
+    }
+
+    /// The partitions built in this process, ascending.
+    pub fn built_partitions(&self) -> Vec<usize> {
+        let mut parts: Vec<usize> = self.nodes.iter().map(|n| n.partition).collect();
+        parts.dedup(); // built in partition order
+        parts
+    }
+
+    /// The inter-partition link table, in link-index order.
+    pub fn link_specs(&self) -> Vec<LinkSpec> {
+        self.links.iter().map(|l| l.spec.clone()).collect()
+    }
+
+    /// The armed retransmission policy, if the reliability layer is on.
+    pub fn retry_policy(&self) -> Option<RetryPolicy> {
+        self.reliability.as_ref().map(|r| r.policy)
     }
 
     /// Runs until every node has completed *exactly* `cycles` target
@@ -1649,10 +1710,10 @@ impl DistributedSim {
         }
     }
 
-    /// Structured forensics of the current stall state: every node's
-    /// target cycle and channel occupancy, tokens still in flight, and
-    /// the recent fault history.
-    pub(crate) fn stall_report(&self) -> StallReport {
+    /// Structured forensics of the current stall state: every built
+    /// node's target cycle and channel occupancy, tokens still in flight,
+    /// and the recent fault history.
+    pub fn stall_report(&self) -> StallReport {
         let staged: u64 = self
             .nodes
             .iter()
@@ -1955,15 +2016,6 @@ impl DistributedSim {
         self.nodes.iter().any(|n| n.bridge.done())
     }
 
-    /// Runs until any bridge reports done.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Deadlock`] when no progress is possible.
-    pub fn run_until_bridge_done(&mut self) -> Result<SimMetrics> {
-        self.run_while(|sim| !sim.nodes.iter().any(|n| n.bridge.done()))
-    }
-
     /// Runs while `cond` holds.
     ///
     /// # Errors
@@ -1990,12 +2042,120 @@ impl DistributedSim {
     /// Forgets every node's idle verdict (see
     /// [`DistributedSim::step_one_edge`]): called wherever something other
     /// than the event loop itself touches the state the verdict was
-    /// derived from — a new cycle budget, a restore, a cockpit poke, a
-    /// handed-out bridge or [`crate::netapi::NetAccess`].
+    /// derived from on every node — a new cycle budget, a restore, a
+    /// capacity change. A change to one node forgets that node's verdict
+    /// only (see [`DistributedSim::rt_mut`]).
     pub(crate) fn wake_all(&mut self) {
         for n in &mut self.nodes {
             n.wake_ps = 0;
         }
+    }
+
+    /// Deepens every built node's LI-BDN queues to at least `capacity`
+    /// host slots (runahead for a backend without a virtual clock) and
+    /// returns the previous capacities for
+    /// [`DistributedSim::restore_capacities`].
+    pub fn deepen_capacities(&mut self, capacity: usize) -> Vec<usize> {
+        self.wake_all();
+        self.nodes
+            .iter_mut()
+            .map(|n| {
+                let cap = n.libdn.capacity();
+                n.libdn.set_capacity(cap.max(capacity));
+                cap
+            })
+            .collect()
+    }
+
+    /// Restores queue capacities saved by
+    /// [`DistributedSim::deepen_capacities`].
+    pub fn restore_capacities(&mut self, saved: Vec<usize>) {
+        self.wake_all();
+        for (node, cap) in self.nodes.iter_mut().zip(saved) {
+            node.libdn.set_capacity(cap);
+        }
+    }
+
+    /// Stages a delivered link token at the consuming node (it enters
+    /// the LI-BDN input queue on the node's next service pass).
+    pub fn stage_link_token(&mut self, link: usize, payload: Bits) {
+        let LinkSpec {
+            to_node, to_chan, ..
+        } = self.links[link].spec;
+        self.rt_mut(to_node).staged[to_chan].push_back(payload);
+    }
+
+    /// Services one node for a backend that owns the scheduling loop:
+    /// stage → env top-up → one host step under the target-cycle stop
+    /// line `budget`, with the shared observation point at the tail (see
+    /// `NodeRt::ingest_and_step`). Returns `true` on any progress.
+    ///
+    /// # Errors
+    ///
+    /// Propagates LI-BDN failures.
+    pub fn ingest_and_step(&mut self, node: usize, budget: u64) -> Result<bool> {
+        self.rt_mut(node).ingest_and_step(Some(budget))
+    }
+
+    /// Drains a node's environment output channels into its bridge.
+    pub fn drain_env_outputs(&mut self, node: usize) -> bool {
+        self.rt_mut(node).drain_env_outputs()
+    }
+
+    /// Pops the next fresh token the producing node has fired on `link`,
+    /// counting it as dequeued/committed exactly like the in-process
+    /// backends do.
+    pub fn pop_link_output(&mut self, link: usize) -> Option<Bits> {
+        let LinkSpec {
+            from_node,
+            from_chan,
+            ..
+        } = self.links[link].spec;
+        let from = self.rt_mut(from_node);
+        let token = from.libdn.pop_output(from_chan)?;
+        from.counters.tokens_dequeued += 1;
+        self.links[link].tokens += 1;
+        Some(token)
+    }
+
+    /// Tokens a node has accepted into one input channel's LI-BDN queue
+    /// so far — the consumption point credit-based flow control returns
+    /// credits at.
+    pub fn chan_enqueued(&self, node: usize, chan: usize) -> u64 {
+        self.rt(node).chan_enqueued[chan]
+    }
+
+    /// Snapshot of one node's execution counters.
+    pub fn node_counters(&self, node: usize) -> NodeCounters {
+        self.rt(node).counters_snapshot()
+    }
+
+    /// Mutable reliability/traffic counters of one link (a backend that
+    /// runs its own link protocol folds its live totals in here).
+    pub fn link_counters_mut(&mut self, link: usize) -> &mut LinkCounters {
+        &mut self.links[link].counters
+    }
+
+    /// Fresh tokens committed to one link so far.
+    pub fn link_tokens(&self, link: usize) -> u64 {
+        self.links[link].tokens
+    }
+
+    /// Validates a link index against the design, as a typed error.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Config`] naming the offending index.
+    pub fn check_link(&self, link: usize) -> Result<()> {
+        if link >= self.links.len() {
+            return Err(SimError::Config {
+                message: format!(
+                    "link index {link} out of range ({} links)",
+                    self.links.len()
+                ),
+            });
+        }
+        Ok(())
     }
 
     /// Advances virtual time to the next host clock edge and services it.
@@ -2611,6 +2771,102 @@ mod tests {
                 "{mode:?}: got {err}"
             );
         }
+    }
+
+    /// Three partitions: tile `a` (register from 3), tile `b` (register
+    /// from 7) and the hub feeding both, so the tiles differ from cycle 0.
+    fn three_way() -> PartitionedDesign {
+        let tile = |name: &str, init: u64| {
+            let mut m = ModuleBuilder::new(name);
+            let req = m.input("req", 8);
+            let rsp = m.output("rsp", 8);
+            let acc = m.reg("acc", 8, init);
+            m.connect_sig(&acc, &acc.add(&req));
+            m.connect_sig(&rsp, &acc);
+            m.finish()
+        };
+        let mut top = ModuleBuilder::new("Soc");
+        let o = top.output("o", 8);
+        top.inst("a", "TileA");
+        top.inst("b", "TileB");
+        let hub = top.reg("hub", 8, 1);
+        top.connect_inst("a", "req", &hub);
+        top.connect_inst("b", "req", &hub);
+        let rsp = top.inst_port("a", "rsp").xor(&top.inst_port("b", "rsp"));
+        top.connect_sig(&hub, &rsp);
+        top.connect_sig(&o, &hub);
+        let modules = vec![top.finish(), tile("TileA", 3), tile("TileB", 7)];
+        let spec = PartitionSpec::exact(vec![
+            PartitionGroup::instances("a", vec!["a".into()]),
+            PartitionGroup::instances("b", vec!["b".into()]),
+        ]);
+        compile(&Circuit::from_modules("Soc", modules, "Soc"), &spec).unwrap()
+    }
+
+    #[test]
+    fn a_partition_build_addresses_nodes_by_flat_index() {
+        let design = three_way();
+        let whole = SimBuilder::new(&design).build().unwrap();
+        let cuts = cut_set(&design, ObsSpec::default());
+        let sim = SimBuilder::for_partitions(&cuts[1..2])
+            .backend(Backend::Net)
+            .build()
+            .unwrap();
+        let n = design.node_index(1, 0);
+        let name = &design.partitions[1].threads[0].name;
+        assert_eq!(sim.node_count(), 3);
+        assert_eq!(sim.node_index_by_name(name), Some(n));
+        assert_eq!(sim.node_index_by_name(&whole.node_names()[0]), Some(0));
+        assert_eq!(sim.target(n).output_ports(), whole.target(n).output_ports());
+        assert_eq!(sim.node_target_cycles(n), whole.node_target_cycles(n));
+        assert_eq!(sim.node_state_digest(n), whole.node_state_digest(n));
+        // Tile `b`'s register, not tile `a`'s (3).
+        assert_eq!(sim.target(n).peek_path("b.acc"), Some(Bits::from_u64(7, 8)));
+        assert_eq!(
+            sim.peek_signal(&format!("{name}:b.acc")).unwrap(),
+            Bits::from_u64(7, 8)
+        );
+        assert_eq!(sim.peek_signal("b.acc").unwrap(), Bits::from_u64(7, 8));
+        assert_eq!(sim.verify_token_conservation(), Ok(()));
+        for other in [0, 2] {
+            let read = std::panic::AssertUnwindSafe(|| sim.node_target_cycles(other));
+            let panic = std::panic::catch_unwind(read).unwrap_err();
+            assert_eq!(
+                panic.downcast_ref::<String>().map(String::as_str),
+                Some(format!("node {other} is not built in this process").as_str())
+            );
+        }
+    }
+
+    #[test]
+    fn a_token_staged_on_a_waiting_node_is_serviced_on_its_next_edge() {
+        let spec = PartitionSpec::exact(vec![PartitionGroup::instances(
+            "tile",
+            vec!["tile0".into()],
+        )]);
+        let design = compile(&soc(), &spec).unwrap();
+        let mut sim = SimBuilder::new(&design)
+            .transport(LinkModel::qsfp_aurora())
+            .build()
+            .unwrap();
+        // Step until some node sits out its edges waiting on a delivery.
+        let n = loop {
+            sim.step_one_edge().unwrap();
+            if let Some(n) = (0..sim.nodes.len()).find(|&n| sim.nodes[n].wake_ps > sim.time_ps) {
+                break n;
+            }
+        };
+        let link = sim.links.iter().position(|l| l.spec.to_node == n).unwrap();
+        let width = u32::try_from(sim.links[link].spec.width).unwrap();
+        let before = sim.node_counters(n);
+        sim.stage_link_token(link, Bits::zero(width));
+        while sim.node_counters(n).host_cycles == before.host_cycles {
+            sim.step_one_edge().unwrap();
+        }
+        assert!(
+            sim.node_counters(n).tokens_enqueued > before.tokens_enqueued,
+            "node {n} was charged an idle edge with a token staged"
+        );
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! rates (target-MHz) reproduce the paper's performance sweeps, and
 //! exact-mode runs are bit-identical to monolithic interpretation.
 //!
-//! * [`SimBuilder`]/[`DistributedSim`] — build and run;
+//! * [`SimBuilder`]/[`DistributedSim`] — build and run; the one surface
+//!   every backend and the net worker drive, numbering nodes by their
+//!   flat index in the cut also on a build of some of its partitions
+//!   ([`PartitionCut`]);
 //! * [`BehaviorRegistry`] — binds coarse behavioral models to extern
 //!   modules inside partitions;
 //! * [`bridge`] — environment token sources/sinks;
@@ -37,7 +40,7 @@ pub use engine::{
     SimCheckpoint, SimMetrics, DEFAULT_CLOCK_MHZ, DEFAULT_DEADLOCK_HORIZON, DEFAULT_MAX_ROLLBACKS,
 };
 pub use error::{NodeStall, Result, SimError, StallReport};
-pub use netapi::{NetAccess, PartitionCut};
+pub use netapi::PartitionCut;
 pub use obs::{ObsReport, ObsSpec};
 pub use perf::estimate_target_mhz;
 pub use placement::{available_cores, placement, pool_size};

@@ -363,15 +363,7 @@ pub(crate) fn run(sim: &mut DistributedSim, budget: u64, workers: usize) -> Resu
     let n_links = sim.links.len();
 
     // Deepen host queues for runahead (see [`RUNAHEAD_CAPACITY`]).
-    let saved_capacity: Vec<usize> = sim
-        .nodes
-        .iter_mut()
-        .map(|n| {
-            let cap = n.libdn.capacity();
-            n.libdn.set_capacity(cap.max(RUNAHEAD_CAPACITY));
-            cap
-        })
-        .collect();
+    let saved_capacity = sim.deepen_capacities(RUNAHEAD_CAPACITY);
 
     // Each worker hosts its contiguous run of nodes.
     let mut pools: Vec<Vec<WorkerNode<'_>>> = (0..n_workers).map(|_| Vec::new()).collect();
@@ -435,9 +427,7 @@ pub(crate) fn run(sim: &mut DistributedSim, budget: u64, workers: usize) -> Resu
         all
     });
 
-    for (node, cap) in sim.nodes.iter_mut().zip(saved_capacity) {
-        node.libdn.set_capacity(cap);
-    }
+    sim.restore_capacities(saved_capacity);
 
     reconcile(sim, endpoints, n_links);
 

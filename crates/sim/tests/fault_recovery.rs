@@ -348,9 +348,8 @@ fn observation_log_survives_rollback_without_loss_or_repeats() {
                 .collect()
         });
         let rollbacks = sim.rollbacks_taken();
-        let access = sim.net_access();
-        let changes = (0..access.node_count()).map(|n| {
-            let log = access.node_vcd_changes_since(n, 0);
+        let changes = (0..sim.node_count()).map(|n| {
+            let log = sim.node_wave_changes_since(n, 0);
             log.into_iter()
                 .map(|(cycle, sig, _)| (cycle, sig))
                 .collect()
