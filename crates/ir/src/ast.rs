@@ -47,15 +47,17 @@ impl fmt::Display for Direction {
     }
 }
 
-/// A typed, directed module port.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Port {
-    /// Port name, unique within the module.
-    pub name: String,
-    /// Direction as seen from the module.
-    pub direction: Direction,
-    /// Signal width.
-    pub width: Width,
+crate::wire_struct! {
+    /// A typed, directed module port.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Port {
+        /// Port name, unique within the module.
+        pub name: String,
+        /// Direction as seen from the module.
+        pub direction: Direction,
+        /// Signal width.
+        pub width: Width,
+    }
 }
 
 impl Port {
@@ -79,14 +81,16 @@ impl Port {
     }
 }
 
-/// A reference to a named signal: either a local entity (`name`) or a port
-/// of a child instance (`inst.name`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Ref {
-    /// Child instance name, or `None` for a local signal.
-    pub instance: Option<String>,
-    /// Signal (port/wire/node/register) name.
-    pub name: String,
+crate::wire_struct! {
+    /// A reference to a named signal: either a local entity (`name`) or a port
+    /// of a child instance (`inst.name`).
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    pub struct Ref {
+        /// Child instance name, or `None` for a local signal.
+        pub instance: Option<String>,
+        /// Signal (port/wire/node/register) name.
+        pub name: String,
+    }
 }
 
 impl Ref {
@@ -381,55 +385,63 @@ impl Stmt {
     }
 }
 
-/// Resource consumption hints attached to extern behavioral modules, in
-/// lieu of estimating from (absent) RTL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ResourceHints {
-    /// Look-up tables.
-    pub luts: u64,
-    /// Flip-flops.
-    pub regs: u64,
-    /// Block RAM tiles (36 kb each).
-    pub brams: u64,
-    /// DSP slices.
-    pub dsps: u64,
+crate::wire_struct! {
+    /// Resource consumption hints attached to extern behavioral modules, in
+    /// lieu of estimating from (absent) RTL.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct ResourceHints {
+        /// Look-up tables.
+        pub luts: u64,
+        /// Flip-flops.
+        pub regs: u64,
+        /// Block RAM tiles (36 kb each).
+        pub brams: u64,
+        /// DSP slices.
+        pub dsps: u64,
+    }
 }
 
-/// Declared combinational path of an extern behavioral module: the output
-/// port combinationally depends on the input port.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CombPath {
-    /// Input port name.
-    pub input: String,
-    /// Output port name.
-    pub output: String,
+crate::wire_struct! {
+    /// Declared combinational path of an extern behavioral module: the output
+    /// port combinationally depends on the input port.
+    #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+    pub struct CombPath {
+        /// Input port name.
+        pub input: String,
+        /// Output port name.
+        pub output: String,
+    }
 }
 
-/// Extra metadata for modules whose internals are behavioral rather than
-/// structural RTL.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ExternInfo {
-    /// Key under which the simulator looks up the behavioral model.
-    pub behavior: String,
-    /// Input→output combinational paths (the compiler trusts these the way
-    /// Golden Gate trusts FIRRTL analysis results).
-    pub comb_paths: Vec<CombPath>,
-    /// FPGA resource hints.
-    pub resources: ResourceHints,
+crate::wire_struct! {
+    /// Extra metadata for modules whose internals are behavioral rather than
+    /// structural RTL.
+    #[derive(Debug, Clone, PartialEq, Default)]
+    pub struct ExternInfo {
+        /// Key under which the simulator looks up the behavioral model.
+        pub behavior: String,
+        /// Input→output combinational paths (the compiler trusts these the way
+        /// Golden Gate trusts FIRRTL analysis results).
+        pub comb_paths: Vec<CombPath>,
+        /// FPGA resource hints.
+        pub resources: ResourceHints,
+    }
 }
 
-/// A hardware module: ports plus either a structural body or extern
-/// behavioral metadata.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Module {
-    /// Module name, unique within the circuit.
-    pub name: String,
-    /// Port list.
-    pub ports: Vec<Port>,
-    /// Body statements (empty for extern modules).
-    pub body: Vec<Stmt>,
-    /// Present iff this is an extern behavioral module.
-    pub extern_info: Option<ExternInfo>,
+crate::wire_struct! {
+    /// A hardware module: ports plus either a structural body or extern
+    /// behavioral metadata.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Module {
+        /// Module name, unique within the circuit.
+        pub name: String,
+        /// Port list.
+        pub ports: Vec<Port>,
+        /// Body statements (empty for extern modules).
+        pub body: Vec<Stmt>,
+        /// Present iff this is an extern behavioral module.
+        pub extern_info: Option<ExternInfo>,
+    }
 }
 
 impl Module {
@@ -494,15 +506,17 @@ impl Module {
     }
 }
 
-/// A complete design: a named set of modules with a designated top.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Circuit {
-    /// Circuit name (conventionally equals the top module name).
-    pub name: String,
-    /// All modules; order is not significant.
-    pub modules: Vec<Module>,
-    /// Name of the top module.
-    pub top: String,
+crate::wire_struct! {
+    /// A complete design: a named set of modules with a designated top.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct Circuit {
+        /// Circuit name (conventionally equals the top module name).
+        pub name: String,
+        /// All modules; order is not significant.
+        pub modules: Vec<Module>,
+        /// Name of the top module.
+        pub top: String,
+    }
 }
 
 impl Circuit {
@@ -625,6 +639,45 @@ impl Circuit {
         drop.into_iter().map(|m| m.name).collect()
     }
 }
+
+// Byte layouts of the enums: a circuit tape (see [`crate::tape`]) is a
+// `Circuit` in these and the structs' declared layouts, and a partition
+// payload carries its thread circuits in them.
+
+crate::wire_enum!(Direction, "port direction" { 0 => Input, 1 => Output });
+
+crate::wire_enum!(UnOp, "unary op" {
+    0 => Not, 1 => OrReduce, 2 => AndReduce, 3 => XorReduce,
+});
+
+crate::wire_enum!(BinOp, "binary op" {
+    0 => Add, 1 => Sub, 2 => Mul, 3 => Div, 4 => Rem, 5 => And, 6 => Or,
+    7 => Xor, 8 => Eq, 9 => Neq, 10 => Lt, 11 => Leq, 12 => Gt, 13 => Geq,
+});
+
+crate::wire_enum!(Expr, "expression tag" {
+    0 => Lit(v: Bits),
+    1 => Ref(r: Ref),
+    2 => Unary(op: UnOp, a: Box<Expr>),
+    3 => Binary(op: BinOp, a: Box<Expr>, b: Box<Expr>),
+    4 => Mux(sel: Box<Expr>, t: Box<Expr>, f: Box<Expr>),
+    5 => Cat(parts: Vec<Expr>),
+    6 => Extract(a: Box<Expr>, hi: u32, lo: u32),
+    7 => Resize(a: Box<Expr>, w: Width),
+    8 => Shl(a: Box<Expr>, n: u32),
+    9 => Shr(a: Box<Expr>, n: u32),
+});
+
+crate::wire_enum!(Stmt, "statement tag" {
+    0 => Wire { name: String, width: Width },
+    1 => Node { name: String, expr: Expr },
+    2 => Reg { name: String, width: Width, init: Bits },
+    3 => Mem { name: String, width: Width, depth: u32 },
+    4 => MemRead { name: String, mem: String, addr: Expr },
+    5 => MemWrite { mem: String, addr: Expr, data: Expr, en: Expr },
+    6 => Inst { name: String, module: String },
+    7 => Connect { lhs: Ref, rhs: Expr },
+});
 
 #[cfg(test)]
 mod tests {

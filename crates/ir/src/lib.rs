@@ -8,6 +8,8 @@
 //! * [`Circuit`]/[`Module`]/[`Stmt`]/[`Expr`] — the AST ([`ast`]);
 //! * [`build::ModuleBuilder`] — ergonomic netlist construction;
 //! * [`parser`]/[`printer`] — a round-tripping textual format;
+//! * [`codec`] — the one byte codec every binary format is written
+//!   with, and [`tape`], the binary circuit format built on it;
 //! * [`typecheck`] — width inference and structural validation;
 //! * [`comb::CombAnalysis`] — input→output combinational reachability,
 //!   the analysis FireRipper's exact-mode channel splitting is built on;
@@ -45,6 +47,7 @@
 pub mod ast;
 pub mod bits;
 pub mod build;
+pub mod codec;
 pub mod comb;
 pub mod error;
 pub mod exec;
@@ -61,10 +64,10 @@ pub use ast::{
     UnOp,
 };
 pub use bits::{Bits, Width};
+pub use codec::{Dec, DecResult, Wire};
 pub use comb::{CombAnalysis, ModuleCombInfo};
 pub use error::{IrError, Result};
 pub use exec::{ExecEngine, ExecStats, TapeShape};
 pub use interp::{ExternBehavior, Interpreter, PortTable, PortWriter};
 pub use slice::{SliceCoverage, SlicedInterpreter};
-pub use state::{StateDec, StateEnc, StateItem};
 pub use tape::{circuit_from_tape, circuit_to_tape};

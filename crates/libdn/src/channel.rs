@@ -7,7 +7,8 @@
 //! [`ChannelSpec::unpack`] convert between per-port values and the single
 //! token [`Bits`] value that crosses the (simulated) FPGA boundary.
 
-use fireaxe_ir::{Bits, Width};
+use fireaxe_ir::typecheck::MAX_WIDTH;
+use fireaxe_ir::{Bits, Dec, DecResult, Width, Wire};
 use std::collections::BTreeMap;
 
 /// Description of one latency-insensitive channel: an ordered list of
@@ -20,6 +21,27 @@ pub struct ChannelSpec {
     pub name: String,
     /// Aggregated ports in payload order (LSB first).
     pub ports: Vec<(String, Width)>,
+}
+
+/// A channel's name, then its ports `(name, width)`; a channel wider in
+/// total than [`MAX_WIDTH`] is refused.
+impl Wire for ChannelSpec {
+    const MIN: usize = 8;
+    fn put(&self, b: &mut Vec<u8>) {
+        self.name.put(b);
+        self.ports.put(b);
+    }
+    fn get(d: &mut Dec<'_>) -> DecResult<Self> {
+        let c = ChannelSpec {
+            name: d.get()?,
+            ports: d.get()?,
+        };
+        let total: u64 = c.ports.iter().map(|(_, w)| u64::from(w.get())).sum();
+        if total > u64::from(MAX_WIDTH) {
+            return Err(format!("channel `{}` is {total} bits wide", c.name));
+        }
+        Ok(c)
+    }
 }
 
 impl ChannelSpec {

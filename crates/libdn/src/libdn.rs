@@ -16,34 +16,38 @@
 use crate::channel::ChannelSpec;
 use crate::error::{LibdnError, Result};
 use crate::target::TargetModel;
-use fireaxe_ir::Bits;
+use fireaxe_ir::{Bits, Dec, DecResult, Wire};
 use std::collections::VecDeque;
 
 /// Default token queue capacity, matching FireSim's shallow channel
 /// depths.
 pub const DEFAULT_CHANNEL_CAPACITY: usize = 4;
 
-/// An output channel together with the input channels it combinationally
-/// depends on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OutputChannelSpec {
-    /// The channel itself.
-    pub channel: ChannelSpec,
-    /// Indices (into the LI-BDN's input channel list) of combinationally
-    /// connected input channels. Empty for *source* channels, which can
-    /// fire unconditionally — the paper's deadlock-freedom seed.
-    pub deps: Vec<usize>,
+fireaxe_ir::wire_struct! {
+    /// An output channel together with the input channels it combinationally
+    /// depends on.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct OutputChannelSpec {
+        /// The channel itself.
+        pub channel: ChannelSpec,
+        /// Indices (into the LI-BDN's input channel list) of combinationally
+        /// connected input channels. Empty for *source* channels, which can
+        /// fire unconditionally — the paper's deadlock-freedom seed.
+        pub deps: Vec<usize>,
+    }
 }
 
-/// Static description of an LI-BDN: its channels and their dependencies.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LiBdnSpec {
-    /// Name (used in reports).
-    pub name: String,
-    /// Input channels.
-    pub inputs: Vec<ChannelSpec>,
-    /// Output channels with dependency sets.
-    pub outputs: Vec<OutputChannelSpec>,
+fireaxe_ir::wire_struct! {
+    /// Static description of an LI-BDN: its channels and their dependencies.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct LiBdnSpec {
+        /// Name (used in reports).
+        pub name: String,
+        /// Input channels.
+        pub inputs: Vec<ChannelSpec>,
+        /// Output channels with dependency sets.
+        pub outputs: Vec<OutputChannelSpec>,
+    }
 }
 
 impl LiBdnSpec {
@@ -483,14 +487,14 @@ impl LiBdn {
     /// Returns `None` when the model cannot be snapshotted (see
     /// [`TargetModel::snapshot_bytes`]).
     pub fn snapshot_bytes(&self) -> Option<Vec<u8>> {
-        let mut enc = fireaxe_ir::StateEnc::new();
-        enc.u64(self.target_cycle);
-        enc.u64(self.host_cycles);
-        enc.item(&self.in_queues);
-        enc.item(&self.out_queues);
-        enc.item(&self.fired);
-        enc.bytes(&self.model.snapshot_bytes()?);
-        Some(enc.into_bytes())
+        let mut b = Vec::new();
+        self.target_cycle.put(&mut b);
+        self.host_cycles.put(&mut b);
+        self.in_queues.put(&mut b);
+        self.out_queues.put(&mut b);
+        self.fired.put(&mut b);
+        self.model.snapshot_bytes()?.put(&mut b);
+        Some(b)
     }
 
     /// Restores state captured by [`LiBdn::snapshot_bytes`]. Returns
@@ -498,30 +502,27 @@ impl LiBdn {
     /// channel shape, or the model rejects its sub-blob — queue/FSM
     /// state is left untouched in every rejection case.
     pub fn restore_bytes(&mut self, bytes: &[u8]) -> bool {
-        let mut dec = fireaxe_ir::StateDec::new(bytes);
-        let decoded = (|| {
-            let target_cycle = dec.u64()?;
-            let host_cycles = dec.u64()?;
-            let in_queues = dec.item::<Vec<VecDeque<Bits>>>()?;
-            let out_queues = dec.item::<Vec<VecDeque<Bits>>>()?;
-            let fired = dec.item::<Vec<bool>>()?;
-            let model = dec.bytes()?.to_vec();
-            dec.done().then_some((
-                target_cycle,
-                host_cycles,
-                in_queues,
-                out_queues,
-                fired,
-                model,
-            ))
+        type Queues = Vec<VecDeque<Bits>>;
+        let mut d = Dec::new(bytes);
+        let decoded = (|| -> DecResult<_> {
+            let v = (
+                d.get::<u64>()?,
+                d.get::<u64>()?,
+                d.get::<Queues>()?,
+                d.get::<Queues>()?,
+                d.get::<Vec<bool>>()?,
+                d.bytes()?,
+            );
+            d.finish()?;
+            Ok(v)
         })();
-        let Some((target_cycle, host_cycles, in_queues, out_queues, fired, model)) = decoded else {
+        let Ok((target_cycle, host_cycles, in_queues, out_queues, fired, model)) = decoded else {
             return false;
         };
         if in_queues.len() != self.in_queues.len()
             || out_queues.len() != self.out_queues.len()
             || fired.len() != self.fired.len()
-            || !self.model.restore_bytes(&model)
+            || !self.model.restore_bytes(model)
         {
             return false;
         }

@@ -373,8 +373,8 @@ fn noc_payloads() -> Vec<Vec<u8>> {
 }
 
 #[test]
-fn a_v9_hello_gets_protocol_mismatch_from_a_v10_worker() {
-    assert_eq!(PROTOCOL_VERSION, 10);
+fn a_v10_hello_gets_protocol_mismatch_from_a_v11_worker() {
+    assert_eq!(PROTOCOL_VERSION, 11);
     let listener = NetListener::bind("127.0.0.1:0").expect("worker bind");
     let addr = listener.local_addr_string();
     let worker = std::thread::spawn(move || fireaxe_net::serve(&listener, &setup_hook));
@@ -383,20 +383,20 @@ fn a_v9_hello_gets_protocol_mismatch_from_a_v10_worker() {
         &mut s,
         &Msg::Hello {
             magic: PROTOCOL_MAGIC,
-            version: 9,
+            version: 10,
             worker: 0,
         },
     )
     .expect("hello write");
     match read_msg(&mut s).expect("helloack read").expect("not EOF") {
-        Msg::HelloAck { version, .. } => assert_eq!(version, 10),
+        Msg::HelloAck { version, .. } => assert_eq!(version, 11),
         other => panic!("expected HelloAck, got {other:?}"),
     }
     match worker.join().expect("worker thread") {
         Err(SimError::ProtocolMismatch { ours, theirs, .. }) => {
-            assert_eq!((ours, theirs), (10, 9));
+            assert_eq!((ours, theirs), (11, 10));
         }
-        other => panic!("worker should refuse v9, got {other:?}"),
+        other => panic!("worker should refuse v10, got {other:?}"),
     }
 }
 

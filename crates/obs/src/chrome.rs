@@ -27,23 +27,25 @@ pub fn escape(s: &str, out: &mut String) {
     }
 }
 
-/// A trace event with an owned name: what cross-process trace merging
-/// ships over the wire (a [`TraceEvent`]'s `&'static str` name only
-/// exists in the recording process).
-#[derive(Debug, Clone, PartialEq)]
-pub struct OwnedTraceEvent {
-    /// Event name.
-    pub name: String,
-    /// Event kind.
-    pub kind: EventKind,
-    /// Host-time stamp, nanoseconds since the recording tracer's epoch.
-    pub host_ns: u64,
-    /// Virtual-time stamp, picoseconds (0 without a virtual clock).
-    pub virt_ps: u64,
-    /// Counter value (counters only).
-    pub value: f64,
-    /// Recording thread's dense tracer id within its process.
-    pub tid: u64,
+fireaxe_ir::wire_struct! {
+    /// A trace event with an owned name: what cross-process trace merging
+    /// ships over the wire (a [`TraceEvent`]'s `&'static str` name only
+    /// exists in the recording process).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct OwnedTraceEvent {
+        /// Event name.
+        pub name: String,
+        /// Event kind.
+        pub kind: EventKind,
+        /// Host-time stamp, nanoseconds since the recording tracer's epoch.
+        pub host_ns: u64,
+        /// Virtual-time stamp, picoseconds (0 without a virtual clock).
+        pub virt_ps: u64,
+        /// Counter value (counters only).
+        pub value: f64,
+        /// Recording thread's dense tracer id within its process.
+        pub tid: u64,
+    }
 }
 
 impl From<&TraceEvent> for OwnedTraceEvent {

@@ -45,6 +45,10 @@ pub enum EventKind {
     Counter,
 }
 
+fireaxe_ir::wire_enum!(EventKind, "event kind" {
+    0 => SpanBegin, 1 => SpanEnd, 2 => Instant, 3 => Counter,
+});
+
 /// One recorded event. Plain old data: recording never allocates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceEvent {

@@ -10,16 +10,18 @@
 
 use fireaxe_ir::Bits;
 
-/// One watched signal: a scope (typically the node name), the signal's
-/// hierarchical path inside the scope, and its width in bits.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VcdSignal {
-    /// Enclosing scope, e.g. the partition-thread (node) name.
-    pub scope: String,
-    /// Signal path within the scope.
-    pub name: String,
-    /// Width in bits.
-    pub width: u32,
+fireaxe_ir::wire_struct! {
+    /// One watched signal: a scope (typically the node name), the signal's
+    /// hierarchical path inside the scope, and its width in bits.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct VcdSignal {
+        /// Enclosing scope, e.g. the partition-thread (node) name.
+        pub scope: String,
+        /// Signal path within the scope.
+        pub name: String,
+        /// Width in bits.
+        pub width: u32,
+    }
 }
 
 /// Collects value changes and renders a VCD document.

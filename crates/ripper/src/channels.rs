@@ -48,22 +48,24 @@ pub struct NodeDesc<'a> {
     pub circuit: &'a Circuit,
 }
 
-/// A token link between two nodes' channels.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LinkSpec {
-    /// Sending node index (into the node list handed to
-    /// [`build_channels`]).
-    pub from_node: usize,
-    /// Output channel index on the sender.
-    pub from_chan: usize,
-    /// Receiving node index.
-    pub to_node: usize,
-    /// Input channel index on the receiver.
-    pub to_chan: usize,
-    /// Payload width in bits.
-    pub width: u64,
-    /// Fast-mode links are seeded with one initial token.
-    pub seeded: bool,
+fireaxe_ir::wire_struct! {
+    /// A token link between two nodes' channels.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct LinkSpec {
+        /// Sending node index (into the node list handed to
+        /// [`build_channels`]).
+        pub from_node: usize,
+        /// Output channel index on the sender.
+        pub from_chan: usize,
+        /// Receiving node index.
+        pub to_node: usize,
+        /// Input channel index on the receiver.
+        pub to_chan: usize,
+        /// Payload width in bits.
+        pub width: u64,
+        /// Fast-mode links are seeded with one initial token.
+        pub seeded: bool,
+    }
 }
 
 /// Result of channel construction for all nodes.

@@ -19,30 +19,34 @@ use fireaxe_libdn::LiBdnSpec;
 use fireaxe_obs::obs_span;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// One simulation thread: a circuit plus its LI-BDN channel structure.
-#[derive(Debug, Clone)]
-pub struct ThreadArtifact {
-    /// Display name (`<group>` or `<group>_t<i>` or `rest`).
-    pub name: String,
-    /// The thread's circuit; its top module is the boundary module.
-    pub circuit: Circuit,
-    /// Channel structure.
-    pub libdn: LiBdnSpec,
-    /// Indices of input channels fed by the environment.
-    pub env_inputs: Vec<usize>,
-    /// Indices of output channels drained by the environment.
-    pub env_outputs: Vec<usize>,
+fireaxe_ir::wire_struct! {
+    /// One simulation thread: a circuit plus its LI-BDN channel structure.
+    #[derive(Debug, Clone)]
+    pub struct ThreadArtifact {
+        /// Display name (`<group>` or `<group>_t<i>` or `rest`).
+        pub name: String,
+        /// The thread's circuit; its top module is the boundary module.
+        pub circuit: Circuit,
+        /// Channel structure.
+        pub libdn: LiBdnSpec,
+        /// Indices of input channels fed by the environment.
+        pub env_inputs: Vec<usize>,
+        /// Indices of output channels drained by the environment.
+        pub env_outputs: Vec<usize>,
+    }
 }
 
-/// One partition (one FPGA's worth of design).
-#[derive(Debug, Clone)]
-pub struct PartitionArtifact {
-    /// Group name (or `rest` for the remainder).
-    pub name: String,
-    /// Threads: one normally, N under FAME-5.
-    pub threads: Vec<ThreadArtifact>,
-    /// Whether the threads are FAME-5 multiplexed on one host.
-    pub fame5: bool,
+fireaxe_ir::wire_struct! {
+    /// One partition (one FPGA's worth of design).
+    #[derive(Debug, Clone)]
+    pub struct PartitionArtifact {
+        /// Group name (or `rest` for the remainder).
+        pub name: String,
+        /// Threads: one normally, N under FAME-5.
+        pub threads: Vec<ThreadArtifact>,
+        /// Whether the threads are FAME-5 multiplexed on one host.
+        pub fame5: bool,
+    }
 }
 
 /// Quick feedback FireRipper gives the user about the partition (paper:

@@ -19,6 +19,8 @@ pub enum PartitionMode {
     Fast,
 }
 
+fireaxe_ir::wire_enum!(PartitionMode, "partition mode" { 0 => Exact, 1 => Fast });
+
 impl std::fmt::Display for PartitionMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -40,6 +42,8 @@ pub enum ChannelPolicy {
     Monolithic,
 }
 
+fireaxe_ir::wire_enum!(ChannelPolicy, "channel policy" { 0 => Separated, 1 => Monolithic });
+
 /// How a group's modules are selected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Selection {
@@ -57,6 +61,11 @@ pub enum Selection {
     },
 }
 
+fireaxe_ir::wire_enum!(Selection, "selection tag" {
+    0 => Instances(paths: Vec<String>),
+    1 => NocRouters { routers: Vec<String>, indices: Vec<usize> },
+});
+
 /// One extracted partition (one FPGA's worth of target design).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionGroup {
@@ -68,6 +77,10 @@ pub struct PartitionGroup {
     /// (paper §VI-B). Requires the group to consist of N independent
     /// instances of one module.
     pub fame5: bool,
+}
+
+fireaxe_ir::wire_struct! {
+    PartitionGroup { name: String, fame5: bool, selection: Selection }
 }
 
 impl PartitionGroup {
@@ -87,15 +100,17 @@ impl PartitionGroup {
     }
 }
 
-/// The complete user input to FireRipper.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionSpec {
-    /// Partitioning mode.
-    pub mode: PartitionMode,
-    /// Channel aggregation policy.
-    pub channel_policy: ChannelPolicy,
-    /// Extracted groups; the remainder is implicit.
-    pub groups: Vec<PartitionGroup>,
+fireaxe_ir::wire_struct! {
+    /// The complete user input to FireRipper.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct PartitionSpec {
+        /// Partitioning mode.
+        pub mode: PartitionMode,
+        /// Channel aggregation policy.
+        pub channel_policy: ChannelPolicy,
+        /// Extracted groups; the remainder is implicit.
+        pub groups: Vec<PartitionGroup>,
+    }
 }
 
 impl PartitionSpec {

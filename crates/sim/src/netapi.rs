@@ -14,28 +14,30 @@ use fireaxe_ir::Bits;
 use fireaxe_obs::VcdSignal;
 use fireaxe_ripper::{LinkSpec, PartitionArtifact, PartitionedDesign};
 
-/// One partition of a compiled cut plus the cut-wide tables every
-/// process indexes by: what a net worker builds from, one per partition
-/// it hosts (see
-/// [`SimBuilder::for_partitions`](crate::SimBuilder::for_partitions)).
-/// The other partitions' nodes appear by name and partition only.
-#[derive(Debug, Clone)]
-pub struct PartitionCut {
-    /// The partition this process builds.
-    pub partition: usize,
-    /// Its threads: circuits, LI-BDN specs, environment channels.
-    pub artifact: PartitionArtifact,
-    /// Every node of the cut in flat order: `(name, partition)`.
-    pub nodes: Vec<(String, usize)>,
-    /// The cut's link table, in flat node indices.
-    pub links: Vec<LinkSpec>,
-    /// The global VCD signal table (empty when waveforms are off).
-    pub vcd_signals: Vec<VcdSignal>,
-    /// `(link, token)`: the fast-mode seed of every seeded link into this
-    /// partition whose producer lives in another one. A build of several
-    /// partitions uses only the seeds whose producer lies outside the
-    /// set; it samples the others from the producer it built.
-    pub seeds: Vec<(usize, Bits)>,
+fireaxe_ir::wire_struct! {
+    /// One partition of a compiled cut plus the cut-wide tables every
+    /// process indexes by: what a net worker builds from, one per partition
+    /// it hosts (see
+    /// [`SimBuilder::for_partitions`](crate::SimBuilder::for_partitions)).
+    /// The other partitions' nodes appear by name and partition only.
+    #[derive(Debug, Clone)]
+    pub struct PartitionCut {
+        /// The partition this process builds.
+        pub partition: usize,
+        /// Its threads: circuits, LI-BDN specs, environment channels.
+        pub artifact: PartitionArtifact,
+        /// Every node of the cut in flat order: `(name, partition)`.
+        pub nodes: Vec<(String, usize)>,
+        /// The cut's link table, in flat node indices.
+        pub links: Vec<LinkSpec>,
+        /// The global VCD signal table (empty when waveforms are off).
+        pub vcd_signals: Vec<VcdSignal>,
+        /// `(link, token)`: the fast-mode seed of every seeded link into this
+        /// partition whose producer lives in another one. A build of several
+        /// partitions uses only the seeds whose producer lies outside the
+        /// set; it samples the others from the producer it built.
+        pub seeds: Vec<(usize, Bits)>,
+    }
 }
 
 impl PartitionCut {

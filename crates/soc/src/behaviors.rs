@@ -11,7 +11,7 @@
 //! All models are deterministic: traffic patterns come from a small LCG
 //! seeded by configuration, never from wall-clock or global RNG state.
 
-use fireaxe_ir::{state_fields, Bits, ExternBehavior, PortWriter, StateDec, StateEnc, StateItem};
+use fireaxe_ir::{state_fields, Bits, Dec, DecResult, ExternBehavior, PortWriter, Wire};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Parses `name?k=v&k=v` keys.
@@ -106,23 +106,13 @@ impl Lcg {
     }
 }
 
-impl StateItem for Lcg {
-    fn put(&self, enc: &mut StateEnc) {
-        enc.u64(self.0);
+impl Wire for Lcg {
+    const MIN: usize = 8;
+    fn put(&self, b: &mut Vec<u8>) {
+        self.0.put(b);
     }
-    fn take(dec: &mut StateDec) -> Option<Self> {
-        Some(Lcg(dec.u64()?))
-    }
-}
-
-impl StateItem for FlitLayout {
-    fn put(&self, enc: &mut StateEnc) {
-        enc.u32(self.payload_bits);
-    }
-    fn take(dec: &mut StateDec) -> Option<Self> {
-        Some(FlitLayout {
-            payload_bits: dec.u32()?,
-        })
+    fn get(d: &mut Dec<'_>) -> DecResult<Self> {
+        d.get().map(Lcg)
     }
 }
 
@@ -360,13 +350,15 @@ impl ExternBehavior for MemSysModel {
     }
 }
 
-/// Flit layout used by tiles, the NoC and the subsystem: `{valid(1),
-/// dest(6), src(6), kind(2), payload(P)}` packed LSB-first as
-/// `payload | kind | src | dest | valid`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlitLayout {
-    /// Payload width in bits.
-    pub payload_bits: u32,
+fireaxe_ir::wire_struct! {
+    /// Flit layout used by tiles, the NoC and the subsystem: `{valid(1),
+    /// dest(6), src(6), kind(2), payload(P)}` packed LSB-first as
+    /// `payload | kind | src | dest | valid`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct FlitLayout {
+        /// Payload width in bits.
+        pub payload_bits: u32,
+    }
 }
 
 /// Flit `kind` values.

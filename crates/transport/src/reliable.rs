@@ -20,24 +20,26 @@
 
 use crate::fault::{Fault, FaultEvent, FaultPlan};
 use crate::TransportError;
-use fireaxe_ir::Bits;
+use fireaxe_ir::{Bits, Dec, DecResult, Wire};
 use std::collections::VecDeque;
 
 /// Bits of framing overhead (sequence number + CRC) charged per token
 /// when the reliability layer is active.
 pub const FRAME_HEADER_BITS: u64 = 96;
 
-/// Retry/backoff knobs for the reliability protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retransmissions allowed per frame before declaring the link down
-    /// (so a frame is sent at most `max_retries + 1` times).
-    pub max_retries: u32,
-    /// Base retransmit timeout. The threaded backend counts it in service
-    /// passes; the DES backend converts it to virtual time at the
-    /// sender's host clock. Doubles on every consecutive timeout of the
-    /// same frame.
-    pub timeout_cycles: u64,
+fireaxe_ir::wire_struct! {
+    /// Retry/backoff knobs for the reliability protocol.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct RetryPolicy {
+        /// Retransmissions allowed per frame before declaring the link down
+        /// (so a frame is sent at most `max_retries + 1` times).
+        pub max_retries: u32,
+        /// Base retransmit timeout. The threaded backend counts it in service
+        /// passes; the DES backend converts it to virtual time at the
+        /// sender's host clock. Doubles on every consecutive timeout of the
+        /// same frame.
+        pub timeout_cycles: u64,
+    }
 }
 
 impl Default for RetryPolicy {
@@ -140,21 +142,10 @@ impl Frame {
         crc32(&self.payload) == self.crc
     }
 
-    /// Appends this frame's byte-stream encoding to `out`.
-    ///
-    /// This is the framing the distributed backend (`fireaxe-net`) puts
-    /// on real sockets: header fields big-endian (`seq`, `crc`,
-    /// `delay_quanta`), then the payload as an explicit bit width
-    /// followed by its little-endian 64-bit words. The encoding is
-    /// self-delimiting, so frames can be embedded mid-message.
+    /// Appends this frame's byte-stream encoding to `out`: its
+    /// [`Wire`] layout.
     pub fn encode_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&self.crc.to_be_bytes());
-        out.extend_from_slice(&self.delay_quanta.to_be_bytes());
-        out.extend_from_slice(&self.payload.width().get().to_be_bytes());
-        for w in self.payload.as_words() {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
+        self.put(out);
     }
 
     /// Decodes one frame from `buf` starting at `*pos`, advancing `*pos`
@@ -163,45 +154,38 @@ impl Frame {
     /// # Errors
     ///
     /// A description of the malformed region when the buffer is
-    /// truncated or the payload width is implausible (> 2^20 bits, a
-    /// corrupted-stream guard far above any boundary channel).
+    /// truncated, the payload width is implausible (> 2^20 bits, a
+    /// corrupted-stream guard far above any boundary channel), or bits
+    /// are set above it.
     pub fn decode_bytes(buf: &[u8], pos: &mut usize) -> Result<Frame, String> {
-        fn take<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N], String> {
-            let end = pos
-                .checked_add(N)
-                .filter(|&e| e <= buf.len())
-                .ok_or_else(|| format!("frame truncated at byte {pos}"))?;
-            let mut a = [0u8; N];
-            a.copy_from_slice(&buf[*pos..end]);
-            *pos = end;
-            Ok(a)
-        }
-        let seq = u64::from_be_bytes(take::<8>(buf, pos)?);
-        let crc = u32::from_be_bytes(take::<4>(buf, pos)?);
-        let delay_quanta = u32::from_be_bytes(take::<4>(buf, pos)?);
-        let width = u32::from_be_bytes(take::<4>(buf, pos)?);
-        if width > (1 << 20) {
-            return Err(format!("implausible payload width {width} bits"));
-        }
-        let n_words = usize::try_from(width.div_ceil(64)).expect("bounded");
-        let mut words = Vec::with_capacity(n_words);
-        for _ in 0..n_words {
-            words.push(u64::from_le_bytes(take::<8>(buf, pos)?));
-        }
-        // Reject stray bits above the declared width: a well-formed
-        // encoder masks them, so set bits there mean stream corruption.
-        if width % 64 != 0 {
-            if let Some(top) = words.last() {
-                if *top >> (width % 64) != 0 {
-                    return Err(format!("padding bits set above width {width}"));
-                }
-            }
-        }
+        let mut d = Dec::new(buf.get(*pos..).unwrap_or_default());
+        let frame = Frame::get(&mut d)?;
+        *pos += d.position();
+        Ok(frame)
+    }
+}
+
+/// The framing the distributed backend (`fireaxe-net`) puts on real
+/// sockets, self-delimiting so frames can be embedded mid-message:
+/// `seq`, `crc` and `delay_quanta`, then the payload as [`Bits`]. A
+/// token may be zero-width, so the payload is read as one even inside a
+/// message that refuses zero-width values.
+impl Wire for Frame {
+    const MIN: usize = 8 + 4 + 4 + <Bits as Wire>::MIN;
+    #[inline]
+    fn put(&self, b: &mut Vec<u8>) {
+        self.seq.put(b);
+        self.crc.put(b);
+        self.delay_quanta.put(b);
+        self.payload.put(b);
+    }
+    #[inline]
+    fn get(d: &mut Dec<'_>) -> DecResult<Self> {
         Ok(Frame {
-            seq,
-            crc,
-            delay_quanta,
-            payload: Bits::from_words(&words, width),
+            seq: d.get()?,
+            crc: d.get()?,
+            delay_quanta: d.get()?,
+            payload: d.bits(true)?,
         })
     }
 }
