@@ -10,7 +10,9 @@
 //! final `ExecStats` triple, the top-level `state_digest` and the FNV-1a
 //! of `snapshot_bytes` against values frozen from the tree this suite was
 //! written against (the one whose slots were all heap-backed `Bits` and
-//! whose narrow programs read them through per-operand source tags). On
+//! whose narrow programs read them through per-operand source tags). The
+//! snapshot digests were re-frozen when state blobs moved to the shared
+//! codec's `u32` length prefixes; the other four columns did not move. On
 //! a mismatch the test prints the row it got in source form.
 
 use fireaxe::ir::parser::parse_circuit;
@@ -124,7 +126,7 @@ fn noc_ring_4() {
             399_952,
             128_224,
             0x8bb1_4c40_7f04_6225,
-            0xdb15_4ddb_10c2_0c86,
+            0xf474_44a1_c228_0f66,
         ),
     );
 }
@@ -156,7 +158,7 @@ fn ring32() {
             1_894_234,
             3_387_174,
             0x1202_9d7d_7cd4_32a8,
-            0x1d9b_2c24_ea16_d233,
+            0x6286_79cf_8755_cf03,
         ),
     );
 }
@@ -185,7 +187,7 @@ fn soc24_monolithic() {
             453_338,
             2_049_913,
             0x4824_dd56_aa4e_da28,
-            0x3db4_13b7_5433_5788,
+            0x0430_7ffb_675a_3b45,
         ),
     );
 }
@@ -212,7 +214,7 @@ fn rocket_to_done() {
             12_492,
             205_572,
             0x581c_d0fa_58d9_9645,
-            0xeb1d_797b_0799_3bcc,
+            0xcc54_cab0_507d_459c,
         ),
     );
 }
