@@ -8,6 +8,12 @@
 //! workload, and compares every elaborated signal, memory contents, and
 //! the FNV state digest per lane after every settle — plus per-lane
 //! snapshot/restore round trips.
+//!
+//! The `lockstep_*` cases drive fixed designs through the writes a
+//! work-skipping scheduler must not miss: a poke between `eval` and
+//! `tick`, a long idle stretch ended by a poke, memory writes under a
+//! held read address, `restore_lane` mid-run, a coalesced extern forking
+//! mid-run, and two settles without a latch.
 
 use fireaxe_ir::build::{ModuleBuilder, Sig};
 use fireaxe_ir::slice::{ScalarReason, SliceUnit};
@@ -695,6 +701,415 @@ fn memory_port_kernels_match_reference_at_the_corners() {
         }
         sliced.tick();
     }
+}
+
+/// A sliced batch and one independent reference run per lane, driven in
+/// lock step: every poke, settle and latch goes to both, and
+/// [`Lockstep::check`] compares every signal, every memory entry and the
+/// state digest of every lane. The cases below hold the engine to the
+/// reference at the points where a scheduler that skips work could fall
+/// behind: writes from outside the settle sweep, long idle stretches,
+/// lane restores and extern forks.
+struct Lockstep {
+    sliced: SlicedInterpreter,
+    refs: Vec<Interpreter>,
+    paths: Vec<String>,
+    lanes: u32,
+}
+
+impl Lockstep {
+    fn new(circuit: &Circuit, lanes: u32, xacc: bool) -> Self {
+        let mut sliced = SlicedInterpreter::new(circuit, lanes).unwrap();
+        let mut refs: Vec<Interpreter> = (0..lanes)
+            .map(|_| Interpreter::with_engine(circuit, ExecEngine::Reference).unwrap())
+            .collect();
+        if xacc {
+            sliced
+                .bind_behavior_with("xa", |_lane| Box::new(XorAcc::default()))
+                .unwrap();
+            for r in &mut refs {
+                r.bind_behavior("xa", Box::new(XorAcc::default())).unwrap();
+            }
+        }
+        sliced.reset();
+        for r in &mut refs {
+            r.reset();
+        }
+        let paths = refs[0].signal_paths();
+        Lockstep {
+            sliced,
+            refs,
+            paths,
+            lanes,
+        }
+    }
+
+    fn poke(&mut self, lane: u32, name: &str, value: u64) {
+        self.sliced.poke_u64(lane, name, value).unwrap();
+        self.refs[lane as usize].poke_u64(name, value).unwrap();
+    }
+
+    /// Drives `name` on every lane through the transposed all-lane poke.
+    fn poke_lanes(&mut self, name: &str, value: impl Fn(u32) -> u64) {
+        let values: Vec<u64> = (0..self.lanes).map(&value).collect();
+        self.sliced.poke_lanes_u64(name, &values);
+        for (r, v) in self.refs.iter_mut().zip(&values) {
+            r.poke_u64(name, *v).unwrap();
+        }
+    }
+
+    fn eval(&mut self) {
+        self.sliced.eval().unwrap();
+        for r in &mut self.refs {
+            r.eval().unwrap();
+        }
+    }
+
+    fn tick(&mut self) {
+        self.sliced.tick();
+        for r in &mut self.refs {
+            r.tick();
+        }
+    }
+
+    fn check(&self, at: &str) {
+        assert_eq!(self.sliced.cycle(), self.refs[0].cycle(), "cycle at {at}");
+        for (lane, gold) in self.refs.iter().enumerate() {
+            compare_lane(0, at, lane as u32, &self.paths, &self.sliced, gold);
+            compare_lane_mems(0, at, lane as u32, &self.sliced, gold);
+        }
+    }
+}
+
+/// A register that adds an input it reads directly, one that latches a
+/// product of that input through a node (so it latches whatever the last
+/// settle left there), a wide register and a scalarized one.
+fn latch_circuit() -> Circuit {
+    let mut mb = ModuleBuilder::new("Latch");
+    let a = mb.input("a", 16);
+    let b = mb.input("b", 70);
+    let n = mb.node("n", &a.mul(&Sig::lit(3, 16)));
+    let q = mb.node(
+        "q",
+        &Sig::from_expr(Expr::Binary(
+            BinOp::Div,
+            Box::new(a.expr().clone()),
+            Box::new(a.bits(3, 0).or(&Sig::lit(1, 4)).expr().clone()),
+        )),
+    );
+    let direct = mb.reg("direct", 16, 1);
+    mb.connect_sig(&direct, &direct.add(&a));
+    let via_node = mb.reg("via_node", 16, 2);
+    mb.connect_sig(&via_node, &n);
+    let wide = mb.reg("wide", 70, 3);
+    mb.connect_sig(&wide, &wide.xor(&b).add(&a.resize(70)));
+    let slow = mb.reg("slow", 16, 4);
+    mb.connect_sig(
+        &slow,
+        &Sig::from_expr(Expr::Binary(
+            BinOp::Rem,
+            Box::new(slow.add(&a).expr().clone()),
+            Box::new(Sig::lit(1000, 16).expr().clone()),
+        )),
+    );
+    let o = mb.output("o", 16);
+    mb.connect_sig(&o, &direct.xor(&via_node).xor(&q));
+    let ow = mb.output("ow", 70);
+    mb.connect_sig(&ow, &wide);
+    Circuit::from_modules("Latch", vec![mb.finish()], "Latch")
+}
+
+/// An input poked between `eval` and `tick` reaches every register that
+/// reads it directly at that tick — and only those: a register behind a
+/// node latches the value the last settle computed.
+#[test]
+fn lockstep_poke_between_eval_and_tick() {
+    let mut ls = Lockstep::new(&latch_circuit(), 7, false);
+    let fell: Vec<_> = ls
+        .sliced
+        .coverage()
+        .scalarized
+        .iter()
+        .map(|s| s.unit)
+        .collect();
+    assert_eq!(fell, [SliceUnit::Def, SliceUnit::RegNext]);
+    let mut rng = Rng(0x5EED_0001);
+    for c in 0..40u64 {
+        for lane in 0..ls.lanes {
+            let v = rng.below(1 << 16);
+            ls.poke(lane, "a", v);
+        }
+        ls.poke_lanes("b", |lane| (u64::from(lane) * 0x9E37) ^ c);
+        ls.eval();
+        ls.check(&format!("cycle {c} settled"));
+        // Re-poke after the settle: some lanes move, some keep the value
+        // they just settled with, and every third cycle none move.
+        if c % 3 != 0 {
+            for lane in (0..ls.lanes).filter(|l| (l + c as u32).is_multiple_of(2)) {
+                let v = rng.below(1 << 16);
+                ls.poke(lane, "a", v);
+            }
+        }
+        ls.tick();
+        ls.check(&format!("cycle {c} latched"));
+    }
+    ls.eval();
+    ls.check("final");
+}
+
+/// A sequencer that sits idle (its registers hold) until `go` is poked,
+/// with a scalarized divide, an inexact mux and a wide node on the
+/// woken path.
+fn idle_circuit() -> Circuit {
+    let mut mb = ModuleBuilder::new("Idle");
+    let go = mb.input("go", 1);
+    let k = mb.input("k", 8);
+    let cnt = mb.reg("cnt", 16, 0);
+    mb.connect_sig(&cnt, &go.mux(&cnt.add(&k.resize(16)), &cnt));
+    let d = mb.node(
+        "d",
+        &Sig::from_expr(Expr::Binary(
+            BinOp::Div,
+            Box::new(cnt.expr().clone()),
+            Box::new(k.or(&Sig::lit(1, 8)).expr().clone()),
+        )),
+    );
+    // Arms of different widths: the slot's width follows `go` at run
+    // time, so it and its readers scalarize per lane.
+    let mm = mb.node("mm", &go.mux(&cnt, &k));
+    let wide = mb.node("wide", &cnt.cat(&d).cat(&cnt.not()).resize(100));
+    let acc = mb.reg("acc", 100, 7);
+    mb.connect_sig(&acc, &go.mux(&acc.xor(&wide).shl(1), &acc));
+    let seen = mb.reg("seen", 1, 0);
+    mb.connect_sig(&seen, &seen.or(&go));
+    let o = mb.output("o", 16);
+    mb.connect_sig(&o, &d.xor(&mm.resize(16)));
+    let ow = mb.output("ow", 100);
+    mb.connect_sig(&ow, &acc);
+    let os = mb.output("os", 1);
+    mb.connect_sig(&os, &seen);
+    Circuit::from_modules("Idle", vec![mb.finish()], "Idle")
+}
+
+/// Hundreds of idle cycles (nothing moves, so a scheduler may skip every
+/// kernel), then a poke wakes some lanes, then they fall idle again.
+#[test]
+fn lockstep_idle_design_woken_by_a_poke() {
+    let lanes = 64;
+    let mut ls = Lockstep::new(&idle_circuit(), lanes, false);
+    let reasons: Vec<_> = ls
+        .sliced
+        .coverage()
+        .scalarized
+        .iter()
+        .map(|s| s.reason)
+        .collect();
+    assert!(reasons.contains(&ScalarReason::DivRem), "{reasons:?}");
+    assert!(reasons.contains(&ScalarReason::InexactSlot), "{reasons:?}");
+    ls.poke_lanes("k", |lane| (u64::from(lane) * 7 + 3) & 0xFF);
+    for c in 0..300u64 {
+        ls.eval();
+        if c % 50 == 0 {
+            ls.check(&format!("idle cycle {c}"));
+        }
+        ls.tick();
+    }
+    ls.eval();
+    ls.check("end of idle");
+    // Wake every fifth lane for 20 cycles.
+    for lane in (0..lanes).step_by(5) {
+        ls.poke(lane, "go", 1);
+    }
+    for c in 0..20 {
+        ls.eval();
+        ls.check(&format!("woken cycle {c}"));
+        ls.tick();
+    }
+    ls.poke_lanes("go", |_| 0);
+    for c in 0..200 {
+        ls.eval();
+        if c % 40 == 0 {
+            ls.check(&format!("idle again {c}"));
+        }
+        ls.tick();
+    }
+    // One lane wakes for a single cycle.
+    ls.poke(63, "go", 1);
+    ls.eval();
+    ls.check("one lane woken");
+    ls.tick();
+    ls.poke(63, "go", 0);
+    ls.eval();
+    ls.check("one lane back to idle");
+}
+
+/// A memory whose read address holds still while writes land under it.
+fn mem_hold_circuit() -> Circuit {
+    let mut mb = ModuleBuilder::new("MemHold");
+    let ra = mb.input("ra", 3);
+    let wa = mb.input("wa", 3);
+    let wd = mb.input("wd", 16);
+    let we = mb.input("we", 1);
+    let m = mb.mem("m", 16, 8);
+    let rd = mb.mem_read("rd", &m, &ra);
+    mb.mem_write(&m, &wa, &wd, &we);
+    let w = mb.mem("w", 80, 6);
+    // The wide memory's read address is a register that never moves.
+    let wra = mb.reg("wra", 3, 2);
+    mb.connect_sig(&wra, &wra);
+    let wrd = mb.mem_read("wrd", &w, &wra);
+    mb.mem_write(&w, &wa, &wd.cat(&wd).cat(&wd).resize(80), &we);
+    let acc = mb.reg("acc", 16, 0);
+    mb.connect_sig(&acc, &acc.add(&rd));
+    let o = mb.output("o", 16);
+    mb.connect_sig(&o, &rd);
+    let ow = mb.output("ow", 80);
+    mb.connect_sig(&ow, &wrd);
+    Circuit::from_modules("MemHold", vec![mb.finish()], "MemHold")
+}
+
+#[test]
+fn lockstep_memory_written_under_a_held_read_address() {
+    let lanes = 9;
+    let mut ls = Lockstep::new(&mem_hold_circuit(), lanes, false);
+    ls.poke_lanes("ra", |lane| u64::from(lane % 3) + 1);
+    let mut rng = Rng(0x5EED_0003);
+    for c in 0..80u64 {
+        // Writes aim at the held address half the time.
+        for lane in 0..lanes {
+            let wa = if rng.coin(2) {
+                u64::from(lane % 3) + 1
+            } else {
+                rng.below(8)
+            };
+            ls.poke(lane, "wa", wa);
+            let wd = rng.below(1 << 16);
+            ls.poke(lane, "wd", wd);
+            let we = u64::from(c % 4 != 3 && rng.coin(2));
+            ls.poke(lane, "we", we);
+        }
+        ls.eval();
+        ls.check(&format!("cycle {c}"));
+        ls.tick();
+    }
+    ls.eval();
+    ls.check("final");
+}
+
+/// Restoring one lane mid-run (with another lane's same-cycle state)
+/// while the rest of the batch sits idle.
+#[test]
+fn lockstep_restore_lane_mid_run() {
+    let lanes = 16;
+    let mut ls = Lockstep::new(&idle_circuit(), lanes, false);
+    ls.poke_lanes("k", |lane| u64::from(lane) + 1);
+    ls.poke(5, "go", 1);
+    for c in 0..30 {
+        ls.eval();
+        ls.check(&format!("cycle {c}"));
+        ls.tick();
+    }
+    ls.poke(5, "go", 0);
+    for _ in 0..30 {
+        ls.eval();
+        ls.tick();
+    }
+    ls.eval();
+    ls.check("idle before restore");
+    // Lane 3 takes lane 5's state, settled or not.
+    let blob = ls.refs[5].snapshot_bytes().expect("no externs");
+    assert!(ls.sliced.restore_lane(3, &blob));
+    assert!(ls.refs[3].restore_snapshot_bytes(&blob));
+    ls.check("restored, before settle");
+    for c in 0..10 {
+        ls.eval();
+        ls.check(&format!("after restore {c}"));
+        ls.tick();
+    }
+    // Then a restore between `eval` and `tick`, from a lane that is
+    // counting.
+    ls.poke(9, "go", 1);
+    ls.eval();
+    ls.tick();
+    ls.eval();
+    let blob = ls.refs[9].snapshot_bytes().expect("no externs");
+    assert!(ls.sliced.restore_lane(0, &blob));
+    assert!(ls.refs[0].restore_snapshot_bytes(&blob));
+    ls.tick();
+    for c in 0..10 {
+        ls.eval();
+        ls.check(&format!("after second restore {c}"));
+        ls.tick();
+    }
+}
+
+/// A coalesced extern: identical lanes share one model call until a
+/// divergent poke — here between `eval` and `tick`, so the fork happens
+/// in the latch — splits them mid-run.
+#[test]
+fn lockstep_coalesced_extern_forks_mid_run() {
+    let mut mb = ModuleBuilder::new("Top");
+    let a = mb.input("a", 16);
+    let inst = mb.inst("xa", "XAcc");
+    mb.connect_inst(&inst, "x", &a);
+    let iy = mb.inst_port(&inst, "y");
+    let is = mb.inst_port(&inst, "s");
+    let r = mb.reg("r", 16, 0);
+    mb.connect_sig(&r, &r.xor(&iy));
+    let y = mb.output("y", 16);
+    mb.connect_sig(&y, &iy.add(&r));
+    let s = mb.output("s", 16);
+    mb.connect_sig(&s, &is);
+    let circuit = Circuit::from_modules("Top", vec![mb.finish(), xacc_module()], "Top");
+
+    let lanes = 12;
+    let mut ls = Lockstep::new(&circuit, lanes, true);
+    // Uniform phase, with the input held for stretches.
+    for c in 0..30u64 {
+        ls.poke_lanes("a", |_| 0x1234 ^ (c / 7));
+        ls.eval();
+        ls.check(&format!("coalesced cycle {c}"));
+        ls.tick();
+    }
+    // Divergent poke after the settle: the tick must fork.
+    ls.poke_lanes("a", |_| 0x4321);
+    ls.eval();
+    ls.poke(7, "a", 0xBEEF);
+    ls.tick();
+    ls.check("forked in the latch");
+    for c in 0..30u64 {
+        ls.poke_lanes("a", |lane| u64::from(lane) * (c / 5 + 1));
+        ls.eval();
+        ls.check(&format!("forked cycle {c}"));
+        ls.tick();
+    }
+    ls.eval();
+    ls.check("final");
+}
+
+/// Two settles without a latch between them (with and without a poke in
+/// between) leave exactly what one settle of the last inputs leaves.
+#[test]
+fn lockstep_two_evals_without_a_tick() {
+    let mut ls = Lockstep::new(&latch_circuit(), 5, false);
+    let mut rng = Rng(0x5EED_0006);
+    for c in 0..30u64 {
+        for lane in 0..ls.lanes {
+            let v = rng.below(1 << 16);
+            ls.poke(lane, "a", v);
+        }
+        ls.eval();
+        ls.eval();
+        ls.check(&format!("cycle {c} settled twice"));
+        if c % 2 == 0 {
+            ls.poke(c as u32 % 5, "a", rng.below(1 << 16));
+            ls.eval();
+            ls.check(&format!("cycle {c} re-poked and settled"));
+        }
+        ls.tick();
+    }
+    ls.eval();
+    ls.check("final");
 }
 
 proptest! {
