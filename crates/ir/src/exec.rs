@@ -42,13 +42,16 @@
 //!   writes mark their readers when they commit. Extern combinational
 //!   programs are never skipped (models may be stateful), and
 //!   multi-writer slots force their writers to always run, so call counts
-//!   and settle order match the reference engine exactly.
+//!   and settle order match the reference engine exactly. The rows and
+//!   the forced-writer rule are shared with the bit-sliced engine, which
+//!   follows the same scheduling rules over planes.
 //!
 //! The tree-walking evaluator remains the golden model: the compiled
 //! engine is validated bit-for-bit against it by differential proptests.
 
 use crate::ast::BinOp;
 use crate::bits::{low_mask as mask, Bits};
+use crate::dirty::{Csr, SlotWriters};
 use crate::error::Result;
 use crate::interp::{run_extern_comb, CExpr, DefKind, Interpreter};
 use std::collections::HashMap;
@@ -79,9 +82,9 @@ pub struct ExecStats {
     pub settle_passes: u64,
     /// Definitions executed across all settle passes.
     pub defs_run: u64,
-    /// Definitions the dirty-set scheduler skipped (compiled engine
-    /// only; always 0 on the reference engine, which sweeps the full
-    /// schedule).
+    /// Definitions the dirty-set scheduler skipped (compiled and
+    /// bit-sliced engines; always 0 on the reference engine, which
+    /// sweeps the full schedule).
     pub defs_skipped: u64,
 }
 
@@ -350,35 +353,6 @@ enum Latch {
 enum PendVal {
     N(u64),
     W(Bits),
-}
-
-/// Compressed rows: row `i` is `idx[off[i]..off[i + 1]]`.
-#[derive(Debug)]
-struct Csr {
-    off: Vec<u32>,
-    idx: Vec<u32>,
-}
-
-impl Csr {
-    fn new(rows: &[Vec<u32>]) -> Csr {
-        let mut off = Vec::with_capacity(rows.len() + 1);
-        off.push(0);
-        for r in rows {
-            off.push(off[off.len() - 1] + r.len() as u32);
-        }
-        Csr {
-            off,
-            idx: rows.concat(),
-        }
-    }
-
-    /// Marks every position in row `i` dirty.
-    #[inline]
-    fn mark(&self, i: usize, dirty: &mut [bool]) {
-        for &p in &self.idx[self.off[i] as usize..self.off[i + 1] as usize] {
-            dirty[p as usize] = true;
-        }
-    }
 }
 
 /// Port-connection copies folded out of the program list.
@@ -774,33 +748,14 @@ impl Tape {
             .map(|s| exact[s] && slot_widths[s] <= 64)
             .collect();
 
-        // Writer counts identify multi-writer slots (their writers must
-        // always run so last-writer-wins settle order is preserved).
-        let mut writer_count = vec![0u32; n_slots];
-        for d in &interp.defs {
-            for &w in &d.writes {
-                writer_count[w] += 1;
-            }
-        }
-
-        // Externally written slots: top inputs (poke), register slots
-        // (tick commit), extern source outputs (publish). If any of them
-        // *also* has a writer definition, that definition must always run
-        // or a poke could stick where the reference engine would
-        // overwrite it.
-        let mut ext_written = vec![false; n_slots];
+        // Multi-writer slots and slots also written from outside the
+        // sweep (top inputs, registers, extern source outputs) force
+        // their writers to run every pass.
+        let writers = SlotWriters::new(interp);
+        let (writer_count, ext_written) = (&writers.count, &writers.external);
         let mut is_reg = vec![false; n_slots];
-        for (_, s) in &interp.top_inputs {
-            ext_written[*s] = true;
-        }
         for r in &interp.regs {
-            ext_written[r.slot] = true;
             is_reg[r.slot] = true;
-        }
-        for e in &interp.externs {
-            for (_, s) in &e.source_output_slots {
-                ext_written[*s] = true;
-            }
         }
 
         // The constant pool sits between the slots and the temporaries,
@@ -847,10 +802,7 @@ impl Tape {
 
         for (pos, &di) in interp.schedule.iter().enumerate() {
             let def = &interp.defs[di];
-            let forced = def
-                .writes
-                .iter()
-                .any(|&w| writer_count[w] > 1 || ext_written[w]);
+            let forced = writers.forced(&def.writes);
             let program = match &def.kind {
                 DefKind::ExternComb { ext } => {
                     // Models may be stateful: never skip.

@@ -49,6 +49,7 @@ pub mod bits;
 pub mod build;
 pub mod codec;
 pub mod comb;
+mod dirty;
 pub mod error;
 pub mod exec;
 pub mod interp;
