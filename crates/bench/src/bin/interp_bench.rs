@@ -33,7 +33,8 @@
 //!    its own partition) must stay within 12.5× the monolithic host time
 //!    per target cycle.
 //! 5. **Sliced batch floors** — aggregate 64-lane throughput over one
-//!    compiled run: ≥ 4.5× on `noc_ring_4`, ≥ 3.5× on `soc24_fig6`.
+//!    compiled run: ≥ 4.5× on `noc_ring_4`, ≥ 3.5× on `soc24_fig6`,
+//!    ≥ 8× on `sha3` and ≥ 24× on `rocket` (RocketLite run to `done`).
 //!
 //! The floors and the RocketLite limit are ratios against the compiled
 //! engine, so they move when that engine gets faster while the other
@@ -54,13 +55,25 @@
 //! the worst reading: 0.8 × 5.9 for `noc_ring_4`, 0.73 × 5.3 for
 //! `soc24_fig6`, 1.2 × 10.3 for the cut.
 //!
+//! Dirty-set scheduling in the sliced engine (lane kernels skipped when
+//! their input planes did not move, as the compiled engine skips
+//! definitions) added the last two floors. `sha3` is idle after cycle
+//! 230, so both engines skip nearly everything there: nine runs on a
+//! noisy 2-core box read 54–95× (4.2–4.6 M → 121–204 M sliced
+//! lane-c/s), and the floor is the 8× the roadmap's gate asks for.
+//! `rocket` read 32–60× over nine runs (before, running every kernel
+//! every cycle, the e2e `rocket_sliced64` workload read 20–31 M lane-c/s
+//! against 2.3–3.7 M compiled c/s here, ≈ 6–13×); its floor keeps the
+//! usual headroom from the worst reading, 0.75 × 31.7. The `noc_ring_4`
+//! and `soc24_fig6` floors did not move.
+//!
 //! The observability gate is noise-dominated at this size (single
 //! attempts in one session read anywhere from 95 % to above 100 %),
 //! which is why it retries; its 95 % bar is unchanged.
 //!
-//! Results land in `BENCH_interp.json` for the before/after table in
-//! EXPERIMENTS.md. Throughput numbers are machine-dependent; the two
-//! invariants are not.
+//! Results land in `BENCH_interp.json` beside the binary, in the cargo
+//! target directory (`target/release/` by default). Throughput numbers
+//! are machine-dependent; the two invariants are not.
 
 use fireaxe::ir::{Bits, ExecEngine, Interpreter, SliceCoverage, SlicedInterpreter, TapeShape};
 use fireaxe::obs::{obs_counter, obs_span, trace};
@@ -95,6 +108,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Lanes every bit-sliced measurement packs (one per plane-word bit).
 const LANES: u32 = 64;
+
+/// CI floor on the sliced RocketLite row's gain (see the header).
+const ROCKET_MIN_GAIN: f64 = 24.0;
 
 /// One workload's bit-sliced measurement: aggregate lane-cycles/s over
 /// a 64-lane batch, each lane cross-checked against an independent
@@ -700,8 +716,8 @@ fn bench_sha3() -> WorkloadResult {
                 .collect::<Vec<_>>(),
         );
     }
-    // Bit-sliced batch (informational, no CI floor): all lanes hash the
-    // same stream, each lane cross-checked against a compiled run.
+    // Bit-sliced batch: all lanes hash the same stream, each lane
+    // cross-checked against a compiled run.
     let mut si = SlicedInterpreter::new(&circuit, LANES).unwrap();
     for lane in 0..LANES {
         si.poke_u64(lane, "go", 1).unwrap();
@@ -734,13 +750,95 @@ fn bench_sha3() -> WorkloadResult {
             lanes: LANES,
             lane_cps,
             lanes_match,
-            min_gain: None,
+            min_gain: Some(8.0),
             coverage: si.coverage(),
         }),
     }
 }
 
-fn write_json(results: &[WorkloadResult]) -> std::io::Result<()> {
+/// RocketLite run to `done` the way e2e's `rocket_sliced64` runs it (on
+/// the 30-iteration, 8-cycle-memory build the partition gate uses): no
+/// inputs, so every lane boots the same program. A boot is a few thousand cycles,
+/// so each engine's rate is taken over several fresh boots (elaboration
+/// outside the timed region); the reference engine boots once.
+fn bench_rocket() -> WorkloadResult {
+    const BOOTS: u32 = 8;
+    let circuit = fireaxe::soc::validation::rocket_soc(30, 8);
+    let boot = |sim: &mut Interpreter| -> u64 {
+        let mut cycles = 0;
+        loop {
+            sim.eval().unwrap();
+            if sim.peek("done").to_u64() == 1 {
+                return cycles;
+            }
+            sim.tick();
+            cycles += 1;
+        }
+    };
+    let mut out = [0.0f64; 2];
+    let mut probes: Vec<(u64, u64)> = Vec::new();
+    for (k, (engine, boots)) in [(ExecEngine::Compiled, BOOTS), (ExecEngine::Reference, 1)]
+        .into_iter()
+        .enumerate()
+    {
+        let mut secs = 0.0;
+        let mut cycles = 0;
+        let mut end = (0, 0);
+        for _ in 0..boots {
+            let mut sim = Interpreter::with_engine(&circuit, engine).unwrap();
+            let t0 = Instant::now();
+            let c = boot(&mut sim);
+            secs += t0.elapsed().as_secs_f64();
+            cycles += c;
+            end = (c, sim.state_digest());
+        }
+        out[k] = cycles as f64 / secs;
+        probes.push(end);
+    }
+    let mut secs = 0.0;
+    let mut cycles = 0;
+    let mut batch = None;
+    for _ in 0..BOOTS {
+        let mut si = SlicedInterpreter::new(&circuit, LANES).unwrap();
+        let t0 = Instant::now();
+        loop {
+            si.eval().unwrap();
+            if si.peek_u64(0, "done") == 1 {
+                break;
+            }
+            si.tick();
+        }
+        secs += t0.elapsed().as_secs_f64();
+        cycles += si.cycle();
+        batch = Some(si);
+    }
+    let si = batch.expect("at least one boot");
+    let lane_cps = (u64::from(LANES) * cycles) as f64 / secs;
+    let (gold_cycles, gold_digest) = probes[0];
+    let lanes_match =
+        si.cycle() == gold_cycles && (0..LANES).all(|lane| si.lane_digest(lane) == gold_digest);
+    WorkloadResult {
+        name: "rocket",
+        cycles: gold_cycles,
+        compiled_cps: out[0],
+        reference_cps: out[1],
+        probes_match: probes[0] == probes[1],
+        shape: Interpreter::with_engine(&circuit, ExecEngine::Compiled)
+            .unwrap()
+            .tape_shape(),
+        sliced: Some(SlicedResult {
+            lanes: LANES,
+            lane_cps,
+            lanes_match,
+            min_gain: Some(ROCKET_MIN_GAIN),
+            coverage: si.coverage(),
+        }),
+    }
+}
+
+/// Writes the run's rows beside the benchmark binary, in the cargo
+/// target directory; returns the path written.
+fn write_json(results: &[WorkloadResult]) -> std::io::Result<std::path::PathBuf> {
     let mut s = String::from("{\n  \"benchmark\": \"interp_engines\",\n  \"workloads\": [\n");
     for (i, r) in results.iter().enumerate() {
         let sliced = r.sliced.as_ref().map_or(String::new(), |sl| {
@@ -769,12 +867,20 @@ fn write_json(results: &[WorkloadResult]) -> std::io::Result<()> {
         ));
     }
     s.push_str("  ]\n}\n");
-    std::fs::write("BENCH_interp.json", s)
+    let exe = std::env::current_exe()?;
+    let path = exe.with_file_name("BENCH_interp.json");
+    std::fs::write(&path, s)?;
+    Ok(path)
 }
 
 fn main() -> ExitCode {
     println!("== Interpreter engine throughput (compiled tape vs tree reference vs sliced) ==\n");
-    let results = [bench_noc_ring(), bench_soc24(), bench_sha3()];
+    let results = [
+        bench_noc_ring(),
+        bench_soc24(),
+        bench_sha3(),
+        bench_rocket(),
+    ];
     println!(
         "{:<12} {:>10} {:>14} {:>14} {:>8} {:>16} {:>8}  exact",
         "workload", "cycles", "compiled c/s", "reference c/s", "speedup", "sliced lane-c/s", "gain"
@@ -847,10 +953,9 @@ fn main() -> ExitCode {
         eprintln!("FAIL: {e}");
         ok = false;
     }
-    if let Err(e) = write_json(&results) {
-        eprintln!("warning: could not write BENCH_interp.json: {e}");
-    } else {
-        println!("wrote BENCH_interp.json");
+    match write_json(&results) {
+        Ok(path) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("warning: could not write BENCH_interp.json: {e}"),
     }
     if ok {
         ExitCode::SUCCESS
