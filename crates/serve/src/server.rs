@@ -193,6 +193,28 @@ fn begin_shutdown(shared: &Shared) {
     let _ = NetStream::connect(&shared.addr, Duration::from_millis(500));
 }
 
+/// Stack of every connection thread. A connection decodes the circuit
+/// tapes its clients submit, and the decoder recurses once per
+/// expression level: a tape nested to the codec's `MAX_DEPTH` cap needs
+/// 4–8 MiB optimised and up to 16 MiB unoptimised, where a thread gets
+/// 2 MiB by default. The pages are reserved, not committed, until used.
+pub const CONN_STACK_BYTES: usize = 32 << 20;
+
+/// Spawns a connection thread with a [`CONN_STACK_BYTES`] stack — the
+/// one constructor the accept loop uses.
+///
+/// # Errors
+///
+/// The OS refused to create the thread.
+pub fn spawn_conn_thread<T: Send + 'static>(
+    f: impl FnOnce() -> T + Send + 'static,
+) -> io::Result<JoinHandle<T>> {
+    std::thread::Builder::new()
+        .name("serve-conn".into())
+        .stack_size(CONN_STACK_BYTES)
+        .spawn(f)
+}
+
 fn accept_loop(listener: &NetListener, shared: &Arc<Shared>) {
     loop {
         let stream = match listener.accept() {
@@ -208,9 +230,12 @@ fn accept_loop(listener: &NetListener, shared: &Arc<Shared>) {
             return;
         }
         let conn_shared = Arc::clone(shared);
-        let handle = std::thread::spawn(move || {
+        let Ok(handle) = spawn_conn_thread(move || {
             let _ = handle_conn(stream, &conn_shared);
-        });
+        }) else {
+            // No thread, no connection: the client sees it close.
+            continue;
+        };
         let mut conns = shared.conns.lock().expect("conn list lock");
         // Reap connections that already hung up: an exited thread keeps
         // its stack until joined, and a daemon outlives many clients.
