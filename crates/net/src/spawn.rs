@@ -141,11 +141,14 @@ mod tests {
         cmd
     }
 
+    // The sleeping scripts `exec` their sleep, so the pid the worker
+    // handle kills is the sleep itself: a forked sleep would outlive the
+    // killed shell, holding the test's stderr open for its 30 s.
     #[test]
     fn launch_finds_the_advertisement_inside_an_interleaved_log_line() {
         let w = SpawnedWorker::launch(sh("echo '[boot] loading design'; \
              echo 'ts=42 listening on 127.0.0.1:5555 (tcp, worker 1)'; \
-             sleep 30"))
+             exec sleep 30"))
         .expect("launch");
         assert_eq!(w.addr, "127.0.0.1:5555");
         // Drop kills and reaps the sleeping child.
@@ -155,7 +158,7 @@ mod tests {
     fn launch_survives_non_utf8_noise_on_stdout() {
         let w = SpawnedWorker::launch(sh("printf '\\377\\376 binary junk\\n'; \
              echo 'listening on unix:/tmp/fx.sock'; \
-             sleep 30"))
+             exec sleep 30"))
         .expect("launch must skip undecodable lines, not fail on them");
         assert_eq!(w.addr, "unix:/tmp/fx.sock");
     }
@@ -179,13 +182,16 @@ mod tests {
         let marker = format!("fxspawn_leak_probe_{}", std::process::id());
         let pid_file = std::env::temp_dir().join(format!("{marker}.pid"));
         // The shell records its own pid before closing stdout, which is
-        // what fails the launch. Only that pid is checked: the shell's
-        // forked `sleep` carries the marker in its argv until it execs.
-        let err = SpawnedWorker::launch(sh(&format!(
-            "echo $$ > '{}'; printf '\\377\\376 junk\\n'; exec >&-; sleep 30; : {marker}",
+        // what fails the launch. It then blocks in the `read` builtin on
+        // a stdin pipe the child handle holds open, so the shell itself —
+        // still carrying the marker in its argv — is the only process to
+        // kill, and no forked child outlives it.
+        let mut cmd = sh(&format!(
+            "echo $$ > '{}'; printf '\\377\\376 junk\\n'; exec >&-; read _; : {marker}",
             pid_file.display()
-        )))
-        .expect_err("no advertisement must fail the launch");
+        ));
+        cmd.stdin(Stdio::piped());
+        let err = SpawnedWorker::launch(cmd).expect_err("no advertisement must fail the launch");
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         let pid = std::fs::read_to_string(&pid_file).expect("pid file");
         let _ = std::fs::remove_file(&pid_file);
