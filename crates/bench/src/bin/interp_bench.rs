@@ -71,9 +71,8 @@
 //! attempts in one session read anywhere from 95 % to above 100 %),
 //! which is why it retries; its 95 % bar is unchanged.
 //!
-//! Results land in `BENCH_interp.json` beside the binary, in the cargo
-//! target directory (`target/release/` by default). Throughput numbers
-//! are machine-dependent; the two invariants are not.
+//! The bin prints its rows and writes no file. Throughput numbers are
+//! machine-dependent; the invariants and ratio gates are not.
 
 use fireaxe::ir::{Bits, ExecEngine, Interpreter, SliceCoverage, SlicedInterpreter, TapeShape};
 use fireaxe::obs::{obs_counter, obs_span, trace};
@@ -116,7 +115,6 @@ const ROCKET_MIN_GAIN: f64 = 24.0;
 /// a 64-lane batch, each lane cross-checked against an independent
 /// sequential run of the same stimulus.
 struct SlicedResult {
-    lanes: u32,
     lane_cps: f64,
     lanes_match: bool,
     /// CI floor on `gain` (aggregate lane throughput over one compiled
@@ -304,7 +302,6 @@ fn bench_noc_ring() -> WorkloadResult {
             .unwrap()
             .tape_shape(),
         sliced: Some(SlicedResult {
-            lanes: LANES,
             lane_cps,
             lanes_match,
             min_gain: Some(4.5),
@@ -680,7 +677,6 @@ fn bench_soc24() -> WorkloadResult {
         probes_match: probes[0] == probes[1],
         shape: gold.tape_shape(),
         sliced: Some(SlicedResult {
-            lanes: LANES,
             lane_cps,
             lanes_match,
             min_gain: Some(3.5),
@@ -747,7 +743,6 @@ fn bench_sha3() -> WorkloadResult {
         probes_match: probes[0] == probes[1],
         shape: gold.tape_shape(),
         sliced: Some(SlicedResult {
-            lanes: LANES,
             lane_cps,
             lanes_match,
             min_gain: Some(8.0),
@@ -827,50 +822,12 @@ fn bench_rocket() -> WorkloadResult {
             .unwrap()
             .tape_shape(),
         sliced: Some(SlicedResult {
-            lanes: LANES,
             lane_cps,
             lanes_match,
             min_gain: Some(ROCKET_MIN_GAIN),
             coverage: si.coverage(),
         }),
     }
-}
-
-/// Writes the run's rows beside the benchmark binary, in the cargo
-/// target directory; returns the path written.
-fn write_json(results: &[WorkloadResult]) -> std::io::Result<std::path::PathBuf> {
-    let mut s = String::from("{\n  \"benchmark\": \"interp_engines\",\n  \"workloads\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let sliced = r.sliced.as_ref().map_or(String::new(), |sl| {
-            format!(
-                ", \"sliced_lanes\": {}, \"sliced_lane_cps\": {:.0}, \
-                 \"sliced_gain\": {:.2}, \"sliced_probes_match\": {}, \
-                 \"sliced_scalarized\": {}",
-                sl.lanes,
-                sl.lane_cps,
-                r.sliced_gain(),
-                sl.lanes_match,
-                sl.coverage.scalarized.len()
-            )
-        });
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"cycles\": {}, \"compiled_cps\": {:.0}, \
-             \"reference_cps\": {:.0}, \"speedup\": {:.2}, \"probes_match\": {}{}}}{}\n",
-            r.name,
-            r.cycles,
-            r.compiled_cps,
-            r.reference_cps,
-            r.speedup(),
-            r.probes_match,
-            sliced,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    let exe = std::env::current_exe()?;
-    let path = exe.with_file_name("BENCH_interp.json");
-    std::fs::write(&path, s)?;
-    Ok(path)
 }
 
 fn main() -> ExitCode {
@@ -952,10 +909,6 @@ fn main() -> ExitCode {
     if let Err(e) = obs_overhead_gate() {
         eprintln!("FAIL: {e}");
         ok = false;
-    }
-    match write_json(&results) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write BENCH_interp.json: {e}"),
     }
     if ok {
         ExitCode::SUCCESS

@@ -1,9 +1,8 @@
 //! # fireaxe-bench — the paper's evaluation, regenerated
 //!
-//! One function per table/figure of the FireAxe paper, shared between the
+//! One function per table/figure of the FireAxe paper, shared by the
 //! `fig*`/`table*` binaries (full-size runs printing the same rows and
-//! series the paper reports) and the Criterion benches (reduced sizes, so
-//! `cargo bench` exercises every experiment).
+//! series the paper reports) and `repro_all`.
 
 #![warn(missing_docs)]
 
