@@ -479,20 +479,25 @@ fn a_length_prefix_cannot_reserve_more_than_the_blob_holds() {
 
 // Re-frozen when the blobs moved to the shared codec's `u32` counts: the
 // previous tree with only its length prefixes narrowed to `u32` (and the
-// partition blob magic bumped to FXP2) writes these same bytes.
+// partition blob magic bumped to FXP2) writes these same bytes. The tile
+// partitions of `NOC6_137` and `SOC24_300` were re-frozen once more when
+// shell-passthrough resolution stopped reading through registers: their
+// tiles now read the CDC's registered outputs, so tile state at the
+// sampled cycle differs. Lengths, the remainders and the cycle-0 rows
+// held.
 
 const NOC6_137: &[(usize, u64)] = &[
-    (5610, 0x7b78be16d84d1bc5),
-    (5586, 0xaa68bd2e5a91fef9),
-    (5650, 0x6045b713cecf1164),
+    (5610, 0xb5c95e969cc7cd27),
+    (5586, 0x9b884399ad1b1e3a),
+    (5650, 0x55976a877f0bd619),
     (32116, 0x7811161a8f5437f3),
 ];
 
 const SOC24_300: &[(usize, u64)] = &[
-    (7106, 0x2eb015ad40d0f58b),
-    (7770, 0x6142a0968f5200bc),
-    (7530, 0xa8671b1ff2357571),
-    (8026, 0xaae343ab8c338192),
+    (7106, 0x141ca8499d9af935),
+    (7770, 0x4ea613b7f62201fc),
+    (7530, 0x958e4b4184146aff),
+    (8026, 0x58f5e297804e1fdc),
     (3001, 0x1fd91963422277a8),
 ];
 
