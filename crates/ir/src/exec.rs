@@ -500,8 +500,6 @@ pub(crate) struct Tape {
     pending_mems: Vec<(u32, u32, PendVal)>,
     /// Reload the arena, run everything next pass, refresh all shadows.
     pub(crate) force_all: bool,
-    /// Dirty-set skipping enabled (otherwise every pass runs everything).
-    pub(crate) skip: bool,
 }
 
 /// Calls `f` on every literal in `e`.
@@ -1061,7 +1059,6 @@ impl Tape {
             pending_wide: Vec::new(),
             pending_mems: Vec::new(),
             force_all: true,
-            skip: true,
         }
     }
 
@@ -1080,7 +1077,7 @@ impl Tape {
     /// reference engine's schedule sweep.
     pub(crate) fn eval(&mut self, interp: &mut Interpreter) -> Result<()> {
         let slots = &mut interp.slots;
-        let all = self.force_all || !self.skip;
+        let all = self.force_all;
         if all {
             self.reload(slots);
             self.dirty.fill(true);

@@ -567,16 +567,6 @@ impl Interpreter {
         self.invalidate_tape();
     }
 
-    /// Enables or disables the compiled engine's dirty-set scheduler.
-    /// When off, every settle pass re-runs every definition (still on the
-    /// word-packed tape). Has no effect on the reference engine.
-    pub fn set_dirty_skipping(&mut self, on: bool) {
-        if let Some(t) = &mut self.tape {
-            t.skip = on;
-            t.force_all = true;
-        }
-    }
-
     /// Marks all compiled-engine bookkeeping stale after an out-of-band
     /// architectural state change (reset, snapshot restore, rebinding).
     fn invalidate_tape(&mut self) {

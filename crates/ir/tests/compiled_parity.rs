@@ -6,8 +6,8 @@
 //! optionally port-connection chains through pass-through instances),
 //! runs the same workload through both engines, and compares every
 //! elaborated signal after every settle, plus memory contents, port
-//! traces, snapshot/restore round-trips, mid-run engine switches, and
-//! dirty-skipping on/off. Hand-built cases then pin each rule by which
+//! traces, snapshot/restore round-trips and mid-run engine switches.
+//! Hand-built cases then pin each rule by which
 //! the compiled tape folds port-connection copies into their source's
 //! write.
 
@@ -334,9 +334,8 @@ fn run_case(seed: u64) {
 }
 
 /// Every settle's totals must be the reference's: a pass either runs or
-/// skips each definition, folded copies included; with dirty skipping
-/// off all of them run.
-fn check_stats(seed: u64, at: &str, gold: &Interpreter, fast: &Interpreter, skipping: bool) {
+/// skips each definition, folded copies included.
+fn check_stats(seed: u64, at: &str, gold: &Interpreter, fast: &Interpreter) {
     let (g, f) = (gold.exec_stats(), fast.exec_stats());
     assert_eq!(
         g.settle_passes, f.settle_passes,
@@ -347,12 +346,6 @@ fn check_stats(seed: u64, at: &str, gold: &Interpreter, fast: &Interpreter, skip
         f.defs_run + f.defs_skipped,
         "definitions per pass at {at} (seed {seed})"
     );
-    if !skipping {
-        assert_eq!(
-            f.defs_skipped, 0,
-            "skipped with skipping off at {at} (seed {seed})"
-        );
-    }
 }
 
 /// With `hier`, port-connection chains join the netlist and every
@@ -374,10 +367,6 @@ fn run_case_with(seed: u64, hier: bool) {
             .unwrap();
         gold.reset();
         fast.reset();
-    }
-    let skipping = !rng.coin(4);
-    if !skipping {
-        fast.set_dirty_skipping(false);
     }
     let paths = gold.signal_paths();
     assert_eq!(paths, fast.signal_paths(), "seed {seed}");
@@ -419,7 +408,7 @@ fn run_case_with(seed: u64, hier: bool) {
                 fast.snapshot_bytes(),
                 "{at} (seed {seed})"
             );
-            check_stats(seed, &at, &gold, &fast, skipping);
+            check_stats(seed, &at, &gold, &fast);
         }
         if c == mid {
             snap_fast = fast.snapshot_bytes();
@@ -724,7 +713,7 @@ impl Lockstep {
             blob,
             "state blob diverged at {at}"
         );
-        check_stats(0, at, &self.gold, &self.fast, true);
+        check_stats(0, at, &self.gold, &self.fast);
     }
 
     /// One target cycle: poke, settle, compare, poke again before the
@@ -801,28 +790,6 @@ fn restore_mid_run_matches_reference() {
         for c in 0..10 {
             ls.cycle(&format!("{when}, replay {c}"));
         }
-    }
-}
-
-/// Dirty-set skipping switched off and on again mid-run, including
-/// between a settle and its latch.
-#[test]
-fn dirty_skipping_toggled_mid_run_matches_reference() {
-    let mut ls = Lockstep::new(3);
-    for c in 0..120 {
-        match c % 7 {
-            2 => ls.fast.set_dirty_skipping(c % 2 == 0),
-            5 => {
-                ls.poke();
-                ls.eval();
-                ls.fast.set_dirty_skipping(c % 3 == 0);
-                ls.poke();
-                ls.tick();
-                ls.check(&format!("cycle {c}, toggled before the latch"));
-            }
-            _ => {}
-        }
-        ls.cycle(&format!("cycle {c}"));
     }
 }
 
@@ -980,18 +947,6 @@ fn restore_between_eval_and_tick_with_copies() {
         }
         ls.tick();
         ls.check_blob(&format!("cycle {c}, latched"));
-    }
-}
-
-/// Dirty skipping off from the start: every pass writes every copy and
-/// counts exactly what the reference runs.
-#[test]
-fn dirty_skipping_off_for_a_whole_run_with_copies() {
-    let mut ls = Lockstep::over(&fold_circuit(), FOLD_INPUTS, 15);
-    ls.fast.set_dirty_skipping(false);
-    for c in 0..60 {
-        ls.cycle(&format!("cycle {c}"));
-        assert_eq!(ls.gold.exec_stats(), ls.fast.exec_stats(), "cycle {c}");
     }
 }
 
