@@ -37,8 +37,14 @@ use std::collections::VecDeque;
 pub type DecResult<T> = std::result::Result<T, String>;
 
 /// How deep tagged unions may nest (an expression inside an expression,
-/// …) before a decode is refused.
-pub const MAX_DEPTH: u32 = 10_000;
+/// …) before a decode is refused. Every circuit the repo generates nests
+/// its expressions at most 10 levels deep (the RocketLite SoC), so the
+/// cap leaves about 100× that. It is also what bounds the stack of every
+/// pass after the decoder: the type checker, FireRipper and the tape
+/// compiler recurse once per level too, and a tape at the cap must clear
+/// all of them on a job server connection thread, unoptimised builds
+/// included.
+pub const MAX_DEPTH: u32 = 1_000;
 
 /// Cursor over bytes being decoded.
 #[derive(Debug)]

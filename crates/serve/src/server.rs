@@ -193,11 +193,13 @@ fn begin_shutdown(shared: &Shared) {
     let _ = NetStream::connect(&shared.addr, Duration::from_millis(500));
 }
 
-/// Stack of every connection thread. A connection decodes the circuit
-/// tapes its clients submit, and the decoder recurses once per
-/// expression level: a tape nested to the codec's `MAX_DEPTH` cap needs
-/// 4–8 MiB optimised and up to 16 MiB unoptimised, where a thread gets
-/// 2 MiB by default. The pages are reserved, not committed, until used.
+/// Stack of every connection thread. A connection decodes, validates
+/// and compiles the circuit tapes its clients submit, and each of those
+/// passes recurses once per expression level: a tape nested to the
+/// codec's `MAX_DEPTH` cap needs under 1 MiB optimised and 4–6 MiB
+/// unoptimised for the whole of `prepare_job_from_tape`, where a thread
+/// gets 2 MiB by default. The pages are reserved, not committed, until
+/// used.
 pub const CONN_STACK_BYTES: usize = 32 << 20;
 
 /// Spawns a connection thread with a [`CONN_STACK_BYTES`] stack — the
