@@ -8,7 +8,7 @@ mod common;
 use common::{design_a, observed_settings, start_server, submit_spec, CYCLES};
 use fireaxe_net::{SpawnedWorker, BACKEND_NET, JOB_RUNNING};
 use fireaxe_serve::{ServeClient, ServeOptions, WorkerPool, WorkerSpawner};
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -21,8 +21,10 @@ const DIAL: Duration = Duration::from_secs(10);
 static PROC_LOCK: Mutex<()> = Mutex::new(());
 
 /// A real child process posing as a worker: advertises a listen
-/// address, then sleeps forever. Its argv carries `marker`, so
-/// `/proc` can answer "is it still alive (or a zombie)?".
+/// address, then blocks in the `read` builtin on a stdin pipe the child
+/// handle holds open. Its argv carries `marker`, so `/proc` can answer
+/// "is it still alive (or a zombie)?"; the shell forks nothing, so
+/// killing and reaping it leaves no process behind.
 fn fake_worker_spawner(marker: &str) -> (WorkerSpawner, Arc<AtomicUsize>) {
     let spawned = Arc::new(AtomicUsize::new(0));
     let counter = Arc::clone(&spawned);
@@ -31,17 +33,17 @@ fn fake_worker_spawner(marker: &str) -> (WorkerSpawner, Arc<AtomicUsize>) {
         let n = counter.fetch_add(1, Ordering::SeqCst);
         let mut cmd = Command::new("sh");
         cmd.arg("-c").arg(format!(
-            "echo 'listening on 127.0.0.1:{}'; sleep 120; : {marker}",
+            "echo 'listening on 127.0.0.1:{}'; read _; : {marker}",
             40_000 + n
         ));
+        cmd.stdin(Stdio::piped());
         SpawnedWorker::launch(cmd)
     });
     (spawner, spawned)
 }
 
-/// Counts `/proc` entries whose argv carries `marker`. The count is
-/// momentarily off while the shell is between fork and exec of its
-/// `sleep` (the child briefly shows the parent's argv), so callers
+/// Counts `/proc` entries whose argv carries `marker`. A shell that was
+/// just killed may linger for a moment before it is reaped, so callers
 /// poll via `wait_for_count` rather than asserting a single snapshot.
 fn live_with_marker(marker: &str) -> usize {
     std::fs::read_dir("/proc")
@@ -55,8 +57,7 @@ fn live_with_marker(marker: &str) -> usize {
         .count()
 }
 
-/// Polls until the marker count settles at `want` (tolerating the
-/// fork/exec race above), then asserts it.
+/// Polls until the marker count settles at `want`, then asserts it.
 fn wait_for_count(marker: &str, want: usize, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
