@@ -49,10 +49,10 @@ pub mod bits;
 pub mod build;
 pub mod codec;
 pub mod comb;
-mod dirty;
 pub mod error;
 pub mod exec;
 pub mod interp;
+mod lower;
 pub mod parser;
 pub mod printer;
 pub mod slice;
