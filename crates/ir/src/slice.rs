@@ -1658,8 +1658,17 @@ impl SlicedInterpreter {
     /// # Errors
     ///
     /// Returns [`IrError::ExternWithoutBehavior`] if any lane of an
-    /// extern instance has no bound model.
+    /// extern instance with a combinational settle has no bound model,
+    /// before any definition runs.
     pub fn eval(&mut self) -> Result<()> {
+        for &ei in &self.base.comb_externs {
+            let ei = ei as usize;
+            // A lane-coalesced instance runs lane 0's model for all.
+            let live = if self.ext_uniform[ei] { 1 } else { self.lanes };
+            if self.models[ei][..live as usize].iter().any(Option::is_none) {
+                return Err(self.base.externs[ei].unbound());
+            }
+        }
         let lanes = self.lanes;
         let live = live_mask(lanes);
         let tape = &self.tape;
@@ -1764,12 +1773,7 @@ impl SlicedInterpreter {
                                 load_shadow(slots, tape, planes, scalars, word_buf, s, 0);
                             }
                             sync_extern_inputs(slots, e);
-                            let model = models[ei][0].as_mut().ok_or_else(|| {
-                                IrError::ExternWithoutBehavior {
-                                    module: e.path.clone(),
-                                    behavior: e.behavior_key.clone(),
-                                }
-                            })?;
+                            let model = models[ei][0].as_mut().ok_or_else(|| e.unbound())?;
                             let mut sink = LaneSink {
                                 tape,
                                 planes,
@@ -1792,12 +1796,9 @@ impl SlicedInterpreter {
                             load_shadow(slots, tape, planes, scalars, word_buf, s, lane);
                         }
                         sync_extern_inputs(slots, e);
-                        let model = models[ei][lane as usize].as_mut().ok_or_else(|| {
-                            IrError::ExternWithoutBehavior {
-                                module: e.path.clone(),
-                                behavior: e.behavior_key.clone(),
-                            }
-                        })?;
+                        let model = models[ei][lane as usize]
+                            .as_mut()
+                            .ok_or_else(|| e.unbound())?;
                         let mut sink = LaneSink {
                             tape,
                             planes,
