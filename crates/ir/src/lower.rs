@@ -30,8 +30,10 @@
 //!   the nodes before that one: 64 bits for the compiled engine;
 //!   division, wide multiplies and wide addresses for the sliced one.
 //! * **Plain copies.** A definition that only copies another slot at its
-//!   own width (a port connection) names it; the compiled engine folds
-//!   such copies into their source's write.
+//!   own width (a port connection) names it. [`Lowered::copies`] groups
+//!   the ones the compiled engine folds away by the slot heading each
+//!   chain and gives every slot its *view*, the slot an engine reads for
+//!   it.
 //! * **Resize on commit.** A register commits its next value resized to
 //!   its width, a write port its data resized to the memory's; each
 //!   engine encodes that resize its own way.
@@ -120,13 +122,64 @@ impl Csr {
         Csr { off, idx }
     }
 
+    /// Rows `0..into.len()` where row `r` holds, once each and in
+    /// order, the entries of every row `i` with `into[i] == r`,
+    /// renumbered by `f` (dropping those it maps to `None`).
+    pub(crate) fn merge(&self, into: &[u32], f: impl Fn(u32) -> Option<u32>) -> Csr {
+        let mut pairs = Vec::with_capacity(self.idx.len());
+        for (i, w) in self.off.windows(2).enumerate() {
+            for &p in &self.idx[w[0] as usize..w[1] as usize] {
+                pairs.extend(f(p).map(|k| (into[i], k)));
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        Csr::from_pairs(into.len(), &pairs)
+    }
+
+    /// Row `i`.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> &[u32] {
+        &self.idx[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+
     /// Marks every position in row `i` dirty.
     #[inline]
     pub(crate) fn mark(&self, i: usize, dirty: &mut [bool]) {
-        for &p in &self.idx[self.off[i] as usize..self.off[i + 1] as usize] {
+        for &p in self.row(i) {
             dirty[p as usize] = true;
         }
     }
+}
+
+/// Marks a slot that is no folded copy in [`Copies::head`].
+pub(crate) const NO_COPY: u32 = u32::MAX;
+
+/// The port-connection copies the compiled engine folds away, from
+/// [`Lowered::copies`].
+///
+/// A *folded copy* is a definition `y <= x` with no instruction of its
+/// own: `y` is a width-exact slot of at most 64 bits, of `x`'s width,
+/// with one unforced writer. Following `x` up through other folded copies
+/// ends at the chain's *head*: a slot no definition writes (top input,
+/// register, extern source output, undriven), an *outer* head, or the
+/// output of one unforced program that is no extern settle, an *inner*
+/// head. Every copy holds its head's value as of the last settle, so it
+/// needs no slot of its own: an inner head's copies read the head, which
+/// only a settle moves, and an outer head's copies read its first copy
+/// in schedule order, its *shadow*, which the settle brings up to the
+/// head.
+#[derive(Debug)]
+pub(crate) struct Copies {
+    /// Per schedule position: the definition is a folded copy.
+    pub(crate) folded: Vec<bool>,
+    /// Per slot: the head of the chain when the slot is a folded copy,
+    /// else [`NO_COPY`].
+    pub(crate) head: Vec<u32>,
+    /// Per slot: the slot holding its value at every observation point —
+    /// its inner head or its outer head's shadow for a folded copy,
+    /// itself otherwise.
+    pub(crate) view: Vec<u32>,
 }
 
 /// What one node computes; operands are indices of earlier nodes.
@@ -477,6 +530,62 @@ impl<'a> Lowered<'a> {
                 _ => return None,
             }
         }
+    }
+
+    /// The copies the compiled engine folds, grouped by head in schedule
+    /// order (see [`Copies`]). A copy's source can head it when nothing
+    /// writes the source, or one unforced program other than an extern
+    /// settle does (a folded copy included); schedule order puts every
+    /// source before its copies.
+    pub(crate) fn copies(&self, interp: &Interpreter) -> Copies {
+        let n_slots = self.widths.len();
+        let mut by_extern = vec![false; n_slots];
+        for d in &interp.defs {
+            if let DefKind::ExternComb { .. } = d.kind {
+                for &w in &d.writes {
+                    by_extern[w] = true;
+                }
+            }
+        }
+        let can_head = |x: usize| {
+            let n = self.writer_count[x];
+            n == 0 || (n == 1 && !self.external[x] && !by_extern[x])
+        };
+        let mut c = Copies {
+            folded: vec![false; interp.schedule.len()],
+            head: vec![NO_COPY; n_slots],
+            view: (0..n_slots as u32).collect(),
+        };
+        let mut shadow = vec![NO_COPY; n_slots];
+        for (pos, &di) in interp.schedule.iter().enumerate() {
+            let d = &interp.defs[di];
+            let DefKind::Expr(_) = d.kind else {
+                continue;
+            };
+            let y = d.writes[0];
+            if self.always[pos] || !self.exact[y] || self.widths[y] > 64 {
+                continue;
+            }
+            let Some(x) = self.copy_of(&self.defs[di]).filter(|&x| can_head(x)) else {
+                continue;
+            };
+            let h = if c.head[x] == NO_COPY {
+                x
+            } else {
+                c.head[x] as usize
+            };
+            c.folded[pos] = true;
+            c.head[y] = h as u32;
+            c.view[y] = if self.writer_count[h] != 0 {
+                h as u32
+            } else {
+                if shadow[h] == NO_COPY {
+                    shadow[h] = y as u32;
+                }
+                shadow[h]
+            };
+        }
+        c
     }
 
     /// The slots `unit` reads, sorted: a fallback's gather list.
