@@ -4,10 +4,11 @@
 //!
 //! * [`trace`] — a lock-free per-thread ring-buffer event tracer with
 //!   zero-cost-when-disabled [`obs_span!`]/[`obs_counter!`]/
-//!   [`obs_instant!`] macros. When tracing is off the macros compile to
-//!   a single relaxed atomic load; when on, events land in a
-//!   pre-allocated thread-local ring without locks or heap allocation
-//!   on the hot path.
+//!   [`obs_instant!`] macros, and [`trace::SpanSeq`] for back-to-back
+//!   spans (one per cycle) at one clock read each. When tracing is off
+//!   they compile to a single relaxed atomic load; when on, events land
+//!   in a pre-allocated thread-local ring without locks or heap
+//!   allocation on the hot path.
 //! * [`metrics`] — time-resolved metric series: per-node FMR, token
 //!   traffic, stall attribution, settle-loop statistics and per-link
 //!   reliability activity, sampled every N target cycles, exportable as
@@ -42,5 +43,5 @@ pub use delta::{
 pub use metrics::{
     Fnv1a, LinkSample, LinkSeries, MetricsSeries, NodeSample, NodeSeries, RecoveryEvent,
 };
-pub use trace::{EventKind, SpanGuard, TraceEvent};
+pub use trace::{EventKind, SpanGuard, SpanSeq, TraceEvent};
 pub use vcd::{VcdSignal, VcdWriter};

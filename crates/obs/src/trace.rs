@@ -16,20 +16,24 @@
 //!    enable flag and the epoch; the global sink mutex is taken only at
 //!    flush time (explicit [`flush_thread`], thread exit, or
 //!    [`take_events`]).
-//! 4. **The cheapest clock that keeps time.** A span costs two clock
-//!    reads, and a traced settle loop opens one per target cycle. Where
-//!    the kernel itself keeps time by the x86-64 time-stamp counter,
-//!    events are stamped with the raw counter (about half the cost of
-//!    reading an `Instant`) and turned into nanoseconds since the epoch
-//!    when their ring is flushed; elsewhere they are stamped from
-//!    `Instant` directly.
+//! 4. **The cheapest clock that keeps time, read as seldom as it can
+//!    be.** A span costs two clock reads, and a traced settle loop opens
+//!    one per target cycle. Where the kernel itself keeps time by the
+//!    x86-64 time-stamp counter, events are stamped with the raw counter
+//!    (about half the cost of reading an `Instant`) and turned into
+//!    nanoseconds since the epoch when their ring is flushed; elsewhere
+//!    they are stamped from `Instant` directly. Back-to-back spans, such
+//!    as one per cycle, share each boundary's stamp through a
+//!    [`SpanSeq`]: one clock read and one ring slot a span.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Events each thread-local ring can hold before overwriting the oldest.
+/// Records each thread-local ring can hold before overwriting the
+/// oldest: one per event, or one per boundary of a [`SpanSeq`] (the end
+/// of one span and the begin of the next).
 pub const RING_CAPACITY: usize = 1 << 14;
 
 /// What a [`TraceEvent`] records.
@@ -176,15 +180,40 @@ pub fn host_ns() -> u64 {
     EPOCH.get().map_or(0, Epoch::ns)
 }
 
-/// Fixed-capacity overwrite-oldest ring of events.
+/// One ring slot: an event without its thread id (set when the ring
+/// drains), or the boundary between two spans of a [`SpanSeq`].
+#[derive(Debug, Clone, Copy)]
+struct Rec {
+    name: &'static str,
+    /// `None` marks a [`SpanSeq`] boundary, which drains as the end of
+    /// one span and the begin of the next, both at `stamp`.
+    kind: Option<EventKind>,
+    stamp: u64,
+    virt_ps: u64,
+    value: f64,
+}
+
+impl Rec {
+    /// How many events the record drains as.
+    fn events(&self) -> u64 {
+        if self.kind.is_some() {
+            1
+        } else {
+            2
+        }
+    }
+}
+
+/// Fixed-capacity overwrite-oldest ring of records.
 struct Ring {
-    buf: Vec<TraceEvent>,
+    buf: Vec<Rec>,
     start: usize,
     len: usize,
     tid: u64,
-    /// Events overwritten since the last drain: a plain count, so a full
-    /// ring's hot path has no atomic.
-    dropped: u64,
+    /// Events recorded since the last drain, which counts those of them
+    /// overwritten: a plain count, so a full ring's hot path has no
+    /// atomic and reads nothing back from the slot it overwrites.
+    recorded: u64,
 }
 
 impl Ring {
@@ -194,36 +223,52 @@ impl Ring {
             start: 0,
             len: 0,
             tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
-            dropped: 0,
+            recorded: 0,
         }
     }
 
     #[inline]
-    fn push(&mut self, mut ev: TraceEvent) {
-        ev.tid = self.tid;
+    fn push(&mut self, rec: Rec) {
+        self.recorded += rec.events();
         if self.len < RING_CAPACITY {
             let pos = (self.start + self.len) % RING_CAPACITY;
             if pos == self.buf.len() {
-                self.buf.push(ev); // within pre-reserved capacity
+                self.buf.push(rec); // within pre-reserved capacity
             } else {
-                self.buf[pos] = ev;
+                self.buf[pos] = rec;
             }
             self.len += 1;
         } else {
-            self.buf[self.start] = ev;
+            self.buf[self.start] = rec;
             self.start = (self.start + 1) % RING_CAPACITY;
-            self.dropped += 1;
         }
     }
 
     fn drain_into(&mut self, out: &mut Vec<TraceEvent>) {
+        let from = out.len();
         for i in 0..self.len {
-            out.push(self.buf[(self.start + i) % RING_CAPACITY]);
+            let r = self.buf[(self.start + i) % RING_CAPACITY];
+            let event = |kind, virt_ps, value| TraceEvent {
+                name: r.name,
+                kind,
+                host_ns: r.stamp,
+                virt_ps,
+                value,
+                tid: self.tid,
+            };
+            match r.kind {
+                Some(kind) => out.push(event(kind, r.virt_ps, r.value)),
+                None => {
+                    out.push(event(EventKind::SpanEnd, 0, 0.0));
+                    out.push(event(EventKind::SpanBegin, r.virt_ps, 0.0));
+                }
+            }
         }
         self.start = 0;
         self.len = 0;
-        DROPPED.fetch_add(self.dropped, Ordering::Relaxed);
-        self.dropped = 0;
+        let dropped = self.recorded - (out.len() - from) as u64;
+        DROPPED.fetch_add(dropped, Ordering::Relaxed);
+        self.recorded = 0;
     }
 }
 
@@ -259,12 +304,20 @@ thread_local! {
     static RING: RingCell = RingCell(RefCell::new(Ring::new()));
 }
 
+/// Records one ring slot stamped now; `kind` as in [`Rec`].
 #[inline]
-fn record(ev: TraceEvent) {
+fn record(name: &'static str, kind: Option<EventKind>, virt_ps: u64, value: f64) {
+    let rec = Rec {
+        name,
+        kind,
+        stamp: stamp(),
+        virt_ps,
+        value,
+    };
     // Reentrancy-safe: try_with fails only during thread teardown.
     let _ = RING.try_with(|cell| {
         if let Ok(mut ring) = cell.0.try_borrow_mut() {
-            ring.push(ev);
+            ring.push(rec);
         }
     });
 }
@@ -272,39 +325,18 @@ fn record(ev: TraceEvent) {
 /// Records an instant event. Prefer the [`obs_instant!`](crate::obs_instant) macro, which
 /// short-circuits when tracing is disabled.
 pub fn instant(name: &'static str, virt_ps: u64) {
-    record(TraceEvent {
-        name,
-        kind: EventKind::Instant,
-        host_ns: stamp(),
-        virt_ps,
-        value: 0.0,
-        tid: 0,
-    });
+    record(name, Some(EventKind::Instant), virt_ps, 0.0);
 }
 
 /// Records a counter sample. Prefer the [`obs_counter!`](crate::obs_counter) macro.
 pub fn counter(name: &'static str, virt_ps: u64, value: f64) {
-    record(TraceEvent {
-        name,
-        kind: EventKind::Counter,
-        host_ns: stamp(),
-        virt_ps,
-        value,
-        tid: 0,
-    });
+    record(name, Some(EventKind::Counter), virt_ps, value);
 }
 
 /// Opens a span; the returned guard records the end on drop. Prefer the
 /// [`obs_span!`](crate::obs_span) macro.
 pub fn span(name: &'static str, virt_ps: u64) -> SpanGuard {
-    record(TraceEvent {
-        name,
-        kind: EventKind::SpanBegin,
-        host_ns: stamp(),
-        virt_ps,
-        value: 0.0,
-        tid: 0,
-    });
+    record(name, Some(EventKind::SpanBegin), virt_ps, 0.0);
     SpanGuard { name }
 }
 
@@ -316,14 +348,53 @@ pub struct SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        record(TraceEvent {
-            name: self.name,
-            kind: EventKind::SpanEnd,
-            host_ns: stamp(),
-            virt_ps: 0,
-            value: 0.0,
-            tid: 0,
-        });
+        record(self.name, Some(EventKind::SpanEnd), 0, 0.0);
+    }
+}
+
+/// Back-to-back spans of one name on one thread, such as one per target
+/// cycle of a settle loop, at one clock read and one ring slot a span:
+/// each [`next`](SpanSeq::next) ends the open span and opens the next at
+/// the same stamp, where an [`obs_span!`](crate::obs_span) per iteration
+/// reads the clock twice and fills two slots. Dropping the sequence ends
+/// its open span. With tracing disabled, `next` costs one relaxed load
+/// (and ends a span left open when tracing was turned off).
+#[derive(Debug)]
+pub struct SpanSeq {
+    name: &'static str,
+    open: bool,
+}
+
+impl SpanSeq {
+    /// A sequence of spans called `name`, none open yet.
+    pub const fn new(name: &'static str) -> SpanSeq {
+        SpanSeq { name, open: false }
+    }
+
+    /// Ends the open span, if any, and opens the next, its begin stamped
+    /// with virtual time `virt_ps`.
+    #[inline]
+    pub fn next(&mut self, virt_ps: u64) {
+        if enabled() {
+            let kind = (!self.open).then_some(EventKind::SpanBegin);
+            record(self.name, kind, virt_ps, 0.0);
+            self.open = true;
+        } else if self.open {
+            self.end();
+        }
+    }
+
+    fn end(&mut self) {
+        if self.open {
+            record(self.name, Some(EventKind::SpanEnd), 0, 0.0);
+            self.open = false;
+        }
+    }
+}
+
+impl Drop for SpanSeq {
+    fn drop(&mut self) {
+        self.end();
     }
 }
 
@@ -492,23 +563,62 @@ mod tests {
     #[test]
     fn ring_overwrites_oldest_when_full() {
         let mut ring = Ring::new();
+        let rec = |i: usize, kind| Rec {
+            name: "e",
+            kind,
+            stamp: i as u64,
+            virt_ps: 0,
+            value: 0.0,
+        };
         for i in 0..(RING_CAPACITY + 10) {
-            ring.push(TraceEvent {
-                name: "e",
-                kind: EventKind::Instant,
-                host_ns: i as u64,
-                virt_ps: 0,
-                value: 0.0,
-                tid: 0,
-            });
+            ring.push(rec(i, Some(EventKind::Instant)));
         }
-        assert_eq!(ring.dropped, 10);
+        let before = dropped_events();
         let mut out = Vec::new();
         ring.drain_into(&mut out);
-        assert_eq!(ring.dropped, 0);
+        assert_eq!(dropped_events() - before, 10);
+        assert_eq!(ring.recorded, 0);
         assert_eq!(out.len(), RING_CAPACITY);
         assert_eq!(out.first().unwrap().host_ns, 10);
         assert_eq!(out.last().unwrap().host_ns, (RING_CAPACITY + 10 - 1) as u64);
+        // A span boundary is one slot, two events, both when it drains
+        // and when it is overwritten.
+        for i in 0..(RING_CAPACITY + 1) {
+            ring.push(rec(i, None));
+        }
+        let before = dropped_events();
+        out.clear();
+        ring.drain_into(&mut out);
+        assert_eq!(dropped_events() - before, 2);
+        assert_eq!(out.len(), 2 * RING_CAPACITY);
+    }
+
+    /// A span sequence drains as balanced begin/end pairs, each boundary
+    /// an end and the next begin at one stamp, and ends its open span
+    /// when tracing is turned off under it.
+    #[test]
+    fn span_sequences_drain_as_balanced_spans() {
+        let _l = TEST_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        set_enabled(true);
+        let _ = take_events();
+        let mut seq = SpanSeq::new("cycle");
+        for c in 0..3 {
+            seq.next(c);
+        }
+        set_enabled(false);
+        seq.next(3); // ends the third span
+        seq.next(4); // disabled, nothing open: records nothing
+        drop(seq);
+        let events = take_events();
+        let got: Vec<(EventKind, u64)> = events.iter().map(|e| (e.kind, e.virt_ps)).collect();
+        use EventKind::{SpanBegin as B, SpanEnd as E};
+        assert_eq!(got, [(B, 0), (E, 0), (B, 1), (E, 0), (B, 2), (E, 0)]);
+        assert!(events.iter().all(|e| e.name == "cycle"));
+        assert_eq!(events[1].host_ns, events[2].host_ns);
+        assert_eq!(events[3].host_ns, events[4].host_ns);
+        assert!(events[0].host_ns <= events[1].host_ns);
     }
 
     #[test]
