@@ -6,14 +6,19 @@
 //! picks a lane count (including non-multiples of 64, whose padded dead
 //! lanes must not perturb live ones), drives every lane with its own
 //! workload, and compares every elaborated signal, memory contents, and
-//! the FNV state digest per lane after every settle — plus per-lane
-//! snapshot/restore round trips.
+//! the FNV state digest per lane after every settle and every latch —
+//! plus per-lane snapshot/restore round trips.
 //!
 //! The `lockstep_*` cases drive fixed designs through the writes a
 //! work-skipping scheduler must not miss: a poke between `eval` and
 //! `tick`, a long idle stretch ended by a poke, memory writes under a
 //! held read address, `restore_lane` mid-run, a coalesced extern forking
-//! mid-run, and two settles without a latch.
+//! mid-run, and two settles without a latch. The rest hold the
+//! port-connection copies the lowering folds into their views to the
+//! reference: a register's copies read between `tick` and `eval`, an
+//! input poked under a register that latches its copy, two latches
+//! without a settle, copies feeding an extern input and a scalarized
+//! unit, and a lane snapshot restored and peeked before it settles.
 
 use fireaxe_ir::build::{ModuleBuilder, Sig};
 use fireaxe_ir::slice::{ScalarReason, SliceUnit};
@@ -430,22 +435,20 @@ fn run_batch_case(seed: u64) {
         for r in &mut refs {
             r.eval().unwrap();
         }
+        for lane in 0..lanes {
+            let at = format!("cycle {c}");
+            compare_lane(seed, &at, lane, &paths, &sliced, &refs[lane as usize]);
+        }
         if rng.coin(4) {
             // Double settle: must be idempotent.
             sliced.eval().unwrap();
             for r in &mut refs {
                 r.eval().unwrap();
             }
-        }
-        for lane in 0..lanes {
-            compare_lane(
-                seed,
-                &format!("cycle {c}"),
-                lane,
-                &paths,
-                &sliced,
-                &refs[lane as usize],
-            );
+            for lane in 0..lanes {
+                let at = format!("cycle {c}, settled twice");
+                compare_lane(seed, &at, lane, &paths, &sliced, &refs[lane as usize]);
+            }
         }
         if c == mid {
             // A lane's blob is the blob of a scalar run of that lane.
@@ -456,6 +459,12 @@ fn run_batch_case(seed: u64) {
         sliced.tick();
         for r in &mut refs {
             r.tick();
+        }
+        // Latched, not yet settled: a register's copies still hold what
+        // the last settle left in them.
+        for lane in 0..lanes {
+            let at = format!("cycle {c}, latched");
+            compare_lane(seed, &at, lane, &paths, &sliced, &refs[lane as usize]);
         }
     }
     sliced.eval().unwrap();
@@ -1107,6 +1116,228 @@ fn lockstep_two_evals_without_a_tick() {
             ls.check(&format!("cycle {c} re-poked and settled"));
         }
         ls.tick();
+    }
+    ls.eval();
+    ls.check("final");
+}
+
+fn pass_module(w: u32) -> Module {
+    let mut mb = ModuleBuilder::new(format!("Pass{w}"));
+    let a = mb.input("a", w);
+    let b = mb.output("b", w);
+    mb.connect_sig(&b, &a);
+    mb.finish()
+}
+
+/// Threads `src` through two pass-through instances named `{name}0` and
+/// `{name}1`: four port-connection copies.
+fn pass_chain(mb: &mut ModuleBuilder, name: &str, src: &Sig, w: u32) -> Sig {
+    let mut cur = src.clone();
+    for d in 0..2 {
+        let inst = format!("{name}{d}");
+        mb.inst(&inst, format!("Pass{w}"));
+        mb.connect_inst(&inst, "a", &cur);
+        cur = mb.inst_port(&inst, "b");
+    }
+    cur
+}
+
+/// Copy chains behind a register (`pr`), a top input (`pi`, latched
+/// through its copy by `s`), a computing node (`pn`, read by a divide
+/// and a remainder that scalarize) and an extern's source output
+/// (`px`), plus a chain into the extern's input (`pk`).
+fn copy_circuit() -> Circuit {
+    let mut mb = ModuleBuilder::new("C");
+    let i = mb.input("i", 8);
+    let j = mb.input("j", 8);
+    let k = mb.input("k", 16);
+    let r = mb.reg("r", 8, 3);
+    mb.connect_sig(&r, &r.xor(&i));
+    let rc = pass_chain(&mut mb, "pr", &r, 8);
+    let ic = pass_chain(&mut mb, "pi", &i, 8);
+    let n = mb.node("n", &rc.add(&j));
+    let nc = pass_chain(&mut mb, "pn", &n, 8);
+    let s = mb.reg("s", 8, 0);
+    mb.connect_sig(&s, &ic);
+    let one = Sig::lit(1, 8);
+    let q = mb.node(
+        "q",
+        &Sig::from_expr(Expr::Binary(
+            BinOp::Div,
+            Box::new(nc.expr().clone()),
+            Box::new(j.or(&one).expr().clone()),
+        )),
+    );
+    let acc = mb.reg("acc", 8, 0);
+    mb.connect_sig(
+        &acc,
+        &Sig::from_expr(Expr::Binary(
+            BinOp::Rem,
+            Box::new(acc.add(&rc).expr().clone()),
+            Box::new(Sig::lit(251, 8).expr().clone()),
+        )),
+    );
+    let kc = pass_chain(&mut mb, "pk", &k, 16);
+    mb.inst("xa", "XAcc");
+    mb.connect_inst("xa", "x", &kc);
+    let (s_out, y_out) = (mb.inst_port("xa", "s"), mb.inst_port("xa", "y"));
+    let xs = pass_chain(&mut mb, "px", &s_out, 16);
+    for (name, width, sig) in [
+        ("o1", 8, &rc),
+        ("o2", 8, &nc),
+        ("o3", 8, &s),
+        ("o4", 8, &q),
+        ("o5", 8, &acc),
+        ("o6", 16, &xs),
+        ("o7", 16, &y_out),
+    ] {
+        let o = mb.output(name, width);
+        mb.connect_sig(&o, sig);
+    }
+    let modules = vec![mb.finish(), xacc_module(), pass_module(8), pass_module(16)];
+    Circuit::from_modules("C", modules, "C")
+}
+
+/// Pokes `i`, `j` and `k` on every lane: `k` alike in every lane (so the
+/// extern stays coalesced) on even cycles, per lane on odd ones.
+fn poke_copy_inputs(ls: &mut Lockstep, rng: &mut Rng, c: u64) {
+    for lane in 0..ls.lanes {
+        let (i, j) = (rng.below(256), rng.below(256));
+        ls.poke(lane, "i", i);
+        ls.poke(lane, "j", j);
+    }
+    let k = rng.below(1 << 16);
+    ls.poke_lanes("k", |lane| {
+        if c.is_multiple_of(2) {
+            k
+        } else {
+            k ^ u64::from(lane)
+        }
+    });
+}
+
+#[test]
+fn lockstep_register_copy_read_between_tick_and_eval() {
+    let mut ls = Lockstep::new(&copy_circuit(), 6, true);
+    let mut rng = Rng(0x5EED_0007);
+    for c in 0..40u64 {
+        poke_copy_inputs(&mut ls, &mut rng, c);
+        ls.eval();
+        ls.check(&format!("cycle {c} settled"));
+        ls.tick();
+        ls.check(&format!("cycle {c} latched"));
+    }
+}
+
+/// `s` latches a copy of `i`: a poke after the settle must not reach it
+/// at that latch, while the register that reads `i` itself sees it.
+#[test]
+fn lockstep_input_poked_under_a_register_reading_its_copy() {
+    let mut ls = Lockstep::new(&copy_circuit(), 7, true);
+    let mut rng = Rng(0x5EED_0008);
+    for c in 0..40u64 {
+        poke_copy_inputs(&mut ls, &mut rng, c);
+        ls.eval();
+        for lane in (0..ls.lanes).filter(|l| !(l + c as u32).is_multiple_of(3)) {
+            let v = rng.below(256);
+            ls.poke(lane, "i", v);
+        }
+        ls.tick();
+        ls.check(&format!("cycle {c} latched"));
+    }
+    ls.eval();
+    ls.check("final");
+}
+
+#[test]
+fn lockstep_two_ticks_without_an_eval() {
+    let mut ls = Lockstep::new(&copy_circuit(), 5, true);
+    let mut rng = Rng(0x5EED_0009);
+    for c in 0..30u64 {
+        poke_copy_inputs(&mut ls, &mut rng, c);
+        ls.eval();
+        ls.tick();
+        if c % 3 == 0 {
+            ls.tick();
+            ls.check(&format!("cycle {c} latched twice"));
+        }
+        ls.eval();
+        ls.check(&format!("cycle {c} settled after the latch"));
+        ls.tick();
+    }
+}
+
+/// The extern's input is the end of a copy chain from `k`: coalesced
+/// while `k` is alike in every lane, forked by the first per-lane value.
+#[test]
+fn lockstep_copy_feeds_an_extern_input() {
+    let mut ls = Lockstep::new(&copy_circuit(), 12, true);
+    for c in 0..20u64 {
+        ls.poke_lanes("k", |_| 0x3C3C ^ (c / 4));
+        ls.eval();
+        ls.check(&format!("coalesced cycle {c}"));
+        ls.tick();
+    }
+    for c in 0..20u64 {
+        ls.poke_lanes("k", |lane| u64::from(lane) * 0x101 + c);
+        ls.eval();
+        ls.check(&format!("forked cycle {c}"));
+        ls.tick();
+        ls.check(&format!("forked cycle {c} latched"));
+    }
+}
+
+/// `q` divides a copy of `n` and `acc` takes a remainder of a copy of
+/// `r`: both scalarize per lane and gather the copies' lanes.
+#[test]
+fn lockstep_copy_read_by_a_scalarized_unit() {
+    let mut ls = Lockstep::new(&copy_circuit(), 9, true);
+    let fell: Vec<_> = (ls.sliced.coverage().scalarized.iter())
+        .map(|s| (s.path.clone(), s.reason))
+        .collect();
+    assert_eq!(
+        fell,
+        [
+            ("q".to_string(), ScalarReason::DivRem),
+            ("acc".to_string(), ScalarReason::DivRem)
+        ]
+    );
+    let mut rng = Rng(0x5EED_000A);
+    for c in 0..40u64 {
+        poke_copy_inputs(&mut ls, &mut rng, c);
+        ls.eval();
+        ls.check(&format!("cycle {c} settled"));
+        ls.tick();
+    }
+    ls.eval();
+    ls.check("final");
+}
+
+/// A lane blob taken after a latch (copies of registers still hold the
+/// last settle's values) restores into another lane, which is peeked
+/// before it settles.
+#[test]
+fn lockstep_snapshot_restore_lane_then_peek() {
+    let mut ls = Lockstep::new(&copy_circuit(), 6, true);
+    let mut rng = Rng(0x5EED_000B);
+    for c in 0..24u64 {
+        poke_copy_inputs(&mut ls, &mut rng, c);
+        ls.eval();
+        ls.tick();
+        if c % 6 == 5 {
+            let (from, to) = (c as u32 % ls.lanes, (c as u32 + 3) % ls.lanes);
+            let blob = ls
+                .sliced
+                .snapshot_lane(from)
+                .expect("every model snapshots");
+            assert_eq!(
+                Some(&blob),
+                ls.refs[from as usize].snapshot_bytes().as_ref()
+            );
+            assert!(ls.sliced.restore_lane(to, &blob));
+            assert!(ls.refs[to as usize].restore_snapshot_bytes(&blob));
+            ls.check(&format!("cycle {c}, lane {from} restored into {to}"));
+        }
     }
     ls.eval();
     ls.check("final");
