@@ -16,11 +16,11 @@
 //!   with a value wider than 64 bits, runs on the tree-walking `CExpr`
 //!   evaluator instead, preserving exact reference semantics including
 //!   its documented panics.
-//! * **Folded copies** — a resize to a value's own width emits nothing,
-//!   so a port connection `y <= x` (a plain copy in the lowered program)
-//!   maps to no instruction; chains of such copies leave the program
-//!   list, and whatever read a copy reads its view instead, the slot
-//!   heading the chain or that head's one shadow (see `Folds`).
+//! * **Folded copies** — the lowering folds port connections out of the
+//!   program it hands over, and every node that read one reads its view,
+//!   so they cost nothing here; a resize to a value's own width emits
+//!   nothing either. A folded copy's own slot is left stale: whatever
+//!   observes it reads through the interpreter's view table.
 //! * **Write-through** — the canonical [`Bits`] slots stay the
 //!   interpreter's state. A narrow program stores into its slot
 //!   ([`Bits::set_from_u64`], in place, no allocation) only when its
@@ -34,8 +34,8 @@
 //!   through a [`crate::PortWriter`] bound to the instance's slot table:
 //!   no map is built in either direction.
 //! * **Dirty-set skipping** — the lowering's reader rows (slot → reading
-//!   schedule positions), renumbered past the folded copies, let the
-//!   sweep skip definitions whose inputs did not change. Slots written
+//!   positions) let the sweep skip definitions whose inputs did not
+//!   change, and its copy counts keep the totals of the unfolded program. Slots written
 //!   from outside the sweep (top inputs, extern source outputs, slots
 //!   nothing drives) are *roots* compared at the start of each settle
 //!   against the arena, which holds their last scanned value (wide ones
@@ -52,7 +52,7 @@ use crate::ast::{BinOp, UnOp};
 use crate::bits::{low_mask as mask, Bits};
 use crate::error::Result;
 use crate::interp::{run_extern_comb, DefKind, Interpreter};
-use crate::lower::{Copies, Csr, Lowered, Op, Unit, NO_COPY};
+use crate::lower::{CopyCounts, Csr, Lowered, Op, Unit};
 use std::collections::HashMap;
 
 /// Selects how an [`Interpreter`] settles and latches each target cycle.
@@ -285,13 +285,9 @@ fn run(ops: &[FOp], v: &mut [u64]) {
     }
 }
 
-/// Marks a program, latch or root whose slot heads no folded copies.
-const NO_HEAD: u32 = u32::MAX;
-
-/// The compiled form of one scheduled definition. Narrow programs are the
-/// instruction range `ops[start..end]`, whose result is `vals[out]`.
-/// `head` names the fold head ([`Folds`]) of the written slot, or is
-/// [`NO_HEAD`].
+/// The compiled form of one definition of the folded program. Narrow
+/// programs are the instruction range `ops[start..end]`, whose result is
+/// `vals[out]`.
 #[derive(Debug, Clone, Copy)]
 enum Program {
     /// Word-packed expression: store `vals[out]` into `slot`.
@@ -300,7 +296,6 @@ enum Program {
         end: u32,
         out: u32,
         slot: u32,
-        head: u32,
     },
     /// Word-packed memory read: the range computes the address
     /// `vals[addr]`; store entry `addr` of memory `mem` into `slot`.
@@ -310,10 +305,9 @@ enum Program {
         addr: u32,
         mem: u32,
         slot: u32,
-        head: u32,
     },
     /// Fall back to the tree-walking evaluator for definition `di`.
-    Tree { di: u32, head: u32 },
+    Tree { di: u32 },
     /// Extern combinational model call for definition `di` (always run).
     Extern { di: u32 },
 }
@@ -329,10 +323,9 @@ enum Latch {
         end: u32,
         out: u32,
         slot: u32,
-        head: u32,
     },
     /// Tree-walk `regs[ri].next` like the reference engine.
-    RegTree { ri: u32, head: u32 },
+    RegTree { ri: u32 },
     /// Word-packed write port of a memory at most 64 bits wide: enable,
     /// address and data are `vals[en]`, `vals[addr]`, `vals[data]`;
     /// `dmask` truncates the data to the memory width.
@@ -356,103 +349,14 @@ enum PendVal {
     W(Bits),
 }
 
-/// Port-connection copies folded out of the program list
-/// ([`crate::lower::Copies`]).
-///
-/// No instruction reads a folded copy: each reads the copy's *view*
-/// instead, the inner head itself or the outer head's shadow (its first
-/// copy), and every copy holds its view's value at every observation
-/// point (the view invariant), so observation reads through the same
-/// view table. Only two kinds of copy keep a live slot. An outer head's
-/// shadow holds the head's value as of the last settle: the settle after
-/// the head moved writes it and marks one merged reader row for all the
-/// head's copies. An *eager* copy is one the tree walker or an extern
-/// model reads straight out of the slots; it is written whenever its
-/// head moves.
-#[derive(Debug)]
-struct Folds {
-    /// Per head: its slot. Heads `0..shadow.len()` (outer heads) change
-    /// outside the sweep (roots, registers); the rest are program outputs.
-    slot: Vec<u32>,
-    /// Per outer head: its shadow.
-    shadow: Vec<u32>,
-    /// Per head: how many copies it heads, and how many of those read
-    /// the head itself.
-    copies: Vec<u32>,
-    direct: Vec<u32>,
-    /// Row `h`: head `h`'s eager copies, its shadow left out.
-    eager: Csr,
-}
-
-impl Folds {
-    /// Brings outer head `h`'s shadow and eager copies up to the head if
-    /// it moved since the last settle (or `all`), marking the readers of
-    /// every copy. Returns how many copies that counts as running: all of
-    /// them when the head moved, else those that read the head itself.
-    #[inline]
-    fn settle_outer(
-        &self,
-        h: usize,
-        all: bool,
-        vals: &mut [u64],
-        slots: &mut [Bits],
-        fanout: &Csr,
-        dirty: &mut [bool],
-    ) -> u64 {
-        let (head, shadow) = (self.slot[h] as usize, self.shadow[h] as usize);
-        let v = vals[head];
-        if !all && vals[shadow] == v {
-            return u64::from(self.direct[h]);
-        }
-        vals[shadow] = v;
-        slots[shadow].set_from_u64(v);
-        fanout.mark(shadow, dirty);
-        self.spread(h, v, slots)
-    }
-
-    /// Writes `v`, head `h`'s value, into its eager copies; returns how
-    /// many copies `h` heads.
-    #[inline]
-    fn spread(&self, h: usize, v: u64, slots: &mut [Bits]) -> u64 {
-        for &y in self.eager.row(h) {
-            slots[y as usize].set_from_u64(v);
-        }
-        u64::from(self.copies[h])
-    }
-}
-
-/// Outer fold heads that changed since the last settle, each listed once.
-#[derive(Debug)]
-struct Deferred {
-    heads: Vec<u32>,
-    queued: Vec<bool>,
-}
-
-impl Deferred {
-    #[inline]
-    fn push(&mut self, h: u32) {
-        if h != NO_HEAD && !self.queued[h as usize] {
-            self.queued[h as usize] = true;
-            self.heads.push(h);
-        }
-    }
-}
-
 /// The size of a compiled tape, from [`Interpreter::tape_shape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TapeShape {
     /// Programs the settle sweep visits.
     pub programs: usize,
-    /// Port-connection copies folded out of the program list: their
-    /// readers read the copy's view instead.
+    /// Port-connection copies the lowering folded out of the program:
+    /// their readers read the copy's view instead.
     pub folded_copies: usize,
-    /// Folded copies that hold an outer head's value as of the last
-    /// settle (one per register, input or other slot written outside
-    /// the sweep that heads copies).
-    pub shadows: usize,
-    /// Folded copies, shadows left out, still written whenever their
-    /// head moves: the tree walker or an extern model reads them.
-    pub eager_copies: usize,
     /// Word-packed instructions of every program and latch.
     pub instructions: usize,
     /// Register updates and memory write ports.
@@ -463,13 +367,8 @@ impl std::fmt::Display for TapeShape {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} programs + {} folded copies ({} shadows, {} eager), {} instructions, {} latches",
-            self.programs,
-            self.folded_copies,
-            self.shadows,
-            self.eager_copies,
-            self.instructions,
-            self.latches
+            "{} programs + {} folded copies, {} instructions, {} latches",
+            self.programs, self.folded_copies, self.instructions, self.latches
         )
     }
 }
@@ -484,45 +383,42 @@ impl std::fmt::Display for TapeShape {
 pub(crate) struct Tape {
     /// Every narrow instruction of every program and latch.
     ops: Vec<FOp>,
-    /// One program per schedule position, in schedule order.
+    /// One program per position of the folded program.
     programs: Vec<Program>,
     /// Register updates then memory write ports.
     latches: Vec<Latch>,
     /// `[slot values | constant pool | temporaries]`; the entry of a slot
-    /// outside the arena (wide, or of dynamic width) is never read.
+    /// outside the arena (wide, of dynamic width, or a folded copy) is
+    /// never read.
     vals: Vec<u64>,
     /// Positions to run this settle pass.
     dirty: Vec<bool>,
     /// Positions that must run every pass (externs, multi-writer slots,
     /// writers of externally written slots).
     always_dirty: Vec<bool>,
-    /// view slot → tape positions reading it or any slot it is the
-    /// view of.
+    /// slot → positions reading it.
     fanout: Csr,
-    /// memory → tape positions reading it.
+    /// memory → positions reading it.
     mem_users: Csr,
-    folds: Folds,
-    /// Outer heads whose copies the next settle brings up to date.
-    deferred: Deferred,
+    /// The folded copies each position's run counts.
+    copies: CopyCounts,
     /// Non-register roots held in the arena, which holds their value as
-    /// of the last scan, each with its fold head.
-    roots: Vec<(u32, u32)>,
+    /// of the last scan.
+    roots: Vec<u32>,
     /// Non-register roots outside the arena, each with its last scanned
     /// value.
     wide_roots: Vec<(u32, Bits)>,
-    /// Register commits awaiting the end of the latch: slot, value, head.
-    pending_narrow: Vec<(u32, u64, u32)>,
-    pending_wide: Vec<(u32, Bits, u32)>,
+    /// Commits awaiting the end of the latch: register slot and value.
+    pending_narrow: Vec<(u32, u64)>,
+    pending_wide: Vec<(u32, Bits)>,
     pending_mems: Vec<(u32, u32, PendVal)>,
-    /// Reload the arena, run everything next pass, refresh all shadows.
+    /// Reload the arena and run everything next pass.
     pub(crate) force_all: bool,
 }
 
 /// Maps lowered nodes to arena instructions, one program at a time.
 struct Emitter<'p, 'a> {
     prog: &'p Lowered<'a>,
-    /// Per slot: the arena index a read of it names (its view).
-    view: &'p [u32],
     /// Literal value → its arena index in the constant pool.
     consts: HashMap<u64, u32>,
     /// Arena index of temporary 0. Temporaries are program-local and the
@@ -550,47 +446,35 @@ impl Emitter<'_, '_> {
         self.at[i as usize]
     }
 
-    /// Emits `unit` as one program, then `body`, which may add to it.
-    /// Returns `(start, end, body's result)`, or `None` with nothing
-    /// emitted when the unit falls back or any of its values is wider
-    /// than 64 bits.
-    fn program<T>(
-        &mut self,
-        unit: &Unit,
-        body: impl FnOnce(&mut Self) -> T,
-    ) -> Option<(u32, u32, T)> {
-        if unit.fallback.is_some() {
-            return None;
-        }
-        let start = self.ops.len();
+    /// Emits `unit`, which the lowering packs ([`Lowered::packs`]), as one
+    /// program, then `body`, which may add to it. Returns `(start, end,
+    /// body's result)`.
+    fn program<T>(&mut self, unit: &Unit, body: impl FnOnce(&mut Self) -> T) -> (u32, u32, T) {
+        let start = self.ops.len() as u32;
         self.ntmp = 0;
         for i in unit.lo..unit.hi {
-            let Some(v) = self.node(i) else {
-                self.ops.truncate(start);
-                return None;
-            };
-            self.at[i as usize] = v;
+            self.at[i as usize] = self.node(i);
         }
         let out = body(self);
-        Some((start as u32, self.ops.len() as u32, out))
+        (start, self.ops.len() as u32, out)
     }
 
     /// Emits node `i`; returns the arena index of its value.
-    fn node(&mut self, i: u32) -> Option<u32> {
+    fn node(&mut self, i: u32) -> u32 {
         let prog = self.prog;
-        let w = prog.width_of(i).filter(|&w| w <= 64)?;
         let width = |j| {
             prog.width_of(j)
-                .expect("operands of a lowered node have static widths")
+                .expect("a packed unit's nodes have static widths")
         };
+        let w = width(i);
         match prog.nodes[i as usize].op {
-            Op::Lit(b) => return Some(self.consts[&b.to_u64()]),
-            Op::Slot(s) => return Some(self.view[s]),
+            Op::Lit(b) => return self.consts[&b.to_u64()],
+            Op::Slot(s) => return s as u32,
             // Arena values are already masked to their width.
-            Op::Resize(a, _) if width(a) == w => return Some(self.val(a)),
+            Op::Resize(a, _) if width(a) == w => return self.val(a),
             Op::Cat(lo, hi) => {
                 let Some((&first, rest)) = prog.args[lo as usize..hi as usize].split_first() else {
-                    return Some(self.consts[&0]);
+                    return self.consts[&0];
                 };
                 let mut acc = self.val(first);
                 for &p in rest {
@@ -608,7 +492,7 @@ impl Emitter<'_, '_> {
                     });
                     acc = dst;
                 }
-                return Some(acc);
+                return acc;
             }
             _ => {}
         }
@@ -676,29 +560,15 @@ impl Emitter<'_, '_> {
             Op::Lit(_) | Op::Slot(_) | Op::Cat(..) => unreachable!("handled above"),
         };
         self.ops.push(op);
-        Some(dst)
+        dst
     }
 }
 
 impl Tape {
-    /// Maps the lowered netlist onto a tape, its folded copies grouped by
-    /// `copies` (from [`Lowered::copies`]). Pure function of the
+    /// Maps the lowered netlist onto a tape. Pure function of the
     /// interpreter's structure; the first settle pass runs everything.
-    pub(crate) fn build(interp: &Interpreter, prog: Lowered, copies: &Copies) -> Tape {
+    pub(crate) fn build(interp: &Interpreter, prog: Lowered) -> Tape {
         let n_slots = interp.slots.len();
-        let n_pos = interp.schedule.len();
-
-        // The arena holds the exact slots of at most 64 bits: reading
-        // any other slot word-packed would bake in a width the reference
-        // engine varies at run time, or not fit.
-        let narrow: Vec<bool> = (0..n_slots)
-            .map(|s| prog.exact[s] && prog.widths[s] <= 64)
-            .collect();
-        let (writer_count, ext_written) = (&prog.writer_count, &prog.external);
-        let mut is_reg = vec![false; n_slots];
-        for r in &interp.regs {
-            is_reg[r.slot] = true;
-        }
 
         // The constant pool sits between the slots and the temporaries,
         // so it is interned before anything is emitted.
@@ -717,7 +587,6 @@ impl Tape {
 
         let mut em = Emitter {
             prog: &prog,
-            view: &copies.view,
             consts,
             tmp_base: (n_slots + pool.len()) as u32,
             ops: Vec::new(),
@@ -725,80 +594,32 @@ impl Tape {
             ntmp: 0,
             max_tmp: 0,
         };
-        // Heads written outside the sweep take the low ids.
-        let mut head_slots: Vec<u32> = (0..n_slots)
-            .filter(|&y| copies.head[y] != NO_COPY)
-            .map(|y| copies.head[y])
-            .collect();
-        head_slots.sort_unstable_by_key(|&s| (writer_count[s as usize] != 0, s));
-        head_slots.dedup();
-        let outer = head_slots
-            .iter()
-            .take_while(|&&s| writer_count[s as usize] == 0)
-            .count();
-        let mut head_id = vec![NO_HEAD; n_slots];
-        for (h, &s) in head_slots.iter().enumerate() {
-            head_id[s as usize] = h as u32;
-        }
-
-        // Slots read straight out of `slots` (by the tree walker or an
-        // extern model): their copies are written eagerly.
-        let mut eager = vec![false; n_slots];
-        for e in &interp.externs {
-            for &(_, s) in &e.input_slots {
-                eager[s] = true;
-            }
-        }
-
-        // One program per schedule position but the folded copies; the
-        // reader rows are renumbered by the compacted list.
-        let mut programs = Vec::with_capacity(n_pos);
-        let mut always = Vec::with_capacity(n_pos);
-        let mut kept_at = vec![NO_HEAD; n_pos];
-        for (pos, &di) in interp.schedule.iter().enumerate() {
-            if copies.folded[pos] {
-                continue;
-            }
-            kept_at[pos] = programs.len() as u32;
-            always.push(prog.always[pos]);
+        let mut programs = Vec::with_capacity(prog.order.len());
+        for (pos, &di) in prog.order.iter().enumerate() {
             let (d, unit) = (&interp.defs[di], &prog.defs[di]);
-            if let DefKind::ExternComb { .. } = d.kind {
-                programs.push(Program::Extern { di: di as u32 });
-                continue;
-            }
-            let slot = d.writes[0];
-            let head = head_id[slot];
-            // Writers that must run every pass stay on the tree walker.
-            let fits = !prog.always[pos]
-                && narrow[slot]
-                && match d.kind {
-                    DefKind::MemRead { mem, .. } => interp.mems[mem].width.get() <= 64,
-                    _ => true,
-                };
-            let emitted = fits.then(|| em.program(unit, |em| em.val(unit.root())));
-            programs.push(match (emitted.flatten(), &d.kind) {
-                (Some((start, end, addr)), DefKind::MemRead { mem, .. }) => Program::NarrowMem {
-                    start,
-                    end,
-                    addr,
-                    mem: *mem as u32,
-                    slot: slot as u32,
-                    head,
-                },
-                (Some((start, end, out)), _) => Program::Narrow {
-                    start,
-                    end,
-                    out,
-                    slot: slot as u32,
-                    head,
-                },
-                (None, _) => {
-                    for &r in &d.reads {
-                        eager[r] = true;
+            programs.push(match d.kind {
+                DefKind::ExternComb { .. } => Program::Extern { di: di as u32 },
+                // Writers that must run every pass stay on the tree walker.
+                _ if !prog.packs_def(interp, di, prog.always[pos]) => {
+                    Program::Tree { di: di as u32 }
+                }
+                DefKind::MemRead { mem, .. } => {
+                    let (start, end, addr) = em.program(unit, |em| em.val(unit.root()));
+                    Program::NarrowMem {
+                        start,
+                        end,
+                        addr,
+                        mem: mem as u32,
+                        slot: d.writes[0] as u32,
                     }
-                    Program::Tree {
-                        di: di as u32,
-                        head,
+                }
+                DefKind::Expr(_) => {
+                    let (start, end, out) = em.program(unit, |em| em.val(unit.root()));
+                    Program::Narrow {
+                        start,
+                        end,
+                        out,
+                        slot: d.writes[0] as u32,
                     }
                 }
             });
@@ -806,13 +627,19 @@ impl Tape {
 
         // Roots: slots with no writer definition plus every externally
         // written slot. Registers are left out: they change only when a
-        // tick commits them, and the commit marks their readers.
-        let mut roots = Vec::new();
-        let mut wide_roots = Vec::new();
+        // tick commits them, and the commit marks their readers. The
+        // arena holds the exact slots of at most 64 bits: reading any
+        // other slot word-packed would bake in a width the reference
+        // engine varies at run time, or not fit.
+        let mut is_reg = vec![false; n_slots];
+        for r in &interp.regs {
+            is_reg[r.slot] = true;
+        }
+        let (mut roots, mut wide_roots) = (Vec::new(), Vec::new());
         for (s, b) in interp.slots.iter().enumerate() {
-            if (writer_count[s] == 0 || ext_written[s]) && !is_reg[s] {
-                if narrow[s] {
-                    roots.push((s as u32, head_id[s]));
+            if (prog.writer_count[s] == 0 || prog.external[s]) && !is_reg[s] {
+                if prog.exact[s] && prog.widths[s] <= 64 {
+                    roots.push(s as u32);
                 } else {
                     wide_roots.push((s as u32, b.clone()));
                 }
@@ -820,136 +647,72 @@ impl Tape {
         }
 
         let mut latches = Vec::new();
-        let mut tree_reads = Vec::new();
         for &(ri, next) in &prog.regs {
-            let r = &interp.regs[ri];
-            let (w, head) = (prog.widths[r.slot], head_id[r.slot]);
-            let compiled = narrow[r.slot]
-                .then(|| {
-                    em.program(&next, |em| {
-                        // The commit's resize, the identity at the value's
-                        // own width.
-                        let a = em.val(next.root());
-                        if prog.width_of(next.root()) == Some(w) {
-                            return a;
-                        }
-                        let dst = em.tmp();
-                        em.ops.push(FOp::Resize {
-                            a,
-                            mask: mask(w),
-                            dst,
-                        });
-                        dst
-                    })
-                })
-                .flatten();
-            latches.push(match compiled {
-                Some((start, end, out)) => Latch::Reg {
+            let slot = interp.regs[ri].slot;
+            let w = prog.widths[slot];
+            latches.push(if prog.packs(&next, w) {
+                let (start, end, out) = em.program(&next, |em| {
+                    // The commit's resize, the identity at the value's
+                    // own width.
+                    let a = em.val(next.root());
+                    if prog.width_of(next.root()) == Some(w) {
+                        return a;
+                    }
+                    let dst = em.tmp();
+                    em.ops.push(FOp::Resize {
+                        a,
+                        mask: mask(w),
+                        dst,
+                    });
+                    dst
+                });
+                Latch::Reg {
                     start,
                     end,
                     out,
-                    slot: r.slot as u32,
-                    head,
-                },
-                None => {
-                    if let Some(e) = &r.next {
-                        e.reads(&mut tree_reads);
-                    }
-                    Latch::RegTree {
-                        ri: ri as u32,
-                        head,
-                    }
+                    slot: slot as u32,
                 }
+            } else {
+                Latch::RegTree { ri: ri as u32 }
             });
         }
         for port in &prog.ports {
-            let m = &interp.mems[port.mem];
-            let compiled = (m.width.get() <= 64)
-                .then(|| {
-                    em.program(&port.unit, |em| {
-                        (em.val(port.en), em.val(port.addr), em.val(port.unit.root()))
-                    })
-                })
-                .flatten();
-            latches.push(match compiled {
+            let (mi, mw) = (port.mem as u32, interp.mems[port.mem].width.get());
+            latches.push(if prog.packs(&port.unit, mw) {
+                let (start, end, (en, addr, data)) = em.program(&port.unit, |em| {
+                    (em.val(port.en), em.val(port.addr), em.val(port.unit.root()))
+                });
                 // The commit's resize is `dmask`.
-                Some((start, end, (en, addr, data))) => Latch::MemWrite {
+                Latch::MemWrite {
                     start,
                     end,
                     en,
                     addr,
                     data,
-                    mi: port.mem as u32,
-                    dmask: mask(m.width.get()),
-                },
-                None => {
-                    let (addr, data, en) = &m.writes[port.port];
-                    for e in [addr, data, en] {
-                        e.reads(&mut tree_reads);
-                    }
-                    Latch::MemWriteTree {
-                        mi: port.mem as u32,
-                        port: port.port as u32,
-                    }
+                    mi,
+                    dmask: mask(mw),
                 }
+            } else {
+                let port = port.port as u32;
+                Latch::MemWriteTree { mi, port }
             });
-        }
-        for r in tree_reads {
-            eager[r] = true;
-        }
-
-        // Per head: its copies, those reading the head itself, its shadow
-        // and its eager copies, in schedule order.
-        let n_heads = head_slots.len();
-        let (mut n_copies, mut direct) = (vec![0u32; n_heads], vec![0u32; n_heads]);
-        let mut shadow = vec![0; outer];
-        let mut eager_pairs = Vec::new();
-        for (pos, &di) in interp.schedule.iter().enumerate() {
-            if !copies.folded[pos] {
-                continue;
-            }
-            let y = interp.defs[di].writes[0];
-            let top = copies.head[y];
-            let h = head_id[top as usize] as usize;
-            n_copies[h] += 1;
-            let x = prog
-                .copy_of(&prog.defs[di])
-                .expect("a folded copy copies a slot");
-            direct[h] += u32::from(x as u32 == top);
-            let view = copies.view[y];
-            if h < outer {
-                shadow[h] = view;
-            }
-            if eager[y] && view != y as u32 {
-                eager_pairs.push((h as u32, y as u32));
-            }
         }
 
         let mut vals: Vec<u64> = interp.slots.iter().map(Bits::to_u64).collect();
         vals.extend(&pool);
         vals.resize(vals.len() + em.max_tmp as usize, 0);
         // Register next-values read slots too, but latches always run.
-        let renumber = |p: u32| kept_at.get(p as usize).copied().filter(|&k| k != NO_HEAD);
+        let n_pos = programs.len() as u32;
         Tape {
             ops: em.ops,
             dirty: vec![false; programs.len()],
             programs,
             latches,
             vals,
-            always_dirty: always,
-            fanout: prog.readers.merge(&copies.view, renumber),
-            mem_users: prog.mem_readers.renumber(renumber),
-            folds: Folds {
-                slot: head_slots,
-                shadow,
-                copies: n_copies,
-                direct,
-                eager: Csr::from_pairs(n_heads, &eager_pairs),
-            },
-            deferred: Deferred {
-                heads: Vec::with_capacity(outer),
-                queued: vec![false; n_heads],
-            },
+            fanout: prog.readers.renumber(|p| (p < n_pos).then_some(p)),
+            always_dirty: prog.always,
+            mem_users: prog.mem_readers,
+            copies: prog.copies,
             roots,
             wide_roots,
             pending_narrow: Vec::new(),
@@ -958,6 +721,7 @@ impl Tape {
             force_all: true,
         }
     }
+
     /// Reloads every slot's arena value and every wide root's last
     /// scanned value from the canonical slots.
     fn reload(&mut self, slots: &[Bits]) {
@@ -986,18 +750,16 @@ impl Tape {
             dirty,
             always_dirty,
             fanout,
-            folds,
-            deferred,
+            copies,
             roots,
             wide_roots,
             ..
         } = self;
-        for &(s, h) in roots.iter() {
+        for &s in roots.iter() {
             let cur = slots[s as usize].to_u64();
             if cur != vals[s as usize] {
                 vals[s as usize] = cur;
                 fanout.mark(s as usize, dirty);
-                deferred.push(h);
             }
         }
         for (s, last) in wide_roots.iter_mut() {
@@ -1008,38 +770,22 @@ impl Tape {
             }
         }
 
-        // Shadows of outer heads: all of them after an out-of-band change;
-        // otherwise those of heads that changed since the last settle.
         let mut defs_run: u64 = 0;
-        for &h in &deferred.heads {
-            deferred.queued[h as usize] = false;
-            if !all {
-                defs_run += folds.settle_outer(h as usize, false, vals, slots, fanout, dirty);
-            }
-        }
-        deferred.heads.clear();
-        if all {
-            for h in 0..folds.shadow.len() {
-                defs_run += folds.settle_outer(h, true, vals, slots, fanout, dirty);
-            }
-        }
-
         for pos in 0..programs.len() {
             if !dirty[pos] {
                 continue;
             }
             defs_run += 1;
             dirty[pos] = always_dirty[pos];
-            let (s, v, head) = match programs[pos] {
+            let (s, v) = match programs[pos] {
                 Program::Narrow {
                     start,
                     end,
                     out,
                     slot,
-                    head,
                 } => {
                     run(&ops[start as usize..end as usize], vals);
-                    (slot as usize, vals[out as usize], head)
+                    (slot as usize, vals[out as usize])
                 }
                 Program::NarrowMem {
                     start,
@@ -1047,7 +793,6 @@ impl Tape {
                     addr,
                     mem,
                     slot,
-                    head,
                 } => {
                     run(&ops[start as usize..end as usize], vals);
                     let a = vals[addr as usize] as usize;
@@ -1055,9 +800,9 @@ impl Tape {
                         .data
                         .get(a)
                         .map_or(0, Bits::to_u64);
-                    (slot as usize, v, head)
+                    (slot as usize, v)
                 }
-                Program::Tree { di, head } => {
+                Program::Tree { di } => {
                     let def = &interp.defs[di as usize];
                     let v = match &def.kind {
                         DefKind::Expr(e) => e.eval(slots),
@@ -1080,9 +825,7 @@ impl Tape {
                         slots[s] = v;
                         fanout.mark(s, dirty);
                     }
-                    if (changed || all) && head != NO_HEAD {
-                        defs_run += folds.spread(head as usize, vals[s], slots);
-                    }
+                    defs_run += copies.run(pos, changed || all);
                     continue;
                 }
                 Program::Extern { di } => {
@@ -1109,9 +852,7 @@ impl Tape {
                 slots[s].set_from_u64(v);
                 fanout.mark(s, dirty);
             }
-            if (changed || all) && head != NO_HEAD {
-                defs_run += folds.spread(head as usize, v, slots);
-            }
+            defs_run += copies.run(pos, changed || all);
         }
         interp.stats.settle_passes += 1;
         interp.stats.defs_run += defs_run;
@@ -1119,14 +860,11 @@ impl Tape {
         Ok(())
     }
 
-    /// The tape's size: programs, folded copies (shadows and eager ones
-    /// among them), instructions, latches.
+    /// The tape's size: programs, folded copies, instructions, latches.
     pub(crate) fn shape(&self) -> TapeShape {
         TapeShape {
             programs: self.programs.len(),
-            folded_copies: self.folds.copies.iter().sum::<u32>() as usize,
-            shadows: self.folds.shadow.len(),
-            eager_copies: self.folds.eager.idx.len(),
+            folded_copies: self.copies.total(),
             instructions: self.ops.len(),
             latches: self.latches.len(),
         }
@@ -1152,19 +890,17 @@ impl Tape {
             dirty,
             fanout,
             mem_users,
-            deferred,
             roots,
             pending_narrow,
             pending_wide,
             pending_mems,
             ..
         } = self;
-        for &(s, h) in roots.iter() {
+        for &s in roots.iter() {
             let cur = slots[s as usize].to_u64();
             if cur != vals[s as usize] {
                 vals[s as usize] = cur;
                 fanout.mark(s as usize, dirty);
-                deferred.push(h);
             }
         }
 
@@ -1175,16 +911,15 @@ impl Tape {
                     end,
                     out,
                     slot,
-                    head,
                 } => {
                     run(&ops[start as usize..end as usize], vals);
-                    pending_narrow.push((slot, vals[out as usize], head));
+                    pending_narrow.push((slot, vals[out as usize]));
                 }
-                Latch::RegTree { ri, head } => {
+                Latch::RegTree { ri } => {
                     let r = &interp.regs[ri as usize];
                     let e = r.next.as_ref().expect("RegTree has a next expression");
                     let w = slots[r.slot].width();
-                    pending_wide.push((r.slot as u32, e.eval(slots).resize(w), head));
+                    pending_wide.push((r.slot as u32, e.eval(slots).resize(w)));
                 }
                 Latch::MemWrite {
                     start,
@@ -1226,23 +961,21 @@ impl Tape {
         }
 
         // A committed register's copies keep the old value until the next
-        // settle, as on the reference engine.
-        for (s, v, h) in pending_narrow.drain(..) {
+        // settle runs its shadow, as on the reference engine.
+        for (s, v) in pending_narrow.drain(..) {
             let s = s as usize;
             if vals[s] != v {
                 vals[s] = v;
                 slots[s].set_from_u64(v);
                 fanout.mark(s, dirty);
-                deferred.push(h);
             }
         }
-        for (s, b, h) in pending_wide.drain(..) {
+        for (s, b) in pending_wide.drain(..) {
             let s = s as usize;
             if slots[s] != b {
                 vals[s] = b.to_u64();
                 slots[s] = b;
                 fanout.mark(s, dirty);
-                deferred.push(h);
             }
         }
         for (mi, a, v) in pending_mems.drain(..) {

@@ -496,11 +496,11 @@ pub struct Interpreter {
     engine: ExecEngine,
     tape: Option<Tape>,
     /// Per slot: the slot holding its value whenever it is observed (a
-    /// port-connection copy's source, see [`crate::lower::Copies`]), the
-    /// slot itself without a compiled tape. The compiled tape never
-    /// writes most copies' own slots, so every read from outside the
+    /// folded port-connection copy's view, see `crate::lower`), the slot
+    /// itself for the rest and without a tape. The compiled tape never
+    /// writes a folded copy's own slot, so every read from outside the
     /// engines goes through this table.
-    view: Vec<u32>,
+    pub(crate) view: Vec<u32>,
     pub(crate) stats: crate::exec::ExecStats,
 }
 
@@ -525,10 +525,10 @@ impl Interpreter {
     /// Same as [`Interpreter::new`].
     pub fn with_engine(circuit: &Circuit, engine: ExecEngine) -> Result<Self> {
         let mut interp = Self::elaborate(circuit, engine)?;
-        let prog = Lowered::new(&interp);
-        let copies = prog.copies(&interp);
-        let tape = Tape::build(&interp, prog, &copies);
-        interp.view = copies.view;
+        let mut prog = Lowered::new(&interp);
+        let view = std::mem::take(&mut prog.view);
+        let tape = Tape::build(&interp, prog);
+        interp.view = view;
         interp.tape = Some(tape);
         Ok(interp)
     }
@@ -1162,7 +1162,6 @@ impl Interpreter {
             slots: &mut self.slots,
             externs: &mut self.externs,
             defs: &self.defs,
-            schedule: &self.schedule,
             regs: &self.regs,
             mems: &self.mems,
         }
@@ -1193,7 +1192,6 @@ pub(crate) struct InterpParts<'a> {
     pub(crate) slots: &'a mut Vec<Bits>,
     pub(crate) externs: &'a mut Vec<ExternInst>,
     pub(crate) defs: &'a Vec<Def>,
-    pub(crate) schedule: &'a Vec<usize>,
     pub(crate) regs: &'a Vec<RegState>,
     pub(crate) mems: &'a Vec<MemState>,
 }
@@ -1802,8 +1800,9 @@ mod tests {
     }
 
     /// No settle leaves a folded copy different from its view, so a blob
-    /// holding one is refused, as a width mismatch is, on either engine,
-    /// and the interpreter keeps its state.
+    /// holding one is refused, as a width mismatch is, on either engine
+    /// and by the sliced front end's `restore_lane`, and the interpreter
+    /// or lane keeps its state.
     #[test]
     fn restore_refuses_a_copy_that_disagrees_with_its_view() {
         let mut mb = ModuleBuilder::new("Top");
@@ -1812,6 +1811,7 @@ mod tests {
         let y = mb.output("y", 8);
         mb.connect_sig(&y, &mid);
         let circuit = Circuit::from_modules("Top", vec![mb.finish()], "Top");
+        let mut blobs = None;
         for engine in [ExecEngine::Compiled, ExecEngine::Reference] {
             let mut sim = Interpreter::with_engine(&circuit, engine).unwrap();
             sim.poke("x", Bits::from_u64(4, 8));
@@ -1834,7 +1834,20 @@ mod tests {
             assert!(!sim.restore_snapshot_bytes(&bad), "{engine:?}");
             assert_eq!(sim.snapshot_bytes().unwrap(), good, "{engine:?}");
             assert_eq!(sim.peek("y").to_u64(), 5, "{engine:?}");
+            blobs = Some((good, bad));
         }
+        // A folded copy shares its view's planes in a lane.
+        let (good, bad) = blobs.unwrap();
+        let mut lanes = crate::slice::SlicedInterpreter::new(&circuit, 3).unwrap();
+        for lane in 0..3 {
+            lanes.poke_u64(lane, "x", 4).unwrap();
+        }
+        lanes.step().unwrap();
+        lanes.eval().unwrap();
+        assert_eq!(lanes.snapshot_lane(1).unwrap(), good);
+        assert!(!lanes.restore_lane(1, &bad));
+        assert_eq!(lanes.snapshot_lane(1).unwrap(), good);
+        assert_eq!(lanes.peek_u64(1, "y"), 5);
     }
 
     #[test]

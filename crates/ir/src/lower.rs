@@ -29,11 +29,23 @@
 //!   does the fallback). Each engine adds its own limits while it maps
 //!   the nodes before that one: 64 bits for the compiled engine;
 //!   division, wide multiplies and wide addresses for the sliced one.
-//! * **Plain copies.** A definition that only copies another slot at its
-//!   own width (a port connection) names it. [`Lowered::copies`] groups
-//!   the ones the compiled engine folds away by the slot heading each
-//!   chain and gives every slot its *view*, the slot an engine reads for
-//!   it.
+//! * **Folded copies.** A definition that only copies another slot at
+//!   its own width (a port connection) mostly leaves the program. Such a
+//!   copy of at most 64 bits, with one unforced writer, is *folded* when
+//!   its source heads a chain: a slot nothing writes (top input,
+//!   register, extern source output, undriven), an *outer* head, or the
+//!   output of one unforced definition other than an extern settle, an
+//!   *inner* head, or a folded copy of either. Each folded copy gets a
+//!   *view*, the slot every node that read the copy reads instead: an
+//!   inner head itself, or an outer head's first copy, its *shadow*, which
+//!   stays an ordinary copy definition. A copy read straight out of the
+//!   slots — by an extern input, or by a unit the compiled engine
+//!   tree-walks ([`Lowered::packs`]) — is not folded either. So every
+//!   view is a program output, and a folded copy holds its view's value
+//!   at every observation point.
+//! * **Counting.** The dirty-set totals stay those of the unfolded
+//!   program: a folded copy counts as run whenever the unfolded dirty set
+//!   would have run it, which [`CopyCounts`] reads off its view's run.
 //! * **Resize on commit.** A register commits its next value resized to
 //!   its width, a write port its data resized to the memory's; each
 //!   engine encodes that resize its own way.
@@ -41,8 +53,8 @@
 //!   (extern models, and the writers of slots with several writers or
 //!   also written from outside the sweep), which definitions and
 //!   register next-values read each slot, and which read ports read each
-//!   memory, as [`Csr`] rows. At run time a write that moves a slot
-//!   marks its row in a `dirty` vector.
+//!   memory, as [`Csr`] rows over the folded program. At run time a
+//!   write that moves a slot marks its row in a `dirty` vector.
 
 use crate::ast::{BinOp, UnOp};
 use crate::bits::Bits;
@@ -122,21 +134,6 @@ impl Csr {
         Csr { off, idx }
     }
 
-    /// Rows `0..into.len()` where row `r` holds, once each and in
-    /// order, the entries of every row `i` with `into[i] == r`,
-    /// renumbered by `f` (dropping those it maps to `None`).
-    pub(crate) fn merge(&self, into: &[u32], f: impl Fn(u32) -> Option<u32>) -> Csr {
-        let mut pairs = Vec::with_capacity(self.idx.len());
-        for (i, w) in self.off.windows(2).enumerate() {
-            for &p in &self.idx[w[0] as usize..w[1] as usize] {
-                pairs.extend(f(p).map(|k| (into[i], k)));
-            }
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        Csr::from_pairs(into.len(), &pairs)
-    }
-
     /// Row `i`.
     #[inline]
     pub(crate) fn row(&self, i: usize) -> &[u32] {
@@ -152,34 +149,29 @@ impl Csr {
     }
 }
 
-/// Marks a slot that is no folded copy in [`Copies::head`].
-pub(crate) const NO_COPY: u32 = u32::MAX;
+/// When the folded copies run, per position of the folded program: a
+/// folded copy runs in the unfolded program whenever its source moved.
+/// A copy of an outer head itself is marked whenever the head's shadow
+/// is (both read the head), so it runs whenever the shadow runs; every
+/// other folded copy runs only when its view moved (or on a settle that
+/// runs everything).
+#[derive(Debug, Default)]
+pub(crate) struct CopyCounts(Vec<(u32, u32)>);
 
-/// The port-connection copies the compiled engine folds away, from
-/// [`Lowered::copies`].
-///
-/// A *folded copy* is a definition `y <= x` with no instruction of its
-/// own: `y` is a width-exact slot of at most 64 bits, of `x`'s width,
-/// with one unforced writer. Following `x` up through other folded copies
-/// ends at the chain's *head*: a slot no definition writes (top input,
-/// register, extern source output, undriven), an *outer* head, or the
-/// output of one unforced program that is no extern settle, an *inner*
-/// head. Every copy holds its head's value as of the last settle, so it
-/// needs no slot of its own: an inner head's copies read the head, which
-/// only a settle moves, and an outer head's copies read its first copy
-/// in schedule order, its *shadow*, which the settle brings up to the
-/// head.
-#[derive(Debug)]
-pub(crate) struct Copies {
-    /// Per schedule position: the definition is a folded copy.
-    pub(crate) folded: Vec<bool>,
-    /// Per slot: the head of the chain when the slot is a folded copy,
-    /// else [`NO_COPY`].
-    pub(crate) head: Vec<u32>,
-    /// Per slot: the slot holding its value at every observation point —
-    /// its inner head or its outer head's shadow for a folded copy,
-    /// itself otherwise.
-    pub(crate) view: Vec<u32>,
+impl CopyCounts {
+    /// How many folded copies count as run when position `pos` runs:
+    /// all of those viewing its output when `moved` (its output moved,
+    /// or the settle runs everything), else those copying its source.
+    #[inline]
+    pub(crate) fn run(&self, pos: usize, moved: bool) -> u64 {
+        let (direct, all) = self.0[pos];
+        u64::from(if moved { all } else { direct })
+    }
+
+    /// Every folded copy.
+    pub(crate) fn total(&self) -> usize {
+        self.0.iter().map(|&(_, all)| all as usize).sum()
+    }
 }
 
 /// What one node computes; operands are indices of earlier nodes.
@@ -252,8 +244,16 @@ pub(crate) struct Lowered<'a> {
     /// Per definition, indexed like `interp.defs`: its value, or its
     /// memory read's address (empty for an extern settle).
     pub(crate) defs: Vec<Unit>,
-    /// Per schedule position: runs on every settle.
+    /// The definitions both engines map, in schedule order: every
+    /// scheduled one but the folded copies. A *position* indexes it.
+    pub(crate) order: Vec<usize>,
+    /// Per position: runs on every settle.
     pub(crate) always: Vec<bool>,
+    /// Per position: the folded copies counted when it runs.
+    pub(crate) copies: CopyCounts,
+    /// Per slot: the slot holding its value at every observation point,
+    /// its view for a folded copy, itself otherwise.
+    pub(crate) view: Vec<u32>,
     /// Every register with a next value, as `(register, next value)`;
     /// the commit resizes the value to the register's width.
     pub(crate) regs: Vec<(usize, Unit)>,
@@ -264,16 +264,16 @@ pub(crate) struct Lowered<'a> {
     /// commit, an extern model publishing a source output).
     pub(crate) writer_count: Vec<u32>,
     pub(crate) external: Vec<bool>,
-    /// slot → the schedule positions reading it, then entry `k` of
-    /// `regs` as position `schedule.len() + k`.
+    /// slot → the positions reading it, then entry `k` of `regs` as
+    /// position `order.len() + k`.
     pub(crate) readers: Csr,
-    /// memory → schedule positions of its read ports.
+    /// memory → positions of its read ports.
     pub(crate) mem_readers: Csr,
 }
 
 impl<'a> Lowered<'a> {
     /// The program a tape engine maps: [`Lowered::settled`], then each
-    /// unit's fallback and the dirty-set rows.
+    /// unit's fallback, the folded copies and the dirty-set rows.
     pub(crate) fn new(interp: &'a Interpreter) -> Lowered<'a> {
         let mut p = Lowered::settled(interp);
         let n_slots = p.widths.len();
@@ -292,46 +292,150 @@ impl<'a> Lowered<'a> {
             p.ports[k].unit.fallback = p.fallback(&p.ports[k].unit, true);
         }
 
-        // Reader rows as `(slot or memory, position)` pairs, one per slot
-        // a position reads.
-        let (mut readers, mut mem_readers) = (Vec::new(), Vec::new());
+        // Models may be stateful. A slot with several writers keeps
+        // last-writer-wins order only if all of them run, and one also
+        // written from outside the sweep (a poke, say) must be
+        // overwritten by its definition exactly when the reference
+        // engine would.
+        let always: Vec<bool> = (interp.schedule.iter())
+            .map(|&di| {
+                let d = &interp.defs[di];
+                matches!(d.kind, DefKind::ExternComb { .. })
+                    || (d.writes.iter()).any(|&w| p.writer_count[w] > 1 || p.external[w])
+            })
+            .collect();
+        let (folded, counts) = p.fold(interp, &always);
+
+        // The folded program, and its reader rows as `(slot or memory,
+        // position)` pairs, one per slot a position reads through its
+        // view.
+        let (mut readers, mut mem_readers, mut copies) = (Vec::new(), Vec::new(), Vec::new());
         let mut seen = vec![u32::MAX; n_slots];
         let mut read = |s: usize, pos: u32| {
             if std::mem::replace(&mut seen[s], pos) != pos {
                 readers.push((s as u32, pos));
             }
         };
-        for (pos, &di) in interp.schedule.iter().enumerate() {
-            let d = &interp.defs[di];
+        for (&di, &fold) in interp.schedule.iter().zip(&folded) {
+            if fold {
+                continue;
+            }
+            let (d, pos) = (&interp.defs[di], p.order.len() as u32);
             for &r in &d.reads {
-                read(r, pos as u32);
+                read(p.view[r] as usize, pos);
             }
-            if let DefKind::MemRead { mem, .. } = d.kind {
-                mem_readers.push((mem as u32, pos as u32));
-            }
-            // Models may be stateful. A slot with several writers keeps
-            // last-writer-wins order only if all of them run, and one also
-            // written from outside the sweep (a poke, say) must be
-            // overwritten by its definition exactly when the reference
-            // engine would.
-            let extern_settle = matches!(d.kind, DefKind::ExternComb { .. });
-            let forced = d
-                .writes
-                .iter()
-                .any(|&w| p.writer_count[w] > 1 || p.external[w]);
-            p.always.push(extern_settle || forced);
-        }
-        for (k, (_, next)) in p.regs.iter().enumerate() {
-            let pos = (interp.schedule.len() + k) as u32;
-            for n in &p.nodes[next.lo as usize..next.hi as usize] {
-                if let Op::Slot(s) = n.op {
-                    read(s, pos);
+            copies.push(match d.kind {
+                DefKind::MemRead { mem, .. } => {
+                    mem_readers.push((mem as u32, pos));
+                    counts[d.writes[0]]
                 }
+                DefKind::Expr(_) => counts[d.writes[0]],
+                DefKind::ExternComb { .. } => (0, 0),
+            });
+            p.order.push(di);
+        }
+        p.always = (folded.iter().zip(always))
+            .filter_map(|(&fold, always)| (!fold).then_some(always))
+            .collect();
+        for (k, (_, next)) in p.regs.iter().enumerate() {
+            for s in p.slots_of(next) {
+                read(s, (p.order.len() + k) as u32);
             }
         }
         p.readers = Csr::from_pairs(n_slots, &readers);
         p.mem_readers = Csr::from_pairs(interp.mems.len(), &mem_readers);
+        p.copies = CopyCounts(copies);
         p
+    }
+
+    /// Folds the port-connection copies (see the module docs): sets each
+    /// slot's view and points every node at it. Returns, per schedule
+    /// position, whether the copy there is folded, and per slot the
+    /// folded copies viewing it, as `(copies of an outer head, all)`.
+    fn fold(&mut self, interp: &Interpreter, always: &[bool]) -> (Vec<bool>, Vec<(u32, u32)>) {
+        const NONE: u32 = u32::MAX;
+        let n_slots = self.widths.len();
+        // Slots an extern settle writes, and slots read straight out of
+        // the slots.
+        let (mut by_extern, mut straight) = (vec![false; n_slots], vec![false; n_slots]);
+        for e in &interp.externs {
+            for &(_, s) in &e.input_slots {
+                straight[s] = true;
+            }
+        }
+        let mut walked = Vec::new();
+        for (pos, &di) in interp.schedule.iter().enumerate() {
+            let d = &interp.defs[di];
+            if let DefKind::ExternComb { .. } = d.kind {
+                for &w in &d.writes {
+                    by_extern[w] = true;
+                }
+            } else if !self.packs_def(interp, di, always[pos]) {
+                walked.push(self.defs[di]);
+            }
+        }
+        for &(ri, next) in &self.regs {
+            if !self.packs(&next, self.widths[interp.regs[ri].slot]) {
+                walked.push(next);
+            }
+        }
+        for port in &self.ports {
+            if !self.packs(&port.unit, interp.mems[port.mem].width.get()) {
+                walked.push(port.unit);
+            }
+        }
+        for unit in &walked {
+            for s in self.slots_of(unit) {
+                straight[s] = true;
+            }
+        }
+
+        // Schedule order puts every source before its copies.
+        let can_head = |x: usize| {
+            let n = self.writer_count[x];
+            n == 0 || (n == 1 && !self.external[x] && !by_extern[x])
+        };
+        let (mut head, mut shadow) = (vec![NONE; n_slots], vec![NONE; n_slots]);
+        let mut view: Vec<u32> = (0..n_slots as u32).collect();
+        let mut counts = vec![(0, 0); n_slots];
+        let mut folded = vec![false; always.len()];
+        for (pos, &di) in interp.schedule.iter().enumerate() {
+            let d = &interp.defs[di];
+            let DefKind::Expr(_) = d.kind else {
+                continue;
+            };
+            let y = d.writes[0];
+            if always[pos] || !self.exact[y] || self.widths[y] > 64 {
+                continue;
+            }
+            let Some(x) = self.copy_of(&self.defs[di]).filter(|&x| can_head(x)) else {
+                continue;
+            };
+            let h = if head[x] == NONE { x } else { head[x] as usize };
+            head[y] = h as u32;
+            let v = if self.writer_count[h] != 0 {
+                h as u32
+            } else if shadow[h] == NONE {
+                shadow[h] = y as u32;
+                continue;
+            } else {
+                shadow[h]
+            };
+            if straight[y] {
+                continue;
+            }
+            folded[pos] = true;
+            view[y] = v;
+            let c = &mut counts[v as usize];
+            *c = (c.0 + u32::from(self.writer_count[x] == 0), c.1 + 1);
+        }
+        for n in &mut self.nodes {
+            if let Op::Slot(s) = &mut n.op {
+                *s = view[*s] as usize;
+            }
+        }
+        self.view = view;
+        (folded, counts)
     }
 
     /// Every expression flattened, with static widths, the slots'
@@ -517,7 +621,7 @@ impl<'a> Lowered<'a> {
     /// The slot `unit` copies at its own width, when that is all it
     /// does: a slot read, through resizes to the slot's own width and
     /// one-part cats, whose values are the slot's.
-    pub(crate) fn copy_of(&self, unit: &Unit) -> Option<usize> {
+    fn copy_of(&self, unit: &Unit) -> Option<usize> {
         if unit.fallback.is_some() {
             return None;
         }
@@ -532,73 +636,39 @@ impl<'a> Lowered<'a> {
         }
     }
 
-    /// The copies the compiled engine folds, grouped by head in schedule
-    /// order (see [`Copies`]). A copy's source can head it when nothing
-    /// writes the source, or one unforced program other than an extern
-    /// settle does (a folded copy included); schedule order puts every
-    /// source before its copies.
-    pub(crate) fn copies(&self, interp: &Interpreter) -> Copies {
-        let n_slots = self.widths.len();
-        let mut by_extern = vec![false; n_slots];
-        for d in &interp.defs {
-            if let DefKind::ExternComb { .. } = d.kind {
-                for &w in &d.writes {
-                    by_extern[w] = true;
-                }
-            }
-        }
-        let can_head = |x: usize| {
-            let n = self.writer_count[x];
-            n == 0 || (n == 1 && !self.external[x] && !by_extern[x])
-        };
-        let mut c = Copies {
-            folded: vec![false; interp.schedule.len()],
-            head: vec![NO_COPY; n_slots],
-            view: (0..n_slots as u32).collect(),
-        };
-        let mut shadow = vec![NO_COPY; n_slots];
-        for (pos, &di) in interp.schedule.iter().enumerate() {
-            let d = &interp.defs[di];
-            let DefKind::Expr(_) = d.kind else {
-                continue;
-            };
-            let y = d.writes[0];
-            if self.always[pos] || !self.exact[y] || self.widths[y] > 64 {
-                continue;
-            }
-            let Some(x) = self.copy_of(&self.defs[di]).filter(|&x| can_head(x)) else {
-                continue;
-            };
-            let h = if c.head[x] == NO_COPY {
-                x
-            } else {
-                c.head[x] as usize
-            };
-            c.folded[pos] = true;
-            c.head[y] = h as u32;
-            c.view[y] = if self.writer_count[h] != 0 {
-                h as u32
-            } else {
-                if shadow[h] == NO_COPY {
-                    shadow[h] = y as u32;
-                }
-                shadow[h]
-            };
-        }
-        c
+    /// Whether the compiled engine runs `unit` as word-packed
+    /// instructions, committing a `bits`-bit value: the unit lowers and
+    /// every value fits a 64-bit word. It tree-walks any other unit.
+    pub(crate) fn packs(&self, unit: &Unit, bits: u32) -> bool {
+        let fits = |n: &Node| n.width.is_some_and(|w| w <= 64);
+        bits <= 64
+            && unit.fallback.is_none()
+            && self.nodes[unit.lo as usize..unit.hi as usize]
+                .iter()
+                .all(fits)
     }
 
-    /// The slots `unit` reads, sorted: a fallback's gather list.
-    pub(crate) fn reads(&self, unit: &Unit) -> Vec<u32> {
-        let mut reads: Vec<u32> = self.nodes[unit.lo as usize..unit.hi as usize]
-            .iter()
-            .filter_map(|n| match n.op {
-                Op::Slot(s) => Some(s as u32),
-                _ => None,
-            })
-            .collect();
-        reads.sort_unstable();
-        reads.dedup();
-        reads
+    /// [`Lowered::packs`] for definition `di`, which runs on every settle
+    /// when `always` (the compiled engine tree-walks those writers; it
+    /// calls an extern settle's model).
+    pub(crate) fn packs_def(&self, interp: &Interpreter, di: usize, always: bool) -> bool {
+        let d = &interp.defs[di];
+        let bits = match d.kind {
+            DefKind::Expr(_) => self.widths[d.writes[0]],
+            DefKind::MemRead { mem, .. } => {
+                (self.widths[d.writes[0]]).max(interp.mems[mem].width.get())
+            }
+            DefKind::ExternComb { .. } => return false,
+        };
+        !always && self.packs(&self.defs[di], bits)
+    }
+
+    /// The slots `unit`'s nodes read.
+    fn slots_of<'s>(&'s self, unit: &Unit) -> impl Iterator<Item = usize> + 's {
+        let nodes = &self.nodes[unit.lo as usize..unit.hi as usize];
+        nodes.iter().filter_map(|n| match n.op {
+            Op::Slot(s) => Some(s),
+            _ => None,
+        })
     }
 }

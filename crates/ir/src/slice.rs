@@ -43,7 +43,11 @@
 //! every slot lists the definitions and register next-values that read
 //! it, every memory its read ports. A settle runs only the marked
 //! definitions, in schedule order; a full sweep is the same loop with
-//! every position marked.
+//! every position marked. Both engines map the lowering's folded
+//! program: a folded port-connection copy has no definition here and
+//! shares its view's planes, so lane kernels, per-lane fallbacks, extern
+//! inputs, peeks, digests and lane snapshots read the view through it;
+//! the settle totals count it by the lowering's rule.
 //! The `Store` that ends a definition's kernel notes, as it writes,
 //! whether any live lane's plane changed, and a change marks the slot's
 //! readers. A register next-value runs at the edge only when one of its
@@ -54,7 +58,10 @@
 //! settle. Pokes mark the poked slot's readers when a live lane's value
 //! moved, and extern outputs mark theirs when a model's write moves
 //! them; `reset`, `restore_lane`, binding a behavior and forking a
-//! coalesced extern mark everything.
+//! coalesced extern mark everything, and the next settle counts every
+//! folded copy as run. (A fork in the middle of a settle marks the
+//! definitions after it for that settle too, so the copies behind them
+//! may count on both.)
 //!
 //! ## Front end
 //!
@@ -70,11 +77,11 @@ use crate::bits::{Bits, Width};
 use crate::error::{IrError, Result};
 use crate::exec::ExecEngine;
 use crate::interp::{
-    encode_state, sync_extern_inputs, DefKind, ExternBehavior, ExternInst, Interpreter, PortSink,
-    PortWriter,
+    encode_state, sync_extern_inputs, CExpr, DefKind, ExternBehavior, ExternInst, Interpreter,
+    PortSink, PortWriter,
 };
 pub use crate::lower::ScalarReason;
-use crate::lower::{Csr, Lowered, Op, Unit};
+use crate::lower::{CopyCounts, Csr, Lowered, Op, Unit};
 
 /// Hard lane capacity: one bit position per lane in a `u64` plane.
 pub const MAX_LANES: u32 = 64;
@@ -222,8 +229,9 @@ enum DefProg {
     /// definition's slot `slot`).
     Sliced { lo: u32, hi: u32, slot: u32 },
     /// A definition whose whole program is one `Store` from the plane
-    /// arena (a port connection, or a resize or extract of a slot):
-    /// `phys` planes from `src`, zeros up to `w`, into `slot` at `dst`.
+    /// arena (a port connection the lowering keeps, or a resize or
+    /// extract of a slot): `phys` planes from `src`, zeros up to `w`,
+    /// into `slot` at `dst`.
     Copy {
         src: u32,
         phys: u32,
@@ -241,8 +249,9 @@ enum DefProg {
         mem: u32,
         slot: u32,
     },
-    /// Per-lane scalarization through the reference tree walker.
-    Fallback,
+    /// Per-lane scalarization of definition `di` through the reference
+    /// tree walker.
+    Fallback { di: u32 },
     /// Extern behavioral settle, one model call per lane.
     Extern { ext: u32 },
 }
@@ -260,7 +269,7 @@ enum RegProg {
         slot: u32,
     },
     /// Per-lane evaluation of `regs[ri].next` (reads pre-gathered).
-    Fallback { ri: u32, reads: Vec<u32> },
+    Fallback { ri: u32, reads: Vec<usize> },
 }
 
 /// How one memory write port executes at the clock edge.
@@ -282,7 +291,7 @@ enum MemWProg {
     Fallback {
         mem: u32,
         port: u32,
-        reads: Vec<u32>,
+        reads: Vec<usize>,
     },
 }
 
@@ -372,7 +381,8 @@ pub(crate) struct SlicedTape {
     widths: Vec<u32>,
     /// Result of the exactness fixpoint, per slot.
     exact: Vec<bool>,
-    /// First plane of each exact slot (`u32::MAX` for inexact slots).
+    /// First plane of each exact slot (`u32::MAX` for inexact slots); a
+    /// folded copy's are its view's.
     plane_base: Vec<u32>,
     /// Per-lane scalar index of each inexact slot (`u32::MAX` otherwise).
     scalar_idx: Vec<u32>,
@@ -396,6 +406,8 @@ pub(crate) struct SlicedTape {
     mem_readers: Csr,
     /// Definition positions that run on every settle.
     always: Vec<bool>,
+    /// The folded copies each definition position's run counts.
+    copies: CopyCounts,
 }
 
 /// Maps lowered nodes to plane kernels, one unit at a time. Temporaries
@@ -615,16 +627,17 @@ impl Slicer<'_, '_> {
 }
 
 impl SlicedTape {
-    /// Maps the lowered netlist onto planes: exact slots get planes,
-    /// inexact ones a scalar per lane, and every unit a plane kernel
-    /// unless it falls back.
-    pub(crate) fn build(interp: &Interpreter, prog: Lowered) -> Self {
+    /// Maps the lowered netlist onto planes: exact slots get planes (a
+    /// folded copy shares the planes of its view, from `view`), inexact
+    /// ones a scalar per lane, and every unit a plane kernel unless it
+    /// falls back.
+    pub(crate) fn build(interp: &Interpreter, prog: Lowered, view: &[u32]) -> Self {
         let n = prog.widths.len();
         let mut plane_base = vec![u32::MAX; n];
         let mut scalar_idx = vec![u32::MAX; n];
         let mut n_planes = 0u32;
         let mut n_scalars = 0u32;
-        for s in 0..n {
+        for s in (0..n).filter(|&s| view[s] as usize == s) {
             if prog.exact[s] {
                 plane_base[s] = n_planes;
                 n_planes += prog.widths[s];
@@ -632,6 +645,9 @@ impl SlicedTape {
                 scalar_idx[s] = n_scalars;
                 n_scalars += 1;
             }
+        }
+        for (s, &v) in view.iter().enumerate() {
+            plane_base[s] = plane_base[v as usize];
         }
 
         let mut cc = Slicer {
@@ -647,8 +663,8 @@ impl SlicedTape {
         };
         let mut scalarized = Vec::new();
 
-        let mut def_progs = Vec::with_capacity(interp.schedule.len());
-        for &di in &interp.schedule {
+        let mut def_progs = Vec::with_capacity(prog.order.len());
+        for &di in &prog.order {
             let (d, unit) = (&interp.defs[di], &prog.defs[di]);
             def_progs.push(match d.kind {
                 DefKind::Expr(_) => {
@@ -678,7 +694,7 @@ impl SlicedTape {
                         }
                         Err(reason) => {
                             scalarized.push((SliceUnit::Def, slot, 0, reason));
-                            DefProg::Fallback
+                            DefProg::Fallback { di: di as u32 }
                         }
                     }
                 }
@@ -697,7 +713,7 @@ impl SlicedTape {
                         }
                         Err(reason) => {
                             scalarized.push((SliceUnit::MemRead, slot, 0, reason));
-                            DefProg::Fallback
+                            DefProg::Fallback { di: di as u32 }
                         }
                     }
                 }
@@ -708,7 +724,7 @@ impl SlicedTape {
         let mut reg_progs = Vec::new();
         let mut n_pend = 0u32;
         for &(ri, next) in &prog.regs {
-            let slot = interp.regs[ri].slot;
+            let (slot, e) = (interp.regs[ri].slot, &interp.regs[ri].next);
             let w = prog.widths[slot];
             reg_progs.push(match cc.unit(&next, None) {
                 Ok(src) => {
@@ -743,7 +759,7 @@ impl SlicedTape {
                     scalarized.push((SliceUnit::RegNext, slot, 0, reason));
                     RegProg::Fallback {
                         ri: ri as u32,
-                        reads: prog.reads(&next),
+                        reads: gather(e.iter()),
                     }
                 }
             });
@@ -776,10 +792,11 @@ impl SlicedTape {
                 }
                 Err(reason) => {
                     scalarized.push((SliceUnit::WritePort, port.mem, port.port, reason));
+                    let (addr, data, en) = &interp.mems[port.mem].writes[port.port];
                     MemWProg::Fallback {
                         mem: port.mem as u32,
                         port: port.port as u32,
-                        reads: prog.reads(unit),
+                        reads: gather([addr, data, en]),
                     }
                 }
             });
@@ -802,6 +819,7 @@ impl SlicedTape {
             readers: prog.readers,
             mem_readers: prog.mem_readers,
             always: prog.always,
+            copies: prog.copies,
         }
     }
 
@@ -1115,6 +1133,9 @@ pub struct SlicedInterpreter {
     /// The dirty set: definition positions, then register next-values
     /// (indexed as the tape's `readers` rows are).
     dirty: Vec<bool>,
+    /// Everything was marked since the last settle, which so counts
+    /// every folded copy as run.
+    swept: bool,
     cycle: u64,
     word_buf: Vec<u64>,
     pend_reg_planes: Vec<u64>,
@@ -1143,8 +1164,12 @@ impl SlicedInterpreter {
         }
         // The template only ever runs fallbacks on the tree walker, so it
         // needs no compiled tape: the netlist is lowered once, here.
-        let base = Interpreter::elaborate(circuit, ExecEngine::Reference)?;
-        let tape = SlicedTape::build(&base, Lowered::new(&base));
+        let mut base = Interpreter::elaborate(circuit, ExecEngine::Reference)?;
+        let mut prog = Lowered::new(&base);
+        let view = std::mem::take(&mut prog.view);
+        let tape = SlicedTape::build(&base, prog, &view);
+        // A lane blob is checked against the views as a scalar one is.
+        base.view = view;
         let planes = vec![0u64; tape.n_planes as usize];
         let tmps = vec![0u64; tape.n_tmps as usize];
         // Inexact slots in slot order, as `scalar_idx` numbers them.
@@ -1177,6 +1202,7 @@ impl SlicedInterpreter {
             ext_uniform: vec![false; models.len()],
             models,
             dirty,
+            swept: true,
             cycle: 0,
             word_buf: Vec::new(),
             pend_reg_planes,
@@ -1212,7 +1238,7 @@ impl SlicedInterpreter {
                 DefProg::MemRead { .. } => cov.mem_reads.kernels += 1,
                 // Fallbacks are counted below, by what fell back; extern
                 // settles are model calls, neither kernel nor tree walk.
-                DefProg::Fallback | DefProg::Extern { .. } => {}
+                DefProg::Fallback { .. } | DefProg::Extern { .. } => {}
             }
         }
         for p in &tape.reg_progs {
@@ -1302,6 +1328,7 @@ impl SlicedInterpreter {
         }
         self.recompute_uniform(ext);
         self.dirty.fill(true);
+        self.swept = true;
         Ok(())
     }
 
@@ -1330,7 +1357,7 @@ impl SlicedInterpreter {
                     ext,
                     self.lanes,
                     &self.base.externs[ext].path,
-                    &mut self.dirty,
+                    (&mut self.dirty, &mut self.swept),
                 );
                 self.ext_uniform[ext] = false;
             }
@@ -1372,6 +1399,7 @@ impl SlicedInterpreter {
         }
         self.cycle = 0;
         self.dirty.fill(true);
+        self.swept = true;
         self.publish_sources();
     }
 
@@ -1644,6 +1672,7 @@ impl SlicedInterpreter {
         }
         self.cycle = state.cycle;
         self.dirty.fill(true);
+        self.swept = true;
         self.models
             .iter_mut()
             .zip(state.externs)
@@ -1671,6 +1700,8 @@ impl SlicedInterpreter {
         }
         let lanes = self.lanes;
         let live = live_mask(lanes);
+        let all = std::mem::take(&mut self.swept);
+        let n_defs = self.base.schedule.len() as u64;
         let tape = &self.tape;
         let planes = &mut self.planes;
         let tmps = &mut self.tmps;
@@ -1679,22 +1710,20 @@ impl SlicedInterpreter {
         let models = &mut self.models;
         let word_buf = &mut self.word_buf;
         let ext_uniform = &mut self.ext_uniform;
-        let dirty = &mut self.dirty;
+        let (dirty, swept) = (&mut self.dirty, &mut self.swept);
         let parts = self.base.parts_mut();
         let slots = parts.slots;
-        let n_progs = tape.def_progs.len();
         let mut run = 0u64;
-        for pos in 0..n_progs {
+        for pos in 0..tape.def_progs.len() {
             if !dirty[pos] {
                 continue;
             }
             dirty[pos] = tape.always[pos];
             run += 1;
-            match &tape.def_progs[pos] {
+            let (slot, moved) = match &tape.def_progs[pos] {
                 DefProg::Sliced { lo, hi, slot } => {
-                    if tape.run_ops(*lo, *hi, planes, tmps) & live != 0 {
-                        tape.readers.mark(*slot as usize, dirty);
-                    }
+                    let moved = tape.run_ops(*lo, *hi, planes, tmps);
+                    (*slot as usize, moved & live != 0)
                 }
                 &DefProg::Copy {
                     src,
@@ -1703,9 +1732,8 @@ impl SlicedInterpreter {
                     w,
                     slot,
                 } => {
-                    if copy_planes(planes, src, phys, dst, w) & live != 0 {
-                        tape.readers.mark(slot as usize, dirty);
-                    }
+                    let moved = copy_planes(planes, src, phys, dst, w);
+                    (slot as usize, moved & live != 0)
                 }
                 DefProg::MemRead {
                     lo,
@@ -1731,12 +1759,10 @@ impl SlicedInterpreter {
                         transpose64(&mut m);
                         moved |= store_planes(dst, &m[..dst.len()]);
                     }
-                    if moved & live != 0 {
-                        tape.readers.mark(*slot as usize, dirty);
-                    }
+                    (*slot as usize, moved & live != 0)
                 }
-                DefProg::Fallback => {
-                    let def = &parts.defs[parts.schedule[pos]];
+                DefProg::Fallback { di } => {
+                    let def = &parts.defs[*di as usize];
                     let mut moved = false;
                     for lane in 0..lanes {
                         for &s in &def.reads {
@@ -1757,9 +1783,7 @@ impl SlicedInterpreter {
                         };
                         moved |= store_lane(tape, planes, scalars, def.writes[0], lane, v);
                     }
-                    if moved {
-                        tape.readers.mark(def.writes[0], dirty);
-                    }
+                    (def.writes[0], moved)
                 }
                 DefProg::Extern { ext } => {
                     let ei = *ext as usize;
@@ -1788,7 +1812,7 @@ impl SlicedInterpreter {
                             );
                             continue;
                         }
-                        fork_extern_lanes(models, ei, lanes, &e.path, dirty);
+                        fork_extern_lanes(models, ei, lanes, &e.path, (dirty, swept));
                         ext_uniform[ei] = false;
                     }
                     for lane in 0..lanes {
@@ -1812,13 +1836,18 @@ impl SlicedInterpreter {
                             &mut PortWriter::new(&e.sink_output_slots, &mut sink),
                         );
                     }
+                    continue;
                 }
+            };
+            if moved {
+                tape.readers.mark(slot, dirty);
             }
+            run += tape.copies.run(pos, moved || all);
         }
         let stats = &mut self.base.stats;
         stats.settle_passes += 1;
         stats.defs_run += run;
-        stats.defs_skipped += n_progs as u64 - run;
+        stats.defs_skipped += n_defs - run;
         Ok(())
     }
 
@@ -1842,7 +1871,7 @@ impl SlicedInterpreter {
         let pend_mem_writes = &mut self.pend_mem_writes;
         let pend_mem_words = &mut self.pend_mem_words;
         let ext_uniform = &mut self.ext_uniform;
-        let dirty = &mut self.dirty;
+        let (dirty, swept) = (&mut self.dirty, &mut self.swept);
         let parts = self.base.parts_mut();
         let slots = parts.slots;
 
@@ -1874,7 +1903,7 @@ impl SlicedInterpreter {
                     let w = Width::new(tape.widths[r.slot]);
                     for lane in 0..lanes {
                         for &s in reads {
-                            load_shadow(slots, tape, planes, scalars, word_buf, s as usize, lane);
+                            load_shadow(slots, tape, planes, scalars, word_buf, s, lane);
                         }
                         pend_lane_regs.push((r.slot, lane, e.eval(slots).resize(w)));
                     }
@@ -1932,7 +1961,7 @@ impl SlicedInterpreter {
                     let (addr, data, en) = &m.writes[*port as usize];
                     for lane in 0..lanes {
                         for &s in reads {
-                            load_shadow(slots, tape, planes, scalars, word_buf, s as usize, lane);
+                            load_shadow(slots, tape, planes, scalars, word_buf, s, lane);
                         }
                         if !en.eval(slots).is_zero() {
                             let a = addr.eval(slots).to_u64() as usize;
@@ -1962,7 +1991,7 @@ impl SlicedInterpreter {
                     }
                     continue;
                 }
-                fork_extern_lanes(models, ei, lanes, &e.path, dirty);
+                fork_extern_lanes(models, ei, lanes, &e.path, (dirty, swept));
                 ext_uniform[ei] = false;
             }
             for lane in 0..lanes {
@@ -2058,6 +2087,19 @@ impl SlicedInterpreter {
     }
 }
 
+/// The slots `exprs` read, sorted: a fallback's gather list. A tree walk
+/// reads the slots its expressions name, folded copies included (their
+/// planes are their views').
+fn gather<'e>(exprs: impl IntoIterator<Item = &'e CExpr>) -> Vec<usize> {
+    let mut reads = Vec::new();
+    for e in exprs {
+        e.reads(&mut reads);
+    }
+    reads.sort_unstable();
+    reads.dedup();
+    reads
+}
+
 /// Refreshes the shadow slot `s` with lane `lane`'s value so the
 /// reference tree walker can evaluate against it.
 fn load_shadow(
@@ -2146,7 +2188,7 @@ fn extern_inputs_uniform(
 
 /// Clones lane 0's model state into every parked lane of extern `ext`,
 /// turning a lane-coalesced instance into real per-lane models, and
-/// marks everything dirty. Only ever
+/// marks everything dirty (the dirty set and its `swept` flag). Only ever
 /// called while the uniformity invariant holds, which requires
 /// [`ExternBehavior::snapshot_bytes`] support — so a failure here is a
 /// snapshot-contract violation, not a recoverable condition.
@@ -2155,9 +2197,10 @@ fn fork_extern_lanes(
     ext: usize,
     lanes: u32,
     path: &str,
-    dirty: &mut [bool],
+    (dirty, swept): (&mut [bool], &mut bool),
 ) {
     dirty.fill(true);
+    *swept = true;
     let bytes = models[ext][0]
         .as_ref()
         .and_then(|m| m.snapshot_bytes())
