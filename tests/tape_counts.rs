@@ -20,16 +20,23 @@
 //! every lane: their rows freeze the batch's `ExecStats` (a definition
 //! counts once per settle however many lanes it covers), and every
 //! lane's digest must equal the compiled row's state digest. Each batch
-//! runs exactly the definitions the compiled run does (a folded copy of
-//! the compiled tape is a copy program of the sliced one).
+//! runs exactly the definitions the compiled run does: both map the
+//! lowering's folded program and count its folded copies by one rule.
 //!
 //! The `*_tapes` rows freeze what each engine builds from a design: the
 //! compiled `TapeShape` (programs, folded copies, instructions, latches)
 //! and the sliced `SliceCoverage` (kernels and scalarized units per
 //! `SliceUnit`, and every scalarized unit's path and reason, sorted).
-//! They hold both engines to the tapes they emitted before they shared
-//! one lowering. `mixed_fallbacks` is built to hit every fallback reason
-//! a validated design can reach, and the compiled engine's 64-bit limit.
+//! They were frozen when both engines first shared one lowering, and
+//! re-frozen once when the lowering took over folding port-connection
+//! copies: the compiled programs grew by exactly the outer heads'
+//! shadows and the copies read straight out of the slots (until then
+//! folded copies of their own kind), the folded copies fell by as many,
+//! instructions and latches did not move, and the sliced definition
+//! kernels fell by exactly the folded copies, which no longer run as
+//! copy programs. `mixed_fallbacks` is built to hit every fallback
+//! reason a validated design can reach, and the compiled engine's
+//! 64-bit limit.
 
 use fireaxe::ir::parser::parse_circuit;
 use fireaxe::ir::printer::print_circuit;
@@ -352,7 +359,7 @@ fn noc_ring_4_tapes() {
     check_tapes(
         "noc_ring_4",
         &ring_noc_circuit(&NOC4),
-        ((32, 144, 60, 28), [(176, 0), (28, 0), (0, 0), (0, 0)], &[]),
+        ((60, 116, 60, 28), [(60, 0), (28, 0), (0, 0), (0, 0)], &[]),
     );
 }
 
@@ -367,8 +374,8 @@ fn ring32_tapes() {
         "ring32",
         &circuit,
         (
-            (256, 1152, 480, 224),
-            [(1408, 0), (224, 0), (0, 0), (0, 0)],
+            (480, 928, 480, 224),
+            [(480, 0), (224, 0), (0, 0), (0, 0)],
             &[],
         ),
     );
@@ -387,8 +394,8 @@ fn soc24_monolithic_tapes() {
         "soc24_monolithic",
         &soc.circuit,
         (
-            (248, 1003, 375, 175),
-            [(1227, 0), (175, 0), (0, 0), (0, 0)],
+            (476, 775, 375, 175),
+            [(452, 0), (175, 0), (0, 0), (0, 0)],
             &[],
         ),
     );
@@ -399,7 +406,7 @@ fn rocket_to_done_tapes() {
     check_tapes(
         "rocket_to_done",
         &fireaxe::soc::validation::rocket_soc(30, 8),
-        ((29, 13, 86, 11), [(41, 0), (10, 0), (1, 0), (1, 0)], &[]),
+        ((33, 9, 86, 11), [(32, 0), (10, 0), (1, 0), (1, 0)], &[]),
     );
 }
 
@@ -523,8 +530,8 @@ fn mixed_fallbacks_tapes() {
         "mixed_fallbacks",
         &mixed_fallbacks(),
         (
-            (13, 10, 16, 6),
-            [(14, 7), (2, 2), (1, 1), (1, 1)],
+            (16, 7, 16, 6),
+            [(7, 7), (2, 2), (1, 1), (1, 1)],
             &[
                 ("acc", "DivRem"),
                 ("held", "InexactSlot"),
