@@ -35,8 +35,8 @@
 //!   no map is built in either direction.
 //! * **Dirty-set skipping** — the lowering's reader rows (slot → reading
 //!   positions) let the sweep skip definitions whose inputs did not
-//!   change, and its copy counts keep the totals of the unfolded program. Slots written
-//!   from outside the sweep (top inputs, extern source outputs, slots
+//!   change, and its copy counts keep the totals of the unfolded
+//!   program. Slots written from outside the sweep (top inputs, extern source outputs, slots
 //!   nothing drives) are *roots* compared at the start of each settle
 //!   against the arena, which holds their last scanned value (wide ones
 //!   keep a `Bits` copy); registers and memory writes mark their readers

@@ -835,7 +835,7 @@ impl Interpreter {
     }
 
     /// The compiled tape's size: programs the settle sweep visits,
-    /// port-connection copies folded into their source's write,
+    /// port-connection copies the lowering folded into their views,
     /// word-packed instructions and latches. Fixed at elaboration.
     pub fn tape_shape(&self) -> crate::exec::TapeShape {
         self.tape.as_ref().expect("compiled tape present").shape()
