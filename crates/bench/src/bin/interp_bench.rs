@@ -86,6 +86,13 @@
 //! the 3.5× and 8× floors and the 12.5× cut limit stay (worst readings
 //! on the change: 7.1×, 64×, 9.7×).
 //!
+//! Folding port-connection copies in the lowering for both engines
+//! (the sliced tape no longer runs a copy program per port connection:
+//! plane-copy runs per cycle `noc_ring_4` 118.7 → 32.0, `soc24_fig6`
+//! 186.8 → 100.0) moved no floor: ten runs on a quiet 2-core box all
+//! passed, gains `noc_ring_4` 6.9–10.3×, `soc24_fig6` 10.5–12.5×,
+//! `sha3` 65–100×, `rocket` 26.8–40.7×, obs gate 95.1–117.5 %.
+//!
 //! The observability gate is noise-dominated at this size (single
 //! attempts in one session read anywhere from 95 % to above 100 %),
 //! which is why it retries; its 95 % bar is unchanged. Its span per
